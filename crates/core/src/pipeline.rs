@@ -49,11 +49,14 @@ pub struct CompilerOptions {
     /// parallel module driver turns this on to fill its per-unit
     /// diagnostics.
     pub collect_cache_stats: bool,
-    /// Keep-going mode: collect *every* diagnostic instead of stopping at
-    /// the first error, and degrade failed units to poisoned interfaces so
-    /// dependents still report their own errors. Consulted by the module
-    /// driver ([`Compiler::compile`] itself stays fail-fast; use
-    /// [`Compiler::compile_keep_going`] for the tolerant entry point).
+    /// Keep-going mode: the module driver type-checks every unit under the
+    /// checker's Collect error policy — collecting *every* diagnostic
+    /// instead of stopping at the first error — and degrades failed units
+    /// to poisoned interfaces so dependents still report their own
+    /// errors. The flag selects the policy on the driver's one unit path;
+    /// a clean unit then runs exactly the phases and queries a strict one
+    /// does. [`Compiler::compile`] itself stays fail-fast; use
+    /// [`Compiler::compile_keep_going`] for the keep-going entry point.
     /// Successful compiles produce bit-identical artifacts either way, so
     /// this flag deliberately does **not** participate in the driver's
     /// input fingerprints.
@@ -738,9 +741,9 @@ pub struct FrontendOutcome {
     /// *poisoned*; dependents can still check against it.
     pub interface: src::Term,
     /// Every diagnostic, in phase order: parse, then type checking, then
-    /// any strict-pipeline failure folded in.
+    /// any backend failure folded in.
     pub diagnostics: Vec<Diagnostic>,
-    /// The full strict compilation — present only when no error-severity
+    /// The full compilation — present only when no error-severity
     /// diagnostic was produced and the environment was clean.
     pub compilation: Option<Compilation>,
 }
@@ -767,53 +770,16 @@ impl FrontendOutcome {
     }
 }
 
-/// The stable error code for a strict source-checker error — the same table
-/// the tolerant checker uses ([`cccc_source::tolerant`] module docs).
-pub fn source_error_code(error: &src::TypeError) -> &'static str {
-    match error {
-        src::TypeError::UnboundVariable(_) => "E0001",
-        src::TypeError::BoxHasNoType => "E0002",
-        src::TypeError::NotAFunction { .. } => "E0003",
-        src::TypeError::NotAPair { .. } => "E0004",
-        src::TypeError::NotAUniverse { .. } => "E0005",
-        src::TypeError::PairAnnotationNotSigma { .. } => "E0006",
-        src::TypeError::ImpredicativeSigma { .. } => "E0007",
-        src::TypeError::Mismatch { .. } => "E0008",
-        src::TypeError::Reduction(_) => "E0009",
-    }
-}
-
-/// The stable error code for a strict target-checker error — the same table
-/// the tolerant checker uses ([`cccc_target::tolerant`] module docs).
-pub fn target_error_code(error: &tgt::typecheck::TypeError) -> &'static str {
-    use tgt::typecheck::TypeError as T;
-    match error {
-        T::UnboundVariable(_) => "E1001",
-        T::BoxHasNoType => "E1002",
-        T::NotAClosure { .. } => "E1003",
-        T::NotAPair { .. } => "E1004",
-        T::NotAUniverse { .. } => "E1005",
-        T::PairAnnotationNotSigma { .. } => "E1006",
-        T::Mismatch { .. } => "E1008",
-        T::Reduction(_) => "E1009",
-        T::OpenCode { .. } => "E1010",
-        T::NotCode { .. } => "E1011",
-    }
-}
-
 /// Folds a strict-pipeline error into a coded diagnostic. Parse and type
-/// errors reuse the per-variant code tables; the later phases get
-/// phase-level codes (`E0200` translate, `E0300` verify, `E0400` link).
+/// errors carry their per-variant codes ([`src::TypeError::code`],
+/// [`tgt::TypeError::code`]); the later phases get phase-level codes
+/// (`E0200` translate, `E0300` verify, `E0400` link).
 pub fn diagnostic_of_compile_error(error: &CompileError) -> Diagnostic {
     match error {
         CompileError::Parse(e) => e.to_diagnostic(),
-        CompileError::SourceType(e) => {
-            Diagnostic::error(e.to_string()).with_code(source_error_code(e))
-        }
+        CompileError::SourceType(e) => Diagnostic::error(e.to_string()).with_code(e.code()),
         CompileError::Translate(e) => Diagnostic::error(e.to_string()).with_code("E0200"),
-        CompileError::TargetType(e) => {
-            Diagnostic::error(e.to_string()).with_code(target_error_code(e))
-        }
+        CompileError::TargetType(e) => Diagnostic::error(e.to_string()).with_code(e.code()),
         CompileError::Verify(e) => Diagnostic::error(e.to_string()).with_code("E0300"),
         CompileError::Link(e) => Diagnostic::error(e.to_string()).with_code("E0400"),
     }
@@ -866,6 +832,37 @@ impl Compiler {
         let (ty, ns) =
             trace::timed("typecheck", || src::typecheck::infer_with_engine(env, term, engine));
         Ok((ty?, ns))
+    }
+
+    /// [`Compiler::phase_typecheck`] under the checker's Collect error
+    /// policy: every type error becomes a coded diagnostic and checking
+    /// recovers with the `<error>` sentinel (see
+    /// [`cccc_source::typecheck`]). Records the same `typecheck` span.
+    ///
+    /// # Errors
+    ///
+    /// Unless the input is clean — no error diagnostic, and neither
+    /// `term` nor `env` mentions the sentinel — returns the recovered,
+    /// possibly poisoned interface with every diagnostic instead of the
+    /// type.
+    pub fn phase_typecheck_keep_going(
+        &self,
+        env: &src::Env,
+        term: &src::Term,
+    ) -> std::result::Result<(src::Term, u64), (src::Term, Vec<Diagnostic>)> {
+        let engine =
+            if self.options.use_nbe { src::equiv::Engine::Nbe } else { src::equiv::Engine::Step };
+        let (outcome, ns) = trace::timed("typecheck", || {
+            src::tolerant::infer_tolerant_with_engine(env, term, engine)
+        });
+        if outcome.is_clean()
+            && !src::tolerant::is_poisoned(term)
+            && !src::tolerant::env_is_poisoned(env)
+        {
+            Ok((outcome.ty, ns))
+        } else {
+            Err((outcome.ty, outcome.diagnostics))
+        }
     }
 
     /// Runs the `translate` phase alone: closure-converts the term and
@@ -989,9 +986,22 @@ impl Compiler {
     /// Returns a [`CompileError`] if any stage fails.
     pub fn compile(&self, env: &src::Env, term: &src::Term) -> Result<Compilation> {
         let before = self.options.collect_cache_stats.then(cache_snapshot);
-        let mut phases = PhaseNanos::default();
         let (source_type, typecheck_ns) = self.phase_typecheck(env, term)?;
-        phases.typecheck = typecheck_ns;
+        self.compile_typed(env, term, source_type, typecheck_ns, before)
+    }
+
+    /// The backend both [`Compiler::compile`] and
+    /// [`Compiler::compile_keep_going`] hand a clean source type to:
+    /// translate, then — when output checking is on — check and verify.
+    fn compile_typed(
+        &self,
+        env: &src::Env,
+        term: &src::Term,
+        source_type: src::Term,
+        typecheck_ns: u64,
+        before: Option<CacheSnapshot>,
+    ) -> Result<Compilation> {
+        let mut phases = PhaseNanos { typecheck: typecheck_ns, ..PhaseNanos::default() };
         let (target, target_type, translate_ns) = self.phase_translate(env, term, &source_type)?;
         phases.translate = translate_ns;
 
@@ -1041,37 +1051,31 @@ impl Compiler {
     /// diagnostic is collected instead of the first error aborting the
     /// pipeline.
     ///
-    /// The source program is checked with the tolerant checker
-    /// ([`cccc_source::tolerant`]). When it is clean — and the ambient
-    /// environment is not poisoned by an upstream failure — the full strict
-    /// pipeline runs and the outcome carries a [`Compilation`]; otherwise
-    /// the outcome is frontend-only: a (possibly poisoned) interface plus
-    /// the diagnostics, and no translation is attempted. A strict-pipeline
-    /// failure on tolerantly-clean input (e.g. fuel exhaustion, or a
-    /// translator invariant violation) is folded into the diagnostics
-    /// rather than escaping as an error.
+    /// The source program is checked once, under the checker's Collect
+    /// error policy ([`Compiler::phase_typecheck_keep_going`]). When it is
+    /// clean — and the ambient environment is not poisoned by an upstream
+    /// failure — its type goes through the same translate → check →
+    /// verify backend [`Compiler::compile`] uses, and the outcome carries
+    /// a [`Compilation`]; otherwise the outcome is frontend-only: a
+    /// (possibly poisoned) interface plus the diagnostics, and no
+    /// translation is attempted. A backend failure on clean input (e.g.
+    /// fuel exhaustion, or a translator invariant violation) is folded
+    /// into the diagnostics rather than escaping as an error.
     pub fn compile_keep_going(&self, env: &src::Env, term: &src::Term) -> FrontendOutcome {
-        let engine =
-            if self.options.use_nbe { src::equiv::Engine::Nbe } else { src::equiv::Engine::Step };
-        let tolerant = src::tolerant::infer_tolerant_with_engine(env, term, engine);
-        let mut diagnostics = tolerant.diagnostics;
-        let clean = !diagnostics.iter().any(Diagnostic::is_error)
-            && !src::tolerant::is_poisoned(term)
-            && !src::tolerant::env_is_poisoned(env);
-        if clean {
-            match self.compile(env, term) {
-                Ok(mut compilation) => {
-                    compilation.diagnostics = diagnostics.clone();
-                    return FrontendOutcome {
-                        interface: compilation.source_type.clone(),
-                        diagnostics,
-                        compilation: Some(compilation),
-                    };
-                }
-                Err(error) => diagnostics.push(diagnostic_of_compile_error(&error)),
+        let before = self.options.collect_cache_stats.then(cache_snapshot);
+        let (source_type, typecheck_ns) = match self.phase_typecheck_keep_going(env, term) {
+            Ok(checked) => checked,
+            Err((interface, diagnostics)) => {
+                return FrontendOutcome { interface, diagnostics, compilation: None }
             }
-        }
-        FrontendOutcome { interface: tolerant.ty, diagnostics, compilation: None }
+        };
+        let interface = source_type.clone();
+        let (diagnostics, compilation) =
+            match self.compile_typed(env, term, source_type, typecheck_ns, before) {
+                Ok(compilation) => (Vec::new(), Some(compilation)),
+                Err(error) => (vec![diagnostic_of_compile_error(&error)], None),
+            };
+        FrontendOutcome { interface, diagnostics, compilation }
     }
 
     /// Parses and compiles a closed program with keep-going semantics:

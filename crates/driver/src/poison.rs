@@ -6,12 +6,12 @@
 //! broken leaf silences diagnostics for the whole downstream cone. With
 //! [`CompilerOptions::keep_going`](cccc_core::pipeline::CompilerOptions)
 //! on, a failed unit instead publishes a [`PoisonedInterface`]: the
-//! partial interface the tolerant checker recovered (mentioning the
-//! `<error>` sentinel wherever recovery happened), the unit's full
+//! partial interface the checker's Collect policy recovered (mentioning
+//! the `<error>` sentinel wherever recovery happened), the unit's full
 //! diagnostic set, and the *origins* — the root-cause units whose own
 //! errors started the poison. Dependents import the partial interface,
-//! run the tolerant frontend against it, and report their *own* errors;
-//! the sentinel unifies with anything, so upstream breakage never
+//! type-check against it under the same policy, and report their *own*
+//! errors; the sentinel unifies with anything, so upstream breakage never
 //! manufactures spurious downstream mismatches.
 //!
 //! Like compiled artifacts, poisoned interfaces cross worker threads as
@@ -35,7 +35,7 @@ use cccc_util::wire::{WireError, WireTerm, WireWriter};
 pub struct PoisonedInterface {
     /// The recovered CC interface, portably wire-encoded
     /// ([`cccc_source::wire::encode_portable`]). Mentions the `<error>`
-    /// sentinel wherever the tolerant checker recovered; decode with
+    /// sentinel wherever the Collect policy recovered; decode with
     /// [`cccc_source::wire::decode`] into the importing thread's
     /// interner.
     pub interface: WireTerm,

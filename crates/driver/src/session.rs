@@ -40,7 +40,7 @@ use crate::store::{ArtifactStore, DecodeMode, FaultPlan, GcReport, StoreBudget};
 use crate::DriverError;
 use cccc_core::pipeline::{
     cache_snapshot, diagnostic_of_compile_error, BuildMetrics, BuildOutcome, CacheReport,
-    Compilation, Compiler, CompilerOptions, PhaseNanos, StoreStats,
+    Compilation, CompileError, Compiler, CompilerOptions, PhaseNanos, StoreStats,
 };
 use cccc_source as src;
 use cccc_target as tgt;
@@ -82,8 +82,8 @@ pub enum UnitStatus {
         message: String,
     },
     /// Keep-going mode only: an import was poisoned, so this unit was
-    /// type-checked tolerantly against the partial interface instead of
-    /// being skipped. `upstream` names the root-cause units (sorted,
+    /// type-checked against the partial interface instead of being
+    /// skipped. `upstream` names the root-cause units (sorted,
     /// deduplicated) — the provenance of the poison, not necessarily the
     /// direct imports.
     Poisoned {
@@ -1069,7 +1069,8 @@ fn worker_loop(
             // without entering the pipeline, so the frontier drains in
             // one pass and the partial report stays well-formed.
             trace::event("sched.skip", &[]);
-            (skipped_report(worker, unit, format!("build stopped: {reason}"), started), None)
+            let status = UnitStatus::Skipped(format!("build stopped: {reason}"));
+            (UnitReport::new(worker, unit, status, started), None)
         } else {
             // Everything a unit executes runs inside a panic capture: a
             // compiler bug in one unit becomes that unit's Panicked
@@ -1077,31 +1078,19 @@ fn worker_loop(
             let dispatched = panics::capture(|| {
                 let _unit_span = trace::span("unit");
                 let missing = deps.iter().find(|(_, outcome)| outcome.is_none()).map(|(d, _)| *d);
-                let any_poisoned =
-                    deps.iter().any(|(_, o)| matches!(o, Some(Outcome::Poisoned(_))));
-                match (missing, any_poisoned) {
-                    (Some(failed_dep), _) => {
+                match missing {
+                    Some(failed_dep) => {
                         trace::event("sched.skip", &[]);
                         let reason = format!(
                             "import `{}` did not produce an artifact",
                             graph.unit_at(failed_dep).name
                         );
-                        (skipped_report(worker, unit, reason, started), None)
+                        (UnitReport::new(worker, unit, UnitStatus::Skipped(reason), started), None)
                     }
-                    (None, true) => {
+                    None => {
                         let deps: Vec<(usize, Outcome)> = deps
                             .into_iter()
                             .map(|(d, outcome)| (d, outcome.expect("checked above")))
-                            .collect();
-                        handle_poisoned_unit(worker, graph, unit_index, &deps, ctx.options, started)
-                    }
-                    (None, false) => {
-                        let deps: Vec<(usize, Arc<Artifact>)> = deps
-                            .into_iter()
-                            .map(|(d, outcome)| match outcome.expect("checked above") {
-                                Outcome::Built(artifact) => (d, artifact),
-                                Outcome::Poisoned(_) => unreachable!("no poisoned deps here"),
-                            })
                             .collect();
                         handle_unit(worker, ctx, unit_index, &deps, started)
                     }
@@ -1154,16 +1143,21 @@ fn worker_loop(
     }
 }
 
-/// Answers one unit whose imports all have artifacts, from the narrowest
-/// query that covers each phase: artifact hit → maybe only check/verify;
-/// verified hit on top → nothing at all; artifact miss → compile, with
-/// the check/verify results still shared through the content-addressed
-/// memos. Returns the report plus the outcome to publish.
+/// The one unit path. Builds Γ from the imports' interfaces — built
+/// artifacts, or in keep-going mode poisoned ones — and answers each phase
+/// from the narrowest query that covers it: artifact hit → maybe only
+/// check/verify; verified hit on top → nothing at all; artifact miss →
+/// type-check under the error policy [`CompilerOptions::keep_going`]
+/// selects and translate, with the check/verify results still shared
+/// through the content-addressed memos. Only a unit with errors, or with
+/// a poisoned import, publishes `Failed` or `Poisoned` — plus, in
+/// keep-going mode, the poisoned interface its dependents check against.
+/// Returns the report plus the outcome to publish.
 fn handle_unit(
     worker: usize,
     ctx: &BuildCtx<'_>,
     unit_index: usize,
-    deps: &[(usize, Arc<Artifact>)],
+    deps: &[(usize, Outcome)],
     started: Instant,
 ) -> (UnitReport, Option<Outcome>) {
     let unit = ctx.graph.unit_at(unit_index);
@@ -1174,87 +1168,65 @@ fn handle_unit(
     if let Some(plan) = ctx.panic_plan.as_deref() {
         plan.tick(&unit.name);
     }
-    let (artifact_key, dep_fp) = {
+    // The root causes behind any poisoned imports (keep-going mode only).
+    let mut upstream: Vec<String> = deps
+        .iter()
+        .flat_map(|(_, outcome)| match outcome {
+            Outcome::Poisoned(poison) => poison.origins.as_slice(),
+            Outcome::Built(_) => &[],
+        })
+        .cloned()
+        .collect();
+    upstream.sort();
+    upstream.dedup();
+
+    // Query keys exist only over built imports: nothing checked against a
+    // poisoned interface is ever cached.
+    let keys = upstream.is_empty().then(|| {
         let _span = trace::span("fingerprint");
         let dep_fp = dep_fingerprint(ctx, unit_index, deps);
         (query::artifact_key(unit.source_alpha, dep_fp, &options), dep_fp)
-    };
-
-    let (cached, lookup_delta) = lookup_artifact(ctx, &unit.name, artifact_key);
-    if let Some((artifact, tier)) = cached {
-        match tier {
-            CacheTier::Memory => trace::event("cache.hit.memory", &[]),
-            CacheTier::Disk => trace::event("cache.hit.disk", &[]),
+    });
+    let mut lookup_delta = StoreStats::default();
+    if let Some((artifact_key, dep_fp)) = keys {
+        let (cached, delta) = lookup_artifact(ctx, &unit.name, artifact_key);
+        lookup_delta = delta;
+        if let Some((artifact, tier)) = cached {
+            match tier {
+                CacheTier::Memory => trace::event("cache.hit.memory", &[]),
+                CacheTier::Disk => trace::event("cache.hit.disk", &[]),
+            }
+            // Typecheck and translate are answered; the verified query
+            // decides whether check/verify can be cut off too.
+            let verified = ensure_verified(
+                worker,
+                ctx,
+                unit_index,
+                deps,
+                artifact,
+                tier,
+                artifact_key,
+                dep_fp,
+                lookup_delta,
+                started,
+            );
+            match verified {
+                Some(result) => return result,
+                // The hit was a lazily loaded blob whose term sections
+                // rotted on disk after its header was verified. The store
+                // has already counted the invalid entry and deleted the
+                // blob; degrade to a recompile, whose write-through puts a
+                // fresh blob back.
+                None => trace::event("cache.rot", &[]),
+            }
+        } else {
+            trace::event("cache.miss", &[]);
         }
-        // Typecheck and translate are answered; the verified query
-        // decides whether check/verify can be cut off too.
-        let verified = ensure_verified(
-            worker,
-            ctx,
-            unit_index,
-            deps,
-            artifact,
-            tier,
-            artifact_key,
-            dep_fp,
-            lookup_delta,
-            started,
-        );
-        match verified {
-            Some(result) => return result,
-            // The hit was a lazily loaded blob whose term sections
-            // rotted on disk after its header was verified. The store
-            // has already counted the invalid entry and deleted the
-            // blob; degrade to a recompile, whose write-through puts a
-            // fresh blob back.
-            None => trace::event("cache.rot", &[]),
-        }
-    } else {
-        trace::event("cache.miss", &[]);
     }
 
-    // One shape for both modes: strict failures carry their folded
-    // diagnostic and no poison; keep-going failures carry the full
-    // diagnostic set plus the poisoned interface to publish.
-    let compiled = if options.keep_going {
-        match compile_unit_keep_going(ctx.graph, unit_index, deps, options) {
-            Ok((artifact, caches, phases, diagnostics)) => {
-                // A clean keep-going compile ran every phase the options
-                // asked for; publish its verdict like the strict path
-                // does, so a later strict build over the same graph cuts
-                // off check/verify.
-                if options.typecheck_output {
-                    let verify_key = query::verify_key(
-                        unit.source_alpha,
-                        dep_fp,
-                        artifact.output_fingerprint(),
-                        &options,
-                    );
-                    ctx.query
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .record_verified(verify_key);
-                }
-                let runs = PhaseRuns {
-                    typecheck: true,
-                    translate: true,
-                    check: options.typecheck_output,
-                    verify: options.typecheck_output,
-                };
-                Ok((artifact, caches, phases, runs, diagnostics))
-            }
-            Err(failure) => Err(failure),
-        }
-    } else {
-        compile_unit_phases(ctx, unit_index, deps, dep_fp)
-            .map(|(artifact, caches, phases, runs)| {
-                (artifact, Some(caches), phases, runs, Vec::new())
-            })
-            .map_err(|(message, diagnostics)| (message, diagnostics, None))
-    };
-
-    match compiled {
-        Ok((artifact, caches, phases, runs, diagnostics)) => {
+    match compile_unit(ctx, unit_index, deps, keys.map(|(_, dep_fp)| dep_fp)) {
+        Ok((artifact, mut caches, phases, runs)) => {
+            let (artifact_key, _) = keys.expect("only units whose imports all built compile");
             let target_words = artifact.target_words();
             // Render the write-through blob on this worker's own time —
             // the transcode dominates the cost of persisting, and doing
@@ -1270,35 +1242,54 @@ fn handle_unit(
             };
             // Fold the unit's store activity (a failed disk probe plus
             // the write-through) into its per-compile cache report.
-            let caches = caches.map(|mut report| {
-                report.artifact_store = lookup_delta.merged(&insert_delta);
-                report
-            });
+            caches.artifact_store = lookup_delta.merged(&insert_delta);
             trace::event("sched.compiled", &[("target_words", target_words as u64)]);
             let report = UnitReport {
-                name: unit.name.clone(),
-                status: UnitStatus::Compiled,
-                cached_from: None,
-                duration: started.elapsed(),
                 fingerprint: artifact_key,
-                worker,
-                caches,
-                source_words: unit.source.len(),
+                caches: Some(caches),
                 target_words,
                 phases: Some(phases),
                 phase_runs: runs,
-                diagnostics,
+                ..UnitReport::new(worker, unit, UnitStatus::Compiled, started)
             };
             (report, Some(Outcome::Built(artifact)))
         }
-        Err((message, diagnostics, poison)) => {
+        Err(failure) => {
             // Failed (and poisoned) results are never cached: caches hold
             // only artifacts a clean compile actually produced.
-            let outcome = poison.map(|poison| {
-                trace::event("sched.poisoned", &[("own_errors", poison.error_count() as u64)]);
-                Outcome::Poisoned(Arc::new(poison))
+            let own_errors = failure.diagnostics.iter().filter(|d| d.is_error()).count();
+            let outcome = failure.interface.as_ref().map(|interface| {
+                trace::event(
+                    "sched.poisoned",
+                    &[("upstream", upstream.len() as u64), ("own_errors", own_errors as u64)],
+                );
+                // Provenance: the upstream roots, plus this unit itself
+                // when it found errors of its own (the sentinel unifies
+                // with anything, so those errors are genuinely local, not
+                // echoes) or has no poisoned import to blame.
+                let mut origins = upstream.clone();
+                if own_errors > 0 || upstream.is_empty() {
+                    origins.push(unit.name.clone());
+                    origins.sort();
+                    origins.dedup();
+                }
+                Outcome::Poisoned(Arc::new(PoisonedInterface {
+                    interface: src::wire::encode_portable(interface),
+                    diagnostics: failure.diagnostics.clone(),
+                    origins,
+                }))
             });
-            (failed_report(worker, unit, message, diagnostics, artifact_key, started), outcome)
+            let report = match keys {
+                Some((artifact_key, _)) => {
+                    failed_report(worker, unit, failure, artifact_key, started)
+                }
+                None => UnitReport {
+                    phase_runs: PhaseRuns { typecheck: true, ..PhaseRuns::NONE },
+                    diagnostics: failure.diagnostics,
+                    ..UnitReport::new(worker, unit, UnitStatus::Poisoned { upstream }, started)
+                },
+            };
+            (report, outcome)
         }
     }
 }
@@ -1318,7 +1309,7 @@ fn ensure_verified(
     worker: usize,
     ctx: &BuildCtx<'_>,
     unit_index: usize,
-    deps: &[(usize, Arc<Artifact>)],
+    deps: &[(usize, Outcome)],
     artifact: Arc<Artifact>,
     tier: CacheTier,
     artifact_key: Fingerprint,
@@ -1353,19 +1344,11 @@ fn ensure_verified(
         return None;
     };
     let before = cache_snapshot();
-    let (env, term) = match decode_unit_inputs(ctx.graph, unit_index, deps) {
-        Ok(inputs) => inputs,
-        Err(message) => {
-            let diagnostics = vec![Diagnostic::error(message.clone())];
-            return Some((
-                failed_report(worker, unit, message, diagnostics, artifact_key, started),
-                None,
-            ));
-        }
-    };
     let compiler = Compiler::with_options(options);
-    match run_check_verify(&compiler, ctx, &env, &term, &target, &target_ty, check_key, verify_key)
-    {
+    let checked = decode_unit_inputs(ctx.graph, unit_index, deps).and_then(|(env, term)| {
+        run_check_verify(&compiler, ctx, &env, &term, &target, &target_ty, check_key, verify_key)
+    });
+    match checked {
         Ok(run) => {
             let phases =
                 PhaseNanos { check: run.check_ns, verify: run.verify_ns, ..PhaseNanos::default() };
@@ -1373,23 +1356,36 @@ fn ensure_verified(
             caches.artifact_store = lookup_delta;
             trace::event("sched.compiled", &[("target_words", target.len() as u64)]);
             let report = UnitReport {
-                name: unit.name.clone(),
-                status: UnitStatus::Compiled,
-                cached_from: None,
-                duration: started.elapsed(),
                 fingerprint: artifact_key,
-                worker,
                 caches: Some(caches),
-                source_words: unit.source.len(),
                 target_words: target.len(),
                 phases: Some(phases),
                 phase_runs: PhaseRuns { check: run.check_ran, verify: true, ..PhaseRuns::NONE },
-                diagnostics: Vec::new(),
+                ..UnitReport::new(worker, unit, UnitStatus::Compiled, started)
             };
             Some((report, Some(Outcome::Built(artifact))))
         }
-        Err((message, diagnostics)) => {
-            Some((failed_report(worker, unit, message, diagnostics, artifact_key, started), None))
+        Err(failure) => Some((failed_report(worker, unit, failure, artifact_key, started), None)),
+    }
+}
+
+impl UnitReport {
+    /// The report of a unit that ran no phase and produced nothing; each
+    /// outcome overrides the fields it sets.
+    fn new(worker: usize, unit: &Unit, status: UnitStatus, started: Instant) -> UnitReport {
+        UnitReport {
+            name: unit.name.clone(),
+            status,
+            cached_from: None,
+            duration: started.elapsed(),
+            fingerprint: Fingerprint::default(),
+            worker,
+            caches: None,
+            source_words: unit.source.len(),
+            target_words: 0,
+            phases: None,
+            phase_runs: PhaseRuns::NONE,
+            diagnostics: Vec::new(),
         }
     }
 }
@@ -1404,20 +1400,12 @@ fn cached_report(
     started: Instant,
 ) -> UnitReport {
     UnitReport {
-        name: unit.name.clone(),
-        status: UnitStatus::Cached,
         cached_from: Some(tier),
-        duration: started.elapsed(),
         fingerprint,
-        worker,
-        caches: None,
-        source_words: unit.source.len(),
         // From the blob's section table on a lazy artifact — reporting
         // the size must not force a section decode.
         target_words: artifact.target_words(),
-        phases: None,
-        phase_runs: PhaseRuns::NONE,
-        diagnostics: Vec::new(),
+        ..UnitReport::new(worker, unit, UnitStatus::Cached, started)
     }
 }
 
@@ -1425,50 +1413,21 @@ fn cached_report(
 fn failed_report(
     worker: usize,
     unit: &Unit,
-    message: String,
-    diagnostics: Vec<Diagnostic>,
+    failure: UnitFailure,
     fingerprint: Fingerprint,
     started: Instant,
 ) -> UnitReport {
     UnitReport {
-        name: unit.name.clone(),
-        status: UnitStatus::Failed(message),
-        cached_from: None,
-        duration: started.elapsed(),
         fingerprint,
-        worker,
-        caches: None,
-        source_words: unit.source.len(),
-        target_words: 0,
-        phases: None,
-        phase_runs: PhaseRuns::NONE,
-        diagnostics,
-    }
-}
-
-/// A unit that never entered the pipeline: a missing import artifact, or
-/// a build winding down after cancellation (the reason says which).
-fn skipped_report(worker: usize, unit: &Unit, reason: String, started: Instant) -> UnitReport {
-    UnitReport {
-        name: unit.name.clone(),
-        status: UnitStatus::Skipped(reason),
-        cached_from: None,
-        duration: started.elapsed(),
-        fingerprint: Fingerprint::default(),
-        worker,
-        caches: None,
-        source_words: unit.source.len(),
-        target_words: 0,
-        phases: None,
-        phase_runs: PhaseRuns::NONE,
-        diagnostics: Vec::new(),
+        diagnostics: failure.diagnostics,
+        ..UnitReport::new(worker, unit, UnitStatus::Failed(failure.message), started)
     }
 }
 
 /// The report/outcome pair for a unit whose compile panicked: the caught
 /// payload becomes the unit's [`UnitStatus::Panicked`] status and an
 /// `E0500` diagnostic. In keep-going mode the unit publishes a sentinel
-/// poisoned interface — dependents type-check tolerantly and surface
+/// poisoned interface — dependents type-check against it and surface
 /// their own diagnostics, exactly as downstream of a type error; in
 /// strict mode it publishes nothing and dependents are skipped.
 fn panicked_outcome(
@@ -1487,20 +1446,11 @@ fn panicked_outcome(
             origins: vec![unit.name.clone()],
         }))
     });
+    let status = UnitStatus::Panicked { message: message.to_owned() };
     (
         UnitReport {
-            name: unit.name.clone(),
-            status: UnitStatus::Panicked { message: message.to_owned() },
-            cached_from: None,
-            duration: started.elapsed(),
-            fingerprint: Fingerprint::default(),
-            worker,
-            caches: None,
-            source_words: unit.source.len(),
-            target_words: 0,
-            phases: None,
-            phase_runs: PhaseRuns::NONE,
             diagnostics: vec![diagnostic],
+            ..UnitReport::new(worker, unit, status, started)
         },
         outcome,
     )
@@ -1555,85 +1505,6 @@ fn watchdog_loop(ctx: &BuildCtx<'_>, state: &Mutex<SchedState>, build_started: I
     }
 }
 
-/// Keep-going path for a unit at least one of whose imports is poisoned:
-/// build the typing environment from the mixed interfaces — compiled ones
-/// and partial ones — run the tolerant frontend, report the unit's *own*
-/// errors, and publish a fresh poison carrying the unioned provenance.
-/// The unit is never `Skipped`: the whole point of the poisoned tier is
-/// that downstream diagnostics survive an upstream failure.
-fn handle_poisoned_unit(
-    worker: usize,
-    graph: &UnitGraph,
-    unit_index: usize,
-    deps: &[(usize, Outcome)],
-    options: CompilerOptions,
-    started: Instant,
-) -> (UnitReport, Option<Outcome>) {
-    let unit = graph.unit_at(unit_index);
-    let mut upstream: Vec<String> = Vec::new();
-    let mut env = src::Env::new();
-    for (d, outcome) in deps {
-        let dep = graph.unit_at(*d);
-        let interface_wire = match outcome {
-            Outcome::Built(artifact) => artifact.source_ty().ok(),
-            Outcome::Poisoned(poison) => {
-                upstream.extend(poison.origins.iter().cloned());
-                Some(poison.interface.clone())
-            }
-        };
-        // A wire (or lazy-section) failure here is corruption that
-        // should not reach this path; degrade to the sentinel so the
-        // unit still checks.
-        let interface = interface_wire
-            .and_then(|wire| src::wire::decode(&wire).ok())
-            .unwrap_or_else(src::tolerant::error_term);
-        env.push_assumption(dep.symbol, interface);
-    }
-    upstream.sort();
-    upstream.dedup();
-
-    let term = src::wire::decode(&unit.source).unwrap_or_else(|_| src::tolerant::error_term());
-    let compiler = Compiler::with_options(options);
-    let outcome = compiler.compile_keep_going(&env, &term);
-    let own_errors = outcome.error_count();
-    trace::event(
-        "sched.poisoned",
-        &[("upstream", upstream.len() as u64), ("own_errors", own_errors as u64)],
-    );
-    // Provenance: the upstream roots, plus this unit itself when the
-    // tolerant check found errors of its own (the sentinel unifies with
-    // anything, so those errors are genuinely local, not echoes).
-    let mut origins = upstream.clone();
-    if own_errors > 0 {
-        origins.push(unit.name.clone());
-        origins.sort();
-        origins.dedup();
-    }
-    let diagnostics = outcome.diagnostics.clone();
-    let poison = PoisonedInterface {
-        interface: src::wire::encode_portable(&outcome.interface),
-        diagnostics: outcome.diagnostics,
-        origins,
-    };
-    (
-        UnitReport {
-            name: unit.name.clone(),
-            status: UnitStatus::Poisoned { upstream },
-            cached_from: None,
-            duration: started.elapsed(),
-            fingerprint: Fingerprint::default(),
-            worker,
-            caches: None,
-            source_words: unit.source.len(),
-            target_words: 0,
-            phases: None,
-            phase_runs: PhaseRuns { typecheck: true, ..PhaseRuns::NONE },
-            diagnostics,
-        },
-        Some(Outcome::Poisoned(Arc::new(poison))),
-    )
-}
-
 /// The dependency fingerprint a unit's query keys fold in.
 ///
 /// With early cutoff (the default), each transitive dependency
@@ -1654,11 +1525,15 @@ fn handle_poisoned_unit(
 fn dep_fingerprint(
     ctx: &BuildCtx<'_>,
     unit_index: usize,
-    deps: &[(usize, Arc<Artifact>)],
+    deps: &[(usize, Outcome)],
 ) -> Fingerprint {
     if ctx.early_cutoff {
-        deps.iter().fold(Fingerprint::default(), |acc, (d, artifact)| {
-            query::fold_dep(acc, &ctx.graph.unit_at(*d).name, artifact.interface_fingerprint())
+        // Keys are only computed when every import built.
+        deps.iter().fold(Fingerprint::default(), |acc, (d, outcome)| match outcome {
+            Outcome::Built(artifact) => {
+                query::fold_dep(acc, &ctx.graph.unit_at(*d).name, artifact.interface_fingerprint())
+            }
+            Outcome::Poisoned(_) => acc,
         })
     } else {
         ctx.plan.transitive[unit_index].iter().fold(Fingerprint::default(), |acc, &d| {
@@ -1771,12 +1646,8 @@ fn run_check_verify(
     target_ty: &WireTerm,
     check_key: Fingerprint,
     verify_key: Fingerprint,
-) -> Result<CheckVerifyRun, (String, Vec<Diagnostic>)> {
-    let wire_failure = |what: &str, detail: String| {
-        let message = format!("{what}: {detail}");
-        (message.clone(), vec![Diagnostic::error(message)])
-    };
-    let phase_failure = |e| (format!("{e}"), vec![diagnostic_of_compile_error(&e)]);
+) -> Result<CheckVerifyRun, UnitFailure> {
+    let wire_failure = |what: &str, detail: String| UnitFailure::wire(format!("{what}: {detail}"));
     let memo =
         ctx.query.lock().unwrap_or_else(std::sync::PoisonError::into_inner).check_memo(check_key);
     let (target_env, inferred, check_output, check_ns, check_ran) = match memo {
@@ -1790,7 +1661,7 @@ fn run_check_verify(
             let target = tgt::wire::decode(target)
                 .map_err(|e| wire_failure("target wire", e.to_string()))?;
             let (target_env, inferred, ns) =
-                compiler.phase_check(env, &target).map_err(phase_failure)?;
+                compiler.phase_check(env, &target).map_err(UnitFailure::phase)?;
             let output = tgt::wire::fingerprint_alpha(&inferred);
             ctx.query.lock().unwrap_or_else(std::sync::PoisonError::into_inner).record_check(
                 check_key,
@@ -1803,7 +1674,7 @@ fn run_check_verify(
         .map_err(|e| wire_failure("target type wire", e.to_string()))?;
     let verify_ns = compiler
         .phase_verify(env, term, target_env.as_ref(), &inferred, &target_type)
-        .map_err(phase_failure)?;
+        .map_err(UnitFailure::phase)?;
     ctx.query.lock().unwrap_or_else(std::sync::PoisonError::into_inner).record_verified(verify_key);
     if let Some(store) = ctx.store.as_ref() {
         store.save_verified(verify_key, check_key, check_output);
@@ -1811,15 +1682,10 @@ fn run_check_verify(
     Ok(CheckVerifyRun { check_ns, verify_ns, check_ran })
 }
 
-/// Encodes a finished compilation as a thread-portable artifact.
-fn encode_artifact(compilation: &Compilation) -> Arc<Artifact> {
-    encode_artifact_parts(&compilation.source_type, &compilation.target, &compilation.target_type)
-}
-
-/// [`encode_artifact`] from the phase outputs directly. The output
-/// fingerprint — interface ⊕ target ⊕ target type, all α-invariant — is
-/// what downstream early cutoff compares.
-fn encode_artifact_parts(
+/// Encodes a unit's phase outputs as a thread-portable artifact. The
+/// output fingerprint — interface ⊕ target ⊕ target type, all
+/// α-invariant — is what downstream early cutoff compares.
+fn encode_artifact(
     source_type: &src::Term,
     target: &tgt::Term,
     target_type: &tgt::Term,
@@ -1840,65 +1706,127 @@ fn encode_artifact_parts(
     Arc::new(artifact)
 }
 
-/// Decodes one unit's source and its imports' interfaces into the current
-/// worker thread's interners.
+/// Decodes one unit's source and its imports' interfaces — compiled or
+/// poisoned — into the current worker thread's interners.
 fn decode_unit_inputs(
     graph: &UnitGraph,
     unit_index: usize,
-    deps: &[(usize, Arc<Artifact>)],
-) -> Result<(src::Env, src::Term), String> {
+    deps: &[(usize, Outcome)],
+) -> Result<(src::Env, src::Term), UnitFailure> {
     let unit = graph.unit_at(unit_index);
     let (env_and_term, _) = trace::timed("decode", || {
         let term = src::wire::decode(&unit.source).map_err(|e| format!("source wire: {e}"))?;
         let mut env = src::Env::new();
-        for (d, artifact) in deps {
+        for (d, outcome) in deps {
             let dep = graph.unit_at(*d);
             // A lazy dependency artifact whose interface section rotted
             // fails the unit here — its own artifact hit already
             // settled, so there is no recompile to fall back to. The
             // fault suites pin this as the one storage edge that
             // surfaces as a unit failure.
-            let interface_wire = artifact
-                .source_ty()
-                .map_err(|e| format!("interface wire for `{}`: {e}", dep.name))?;
+            let interface_wire = match outcome {
+                Outcome::Built(artifact) => artifact.source_ty(),
+                Outcome::Poisoned(poison) => Ok(poison.interface.clone()),
+            }
+            .map_err(|e| format!("interface wire for `{}`: {e}", dep.name))?;
             let interface = src::wire::decode(&interface_wire)
                 .map_err(|e| format!("interface wire for `{}`: {e}", dep.name))?;
             env.push_assumption(dep.symbol, interface);
         }
         Ok::<_, String>((env, term))
     });
-    env_and_term
+    env_and_term.map_err(UnitFailure::wire)
+}
+
+/// Why a unit published no artifact.
+struct UnitFailure {
+    /// The [`UnitStatus::Failed`] message.
+    message: String,
+    /// Every diagnostic the unit produced, in phase order.
+    diagnostics: Vec<Diagnostic>,
+    /// Keep-going mode only: the (possibly poisoned) interface the unit
+    /// publishes so its dependents are still type-checked.
+    interface: Option<src::Term>,
+}
+
+impl UnitFailure {
+    /// A failed phase: the error is the message, folded into one coded
+    /// diagnostic.
+    fn phase(error: CompileError) -> UnitFailure {
+        let diagnostics = vec![diagnostic_of_compile_error(&error)];
+        UnitFailure { message: format!("{error}"), diagnostics, interface: None }
+    }
+
+    /// Wire corruption: not a type error, so the diagnostic is uncoded.
+    fn wire(message: String) -> UnitFailure {
+        UnitFailure {
+            diagnostics: vec![Diagnostic::error(message.clone())],
+            message,
+            interface: None,
+        }
+    }
+
+    /// A keep-going type check that was not clean: the recovered
+    /// interface and the full diagnostic set, summarized by the first
+    /// error's headline.
+    fn recovered(interface: src::Term, diagnostics: Vec<Diagnostic>) -> UnitFailure {
+        let errors = diagnostics.iter().filter(|d| d.is_error()).count();
+        let message = match diagnostics.iter().find(|d| d.is_error()) {
+            Some(first) if errors > 1 => format!("{} (and {} more)", first.headline(), errors - 1),
+            Some(first) => first.headline(),
+            None => "tolerant frontend produced no artifact".to_owned(),
+        };
+        UnitFailure { message, diagnostics, interface: Some(interface) }
+    }
 }
 
 /// Runs the pipeline for one unit phase by phase on the current worker
-/// thread: decode the inputs into this thread's interners, typecheck,
+/// thread: decode the inputs into this thread's interners, type-check
+/// under the error policy [`CompilerOptions::keep_going`] selects,
 /// translate, and — when output checking is on — answer check/verify
 /// from the verified and check queries where they hit (α-equivalent
 /// units settle those phases once per session, whichever unit ran
-/// first). Failure carries the rendered message plus its folded coded
-/// diagnostic.
-#[allow(clippy::type_complexity)]
-fn compile_unit_phases(
+/// first). `dep_fp` is `None` when an import is poisoned: the unit is
+/// then only type-checked, and fails with the interface it recovered.
+fn compile_unit(
     ctx: &BuildCtx<'_>,
     unit_index: usize,
-    deps: &[(usize, Arc<Artifact>)],
-    dep_fp: Fingerprint,
-) -> Result<(Arc<Artifact>, CacheReport, PhaseNanos, PhaseRuns), (String, Vec<Diagnostic>)> {
+    deps: &[(usize, Outcome)],
+    dep_fp: Option<Fingerprint>,
+) -> Result<(Arc<Artifact>, CacheReport, PhaseNanos, PhaseRuns), UnitFailure> {
     let unit = ctx.graph.unit_at(unit_index);
     let options = ctx.options;
     let before = cache_snapshot();
-    let (env, term) = decode_unit_inputs(ctx.graph, unit_index, deps)
-        .map_err(|message| (message.clone(), vec![Diagnostic::error(message)]))?;
+    let (env, term) = decode_unit_inputs(ctx.graph, unit_index, deps).map_err(|failure| {
+        // Nothing was recovered from corrupt wires: keep-going publishes
+        // the pure sentinel.
+        UnitFailure { interface: options.keep_going.then(src::tolerant::error_term), ..failure }
+    })?;
     let compiler = Compiler::with_options(options);
-    let phase_failure = |e| (format!("{e}"), vec![diagnostic_of_compile_error(&e)]);
-    let mut phases = PhaseNanos::default();
+    let (source_type, typecheck_ns) = if options.keep_going {
+        compiler
+            .phase_typecheck_keep_going(&env, &term)
+            .map_err(|(interface, diagnostics)| UnitFailure::recovered(interface, diagnostics))?
+    } else {
+        compiler.phase_typecheck(&env, &term).map_err(UnitFailure::phase)?
+    };
+    let Some(dep_fp) = dep_fp else {
+        // Checked against a poisoned import: reported, never built.
+        return Err(UnitFailure::recovered(source_type, Vec::new()));
+    };
+    // A later phase failing on a clean source type still publishes that
+    // type in keep-going mode.
+    let backend_failure = |failure: UnitFailure| UnitFailure {
+        interface: options.keep_going.then(|| source_type.clone()),
+        ..failure
+    };
+    let mut phases = PhaseNanos { typecheck: typecheck_ns, ..PhaseNanos::default() };
     let mut runs = PhaseRuns { typecheck: true, translate: true, ..PhaseRuns::NONE };
-    let (source_type, ns) = compiler.phase_typecheck(&env, &term).map_err(phase_failure)?;
-    phases.typecheck = ns;
-    let (target, target_type, ns) =
-        compiler.phase_translate(&env, &term, &source_type).map_err(phase_failure)?;
+    let (target, target_type, ns) = compiler
+        .phase_translate(&env, &term, &source_type)
+        .map_err(|e| backend_failure(UnitFailure::phase(e)))?;
     phases.translate = ns;
-    let artifact = encode_artifact_parts(&source_type, &target, &target_type);
+    let artifact = encode_artifact(&source_type, &target, &target_type);
     if options.typecheck_output {
         let verify_key =
             query::verify_key(unit.source_alpha, dep_fp, artifact.output_fingerprint(), &options);
@@ -1919,7 +1847,8 @@ fn compile_unit_phases(
                 &target_ty_wire,
                 check_key,
                 verify_key,
-            )?;
+            )
+            .map_err(backend_failure)?;
             phases.check = run.check_ns;
             phases.verify = run.verify_ns;
             runs.check = run.check_ran;
@@ -1928,55 +1857,4 @@ fn compile_unit_phases(
     }
     let caches = CacheReport::between(&before, &cache_snapshot());
     Ok((artifact, caches, phases, runs))
-}
-
-/// The keep-going sibling of [`compile_unit_phases`]: the tolerant
-/// frontend runs first, and a unit with errors yields — instead of a
-/// bare message — its full diagnostic set *and* a [`PoisonedInterface`]
-/// (origins = the unit itself) so its dependents are poisoned rather
-/// than skipped.
-#[allow(clippy::type_complexity)]
-fn compile_unit_keep_going(
-    graph: &UnitGraph,
-    unit_index: usize,
-    deps: &[(usize, Arc<Artifact>)],
-    options: CompilerOptions,
-) -> Result<
-    (Arc<Artifact>, Option<CacheReport>, PhaseNanos, Vec<Diagnostic>),
-    (String, Vec<Diagnostic>, Option<PoisonedInterface>),
-> {
-    let unit = graph.unit_at(unit_index);
-    let (env, term) = match decode_unit_inputs(graph, unit_index, deps) {
-        Ok(inputs) => inputs,
-        Err(message) => {
-            // Wire corruption is not a type error; the recovered
-            // interface is pure sentinel and the unit is its own origin.
-            let diagnostic = Diagnostic::error(message.clone());
-            let poison = PoisonedInterface {
-                interface: src::wire::encode_portable(&src::tolerant::error_term()),
-                diagnostics: vec![diagnostic.clone()],
-                origins: vec![unit.name.clone()],
-            };
-            return Err((message, vec![diagnostic], Some(poison)));
-        }
-    };
-    let compiler = Compiler::with_options(CompilerOptions { collect_cache_stats: true, ..options });
-    let outcome = compiler.compile_keep_going(&env, &term);
-    if outcome.is_clean() {
-        let compilation = outcome.compilation.expect("clean outcomes carry a compilation");
-        let artifact = encode_artifact(&compilation);
-        return Ok((artifact, compilation.cache_stats, compilation.phases, outcome.diagnostics));
-    }
-    let errors = outcome.error_count();
-    let message = match outcome.diagnostics.iter().find(|d| d.is_error()) {
-        Some(first) if errors > 1 => format!("{} (and {} more)", first.headline(), errors - 1),
-        Some(first) => first.headline(),
-        None => "tolerant frontend produced no artifact".to_owned(),
-    };
-    let poison = PoisonedInterface {
-        interface: src::wire::encode_portable(&outcome.interface),
-        diagnostics: outcome.diagnostics.clone(),
-        origins: vec![unit.name.clone()],
-    };
-    Err((message, outcome.diagnostics, Some(poison)))
 }

@@ -75,39 +75,48 @@ fn assert_matches_sequential_oracle(session: &Session) {
 
 #[test]
 fn scripted_edit_stream_matches_predictions_and_the_oracle() {
-    let (units, steps) = workloads::edits(2);
-    let mut session = workloads::session_from(&units, CompilerOptions::default());
+    // Keep-going only changes the error policy: clean units take the same
+    // path through the queries, so the predictions are the same.
+    for keep_going in [false, true] {
+        let (units, steps) = workloads::edits(2);
+        let options = CompilerOptions { keep_going, ..CompilerOptions::default() };
+        let mut session = workloads::session_from(&units, options);
 
-    // Cold build: every unit runs typecheck and translate; check and
-    // verify settle once per α-class (base, the 14 middles, top).
-    let cold = session.build(1).unwrap();
-    assert!(cold.is_success(), "{}", cold.summary());
-    assert_eq!(cold.compiled_count(), units.len());
-    assert_eq!(cold.queries, QueryCounts { typecheck: 16, translate: 16, check: 3, verify: 3 });
-    assert_report_consistent(&cold);
-    let cold_observed = session.observe(workloads::root_of(&units)).unwrap();
+        // Cold build: every unit runs typecheck and translate; check and
+        // verify settle once per α-class (base, the 14 middles, top).
+        let cold = session.build(1).unwrap();
+        assert!(cold.is_success(), "keep_going={keep_going}: {}", cold.summary());
+        assert_eq!(cold.compiled_count(), units.len());
+        assert_eq!(
+            cold.queries,
+            QueryCounts { typecheck: 16, translate: 16, check: 3, verify: 3 },
+            "keep_going={keep_going}: cold build"
+        );
+        assert_report_consistent(&cold);
+        let cold_observed = session.observe(workloads::root_of(&units)).unwrap();
 
-    for step in &steps {
-        apply_edit(&mut session, &step.action);
-        let report = session.build(1).unwrap();
-        assert!(report.is_success(), "{}: {}", step.label, report.summary());
-        assert_eq!(
-            report.queries, step.predicted,
-            "{}: per-phase re-execution counts missed the prediction",
-            step.label
-        );
-        assert_eq!(
-            compiled_names(&report),
-            step.invalidated,
-            "{}: the set of re-run units missed the prediction",
-            step.label
-        );
-        assert_report_consistent(&report);
-        assert_matches_sequential_oracle(&session);
+        for step in &steps {
+            apply_edit(&mut session, &step.action);
+            let report = session.build(1).unwrap();
+            assert!(report.is_success(), "{}: {}", step.label, report.summary());
+            assert_eq!(
+                report.queries, step.predicted,
+                "{} (keep_going={keep_going}): per-phase re-execution counts missed the prediction",
+                step.label
+            );
+            assert_eq!(
+                compiled_names(&report),
+                step.invalidated,
+                "{} (keep_going={keep_going}): the set of re-run units missed the prediction",
+                step.label
+            );
+            assert_report_consistent(&report);
+            assert_matches_sequential_oracle(&session);
+        }
+
+        // The edit stream never changed what the linked program computes.
+        assert_eq!(session.observe(workloads::root_of(&units)).unwrap(), cold_observed);
     }
-
-    // The edit stream never changed what the linked program computes.
-    assert_eq!(session.observe(workloads::root_of(&units)).unwrap(), cold_observed);
 }
 
 /// The five base-unit states generated scripts move between: two

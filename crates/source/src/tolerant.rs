@@ -1,64 +1,28 @@
 //! Keep-going type checking for CC: collect *every* error, not just the
 //! first.
 //!
-//! [`infer_tolerant`] mirrors the rules of [`crate::typecheck`] but never
-//! aborts. Each violation is recorded as a [`Diagnostic`] — with a stable
-//! error code, the primary span from the [`crate::spans`] side-table, and
-//! related-span notes such as "expected type came from this annotation" —
-//! and checking resumes at a recovery point with the **error sentinel**:
-//! the unparseable variable `<error>`, whose type unifies with anything.
+//! [`infer_tolerant`] runs the one rule set of [`crate::typecheck`] under
+//! its Collect error policy: each violation is recorded as a coded
+//! [`Diagnostic`] and checking resumes with the **error sentinel** — the
+//! unparseable variable `<error>`, whose type unifies with anything. The
+//! recovery points and the error-code table are documented with the
+//! rules, in [`crate::typecheck`].
 //!
 //! ## The sentinel
 //!
 //! `<error>` cannot lex as an identifier (see [`crate::parse`]), so it never
 //! collides with a user-written name. A term or type that mentions it is
 //! *poisoned* ([`is_poisoned`] — an O(1) query on the hash-consed free-var
-//! metadata). The tolerant checker treats poisoned types as equal to
+//! metadata). The Collect policy treats poisoned types as equal to
 //! everything, which stops one genuine error from cascading into dozens of
 //! follow-on mismatches; this is the classic `TyError`/`Ty_Err` recovery
 //! scheme of production compilers.
-//!
-//! ## Recovery points
-//!
-//! - an ill-typed `let` binding poisons that binding: the body is checked
-//!   with the binder held abstract at its declared annotation (the
-//!   definition is *not* unfolded), and the binder is replaced by the
-//!   sentinel in the result type so the damage is visible downstream;
-//! - an application of a non-function (or projection of a non-pair) yields
-//!   the sentinel type after still checking the argument (operand errors
-//!   are reported even when the operator is broken);
-//! - a failed conversion check reports the mismatch and then *accepts* the
-//!   term, so each mismatch is reported exactly once;
-//! - fuel exhaustion inside normalization is reported (`E0009`) and the
-//!   fuel tank is refilled, so one diverging type does not starve the rest
-//!   of the program of diagnostics.
-//!
-//! On well-typed input the tolerant checker returns no diagnostics and a
-//! type definitionally equal to the strict checker's — pinned by tests.
-//!
-//! ## Error codes
-//!
-//! | Code | Meaning |
-//! |---|---|
-//! | `E0001` | unbound variable |
-//! | `E0002` | the universe `□` has no type |
-//! | `E0003` | application of a non-function |
-//! | `E0004` | projection of a non-pair |
-//! | `E0005` | term used as a type is not a universe |
-//! | `E0006` | pair annotation is not a Σ type |
-//! | `E0008` | type mismatch |
-//! | `E0009` | normalization ran out of fuel |
-//! | `E0100` | parse error (reported by [`crate::parse`]) |
 
-use crate::ast::{Term, Universe};
+use crate::ast::Term;
 use crate::env::Env;
-use crate::equiv::{equiv_with_engine, Engine};
-use crate::pretty::term_to_string;
-use crate::spans;
-use crate::subst::{occurs_free, subst};
+use crate::equiv::Engine;
+use crate::subst::occurs_free;
 use cccc_util::diag::Diagnostic;
-use cccc_util::fuel::Fuel;
-use cccc_util::span::Span;
 use cccc_util::symbol::Symbol;
 
 /// The reserved name of the error sentinel. It contains characters that can
@@ -116,299 +80,8 @@ pub fn infer_tolerant(env: &Env, term: &Term) -> TolerantOutcome {
 
 /// [`infer_tolerant`] through an explicitly chosen equivalence engine.
 pub fn infer_tolerant_with_engine(env: &Env, term: &Term, engine: Engine) -> TolerantOutcome {
-    let mut checker = Tolerant { fuel: Fuel::default(), engine, diagnostics: Vec::new() };
-    let ty = checker.infer(env, term);
-    TolerantOutcome { ty, diagnostics: checker.diagnostics }
-}
-
-struct Tolerant {
-    fuel: Fuel,
-    engine: Engine,
-    diagnostics: Vec<Diagnostic>,
-}
-
-impl Tolerant {
-    fn report(&mut self, code: &str, message: String, span: Option<Span>) {
-        let mut diagnostic = Diagnostic::error(message).with_code(code);
-        if let Some(span) = span {
-            diagnostic = diagnostic.with_span(span);
-        }
-        self.diagnostics.push(diagnostic);
-    }
-
-    /// Weak-head normalizes `term`; on fuel exhaustion reports `E0009`,
-    /// refills the tank, and recovers with the sentinel.
-    fn head_normal(&mut self, env: &Env, term: &Term, at: &Term) -> Term {
-        let result = match self.engine {
-            Engine::Nbe => crate::nbe::whnf_nbe(env, term, &mut self.fuel),
-            Engine::Step => crate::reduce::whnf(env, term, &mut self.fuel),
-        };
-        match result {
-            Ok(normal) => normal,
-            Err(error) => {
-                self.report("E0009", error.to_string(), spans::span_of(at));
-                self.fuel = Fuel::default();
-                error_term()
-            }
-        }
-    }
-
-    /// Checks `term` against `expected`. Poisoned types unify with
-    /// anything; a genuine mismatch is reported once (with the expected
-    /// type's origin as a related span when the parser saw it) and then
-    /// accepted.
-    fn check(&mut self, env: &Env, term: &Term, expected: &Term) -> bool {
-        let found = self.infer(env, term);
-        if is_poisoned(&found) || is_poisoned(expected) {
-            return true;
-        }
-        match equiv_with_engine(env, &found, expected, &mut self.fuel, self.engine) {
-            Ok(true) => true,
-            Ok(false) => {
-                let mut diagnostic = Diagnostic::error(format!(
-                    "type mismatch: `{}` has type `{}` but `{}` was expected",
-                    term_to_string(term),
-                    term_to_string(&found),
-                    term_to_string(expected),
-                ))
-                .with_code("E0008")
-                .with_note(format!("expected `{}`", term_to_string(expected)))
-                .with_note(format!("found    `{}`", term_to_string(&found)));
-                if let Some(span) = spans::span_of(term) {
-                    diagnostic = diagnostic.with_span(span);
-                }
-                if let Some(origin) = spans::span_of(expected) {
-                    diagnostic =
-                        diagnostic.with_related(origin, "expected type came from this annotation");
-                }
-                self.diagnostics.push(diagnostic);
-                false
-            }
-            Err(error) => {
-                self.report("E0009", error.to_string(), spans::span_of(term));
-                self.fuel = Fuel::default();
-                true
-            }
-        }
-    }
-
-    /// Infers the universe `term` lives in; `None` means recovery already
-    /// happened (either `term` is poisoned or a diagnostic was reported).
-    fn universe(&mut self, env: &Env, term: &Term) -> Option<Universe> {
-        if matches!(term, Term::Sort(Universe::Box)) {
-            return Some(Universe::Box);
-        }
-        let ty = self.infer(env, term);
-        if is_poisoned(&ty) {
-            return None;
-        }
-        let ty_whnf = self.head_normal(env, &ty, term);
-        match ty_whnf {
-            Term::Sort(u) => Some(u),
-            _ if is_poisoned(&ty_whnf) => None,
-            other => {
-                self.report(
-                    "E0005",
-                    format!(
-                        "`{}` is used as a type but has type `{}`, not a universe",
-                        term_to_string(term),
-                        term_to_string(&other)
-                    ),
-                    spans::span_of(term),
-                );
-                None
-            }
-        }
-    }
-
-    fn infer(&mut self, env: &Env, term: &Term) -> Term {
-        match term {
-            // The sentinel types as itself, silently: whoever introduced it
-            // already reported.
-            Term::Var(x) if *x == error_symbol() => error_term(),
-            Term::Var(x) => match env.lookup_type(*x) {
-                Some(ty) => (**ty).clone(),
-                None => {
-                    self.report("E0001", format!("unbound variable `{x}`"), spans::span_of(term));
-                    error_term()
-                }
-            },
-            Term::Sort(Universe::Star) => Term::Sort(Universe::Box),
-            Term::Sort(Universe::Box) => {
-                self.report(
-                    "E0002",
-                    "the universe □ has no type".to_string(),
-                    spans::span_of(term),
-                );
-                error_term()
-            }
-            Term::BoolTy => Term::Sort(Universe::Star),
-            Term::BoolLit(_) => Term::BoolTy,
-            Term::If { scrutinee, then_branch, else_branch } => {
-                self.check(env, scrutinee, &Term::BoolTy);
-                let then_ty = self.infer(env, then_branch);
-                if is_poisoned(&then_ty) {
-                    // Still surface the else branch's own errors.
-                    self.infer(env, else_branch);
-                } else {
-                    self.check(env, else_branch, &then_ty);
-                }
-                then_ty
-            }
-            Term::Pi { binder, domain, codomain } => {
-                self.universe(env, domain);
-                let inner = env.with_assumption(*binder, (**domain).clone());
-                match self.universe(&inner, codomain) {
-                    Some(u) => Term::Sort(u),
-                    None => error_term(),
-                }
-            }
-            Term::Sigma { binder, first, second } => {
-                let first_universe = self.universe(env, first);
-                let inner = env.with_assumption(*binder, (**first).clone());
-                let second_universe = self.universe(&inner, second);
-                match (first_universe, second_universe) {
-                    (Some(Universe::Star), Some(Universe::Star)) => Term::Sort(Universe::Star),
-                    (Some(_), Some(_)) => Term::Sort(Universe::Box),
-                    _ => error_term(),
-                }
-            }
-            Term::Lam { binder, domain, body } => {
-                self.universe(env, domain);
-                let inner = env.with_assumption(*binder, (**domain).clone());
-                let body_ty = self.infer(&inner, body);
-                if !is_poisoned(&body_ty) {
-                    // Mirror the strict checker: the resulting Π must be
-                    // well-formed.
-                    self.universe(&inner, &body_ty);
-                }
-                Term::Pi { binder: *binder, domain: domain.clone(), codomain: body_ty.rc() }
-            }
-            Term::App { func, arg } => {
-                let func_ty = self.infer(env, func);
-                if is_poisoned(&func_ty) {
-                    self.infer(env, arg);
-                    return error_term();
-                }
-                let func_ty_whnf = self.head_normal(env, &func_ty, func);
-                match func_ty_whnf {
-                    Term::Pi { binder, domain, codomain } => {
-                        self.check(env, arg, &domain);
-                        subst(&codomain, binder, arg)
-                    }
-                    _ if is_poisoned(&func_ty_whnf) => {
-                        self.infer(env, arg);
-                        error_term()
-                    }
-                    other => {
-                        self.report(
-                            "E0003",
-                            format!(
-                                "`{}` is applied but has non-function type `{}`",
-                                term_to_string(func),
-                                term_to_string(&other)
-                            ),
-                            spans::span_of(func),
-                        );
-                        self.infer(env, arg);
-                        error_term()
-                    }
-                }
-            }
-            Term::Let { binder, annotation, bound, body } => {
-                let annotation_ok = self.universe(env, annotation).is_some();
-                let bound_ok = annotation_ok && self.check(env, bound, annotation);
-                if bound_ok && !is_poisoned(bound) && !is_poisoned(annotation) {
-                    let inner =
-                        env.with_definition(*binder, (**bound).clone(), (**annotation).clone());
-                    let body_ty = self.infer(&inner, body);
-                    subst(&body_ty, *binder, bound)
-                } else {
-                    // Poison the binding: hold the binder abstract at its
-                    // declared annotation (never unfold a bad definition),
-                    // then replace it with the sentinel in the result type
-                    // so downstream consumers see the damage.
-                    let assumed = if annotation_ok { (**annotation).clone() } else { error_term() };
-                    let inner = env.with_assumption(*binder, assumed);
-                    let body_ty = self.infer(&inner, body);
-                    subst(&body_ty, *binder, &error_term())
-                }
-            }
-            Term::Pair { first, second, annotation } => {
-                self.universe(env, annotation);
-                if is_poisoned(annotation) {
-                    self.infer(env, first);
-                    self.infer(env, second);
-                    return error_term();
-                }
-                let annotation_whnf = self.head_normal(env, annotation, annotation);
-                match annotation_whnf {
-                    Term::Sigma { binder, first: first_ty, second: second_ty } => {
-                        self.check(env, first, &first_ty);
-                        let expected_second = subst(&second_ty, binder, first);
-                        self.check(env, second, &expected_second);
-                        (**annotation).clone()
-                    }
-                    _ if is_poisoned(&annotation_whnf) => {
-                        self.infer(env, first);
-                        self.infer(env, second);
-                        error_term()
-                    }
-                    _ => {
-                        self.report(
-                            "E0006",
-                            format!(
-                                "pair annotation `{}` is not a Σ type",
-                                term_to_string(annotation)
-                            ),
-                            spans::span_of(annotation),
-                        );
-                        self.infer(env, first);
-                        self.infer(env, second);
-                        error_term()
-                    }
-                }
-            }
-            Term::Fst(e) => match self.projection_sigma(env, e) {
-                Some((_, first_ty, _)) => (*first_ty).clone(),
-                None => error_term(),
-            },
-            Term::Snd(e) => match self.projection_sigma(env, e) {
-                Some((binder, _, second_ty)) => subst(&second_ty, binder, &Term::Fst(e.clone())),
-                None => error_term(),
-            },
-        }
-    }
-
-    /// Shared `fst`/`snd` support: the scrutinee's type must head-normalize
-    /// to a Σ; reports `E0004` otherwise.
-    fn projection_sigma(
-        &mut self,
-        env: &Env,
-        e: &crate::ast::RcTerm,
-    ) -> Option<(Symbol, crate::ast::RcTerm, crate::ast::RcTerm)> {
-        let e_ty = self.infer(env, e);
-        if is_poisoned(&e_ty) {
-            return None;
-        }
-        let e_ty_whnf = self.head_normal(env, &e_ty, e);
-        match e_ty_whnf {
-            Term::Sigma { binder, first, second } => Some((binder, first, second)),
-            _ if is_poisoned(&e_ty_whnf) => None,
-            other => {
-                self.report(
-                    "E0004",
-                    format!(
-                        "`{}` is projected but has non-pair type `{}`",
-                        term_to_string(e),
-                        term_to_string(&other)
-                    ),
-                    spans::span_of(e),
-                );
-                None
-            }
-        }
-    }
+    let (ty, diagnostics) = crate::typecheck::infer_collecting(env, term, engine);
+    TolerantOutcome { ty, diagnostics }
 }
 
 #[cfg(test)]

@@ -16,13 +16,60 @@
 //! rule), and it is sound: it never makes a large Σ small. The restriction
 //! the paper highlights — no impredicative strong Σ — is still enforced:
 //! `Σ x:A.B : ⋆` requires both `A : ⋆` and `B : ⋆`.
+//!
+//! ## Error policies
+//!
+//! The rules are written once, in a checker generic over its error
+//! policy. **Stop** — [`infer`], [`check`], and the other public entry
+//! points — returns a [`TypeError`] at the first violation. **Collect**
+//! — [`crate::tolerant::infer_tolerant`], the keep-going front end —
+//! records each violation as a [`Diagnostic`] coded by
+//! [`TypeError::code`], with the primary span from the [`crate::spans`]
+//! side-table, and recovers with the error sentinel `<error>`
+//! ([`crate::tolerant::error_term`]) at these points:
+//!
+//! - a poisoned type (one mentioning the sentinel) unifies with anything,
+//!   so one genuine error does not cascade into follow-on mismatches;
+//! - an ill-typed `let` binding poisons that binding: the body is checked
+//!   with the binder held abstract at its declared annotation (the
+//!   definition is *not* unfolded), and the binder is replaced by the
+//!   sentinel in the result type so the damage is visible downstream;
+//! - an application of a non-function (or projection of a non-pair)
+//!   yields the sentinel type after still checking the argument;
+//! - a failed conversion check reports the mismatch — with the expected
+//!   type's origin as a related span when the parser saw it — and then
+//!   accepts the term, so each mismatch is reported exactly once;
+//! - fuel exhaustion inside normalization is reported (`E0009`) and the
+//!   fuel tank is refilled, so one diverging type does not starve the
+//!   rest of the program of diagnostics.
+//!
+//! The policy is a const parameter: the Stop instantiation carries no
+//! poison checks and allocates no diagnostics. On well-typed input both
+//! policies walk the same rules and infer the same type.
+//!
+//! ## Error codes
+//!
+//! | Code | Meaning |
+//! |---|---|
+//! | `E0001` | unbound variable |
+//! | `E0002` | the universe `□` has no type |
+//! | `E0003` | application of a non-function |
+//! | `E0004` | projection of a non-pair |
+//! | `E0005` | term used as a type is not a universe |
+//! | `E0006` | pair annotation is not a Σ type |
+//! | `E0008` | type mismatch |
+//! | `E0009` | normalization ran out of fuel |
+//! | `E0100` | parse error (reported by [`crate::parse`]) |
 
-use crate::ast::{Term, Universe};
+use crate::ast::{RcTerm, Term, Universe};
 use crate::env::{Decl, Env};
 use crate::equiv::{equiv_with_engine, Engine};
 use crate::pretty::term_to_string;
 use crate::reduce::{whnf, ReduceError};
+use crate::spans;
 use crate::subst::subst;
+use crate::tolerant::{error_symbol, error_term, is_poisoned};
+use cccc_util::diag::Diagnostic;
 use cccc_util::fuel::Fuel;
 use cccc_util::symbol::Symbol;
 use std::fmt;
@@ -60,12 +107,6 @@ pub enum TypeError {
         /// The annotation, pretty-printed.
         annotation: String,
     },
-    /// A Σ type would be impredicative (small Σ over a large domain), which
-    /// is unsound for strong dependent pairs.
-    ImpredicativeSigma {
-        /// The offending Σ type, pretty-printed.
-        sigma: String,
-    },
     /// The inferred type of a term does not match the expected type.
     Mismatch {
         /// What the context required, pretty-printed.
@@ -77,6 +118,22 @@ pub enum TypeError {
     },
     /// Normalization ran out of fuel while deciding equivalence.
     Reduction(ReduceError),
+}
+
+impl TypeError {
+    /// The stable error code (see the module docs for the table).
+    pub fn code(&self) -> &'static str {
+        match self {
+            TypeError::UnboundVariable(_) => "E0001",
+            TypeError::BoxHasNoType => "E0002",
+            TypeError::NotAFunction { .. } => "E0003",
+            TypeError::NotAPair { .. } => "E0004",
+            TypeError::NotAUniverse { .. } => "E0005",
+            TypeError::PairAnnotationNotSigma { .. } => "E0006",
+            TypeError::Mismatch { .. } => "E0008",
+            TypeError::Reduction(_) => "E0009",
+        }
+    }
 }
 
 impl fmt::Display for TypeError {
@@ -95,9 +152,6 @@ impl fmt::Display for TypeError {
             }
             TypeError::PairAnnotationNotSigma { annotation } => {
                 write!(f, "pair annotation `{annotation}` is not a Σ type")
-            }
-            TypeError::ImpredicativeSigma { sigma } => {
-                write!(f, "impredicative strong Σ type `{sigma}` is not allowed")
             }
             TypeError::Mismatch { expected, found, term } => {
                 write!(
@@ -140,7 +194,7 @@ pub fn infer(env: &Env, term: &Term) -> Result<Term> {
 /// Returns a [`TypeError`] when the term is ill-typed.
 pub fn infer_with_engine(env: &Env, term: &Term, engine: Engine) -> Result<Term> {
     let mut fuel = Fuel::default();
-    infer_with(env, term, &mut fuel, engine)
+    Stopping::new(&mut fuel, engine).infer(env, term)
 }
 
 /// Checks `term` against `expected` under `env`, applying the conversion
@@ -152,7 +206,7 @@ pub fn infer_with_engine(env: &Env, term: &Term, engine: Engine) -> Result<Term>
 /// definitionally equal to `expected`.
 pub fn check(env: &Env, term: &Term, expected: &Term) -> Result<()> {
     let mut fuel = Fuel::default();
-    check_with(env, term, expected, &mut fuel, Engine::Nbe)
+    Stopping::new(&mut fuel, Engine::Nbe).check(env, term, expected).map(drop)
 }
 
 /// Infers the universe in which the type `term` lives.
@@ -162,7 +216,8 @@ pub fn check(env: &Env, term: &Term, expected: &Term) -> Result<()> {
 /// Returns [`TypeError::NotAUniverse`] when `term` is not a type.
 pub fn infer_universe(env: &Env, term: &Term) -> Result<Universe> {
     let mut fuel = Fuel::default();
-    infer_universe_with(env, term, &mut fuel, Engine::Nbe)
+    let universe = Stopping::new(&mut fuel, Engine::Nbe).universe(env, term)?;
+    Ok(universe.expect("the Stop policy never recovers"))
 }
 
 /// Checks well-formedness of an environment (`⊢ Γ`, Figure 4).
@@ -194,164 +249,300 @@ pub fn is_well_typed(env: &Env, term: &Term) -> bool {
     infer(env, term).is_ok()
 }
 
-/// Weak-head normalizes through the chosen engine: NbE read-back or the
-/// step-based `whnf`.
-fn head_normal(env: &Env, term: &Term, fuel: &mut Fuel, engine: Engine) -> Result<Term> {
-    let result = match engine {
-        Engine::Nbe => crate::nbe::whnf_nbe(env, term, fuel),
-        Engine::Step => whnf(env, term, fuel),
-    };
-    result.map_err(TypeError::from)
+/// Infers the type of `term` under the Collect policy: every violation
+/// becomes a diagnostic and checking resumes with the sentinel. The
+/// entry point behind [`crate::tolerant::infer_tolerant_with_engine`].
+pub(crate) fn infer_collecting(env: &Env, term: &Term, engine: Engine) -> (Term, Vec<Diagnostic>) {
+    let mut fuel = Fuel::default();
+    let mut checker = Collecting::new(&mut fuel, engine);
+    let ty = checker.infer(env, term).expect("the Collect policy never stops");
+    (ty, checker.diagnostics)
 }
 
-pub(crate) fn infer_with(env: &Env, term: &Term, fuel: &mut Fuel, engine: Engine) -> Result<Term> {
-    match term {
-        // [Var]
-        Term::Var(x) => match env.lookup_type(*x) {
-            Some(ty) => Ok((**ty).clone()),
-            None => Err(TypeError::UnboundVariable(*x)),
-        },
-        // [Ax-*]
-        Term::Sort(Universe::Star) => Ok(Term::Sort(Universe::Box)),
-        Term::Sort(Universe::Box) => Err(TypeError::BoxHasNoType),
-        // Ground types (§5.2).
-        Term::BoolTy => Ok(Term::Sort(Universe::Star)),
-        Term::BoolLit(_) => Ok(Term::BoolTy),
-        Term::If { scrutinee, then_branch, else_branch } => {
-            check_with(env, scrutinee, &Term::BoolTy, fuel, engine)?;
-            let then_ty = infer_with(env, then_branch, fuel, engine)?;
-            check_with(env, else_branch, &then_ty, fuel, engine)?;
-            Ok(then_ty)
-        }
-        // [Prod-*] and [Prod-□]
-        Term::Pi { binder, domain, codomain } => {
-            infer_universe_with(env, domain, fuel, engine)?;
-            let inner = env.with_assumption(*binder, (**domain).clone());
-            let codomain_universe = infer_universe_with(&inner, codomain, fuel, engine)?;
-            Ok(Term::Sort(codomain_universe))
-        }
-        // [Sig-*], [Sig-□], and the predicative large rule (see module docs).
-        Term::Sigma { binder, first, second } => {
-            let first_universe = infer_universe_with(env, first, fuel, engine)?;
-            let inner = env.with_assumption(*binder, (**first).clone());
-            let second_universe = infer_universe_with(&inner, second, fuel, engine)?;
-            match (first_universe, second_universe) {
-                (Universe::Star, Universe::Star) => Ok(Term::Sort(Universe::Star)),
-                (_, Universe::Box) => Ok(Term::Sort(Universe::Box)),
-                (Universe::Box, Universe::Star) => Ok(Term::Sort(Universe::Box)),
-            }
-        }
-        // [Lam]
-        Term::Lam { binder, domain, body } => {
-            infer_universe_with(env, domain, fuel, engine)?;
-            let inner = env.with_assumption(*binder, (**domain).clone());
-            let body_ty = infer_with(&inner, body, fuel, engine)?;
-            // Ensure the resulting Π type is itself well-formed.
-            infer_universe_with(&inner, &body_ty, fuel, engine)?;
-            Ok(Term::Pi { binder: *binder, domain: domain.clone(), codomain: body_ty.rc() })
-        }
-        // [App]
-        Term::App { func, arg } => {
-            let func_ty = infer_with(env, func, fuel, engine)?;
-            let func_ty_whnf = head_normal(env, &func_ty, fuel, engine)?;
-            match func_ty_whnf {
-                Term::Pi { binder, domain, codomain } => {
-                    check_with(env, arg, &domain, fuel, engine)?;
-                    Ok(subst(&codomain, binder, arg))
-                }
-                other => Err(TypeError::NotAFunction {
-                    term: term_to_string(func),
-                    ty: term_to_string(&other),
-                }),
-            }
-        }
-        // [Let]
-        Term::Let { binder, annotation, bound, body } => {
-            infer_universe_with(env, annotation, fuel, engine)?;
-            check_with(env, bound, annotation, fuel, engine)?;
-            let inner = env.with_definition(*binder, (**bound).clone(), (**annotation).clone());
-            let body_ty = infer_with(&inner, body, fuel, engine)?;
-            Ok(subst(&body_ty, *binder, bound))
-        }
-        // [Pair]
-        Term::Pair { first, second, annotation } => {
-            infer_universe_with(env, annotation, fuel, engine)?;
-            let annotation_whnf = head_normal(env, annotation, fuel, engine)?;
-            match annotation_whnf {
-                Term::Sigma { binder, first: first_ty, second: second_ty } => {
-                    check_with(env, first, &first_ty, fuel, engine)?;
-                    let expected_second = subst(&second_ty, binder, first);
-                    check_with(env, second, &expected_second, fuel, engine)?;
-                    Ok((**annotation).clone())
-                }
-                _ => Err(TypeError::PairAnnotationNotSigma {
-                    annotation: term_to_string(annotation),
-                }),
-            }
-        }
-        // [Fst]
-        Term::Fst(e) => {
-            let e_ty = infer_with(env, e, fuel, engine)?;
-            let e_ty_whnf = head_normal(env, &e_ty, fuel, engine)?;
-            match e_ty_whnf {
-                Term::Sigma { first, .. } => Ok((*first).clone()),
-                other => {
-                    Err(TypeError::NotAPair { term: term_to_string(e), ty: term_to_string(&other) })
-                }
-            }
-        }
-        // [Snd]
-        Term::Snd(e) => {
-            let e_ty = infer_with(env, e, fuel, engine)?;
-            let e_ty_whnf = head_normal(env, &e_ty, fuel, engine)?;
-            match e_ty_whnf {
-                Term::Sigma { binder, second, .. } => {
-                    Ok(subst(&second, binder, &Term::Fst(e.clone())))
-                }
-                other => {
-                    Err(TypeError::NotAPair { term: term_to_string(e), ty: term_to_string(&other) })
-                }
-            }
-        }
-    }
-}
+/// The Stop policy: the first violation is returned as a [`TypeError`].
+type Stopping<'a> = Checker<'a, false>;
+/// The Collect policy: violations are recorded and checking recovers.
+type Collecting<'a> = Checker<'a, true>;
 
-pub(crate) fn check_with(
-    env: &Env,
-    term: &Term,
-    expected: &Term,
-    fuel: &mut Fuel,
+/// The rules of Figures 3 and 4 under an error policy: Stop
+/// (`COLLECT = false`) returns `Err` at the first violation, Collect
+/// (`COLLECT = true`) never does.
+struct Checker<'a, const COLLECT: bool> {
+    fuel: &'a mut Fuel,
     engine: Engine,
-) -> Result<()> {
-    let inferred = infer_with(env, term, fuel, engine)?;
-    if equiv_with_engine(env, &inferred, expected, fuel, engine)? {
+    diagnostics: Vec<Diagnostic>,
+}
+
+impl<'a, const COLLECT: bool> Checker<'a, COLLECT> {
+    fn new(fuel: &'a mut Fuel, engine: Engine) -> Self {
+        Checker { fuel, engine, diagnostics: Vec::new() }
+    }
+
+    /// Whether `term` mentions the sentinel — always `false` under Stop,
+    /// which never recovers and so never produces one.
+    fn poisoned(&self, term: &Term) -> bool {
+        COLLECT && is_poisoned(term)
+    }
+
+    /// A rule violation at `at`: Stop returns it; Collect records it as a
+    /// coded diagnostic (refilling the fuel tank after `E0009`) and lets
+    /// the caller recover.
+    fn fail(&mut self, error: TypeError, at: &Term) -> Result<()> {
+        if !COLLECT {
+            return Err(error);
+        }
+        if matches!(error, TypeError::Reduction(_)) {
+            *self.fuel = Fuel::default();
+        }
+        let mut diagnostic = Diagnostic::error(error.to_string()).with_code(error.code());
+        if let TypeError::Mismatch { expected, found, .. } = &error {
+            diagnostic = diagnostic
+                .with_note(format!("expected `{expected}`"))
+                .with_note(format!("found    `{found}`"));
+        }
+        if let Some(span) = spans::span_of(at) {
+            diagnostic = diagnostic.with_span(span);
+        }
+        self.diagnostics.push(diagnostic);
         Ok(())
-    } else {
-        Err(TypeError::Mismatch {
-            expected: term_to_string(expected),
-            found: term_to_string(&inferred),
-            term: term_to_string(term),
-        })
     }
-}
 
-pub(crate) fn infer_universe_with(
-    env: &Env,
-    term: &Term,
-    fuel: &mut Fuel,
-    engine: Engine,
-) -> Result<Universe> {
-    // `□` itself is a valid classifier (it is the type of `⋆` and of kinds)
-    // even though it is not a term; treat it as living "above" everything.
-    if matches!(term, Term::Sort(Universe::Box)) {
-        return Ok(Universe::Box);
+    /// Weak-head normalizes through the chosen engine: NbE read-back or
+    /// the step-based `whnf`. Fuel exhaustion is reported at `at`.
+    fn head_normal(&mut self, env: &Env, term: &Term, at: &Term) -> Result<Term> {
+        let result = match self.engine {
+            Engine::Nbe => crate::nbe::whnf_nbe(env, term, self.fuel),
+            Engine::Step => whnf(env, term, self.fuel),
+        };
+        match result {
+            Ok(normal) => Ok(normal),
+            Err(error) => self.fail(error.into(), at).map(|()| error_term()),
+        }
     }
-    let ty = infer_with(env, term, fuel, engine)?;
-    let ty_whnf = head_normal(env, &ty, fuel, engine)?;
-    match ty_whnf {
-        Term::Sort(u) => Ok(u),
-        other => {
-            Err(TypeError::NotAUniverse { term: term_to_string(term), ty: term_to_string(&other) })
+
+    fn infer(&mut self, env: &Env, term: &Term) -> Result<Term> {
+        match term {
+            // The sentinel types as itself, silently: whoever introduced
+            // it already reported.
+            Term::Var(x) if COLLECT && *x == error_symbol() => Ok(error_term()),
+            // [Var]
+            Term::Var(x) => match env.lookup_type(*x) {
+                Some(ty) => Ok((**ty).clone()),
+                None => self.fail(TypeError::UnboundVariable(*x), term).map(|()| error_term()),
+            },
+            // [Ax-*]
+            Term::Sort(Universe::Star) => Ok(Term::Sort(Universe::Box)),
+            Term::Sort(Universe::Box) => {
+                self.fail(TypeError::BoxHasNoType, term).map(|()| error_term())
+            }
+            // Ground types (§5.2).
+            Term::BoolTy => Ok(Term::Sort(Universe::Star)),
+            Term::BoolLit(_) => Ok(Term::BoolTy),
+            Term::If { scrutinee, then_branch, else_branch } => {
+                self.check(env, scrutinee, &Term::BoolTy)?;
+                let then_ty = self.infer(env, then_branch)?;
+                self.check(env, else_branch, &then_ty)?;
+                Ok(then_ty)
+            }
+            // [Prod-*] and [Prod-□]
+            Term::Pi { binder, domain, codomain } => {
+                self.universe(env, domain)?;
+                let inner = env.with_assumption(*binder, (**domain).clone());
+                let codomain_universe = self.universe(&inner, codomain)?;
+                Ok(codomain_universe.map_or_else(error_term, Term::Sort))
+            }
+            // [Sig-*], [Sig-□], and the predicative large rule (see module docs).
+            Term::Sigma { binder, first, second } => {
+                let first_universe = self.universe(env, first)?;
+                let inner = env.with_assumption(*binder, (**first).clone());
+                let second_universe = self.universe(&inner, second)?;
+                Ok(match (first_universe, second_universe) {
+                    (Some(Universe::Star), Some(Universe::Star)) => Term::Sort(Universe::Star),
+                    (Some(_), Some(_)) => Term::Sort(Universe::Box),
+                    _ => error_term(),
+                })
+            }
+            // [Lam]
+            Term::Lam { binder, domain, body } => {
+                self.universe(env, domain)?;
+                let inner = env.with_assumption(*binder, (**domain).clone());
+                let body_ty = self.infer(&inner, body)?;
+                // Ensure the resulting Π type is itself well-formed.
+                if !self.poisoned(&body_ty) {
+                    self.universe(&inner, &body_ty)?;
+                }
+                Ok(Term::Pi { binder: *binder, domain: domain.clone(), codomain: body_ty.rc() })
+            }
+            // [App]
+            Term::App { func, arg } => {
+                let func_ty = self.infer(env, func)?;
+                if self.poisoned(&func_ty) {
+                    self.infer(env, arg)?;
+                    return Ok(error_term());
+                }
+                match self.head_normal(env, &func_ty, func)? {
+                    Term::Pi { binder, domain, codomain } => {
+                        self.check(env, arg, &domain)?;
+                        Ok(subst(&codomain, binder, arg))
+                    }
+                    other => {
+                        if !self.poisoned(&other) {
+                            let error = TypeError::NotAFunction {
+                                term: term_to_string(func),
+                                ty: term_to_string(&other),
+                            };
+                            self.fail(error, func)?;
+                        }
+                        // Operand errors are reported even when the
+                        // operator is broken.
+                        self.infer(env, arg)?;
+                        Ok(error_term())
+                    }
+                }
+            }
+            // [Let]
+            Term::Let { binder, annotation, bound, body } => {
+                let annotation_ok = self.universe(env, annotation)?.is_some();
+                let bound_ok = annotation_ok && self.check(env, bound, annotation)?;
+                if bound_ok && !self.poisoned(bound) && !self.poisoned(annotation) {
+                    let inner =
+                        env.with_definition(*binder, (**bound).clone(), (**annotation).clone());
+                    let body_ty = self.infer(&inner, body)?;
+                    Ok(subst(&body_ty, *binder, bound))
+                } else {
+                    // Collect only: poison the binding — hold the binder
+                    // abstract at its declared annotation (never unfold a
+                    // bad definition), then replace it with the sentinel
+                    // in the result type so downstream consumers see the
+                    // damage.
+                    let assumed = if annotation_ok { (**annotation).clone() } else { error_term() };
+                    let inner = env.with_assumption(*binder, assumed);
+                    let body_ty = self.infer(&inner, body)?;
+                    Ok(subst(&body_ty, *binder, &error_term()))
+                }
+            }
+            // [Pair]
+            Term::Pair { first, second, annotation } => {
+                self.universe(env, annotation)?;
+                let sigma = if self.poisoned(annotation) {
+                    error_term()
+                } else {
+                    self.head_normal(env, annotation, annotation)?
+                };
+                match sigma {
+                    Term::Sigma { binder, first: first_ty, second: second_ty } => {
+                        self.check(env, first, &first_ty)?;
+                        let expected_second = subst(&second_ty, binder, first);
+                        self.check(env, second, &expected_second)?;
+                        Ok((**annotation).clone())
+                    }
+                    other => {
+                        if !self.poisoned(&other) {
+                            let error = TypeError::PairAnnotationNotSigma {
+                                annotation: term_to_string(annotation),
+                            };
+                            self.fail(error, annotation)?;
+                        }
+                        self.infer(env, first)?;
+                        self.infer(env, second)?;
+                        Ok(error_term())
+                    }
+                }
+            }
+            // [Fst]
+            Term::Fst(e) => Ok(match self.projection_sigma(env, e)? {
+                Some((_, first_ty, _)) => (*first_ty).clone(),
+                None => error_term(),
+            }),
+            // [Snd]
+            Term::Snd(e) => Ok(match self.projection_sigma(env, e)? {
+                Some((binder, _, second_ty)) => subst(&second_ty, binder, &Term::Fst(e.clone())),
+                None => error_term(),
+            }),
+        }
+    }
+
+    /// Shared `fst`/`snd` premise: the scrutinee's type must
+    /// head-normalize to a Σ. `None` means Collect recovered.
+    fn projection_sigma(
+        &mut self,
+        env: &Env,
+        e: &RcTerm,
+    ) -> Result<Option<(Symbol, RcTerm, RcTerm)>> {
+        let e_ty = self.infer(env, e)?;
+        if self.poisoned(&e_ty) {
+            return Ok(None);
+        }
+        match self.head_normal(env, &e_ty, e)? {
+            Term::Sigma { binder, first, second } => Ok(Some((binder, first, second))),
+            other => {
+                if !self.poisoned(&other) {
+                    let error =
+                        TypeError::NotAPair { term: term_to_string(e), ty: term_to_string(&other) };
+                    self.fail(error, e)?;
+                }
+                Ok(None)
+            }
+        }
+    }
+
+    /// `[Conv]`: checks `term` against `expected`. `Ok(false)` (Collect
+    /// only) means a mismatch was reported; poisoned types and fuel
+    /// exhaustion are accepted.
+    fn check(&mut self, env: &Env, term: &Term, expected: &Term) -> Result<bool> {
+        let found = self.infer(env, term)?;
+        if self.poisoned(&found) || self.poisoned(expected) {
+            return Ok(true);
+        }
+        match equiv_with_engine(env, &found, expected, self.fuel, self.engine) {
+            Ok(true) => Ok(true),
+            Ok(false) => {
+                let error = TypeError::Mismatch {
+                    expected: term_to_string(expected),
+                    found: term_to_string(&found),
+                    term: term_to_string(term),
+                };
+                self.fail(error, term)?;
+                // Collect: point at the annotation the expectation came from.
+                if let (Some(origin), Some(mismatch)) =
+                    (spans::span_of(expected), self.diagnostics.last_mut())
+                {
+                    mismatch
+                        .related
+                        .push((origin, "expected type came from this annotation".to_owned()));
+                }
+                Ok(false)
+            }
+            Err(error) => self.fail(error.into(), term).map(|()| true),
+        }
+    }
+
+    /// Infers the universe in which the type `term` lives. `None` means
+    /// Collect recovered (the type was poisoned, or a diagnostic was
+    /// reported).
+    fn universe(&mut self, env: &Env, term: &Term) -> Result<Option<Universe>> {
+        // `□` itself is a valid classifier (it is the type of `⋆` and of
+        // kinds) even though it is not a term; treat it as living "above"
+        // everything.
+        if matches!(term, Term::Sort(Universe::Box)) {
+            return Ok(Some(Universe::Box));
+        }
+        let ty = self.infer(env, term)?;
+        if self.poisoned(&ty) {
+            return Ok(None);
+        }
+        match self.head_normal(env, &ty, term)? {
+            Term::Sort(u) => Ok(Some(u)),
+            other => {
+                if !self.poisoned(&other) {
+                    let error = TypeError::NotAUniverse {
+                        term: term_to_string(term),
+                        ty: term_to_string(&other),
+                    };
+                    self.fail(error, term)?;
+                }
+                Ok(None)
+            }
         }
     }
 }

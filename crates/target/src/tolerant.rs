@@ -1,44 +1,21 @@
 //! Keep-going type checking for CC-CC: collect *every* error, not just the
 //! first.
 //!
-//! [`infer_tolerant`] mirrors [`crate::typecheck`] — including the
-//! closure-conversion rules `[Code]`, `[T-Code]`, and `[Clo]` — but records
-//! each violation as a [`Diagnostic`] and recovers with the error sentinel
-//! `<error>` instead of aborting, exactly like the source-side
-//! `cccc_source::tolerant`. A type mentioning the sentinel is *poisoned*
-//! ([`is_poisoned`], O(1) on the cached free-variable metadata) and unifies
-//! with anything, so a single genuine error does not cascade.
-//!
-//! CC-CC terms are produced by the translator, never parsed, so there is no
-//! span side-table on this side: diagnostics carry pretty-printed terms and
-//! notes but no source locations.
-//!
-//! Unlike the strict checker, the tolerant one does **not** use the
-//! `[Code]` memo: recovery results must never pollute a cache that the
-//! strict checker (or a later clean run) could observe.
-//!
-//! ## Error codes
-//!
-//! | Code | Meaning |
-//! |---|---|
-//! | `E1001` | unbound variable |
-//! | `E1002` | the universe `□` has no type |
-//! | `E1003` | application of a non-closure (including bare code) |
-//! | `E1004` | projection of a non-pair |
-//! | `E1005` | term used as a type is not a universe |
-//! | `E1006` | pair annotation is not a Σ type |
-//! | `E1008` | type mismatch |
-//! | `E1009` | normalization ran out of fuel |
-//! | `E1010` | open code (rule `[Code]` requires closed code) |
-//! | `E1011` | closure component is not code |
+//! [`infer_tolerant`] runs the one rule set of [`crate::typecheck`] —
+//! including the closure-conversion rules `[Code]`, `[T-Code]`, and
+//! `[Clo]` — under its Collect error policy: each violation is recorded as
+//! a coded [`Diagnostic`] and checking recovers with the error sentinel
+//! `<error>`, exactly like the source-side `cccc_source::tolerant`. A type
+//! mentioning the sentinel is *poisoned* ([`is_poisoned`], O(1) on the
+//! cached free-variable metadata) and unifies with anything, so a single
+//! genuine error does not cascade. The recovery points and the error-code
+//! table are documented with the rules, in [`crate::typecheck`].
 
-use crate::ast::{RcTerm, Term, Universe};
+use crate::ast::Term;
 use crate::env::Env;
-use crate::equiv::{equiv_with_engine, Engine};
-use crate::pretty::term_to_string;
-use crate::subst::{free_vars, occurs_free, rename, subst};
+use crate::equiv::Engine;
+use crate::subst::occurs_free;
 use cccc_util::diag::Diagnostic;
-use cccc_util::fuel::Fuel;
 use cccc_util::symbol::Symbol;
 
 /// The reserved name of the error sentinel (shared spelling with the
@@ -83,345 +60,8 @@ pub fn infer_tolerant(env: &Env, term: &Term) -> TolerantOutcome {
 
 /// [`infer_tolerant`] through an explicitly chosen equivalence engine.
 pub fn infer_tolerant_with_engine(env: &Env, term: &Term, engine: Engine) -> TolerantOutcome {
-    let mut checker = Tolerant { fuel: Fuel::default(), engine, diagnostics: Vec::new() };
-    let ty = checker.infer(env, term);
-    TolerantOutcome { ty, diagnostics: checker.diagnostics }
-}
-
-struct Tolerant {
-    fuel: Fuel,
-    engine: Engine,
-    diagnostics: Vec<Diagnostic>,
-}
-
-impl Tolerant {
-    fn report(&mut self, code: &str, message: String) {
-        self.diagnostics.push(Diagnostic::error(message).with_code(code));
-    }
-
-    fn head_normal(&mut self, env: &Env, term: &Term) -> Term {
-        let result = match self.engine {
-            Engine::Nbe => crate::nbe::whnf_nbe(env, term, &mut self.fuel),
-            Engine::Step => crate::reduce::whnf(env, term, &mut self.fuel),
-        };
-        match result {
-            Ok(normal) => normal,
-            Err(error) => {
-                self.report("E1009", error.to_string());
-                self.fuel = Fuel::default();
-                error_term()
-            }
-        }
-    }
-
-    fn check(&mut self, env: &Env, term: &Term, expected: &Term) -> bool {
-        let found = self.infer(env, term);
-        if is_poisoned(&found) || is_poisoned(expected) {
-            return true;
-        }
-        match equiv_with_engine(env, &found, expected, &mut self.fuel, self.engine) {
-            Ok(true) => true,
-            Ok(false) => {
-                self.diagnostics.push(
-                    Diagnostic::error(format!(
-                        "type mismatch: `{}` has type `{}` but `{}` was expected",
-                        term_to_string(term),
-                        term_to_string(&found),
-                        term_to_string(expected),
-                    ))
-                    .with_code("E1008")
-                    .with_note(format!("expected `{}`", term_to_string(expected)))
-                    .with_note(format!("found    `{}`", term_to_string(&found))),
-                );
-                false
-            }
-            Err(error) => {
-                self.report("E1009", error.to_string());
-                self.fuel = Fuel::default();
-                true
-            }
-        }
-    }
-
-    fn universe(&mut self, env: &Env, term: &Term) -> Option<Universe> {
-        if matches!(term, Term::Sort(Universe::Box)) {
-            return Some(Universe::Box);
-        }
-        let ty = self.infer(env, term);
-        if is_poisoned(&ty) {
-            return None;
-        }
-        let ty_whnf = self.head_normal(env, &ty);
-        match ty_whnf {
-            Term::Sort(u) => Some(u),
-            _ if is_poisoned(&ty_whnf) => None,
-            other => {
-                self.report(
-                    "E1005",
-                    format!(
-                        "`{}` is used as a type but has type `{}`, not a universe",
-                        term_to_string(term),
-                        term_to_string(&other)
-                    ),
-                );
-                None
-            }
-        }
-    }
-
-    /// Tolerant closedness premise of `[Code]`/`[T-Code]`: free variables
-    /// other than the sentinel are reported; sentinel leakage is someone
-    /// else's already-reported error.
-    fn check_closed(&mut self, term: &Term) -> bool {
-        let leaked: Vec<Symbol> =
-            free_vars(term).into_iter().filter(|s| *s != error_symbol()).collect();
-        if leaked.is_empty() {
-            return true;
-        }
-        self.report(
-            "E1010",
-            format!(
-                "rule [Code] requires closed code, but `{}` mentions {}",
-                term_to_string(term),
-                leaked.iter().map(|s| format!("`{s}`")).collect::<Vec<_>>().join(", ")
-            ),
-        );
-        false
-    }
-
-    fn infer(&mut self, env: &Env, term: &Term) -> Term {
-        match term {
-            Term::Var(x) if *x == error_symbol() => error_term(),
-            Term::Var(x) => match env.lookup_type(*x) {
-                Some(ty) => (**ty).clone(),
-                None => {
-                    self.report("E1001", format!("unbound variable `{x}`"));
-                    error_term()
-                }
-            },
-            Term::Sort(Universe::Star) => Term::Sort(Universe::Box),
-            Term::Sort(Universe::Box) => {
-                self.report("E1002", "the universe □ has no type".to_string());
-                error_term()
-            }
-            Term::Unit => Term::Sort(Universe::Star),
-            Term::UnitVal => Term::Unit,
-            Term::BoolTy => Term::Sort(Universe::Star),
-            Term::BoolLit(_) => Term::BoolTy,
-            Term::If { scrutinee, then_branch, else_branch } => {
-                self.check(env, scrutinee, &Term::BoolTy);
-                let then_ty = self.infer(env, then_branch);
-                if is_poisoned(&then_ty) {
-                    self.infer(env, else_branch);
-                } else {
-                    self.check(env, else_branch, &then_ty);
-                }
-                then_ty
-            }
-            Term::Pi { binder, domain, codomain } => {
-                self.universe(env, domain);
-                let inner = env.with_assumption(*binder, (**domain).clone());
-                match self.universe(&inner, codomain) {
-                    Some(u) => Term::Sort(u),
-                    None => error_term(),
-                }
-            }
-            Term::Sigma { binder, first, second } => {
-                let first_universe = self.universe(env, first);
-                let inner = env.with_assumption(*binder, (**first).clone());
-                let second_universe = self.universe(&inner, second);
-                match (first_universe, second_universe) {
-                    (Some(Universe::Star), Some(Universe::Star)) => Term::Sort(Universe::Star),
-                    (Some(_), Some(_)) => Term::Sort(Universe::Box),
-                    _ => error_term(),
-                }
-            }
-            // [Code], checked in the empty environment, without the memo.
-            Term::Code { env_binder, env_ty, arg_binder, arg_ty, body } => {
-                self.check_closed(term);
-                let empty = Env::new();
-                self.universe(&empty, env_ty);
-                let with_env = empty.with_assumption(*env_binder, (**env_ty).clone());
-                self.universe(&with_env, arg_ty);
-                let with_arg = with_env.with_assumption(*arg_binder, (**arg_ty).clone());
-                let body_ty = self.infer(&with_arg, body);
-                if !is_poisoned(&body_ty) {
-                    self.universe(&with_arg, &body_ty);
-                }
-                Term::CodeTy {
-                    env_binder: *env_binder,
-                    env_ty: env_ty.clone(),
-                    arg_binder: *arg_binder,
-                    arg_ty: arg_ty.clone(),
-                    result: body_ty.rc(),
-                }
-            }
-            // [T-Code]
-            Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => {
-                self.check_closed(term);
-                let empty = Env::new();
-                self.universe(&empty, env_ty);
-                let with_env = empty.with_assumption(*env_binder, (**env_ty).clone());
-                self.universe(&with_env, arg_ty);
-                let with_arg = with_env.with_assumption(*arg_binder, (**arg_ty).clone());
-                match self.universe(&with_arg, result) {
-                    Some(u) => Term::Sort(u),
-                    None => error_term(),
-                }
-            }
-            // [Clo]
-            Term::Closure { code, env: closure_env } => {
-                let code_ty = self.infer(env, code);
-                if is_poisoned(&code_ty) {
-                    self.infer(env, closure_env);
-                    return error_term();
-                }
-                let code_ty_whnf = self.head_normal(env, &code_ty);
-                match code_ty_whnf {
-                    Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => {
-                        self.check(env, closure_env, &env_ty);
-                        let domain = subst(&arg_ty, env_binder, closure_env);
-                        let (binder, codomain) = if arg_binder == env_binder {
-                            (arg_binder, (*result).clone())
-                        } else if occurs_free(arg_binder, closure_env) {
-                            let fresh = arg_binder.freshen();
-                            let renamed = rename(&result, arg_binder, fresh);
-                            (fresh, subst(&renamed, env_binder, closure_env))
-                        } else {
-                            (arg_binder, subst(&result, env_binder, closure_env))
-                        };
-                        Term::Pi { binder, domain: domain.rc(), codomain: codomain.rc() }
-                    }
-                    _ if is_poisoned(&code_ty_whnf) => {
-                        self.infer(env, closure_env);
-                        error_term()
-                    }
-                    other => {
-                        self.report(
-                            "E1011",
-                            format!(
-                                "closure component `{}` has type `{}`, not a code type",
-                                term_to_string(code),
-                                term_to_string(&other)
-                            ),
-                        );
-                        self.infer(env, closure_env);
-                        error_term()
-                    }
-                }
-            }
-            Term::App { func, arg } => {
-                let func_ty = self.infer(env, func);
-                if is_poisoned(&func_ty) {
-                    self.infer(env, arg);
-                    return error_term();
-                }
-                let func_ty_whnf = self.head_normal(env, &func_ty);
-                match func_ty_whnf {
-                    Term::Pi { binder, domain, codomain } => {
-                        self.check(env, arg, &domain);
-                        subst(&codomain, binder, arg)
-                    }
-                    _ if is_poisoned(&func_ty_whnf) => {
-                        self.infer(env, arg);
-                        error_term()
-                    }
-                    other => {
-                        self.report(
-                            "E1003",
-                            format!(
-                                "`{}` is applied but has non-closure type `{}`",
-                                term_to_string(func),
-                                term_to_string(&other)
-                            ),
-                        );
-                        self.infer(env, arg);
-                        error_term()
-                    }
-                }
-            }
-            Term::Let { binder, annotation, bound, body } => {
-                let annotation_ok = self.universe(env, annotation).is_some();
-                let bound_ok = annotation_ok && self.check(env, bound, annotation);
-                if bound_ok && !is_poisoned(bound) && !is_poisoned(annotation) {
-                    let inner =
-                        env.with_definition(*binder, (**bound).clone(), (**annotation).clone());
-                    let body_ty = self.infer(&inner, body);
-                    subst(&body_ty, *binder, bound)
-                } else {
-                    let assumed = if annotation_ok { (**annotation).clone() } else { error_term() };
-                    let inner = env.with_assumption(*binder, assumed);
-                    let body_ty = self.infer(&inner, body);
-                    subst(&body_ty, *binder, &error_term())
-                }
-            }
-            Term::Pair { first, second, annotation } => {
-                self.universe(env, annotation);
-                if is_poisoned(annotation) {
-                    self.infer(env, first);
-                    self.infer(env, second);
-                    return error_term();
-                }
-                let annotation_whnf = self.head_normal(env, annotation);
-                match annotation_whnf {
-                    Term::Sigma { binder, first: first_ty, second: second_ty } => {
-                        self.check(env, first, &first_ty);
-                        let expected_second = subst(&second_ty, binder, first);
-                        self.check(env, second, &expected_second);
-                        (**annotation).clone()
-                    }
-                    _ if is_poisoned(&annotation_whnf) => {
-                        self.infer(env, first);
-                        self.infer(env, second);
-                        error_term()
-                    }
-                    _ => {
-                        self.report(
-                            "E1006",
-                            format!(
-                                "pair annotation `{}` is not a Σ type",
-                                term_to_string(annotation)
-                            ),
-                        );
-                        self.infer(env, first);
-                        self.infer(env, second);
-                        error_term()
-                    }
-                }
-            }
-            Term::Fst(e) => match self.projection_sigma(env, e) {
-                Some((_, first_ty, _)) => (*first_ty).clone(),
-                None => error_term(),
-            },
-            Term::Snd(e) => match self.projection_sigma(env, e) {
-                Some((binder, _, second_ty)) => subst(&second_ty, binder, &Term::Fst(e.clone())),
-                None => error_term(),
-            },
-        }
-    }
-
-    fn projection_sigma(&mut self, env: &Env, e: &RcTerm) -> Option<(Symbol, RcTerm, RcTerm)> {
-        let e_ty = self.infer(env, e);
-        if is_poisoned(&e_ty) {
-            return None;
-        }
-        let e_ty_whnf = self.head_normal(env, &e_ty);
-        match e_ty_whnf {
-            Term::Sigma { binder, first, second } => Some((binder, first, second)),
-            _ if is_poisoned(&e_ty_whnf) => None,
-            other => {
-                self.report(
-                    "E1004",
-                    format!(
-                        "`{}` is projected but has non-pair type `{}`",
-                        term_to_string(e),
-                        term_to_string(&other)
-                    ),
-                );
-                None
-            }
-        }
-    }
+    let (ty, diagnostics) = crate::typecheck::infer_collecting(env, term, engine);
+    TolerantOutcome { ty, diagnostics }
 }
 
 #[cfg(test)]

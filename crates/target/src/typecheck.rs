@@ -22,6 +22,33 @@
 //! predicative ECC rule `A : □, B : ⋆ ⟹ Σ x:A.B : □`, which the
 //! environment telescopes of closure conversion need when a closure
 //! captures a type variable.
+//!
+//! ## Error policies
+//!
+//! As in `cccc_source::typecheck`, the rules are written once, in a
+//! checker generic over its error policy: **Stop** ([`infer`], [`check`],
+//! …) returns the first [`TypeError`]; **Collect**
+//! ([`crate::tolerant::infer_tolerant`]) records each violation as a
+//! [`Diagnostic`] coded by [`TypeError::code`] and recovers with the
+//! sentinel `<error>` at the same points the source checker does. Open
+//! code is reported and checking continues into its body, and Collect
+//! bypasses the `[Code]` memo. CC-CC terms are produced by the
+//! translator, never parsed, so these diagnostics carry no spans.
+//!
+//! ## Error codes
+//!
+//! | Code | Meaning |
+//! |---|---|
+//! | `E1001` | unbound variable |
+//! | `E1002` | the universe `□` has no type |
+//! | `E1003` | application of a non-closure (including bare code) |
+//! | `E1004` | projection of a non-pair |
+//! | `E1005` | term used as a type is not a universe |
+//! | `E1006` | pair annotation is not a Σ type |
+//! | `E1008` | type mismatch |
+//! | `E1009` | normalization ran out of fuel |
+//! | `E1010` | open code (rule `[Code]` requires closed code) |
+//! | `E1011` | closure component is not code |
 
 use crate::ast::{RcTerm, Term, Universe};
 use crate::env::{Decl, Env};
@@ -29,6 +56,8 @@ use crate::equiv::{equiv_with_engine, Engine};
 use crate::pretty::term_to_string;
 use crate::reduce::{whnf, ReduceError};
 use crate::subst::{free_vars, is_closed, occurs_free, rename, subst};
+use crate::tolerant::{error_symbol, error_term, is_poisoned};
+use cccc_util::diag::Diagnostic;
 use cccc_util::fuel::Fuel;
 use cccc_util::intern::{FxHashMap, NodeId};
 use cccc_util::symbol::Symbol;
@@ -97,6 +126,24 @@ pub enum TypeError {
     Reduction(ReduceError),
 }
 
+impl TypeError {
+    /// The stable error code (see the module docs for the table).
+    pub fn code(&self) -> &'static str {
+        match self {
+            TypeError::UnboundVariable(_) => "E1001",
+            TypeError::BoxHasNoType => "E1002",
+            TypeError::NotAClosure { .. } => "E1003",
+            TypeError::NotAPair { .. } => "E1004",
+            TypeError::NotAUniverse { .. } => "E1005",
+            TypeError::PairAnnotationNotSigma { .. } => "E1006",
+            TypeError::Mismatch { .. } => "E1008",
+            TypeError::Reduction(_) => "E1009",
+            TypeError::OpenCode { .. } => "E1010",
+            TypeError::NotCode { .. } => "E1011",
+        }
+    }
+}
+
 impl fmt::Display for TypeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -159,7 +206,7 @@ pub fn infer(env: &Env, term: &Term) -> Result<Term> {
 /// Returns a [`TypeError`] when the term is ill-typed.
 pub fn infer_with_engine(env: &Env, term: &Term, engine: Engine) -> Result<Term> {
     let mut fuel = Fuel::default();
-    infer_with(env, term, &mut fuel, engine)
+    Stopping::new(&mut fuel, engine).infer(env, term)
 }
 
 /// Checks `term` against `expected` under `env`, applying the conversion
@@ -171,7 +218,7 @@ pub fn infer_with_engine(env: &Env, term: &Term, engine: Engine) -> Result<Term>
 /// definitionally equal to `expected`.
 pub fn check(env: &Env, term: &Term, expected: &Term) -> Result<()> {
     let mut fuel = Fuel::default();
-    check_with(env, term, expected, &mut fuel, Engine::Nbe)
+    Stopping::new(&mut fuel, Engine::Nbe).check(env, term, expected).map(drop)
 }
 
 /// Infers the universe in which the type `term` lives.
@@ -181,7 +228,8 @@ pub fn check(env: &Env, term: &Term, expected: &Term) -> Result<()> {
 /// Returns [`TypeError::NotAUniverse`] when `term` is not a type.
 pub fn infer_universe(env: &Env, term: &Term) -> Result<Universe> {
     let mut fuel = Fuel::default();
-    infer_universe_with(env, term, &mut fuel, Engine::Nbe)
+    let universe = Stopping::new(&mut fuel, Engine::Nbe).universe(env, term)?;
+    Ok(universe.expect("the Stop policy never recovers"))
 }
 
 /// Checks well-formedness of an environment (`⊢ Γ`).
@@ -251,251 +299,388 @@ fn code_memo_insert(id: NodeId, engine: Engine, ty: RcTerm) {
     });
 }
 
-/// Weak-head normalizes through the chosen engine: NbE read-back or the
-/// step-based `whnf`.
-fn head_normal(env: &Env, term: &Term, fuel: &mut Fuel, engine: Engine) -> Result<Term> {
-    let result = match engine {
-        Engine::Nbe => crate::nbe::whnf_nbe(env, term, fuel),
-        Engine::Step => whnf(env, term, fuel),
-    };
-    result.map_err(TypeError::from)
+/// Infers the type of `term` under the Collect policy: every violation
+/// becomes a diagnostic and checking resumes with the sentinel. The
+/// entry point behind [`crate::tolerant::infer_tolerant_with_engine`].
+pub(crate) fn infer_collecting(env: &Env, term: &Term, engine: Engine) -> (Term, Vec<Diagnostic>) {
+    let mut fuel = Fuel::default();
+    let mut checker = Collecting::new(&mut fuel, engine);
+    let ty = checker.infer(env, term).expect("the Collect policy never stops");
+    (ty, checker.diagnostics)
 }
 
-fn infer_with(env: &Env, term: &Term, fuel: &mut Fuel, engine: Engine) -> Result<Term> {
-    match term {
-        // [Var]
-        Term::Var(x) => match env.lookup_type(*x) {
-            Some(ty) => Ok((**ty).clone()),
-            None => Err(TypeError::UnboundVariable(*x)),
-        },
-        // [Ax-*]
-        Term::Sort(Universe::Star) => Ok(Term::Sort(Universe::Box)),
-        Term::Sort(Universe::Box) => Err(TypeError::BoxHasNoType),
-        // [Unit] / [UnitVal]
-        Term::Unit => Ok(Term::Sort(Universe::Star)),
-        Term::UnitVal => Ok(Term::Unit),
-        // Ground types (§5.2).
-        Term::BoolTy => Ok(Term::Sort(Universe::Star)),
-        Term::BoolLit(_) => Ok(Term::BoolTy),
-        Term::If { scrutinee, then_branch, else_branch } => {
-            check_with(env, scrutinee, &Term::BoolTy, fuel, engine)?;
-            let then_ty = infer_with(env, then_branch, fuel, engine)?;
-            check_with(env, else_branch, &then_ty, fuel, engine)?;
-            Ok(then_ty)
+/// The Stop policy: the first violation is returned as a [`TypeError`].
+type Stopping<'a> = Checker<'a, false>;
+/// The Collect policy: violations are recorded and checking recovers.
+type Collecting<'a> = Checker<'a, true>;
+
+/// The rules of Figure 7 under an error policy: Stop (`COLLECT = false`)
+/// returns `Err` at the first violation, Collect (`COLLECT = true`) never
+/// does.
+struct Checker<'a, const COLLECT: bool> {
+    fuel: &'a mut Fuel,
+    engine: Engine,
+    diagnostics: Vec<Diagnostic>,
+}
+
+impl<'a, const COLLECT: bool> Checker<'a, COLLECT> {
+    fn new(fuel: &'a mut Fuel, engine: Engine) -> Self {
+        Checker { fuel, engine, diagnostics: Vec::new() }
+    }
+
+    /// Whether `term` mentions the sentinel — always `false` under Stop,
+    /// which never recovers and so never produces one.
+    fn poisoned(&self, term: &Term) -> bool {
+        COLLECT && is_poisoned(term)
+    }
+
+    /// A rule violation: Stop returns it; Collect records it as a coded
+    /// diagnostic (refilling the fuel tank after `E1009`) and lets the
+    /// caller recover.
+    fn fail(&mut self, error: TypeError) -> Result<()> {
+        if !COLLECT {
+            return Err(error);
         }
-        // [Prod-*] / [Prod-□]: Π is the type of closures.
-        Term::Pi { binder, domain, codomain } => {
-            infer_universe_with(env, domain, fuel, engine)?;
-            let inner = env.with_assumption(*binder, (**domain).clone());
-            let codomain_universe = infer_universe_with(&inner, codomain, fuel, engine)?;
-            Ok(Term::Sort(codomain_universe))
+        if matches!(error, TypeError::Reduction(_)) {
+            *self.fuel = Fuel::default();
         }
-        // [Sig-*], [Sig-□], and the predicative large rule.
-        Term::Sigma { binder, first, second } => {
-            let first_universe = infer_universe_with(env, first, fuel, engine)?;
-            let inner = env.with_assumption(*binder, (**first).clone());
-            let second_universe = infer_universe_with(&inner, second, fuel, engine)?;
-            match (first_universe, second_universe) {
-                (Universe::Star, Universe::Star) => Ok(Term::Sort(Universe::Star)),
-                (_, Universe::Box) => Ok(Term::Sort(Universe::Box)),
-                (Universe::Box, Universe::Star) => Ok(Term::Sort(Universe::Box)),
+        let mut diagnostic = Diagnostic::error(error.to_string()).with_code(error.code());
+        if let TypeError::Mismatch { expected, found, .. } = &error {
+            diagnostic = diagnostic
+                .with_note(format!("expected `{expected}`"))
+                .with_note(format!("found    `{found}`"));
+        }
+        self.diagnostics.push(diagnostic);
+        Ok(())
+    }
+
+    /// Weak-head normalizes through the chosen engine: NbE read-back or
+    /// the step-based `whnf`.
+    fn head_normal(&mut self, env: &Env, term: &Term) -> Result<Term> {
+        let result = match self.engine {
+            Engine::Nbe => crate::nbe::whnf_nbe(env, term, self.fuel),
+            Engine::Step => whnf(env, term, self.fuel),
+        };
+        match result {
+            Ok(normal) => Ok(normal),
+            Err(error) => self.fail(error.into()).map(|()| error_term()),
+        }
+    }
+
+    fn infer(&mut self, env: &Env, term: &Term) -> Result<Term> {
+        match term {
+            // The sentinel types as itself, silently: whoever introduced
+            // it already reported.
+            Term::Var(x) if COLLECT && *x == error_symbol() => Ok(error_term()),
+            // [Var]
+            Term::Var(x) => match env.lookup_type(*x) {
+                Some(ty) => Ok((**ty).clone()),
+                None => self.fail(TypeError::UnboundVariable(*x)).map(|()| error_term()),
+            },
+            // [Ax-*]
+            Term::Sort(Universe::Star) => Ok(Term::Sort(Universe::Box)),
+            Term::Sort(Universe::Box) => self.fail(TypeError::BoxHasNoType).map(|()| error_term()),
+            // [Unit] / [UnitVal]
+            Term::Unit => Ok(Term::Sort(Universe::Star)),
+            Term::UnitVal => Ok(Term::Unit),
+            // Ground types (§5.2).
+            Term::BoolTy => Ok(Term::Sort(Universe::Star)),
+            Term::BoolLit(_) => Ok(Term::BoolTy),
+            Term::If { scrutinee, then_branch, else_branch } => {
+                self.check(env, scrutinee, &Term::BoolTy)?;
+                let then_ty = self.infer(env, then_branch)?;
+                self.check(env, else_branch, &then_ty)?;
+                Ok(then_ty)
             }
-        }
-        // [Code]: the empty environment replaces Γ. The judgment depends
-        // on the code alone (Γ is discarded), so the result is memoized by
-        // node identity — each distinct code block is checked once.
-        Term::Code { env_binder, env_ty, arg_binder, arg_ty, body } => {
-            let node = term.clone().rc();
-            if let Some(ty) = code_memo_get(node.id(), engine) {
-                return Ok((*ty).clone());
+            // [Prod-*] / [Prod-□]: Π is the type of closures.
+            Term::Pi { binder, domain, codomain } => {
+                self.universe(env, domain)?;
+                let inner = env.with_assumption(*binder, (**domain).clone());
+                let codomain_universe = self.universe(&inner, codomain)?;
+                Ok(codomain_universe.map_or_else(error_term, Term::Sort))
             }
-            require_closed(term)?;
-            let empty = Env::new();
-            infer_universe_with(&empty, env_ty, fuel, engine)?;
-            let with_env = empty.with_assumption(*env_binder, (**env_ty).clone());
-            infer_universe_with(&with_env, arg_ty, fuel, engine)?;
-            let with_arg = with_env.with_assumption(*arg_binder, (**arg_ty).clone());
-            let body_ty = infer_with(&with_arg, body, fuel, engine)?;
-            // The resulting code type must itself be well-formed.
-            infer_universe_with(&with_arg, &body_ty, fuel, engine)?;
-            let code_ty = Term::CodeTy {
-                env_binder: *env_binder,
-                env_ty: env_ty.clone(),
-                arg_binder: *arg_binder,
-                arg_ty: arg_ty.clone(),
-                result: body_ty.rc(),
+            // [Sig-*], [Sig-□], and the predicative large rule.
+            Term::Sigma { binder, first, second } => {
+                let first_universe = self.universe(env, first)?;
+                let inner = env.with_assumption(*binder, (**first).clone());
+                let second_universe = self.universe(&inner, second)?;
+                Ok(match (first_universe, second_universe) {
+                    (Some(Universe::Star), Some(Universe::Star)) => Term::Sort(Universe::Star),
+                    (Some(_), Some(_)) => Term::Sort(Universe::Box),
+                    _ => error_term(),
+                })
             }
-            .rc();
-            code_memo_insert(node.id(), engine, code_ty.clone());
-            Ok((*code_ty).clone())
-        }
-        // [T-Code]: code types are checked in the empty environment too,
-        // and memoized the same way.
-        Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => {
-            let node = term.clone().rc();
-            if let Some(ty) = code_memo_get(node.id(), engine) {
-                return Ok((*ty).clone());
+            // [Code]: the empty environment replaces Γ.
+            Term::Code { env_binder, env_ty, arg_binder, arg_ty, body } => {
+                self.code_rule(term, *env_binder, env_ty, *arg_binder, arg_ty, |checker, scope| {
+                    let body_ty = checker.infer(scope, body)?;
+                    // The resulting code type must itself be well-formed.
+                    if !checker.poisoned(&body_ty) {
+                        checker.universe(scope, &body_ty)?;
+                    }
+                    Ok(Term::CodeTy {
+                        env_binder: *env_binder,
+                        env_ty: env_ty.clone(),
+                        arg_binder: *arg_binder,
+                        arg_ty: arg_ty.clone(),
+                        result: body_ty.rc(),
+                    })
+                })
             }
-            require_closed(term)?;
-            let empty = Env::new();
-            infer_universe_with(&empty, env_ty, fuel, engine)?;
-            let with_env = empty.with_assumption(*env_binder, (**env_ty).clone());
-            infer_universe_with(&with_env, arg_ty, fuel, engine)?;
-            let with_arg = with_env.with_assumption(*arg_binder, (**arg_ty).clone());
-            let result_universe = infer_universe_with(&with_arg, result, fuel, engine)?;
-            let sort = Term::Sort(result_universe).rc();
-            code_memo_insert(node.id(), engine, sort.clone());
-            Ok((*sort).clone())
-        }
-        // [Clo]: substitute the environment into the code type.
-        Term::Closure { code, env: closure_env } => {
-            let code_ty = infer_with(env, code, fuel, engine)?;
-            let code_ty_whnf = head_normal(env, &code_ty, fuel, engine)?;
-            match code_ty_whnf {
-                Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => {
-                    check_with(env, closure_env, &env_ty, fuel, engine)?;
-                    // Π x : A[e'/n]. B[e'/n]. In the argument type the
-                    // environment binder is never shadowed, but in the
-                    // result the argument binder may shadow it (x = n), in
-                    // which case every occurrence refers to x and the
-                    // substitution does not reach B; otherwise freshen x
-                    // when the environment mentions it.
-                    let domain = subst(&arg_ty, env_binder, closure_env);
-                    let (binder, codomain) = if arg_binder == env_binder {
-                        (arg_binder, (*result).clone())
-                    } else if occurs_free(arg_binder, closure_env) {
-                        let fresh = arg_binder.freshen();
-                        let renamed = rename(&result, arg_binder, fresh);
-                        (fresh, subst(&renamed, env_binder, closure_env))
-                    } else {
-                        (arg_binder, subst(&result, env_binder, closure_env))
-                    };
-                    Ok(Term::Pi { binder, domain: domain.rc(), codomain: codomain.rc() })
+            // [T-Code]: code types are checked in the empty environment too.
+            Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => {
+                self.code_rule(term, *env_binder, env_ty, *arg_binder, arg_ty, |checker, scope| {
+                    Ok(checker.universe(scope, result)?.map_or_else(error_term, Term::Sort))
+                })
+            }
+            // [Clo]: substitute the environment into the code type.
+            Term::Closure { code, env: closure_env } => {
+                let code_ty = self.infer(env, code)?;
+                if self.poisoned(&code_ty) {
+                    self.infer(env, closure_env)?;
+                    return Ok(error_term());
                 }
-                other => Err(TypeError::NotCode {
-                    term: term_to_string(code),
-                    ty: term_to_string(&other),
-                }),
-            }
-        }
-        // [App]: eliminates closures (Π), never code.
-        Term::App { func, arg } => {
-            let func_ty = infer_with(env, func, fuel, engine)?;
-            let func_ty_whnf = head_normal(env, &func_ty, fuel, engine)?;
-            match func_ty_whnf {
-                Term::Pi { binder, domain, codomain } => {
-                    check_with(env, arg, &domain, fuel, engine)?;
-                    Ok(subst(&codomain, binder, arg))
-                }
-                other => Err(TypeError::NotAClosure {
-                    term: term_to_string(func),
-                    ty: term_to_string(&other),
-                }),
-            }
-        }
-        // [Let]
-        Term::Let { binder, annotation, bound, body } => {
-            infer_universe_with(env, annotation, fuel, engine)?;
-            check_with(env, bound, annotation, fuel, engine)?;
-            let inner = env.with_definition(*binder, (**bound).clone(), (**annotation).clone());
-            let body_ty = infer_with(&inner, body, fuel, engine)?;
-            Ok(subst(&body_ty, *binder, bound))
-        }
-        // [Pair]
-        Term::Pair { first, second, annotation } => {
-            infer_universe_with(env, annotation, fuel, engine)?;
-            let annotation_whnf = head_normal(env, annotation, fuel, engine)?;
-            match annotation_whnf {
-                Term::Sigma { binder, first: first_ty, second: second_ty } => {
-                    check_with(env, first, &first_ty, fuel, engine)?;
-                    let expected_second = subst(&second_ty, binder, first);
-                    check_with(env, second, &expected_second, fuel, engine)?;
-                    Ok((**annotation).clone())
-                }
-                _ => Err(TypeError::PairAnnotationNotSigma {
-                    annotation: term_to_string(annotation),
-                }),
-            }
-        }
-        // [Fst]
-        Term::Fst(e) => {
-            let e_ty = infer_with(env, e, fuel, engine)?;
-            let e_ty_whnf = head_normal(env, &e_ty, fuel, engine)?;
-            match e_ty_whnf {
-                Term::Sigma { first, .. } => Ok((*first).clone()),
-                other => {
-                    Err(TypeError::NotAPair { term: term_to_string(e), ty: term_to_string(&other) })
+                match self.head_normal(env, &code_ty)? {
+                    Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => {
+                        self.check(env, closure_env, &env_ty)?;
+                        // Π x : A[e'/n]. B[e'/n]. In the argument type the
+                        // environment binder is never shadowed, but in the
+                        // result the argument binder may shadow it (x = n), in
+                        // which case every occurrence refers to x and the
+                        // substitution does not reach B; otherwise freshen x
+                        // when the environment mentions it.
+                        let domain = subst(&arg_ty, env_binder, closure_env);
+                        let (binder, codomain) = if arg_binder == env_binder {
+                            (arg_binder, (*result).clone())
+                        } else if occurs_free(arg_binder, closure_env) {
+                            let fresh = arg_binder.freshen();
+                            let renamed = rename(&result, arg_binder, fresh);
+                            (fresh, subst(&renamed, env_binder, closure_env))
+                        } else {
+                            (arg_binder, subst(&result, env_binder, closure_env))
+                        };
+                        Ok(Term::Pi { binder, domain: domain.rc(), codomain: codomain.rc() })
+                    }
+                    other => {
+                        if !self.poisoned(&other) {
+                            self.fail(TypeError::NotCode {
+                                term: term_to_string(code),
+                                ty: term_to_string(&other),
+                            })?;
+                        }
+                        self.infer(env, closure_env)?;
+                        Ok(error_term())
+                    }
                 }
             }
+            // [App]: eliminates closures (Π), never code.
+            Term::App { func, arg } => {
+                let func_ty = self.infer(env, func)?;
+                if self.poisoned(&func_ty) {
+                    self.infer(env, arg)?;
+                    return Ok(error_term());
+                }
+                match self.head_normal(env, &func_ty)? {
+                    Term::Pi { binder, domain, codomain } => {
+                        self.check(env, arg, &domain)?;
+                        Ok(subst(&codomain, binder, arg))
+                    }
+                    other => {
+                        if !self.poisoned(&other) {
+                            self.fail(TypeError::NotAClosure {
+                                term: term_to_string(func),
+                                ty: term_to_string(&other),
+                            })?;
+                        }
+                        self.infer(env, arg)?;
+                        Ok(error_term())
+                    }
+                }
+            }
+            // [Let]; Collect poisons an ill-typed binding exactly as the
+            // source checker does.
+            Term::Let { binder, annotation, bound, body } => {
+                let annotation_ok = self.universe(env, annotation)?.is_some();
+                let bound_ok = annotation_ok && self.check(env, bound, annotation)?;
+                if bound_ok && !self.poisoned(bound) && !self.poisoned(annotation) {
+                    let inner =
+                        env.with_definition(*binder, (**bound).clone(), (**annotation).clone());
+                    let body_ty = self.infer(&inner, body)?;
+                    Ok(subst(&body_ty, *binder, bound))
+                } else {
+                    let assumed = if annotation_ok { (**annotation).clone() } else { error_term() };
+                    let inner = env.with_assumption(*binder, assumed);
+                    let body_ty = self.infer(&inner, body)?;
+                    Ok(subst(&body_ty, *binder, &error_term()))
+                }
+            }
+            // [Pair]
+            Term::Pair { first, second, annotation } => {
+                self.universe(env, annotation)?;
+                let sigma = if self.poisoned(annotation) {
+                    error_term()
+                } else {
+                    self.head_normal(env, annotation)?
+                };
+                match sigma {
+                    Term::Sigma { binder, first: first_ty, second: second_ty } => {
+                        self.check(env, first, &first_ty)?;
+                        let expected_second = subst(&second_ty, binder, first);
+                        self.check(env, second, &expected_second)?;
+                        Ok((**annotation).clone())
+                    }
+                    other => {
+                        if !self.poisoned(&other) {
+                            self.fail(TypeError::PairAnnotationNotSigma {
+                                annotation: term_to_string(annotation),
+                            })?;
+                        }
+                        self.infer(env, first)?;
+                        self.infer(env, second)?;
+                        Ok(error_term())
+                    }
+                }
+            }
+            // [Fst]
+            Term::Fst(e) => Ok(match self.projection_sigma(env, e)? {
+                Some((_, first_ty, _)) => (*first_ty).clone(),
+                None => error_term(),
+            }),
+            // [Snd]
+            Term::Snd(e) => Ok(match self.projection_sigma(env, e)? {
+                Some((binder, _, second_ty)) => subst(&second_ty, binder, &Term::Fst(e.clone())),
+                None => error_term(),
+            }),
         }
-        // [Snd]
-        Term::Snd(e) => {
-            let e_ty = infer_with(env, e, fuel, engine)?;
-            let e_ty_whnf = head_normal(env, &e_ty, fuel, engine)?;
-            match e_ty_whnf {
-                Term::Sigma { binder, second, .. } => {
-                    Ok(subst(&second, binder, &Term::Fst(e.clone())))
+    }
+
+    /// The premises `[Code]` and `[T-Code]` share: `term` is closed, and
+    /// its telescope `n : A', x : A` is well-formed in the empty
+    /// environment; `last` checks the remaining premise in that scope.
+    /// The judgment depends on the code alone (Γ is discarded), so Stop
+    /// memoizes it by node identity — each distinct code block is checked
+    /// once. Collect bypasses the memo, so recovery results never pollute
+    /// a cache a Stop run could observe.
+    fn code_rule(
+        &mut self,
+        term: &Term,
+        env_binder: Symbol,
+        env_ty: &RcTerm,
+        arg_binder: Symbol,
+        arg_ty: &RcTerm,
+        last: impl FnOnce(&mut Self, &Env) -> Result<Term>,
+    ) -> Result<Term> {
+        let node = (!COLLECT).then(|| term.clone().rc());
+        if let Some(ty) = node.as_ref().and_then(|n| code_memo_get(n.id(), self.engine)) {
+            return Ok((*ty).clone());
+        }
+        self.require_closed(term)?;
+        let empty = Env::new();
+        self.universe(&empty, env_ty)?;
+        let with_env = empty.with_assumption(env_binder, (**env_ty).clone());
+        self.universe(&with_env, arg_ty)?;
+        let scope = with_env.with_assumption(arg_binder, (**arg_ty).clone());
+        let ty = last(self, &scope)?;
+        if let Some(node) = node {
+            code_memo_insert(node.id(), self.engine, ty.clone().rc());
+        }
+        Ok(ty)
+    }
+
+    /// Shared `fst`/`snd` premise: the scrutinee's type must
+    /// head-normalize to a Σ. `None` means Collect recovered.
+    fn projection_sigma(
+        &mut self,
+        env: &Env,
+        e: &RcTerm,
+    ) -> Result<Option<(Symbol, RcTerm, RcTerm)>> {
+        let e_ty = self.infer(env, e)?;
+        if self.poisoned(&e_ty) {
+            return Ok(None);
+        }
+        match self.head_normal(env, &e_ty)? {
+            Term::Sigma { binder, first, second } => Ok(Some((binder, first, second))),
+            other => {
+                if !self.poisoned(&other) {
+                    self.fail(TypeError::NotAPair {
+                        term: term_to_string(e),
+                        ty: term_to_string(&other),
+                    })?;
                 }
-                other => {
-                    Err(TypeError::NotAPair { term: term_to_string(e), ty: term_to_string(&other) })
-                }
+                Ok(None)
             }
         }
     }
-}
 
-/// The syntactic closedness premise of `[Code]`/`[T-Code]`.
-///
-/// The success path — every well-typed program — is O(1): closedness is a
-/// cached metadata bit on the children's interned nodes. Only the error
-/// path materializes the ordered free-variable list for the diagnostic.
-fn require_closed(term: &Term) -> Result<()> {
-    if is_closed(term) {
-        Ok(())
-    } else {
-        let free = free_vars(term);
-        Err(TypeError::OpenCode {
+    /// The syntactic closedness premise of `[Code]`/`[T-Code]`.
+    ///
+    /// The success path — every well-typed program — is O(1): closedness
+    /// is a cached metadata bit on the children's interned nodes. Only the
+    /// error path materializes the ordered free-variable list for the
+    /// diagnostic. Collect checking continues past open code, and does not
+    /// count the sentinel as a leak (whoever introduced it already
+    /// reported).
+    fn require_closed(&mut self, term: &Term) -> Result<()> {
+        if is_closed(term) {
+            return Ok(());
+        }
+        let mut free = free_vars(term);
+        if COLLECT {
+            free.retain(|s| *s != error_symbol());
+            if free.is_empty() {
+                return Ok(());
+            }
+        }
+        self.fail(TypeError::OpenCode {
             code: term_to_string(term),
             free: free.iter().map(|s| format!("`{s}`")).collect::<Vec<_>>().join(", "),
         })
     }
-}
 
-fn check_with(
-    env: &Env,
-    term: &Term,
-    expected: &Term,
-    fuel: &mut Fuel,
-    engine: Engine,
-) -> Result<()> {
-    let inferred = infer_with(env, term, fuel, engine)?;
-    if equiv_with_engine(env, &inferred, expected, fuel, engine)? {
-        Ok(())
-    } else {
-        Err(TypeError::Mismatch {
-            expected: term_to_string(expected),
-            found: term_to_string(&inferred),
-            term: term_to_string(term),
-        })
+    /// `[Conv]` with closure-η: checks `term` against `expected`.
+    /// `Ok(false)` (Collect only) means a mismatch was reported; poisoned
+    /// types and fuel exhaustion are accepted.
+    fn check(&mut self, env: &Env, term: &Term, expected: &Term) -> Result<bool> {
+        let found = self.infer(env, term)?;
+        if self.poisoned(&found) || self.poisoned(expected) {
+            return Ok(true);
+        }
+        match equiv_with_engine(env, &found, expected, self.fuel, self.engine) {
+            Ok(true) => Ok(true),
+            Ok(false) => self
+                .fail(TypeError::Mismatch {
+                    expected: term_to_string(expected),
+                    found: term_to_string(&found),
+                    term: term_to_string(term),
+                })
+                .map(|()| false),
+            Err(error) => self.fail(error.into()).map(|()| true),
+        }
     }
-}
 
-fn infer_universe_with(
-    env: &Env,
-    term: &Term,
-    fuel: &mut Fuel,
-    engine: Engine,
-) -> Result<Universe> {
-    // `□` itself is a valid classifier even though it is not a term.
-    if matches!(term, Term::Sort(Universe::Box)) {
-        return Ok(Universe::Box);
-    }
-    let ty = infer_with(env, term, fuel, engine)?;
-    let ty_whnf = head_normal(env, &ty, fuel, engine)?;
-    match ty_whnf {
-        Term::Sort(u) => Ok(u),
-        other => {
-            Err(TypeError::NotAUniverse { term: term_to_string(term), ty: term_to_string(&other) })
+    /// Infers the universe in which the type `term` lives. `None` means
+    /// Collect recovered (the type was poisoned, or a diagnostic was
+    /// reported).
+    fn universe(&mut self, env: &Env, term: &Term) -> Result<Option<Universe>> {
+        // `□` itself is a valid classifier even though it is not a term.
+        if matches!(term, Term::Sort(Universe::Box)) {
+            return Ok(Some(Universe::Box));
+        }
+        let ty = self.infer(env, term)?;
+        if self.poisoned(&ty) {
+            return Ok(None);
+        }
+        match self.head_normal(env, &ty)? {
+            Term::Sort(u) => Ok(Some(u)),
+            other => {
+                if !self.poisoned(&other) {
+                    self.fail(TypeError::NotAUniverse {
+                        term: term_to_string(term),
+                        ty: term_to_string(&other),
+                    })?;
+                }
+                Ok(None)
+            }
         }
     }
 }

@@ -50,6 +50,7 @@
 //! assert!(trace.to_chrome_json().contains("\"typecheck\""));
 //! ```
 
+use crate::diag::json_string;
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -622,10 +623,10 @@ impl BuildTrace {
             push_sep(&mut out, &mut first);
             let _ = write!(
                 out,
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":\"{}\",\"cat\":\"build\",\
+                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":{},\"cat\":\"build\",\
                  \"ts\":{},\"dur\":{}",
                 span.worker,
-                escape_json(span.name),
+                json_string(span.name),
                 micros(span.start_ns),
                 micros(span.duration_ns()),
             );
@@ -635,10 +636,10 @@ impl BuildTrace {
                 let _ = write!(out, ",\"parent\":{parent}");
             }
             if let Some(unit) = &span.unit {
-                let _ = write!(out, ",\"unit\":\"{}\"", escape_json(unit));
+                let _ = write!(out, ",\"unit\":{}", json_string(unit));
             }
             for (name, value) in &span.counters {
-                let _ = write!(out, ",\"{}\":{}", escape_json(name), value);
+                let _ = write!(out, ",{}:{}", json_string(name), value);
             }
             out.push_str("}}");
         }
@@ -646,23 +647,23 @@ impl BuildTrace {
             push_sep(&mut out, &mut first);
             let _ = write!(
                 out,
-                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"name\":\"{}\",\
+                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"name\":{},\
                  \"cat\":\"build\",\"ts\":{}",
                 event.worker,
-                escape_json(event.name),
+                json_string(event.name),
                 micros(event.at_ns),
             );
             out.push_str(",\"args\":{");
             let mut first_arg = true;
             if let Some(unit) = &event.unit {
-                let _ = write!(out, "\"unit\":\"{}\"", escape_json(unit));
+                let _ = write!(out, "\"unit\":{}", json_string(unit));
                 first_arg = false;
             }
             for (name, value) in &event.counters {
                 if !first_arg {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":{}", escape_json(name), value);
+                let _ = write!(out, "{}:{}", json_string(name), value);
                 first_arg = false;
             }
             out.push_str("}}");
@@ -684,25 +685,6 @@ fn push_sep(out: &mut String, first: &mut bool) {
 /// Nanoseconds rendered as fractional microseconds (Chrome's unit).
 fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
