@@ -46,7 +46,6 @@ fn bench_translation(c: &mut Criterion) {
     let checked = Compiler::new();
     let unchecked = Compiler::with_options(CompilerOptions {
         typecheck_output: false,
-        verify_type_preservation: false,
         use_nbe: true,
         ..CompilerOptions::default()
     });

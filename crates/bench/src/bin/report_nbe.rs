@@ -146,13 +146,11 @@ fn main() {
 
     let step_compiler = Compiler::with_options(CompilerOptions {
         typecheck_output: true,
-        verify_type_preservation: false,
         use_nbe: false,
         ..CompilerOptions::default()
     });
     let nbe_compiler = Compiler::with_options(CompilerOptions {
         typecheck_output: true,
-        verify_type_preservation: false,
         use_nbe: true,
         ..CompilerOptions::default()
     });

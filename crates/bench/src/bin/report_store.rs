@@ -10,9 +10,11 @@
 //!   decode. Gated to decode **zero** sections: the whole
 //!   graph-validation path (artifact keys, early cutoff, verified
 //!   records) runs off blob *headers*;
-//! * `eager` — the same build with forced full decode
-//!   ([`Session::set_store_eager_decode`]) — the v2 behaviour, every
-//!   section read and checksummed at load. Gated ≥2× slower than lazy.
+//! * `full` — the same build, then every section of every unit's
+//!   artifact read and checksummed — what a store that decoded
+//!   everything at load would pay. Gated to decode all three sections
+//!   of every blob it loads and to read more bytes than `warm`; the wall
+//!   ratio is reported, not gated.
 //!
 //! Then the GC phase: a signature edit re-keys every unit (the entire
 //! first generation of blobs goes stale), a budgeted build sweeps the
@@ -33,7 +35,7 @@ const STORE_PROBE_FLAG: &str = "--store-probe";
 
 /// Leaves of each middle unit's fat body. The stock `workloads::diamond`
 /// tunes type-checking *time* (Church arithmetic normalizes); this store
-/// benchmark needs fat *payloads* — the lazy-vs-eager gap is bytes read
+/// benchmark needs fat *payloads* — the lazy-vs-full gap is bytes read
 /// and checksummed, so the middle bodies are wide boolean `if` trees:
 /// linear to check, logarithmic in recursion depth, large on the wire.
 const FAT_LEAVES: usize = 4096;
@@ -117,9 +119,10 @@ fn store_bytes(dir: &Path) -> u64 {
 }
 
 /// Child-process entry point: one build against the store at `dir`,
-/// summarized on stdout. `warm` and `eager` run best-of-reps over fresh
+/// summarized on stdout. `warm` and `full` run best-of-reps over fresh
 /// sessions (each rep pays the full restart path again); `cold` runs
-/// once — a second rep would no longer be cold.
+/// once — a second rep would no longer be cold. The `full` wall time and
+/// counters span the build and the decode of every unit's sections.
 fn run_store_probe(dir: &str, mode: &str) {
     let units = store_workload();
     let reps: u32 = if mode == "cold" { 1 } else { 5 };
@@ -127,20 +130,26 @@ fn run_store_probe(dir: &str, mode: &str) {
     let mut summary = None;
     for _ in 0..reps {
         let mut session = session_over(&units, Path::new(dir));
-        if mode == "eager" {
-            session.set_store_eager_decode(true);
-        }
+        let before = session.store_stats().expect("session has a store");
         let started = Instant::now();
         let report = session.build(2).expect("graph is valid");
+        if mode == "full" {
+            for unit in &units {
+                let artifact = session.artifact(&unit.name).expect("every unit built");
+                for section in [artifact.source_ty(), artifact.target(), artifact.target_ty()] {
+                    section.expect("stored sections are intact");
+                }
+            }
+        }
         let wall_ns = started.elapsed().as_nanos();
         assert!(report.is_success(), "probe build failed: {}", report.summary());
-        let store = report.store.expect("session has a store");
+        let store = session.store_stats().expect("session has a store").since(&before);
         if mode != "cold" {
             // The headline counter gates, asserted on *every* rep: a
             // restart-warm lazy build answers the whole graph from blob
             // headers and verified records — zero sections decoded —
-            // while the eager baseline decodes all three sections of
-            // every blob it loads.
+            // while the full decode reads all three sections of every
+            // blob the build loaded.
             assert_eq!(report.compiled_count(), 0, "{mode} rep compiled: {}", report.summary());
             match mode {
                 "warm" => assert_eq!(
@@ -150,7 +159,7 @@ fn run_store_probe(dir: &str, mode: &str) {
                 _ => assert_eq!(
                     store.sections_decoded,
                     3 * store.disk_hits,
-                    "eager load must decode every section of every blob"
+                    "full decode must read every section of every blob"
                 ),
             }
         }
@@ -316,7 +325,7 @@ fn main() {
     let cold = spawn_store_probe(&dir, "cold");
     let generation0_bytes = store_bytes(&dir);
     let warm = spawn_store_probe(&dir, "warm");
-    let eager = spawn_store_probe(&dir, "eager");
+    let full = spawn_store_probe(&dir, "full");
     let gc = measure_gc(&dir, generation0_bytes);
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -332,25 +341,14 @@ fn main() {
     assert_eq!(warm.disk_cached, 16, "every unit answered from the store");
     assert_eq!(warm.sections_decoded, 0, "graph validation decoded zero term-payload sections");
     assert_eq!(warm.sections_skipped, 3 * warm.disk_hits, "every loaded section was deferred");
-    assert_eq!(
-        eager.sections_decoded,
-        3 * eager.disk_hits,
-        "the baseline decodes everything at load"
-    );
+    assert_eq!(full.sections_decoded, 3 * full.disk_hits, "full decode reads every section");
     assert!(
-        warm.bytes_read < eager.bytes_read,
+        warm.bytes_read < full.bytes_read,
         "lazy loads must touch fewer bytes than full decode ({} vs {})",
         warm.bytes_read,
-        eager.bytes_read
+        full.bytes_read
     );
-    let lazy_speedup = eager.wall_ns as f64 / warm.wall_ns.max(1) as f64;
-    assert!(
-        lazy_speedup >= 2.0,
-        "lazy restart-warm is only {lazy_speedup:.2}x faster than forced full decode \
-         (need >= 2x; lazy {} ns vs eager {} ns)",
-        warm.wall_ns,
-        eager.wall_ns
-    );
+    let lazy_speedup = full.wall_ns as f64 / warm.wall_ns.max(1) as f64;
     assert!(gc.evicted >= 1, "the sweep evicted the stale generation");
     assert!(
         gc.swept_bytes <= gc.budget_bytes,
@@ -370,7 +368,7 @@ fn main() {
         gc.evicted, gc.evicted_bytes, gc.swept_bytes, gc.budget_bytes,
     );
 
-    let json = render_json(&cold, &warm, &eager, &gc, lazy_speedup);
+    let json = render_json(&cold, &warm, &full, &gc, lazy_speedup);
     std::fs::write(&output, json).expect("write BENCH_store.json");
     println!("wrote {}", output.display());
 }
@@ -380,7 +378,7 @@ fn main() {
 fn render_json(
     cold: &ProbeNumbers,
     warm: &ProbeNumbers,
-    eager: &ProbeNumbers,
+    full: &ProbeNumbers,
     gc: &GcNumbers,
     lazy_speedup: f64,
 ) -> String {
@@ -406,14 +404,15 @@ fn render_json(
     out.push_str(
         "  \"note\": \"Each probe is a fresh process over one shared store. warm is the \
          product (v3 lazy section decode: loads read the 168-byte header, term payloads stay \
-         on disk); eager forces the v2 behaviour (every section read + checksummed at load). \
-         The CI gates assert warm decodes zero sections, lazy is >= 2x faster than full \
-         decode, and the budgeted GC sweeps the stale generation to under budget with zero \
-         recompiles on the next restart.\",\n",
+         on disk); full_decode is the same build followed by reading + checksumming every \
+         section of every unit's artifact. The CI gates assert warm decodes zero sections, \
+         full decode reads all three sections of every loaded blob and more bytes than warm, \
+         and the budgeted GC sweeps the stale generation to under budget with zero \
+         recompiles on the next restart. The wall ratio is reported, not gated.\",\n",
     );
     out.push_str(&format!("  \"cold\": {},\n", probe(cold)));
     out.push_str(&format!("  \"restart_warm_lazy\": {},\n", probe(warm)));
-    out.push_str(&format!("  \"restart_warm_full_decode\": {},\n", probe(eager)));
+    out.push_str(&format!("  \"restart_warm_full_decode\": {},\n", probe(full)));
     out.push_str(&format!("  \"lazy_speedup_vs_full_decode\": {lazy_speedup:.2},\n"));
     out.push_str(&format!(
         "  \"gc\": {{ \"generation0_bytes\": {}, \"peak_bytes\": {}, \"budget_bytes\": {}, \

@@ -1,5 +1,6 @@
 //! A user-facing compiler pipeline: parse → type check → closure convert →
-//! re-check → (optionally) verify the metatheory on the given program.
+//! re-check → verify type preservation (Theorem 5.6) on the given program
+//! (the last two when [`CompilerOptions::typecheck_output`] is on).
 //!
 //! This is the API the examples and benchmarks drive. It packages the
 //! lower-level pieces ([`mod@crate::translate`], [`crate::verify`],
@@ -15,7 +16,7 @@
 
 use crate::link::{LinkError, SourceSubstitution};
 use crate::translate::{translate, translate_env, TranslateError};
-use crate::verify::{check_type_preservation, VerifyError};
+use crate::verify::VerifyError;
 use cccc_source as src;
 use cccc_target as tgt;
 use cccc_util::diag::{diagnostics_to_json, Diagnostic};
@@ -30,25 +31,13 @@ pub struct CompilerOptions {
     /// type system). On by default: this is the "typed" in typed closure
     /// conversion.
     pub typecheck_output: bool,
-    /// Additionally check that the output's type is the translation of the
-    /// input's type (Theorem 5.6), not merely some type.
-    pub verify_type_preservation: bool,
     /// Run the type checkers on the normalization-by-evaluation engine
     /// (the default). When `false`, the substitution-based step engine —
     /// the paper-faithful specification — is used instead; this exists for
-    /// differential testing and for the head-to-head benchmarks. A
-    /// step-only compiler replaces the NbE-backed
-    /// [`check_type_preservation`] metatheory checker with the inline
-    /// Theorem 5.6 core check (inferred target type ≡ translated type)
-    /// through the step engine, so no NbE code runs.
+    /// differential testing and for the head-to-head benchmarks. The
+    /// verify phase's Theorem 5.6 conversion runs on the same engine, so
+    /// a step-only compiler runs no NbE code.
     pub use_nbe: bool,
-    /// Attach a [`CacheReport`] to each [`Compilation`]: the interner and
-    /// conversion-memo activity (hits, misses, table sizes, prunes) this
-    /// compile caused on its thread. Off by default — the snapshots are
-    /// cheap, but most callers don't want the field populated. The
-    /// parallel module driver turns this on to fill its per-unit
-    /// diagnostics.
-    pub collect_cache_stats: bool,
     /// Keep-going mode: the module driver type-checks every unit under the
     /// checker's Collect error policy — collecting *every* diagnostic
     /// instead of stopping at the first error — and degrades failed units
@@ -80,9 +69,7 @@ impl Default for CompilerOptions {
     fn default() -> Self {
         CompilerOptions {
             typecheck_output: true,
-            verify_type_preservation: true,
             use_nbe: true,
-            collect_cache_stats: false,
             keep_going: false,
             build_deadline: None,
             unit_deadline: None,
@@ -166,10 +153,9 @@ pub struct StoreStats {
     pub bytes_read: u64,
     /// Bytes written through to blob files.
     pub bytes_written: u64,
-    /// Blob sections materialized into wire terms (eagerly at load, or
-    /// lazily at first access).
+    /// Blob sections materialized into wire terms, at first access.
     pub sections_decoded: u64,
-    /// Blob sections a lazy load left on disk undecoded. A section
+    /// Blob sections a load left on disk undecoded. A section
     /// counted skipped at load is re-counted under `sections_decoded`
     /// if a later access materializes it, so the pair measures load-time
     /// laziness rather than partitioning the sections.
@@ -293,9 +279,9 @@ pub struct PhaseNanos {
     /// Re-type-checking the produced CC-CC term (0 when
     /// [`CompilerOptions::typecheck_output`] is off).
     pub check: u64,
-    /// The type-preservation verification — Theorem 5.6 via
-    /// [`check_type_preservation`] or the inline core check (0 when
-    /// output checking is off).
+    /// The type-preservation verification — Theorem 5.6 as one
+    /// conversion between the check phase's inferred type and the
+    /// translated type (0 when output checking is off).
     pub verify: u64,
 }
 
@@ -476,10 +462,9 @@ impl fmt::Display for BuildMetrics {
 ///
 /// Taken with [`cache_snapshot`]; two snapshots subtract into a
 /// [`CacheReport`] describing the activity in between. This is how the
-/// interner and memo counters — previously reachable only through the
-/// per-crate free functions ([`src::ast::intern_stats`],
-/// [`src::equiv::conv_cache_stats`], and their `tgt` twins) — surface
-/// through [`CompilerOptions`] and the driver's per-unit diagnostics.
+/// interner and memo counters of the per-crate free functions
+/// ([`src::ast::intern_stats`], [`src::equiv::conv_cache_stats`], and
+/// their `tgt` twins) surface in the driver's per-unit diagnostics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheSnapshot {
     /// CC interner counters.
@@ -692,9 +677,6 @@ pub struct Compilation {
     /// The translation of the source type (the target term checks at this
     /// type).
     pub target_type: tgt::Term,
-    /// The cache activity this compile caused on its thread, populated
-    /// when [`CompilerOptions::collect_cache_stats`] is set.
-    pub cache_stats: Option<CacheReport>,
     /// Wall-clock nanoseconds per pipeline phase, measured on every
     /// compile (tracing enabled or not).
     pub phases: PhaseNanos,
@@ -914,22 +896,29 @@ impl Compiler {
         Ok((target_env, inferred, ns))
     }
 
-    /// Runs the `verify` phase alone: Theorem 5.6 on the unit — the full
-    /// [`check_type_preservation`] checker when
-    /// [`CompilerOptions::verify_type_preservation`] is set and NbE is
-    /// available, the inline core check (inferred target type ≡
-    /// translated type) otherwise. `target_env` is reused when the
-    /// caller just ran [`Compiler::phase_check`]; passing `None` (a
-    /// verify-only re-run against cached artifacts) re-translates the
-    /// environment inside the phase. Returns the phase's nanoseconds.
+    /// Runs the `verify` phase alone: Theorem 5.6 (Γ⁺ ⊢ e⁺ : A⁺) on the
+    /// unit, as one conversion. [`Compiler::phase_check`] already
+    /// established Γ⁺ ⊢ e⁺ : `inferred`; this phase checks `inferred` ≡
+    /// `target_type` (the translation A⁺) under Γ⁺, on the engine
+    /// [`CompilerOptions::use_nbe`] selects. `target_env` is check's Γ⁺
+    /// when the caller just ran [`Compiler::phase_check`]; passing `None`
+    /// (a verify run whose check was answered from a memo) re-translates
+    /// the environment inside the phase. The term itself is not needed
+    /// and `_term` is ignored; [`crate::verify::check_type_preservation`]
+    /// stays the standalone checker that re-derives every premise from
+    /// the source. Returns the phase's nanoseconds.
     ///
     /// # Errors
     ///
-    /// Returns a [`CompileError::Verify`] if preservation fails.
+    /// Returns [`CompileError::Verify`] with
+    /// [`VerifyError::NotEquivalent`] in context `type preservation
+    /// (Theorem 5.6)` when the two types are not convertible, or a
+    /// [`CompileError::Translate`] if re-translating the environment
+    /// fails.
     pub fn phase_verify(
         &self,
         env: &src::Env,
-        term: &src::Term,
+        _term: &src::Term,
         target_env: Option<&tgt::Env>,
         inferred: &tgt::Term,
         target_type: &tgt::Term,
@@ -937,40 +926,26 @@ impl Compiler {
         let engine =
             if self.options.use_nbe { tgt::equiv::Engine::Nbe } else { tgt::equiv::Engine::Step };
         let (verified, ns) = trace::timed("verify", || {
-            if self.options.verify_type_preservation && self.options.use_nbe {
-                // Re-use the full checker so the error message names the
-                // theorem being violated. (The metatheory checkers run the
-                // default NbE engine, so a step-only compiler falls back to
-                // the inline Theorem 5.6 core check below — it must not
-                // silently re-enter the engine it was asked to avoid.)
-                check_type_preservation(env, term)?;
-            } else {
-                let owned_env;
-                let target_env = match target_env {
-                    Some(existing) => existing,
-                    None => {
-                        owned_env = translate_env(env)?;
-                        &owned_env
-                    }
-                };
-                let mut fuel = cccc_util::fuel::Fuel::default();
-                let agrees = tgt::equiv::equiv_with_engine(
-                    target_env,
-                    inferred,
-                    target_type,
-                    &mut fuel,
-                    engine,
-                )
-                .unwrap_or(false);
-                if !agrees {
-                    return Err(CompileError::Verify(VerifyError::NotEquivalent {
-                        context: "compiled type does not match translated type".to_owned(),
-                        left: inferred.to_string(),
-                        right: target_type.to_string(),
-                    }));
+            let owned_env;
+            let target_env = match target_env {
+                Some(existing) => existing,
+                None => {
+                    owned_env = translate_env(env)?;
+                    &owned_env
                 }
+            };
+            let mut fuel = cccc_util::fuel::Fuel::default();
+            let agrees =
+                tgt::equiv::equiv_with_engine(target_env, inferred, target_type, &mut fuel, engine)
+                    .unwrap_or(false);
+            if !agrees {
+                return Err(CompileError::Verify(VerifyError::NotEquivalent {
+                    context: "type preservation (Theorem 5.6)".to_owned(),
+                    left: inferred.to_string(),
+                    right: target_type.to_string(),
+                }));
             }
-            Ok::<_, CompileError>(())
+            Ok(())
         });
         verified?;
         Ok(ns)
@@ -985,9 +960,8 @@ impl Compiler {
     ///
     /// Returns a [`CompileError`] if any stage fails.
     pub fn compile(&self, env: &src::Env, term: &src::Term) -> Result<Compilation> {
-        let before = self.options.collect_cache_stats.then(cache_snapshot);
         let (source_type, typecheck_ns) = self.phase_typecheck(env, term)?;
-        self.compile_typed(env, term, source_type, typecheck_ns, before)
+        self.compile_typed(env, term, source_type, typecheck_ns)
     }
 
     /// The backend both [`Compiler::compile`] and
@@ -999,7 +973,6 @@ impl Compiler {
         term: &src::Term,
         source_type: src::Term,
         typecheck_ns: u64,
-        before: Option<CacheSnapshot>,
     ) -> Result<Compilation> {
         let mut phases = PhaseNanos { typecheck: typecheck_ns, ..PhaseNanos::default() };
         let (target, target_type, translate_ns) = self.phase_translate(env, term, &source_type)?;
@@ -1012,13 +985,11 @@ impl Compiler {
                 self.phase_verify(env, term, Some(&target_env), &inferred, &target_type)?;
         }
 
-        let cache_stats = before.map(|b| CacheReport::between(&b, &cache_snapshot()));
         Ok(Compilation {
             source: term.clone(),
             source_type,
             target,
             target_type,
-            cache_stats,
             phases,
             diagnostics: Vec::new(),
         })
@@ -1062,7 +1033,6 @@ impl Compiler {
     /// fuel exhaustion, or a translator invariant violation) is folded
     /// into the diagnostics rather than escaping as an error.
     pub fn compile_keep_going(&self, env: &src::Env, term: &src::Term) -> FrontendOutcome {
-        let before = self.options.collect_cache_stats.then(cache_snapshot);
         let (source_type, typecheck_ns) = match self.phase_typecheck_keep_going(env, term) {
             Ok(checked) => checked,
             Err((interface, diagnostics)) => {
@@ -1071,7 +1041,7 @@ impl Compiler {
         };
         let interface = source_type.clone();
         let (diagnostics, compilation) =
-            match self.compile_typed(env, term, source_type, typecheck_ns, before) {
+            match self.compile_typed(env, term, source_type, typecheck_ns) {
                 Ok(compilation) => (Vec::new(), Some(compilation)),
                 Err(error) => (vec![diagnostic_of_compile_error(&error)], None),
             };
@@ -1189,11 +1159,7 @@ mod tests {
 
     #[test]
     fn options_can_disable_verification() {
-        let options = CompilerOptions {
-            typecheck_output: false,
-            verify_type_preservation: false,
-            ..CompilerOptions::default()
-        };
+        let options = CompilerOptions { typecheck_output: false, ..CompilerOptions::default() };
         let compiler = Compiler::with_options(options);
         assert!(!compiler.options().typecheck_output);
         compiler.compile_closed(&prelude::poly_id()).unwrap();
@@ -1215,13 +1181,63 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_are_attached_when_requested() {
-        let compiler = Compiler::with_options(CompilerOptions {
-            collect_cache_stats: true,
-            ..CompilerOptions::default()
-        });
-        let compilation = compiler.compile_closed(&prelude::poly_compose()).unwrap();
-        let report = compilation.cache_stats.expect("stats requested");
+    fn phase_verify_rejects_an_inferred_type_that_is_not_the_translation() {
+        // The verify phase must compare what check inferred against A⁺:
+        // hand it the translation of `Bool` as the inferred type of
+        // `poly_id` against the translation of `Π A : ⋆. A → A`.
+        let env = src::Env::new();
+        let inferred = translate(&env, &s::bool_ty()).unwrap();
+        let target_type = translate(&env, &prelude::poly_id_ty()).unwrap();
+        let target_env = translate_env(&env).unwrap();
+        for use_nbe in [true, false] {
+            let compiler =
+                Compiler::with_options(CompilerOptions { use_nbe, ..CompilerOptions::default() });
+            for checked_env in [Some(&target_env), None] {
+                let error = compiler
+                    .phase_verify(&env, &prelude::poly_id(), checked_env, &inferred, &target_type)
+                    .expect_err("an inferred type that is not A⁺ must be rejected");
+                let CompileError::Verify(VerifyError::NotEquivalent { context, .. }) = &error
+                else {
+                    panic!("use_nbe={use_nbe}: expected NotEquivalent, got {error}");
+                };
+                assert_eq!(context, "type preservation (Theorem 5.6)");
+                assert_eq!(diagnostic_of_compile_error(&error).code.as_deref(), Some("E0300"));
+            }
+        }
+    }
+
+    #[test]
+    fn phase_verify_converts_under_the_translated_environment() {
+        // With `B := Bool` in Γ, ⟦(λ X : ⋆. X) B⟧ ≡ ⟦Bool⟧ needs a closure
+        // β-step and a δ-step through B⁺'s definition in Γ⁺.
+        let env = src::Env::new().with_definition(Symbol::intern("B"), s::bool_ty(), s::star());
+        let redex = s::app(s::lam("X", s::star(), s::var("X")), s::var("B"));
+        let inferred = translate(&env, &redex).unwrap();
+        let target_type = translate(&env, &s::bool_ty()).unwrap();
+        let target_env = translate_env(&env).unwrap();
+        for use_nbe in [true, false] {
+            let compiler =
+                Compiler::with_options(CompilerOptions { use_nbe, ..CompilerOptions::default() });
+            for checked_env in [Some(&target_env), None] {
+                compiler
+                    .phase_verify(&env, &redex, checked_env, &inferred, &target_type)
+                    .unwrap_or_else(|e| panic!("use_nbe={use_nbe}: convertible types: {e}"));
+            }
+            // The conversion runs under the Γ⁺ it is handed: without B⁺'s
+            // definition the two types are not convertible.
+            let error = compiler
+                .phase_verify(&env, &redex, Some(&tgt::Env::new()), &inferred, &target_type)
+                .expect_err("B⁺ is opaque without its definition");
+            assert!(matches!(error, CompileError::Verify(VerifyError::NotEquivalent { .. })));
+        }
+    }
+
+    #[test]
+    fn cache_snapshots_subtract_into_reports() {
+        let before = cache_snapshot();
+        let _ = Compiler::new().compile_closed(&prelude::poly_compose()).unwrap();
+        let after = cache_snapshot();
+        let report = CacheReport::between(&before, &after);
         // Compiling interned fresh nodes in both languages …
         assert!(report.source_intern.misses > 0);
         assert!(report.target_intern.misses > 0);
@@ -1232,19 +1248,6 @@ mod tests {
         let rendered = report.to_string();
         assert!(rendered.contains("intern"));
         assert!(rendered.contains("conv"));
-
-        // Default options leave the field unpopulated.
-        let plain = Compiler::new().compile_closed(&prelude::poly_id()).unwrap();
-        assert!(plain.cache_stats.is_none());
-    }
-
-    #[test]
-    fn cache_snapshots_subtract_into_reports() {
-        let before = cache_snapshot();
-        let _ = Compiler::new().compile_closed(&prelude::poly_compose()).unwrap();
-        let after = cache_snapshot();
-        let report = CacheReport::between(&before, &after);
-        assert!(report.intern_requests() > 0);
         // Snapshotting is observation only: two consecutive snapshots
         // with no work in between must subtract to all-zero deltas.
         let idle = CacheReport::between(&after, &cache_snapshot());
@@ -1356,8 +1359,7 @@ mod tests {
         // Disabling output checking zeroes the downstream phases.
         let unchecked = Compiler::with_options(CompilerOptions {
             typecheck_output: false,
-            verify_type_preservation: false,
-            ..CompilerOptions::default()
+            ..Default::default()
         })
         .compile_closed(&prelude::poly_id())
         .unwrap();

@@ -40,8 +40,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Where an artifact's three wire sections live: in memory (a fresh
-/// compile, or an eager disk load) or still on disk behind a lazily
-/// loaded blob's section table.
+/// compile) or still on disk behind a lazily loaded blob's section
+/// table.
 #[derive(Debug)]
 enum Sections {
     /// All three sections materialized.

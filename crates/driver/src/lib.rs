@@ -79,7 +79,7 @@ pub use chaos::{ChaosOutcome, ChaosPlan, PanicPlan};
 pub use graph::{Plan, Unit, UnitGraph};
 pub use poison::PoisonedInterface;
 pub use session::{BuildReport, Session, UnitReport, UnitStatus};
-pub use store::{ArtifactStore, DecodeMode, FaultPlan, GcReport, StoreBudget};
+pub use store::{ArtifactStore, FaultPlan, GcReport, StoreBudget};
 
 use std::fmt;
 

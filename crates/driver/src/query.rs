@@ -19,13 +19,13 @@
 //!   one check result per session.
 //! - `unit → verified` ([`verify_key`]): the end-to-end verdict ("this
 //!   unit's artifact type-checks and preserves its source type"), keyed by
-//!   source, dependencies, output, and the verify-relevant option bits. A
-//!   hit skips the check *and* verify phases entirely; the session
-//!   persists hits as tiny on-disk records so restarts skip them too.
+//!   source, dependencies, output, and the engine bit. A hit skips the
+//!   check *and* verify phases entirely; the session persists hits as
+//!   tiny on-disk records so restarts skip them too.
 //!
-//! Each key bakes in exactly the [`CompilerOptions`] bits that can change
-//! the phase's result, so flipping `verify_type_preservation` invalidates
-//! only the verified query — the artifact and check queries still hit.
+//! Each key bakes in the one [`CompilerOptions`] bit that can change a
+//! phase's result, `use_nbe`; the other options never change what a
+//! successful compile produces.
 //!
 //! [`QueryState`] is the in-memory memo table shared by all workers of a
 //! [`Session`](crate::session::Session); [`PhaseRuns`] records, per unit
@@ -39,15 +39,14 @@ use cccc_util::wire::{Fingerprint, WireTerm};
 
 /// Domain-separation words mixed into each query key so that the three
 /// query kinds can never collide even when built from the same inputs.
-/// The low bits carry the option flags relevant to that query.
+/// The low bit carries the engine flag.
 const DOMAIN_ARTIFACT: u64 = 0x71AF_0000_0000_0000;
 const DOMAIN_CHECK: u64 = 0x71C4_0000_0000_0000;
 const DOMAIN_VERIFY: u64 = 0x71F7_0000_0000_0000;
 
 /// Key of the `unit → cc-artifact` query: the unit's α-invariant source
-/// fingerprint, the dependency fold (see [`fold_dep`]), and the options
-/// that change what the translator produces (`use_nbe` swaps the whole
-/// checking engine; the verify-side flags do not touch the artifact).
+/// fingerprint, the dependency fold (see [`fold_dep`]), and the engine
+/// bit (`use_nbe` swaps the whole checking engine).
 pub fn artifact_key(
     source_alpha: Fingerprint,
     dep_fingerprint: Fingerprint,
@@ -68,27 +67,22 @@ pub fn check_key(
 }
 
 /// Key of the `unit → verified` query: source, dependency fold, output,
-/// and both verify-relevant option bits. Flipping
-/// `verify_type_preservation` therefore re-runs *only* this query — the
-/// cached artifact and check memo still hit.
+/// and the engine bit.
 pub fn verify_key(
     source_alpha: Fingerprint,
     dep_fingerprint: Fingerprint,
     output_alpha: Fingerprint,
     options: &CompilerOptions,
 ) -> Fingerprint {
-    source_alpha.combine(dep_fingerprint).combine(output_alpha).combine_word(
-        DOMAIN_VERIFY
-            | u64::from(options.use_nbe)
-            | (u64::from(options.verify_type_preservation) << 1),
-    )
+    source_alpha
+        .combine(dep_fingerprint)
+        .combine(output_alpha)
+        .combine_word(DOMAIN_VERIFY | u64::from(options.use_nbe))
 }
 
-/// Folds one dependency's contribution into a dependency fingerprint.
-/// The name is mixed in so that permuting two dependencies' contributions
-/// cannot cancel out; the contribution is the dependency's *interface*
-/// fingerprint under early cutoff, or its *source* fingerprint in the
-/// whole-unit baseline mode (where any upstream edit cascades).
+/// Folds one dependency's contribution — its *interface* fingerprint —
+/// into a dependency fingerprint. The name is mixed in so that permuting
+/// two dependencies' contributions cannot cancel out.
 pub fn fold_dep(acc: Fingerprint, name: &str, contribution: Fingerprint) -> Fingerprint {
     acc.combine(Fingerprint::of_str(name)).combine(contribution)
 }
@@ -245,14 +239,12 @@ mod tests {
         assert_ne!(a, v, "artifact and verify keys must not collide");
         assert_ne!(c, v, "check and verify keys must not collide");
 
-        // Verify-side flags must not disturb the artifact or check keys
-        // (that is what makes a verify-only option flip cheap)...
-        let flipped =
-            CompilerOptions { verify_type_preservation: !base.verify_type_preservation, ..base };
-        assert_eq!(a, artifact_key(s, d, &flipped));
-        assert_eq!(c, check_key(s, d, &flipped));
-        // ...but they must invalidate the verified query.
-        assert_ne!(v, verify_key(s, d, o, &flipped));
+        // Options that never change a successful compile's output stay
+        // out of every key.
+        let keep_going = CompilerOptions { keep_going: !base.keep_going, ..base };
+        assert_eq!(a, artifact_key(s, d, &keep_going));
+        assert_eq!(c, check_key(s, d, &keep_going));
+        assert_eq!(v, verify_key(s, d, o, &keep_going));
 
         // The engine choice changes every phase's behaviour, so it is
         // baked into every key.

@@ -36,7 +36,7 @@ use crate::chaos::PanicPlan;
 use crate::graph::{Plan, Unit, UnitGraph};
 use crate::poison::PoisonedInterface;
 use crate::query::{self, CheckMemo, PhaseRuns, QueryCounts, QueryState};
-use crate::store::{ArtifactStore, DecodeMode, FaultPlan, GcReport, StoreBudget};
+use crate::store::{ArtifactStore, FaultPlan, GcReport, StoreBudget};
 use crate::DriverError;
 use cccc_core::pipeline::{
     cache_snapshot, diagnostic_of_compile_error, BuildMetrics, BuildOutcome, CacheReport,
@@ -356,11 +356,6 @@ pub struct Session {
     cache_ready: Condvar,
     /// Session-wide check/verified memo tables (see [`crate::query`]).
     query: Mutex<QueryState>,
-    /// Early cutoff on dependency edges (the default). `false` restores
-    /// the whole-unit invalidation of the pre-query driver — any
-    /// upstream source change cascades — kept so the benchmarks can
-    /// measure exactly what cutoff buys.
-    early_cutoff: bool,
     /// When set, every [`Session::build`] ends with a store GC sweep
     /// down to this byte budget, protecting the keys reachable from the
     /// build that just finished.
@@ -445,7 +440,6 @@ struct BuildCtx<'a> {
     cache_ready: &'a Condvar,
     query: &'a Mutex<QueryState>,
     store: Option<Arc<ArtifactStore>>,
-    early_cutoff: bool,
     cancel: CancelToken,
     cancel_after: Option<usize>,
     panic_plan: Option<Arc<PanicPlan>>,
@@ -461,7 +455,6 @@ impl Session {
             cache: Mutex::new(ArtifactCache::new()),
             cache_ready: Condvar::new(),
             query: Mutex::new(QueryState::default()),
-            early_cutoff: true,
             store_budget: None,
             cancel: CancelToken::new(),
             cancel_after: None,
@@ -495,7 +488,6 @@ impl Session {
             cache: Mutex::new(ArtifactCache::with_store(store)),
             cache_ready: Condvar::new(),
             query: Mutex::new(QueryState::default()),
-            early_cutoff: true,
             store_budget: None,
             cancel: CancelToken::new(),
             cancel_after: None,
@@ -527,18 +519,6 @@ impl Session {
     /// default) disables sweeping. No-op without a store.
     pub fn set_store_budget(&mut self, budget: Option<StoreBudget>) {
         self.store_budget = budget;
-    }
-
-    /// Forces the store to fully decode every blob at load time instead
-    /// of deferring sections to first access — the pre-v3 behaviour,
-    /// kept so the benchmarks can measure what lazy decoding saves.
-    /// No-op without a store.
-    pub fn set_store_eager_decode(&mut self, eager: bool) {
-        if let Some(store) =
-            self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).store()
-        {
-            store.set_decode_mode(if eager { DecodeMode::Eager } else { DecodeMode::Lazy });
-        }
     }
 
     /// Injects artificial latency into every store blob load (applied
@@ -596,28 +576,12 @@ impl Session {
     }
 
     /// Replaces the compiler options for subsequent builds. Every query
-    /// key bakes in exactly the option bits its phase depends on, so
+    /// key bakes in the engine bit ([`CompilerOptions::use_nbe`]), the
+    /// only option that changes what a successful compile produces, so
     /// switching options never serves a stale result — and switching
-    /// *back* re-hits everything computed under the earlier options. A
-    /// verify-only flip (e.g. `verify_type_preservation`) re-runs only
-    /// the verify phase against cached cc-artifacts.
+    /// *back* re-hits everything computed under the earlier options.
     pub fn set_options(&mut self, options: CompilerOptions) {
         self.options = options;
-    }
-
-    /// Disables (or re-enables) early cutoff. With cutoff off, a unit's
-    /// artifact key folds its transitive dependencies' *source*
-    /// fingerprints — the whole-unit invalidation the driver had before
-    /// the query layer — so any upstream edit cascades a full downstream
-    /// recompile. Exists for the benchmarks (and tests) that measure
-    /// cutoff against that baseline; leave it on otherwise.
-    pub fn set_early_cutoff(&mut self, on: bool) {
-        self.early_cutoff = on;
-    }
-
-    /// Whether early cutoff is enabled (the default).
-    pub fn early_cutoff(&self) -> bool {
-        self.early_cutoff
     }
 
     /// Enables (or disables) build tracing: subsequent [`Session::build`]
@@ -772,7 +736,6 @@ impl Session {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .store_shared(),
-            early_cutoff: self.early_cutoff,
             cancel: self.cancel.clone(),
             cancel_after: self.cancel_after,
             panic_plan: self.panic_plan.clone(),
@@ -924,24 +887,16 @@ impl Session {
             let Some(artifact) = self.results.get(&unit.name) else {
                 continue;
             };
-            let dep_fp = if self.early_cutoff {
-                let mut acc = Fingerprint::default();
-                for &d in &plan.transitive[u] {
-                    let dep = self.graph.unit_at(d);
-                    // A dependency without an artifact means this unit
-                    // cannot have one either; be conservative anyway.
-                    let Some(dep_artifact) = self.results.get(&dep.name) else {
-                        continue 'units;
-                    };
-                    acc = query::fold_dep(acc, &dep.name, dep_artifact.interface_fingerprint());
-                }
-                acc
-            } else {
-                plan.transitive[u].iter().fold(Fingerprint::default(), |acc, &d| {
-                    let dep = self.graph.unit_at(d);
-                    query::fold_dep(acc, &dep.name, dep.source_alpha)
-                })
-            };
+            let mut dep_fp = Fingerprint::default();
+            for &d in &plan.transitive[u] {
+                let dep = self.graph.unit_at(d);
+                // A dependency without an artifact means this unit cannot
+                // have one either; be conservative anyway.
+                let Some(dep_artifact) = self.results.get(&dep.name) else {
+                    continue 'units;
+                };
+                dep_fp = query::fold_dep(dep_fp, &dep.name, dep_artifact.interface_fingerprint());
+            }
             live.insert(query::artifact_key(unit.source_alpha, dep_fp, &options));
             if options.typecheck_output {
                 live.insert(query::verify_key(
@@ -1184,7 +1139,7 @@ fn handle_unit(
     // poisoned interface is ever cached.
     let keys = upstream.is_empty().then(|| {
         let _span = trace::span("fingerprint");
-        let dep_fp = dep_fingerprint(ctx, unit_index, deps);
+        let dep_fp = dep_fingerprint(ctx, deps);
         (query::artifact_key(unit.source_alpha, dep_fp, &options), dep_fp)
     });
     let mut lookup_delta = StoreStats::default();
@@ -1298,7 +1253,7 @@ fn handle_unit(
 /// query; a hit means *zero* phases run — and, on a lazily loaded
 /// artifact, zero section decodes — a miss means exactly the
 /// check/verify phases re-run against the cached cc-artifact (this is
-/// where a verify-only option flip lands).
+/// where a lost `.vfy` record lands).
 ///
 /// Returns `None` when the artifact's lazily loaded term sections turn
 /// out to have rotted on disk (the deferred decode failed its
@@ -1505,15 +1460,10 @@ fn watchdog_loop(ctx: &BuildCtx<'_>, state: &Mutex<SchedState>, build_started: I
     }
 }
 
-/// The dependency fingerprint a unit's query keys fold in.
-///
-/// With early cutoff (the default), each transitive dependency
-/// contributes its **interface** α-fingerprint, read off the dependency's
-/// settled artifact: a dependent re-keys only when a dependency's
-/// *output* changed. With cutoff disabled, each contributes its
-/// **source** α-fingerprint — the pre-query whole-unit behaviour, where
-/// any upstream edit cascades — so the benchmarks can measure the
-/// difference on identical workloads.
+/// The dependency fingerprint a unit's query keys fold in: each
+/// transitive dependency contributes its **interface** α-fingerprint,
+/// read off the dependency's settled artifact, so a dependent re-keys
+/// only when a dependency's *output* changed (early cutoff).
 ///
 /// Every component is **process-stable** — the source by its α-invariant
 /// fingerprint ([`Unit::source_alpha`]), import names by their bytes,
@@ -1522,25 +1472,14 @@ fn watchdog_loop(ctx: &BuildCtx<'_>, state: &Mutex<SchedState>, build_started: I
 /// fresh process's first build. (α-invariance also means an
 /// α-variant-only edit is a cache *hit*: the cached artifact is
 /// α-equivalent to what a recompile would produce.)
-fn dep_fingerprint(
-    ctx: &BuildCtx<'_>,
-    unit_index: usize,
-    deps: &[(usize, Outcome)],
-) -> Fingerprint {
-    if ctx.early_cutoff {
-        // Keys are only computed when every import built.
-        deps.iter().fold(Fingerprint::default(), |acc, (d, outcome)| match outcome {
-            Outcome::Built(artifact) => {
-                query::fold_dep(acc, &ctx.graph.unit_at(*d).name, artifact.interface_fingerprint())
-            }
-            Outcome::Poisoned(_) => acc,
-        })
-    } else {
-        ctx.plan.transitive[unit_index].iter().fold(Fingerprint::default(), |acc, &d| {
-            let dep = ctx.graph.unit_at(d);
-            query::fold_dep(acc, &dep.name, dep.source_alpha)
-        })
-    }
+fn dep_fingerprint(ctx: &BuildCtx<'_>, deps: &[(usize, Outcome)]) -> Fingerprint {
+    // Keys are only computed when every import built.
+    deps.iter().fold(Fingerprint::default(), |acc, (d, outcome)| match outcome {
+        Outcome::Built(artifact) => {
+            query::fold_dep(acc, &ctx.graph.unit_at(*d).name, artifact.interface_fingerprint())
+        }
+        Outcome::Poisoned(_) => acc,
+    })
 }
 
 /// The artifact query's storage tiers: memory under the cache lock, then

@@ -36,9 +36,7 @@
 //! bodies stay on disk behind the open file handle and are `pread` and
 //! checksummed **lazily**, at first access (`LazySections`) — a warm
 //! rebuild whose verified records answer everything never touches a term
-//! payload at all. [`DecodeMode::Eager`] restores the old
-//! load-everything behaviour (the benchmarks use it as the full-decode
-//! baseline).
+//! payload at all.
 //!
 //! Sections are **portable** wire buffers ([`cccc_source::wire::encode_portable`],
 //! [`cccc_target::wire::encode_portable`]): each carries a relocatable
@@ -146,19 +144,6 @@ const RECORD_HEADER_WORDS: usize = 4;
 /// Payload words of a verified-phase record (check key lo/hi, check
 /// output lo/hi).
 const VERIFIED_PAYLOAD_WORDS: usize = 4;
-
-/// Whether a blob's sections are materialized at load time or `pread`
-/// on demand.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub enum DecodeMode {
-    /// Read and verify the 168-byte header only; sections stay on disk
-    /// behind the open file handle until first access (the default).
-    #[default]
-    Lazy,
-    /// Read and checksum every section at load — the pre-v3 behaviour,
-    /// kept as the full-decode baseline the benchmarks compare against.
-    Eager,
-}
 
 /// A byte budget for [`ArtifactStore::gc`]: after a sweep the store's
 /// blobs and records together occupy at most `max_bytes`.
@@ -293,14 +278,12 @@ pub(crate) struct SharedCounters {
 }
 
 /// The store's synchronized interior: activity counters plus the fault
-/// plan and its positional state, the decode mode, and the LRU access
-/// clock for GC.
+/// plan and its positional state, and the LRU access clock for GC.
 #[derive(Default, Debug)]
 struct StoreState {
     stats: StoreStats,
     faults: FaultPlan,
     fault_state: FaultState,
-    decode_mode: DecodeMode,
     /// Injected latency per blob load, applied *outside* every lock —
     /// the concurrency tests use it to make disk-load overlap
     /// observable even on single-CPU hosts.
@@ -378,12 +361,6 @@ impl ArtifactStore {
         let mut state = self.state();
         state.faults = plan;
         state.fault_state = FaultState::default();
-    }
-
-    /// Switches between lazy (default) and eager section decoding for
-    /// subsequent loads. Already-loaded artifacts keep their mode.
-    pub fn set_decode_mode(&self, mode: DecodeMode) {
-        self.state().decode_mode = mode;
     }
 
     /// Injects `delay` of latency into every subsequent blob load,
@@ -477,9 +454,9 @@ impl ArtifactStore {
     }
 
     /// Loads the artifact stored under `fingerprint`, if a valid blob
-    /// exists. Only the header is read and verified here; in the default
-    /// [`DecodeMode::Lazy`] the three sections stay on disk behind the
-    /// returned artifact's file handle. Corrupt blobs (bad magic,
+    /// exists. Only the header is read and verified here; the three
+    /// sections stay on disk behind the returned artifact's file handle
+    /// until first access. Corrupt blobs (bad magic,
     /// version skew, failed header checksum, truncation) are counted as
     /// invalid entries, reported as misses, and *deleted* — self-healing,
     /// so the recompile's write-through can put a good blob back in
@@ -506,9 +483,7 @@ impl ArtifactStore {
                 LoadAttempt::Hit(artifact) => {
                     let mut state = self.state();
                     state.stats.disk_hits += 1;
-                    if artifact.is_lazy() {
-                        state.stats.sections_skipped += SECTION_COUNT as u64;
-                    }
+                    state.stats.sections_skipped += SECTION_COUNT as u64;
                     if attempt > 0 {
                         // A warm hit the pre-retry store lost to a miss.
                         state.stats.retry_successes += 1;
@@ -539,11 +514,11 @@ impl ArtifactStore {
     /// validates the header, and classifies the outcome for [`load`]'s
     /// retry loop. Hit bookkeeping (counters, LRU touch) is the caller's.
     fn load_attempt(&self, path: &Path, attempt: u64) -> LoadAttempt {
-        let (position, faults, mode, delay) = {
+        let (position, faults, delay) = {
             let mut state = self.state();
             let n = state.fault_state.reads;
             state.fault_state.reads += 1;
-            (n, state.faults, state.decode_mode, state.read_delay)
+            (n, state.faults, state.read_delay)
         };
 
         let read_span = trace::span("store.read");
@@ -597,44 +572,14 @@ impl ArtifactStore {
             }
         };
 
-        let artifact = match mode {
-            DecodeMode::Lazy => {
-                let lazy = LazySections {
-                    file,
-                    path: path.to_path_buf(),
-                    entries: header.entries,
-                    cells: Default::default(),
-                    counters: Arc::clone(&self.shared),
-                };
-                Artifact::lazy(lazy, header.interface_alpha, header.output_alpha)
-            }
-            DecodeMode::Eager => {
-                let mut sections = Vec::with_capacity(SECTION_COUNT);
-                for entry in header.entries {
-                    match self.read_section_eager(&file, entry) {
-                        Ok(Ok(section)) => sections.push(section),
-                        Ok(Err(reason)) => {
-                            drop(read_span);
-                            self.invalidate_blob(path, reason, attempt);
-                            return LoadAttempt::Absent;
-                        }
-                        Err(()) => {
-                            return LoadAttempt::Transient("section pread failed".to_owned());
-                        }
-                    }
-                }
-                let target_ty = sections.pop().expect("three sections were read");
-                let target = sections.pop().expect("three sections were read");
-                let source_ty = sections.pop().expect("three sections were read");
-                Artifact::new(
-                    source_ty,
-                    target,
-                    target_ty,
-                    header.interface_alpha,
-                    header.output_alpha,
-                )
-            }
+        let lazy = LazySections {
+            file,
+            path: path.to_path_buf(),
+            entries: header.entries,
+            cells: Default::default(),
+            counters: Arc::clone(&self.shared),
         };
+        let artifact = Artifact::lazy(lazy, header.interface_alpha, header.output_alpha);
         drop(read_span);
         LoadAttempt::Hit(Box::new(artifact))
     }
@@ -671,31 +616,6 @@ impl ArtifactStore {
             .map(|chunk| u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
             .collect();
         Ok(parse_header(&words, virtual_words))
-    }
-
-    /// Reads and verifies one section body for an eager load. `Err(())`
-    /// is an I/O failure; `Ok(Err(reason))` a corruption.
-    fn read_section_eager(
-        &self,
-        file: &fs::File,
-        entry: SectionEntry,
-    ) -> Result<Result<WireTerm, &'static str>, ()> {
-        let mut bytes = vec![0u8; entry.len_words as usize * WORD_BYTES];
-        file.read_exact_at(&mut bytes, entry.offset_words * WORD_BYTES as u64).map_err(|_| ())?;
-        self.shared.bytes_read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let words = match words_of_bytes(&bytes) {
-            Ok(words) => words,
-            Err(reason) => return Ok(Err(reason)),
-        };
-        let intact = {
-            let _span = trace::span("store.checksum");
-            Fingerprint::of_words(&words) == entry.checksum
-        };
-        if !intact {
-            return Ok(Err("section checksum mismatch"));
-        }
-        self.shared.sections_decoded.fetch_add(1, Ordering::Relaxed);
-        Ok(Ok(WireTerm::from_words(words)))
     }
 
     /// Counts, traces, and deletes a blob rejected at load time.
@@ -1228,7 +1148,7 @@ mod tests {
         store.save(key, &artifact);
 
         let loaded = store.load(key).expect("blob loads");
-        assert!(loaded.is_lazy(), "default decode mode defers the sections");
+        assert!(loaded.is_lazy(), "loads defer the sections");
         assert_eq!(loaded.interface_fingerprint(), artifact.interface_fingerprint());
         assert_eq!(loaded.output_fingerprint(), artifact.output_fingerprint());
         // Nothing decoded yet: the load read only the header.
@@ -1260,19 +1180,31 @@ mod tests {
     }
 
     #[test]
-    fn eager_mode_decodes_everything_at_load() {
-        let dir = temp_dir("eager");
+    fn reading_every_section_decodes_each_once_and_reads_the_whole_blob() {
+        let dir = temp_dir("full-read");
         let store = ArtifactStore::open(&dir).unwrap();
         let key = Fingerprint::of_words(&[6, 6]);
-        store.save(key, &sample_artifact());
-        store.set_decode_mode(DecodeMode::Eager);
+        let artifact = sample_artifact();
+        store.save(key, &artifact);
+        let blob_bytes = fs::metadata(store.blob_path(key)).unwrap().len();
+
         let loaded = store.load(key).expect("blob loads");
-        assert!(!loaded.is_lazy());
-        let counters = store.counters();
-        assert_eq!(counters.sections_decoded, 3);
-        assert_eq!(counters.sections_skipped, 0);
-        assert!(loaded.target().is_ok());
-        assert_eq!(store.counters().sections_decoded, 3, "accesses are free after an eager load");
+        for _ in 0..2 {
+            let source_ty = src::wire::decode(&loaded.source_ty().unwrap()).unwrap();
+            let target = tgt::wire::decode(&loaded.target().unwrap()).unwrap();
+            let target_ty = tgt::wire::decode(&loaded.target_ty().unwrap()).unwrap();
+            let original = src::wire::decode(&artifact.source_ty().unwrap()).unwrap();
+            assert!(cccc_source::subst::alpha_eq(&original, &source_ty));
+            let original = tgt::wire::decode(&artifact.target().unwrap()).unwrap();
+            assert!(cccc_target::subst::alpha_eq(&original, &target));
+            let original = tgt::wire::decode(&artifact.target_ty().unwrap()).unwrap();
+            assert!(cccc_target::subst::alpha_eq(&original, &target_ty));
+            // The second pass is all memo hits: the counters stay put.
+            let counters = store.counters();
+            assert_eq!(counters.sections_decoded, 3);
+            assert_eq!(counters.sections_skipped, 3);
+            assert_eq!(counters.bytes_read, blob_bytes, "header and sections, each read once");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -231,14 +231,12 @@ mod tests {
         // (settled once per α-class) and the table says so.
         assert!(rendered.contains("[skipped: check, verify]"));
 
-        // A verify-only option flip: three units re-verify, the table
-        // marks everything else they skipped.
-        crate::workloads::apply_edit(&mut session, &steps[3].action);
-        let flipped = session.build(1).unwrap();
-        let rendered = render(&flipped);
-        assert!(rendered.contains("queries: phases 0tc/0tr/0ck/3vf run"));
-        assert!(rendered.contains("61 cut off"));
-        assert!(rendered.contains("[skipped: typecheck, translate, check]"));
+        // An implementation-only edit: the edited unit re-runs all four
+        // phases, early cutoff answers everything else.
+        session.update_unit(steps[0].unit, &steps[0].term).unwrap();
+        let edited = session.build(1).unwrap();
+        let rendered = render(&edited);
+        assert!(rendered.contains("queries: phases 1tc/1tr/1ck/1vf run, 60 cut off"));
 
         // A fully-cached rebuild keeps the bare "-" cells.
         let warm = session.build(1).unwrap();

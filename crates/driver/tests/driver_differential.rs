@@ -151,14 +151,8 @@ fn step_engine_options_flow_through_the_driver() {
     let units = independent_units(2, 2);
     let mut nbe = session_from(&units, CompilerOptions::default());
     nbe.build(2).unwrap();
-    let mut step = session_from(
-        &units,
-        CompilerOptions {
-            use_nbe: false,
-            verify_type_preservation: false,
-            ..CompilerOptions::default()
-        },
-    );
+    let mut step =
+        session_from(&units, CompilerOptions { use_nbe: false, ..CompilerOptions::default() });
     let report = step.build(2).unwrap();
     assert!(report.is_success());
     for unit in &units {

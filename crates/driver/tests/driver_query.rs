@@ -7,7 +7,7 @@
 use cccc_core::pipeline::CompilerOptions;
 use cccc_driver::query::QueryCounts;
 use cccc_driver::session::{Session, UnitStatus};
-use cccc_driver::workloads::{self, apply_edit, EditAction};
+use cccc_driver::workloads;
 use cccc_source as src;
 use cccc_source::builder as s;
 use cccc_source::prelude;
@@ -96,7 +96,7 @@ fn scripted_edit_stream_matches_predictions_and_the_oracle() {
         let cold_observed = session.observe(workloads::root_of(&units)).unwrap();
 
         for step in &steps {
-            apply_edit(&mut session, &step.action);
+            session.update_unit(step.unit, &step.term).unwrap();
             let report = session.build(1).unwrap();
             assert!(report.is_success(), "{}: {}", step.label, report.summary());
             assert_eq!(
@@ -148,8 +148,9 @@ fn base_states() -> Vec<(u8, u8, src::Term)> {
 
 /// Predicts one build's per-phase counts from the session-lifetime memo
 /// state. The check and verified queries are content-addressed, so what
-/// re-runs depends on which `(α-class, options)` combinations earlier
-/// builds already settled:
+/// re-runs depends on which α-classes earlier builds already settled
+/// (check and verify settle together, so a class re-runs both or
+/// neither):
 ///
 /// * the base unit's keys are per base α-class;
 /// * every middle — and the top — re-keys only when the base *interface*
@@ -158,59 +159,35 @@ fn base_states() -> Vec<(u8, u8, src::Term)> {
 ///   interface class costs two check/verify runs beyond the base's).
 #[derive(Default)]
 struct SeenModel {
-    base_verify: HashSet<(u8, bool)>,
-    base_check: HashSet<u8>,
-    rest_verify: HashSet<(u8, bool)>,
-    rest_check: HashSet<u8>,
+    base: HashSet<u8>,
+    rest: HashSet<u8>,
 }
 
 impl SeenModel {
-    fn settle(&mut self, class: u8, iface: u8, vtp: bool) {
-        self.base_verify.insert((class, vtp));
-        self.base_check.insert(class);
-        self.rest_verify.insert((iface, vtp));
-        self.rest_check.insert(iface);
+    fn settle(&mut self, class: u8, iface: u8) {
+        self.base.insert(class);
+        self.rest.insert(iface);
     }
 
     /// Counts for switching the base unit from `(cur, cur_iface)` to
-    /// `(next, next_iface)` under `vtp`, plus how many units recompile.
+    /// `(next, next_iface)`, plus how many units recompile.
     fn predict_update(
         &self,
         cur: u8,
         cur_iface: u8,
         next: u8,
         next_iface: u8,
-        vtp: bool,
     ) -> (QueryCounts, usize) {
         if next == cur {
             return (QueryCounts::default(), 0); // α-equivalent: keys unchanged
         }
-        let bv = !self.base_verify.contains(&(next, vtp)) as usize;
-        let bc = if bv == 0 { 0 } else { !self.base_check.contains(&next) as usize };
+        let base = !self.base.contains(&next) as usize;
         if next_iface == cur_iface {
-            let counts = QueryCounts { typecheck: 1, translate: 1, check: bc, verify: bv };
-            (counts, 1)
+            (QueryCounts { typecheck: 1, translate: 1, check: base, verify: base }, 1)
         } else {
-            let rv = !self.rest_verify.contains(&(next_iface, vtp)) as usize;
-            let rc = if rv == 0 { 0 } else { !self.rest_check.contains(&next_iface) as usize };
-            let counts = QueryCounts {
-                typecheck: 16,
-                translate: 16,
-                check: bc + 2 * rc,
-                verify: bv + 2 * rv,
-            };
-            (counts, 16)
+            let runs = base + 2 * !self.rest.contains(&next_iface) as usize;
+            (QueryCounts { typecheck: 16, translate: 16, check: runs, verify: runs }, 16)
         }
-    }
-
-    /// Counts for flipping `verify_type_preservation` while the base
-    /// stays at `(cur, cur_iface)`: artifacts and check memos keep
-    /// hitting (the check key carries no verify bit), only unseen
-    /// verify keys re-run — one per fresh α-class representative.
-    fn predict_flip(&self, cur: u8, cur_iface: u8, new_vtp: bool) -> (QueryCounts, usize) {
-        let bv = !self.base_verify.contains(&(cur, new_vtp)) as usize;
-        let rv = !self.rest_verify.contains(&(cur_iface, new_vtp)) as usize;
-        (QueryCounts { typecheck: 0, translate: 0, check: 0, verify: bv + 2 * rv }, bv + 2 * rv)
     }
 }
 
@@ -225,24 +202,17 @@ fn generated_edit_scripts_match_the_seen_state_model() {
         assert_eq!(cold.queries, QueryCounts { typecheck: 16, translate: 16, check: 3, verify: 3 });
 
         let mut model = SeenModel::default();
-        let (mut cur, mut cur_iface, mut vtp) = (0_u8, 0_u8, true);
-        model.settle(cur, cur_iface, vtp);
+        let (mut cur, mut cur_iface) = (0_u8, 0_u8);
+        model.settle(cur, cur_iface);
 
         let mut rng = seed;
         for step in 0..12 {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let choice = (rng >> 33) as usize % (states.len() + 1);
-            let (predicted, recompiles) = if choice == states.len() {
-                vtp = !vtp;
-                apply_edit(&mut session, &EditAction::FlipVerifyTypePreservation);
-                model.predict_flip(cur, cur_iface, vtp)
-            } else {
-                let (class, iface, term) = &states[choice];
-                let p = model.predict_update(cur, cur_iface, *class, *iface, vtp);
-                session.update_unit("base", term).unwrap();
-                (cur, cur_iface) = (*class, *iface);
-                p
-            };
+            let choice = (rng >> 33) as usize % states.len();
+            let (class, iface, term) = &states[choice];
+            let (predicted, recompiles) = model.predict_update(cur, cur_iface, *class, *iface);
+            session.update_unit("base", term).unwrap();
+            (cur, cur_iface) = (*class, *iface);
             let report = session.build(1).unwrap();
             assert!(report.is_success(), "seed {seed:#x} step {step}: {}", report.summary());
             assert_eq!(
@@ -255,7 +225,7 @@ fn generated_edit_scripts_match_the_seen_state_model() {
                 "seed {seed:#x} step {step} (choice {choice}): recompile count missed the model"
             );
             assert_report_consistent(&report);
-            model.settle(cur, cur_iface, vtp);
+            model.settle(cur, cur_iface);
 
             // Differential leg: a cold session over the same state agrees
             // on every α-invariant output fingerprint and the root value.
@@ -265,9 +235,7 @@ fn generated_edit_scripts_match_the_seen_state_model() {
                 .find(|(class, _, _)| *class == cur)
                 .map(|(_, _, term)| term.clone())
                 .unwrap();
-            let options =
-                CompilerOptions { verify_type_preservation: vtp, ..CompilerOptions::default() };
-            let mut oracle = workloads::session_from(&cold_units, options);
+            let mut oracle = workloads::session_from(&cold_units, CompilerOptions::default());
             assert!(oracle.build(1).unwrap().is_success());
             for unit in &units {
                 assert_eq!(
@@ -287,55 +255,8 @@ fn generated_edit_scripts_match_the_seen_state_model() {
 }
 
 #[test]
-fn disabling_early_cutoff_cascades_implementation_edits() {
-    let (units, steps) = workloads::edits(1);
-    let impl_edit = &steps[0];
-    let alpha_edit = &steps[1];
-
-    let mut baseline = workloads::session_from(&units, CompilerOptions::default());
-    baseline.set_early_cutoff(false);
-    assert!(baseline.build(1).unwrap().is_success());
-
-    // The whole-unit-cascade baseline folds dependency *sources* into
-    // every key: an implementation-only edit of `base` re-keys all 16
-    // units. Check and verify stay content-addressed (once per α-class).
-    apply_edit(&mut baseline, &impl_edit.action);
-    let report = baseline.build(1).unwrap();
-    assert!(report.is_success());
-    assert_eq!(report.compiled_count(), units.len());
-    assert_eq!(report.queries, QueryCounts { typecheck: 16, translate: 16, check: 3, verify: 3 });
-
-    // … but even the baseline keys on α-invariant source fingerprints,
-    // so a pure α-rename still re-runs nothing.
-    apply_edit(&mut baseline, &alpha_edit.action);
-    let renamed = baseline.build(1).unwrap();
-    assert_eq!(renamed.compiled_count(), 0);
-    assert_eq!(renamed.queries, QueryCounts::default());
-
-    // Same script under early cutoff: identical outputs, a fraction of
-    // the work — the ≥10× payoff the bench report gates on.
-    let mut cutoff = workloads::session_from(&units, CompilerOptions::default());
-    assert!(cutoff.build(1).unwrap().is_success());
-    apply_edit(&mut cutoff, &impl_edit.action);
-    let incremental = cutoff.build(1).unwrap();
-    assert_eq!(incremental.queries, impl_edit.predicted);
-    for unit in &units {
-        assert_eq!(
-            cutoff.artifact(&unit.name).unwrap().output_fingerprint(),
-            baseline.artifact(&unit.name).unwrap().output_fingerprint(),
-            "{}: cutoff and baseline builds must agree",
-            unit.name
-        );
-    }
-    assert_eq!(
-        cutoff.observe(workloads::root_of(&units)).unwrap(),
-        baseline.observe(workloads::root_of(&units)).unwrap()
-    );
-}
-
-#[test]
-fn verified_records_survive_a_restart_and_flips_rerun_verify_only() {
-    let dir = temp_dir("restart-flip");
+fn verified_records_survive_a_restart_and_lost_records_rerun_check_and_verify_only() {
+    let dir = temp_dir("restart-lost-vfy");
     let (units, _) = workloads::edits(1);
     let add_all = |session: &mut Session| {
         for unit in &units {
@@ -362,22 +283,28 @@ fn verified_records_survive_a_restart_and_flips_rerun_verify_only() {
     assert_eq!(warm.queries, QueryCounts::default());
     let store = warm.store.expect("store attached");
     assert_eq!(store.verified_hits, 3, "one verified record per α-class");
+    drop(session);
 
-    // Flipping the verify option in the restarted process re-runs check
-    // and verify per α-class — check memos are session-lifetime and this
-    // session never ran check — but no typecheck or translate.
-    apply_edit(&mut session, &EditAction::FlipVerifyTypePreservation);
-    let flipped = session.build(1).unwrap();
-    assert!(flipped.is_success());
-    assert_eq!(flipped.queries, QueryCounts { typecheck: 0, translate: 0, check: 3, verify: 3 });
-    assert_eq!(flipped.compiled_count(), 3);
+    // Lose the verified records: a fresh process still loads every
+    // artifact from disk, but re-runs check and verify per α-class —
+    // check memos are session-lifetime and this session never ran check —
+    // and no typecheck or translate.
+    for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+        if entry.path().extension().is_some_and(|e| e == "vfy") {
+            std::fs::remove_file(entry.path()).unwrap();
+        }
+    }
+    let mut session = Session::with_store(CompilerOptions::default(), &dir).unwrap();
+    add_all(&mut session);
+    let reverified = session.build(1).unwrap();
+    assert!(reverified.is_success());
+    assert_eq!(reverified.queries, QueryCounts { typecheck: 0, translate: 0, check: 3, verify: 3 });
+    assert_eq!(reverified.compiled_count(), 3);
 
-    // Flipping back finds the first build's verdicts still in memory:
-    // nothing re-runs at all.
-    apply_edit(&mut session, &EditAction::FlipVerifyTypePreservation);
-    let back = session.build(1).unwrap();
-    assert_eq!(back.compiled_count(), 0);
-    assert_eq!(back.queries, QueryCounts::default());
+    // The re-verified records are back in memory: nothing re-runs.
+    let again = session.build(1).unwrap();
+    assert_eq!(again.compiled_count(), 0);
+    assert_eq!(again.queries, QueryCounts::default());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
