@@ -15,8 +15,11 @@
 //! The run doubles as the kernel's smoke check: after driving the
 //! conversion-heavy `typecheck_cccc` family it **asserts** that the
 //! equivalence checker's identity fast path (same interned node ⇒ equal,
-//! no traversal) actually fired — if a refactor ever reroutes the hot path
-//! around the kernel, this binary (and the CI step running it) fails.
+//! no traversal) actually fired, and that translating `is_even_4x4` a
+//! second time on the same thread interns zero new CC-CC nodes and
+//! returns the same root — if a refactor ever reroutes the hot path around
+//! the kernel, or makes the translation emit α-copies instead of shared
+//! nodes, this binary (and the CI step running it) fails.
 
 use cccc_bench::{church_workloads, conversion_workloads, Workload};
 use cccc_core::pipeline::{Compiler, CompilerOptions};
@@ -163,6 +166,22 @@ fn main() {
          across the typecheck_cccc family (smoke check passed)"
     );
 
+    // Every code block binds the one shared environment parameter, so a
+    // second translation of a program on the same thread is the first
+    // one's nodes: the interner allocates nothing new.
+    let is_even_4x4 = church_workloads(&[4]).remove(0);
+    let first = is_even_4x4.translated();
+    let before = tgt::ast::intern_stats();
+    let second = is_even_4x4.translated();
+    let retranslate_misses = tgt::ast::intern_stats().since(&before).misses;
+    assert!(
+        retranslate_misses == 0 && first == second,
+        "smoke check failed: translating is_even_4x4 again interned \
+         {retranslate_misses} new CC-CC nodes — the translation no longer \
+         reproduces identical nodes for identical input"
+    );
+    println!("re-translating is_even_4x4: 0 new nodes, same root (smoke check passed)");
+
     let nbe_compiler = Compiler::with_options(CompilerOptions {
         typecheck_output: true,
         use_nbe: true,
@@ -178,7 +197,7 @@ fn main() {
         record(name.clone(), ns, baseline_for(&name));
     }
 
-    let json = render_json(&comparisons, reps, iters, identity_hits, memo_hits);
+    let json = render_json(&comparisons, reps, iters, identity_hits, memo_hits, retranslate_misses);
     std::fs::write(&output, json).expect("write BENCH_intern.json");
     println!("\nwrote {}", output.display());
 }
@@ -191,6 +210,7 @@ fn render_json(
     iters: u32,
     identity_hits: u64,
     memo_hits: u64,
+    retranslate_misses: u64,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str(
@@ -202,6 +222,7 @@ fn render_json(
     out.push_str(&format!("  \"iterations_per_repetition\": {iters},\n"));
     out.push_str(&format!("  \"typecheck_cccc_identity_fast_path_hits\": {identity_hits},\n"));
     out.push_str(&format!("  \"typecheck_cccc_conv_memo_hits\": {memo_hits},\n"));
+    out.push_str(&format!("  \"retranslate_is_even_4x4_new_nodes\": {retranslate_misses},\n"));
     out.push_str("  \"comparisons\": [\n");
     for (index, c) in comparisons.iter().enumerate() {
         let baseline = c.baseline_nbe_ns.map_or_else(|| "null".to_owned(), |b| b.to_string());

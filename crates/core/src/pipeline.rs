@@ -1427,6 +1427,35 @@ mod tests {
     }
 
     #[test]
+    fn recompiling_a_program_reuses_every_translated_node() {
+        // is_even (mul 4 4): with the first compilation alive, compiling
+        // the same program again on this thread translates to nodes that
+        // already exist. Output checking is off for the second compile so
+        // that it runs typecheck and translate only, and the CC-CC
+        // interner counts the translation's nodes alone.
+        let four = prelude::church_numeral(4);
+        let square = s::app(s::app(prelude::church_mul(), four.clone()), four);
+        let program = s::app(prelude::church_is_even(), square);
+        let first = Compiler::new().compile_closed(&program).unwrap();
+
+        let translate_only = Compiler::with_options(CompilerOptions {
+            typecheck_output: false,
+            ..Default::default()
+        });
+        let before = tgt::ast::intern_stats();
+        let second = translate_only.compile_closed(&program).unwrap();
+        let interned = tgt::ast::intern_stats().since(&before);
+        assert_eq!(interned.misses, 0, "the second translation interned new nodes");
+        assert!(interned.hits > 0);
+        assert!(second.target == first.target);
+        assert!(second.target_type == first.target_type);
+
+        // A fully checked recompile returns the very same nodes too.
+        let checked = Compiler::new().compile_closed(&program).unwrap();
+        assert!(checked.target == first.target);
+    }
+
+    #[test]
     fn compilation_reports_sizes() {
         let compilation = Compiler::new().compile_closed(&prelude::poly_compose()).unwrap();
         assert!(compilation.source_size() > 0);

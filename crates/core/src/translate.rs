@@ -18,11 +18,25 @@
 //! [`crate::verify`] and the integration test suite.
 //!
 //! Every constructed target term goes through the CC-CC smart constructors
-//! and is therefore interned on creation: the duplicated environment types
-//! and projection chains the translation mass-produces land on shared
-//! nodes, the `FV` metafunction (step 2) reads cached free-variable
-//! metadata instead of traversing, and the re-check of the output hits the
-//! `[Code]` and conversion memos for every repeated code block.
+//! and is therefore interned on creation, and the `FV` metafunction
+//! (step 2) reads cached free-variable metadata instead of traversing.
+//! Every code block binds its environment parameter with one shared
+//! generated symbol, so the translation is a function of its input down to
+//! the node: the same λ under the same captured telescope becomes the same
+//! interned code block, projection chain and environment type wherever it
+//! occurs — twice in one term, or in two units compiled on one thread. The
+//! re-check of the output then answers every repeated code block from the
+//! `[Code]` memo and every repeated conversion by node identity or from
+//! the conversion memo.
+//!
+//! One name for every environment parameter cannot capture. Code is
+//! closed, so an inner block never mentions the parameter of the block it
+//! is nested in, and capture-avoiding substitution renames a shadowing
+//! binder whenever a substituted term does mention it. The name must stay
+//! *generated*: with a plain `n`, the code of a source `λ n : A. e` would
+//! bind its argument under the same name as its environment parameter,
+//! and the projections would read the argument. No source term can
+//! contain the generated name.
 
 use crate::fv::{dependent_free_vars, FvError};
 use cccc_source as src;
@@ -30,6 +44,7 @@ use cccc_target as tgt;
 use cccc_target::tuple;
 use cccc_util::symbol::Symbol;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors produced by the closure-conversion translation.
 #[derive(Clone, Debug)]
@@ -144,7 +159,18 @@ pub fn translate(env: &src::Env, term: &src::Term) -> Result<tgt::Term> {
     })
 }
 
+/// The environment parameter `n` of every code block the translation
+/// builds: one symbol generated once per process (see the module docs for
+/// why sharing it is capture-safe).
+fn env_binder() -> Symbol {
+    static ENV_BINDER: OnceLock<Symbol> = OnceLock::new();
+    *ENV_BINDER.get_or_init(|| Symbol::fresh("n"))
+}
+
 /// The `[CC-Lam]` case: translates `λ binder : domain. body` into a closure.
+///
+/// The code binds [`env_binder`], not a name of its own, so two
+/// translations of the same λ under the same telescope are the same node.
 fn translate_lambda(
     env: &src::Env,
     lambda: &src::Term,
@@ -172,8 +198,8 @@ fn translate_lambda(
     // ⟨xi …⟩ — the dynamically constructed environment.
     let environment = tuple::variables_tuple(&entries);
 
-    // The environment parameter of the code.
-    let env_param = Symbol::fresh("n");
+    // The environment parameter of the code, shared by every block.
+    let env_param = env_binder();
     let env_var = tgt::Term::Var(env_param);
 
     // x : let ⟨xi …⟩ = n in A⁺   — the argument annotation re-binds the free
@@ -240,10 +266,13 @@ pub fn translate_program(term: &src::Term) -> Result<(tgt::Term, tgt::Term)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link;
+    use crate::pipeline::{Compiler, CompilerOptions};
     use cccc_source::builder as s;
     use cccc_source::prelude;
     use cccc_target::builder as t;
     use cccc_target::equiv::definitionally_equal as target_eq;
+    use cccc_target::equiv::Engine;
     use cccc_target::reduce::normalize_default as target_normalize;
     use cccc_target::subst::{alpha_eq as target_alpha_eq, is_closed};
 
@@ -376,10 +405,64 @@ mod tests {
     }
 
     #[test]
-    fn translation_is_deterministic_up_to_alpha() {
-        let a = translate(&empty_src(), &prelude::church_add()).unwrap();
-        let b = translate(&empty_src(), &prelude::church_add()).unwrap();
-        assert!(target_alpha_eq(&a, &b));
+    fn translation_is_deterministic() {
+        // Every code block binds the one shared environment parameter, so
+        // translating a term twice yields the same nodes, not α-copies.
+        let add = prelude::church_add();
+        let a = translate(&empty_src(), &add).unwrap();
+        let b = translate(&empty_src(), &add).unwrap();
+        assert!(a == b, "two translations of one term must be the same nodes");
+
+        // The same holds inside one term: both arguments of `mul 4 4` are
+        // one numeral, so they become one closure node.
+        let four = prelude::church_numeral(4);
+        let square = s::app(s::app(prelude::church_mul(), four.clone()), four);
+        let tgt::Term::App { func, arg: second } = translate(&empty_src(), &square).unwrap() else {
+            panic!("an application translates to an application");
+        };
+        let tgt::Term::App { arg: first, .. } = &*func else {
+            panic!("an application translates to an application");
+        };
+        assert!(matches!(&*second, tgt::Term::Closure { .. }));
+        assert!(first.same(&second), "the two numeral closures must be one node");
+    }
+
+    #[test]
+    fn a_source_binder_named_n_does_not_capture_the_environment_parameter() {
+        // The middle λ binds `n` and captures `y`; the inner λ captures
+        // both, so its environment carries a variable named `n` too.
+        let function = s::lam(
+            "y",
+            s::bool_ty(),
+            s::lam(
+                "n",
+                s::bool_ty(),
+                s::lam("z", s::bool_ty(), s::ite(s::var("n"), s::var("y"), s::var("z"))),
+            ),
+        );
+        let program = s::apps(function, [s::tt(), s::ff(), s::ff()]);
+        let (term, ty) = translate_program(&program).unwrap();
+
+        for engine in [Engine::Nbe, Engine::Step] {
+            let inferred = tgt::typecheck::infer_with_engine(&empty_tgt(), &term, engine)
+                .unwrap_or_else(|e| panic!("{engine:?}: the translation must type-check: {e}"));
+            let compiler = Compiler::with_options(CompilerOptions {
+                use_nbe: engine == Engine::Nbe,
+                ..CompilerOptions::default()
+            });
+            compiler
+                .phase_verify(&empty_src(), &program, None, &inferred, &ty)
+                .unwrap_or_else(|e| panic!("{engine:?}: Theorem 5.6 must hold: {e}"));
+        }
+        assert_eq!(link::observe_target(&term), link::observe_source(&program));
+        assert_eq!(link::observe_target(&term), Some(false));
+
+        // The store's portable encoding renames the generated parameter on
+        // load; the decoded term is still α-equal and well-typed.
+        let decoded = tgt::wire::decode(&tgt::wire::encode_portable(&term)).unwrap();
+        assert!(target_alpha_eq(&decoded, &term));
+        let decoded_ty = tgt::typecheck::infer(&empty_tgt(), &decoded).unwrap();
+        assert!(target_eq(&empty_tgt(), &decoded_ty, &ty));
     }
 
     #[test]

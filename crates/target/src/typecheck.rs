@@ -272,10 +272,13 @@ thread_local! {
     /// This is sound *unconditionally* — no environment component is
     /// needed — because both rules discard the ambient `Γ` and check the
     /// code in the empty environment, so the resulting type depends on the
-    /// code term alone. Hash-consing makes the duplicated code that
-    /// closure conversion mass-produces (and that separate compilation
-    /// re-verifies) literally the same node, so each distinct code block
-    /// is checked once per thread.
+    /// code term alone. Hits across compilations come from the
+    /// translation: every code block it emits binds the same generated
+    /// environment parameter, so the same λ under the same captured
+    /// telescope becomes the same interned node in every unit a thread
+    /// compiles, and the first unit's entry answers the rest. An entry
+    /// holds the node's id, not the node: a code block whose node has
+    /// been freed is rebuilt under a new id and checked again.
     static CODE_MEMO: RefCell<FxHashMap<(NodeId, Engine), RcTerm>> =
         RefCell::new(FxHashMap::default());
 }

@@ -2,9 +2,9 @@
 //!
 //! Both CC and CC-CC use a *named* representation of binders. Names are
 //! interned into a global table so that they are cheap to copy and compare,
-//! and so that generating a fresh name (for capture-avoiding substitution or
-//! for the environment parameter introduced by closure conversion) is a
-//! constant-time operation.
+//! and so that generating a fresh name (for capture-avoiding substitution,
+//! or once per process for the environment parameter that closure
+//! conversion gives every code block) is a constant-time operation.
 //!
 //! A [`Symbol`] is either a *plain* name (interned string, no subscript) or a
 //! *generated* name (interned base string plus a globally unique subscript).
