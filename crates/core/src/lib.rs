@@ -42,7 +42,6 @@ pub mod translate;
 pub mod verify;
 
 pub use pipeline::{
-    cache_snapshot, BuildOutcome, CacheReport, CacheSnapshot, Compilation, CompileError, Compiler,
-    CompilerOptions,
+    cache_snapshot, BuildOutcome, CacheReport, Compilation, CompileError, Compiler, CompilerOptions,
 };
 pub use translate::{translate, translate_env, translate_program, TranslateError};

@@ -122,11 +122,9 @@ impl fmt::Display for BuildOutcome {
 }
 
 /// Counters for a persistent on-disk artifact store (the driver's
-/// restart-surviving cache tier). Defined here — next to the other cache
-/// vocabulary — so [`CacheSnapshot`]/[`CacheReport`] can carry store
-/// activity alongside interner and conversion-memo activity; the
-/// populating store itself lives in the driver crate, which layers above
-/// this one.
+/// restart-surviving cache tier). Defined here, next to the other cache
+/// counters; the store that fills them lives in the driver crate, which
+/// layers above this one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Lookups answered by a valid on-disk blob.
@@ -200,30 +198,6 @@ impl StoreStats {
             retry_successes: self.retry_successes - before.retry_successes,
             entries: self.entries,
             bytes: self.bytes,
-        }
-    }
-
-    /// Pointwise sum of two activity deltas (sizes take the maximum —
-    /// merging windows keeps the later, larger observation).
-    pub fn merged(&self, other: &StoreStats) -> StoreStats {
-        StoreStats {
-            disk_hits: self.disk_hits + other.disk_hits,
-            disk_misses: self.disk_misses + other.disk_misses,
-            invalid_entries: self.invalid_entries + other.invalid_entries,
-            write_throughs: self.write_throughs + other.write_throughs,
-            write_errors: self.write_errors + other.write_errors,
-            verified_hits: self.verified_hits + other.verified_hits,
-            verified_writes: self.verified_writes + other.verified_writes,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            sections_decoded: self.sections_decoded + other.sections_decoded,
-            sections_skipped: self.sections_skipped + other.sections_skipped,
-            gc_evictions: self.gc_evictions + other.gc_evictions,
-            gc_evicted_bytes: self.gc_evicted_bytes + other.gc_evicted_bytes,
-            retries: self.retries + other.retries,
-            retry_successes: self.retry_successes + other.retry_successes,
-            entries: self.entries.max(other.entries),
-            bytes: self.bytes.max(other.bytes),
         }
     }
 
@@ -337,9 +311,9 @@ impl fmt::Display for PhaseNanos {
 
 /// Machine-readable metrics distilled from a [`BuildTrace`] — the third
 /// trace consumer next to the Chrome JSON exporter and the `--timings`
-/// text report. Rides beside [`CacheSnapshot`] in the driver's
-/// `BuildReport` so benches and future service gates consume it without
-/// re-walking raw spans.
+/// text report. Rides beside the per-unit [`CacheReport`]s in the
+/// driver's `BuildReport` so benches and future service gates consume it
+/// without re-walking raw spans.
 #[derive(Clone, Debug, Default)]
 pub struct BuildMetrics {
     /// Nanoseconds from the sink's epoch to collection (the traced
@@ -457,42 +431,38 @@ impl fmt::Display for BuildMetrics {
     }
 }
 
-/// A point-in-time snapshot of every thread-local cache the pipeline
-/// relies on: both languages' term interners and conversion memo tables.
+/// The state of every thread-local cache the pipeline relies on: both
+/// languages' term interners and conversion memo tables.
 ///
-/// Taken with [`cache_snapshot`]; two snapshots subtract into a
-/// [`CacheReport`] describing the activity in between. This is how the
-/// interner and memo counters of the per-crate free functions
+/// [`cache_snapshot`] takes one; [`CacheReport::since`] subtracts an
+/// earlier one into the activity in between (counters become deltas,
+/// table sizes stay the later observation's). This is how the interner
+/// and memo counters of the per-crate free functions
 /// ([`src::ast::intern_stats`], [`src::equiv::conv_cache_stats`], and
 /// their `tgt` twins) surface in the driver's per-unit diagnostics.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct CacheSnapshot {
-    /// CC interner counters.
+pub struct CacheReport {
+    /// CC interner counters (hit/miss/prune).
     pub source_intern: InternStats,
-    /// CC-CC interner counters.
+    /// CC-CC interner counters (hit/miss/prune).
     pub target_intern: InternStats,
-    /// CC conversion-memo counters.
+    /// CC conversion-memo counters (identity/memo-hit/miss/clear).
     pub source_conv: ConvCacheStats,
-    /// CC-CC conversion-memo counters.
+    /// CC-CC conversion-memo counters (identity/memo-hit/miss/clear).
     pub target_conv: ConvCacheStats,
-    /// Entries in the CC interner table at snapshot time.
+    /// Entries in the CC interner table.
     pub source_intern_table: usize,
-    /// Entries in the CC-CC interner table at snapshot time.
+    /// Entries in the CC-CC interner table.
     pub target_intern_table: usize,
-    /// Entries in the CC conversion memo at snapshot time.
+    /// Entries in the CC conversion memo.
     pub source_conv_table: usize,
-    /// Entries in the CC-CC conversion memo at snapshot time.
+    /// Entries in the CC-CC conversion memo.
     pub target_conv_table: usize,
-    /// Persistent artifact-store counters at snapshot time. Always zero
-    /// in snapshots taken by [`cache_snapshot`] (the store is driver
-    /// state, not thread state); the driver fills this in when a store
-    /// is attached.
-    pub artifact_store: StoreStats,
 }
 
 /// Snapshots the current thread's interner and conversion-memo state.
-pub fn cache_snapshot() -> CacheSnapshot {
-    CacheSnapshot {
+pub fn cache_snapshot() -> CacheReport {
+    CacheReport {
         source_intern: src::ast::intern_stats(),
         target_intern: tgt::ast::intern_stats(),
         source_conv: src::equiv::conv_cache_stats(),
@@ -501,49 +471,19 @@ pub fn cache_snapshot() -> CacheSnapshot {
         target_intern_table: tgt::ast::intern_table_len(),
         source_conv_table: src::equiv::conv_cache_len(),
         target_conv_table: tgt::equiv::conv_cache_len(),
-        artifact_store: StoreStats::default(),
     }
 }
 
-/// The cache activity between two [`CacheSnapshot`]s: counters are
-/// deltas, table sizes are the sizes at the *end* of the window.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheReport {
-    /// CC interner activity (hit/miss/prune deltas).
-    pub source_intern: InternStats,
-    /// CC-CC interner activity (hit/miss/prune deltas).
-    pub target_intern: InternStats,
-    /// CC conversion-memo activity (identity/memo-hit/miss/clear deltas).
-    pub source_conv: ConvCacheStats,
-    /// CC-CC conversion-memo activity (identity/memo-hit/miss/clear
-    /// deltas).
-    pub target_conv: ConvCacheStats,
-    /// CC interner table size at the end of the window.
-    pub source_intern_table: usize,
-    /// CC-CC interner table size at the end of the window.
-    pub target_intern_table: usize,
-    /// CC conversion-memo size at the end of the window.
-    pub source_conv_table: usize,
-    /// CC-CC conversion-memo size at the end of the window.
-    pub target_conv_table: usize,
-    /// Persistent artifact-store activity in the window (all-zero when
-    /// no store is attached).
-    pub artifact_store: StoreStats,
-}
-
 impl CacheReport {
-    /// The report for the window from `before` to `after`.
-    pub fn between(before: &CacheSnapshot, after: &CacheSnapshot) -> CacheReport {
+    /// The activity between the `earlier` snapshot and this one:
+    /// counters subtract, table sizes keep this observation's values.
+    pub fn since(&self, earlier: &CacheReport) -> CacheReport {
         CacheReport {
-            source_intern: after.source_intern.since(&before.source_intern),
-            target_intern: after.target_intern.since(&before.target_intern),
-            source_conv: after.source_conv.since(&before.source_conv),
-            target_conv: after.target_conv.since(&before.target_conv),
-            source_intern_table: after.source_intern_table,
-            target_intern_table: after.target_intern_table,
-            source_conv_table: after.source_conv_table,
-            target_conv_table: after.target_conv_table,
-            artifact_store: after.artifact_store.since(&before.artifact_store),
+            source_intern: self.source_intern.since(&earlier.source_intern),
+            target_intern: self.target_intern.since(&earlier.target_intern),
+            source_conv: self.source_conv.since(&earlier.source_conv),
+            target_conv: self.target_conv.since(&earlier.target_conv),
+            ..*self
         }
     }
 
@@ -567,9 +507,6 @@ impl CacheReport {
 
 impl fmt::Display for CacheReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.artifact_store.lookups() + self.artifact_store.write_throughs > 0 {
-            write!(f, "{}; ", self.artifact_store)?;
-        }
         write!(
             f,
             "intern cc {}h/{}m cccc {}h/{}m ({} + {} entries, {} prunes); \
@@ -901,9 +838,10 @@ impl Compiler {
     /// established Γ⁺ ⊢ e⁺ : `inferred`; this phase checks `inferred` ≡
     /// `target_type` (the translation A⁺) under Γ⁺, on the engine
     /// [`CompilerOptions::use_nbe`] selects. `target_env` is check's Γ⁺
-    /// when the caller just ran [`Compiler::phase_check`]; passing `None`
-    /// (a verify run whose check was answered from a memo) re-translates
-    /// the environment inside the phase. The term itself is not needed
+    /// when the caller just ran [`Compiler::phase_check`], as the driver's
+    /// session always does; `None` serves callers outside the session
+    /// that kept the inferred type but not Γ⁺, and re-translates the
+    /// environment inside the phase. The term itself is not needed
     /// and `_term` is ignored; [`crate::verify::check_type_preservation`]
     /// stays the standalone checker that re-derives every premise from
     /// the source. Returns the phase's nanoseconds.
@@ -1237,7 +1175,7 @@ mod tests {
         let before = cache_snapshot();
         let _ = Compiler::new().compile_closed(&prelude::poly_compose()).unwrap();
         let after = cache_snapshot();
-        let report = CacheReport::between(&before, &after);
+        let report = after.since(&before);
         // Compiling interned fresh nodes in both languages …
         assert!(report.source_intern.misses > 0);
         assert!(report.target_intern.misses > 0);
@@ -1250,7 +1188,7 @@ mod tests {
         assert!(rendered.contains("conv"));
         // Snapshotting is observation only: two consecutive snapshots
         // with no work in between must subtract to all-zero deltas.
-        let idle = CacheReport::between(&after, &cache_snapshot());
+        let idle = cache_snapshot().since(&after);
         assert_eq!(idle.intern_requests(), 0);
         assert_eq!(idle.conv_fast_path_hits(), 0);
         assert_eq!(idle.source_conv.memo_misses, 0);
@@ -1314,25 +1252,11 @@ mod tests {
         assert_eq!(delta.retry_successes, 2);
         assert_eq!(delta.lookups(), 4);
         assert_eq!(delta.entries, 12, "sizes keep the later observation");
-        let doubled = delta.merged(&delta);
-        assert_eq!(doubled.disk_hits, 6);
-        assert_eq!(doubled.bytes_read, 300);
-        assert_eq!(doubled.sections_skipped, 12);
-        assert_eq!(doubled.gc_evicted_bytes, 320);
-        assert_eq!(doubled.retries, 6);
-        assert_eq!(doubled.retry_successes, 4);
-        assert_eq!(doubled.entries, 12, "sizes take the max, not the sum");
         assert!(delta.to_string().contains("store"));
         assert!(delta.to_string().contains("io 150B r/200B w"));
         assert!(delta.to_string().contains("sections 3d/6s"));
         assert!(delta.to_string().contains("gc 2 (-160B)"));
         assert!(delta.to_string().contains("retry 3/2 ok"));
-
-        // A report whose window saw store activity renders it.
-        let mut with_store = CacheReport::default();
-        with_store.artifact_store.disk_hits = 1;
-        assert!(with_store.to_string().contains("store 1h"));
-        assert!(!CacheReport::default().to_string().contains("store"));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! compiled against interfaces only — §5.2 separate compilation — so
 //! import *bodies* are deliberately absent). The cache maps unit names
 //! to `(key, artifact)`; a build whose recomputed key matches reuses
-//! the artifact, and the downstream check/verify queries decide —
-//! against the artifact's *output* fingerprint — whether anything
-//! needs to re-run at all.
+//! the artifact, and the downstream verified query decides — against
+//! the artifact's *output* fingerprint — whether check and verify need
+//! to re-run at all.
 //!
 //! Lookups are **two-tier**: the in-memory map answers first; on a miss
 //! (or a stale entry) an attached [`ArtifactStore`] is consulted by the
@@ -160,8 +160,8 @@ impl Artifact {
 
     /// The α-invariant fingerprint of the *whole output* — interface ⊕
     /// target term ⊕ target type ([`cccc_target::wire::fingerprint_alpha`]).
-    /// This is the artifact query's early-cutoff output: downstream
-    /// check/verify queries key on it, so they re-run only when a
+    /// This is the artifact query's early-cutoff output: the downstream
+    /// verified query keys on it, so check and verify re-run only when a
     /// recompile actually changed what was produced (α-invariantly —
     /// recompiles freshen binders differently every time).
     pub fn output_fingerprint(&self) -> Fingerprint {

@@ -1,44 +1,43 @@
-//! Demand-driven query keys and per-phase memo state.
+//! Demand-driven query keys and per-unit phase accounting.
 //!
-//! PR 5's cache was *whole-unit*: one fingerprint per unit covering its
-//! source, every transitive dependency's source, and the option bits; any
-//! upstream edit cascaded a full recompile downstream. This module
-//! re-expresses the pipeline as three memoized queries with **early
-//! cutoff** — a downstream query re-runs only when its *input's output*
-//! actually changed, not merely because something upstream re-executed:
+//! A whole-unit cache — one fingerprint per unit covering its source,
+//! every transitive dependency's source, and the option bits — turns any
+//! upstream edit into a full recompile downstream. The driver instead
+//! answers each unit from two memoized queries with **early cutoff** — a
+//! downstream query re-runs only when its *input's output* actually
+//! changed, not merely because something upstream re-executed:
 //!
 //! - `unit → cc-artifact` ([`artifact_key`]): keyed by the unit's own
 //!   α-invariant source fingerprint plus the fold of its dependencies'
 //!   **interface** fingerprints. An implementation-only edit upstream
 //!   changes a dependency's source but not its interface, so dependents'
-//!   artifact keys are unchanged and their translate phase is skipped.
-//! - `artifact → checked` ([`check_key`]): keyed by the artifact's
-//!   **output** fingerprint (interface ⊕ target ⊕ target type, all
-//!   α-invariant). Re-type-checking a CC-CC term depends only on that
-//!   term, so α-equivalent artifacts — even from different units — share
-//!   one check result per session.
+//!   artifact keys are unchanged and their typecheck and translate
+//!   phases are skipped.
 //! - `unit → verified` ([`verify_key`]): the end-to-end verdict ("this
 //!   unit's artifact type-checks and preserves its source type"), keyed by
-//!   source, dependencies, output, and the engine bit. A hit skips the
-//!   check *and* verify phases entirely; the session persists hits as
-//!   tiny on-disk records so restarts skip them too.
+//!   source, dependencies, the artifact's **output** fingerprint
+//!   (interface ⊕ target ⊕ target type, all α-invariant), and the engine
+//!   bit. A hit skips the check *and* verify phases entirely. α-equivalent
+//!   units with the same imports share one key, so they check and verify
+//!   once per session; the session persists verdicts as tiny on-disk
+//!   records so restarts skip them too.
+//!
+//! [`check_key`] only names the check a verified record certifies: each
+//! `.vfy` record stores it, and a record answers only while it matches.
 //!
 //! Each key bakes in the one [`CompilerOptions`] bit that can change a
 //! phase's result, `use_nbe`; the other options never change what a
 //! successful compile produces.
 //!
-//! [`QueryState`] is the in-memory memo table shared by all workers of a
-//! [`Session`](crate::session::Session); [`PhaseRuns`] records, per unit
-//! and per build, which phases actually executed — the observable that the
-//! edit-script gates and `--timings` report on.
-
-use std::collections::{HashMap, HashSet};
+//! [`PhaseRuns`] records, per unit and per build, which phases actually
+//! executed — the observable that the edit-script gates and `--timings`
+//! report on.
 
 use cccc_core::pipeline::CompilerOptions;
-use cccc_util::wire::{Fingerprint, WireTerm};
+use cccc_util::wire::Fingerprint;
 
-/// Domain-separation words mixed into each query key so that the three
-/// query kinds can never collide even when built from the same inputs.
+/// Domain-separation words mixed into each key so that the three key
+/// kinds can never collide even when built from the same inputs.
 /// The low bit carries the engine flag.
 const DOMAIN_ARTIFACT: u64 = 0x71AF_0000_0000_0000;
 const DOMAIN_CHECK: u64 = 0x71C4_0000_0000_0000;
@@ -55,9 +54,10 @@ pub fn artifact_key(
     source_alpha.combine(dep_fingerprint).combine_word(DOMAIN_ARTIFACT | u64::from(options.use_nbe))
 }
 
-/// Key of the `artifact → checked` query: the artifact's output
+/// Key of the check a verified record certifies: the artifact's output
 /// fingerprint plus the dependency fold (the check runs in an environment
-/// built from the dependencies' interfaces).
+/// built from the dependencies' interfaces). Stored in every `.vfy`
+/// record and compared when one is read back.
 pub fn check_key(
     output_alpha: Fingerprint,
     dep_fingerprint: Fingerprint,
@@ -167,59 +167,10 @@ impl std::fmt::Display for QueryCounts {
     }
 }
 
-/// Memo of one successful `artifact → checked` run: the α-invariant
-/// fingerprint of the inferred type and its wire encoding, so a later hit
-/// can hand the inferred type to the verify phase without re-checking.
-#[derive(Clone, Debug)]
-pub struct CheckMemo {
-    /// α-invariant fingerprint of the inferred type (the check query's
-    /// output fingerprint — what early cutoff compares).
-    pub output: Fingerprint,
-    /// Portable encoding of the inferred type, decoded on memo hits.
-    pub inferred: WireTerm,
-}
-
-/// The session-wide in-memory memo table for the check and verified
-/// queries. Content-addressed: α-equivalent artifacts share entries, so
-/// sixteen α-equivalent units check and verify exactly once.
-#[derive(Debug, Default)]
-pub struct QueryState {
-    verified: HashSet<Fingerprint>,
-    checks: HashMap<Fingerprint, CheckMemo>,
-}
-
-impl QueryState {
-    /// Has this end-to-end verdict already been established this session?
-    pub fn is_verified(&self, key: Fingerprint) -> bool {
-        self.verified.contains(&key)
-    }
-
-    /// Record a successful verification.
-    pub fn record_verified(&mut self, key: Fingerprint) {
-        self.verified.insert(key);
-    }
-
-    /// Look up a check memo by its query key.
-    pub fn check_memo(&self, key: Fingerprint) -> Option<CheckMemo> {
-        self.checks.get(&key).cloned()
-    }
-
-    /// Record a successful check run.
-    pub fn record_check(&mut self, key: Fingerprint, memo: CheckMemo) {
-        self.checks.insert(key, memo);
-    }
-
-    /// Forget everything — used by `Session::clear_cache` so a cleared
-    /// session really is cold.
-    pub fn clear(&mut self) {
-        self.verified.clear();
-        self.checks.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads;
 
     fn options() -> CompilerOptions {
         CompilerOptions::default()
@@ -290,26 +241,13 @@ mod tests {
 
     #[test]
     fn query_state_memoizes_and_clears() {
-        let mut state = QueryState::default();
-        let k = Fingerprint::of_str("verdict");
-        assert!(!state.is_verified(k));
-        state.record_verified(k);
-        assert!(state.is_verified(k));
-
-        let ck = Fingerprint::of_str("check");
-        assert!(state.check_memo(ck).is_none());
-        state.record_check(
-            ck,
-            CheckMemo {
-                output: Fingerprint::of_str("out"),
-                inferred: WireTerm::from_words(vec![7]),
-            },
-        );
-        let memo = state.check_memo(ck).expect("memo recorded");
-        assert_eq!(memo.output, Fingerprint::of_str("out"));
-
-        state.clear();
-        assert!(!state.is_verified(k));
-        assert!(state.check_memo(ck).is_none());
+        // The session's only query state is its verified set: the
+        // α-twin `mid01` is answered by `mid00`'s verdict, and
+        // `clear_cache` forgets every verdict along with the artifacts.
+        let mut session = workloads::session_from(&workloads::diamond(2, 1), options());
+        let cold = session.build(1).unwrap();
+        assert_eq!(cold.queries, QueryCounts { typecheck: 4, translate: 4, check: 3, verify: 3 });
+        session.clear_cache();
+        assert_eq!(session.build(1).unwrap().queries, cold.queries);
     }
 }

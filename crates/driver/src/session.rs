@@ -4,24 +4,23 @@
 //!
 //! A [`Session`] owns a [`UnitGraph`], an [`ArtifactCache`] (optionally
 //! backed by a persistent [`ArtifactStore`] — [`Session::with_store`]),
-//! the per-phase memo tables of [`crate::query`], and the
-//! [`CompilerOptions`] every unit is compiled with. [`Session::build`]
-//! validates the graph, then runs a work-stealing pool of OS threads:
-//! each worker owns its thread's CC/CC-CC interners and memo tables (the
-//! kernel's handles are `!Send` by design), picks ready units off the
-//! shared frontier *critical-path-first* (longest chain to a sink,
-//! [`Plan::priority`]), imports its dependencies' *interfaces* through
-//! the wire codec, and then answers each pipeline phase from the
-//! narrowest query that covers it:
+//! the set of verified verdicts, and the [`CompilerOptions`] every unit
+//! is compiled with. [`Session::build`] validates the graph, then runs a
+//! work-stealing pool of OS threads: each worker owns its thread's
+//! CC/CC-CC interners and memo tables (the kernel's handles are `!Send`
+//! by design), picks ready units off the shared frontier
+//! *critical-path-first* (longest chain to a sink, [`Plan::priority`]),
+//! imports its dependencies' *interfaces* through the wire codec, and
+//! then answers the unit from two queries (see [`crate::query`]):
 //!
 //! - the **artifact** query (`unit → cc-artifact`) reuses a
 //!   fingerprint-matching compiled artifact — from memory or from disk —
-//!   skipping the typecheck and translate phases;
-//! - the **check** query (`artifact → checked`) reuses the re-type-check
-//!   of an α-equivalent CC-CC term;
-//! - the **verified** query (`unit → verified`) reuses the end-to-end
-//!   verification verdict, persisted as a tiny on-disk record so even a
-//!   fresh process skips the check and verify phases.
+//!   and otherwise runs the typecheck and translate phases;
+//! - the **verified** query (`unit → verified`), run on whichever
+//!   artifact the first query produced, reuses the end-to-end
+//!   verification verdict — from the session's set or from a tiny
+//!   on-disk record, so even a fresh process skips the check and verify
+//!   phases — and otherwise runs them.
 //!
 //! The artifact key folds the dependencies' *interface* fingerprints,
 //! not their sources — that is **early cutoff**: an implementation-only
@@ -35,7 +34,7 @@ use crate::cache::{Artifact, ArtifactCache, CacheStats, CacheTier};
 use crate::chaos::PanicPlan;
 use crate::graph::{Plan, Unit, UnitGraph};
 use crate::poison::PoisonedInterface;
-use crate::query::{self, CheckMemo, PhaseRuns, QueryCounts, QueryState};
+use crate::query::{self, PhaseRuns, QueryCounts};
 use crate::store::{ArtifactStore, FaultPlan, GcReport, StoreBudget};
 use crate::DriverError;
 use cccc_core::pipeline::{
@@ -49,7 +48,7 @@ use cccc_util::diag::{diagnostics_to_json, json_string, Diagnostic};
 use cccc_util::panics;
 use cccc_util::symbol::Symbol;
 use cccc_util::trace::{self, BuildTrace, TraceSink};
-use cccc_util::wire::{Fingerprint, WireTerm};
+use cccc_util::wire::Fingerprint;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
@@ -354,8 +353,10 @@ pub struct Session {
     /// Signals the completion of an in-flight disk load, waking workers
     /// whose lookup coalesced onto it.
     cache_ready: Condvar,
-    /// Session-wide check/verified memo tables (see [`crate::query`]).
-    query: Mutex<QueryState>,
+    /// Verify keys ([`query::verify_key`]) whose verdict this session
+    /// has established or read from the store. Content-addressed, so
+    /// α-equivalent units check and verify once.
+    verified: Mutex<HashSet<Fingerprint>>,
     /// When set, every [`Session::build`] ends with a store GC sweep
     /// down to this byte budget, protecting the keys reachable from the
     /// build that just finished.
@@ -438,7 +439,7 @@ struct BuildCtx<'a> {
     options: CompilerOptions,
     cache: &'a Mutex<ArtifactCache>,
     cache_ready: &'a Condvar,
-    query: &'a Mutex<QueryState>,
+    verified: &'a Mutex<HashSet<Fingerprint>>,
     store: Option<Arc<ArtifactStore>>,
     cancel: CancelToken,
     cancel_after: Option<usize>,
@@ -454,7 +455,7 @@ impl Session {
             options,
             cache: Mutex::new(ArtifactCache::new()),
             cache_ready: Condvar::new(),
-            query: Mutex::new(QueryState::default()),
+            verified: Mutex::new(HashSet::new()),
             store_budget: None,
             cancel: CancelToken::new(),
             cancel_after: None,
@@ -487,7 +488,7 @@ impl Session {
             options,
             cache: Mutex::new(ArtifactCache::with_store(store)),
             cache_ready: Condvar::new(),
-            query: Mutex::new(QueryState::default()),
+            verified: Mutex::new(HashSet::new()),
             store_budget: None,
             cancel: CancelToken::new(),
             cancel_after: None,
@@ -578,8 +579,11 @@ impl Session {
     /// Replaces the compiler options for subsequent builds. Every query
     /// key bakes in the engine bit ([`CompilerOptions::use_nbe`]), the
     /// only option that changes what a successful compile produces, so
-    /// switching options never serves a stale result — and switching
-    /// *back* re-hits everything computed under the earlier options.
+    /// switching options never serves a stale result. Switching *back*
+    /// is only partly warm: the memory tier keeps one artifact per unit
+    /// name, so every unit the other engine built re-runs typecheck and
+    /// translate, while the verified set keeps both engines' verdicts,
+    /// so check and verify stay cut off.
     pub fn set_options(&mut self, options: CompilerOptions) {
         self.options = options;
     }
@@ -639,12 +643,12 @@ impl Session {
         self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).store_stats()
     }
 
-    /// Drops every cached artifact *and* every check/verified memo from
+    /// Drops every cached artifact *and* every verified verdict from
     /// memory (turns the next build cold in this session; a persistent
     /// store, if attached, still answers).
     pub fn clear_cache(&mut self) {
         self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-        self.query.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+        self.verified.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
         self.results.clear();
         self.poisons.clear();
     }
@@ -730,7 +734,7 @@ impl Session {
             options: self.options,
             cache: &self.cache,
             cache_ready: &self.cache_ready,
-            query: &self.query,
+            verified: &self.verified,
             store: self
                 .cache
                 .lock()
@@ -1098,16 +1102,16 @@ fn worker_loop(
     }
 }
 
-/// The one unit path. Builds Γ from the imports' interfaces — built
-/// artifacts, or in keep-going mode poisoned ones — and answers each phase
-/// from the narrowest query that covers it: artifact hit → maybe only
-/// check/verify; verified hit on top → nothing at all; artifact miss →
-/// type-check under the error policy [`CompilerOptions::keep_going`]
-/// selects and translate, with the check/verify results still shared
-/// through the content-addressed memos. Only a unit with errors, or with
-/// a poisoned import, publishes `Failed` or `Poisoned` — plus, in
-/// keep-going mode, the poisoned interface its dependents check against.
-/// Returns the report plus the outcome to publish.
+/// The one unit path: the artifact query, then the verified query on
+/// whichever artifact it produced. Γ is built from the imports'
+/// interfaces — built artifacts, or in keep-going mode poisoned ones. The
+/// artifact query answers from a cache tier, or type-checks under the
+/// error policy [`CompilerOptions::keep_going`] selects and translates;
+/// the verified query answers from a known verdict, or runs check and
+/// verify. Only a unit with errors, or with a poisoned import, publishes
+/// `Failed` or `Poisoned` — plus, in keep-going mode, the poisoned
+/// interface its dependents check against. Returns the report plus the
+/// outcome to publish.
 fn handle_unit(
     worker: usize,
     ctx: &BuildCtx<'_>,
@@ -1116,7 +1120,6 @@ fn handle_unit(
     started: Instant,
 ) -> (UnitReport, Option<Outcome>) {
     let unit = ctx.graph.unit_at(unit_index);
-    let options = ctx.options;
     // The chaos harness's injected-panic hook. Ticked here — outside
     // every session lock — so an injected panic exercises the capture
     // path without poisoning shared state.
@@ -1134,194 +1137,205 @@ fn handle_unit(
         .collect();
     upstream.sort();
     upstream.dedup();
+    if !upstream.is_empty() {
+        // Query keys exist only over built imports: a unit checked
+        // against a poisoned interface is reported, never built or cached.
+        let failure = match typecheck_unit(ctx, unit_index, deps) {
+            Ok((_, _, source_type, _)) => UnitFailure::recovered(source_type, Vec::new()),
+            Err(failure) => failure,
+        };
+        let outcome = poisoned_outcome(unit, &failure, &upstream);
+        let report = UnitReport {
+            phase_runs: PhaseRuns { typecheck: true, ..PhaseRuns::NONE },
+            diagnostics: failure.diagnostics,
+            ..UnitReport::new(worker, unit, UnitStatus::Poisoned { upstream }, started)
+        };
+        return (report, outcome);
+    }
 
-    // Query keys exist only over built imports: nothing checked against a
-    // poisoned interface is ever cached.
-    let keys = upstream.is_empty().then(|| {
+    let (artifact_key, dep_fp) = {
         let _span = trace::span("fingerprint");
         let dep_fp = dep_fingerprint(ctx, deps);
-        (query::artifact_key(unit.source_alpha, dep_fp, &options), dep_fp)
-    });
-    let mut lookup_delta = StoreStats::default();
-    if let Some((artifact_key, dep_fp)) = keys {
-        let (cached, delta) = lookup_artifact(ctx, &unit.name, artifact_key);
-        lookup_delta = delta;
-        if let Some((artifact, tier)) = cached {
-            match tier {
-                CacheTier::Memory => trace::event("cache.hit.memory", &[]),
-                CacheTier::Disk => trace::event("cache.hit.disk", &[]),
-            }
-            // Typecheck and translate are answered; the verified query
-            // decides whether check/verify can be cut off too.
-            let verified = ensure_verified(
-                worker,
-                ctx,
-                unit_index,
-                deps,
-                artifact,
-                tier,
-                artifact_key,
-                dep_fp,
-                lookup_delta,
-                started,
-            );
-            match verified {
-                Some(result) => return result,
+        (query::artifact_key(unit.source_alpha, dep_fp, &ctx.options), dep_fp)
+    };
+    let mut hit = lookup_artifact(ctx, &unit.name, artifact_key);
+    let lookup_event = match hit {
+        Some((_, CacheTier::Memory)) => "cache.hit.memory",
+        Some((_, CacheTier::Disk)) => "cache.hit.disk",
+        None => "cache.miss",
+    };
+    trace::event(lookup_event, &[]);
+    let before = cache_snapshot();
+    // A second pass happens only when a cached blob turns out to have
+    // rotted; it recompiles.
+    loop {
+        // The artifact query: the cache's answer, else typecheck + translate.
+        let (artifact, answer) = match hit.take() {
+            Some((artifact, tier)) => (artifact, Answer::Cached(tier)),
+            None => match compile_unit(ctx, unit_index, deps) {
+                Ok(answered) => answered,
+                Err(failure) => {
+                    return failed_outcome(worker, unit, failure, artifact_key, started)
+                }
+            },
+        };
+        // The verified query, on whichever artifact that produced.
+        let inputs = match &answer {
+            Answer::Cached(_) => None,
+            Answer::Compiled { env, term, .. } => Some((env, term)),
+        };
+        let verdict = match verified_step(ctx, unit_index, deps, &artifact, dep_fp, inputs) {
+            Ok(verdict) => verdict,
+            Err(NoVerdict::Rotted) => {
                 // The hit was a lazily loaded blob whose term sections
                 // rotted on disk after its header was verified. The store
                 // has already counted the invalid entry and deleted the
                 // blob; degrade to a recompile, whose write-through puts a
                 // fresh blob back.
-                None => trace::event("cache.rot", &[]),
+                trace::event("cache.rot", &[]);
+                continue;
             }
-        } else {
-            trace::event("cache.miss", &[]);
-        }
-    }
+            Err(NoVerdict::Failed(failure)) => {
+                // A check or verify failure on a freshly inferred, clean
+                // source type still publishes that type in keep-going mode.
+                let interface = match answer {
+                    Answer::Compiled { source_type, .. } if ctx.options.keep_going => {
+                        Some(source_type)
+                    }
+                    _ => None,
+                };
+                let failure = UnitFailure { interface, ..failure };
+                return failed_outcome(worker, unit, failure, artifact_key, started);
+            }
+        };
 
-    match compile_unit(ctx, unit_index, deps, keys.map(|(_, dep_fp)| dep_fp)) {
-        Ok((artifact, mut caches, phases, runs)) => {
-            let (artifact_key, _) = keys.expect("only units whose imports all built compile");
-            let target_words = artifact.target_words();
+        if let (Answer::Cached(tier), None) = (&answer, verdict) {
+            let report = cached_report(worker, unit, &artifact, *tier, artifact_key, started);
+            return (report, Some(Outcome::Built(artifact)));
+        }
+        let caches = cache_snapshot().since(&before);
+        let (compiled, phases) = match answer {
+            Answer::Cached(_) => (false, PhaseNanos::default()),
+            Answer::Compiled { phases, .. } => (true, phases),
+        };
+        if compiled {
             // Render the write-through blob on this worker's own time —
             // the transcode dominates the cost of persisting, and doing
             // it under the cache lock would serialize every other
             // worker behind it.
             let rendered =
                 ctx.store.is_some().then(|| crate::store::render_blob(&artifact)).flatten();
-            let insert_delta = {
-                let mut cache = ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let before = cache.store_counters();
-                cache.insert_prerendered(&unit.name, artifact_key, Arc::clone(&artifact), rendered);
-                cache.store_counters().since(&before)
-            };
-            // Fold the unit's store activity (a failed disk probe plus
-            // the write-through) into its per-compile cache report.
-            caches.artifact_store = lookup_delta.merged(&insert_delta);
-            trace::event("sched.compiled", &[("target_words", target_words as u64)]);
-            let report = UnitReport {
-                fingerprint: artifact_key,
-                caches: Some(caches),
-                target_words,
-                phases: Some(phases),
-                phase_runs: runs,
-                ..UnitReport::new(worker, unit, UnitStatus::Compiled, started)
-            };
-            (report, Some(Outcome::Built(artifact)))
+            ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).insert_prerendered(
+                &unit.name,
+                artifact_key,
+                Arc::clone(&artifact),
+                rendered,
+            );
         }
-        Err(failure) => {
-            // Failed (and poisoned) results are never cached: caches hold
-            // only artifacts a clean compile actually produced.
-            let own_errors = failure.diagnostics.iter().filter(|d| d.is_error()).count();
-            let outcome = failure.interface.as_ref().map(|interface| {
-                trace::event(
-                    "sched.poisoned",
-                    &[("upstream", upstream.len() as u64), ("own_errors", own_errors as u64)],
-                );
-                // Provenance: the upstream roots, plus this unit itself
-                // when it found errors of its own (the sentinel unifies
-                // with anything, so those errors are genuinely local, not
-                // echoes) or has no poisoned import to blame.
-                let mut origins = upstream.clone();
-                if own_errors > 0 || upstream.is_empty() {
-                    origins.push(unit.name.clone());
-                    origins.sort();
-                    origins.dedup();
-                }
-                Outcome::Poisoned(Arc::new(PoisonedInterface {
-                    interface: src::wire::encode_portable(interface),
-                    diagnostics: failure.diagnostics.clone(),
-                    origins,
-                }))
-            });
-            let report = match keys {
-                Some((artifact_key, _)) => {
-                    failed_report(worker, unit, failure, artifact_key, started)
-                }
-                None => UnitReport {
-                    phase_runs: PhaseRuns { typecheck: true, ..PhaseRuns::NONE },
-                    diagnostics: failure.diagnostics,
-                    ..UnitReport::new(worker, unit, UnitStatus::Poisoned { upstream }, started)
-                },
-            };
-            (report, outcome)
-        }
+        let (check, verify) = verdict.unwrap_or_default();
+        let checked = verdict.is_some();
+        let target_words = artifact.target_words();
+        trace::event("sched.compiled", &[("target_words", target_words as u64)]);
+        let report = UnitReport {
+            fingerprint: artifact_key,
+            caches: Some(caches),
+            target_words,
+            phases: Some(PhaseNanos { check, verify, ..phases }),
+            phase_runs: PhaseRuns {
+                typecheck: compiled,
+                translate: compiled,
+                check: checked,
+                verify: checked,
+            },
+            ..UnitReport::new(worker, unit, UnitStatus::Compiled, started)
+        };
+        return (report, Some(Outcome::Built(artifact)));
     }
 }
 
-/// The cached-artifact tail of [`handle_unit`]: consult the verified
-/// query; a hit means *zero* phases run — and, on a lazily loaded
-/// artifact, zero section decodes — a miss means exactly the
-/// check/verify phases re-run against the cached cc-artifact (this is
-/// where a lost `.vfy` record lands).
-///
-/// Returns `None` when the artifact's lazily loaded term sections turn
-/// out to have rotted on disk (the deferred decode failed its
-/// per-section checksum): the store has already invalidated and deleted
-/// the blob, and the caller falls through to a plain recompile.
-#[allow(clippy::too_many_arguments)]
-fn ensure_verified(
-    worker: usize,
+/// Where the artifact query's answer came from.
+enum Answer {
+    /// A cache tier held a fingerprint-matching artifact.
+    Cached(CacheTier),
+    /// Typecheck and translate ran on this worker. The verified step
+    /// reuses the decoded Γ and term; keep-going mode publishes the
+    /// source type if check or verify then fails.
+    Compiled { env: src::Env, term: src::Term, source_type: src::Term, phases: PhaseNanos },
+}
+
+/// Why the verified step produced no verdict.
+enum NoVerdict {
+    /// A cached artifact's lazily loaded term sections rotted on disk
+    /// (the deferred decode failed its per-section checksum). The store
+    /// has already invalidated and deleted the blob.
+    Rotted,
+    /// Check or verify failed, or decoding their inputs did.
+    Failed(UnitFailure),
+}
+
+impl From<UnitFailure> for NoVerdict {
+    fn from(failure: UnitFailure) -> NoVerdict {
+        NoVerdict::Failed(failure)
+    }
+}
+
+/// The verified query, run on every artifact the artifact query
+/// produced. With output checking off, or on a hit — the session's
+/// verdicts, then the store's `.vfy` records — check and verify are cut
+/// off (`Ok(None)`), and a lazily loaded artifact decodes no section. A
+/// miss — a fresh artifact, or a cached one whose record was lost — runs
+/// both phases, records the verdict, and returns their nanoseconds.
+/// `inputs` are the unit's decoded Γ and term when the artifact was just
+/// compiled; for a cached artifact they are decoded here, on a miss only.
+fn verified_step(
     ctx: &BuildCtx<'_>,
     unit_index: usize,
     deps: &[(usize, Outcome)],
-    artifact: Arc<Artifact>,
-    tier: CacheTier,
-    artifact_key: Fingerprint,
+    artifact: &Artifact,
     dep_fp: Fingerprint,
-    lookup_delta: StoreStats,
-    started: Instant,
-) -> Option<(UnitReport, Option<Outcome>)> {
-    let unit = ctx.graph.unit_at(unit_index);
+    inputs: Option<(&src::Env, &src::Term)>,
+) -> Result<Option<(u64, u64)>, NoVerdict> {
     let options = ctx.options;
     if !options.typecheck_output {
-        // No verification requested: the artifact alone answers.
-        return Some((
-            cached_report(worker, unit, &artifact, tier, artifact_key, started),
-            Some(Outcome::Built(artifact)),
-        ));
+        return Ok(None);
     }
-    let verify_key =
-        query::verify_key(unit.source_alpha, dep_fp, artifact.output_fingerprint(), &options);
-    let check_key = query::check_key(artifact.output_fingerprint(), dep_fp, &options);
+    let unit = ctx.graph.unit_at(unit_index);
+    let output = artifact.output_fingerprint();
+    let verify_key = query::verify_key(unit.source_alpha, dep_fp, output, &options);
+    let check_key = query::check_key(output, dep_fp, &options);
     if verified_hit(ctx, verify_key, check_key) {
         trace::event("query.cutoff", &[("check", 1), ("verify", 1)]);
-        return Some((
-            cached_report(worker, unit, &artifact, tier, artifact_key, started),
-            Some(Outcome::Built(artifact)),
-        ));
+        return Ok(None);
     }
 
-    // Artifact reusable, verdict not: re-run check/verify only. That
-    // needs the term sections — on a lazy artifact this is the moment
-    // the deferred reads happen, and the moment on-disk rot surfaces.
+    // On a lazy artifact this is the moment the deferred section reads
+    // happen, and the moment on-disk rot surfaces.
     let (Ok(target), Ok(target_ty)) = (artifact.target(), artifact.target_ty()) else {
-        return None;
+        return Err(NoVerdict::Rotted);
     };
-    let before = cache_snapshot();
-    let compiler = Compiler::with_options(options);
-    let checked = decode_unit_inputs(ctx.graph, unit_index, deps).and_then(|(env, term)| {
-        run_check_verify(&compiler, ctx, &env, &term, &target, &target_ty, check_key, verify_key)
-    });
-    match checked {
-        Ok(run) => {
-            let phases =
-                PhaseNanos { check: run.check_ns, verify: run.verify_ns, ..PhaseNanos::default() };
-            let mut caches = CacheReport::between(&before, &cache_snapshot());
-            caches.artifact_store = lookup_delta;
-            trace::event("sched.compiled", &[("target_words", target.len() as u64)]);
-            let report = UnitReport {
-                fingerprint: artifact_key,
-                caches: Some(caches),
-                target_words: target.len(),
-                phases: Some(phases),
-                phase_runs: PhaseRuns { check: run.check_ran, verify: true, ..PhaseRuns::NONE },
-                ..UnitReport::new(worker, unit, UnitStatus::Compiled, started)
-            };
-            Some((report, Some(Outcome::Built(artifact))))
+    let decoded;
+    let (env, term) = match inputs {
+        Some(inputs) => inputs,
+        None => {
+            decoded = decode_unit_inputs(ctx.graph, unit_index, deps)?;
+            (&decoded.0, &decoded.1)
         }
-        Err(failure) => Some((failed_report(worker, unit, failure, artifact_key, started), None)),
+    };
+    let target =
+        tgt::wire::decode(&target).map_err(|e| UnitFailure::wire(format!("target wire: {e}")))?;
+    let compiler = Compiler::with_options(options);
+    let (target_env, inferred, check_ns) =
+        compiler.phase_check(env, &target).map_err(UnitFailure::phase)?;
+    let target_type = tgt::wire::decode(&target_ty)
+        .map_err(|e| UnitFailure::wire(format!("target type wire: {e}")))?;
+    let verify_ns = compiler
+        .phase_verify(env, term, Some(&target_env), &inferred, &target_type)
+        .map_err(UnitFailure::phase)?;
+    ctx.verified.lock().unwrap_or_else(std::sync::PoisonError::into_inner).insert(verify_key);
+    if let Some(store) = ctx.store.as_ref() {
+        store.save_verified(verify_key, check_key, tgt::wire::fingerprint_alpha(&inferred));
     }
+    Ok(Some((check_ns, verify_ns)))
 }
 
 impl UnitReport {
@@ -1364,19 +1378,50 @@ fn cached_report(
     }
 }
 
-/// A unit that failed in some phase (or in wire transcoding).
-fn failed_report(
+/// The report/outcome pair for a unit whose imports all built but which
+/// failed in some phase (or in wire transcoding).
+fn failed_outcome(
     worker: usize,
     unit: &Unit,
     failure: UnitFailure,
     fingerprint: Fingerprint,
     started: Instant,
-) -> UnitReport {
-    UnitReport {
+) -> (UnitReport, Option<Outcome>) {
+    let outcome = poisoned_outcome(unit, &failure, &[]);
+    let report = UnitReport {
         fingerprint,
         diagnostics: failure.diagnostics,
         ..UnitReport::new(worker, unit, UnitStatus::Failed(failure.message), started)
+    };
+    (report, outcome)
+}
+
+/// What a unit that built nothing publishes for its dependents: in
+/// keep-going mode, the interface it recovered, poisoned; otherwise
+/// nothing, and dependents are skipped. Failed (and poisoned) results are
+/// never cached: caches hold only artifacts a clean compile produced.
+fn poisoned_outcome(unit: &Unit, failure: &UnitFailure, upstream: &[String]) -> Option<Outcome> {
+    let interface = failure.interface.as_ref()?;
+    let own_errors = failure.diagnostics.iter().filter(|d| d.is_error()).count();
+    trace::event(
+        "sched.poisoned",
+        &[("upstream", upstream.len() as u64), ("own_errors", own_errors as u64)],
+    );
+    // Provenance: the upstream roots, plus this unit itself when it found
+    // errors of its own (the sentinel unifies with anything, so those
+    // errors are genuinely local, not echoes) or has no poisoned import
+    // to blame.
+    let mut origins = upstream.to_vec();
+    if own_errors > 0 || upstream.is_empty() {
+        origins.push(unit.name.clone());
+        origins.sort();
+        origins.dedup();
     }
+    Some(Outcome::Poisoned(Arc::new(PoisonedInterface {
+        interface: src::wire::encode_portable(interface),
+        diagnostics: failure.diagnostics.clone(),
+        origins,
+    })))
 }
 
 /// The report/outcome pair for a unit whose compile panicked: the caught
@@ -1487,25 +1532,18 @@ fn dep_fingerprint(ctx: &BuildCtx<'_>, deps: &[(usize, Outcome)]) -> Fingerprint
 /// read performed *outside* the lock. Workers racing for the same
 /// fingerprint (α-equivalent units) coalesce: they sleep on the session
 /// condvar and pick up the winner's promotion instead of reading and
-/// decoding the same blob twice. Returns the per-unit store-counter
-/// delta alongside (exact at one worker; a close approximation when
-/// concurrent units interleave store activity).
+/// decoding the same blob twice.
 fn lookup_artifact(
     ctx: &BuildCtx<'_>,
     unit: &str,
     key: Fingerprint,
-) -> (Option<(Arc<Artifact>, CacheTier)>, StoreStats) {
+) -> Option<(Arc<Artifact>, CacheTier)> {
     let _span = trace::span("cache.lookup");
     let mut cache = ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let before = cache.store_counters();
     if let Some(found) = cache.lookup_memory(unit, key) {
-        let delta = cache.store_counters().since(&before);
-        return (Some(found), delta);
+        return Some(found);
     }
-    let Some(store) = ctx.store.as_ref() else {
-        let delta = cache.store_counters().since(&before);
-        return (None, delta);
-    };
+    let store = ctx.store.as_ref()?;
     let mut counted_wait = false;
     loop {
         if cache.begin_disk_load(key) {
@@ -1516,9 +1554,7 @@ fn lookup_artifact(
             cache = ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             cache.finish_disk_load(key, loaded.as_ref());
             ctx.cache_ready.notify_all();
-            let found = cache.promotion(unit, key);
-            let delta = cache.store_counters().since(&before);
-            return (found, delta);
+            return cache.promotion(unit, key);
         }
         // Another worker is reading this very blob: coalesce onto its
         // load instead of decoding the same bytes twice.
@@ -1528,8 +1564,7 @@ fn lookup_artifact(
         }
         cache = ctx.cache_ready.wait(cache).unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(found) = cache.promotion(unit, key) {
-            let delta = cache.store_counters().since(&before);
-            return (Some(found), delta);
+            return Some(found);
         }
         // The load finished without an artifact (missing or corrupt
         // blob): loop back — begin_disk_load now succeeds and this
@@ -1538,11 +1573,12 @@ fn lookup_artifact(
     }
 }
 
-/// Whether the verified query answers: first the session memo, then the
-/// store's verified records (which seed the memo on a hit, so the disk
-/// is consulted at most once per verdict per session).
+/// Whether the verified query answers: first the session's verdicts,
+/// then the store's verified records (which seed the session's set on a
+/// hit, so the disk is consulted at most once per verdict per session).
 fn verified_hit(ctx: &BuildCtx<'_>, verify_key: Fingerprint, check_key: Fingerprint) -> bool {
-    if ctx.query.lock().unwrap_or_else(std::sync::PoisonError::into_inner).is_verified(verify_key) {
+    if ctx.verified.lock().unwrap_or_else(std::sync::PoisonError::into_inner).contains(&verify_key)
+    {
         return true;
     }
     let Some(store) = ctx.store.as_ref() else {
@@ -1550,75 +1586,14 @@ fn verified_hit(ctx: &BuildCtx<'_>, verify_key: Fingerprint, check_key: Fingerpr
     };
     match store.load_verified(verify_key) {
         Some((recorded_check, _)) if recorded_check == check_key => {
-            ctx.query
+            ctx.verified
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .record_verified(verify_key);
+                .insert(verify_key);
             true
         }
         _ => false,
     }
-}
-
-/// What one [`run_check_verify`] call actually executed.
-struct CheckVerifyRun {
-    check_ns: u64,
-    verify_ns: u64,
-    /// `false` when the check phase was answered by the content-addressed
-    /// memo (an α-equivalent artifact was already checked this session).
-    check_ran: bool,
-}
-
-/// Runs the check and verify phases against the artifact's `target` and
-/// `target_ty` wires (already fetched by the caller — on a lazy artifact
-/// that fetch is where disk rot surfaces, before this function is
-/// reached), consulting and feeding the check memo, and publishing the
-/// verified verdict — to the session memo and, when a store is attached,
-/// as an on-disk record — on success.
-#[allow(clippy::too_many_arguments)]
-fn run_check_verify(
-    compiler: &Compiler,
-    ctx: &BuildCtx<'_>,
-    env: &src::Env,
-    term: &src::Term,
-    target: &WireTerm,
-    target_ty: &WireTerm,
-    check_key: Fingerprint,
-    verify_key: Fingerprint,
-) -> Result<CheckVerifyRun, UnitFailure> {
-    let wire_failure = |what: &str, detail: String| UnitFailure::wire(format!("{what}: {detail}"));
-    let memo =
-        ctx.query.lock().unwrap_or_else(std::sync::PoisonError::into_inner).check_memo(check_key);
-    let (target_env, inferred, check_output, check_ns, check_ran) = match memo {
-        Some(memo) => {
-            let inferred = tgt::wire::decode(&memo.inferred)
-                .map_err(|e| wire_failure("check memo wire", e.to_string()))?;
-            trace::event("query.cutoff", &[("check", 1)]);
-            (None, inferred, memo.output, 0u64, false)
-        }
-        None => {
-            let target = tgt::wire::decode(target)
-                .map_err(|e| wire_failure("target wire", e.to_string()))?;
-            let (target_env, inferred, ns) =
-                compiler.phase_check(env, &target).map_err(UnitFailure::phase)?;
-            let output = tgt::wire::fingerprint_alpha(&inferred);
-            ctx.query.lock().unwrap_or_else(std::sync::PoisonError::into_inner).record_check(
-                check_key,
-                CheckMemo { output, inferred: tgt::wire::encode(&inferred) },
-            );
-            (Some(target_env), inferred, output, ns, true)
-        }
-    };
-    let target_type = tgt::wire::decode(target_ty)
-        .map_err(|e| wire_failure("target type wire", e.to_string()))?;
-    let verify_ns = compiler
-        .phase_verify(env, term, target_env.as_ref(), &inferred, &target_type)
-        .map_err(UnitFailure::phase)?;
-    ctx.query.lock().unwrap_or_else(std::sync::PoisonError::into_inner).record_verified(verify_key);
-    if let Some(store) = ctx.store.as_ref() {
-        store.save_verified(verify_key, check_key, check_output);
-    }
-    Ok(CheckVerifyRun { check_ns, verify_ns, check_ran })
 }
 
 /// Encodes a unit's phase outputs as a thread-portable artifact. The
@@ -1719,81 +1694,50 @@ impl UnitFailure {
     }
 }
 
-/// Runs the pipeline for one unit phase by phase on the current worker
-/// thread: decode the inputs into this thread's interners, type-check
-/// under the error policy [`CompilerOptions::keep_going`] selects,
-/// translate, and — when output checking is on — answer check/verify
-/// from the verified and check queries where they hit (α-equivalent
-/// units settle those phases once per session, whichever unit ran
-/// first). `dep_fp` is `None` when an import is poisoned: the unit is
-/// then only type-checked, and fails with the interface it recovered.
+/// The artifact query's compute path, on the current worker thread:
+/// type-check (see [`typecheck_unit`]), translate, and encode the
+/// artifact.
 fn compile_unit(
     ctx: &BuildCtx<'_>,
     unit_index: usize,
     deps: &[(usize, Outcome)],
-    dep_fp: Option<Fingerprint>,
-) -> Result<(Arc<Artifact>, CacheReport, PhaseNanos, PhaseRuns), UnitFailure> {
-    let unit = ctx.graph.unit_at(unit_index);
+) -> Result<(Arc<Artifact>, Answer), UnitFailure> {
+    let (env, term, source_type, typecheck) = typecheck_unit(ctx, unit_index, deps)?;
+    let (target, target_type, translate) = Compiler::with_options(ctx.options)
+        .phase_translate(&env, &term, &source_type)
+        .map_err(|e| UnitFailure {
+            // A translate failure on a clean source type still publishes
+            // that type in keep-going mode.
+            interface: ctx.options.keep_going.then(|| source_type.clone()),
+            ..UnitFailure::phase(e)
+        })?;
+    let artifact = encode_artifact(&source_type, &target, &target_type);
+    let phases = PhaseNanos { typecheck, translate, ..PhaseNanos::default() };
+    Ok((artifact, Answer::Compiled { env, term, source_type, phases }))
+}
+
+/// Decodes a unit's inputs into the current worker thread's interners
+/// and type-checks it under the error policy
+/// [`CompilerOptions::keep_going`] selects. Returns Γ, the term, its
+/// source type, and the phase's nanoseconds.
+fn typecheck_unit(
+    ctx: &BuildCtx<'_>,
+    unit_index: usize,
+    deps: &[(usize, Outcome)],
+) -> Result<(src::Env, src::Term, src::Term, u64), UnitFailure> {
     let options = ctx.options;
-    let before = cache_snapshot();
     let (env, term) = decode_unit_inputs(ctx.graph, unit_index, deps).map_err(|failure| {
         // Nothing was recovered from corrupt wires: keep-going publishes
         // the pure sentinel.
         UnitFailure { interface: options.keep_going.then(src::tolerant::error_term), ..failure }
     })?;
     let compiler = Compiler::with_options(options);
-    let (source_type, typecheck_ns) = if options.keep_going {
+    let (source_type, ns) = if options.keep_going {
         compiler
             .phase_typecheck_keep_going(&env, &term)
             .map_err(|(interface, diagnostics)| UnitFailure::recovered(interface, diagnostics))?
     } else {
         compiler.phase_typecheck(&env, &term).map_err(UnitFailure::phase)?
     };
-    let Some(dep_fp) = dep_fp else {
-        // Checked against a poisoned import: reported, never built.
-        return Err(UnitFailure::recovered(source_type, Vec::new()));
-    };
-    // A later phase failing on a clean source type still publishes that
-    // type in keep-going mode.
-    let backend_failure = |failure: UnitFailure| UnitFailure {
-        interface: options.keep_going.then(|| source_type.clone()),
-        ..failure
-    };
-    let mut phases = PhaseNanos { typecheck: typecheck_ns, ..PhaseNanos::default() };
-    let mut runs = PhaseRuns { typecheck: true, translate: true, ..PhaseRuns::NONE };
-    let (target, target_type, ns) = compiler
-        .phase_translate(&env, &term, &source_type)
-        .map_err(|e| backend_failure(UnitFailure::phase(e)))?;
-    phases.translate = ns;
-    let artifact = encode_artifact(&source_type, &target, &target_type);
-    if options.typecheck_output {
-        let verify_key =
-            query::verify_key(unit.source_alpha, dep_fp, artifact.output_fingerprint(), &options);
-        let check_key = query::check_key(artifact.output_fingerprint(), dep_fp, &options);
-        if verified_hit(ctx, verify_key, check_key) {
-            trace::event("query.cutoff", &[("check", 1), ("verify", 1)]);
-        } else {
-            let target_wire =
-                artifact.target().expect("fresh artifacts hold their sections in memory");
-            let target_ty_wire =
-                artifact.target_ty().expect("fresh artifacts hold their sections in memory");
-            let run = run_check_verify(
-                &compiler,
-                ctx,
-                &env,
-                &term,
-                &target_wire,
-                &target_ty_wire,
-                check_key,
-                verify_key,
-            )
-            .map_err(backend_failure)?;
-            phases.check = run.check_ns;
-            phases.verify = run.verify_ns;
-            runs.check = run.check_ran;
-            runs.verify = true;
-        }
-    }
-    let caches = CacheReport::between(&before, &cache_snapshot());
-    Ok((artifact, caches, phases, runs))
+    Ok((env, term, source_type, ns))
 }

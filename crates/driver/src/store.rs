@@ -51,7 +51,8 @@
 //! Next to the blobs live `<fingerprint:032x>.vfy` records, keyed by the
 //! *verify query key* ([`crate::query::verify_key`]): eight words —
 //! the same magic/version plus a whole-payload checksum over a four-word
-//! payload holding the check query key and the check phase's output
+//! payload holding the check key it certifies
+//! ([`crate::query::check_key`]) and the check phase's output
 //! fingerprint. A record's existence says "an artifact with this source,
 //! these import interfaces, this output, and these options has passed
 //! check + verify before", so a restarted process skips both phases on
@@ -745,7 +746,7 @@ impl ArtifactStore {
     }
 
     /// Loads the verified-phase record for `key`, returning the check
-    /// query key and check output fingerprint it recorded. A missing
+    /// key and check output fingerprint it recorded. A missing
     /// record is simply `None`; a corrupt one is counted as an invalid
     /// entry and deleted, like a corrupt blob.
     pub fn load_verified(&self, key: Fingerprint) -> Option<(Fingerprint, Fingerprint)> {

@@ -59,8 +59,8 @@ pub fn render(report: &BuildReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "build timings: {}", report.summary());
     // How much of the pipeline the query layer actually ran (units per
-    // phase); everything else was answered from the artifact, check, or
-    // verified queries.
+    // phase); everything else was answered from the artifact or verified
+    // queries.
     let possible = report.units.iter().filter(|u| u.status.is_ok()).count() * 4;
     let _ = writeln!(
         out,

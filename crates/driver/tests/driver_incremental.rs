@@ -3,6 +3,7 @@
 //! with 2 workers whose warm rebuild compiles zero units.
 
 use cccc_core::pipeline::CompilerOptions;
+use cccc_driver::query::QueryCounts;
 use cccc_driver::workloads::{deep_chain, diamond, independent_units, root_of, session_from};
 use cccc_driver::UnitStatus;
 use cccc_source::builder as s;
@@ -129,11 +130,34 @@ fn interface_changes_invalidate_dependents() {
 fn clear_cache_turns_the_next_build_cold() {
     let units = independent_units(3, 2);
     let mut session = session_from(&units, CompilerOptions::default());
-    session.build(2).unwrap();
+    let first = session.build(2).unwrap();
     session.clear_cache();
     let cold = session.build(2).unwrap();
     assert_eq!(cold.compiled_count(), 3);
     assert_eq!(cold.cached_count(), 0);
+    // Verified verdicts are dropped with the artifacts, so check and
+    // verify re-run too.
+    assert_eq!(cold.queries, first.queries);
+}
+
+#[test]
+fn switching_the_engine_back_recompiles_artifacts_but_keeps_verdicts() {
+    let units = diamond(14, 1);
+    let nbe = CompilerOptions::default();
+    let step = CompilerOptions { use_nbe: false, ..nbe };
+    let mut session = session_from(&units, nbe);
+    assert!(session.build(1).unwrap().is_success());
+    session.set_options(step);
+    assert!(session.build(1).unwrap().is_success());
+    session.set_options(nbe);
+    let back = session.build(1).unwrap();
+    assert!(back.is_success());
+    // The memory tier keeps one artifact per unit name, and the Step
+    // build replaced all 16: every unit re-runs typecheck and translate.
+    assert_eq!(back.cache.invalidations, 16);
+    // The verified set kept the first build's NbE verdicts, so check and
+    // verify stay cut off.
+    assert_eq!(back.queries, QueryCounts { typecheck: 16, translate: 16, check: 0, verify: 0 });
 }
 
 #[test]

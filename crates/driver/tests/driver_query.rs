@@ -5,7 +5,7 @@
 //! per-phase work the invalidation model predicts, no more and no less.
 
 use cccc_core::pipeline::CompilerOptions;
-use cccc_driver::query::QueryCounts;
+use cccc_driver::query::{PhaseRuns, QueryCounts};
 use cccc_driver::session::{Session, UnitStatus};
 use cccc_driver::workloads;
 use cccc_source as src;
@@ -269,7 +269,9 @@ fn verified_records_survive_a_restart_and_lost_records_rerun_check_and_verify_on
     // per α-class.
     let mut session = Session::with_store(CompilerOptions::default(), &dir).unwrap();
     add_all(&mut session);
-    assert!(session.build(1).unwrap().is_success());
+    let cold = session.build(1).unwrap();
+    assert!(cold.is_success());
+    assert_report_consistent(&cold);
     drop(session);
 
     // A fresh process re-runs *zero* phases: artifacts load from disk,
@@ -278,6 +280,7 @@ fn verified_records_survive_a_restart_and_lost_records_rerun_check_and_verify_on
     add_all(&mut session);
     let warm = session.build(1).unwrap();
     assert!(warm.is_success());
+    assert_report_consistent(&warm);
     assert_eq!(warm.compiled_count(), 0);
     assert_eq!(warm.cached_count(), units.len());
     assert_eq!(warm.queries, QueryCounts::default());
@@ -286,8 +289,7 @@ fn verified_records_survive_a_restart_and_lost_records_rerun_check_and_verify_on
     drop(session);
 
     // Lose the verified records: a fresh process still loads every
-    // artifact from disk, but re-runs check and verify per α-class —
-    // check memos are session-lifetime and this session never ran check —
+    // artifact from disk, but re-runs check and verify once per α-class,
     // and no typecheck or translate.
     for entry in std::fs::read_dir(&dir).unwrap().flatten() {
         if entry.path().extension().is_some_and(|e| e == "vfy") {
@@ -298,11 +300,25 @@ fn verified_records_survive_a_restart_and_lost_records_rerun_check_and_verify_on
     add_all(&mut session);
     let reverified = session.build(1).unwrap();
     assert!(reverified.is_success());
+    assert_report_consistent(&reverified);
     assert_eq!(reverified.queries, QueryCounts { typecheck: 0, translate: 0, check: 3, verify: 3 });
     assert_eq!(reverified.compiled_count(), 3);
+    // Each re-verified unit ran exactly check and verify against its
+    // disk artifact, timed them, and reports the cache activity they
+    // caused.
+    for unit in reverified.units.iter().filter(|u| u.status == UnitStatus::Compiled) {
+        let check_and_verify = PhaseRuns { check: true, verify: true, ..PhaseRuns::NONE };
+        assert_eq!(unit.phase_runs, check_and_verify, "{}", unit.name);
+        let phases = unit.phases.expect("a unit that ran phases times them");
+        assert_eq!((phases.typecheck, phases.translate), (0, 0), "{}", unit.name);
+        assert!(phases.check > 0 && phases.verify > 0, "{}: {phases:?}", unit.name);
+        assert!(unit.caches.is_some(), "{}: no cache report", unit.name);
+        assert_eq!(unit.cached_from, None, "{}", unit.name);
+    }
 
     // The re-verified records are back in memory: nothing re-runs.
     let again = session.build(1).unwrap();
+    assert_report_consistent(&again);
     assert_eq!(again.compiled_count(), 0);
     assert_eq!(again.queries, QueryCounts::default());
 
