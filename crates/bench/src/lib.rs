@@ -234,16 +234,6 @@ pub mod report {
         }
         out
     }
-
-    /// Counts the reduction steps a source program and its translation take
-    /// to reach a value (experiment E14's dynamic-cost component).
-    pub fn step_counts(workload: &Workload, max_steps: usize) -> (usize, usize) {
-        let (_, source_steps) =
-            src::reduce::reduce_steps(&src::Env::new(), &workload.term, max_steps);
-        let translated = workload.translated();
-        let (_, target_steps) = tgt::reduce::reduce_steps(&tgt::Env::new(), &translated, max_steps);
-        (source_steps, target_steps)
-    }
 }
 
 #[cfg(test)]
@@ -327,13 +317,5 @@ mod tests {
         let table = report::render_table(&rows);
         assert!(table.contains("is_even_1x1"));
         assert!(table.contains("is_even_2x2"));
-    }
-
-    #[test]
-    fn step_counts_report_both_sides() {
-        let workload = Workload::new("not_true", s::app(prelude::not_fn(), s::tt()));
-        let (source_steps, target_steps) = report::step_counts(&workload, 1000);
-        assert!(source_steps >= 1);
-        assert!(target_steps >= source_steps, "closure conversion adds projection steps");
     }
 }

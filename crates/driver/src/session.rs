@@ -483,20 +483,7 @@ impl Session {
     ) -> Result<Session, DriverError> {
         let store =
             ArtifactStore::open(store_dir).map_err(|e| DriverError::Store(e.to_string()))?;
-        Ok(Session {
-            graph: UnitGraph::new(),
-            options,
-            cache: Mutex::new(ArtifactCache::with_store(store)),
-            cache_ready: Condvar::new(),
-            verified: Mutex::new(HashSet::new()),
-            store_budget: None,
-            cancel: CancelToken::new(),
-            cancel_after: None,
-            panic_plan: None,
-            results: HashMap::new(),
-            poisons: HashMap::new(),
-            tracing: false,
-        })
+        Ok(Session { cache: Mutex::new(ArtifactCache::with_store(store)), ..Session::new(options) })
     }
 
     /// Installs a deterministic fault plan on the persistent store (no-op

@@ -540,11 +540,11 @@ fn linking_and_evaluator_costs_appear_in_captured_traces() {
     assert_eq!(value, Some(true));
     assert_eq!(link_trace.spans_named("link").count(), 1);
 
-    // The unified profile::Cost counters land in traces as events.
+    // The reducer's Cost counters land in traces as events.
     let term =
         cccc_source::builder::app(cccc_source::prelude::not_fn(), cccc_source::builder::tt());
     let ((), cost_trace) = trace::capture(|| {
-        let _ = cccc_source::profile::evaluate_with_cost_default(&cccc_source::Env::new(), &term);
+        let _ = cccc_source::reduce::evaluate_with_cost_default(&cccc_source::Env::new(), &term);
     });
     let cost_events: Vec<_> = cost_trace.events.iter().filter(|e| e.name == "cost.cc").collect();
     assert_eq!(cost_events.len(), 1);

@@ -9,7 +9,9 @@
 //! * [`builder`] — a DSL for constructing terms programmatically;
 //! * [`mod@env`] — typing environments `Γ` and their well-formedness (Figure 4);
 //! * [`subst`] — free variables, capture-avoiding substitution, α-equivalence;
-//! * [`reduce`] — the reduction relation `⊲` and normalization (Figure 2);
+//! * [`reduce`] — the reduction relation `⊲` and normalization (Figure 2),
+//!   plus a cost-instrumented evaluator counting each rule's firings (§7
+//!   overhead);
 //! * [`equiv`] — definitional equivalence with η (Figure 2);
 //! * [`nbe`] — a normalization-by-evaluation engine (the algorithmic
 //!   implementation of `⊲*`/`≡` used on every hot path);
@@ -48,7 +50,6 @@ pub mod nbe;
 pub mod parse;
 pub mod prelude;
 pub mod pretty;
-pub mod profile;
 pub mod reduce;
 pub mod spans;
 pub mod subst;

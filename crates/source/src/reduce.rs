@@ -13,12 +13,15 @@
 //! * [`whnf`] — weak-head normalization (what the equivalence checker and
 //!   type checker need),
 //! * [`normalize`] — full normalization to β/δ/ζ/π-normal form,
+//! * [`evaluate_with_cost`] — the same normalization, also returning how many
+//!   times each rule fired (the [`Cost`] behind §7's overhead claims),
 //! * [`eval`] — evaluation of closed programs to values (Theorem 4.8 / 5.7
 //!   use this to observe results).
 
 use crate::ast::{RcTerm, Term};
 use crate::env::Env;
 use crate::subst::subst;
+use cccc_util::cost::CostLabels;
 use cccc_util::fuel::Fuel;
 use std::fmt;
 
@@ -40,6 +43,22 @@ impl fmt::Display for ReduceError {
 }
 
 impl std::error::Error for ReduceError {}
+
+/// Marker selecting the CC labels for the shared cost counters.
+#[derive(Clone, Copy, Debug)]
+pub struct CcCost;
+
+impl CostLabels for CcCost {
+    const APPLICATION: &'static str = "β";
+    const FUNCTIONS: &'static str = "functions";
+    const TRACE_EVENT: &'static str = "cost.cc";
+}
+
+/// Counters for the CC reduction rules. [`Cost::applications`] counts
+/// β-steps: `(λ x : A. e1) e2 ⊲ e1[e2/x]`; [`Cost::functions_built`]
+/// counts λ-values encountered as evaluation results (an allocation proxy
+/// for the closures an implementation would create).
+pub type Cost = cccc_util::cost::Cost<CcCost>;
 
 /// Performs one reduction step in leftmost-outermost order, or returns
 /// `None` if the term is in normal form with respect to `env`.
@@ -182,6 +201,16 @@ pub fn reduce_steps(env: &Env, term: &Term, max_steps: usize) -> (Term, usize) {
 ///
 /// Returns [`ReduceError::OutOfFuel`] when `fuel` is exhausted.
 pub fn whnf(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError> {
+    whnf_counted(env, term, fuel, &mut Cost::default())
+}
+
+/// [`whnf`], adding each δ, ζ, β, π and `if` step it takes to `cost`.
+fn whnf_counted(
+    env: &Env,
+    term: &Term,
+    fuel: &mut Fuel,
+    cost: &mut Cost,
+) -> Result<Term, ReduceError> {
     // Canonical heads and definition-free variables are already weak-head
     // normal: return a (shallow, handle-sharing) clone without interning
     // the head or spending fuel. This is the dominant case on the
@@ -207,16 +236,21 @@ pub fn whnf(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError
         }
         match &*current {
             Term::Var(x) => match env.lookup_definition(*x) {
-                Some(def) => current = def.clone(),
+                Some(def) => {
+                    cost.delta += 1;
+                    current = def.clone();
+                }
                 None => return Ok((*current).clone()),
             },
             Term::Let { binder, bound, body, .. } => {
+                cost.zeta += 1;
                 current = subst(body, *binder, bound).rc();
             }
             Term::App { func, arg } => {
-                let func_whnf = whnf(env, func, fuel)?;
+                let func_whnf = whnf_counted(env, func, fuel, cost)?;
                 match func_whnf {
                     Term::Lam { binder, body, .. } => {
+                        cost.applications += 1;
                         current = subst(&body, binder, arg).rc();
                     }
                     other => {
@@ -225,24 +259,32 @@ pub fn whnf(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError
                 }
             }
             Term::Fst(e) => {
-                let inner = whnf(env, e, fuel)?;
+                let inner = whnf_counted(env, e, fuel, cost)?;
                 match inner {
-                    Term::Pair { first, .. } => current = first,
+                    Term::Pair { first, .. } => {
+                        cost.projection += 1;
+                        current = first;
+                    }
                     other => return Ok(Term::Fst(other.rc())),
                 }
             }
             Term::Snd(e) => {
-                let inner = whnf(env, e, fuel)?;
+                let inner = whnf_counted(env, e, fuel, cost)?;
                 match inner {
-                    Term::Pair { second, .. } => current = second,
+                    Term::Pair { second, .. } => {
+                        cost.projection += 1;
+                        current = second;
+                    }
                     other => return Ok(Term::Snd(other.rc())),
                 }
             }
             Term::If { scrutinee, then_branch, else_branch } => {
-                let s = whnf(env, scrutinee, fuel)?;
+                let s = whnf_counted(env, scrutinee, fuel, cost)?;
                 match s {
-                    Term::BoolLit(true) => current = then_branch.clone(),
-                    Term::BoolLit(false) => current = else_branch.clone(),
+                    Term::BoolLit(b) => {
+                        cost.conditional += 1;
+                        current = if b { then_branch.clone() } else { else_branch.clone() };
+                    }
                     other => {
                         return Ok(Term::If {
                             scrutinee: other.rc(),
@@ -271,46 +313,70 @@ pub fn whnf(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError
 ///
 /// Returns [`ReduceError::OutOfFuel`] when `fuel` is exhausted.
 pub fn normalize(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError> {
-    let head = whnf(env, term, fuel)?;
-    normalize_head(env, head, fuel)
+    normalize_counted(env, term, fuel, &mut Cost::default())
 }
 
-/// Normalizes the subterms of a term already in weak-head normal form.
-fn normalize_head(env: &Env, head: Term, fuel: &mut Fuel) -> Result<Term, ReduceError> {
-    let norm = |e: &RcTerm, fuel: &mut Fuel| -> Result<RcTerm, ReduceError> {
-        Ok(normalize(env, e, fuel)?.rc())
+/// [`normalize`], adding every rule it fires to `cost`.
+fn normalize_counted(
+    env: &Env,
+    term: &Term,
+    fuel: &mut Fuel,
+    cost: &mut Cost,
+) -> Result<Term, ReduceError> {
+    let head = whnf_counted(env, term, fuel, cost)?;
+    normalize_head(env, head, fuel, cost)
+}
+
+/// Normalizes the subterms of a term already in weak-head normal form,
+/// counting each λ and pair it rebuilds.
+fn normalize_head(
+    env: &Env,
+    head: Term,
+    fuel: &mut Fuel,
+    cost: &mut Cost,
+) -> Result<Term, ReduceError> {
+    let norm = |e: &RcTerm, fuel: &mut Fuel, cost: &mut Cost| -> Result<RcTerm, ReduceError> {
+        Ok(normalize_counted(env, e, fuel, cost)?.rc())
     };
     // Re-enters `normalize_head` (no `whnf`) on positions the enclosing
     // `whnf` already head-normalized.
-    let norm_whnf = |e: &RcTerm, fuel: &mut Fuel| -> Result<RcTerm, ReduceError> {
-        Ok(normalize_head(env, (**e).clone(), fuel)?.rc())
+    let norm_whnf = |e: &RcTerm, fuel: &mut Fuel, cost: &mut Cost| -> Result<RcTerm, ReduceError> {
+        Ok(normalize_head(env, (**e).clone(), fuel, cost)?.rc())
     };
     Ok(match head {
         Term::Var(_) | Term::Sort(_) | Term::BoolTy | Term::BoolLit(_) => head,
-        Term::Pi { binder, domain, codomain } => {
-            Term::Pi { binder, domain: norm(&domain, fuel)?, codomain: norm(&codomain, fuel)? }
-        }
+        Term::Pi { binder, domain, codomain } => Term::Pi {
+            binder,
+            domain: norm(&domain, fuel, cost)?,
+            codomain: norm(&codomain, fuel, cost)?,
+        },
         Term::Lam { binder, domain, body } => {
-            Term::Lam { binder, domain: norm(&domain, fuel)?, body: norm(&body, fuel)? }
+            cost.functions_built += 1;
+            Term::Lam { binder, domain: norm(&domain, fuel, cost)?, body: norm(&body, fuel, cost)? }
         }
         Term::App { func, arg } => {
-            Term::App { func: norm_whnf(&func, fuel)?, arg: norm(&arg, fuel)? }
+            Term::App { func: norm_whnf(&func, fuel, cost)?, arg: norm(&arg, fuel, cost)? }
         }
         Term::Let { .. } => unreachable!("whnf eliminates let"),
-        Term::Sigma { binder, first, second } => {
-            Term::Sigma { binder, first: norm(&first, fuel)?, second: norm(&second, fuel)? }
-        }
-        Term::Pair { first, second, annotation } => Term::Pair {
-            first: norm(&first, fuel)?,
-            second: norm(&second, fuel)?,
-            annotation: norm(&annotation, fuel)?,
+        Term::Sigma { binder, first, second } => Term::Sigma {
+            binder,
+            first: norm(&first, fuel, cost)?,
+            second: norm(&second, fuel, cost)?,
         },
-        Term::Fst(e) => Term::Fst(norm_whnf(&e, fuel)?),
-        Term::Snd(e) => Term::Snd(norm_whnf(&e, fuel)?),
+        Term::Pair { first, second, annotation } => {
+            cost.pairs_built += 1;
+            Term::Pair {
+                first: norm(&first, fuel, cost)?,
+                second: norm(&second, fuel, cost)?,
+                annotation: norm(&annotation, fuel, cost)?,
+            }
+        }
+        Term::Fst(e) => Term::Fst(norm_whnf(&e, fuel, cost)?),
+        Term::Snd(e) => Term::Snd(norm_whnf(&e, fuel, cost)?),
         Term::If { scrutinee, then_branch, else_branch } => Term::If {
-            scrutinee: norm_whnf(&scrutinee, fuel)?,
-            then_branch: norm(&then_branch, fuel)?,
-            else_branch: norm(&else_branch, fuel)?,
+            scrutinee: norm_whnf(&scrutinee, fuel, cost)?,
+            then_branch: norm(&then_branch, fuel, cost)?,
+            else_branch: norm(&else_branch, fuel, cost)?,
         },
     })
 }
@@ -326,6 +392,36 @@ pub fn normalize_default(env: &Env, term: &Term) -> Term {
     normalize(env, term, &mut fuel).expect("normalization exhausted default fuel")
 }
 
+/// Normalizes `term` under `env` like [`normalize`], returning the value
+/// together with how many times each rule fired. It runs the same reducer,
+/// so it spends exactly the fuel [`normalize`] spends. When a trace sink is
+/// installed on the current thread the counters are also recorded as a
+/// `cost.cc` event.
+///
+/// # Errors
+///
+/// Returns [`ReduceError::OutOfFuel`] when `fuel` is exhausted.
+pub fn evaluate_with_cost(
+    env: &Env,
+    term: &Term,
+    fuel: &mut Fuel,
+) -> Result<(Term, Cost), ReduceError> {
+    let mut cost = Cost::default();
+    let value = normalize_counted(env, term, fuel, &mut cost)?;
+    cost.record_trace();
+    Ok((value, cost))
+}
+
+/// [`evaluate_with_cost`] with the default fuel budget.
+///
+/// # Panics
+///
+/// Panics if the default budget is exhausted.
+pub fn evaluate_with_cost_default(env: &Env, term: &Term) -> (Term, Cost) {
+    let mut fuel = Fuel::default();
+    evaluate_with_cost(env, term, &mut fuel).expect("instrumented evaluation exhausted fuel")
+}
+
 /// Evaluates a closed program to a value (Theorem 4.8's `e ⊲* v`).
 ///
 /// # Errors
@@ -339,11 +435,17 @@ pub fn eval(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError
 mod tests {
     use super::*;
     use crate::builder::*;
+    use crate::prelude;
     use crate::subst::alpha_eq;
     use cccc_util::symbol::Symbol;
+    use cccc_util::trace;
 
     fn nf(t: &Term) -> Term {
         normalize_default(&Env::new(), t)
+    }
+
+    fn run(term: &Term) -> (Term, Cost) {
+        evaluate_with_cost_default(&Env::new(), term)
     }
 
     #[test]
@@ -442,5 +544,104 @@ mod tests {
     #[test]
     fn reduce_error_displays() {
         assert_eq!(ReduceError::OutOfFuel.to_string(), "reduction fuel exhausted");
+    }
+
+    #[test]
+    fn beta_steps_are_counted() {
+        let (value, cost) = run(&app(lam("x", bool_ty(), var("x")), tt()));
+        assert!(alpha_eq(&value, &tt()));
+        assert_eq!(cost.applications, 1);
+        assert_eq!(cost.total_steps(), 1);
+    }
+
+    #[test]
+    fn all_rule_counters_fire() {
+        let term = let_(
+            "p",
+            sigma("x", bool_ty(), bool_ty()),
+            pair(tt(), ff(), sigma("x", bool_ty(), bool_ty())),
+            ite(fst(var("p")), snd(var("p")), tt()),
+        );
+        let (value, cost) = run(&term);
+        assert!(alpha_eq(&value, &ff()));
+        assert_eq!(cost.zeta, 1);
+        assert_eq!(cost.projection, 2);
+        assert_eq!(cost.conditional, 1);
+        assert_eq!(cost.applications, 0);
+    }
+
+    #[test]
+    fn delta_steps_count_definition_unfolding() {
+        let env = Env::new().with_definition(cccc_util::Symbol::intern("flag"), tt(), bool_ty());
+        let mut fuel = Fuel::default();
+        let (_, cost) = evaluate_with_cost(&env, &ite(var("flag"), ff(), tt()), &mut fuel).unwrap();
+        assert_eq!(cost.delta, 1);
+        assert_eq!(cost.conditional, 1);
+    }
+
+    #[test]
+    fn instrumented_and_plain_normalization_agree() {
+        for (entry, expected) in prelude::ground_corpus() {
+            let (value, cost) = run(&entry.term);
+            assert!(alpha_eq(&value, &bool_lit(expected)), "{}", entry.name);
+            assert!(cost.total_steps() > 0, "{} took no steps", entry.name);
+            let plain = crate::reduce::normalize_default(&Env::new(), &entry.term);
+            assert!(alpha_eq(&plain, &value));
+        }
+    }
+
+    #[test]
+    fn evaluate_with_cost_spends_exactly_the_fuel_normalize_spends() {
+        let is_even_4x4 = app(
+            prelude::church_is_even(),
+            app(app(prelude::church_mul(), prelude::church_numeral(4)), prelude::church_numeral(4)),
+        );
+        let programs = prelude::ground_corpus().into_iter().map(|(entry, _)| entry.term);
+        for term in programs.chain([is_even_4x4]) {
+            let mut plain = Fuel::default();
+            normalize(&Env::new(), &term, &mut plain).unwrap();
+            let mut counted = Fuel::default();
+            evaluate_with_cost(&Env::new(), &term, &mut counted).unwrap();
+            assert_eq!(counted.used(), plain.used(), "{term}");
+            let mut exact = Fuel::new(plain.used());
+            assert!(evaluate_with_cost(&Env::new(), &term, &mut exact).is_ok(), "{term}");
+        }
+    }
+
+    #[test]
+    fn cost_display_and_addition() {
+        let (_, a) = run(&app(prelude::not_fn(), tt()));
+        let (_, b) = run(&app(prelude::not_fn(), ff()));
+        let sum = a + b;
+        assert_eq!(sum.applications, a.applications + b.applications);
+        assert!(sum.to_string().contains("β="));
+        assert!(sum.to_string().contains("functions="));
+    }
+
+    #[test]
+    fn church_multiplication_costs_grow_with_operands() {
+        let program = |n: usize| {
+            app(
+                prelude::church_is_even(),
+                app(
+                    app(prelude::church_mul(), prelude::church_numeral(n)),
+                    prelude::church_numeral(n),
+                ),
+            )
+        };
+        let (_, small) = run(&program(2));
+        let (_, large) = run(&program(5));
+        assert!(large.total_steps() > small.total_steps());
+    }
+
+    #[test]
+    fn traced_evaluation_records_a_cost_event() {
+        let term = app(lam("x", bool_ty(), var("x")), tt());
+        let ((), built) = trace::capture(|| {
+            run(&term);
+        });
+        let events: Vec<_> = built.events.iter().filter(|e| e.name == "cost.cc").collect();
+        assert_eq!(events.len(), 1);
+        assert!(events[0].counters.contains(&("applications", 1)));
     }
 }

@@ -30,7 +30,7 @@
 //! | — | [`subst`] | free variables, capture-avoiding substitution, α-equivalence, [`subst::is_closed`] |
 //! | — | [`builder`] | a term-construction DSL |
 //! | — | [`pretty`] | a pretty-printer |
-//! | — | [`profile`] | a cost-instrumented evaluator (§7 overhead) |
+//! | §7, dynamic overhead of closure conversion | [`reduce`] | a cost-instrumented evaluator: [`reduce::evaluate_with_cost`], [`reduce::Cost`] |
 //!
 //! # Example
 //!
@@ -56,7 +56,6 @@ pub mod env;
 pub mod equiv;
 pub mod nbe;
 pub mod pretty;
-pub mod profile;
 pub mod reduce;
 pub mod subst;
 pub mod tolerant;

@@ -19,6 +19,8 @@
 //! * [`whnf`] — weak-head normalization (what the equivalence and type
 //!   checkers need),
 //! * [`normalize`] / [`normalize_default`] — full normalization,
+//! * [`evaluate_with_cost`] — the same normalization, also returning how many
+//!   times each rule fired (the [`Cost`] behind §7's overhead claims),
 //! * [`eval`] — evaluation of closed programs to values.
 //!
 //! Definition unfolding shares the environment's [`RcTerm`] instead of
@@ -28,6 +30,7 @@
 use crate::ast::{RcTerm, Term};
 use crate::env::Env;
 use crate::subst::{occurs_free, rename, subst};
+use cccc_util::cost::CostLabels;
 use cccc_util::fuel::Fuel;
 use cccc_util::symbol::Symbol;
 use std::fmt;
@@ -55,6 +58,24 @@ impl fmt::Display for ReduceError {
 }
 
 impl std::error::Error for ReduceError {}
+
+/// Marker selecting the CC-CC labels for the shared cost counters.
+#[derive(Clone, Copy, Debug)]
+pub struct CcccCost;
+
+impl CostLabels for CcccCost {
+    const APPLICATION: &'static str = "clo";
+    const FUNCTIONS: &'static str = "closures";
+    const TRACE_EVENT: &'static str = "cost.cccc";
+}
+
+/// Counters for the CC-CC reduction rules. [`Cost::applications`] counts
+/// closure applications: `⟪λ (n, x). e, e'⟫ e'' ⊲ e[e'/n][e''/x]`;
+/// [`Cost::functions_built`] counts closure values encountered as
+/// evaluation results (heap-allocation proxy for the closures a real
+/// runtime would create). Every captured variable costs one environment
+/// projection (a ζ-step through the projection prelude) per call.
+pub type Cost = cccc_util::cost::Cost<CcccCost>;
 
 /// The closure-application reduct `e[e'/n][e''/x]`, computed
 /// capture-avoidingly: the two substitutions are morally simultaneous, so
@@ -298,6 +319,17 @@ pub fn reduce_steps(env: &Env, term: &Term, max_steps: usize) -> (Term, usize) {
 /// [`ReduceError::BareCodeApplication`] when code is applied outside a
 /// closure.
 pub fn whnf(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError> {
+    whnf_counted(env, term, fuel, &mut Cost::default())
+}
+
+/// [`whnf`], adding each δ, ζ, closure-application, π and `if` step it
+/// takes to `cost`.
+fn whnf_counted(
+    env: &Env,
+    term: &Term,
+    fuel: &mut Fuel,
+    cost: &mut Cost,
+) -> Result<Term, ReduceError> {
     // Canonical heads and definition-free variables are already weak-head
     // normal: return a (shallow, handle-sharing) clone without interning
     // the head or spending fuel. This is the dominant case on the
@@ -326,19 +358,24 @@ pub fn whnf(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError
         }
         match &*current {
             Term::Var(x) => match env.lookup_definition(*x) {
-                Some(def) => current = def.clone(),
+                Some(def) => {
+                    cost.delta += 1;
+                    current = def.clone();
+                }
                 None => return Ok((*current).clone()),
             },
             Term::Let { binder, bound, body, .. } => {
+                cost.zeta += 1;
                 current = subst(body, *binder, bound).rc();
             }
             Term::App { func, arg } => {
-                let func_whnf = whnf(env, func, fuel)?;
+                let func_whnf = whnf_counted(env, func, fuel, cost)?;
                 match func_whnf {
                     Term::Closure { code, env: closure_env } => {
-                        let code_whnf = whnf(env, &code, fuel)?;
+                        let code_whnf = whnf_counted(env, &code, fuel, cost)?;
                         match code_whnf {
                             Term::Code { env_binder, arg_binder, body, .. } => {
+                                cost.applications += 1;
                                 current = apply_closure_code(
                                     env_binder,
                                     arg_binder,
@@ -365,24 +402,32 @@ pub fn whnf(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError
                 }
             }
             Term::Fst(e) => {
-                let inner = whnf(env, e, fuel)?;
+                let inner = whnf_counted(env, e, fuel, cost)?;
                 match inner {
-                    Term::Pair { first, .. } => current = first,
+                    Term::Pair { first, .. } => {
+                        cost.projection += 1;
+                        current = first;
+                    }
                     other => return Ok(Term::Fst(other.rc())),
                 }
             }
             Term::Snd(e) => {
-                let inner = whnf(env, e, fuel)?;
+                let inner = whnf_counted(env, e, fuel, cost)?;
                 match inner {
-                    Term::Pair { second, .. } => current = second,
+                    Term::Pair { second, .. } => {
+                        cost.projection += 1;
+                        current = second;
+                    }
                     other => return Ok(Term::Snd(other.rc())),
                 }
             }
             Term::If { scrutinee, then_branch, else_branch } => {
-                let s = whnf(env, scrutinee, fuel)?;
+                let s = whnf_counted(env, scrutinee, fuel, cost)?;
                 match s {
-                    Term::BoolLit(true) => current = then_branch.clone(),
-                    Term::BoolLit(false) => current = else_branch.clone(),
+                    Term::BoolLit(b) => {
+                        cost.conditional += 1;
+                        current = if b { then_branch.clone() } else { else_branch.clone() };
+                    }
                     other => {
                         return Ok(Term::If {
                             scrutinee: other.rc(),
@@ -411,19 +456,35 @@ pub fn whnf(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError
 ///
 /// See [`whnf`].
 pub fn normalize(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError> {
-    let head = whnf(env, term, fuel)?;
-    normalize_head(env, head, fuel)
+    normalize_counted(env, term, fuel, &mut Cost::default())
 }
 
-/// Normalizes the subterms of a term already in weak-head normal form.
-fn normalize_head(env: &Env, head: Term, fuel: &mut Fuel) -> Result<Term, ReduceError> {
-    let norm = |e: &RcTerm, fuel: &mut Fuel| -> Result<RcTerm, ReduceError> {
-        Ok(normalize(env, e, fuel)?.rc())
+/// [`normalize`], adding every rule it fires to `cost`.
+fn normalize_counted(
+    env: &Env,
+    term: &Term,
+    fuel: &mut Fuel,
+    cost: &mut Cost,
+) -> Result<Term, ReduceError> {
+    let head = whnf_counted(env, term, fuel, cost)?;
+    normalize_head(env, head, fuel, cost)
+}
+
+/// Normalizes the subterms of a term already in weak-head normal form,
+/// counting each closure and pair it rebuilds.
+fn normalize_head(
+    env: &Env,
+    head: Term,
+    fuel: &mut Fuel,
+    cost: &mut Cost,
+) -> Result<Term, ReduceError> {
+    let norm = |e: &RcTerm, fuel: &mut Fuel, cost: &mut Cost| -> Result<RcTerm, ReduceError> {
+        Ok(normalize_counted(env, e, fuel, cost)?.rc())
     };
     // Re-enters `normalize_head` (no `whnf`) on positions the enclosing
     // `whnf` already head-normalized.
-    let norm_whnf = |e: &RcTerm, fuel: &mut Fuel| -> Result<RcTerm, ReduceError> {
-        Ok(normalize_head(env, (**e).clone(), fuel)?.rc())
+    let norm_whnf = |e: &RcTerm, fuel: &mut Fuel, cost: &mut Cost| -> Result<RcTerm, ReduceError> {
+        Ok(normalize_head(env, (**e).clone(), fuel, cost)?.rc())
     };
     Ok(match head {
         Term::Var(_)
@@ -432,44 +493,52 @@ fn normalize_head(env: &Env, head: Term, fuel: &mut Fuel) -> Result<Term, Reduce
         | Term::UnitVal
         | Term::BoolTy
         | Term::BoolLit(_) => head,
-        Term::Pi { binder, domain, codomain } => {
-            Term::Pi { binder, domain: norm(&domain, fuel)?, codomain: norm(&codomain, fuel)? }
-        }
+        Term::Pi { binder, domain, codomain } => Term::Pi {
+            binder,
+            domain: norm(&domain, fuel, cost)?,
+            codomain: norm(&codomain, fuel, cost)?,
+        },
         Term::Code { env_binder, env_ty, arg_binder, arg_ty, body } => Term::Code {
             env_binder,
-            env_ty: norm(&env_ty, fuel)?,
+            env_ty: norm(&env_ty, fuel, cost)?,
             arg_binder,
-            arg_ty: norm(&arg_ty, fuel)?,
-            body: norm(&body, fuel)?,
+            arg_ty: norm(&arg_ty, fuel, cost)?,
+            body: norm(&body, fuel, cost)?,
         },
         Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => Term::CodeTy {
             env_binder,
-            env_ty: norm(&env_ty, fuel)?,
+            env_ty: norm(&env_ty, fuel, cost)?,
             arg_binder,
-            arg_ty: norm(&arg_ty, fuel)?,
-            result: norm(&result, fuel)?,
+            arg_ty: norm(&arg_ty, fuel, cost)?,
+            result: norm(&result, fuel, cost)?,
         },
         Term::Closure { code, env: closure_env } => {
-            Term::Closure { code: norm(&code, fuel)?, env: norm(&closure_env, fuel)? }
+            cost.functions_built += 1;
+            Term::Closure { code: norm(&code, fuel, cost)?, env: norm(&closure_env, fuel, cost)? }
         }
         Term::App { func, arg } => {
-            Term::App { func: norm_whnf(&func, fuel)?, arg: norm(&arg, fuel)? }
+            Term::App { func: norm_whnf(&func, fuel, cost)?, arg: norm(&arg, fuel, cost)? }
         }
         Term::Let { .. } => unreachable!("whnf eliminates let"),
-        Term::Sigma { binder, first, second } => {
-            Term::Sigma { binder, first: norm(&first, fuel)?, second: norm(&second, fuel)? }
-        }
-        Term::Pair { first, second, annotation } => Term::Pair {
-            first: norm(&first, fuel)?,
-            second: norm(&second, fuel)?,
-            annotation: norm(&annotation, fuel)?,
+        Term::Sigma { binder, first, second } => Term::Sigma {
+            binder,
+            first: norm(&first, fuel, cost)?,
+            second: norm(&second, fuel, cost)?,
         },
-        Term::Fst(e) => Term::Fst(norm_whnf(&e, fuel)?),
-        Term::Snd(e) => Term::Snd(norm_whnf(&e, fuel)?),
+        Term::Pair { first, second, annotation } => {
+            cost.pairs_built += 1;
+            Term::Pair {
+                first: norm(&first, fuel, cost)?,
+                second: norm(&second, fuel, cost)?,
+                annotation: norm(&annotation, fuel, cost)?,
+            }
+        }
+        Term::Fst(e) => Term::Fst(norm_whnf(&e, fuel, cost)?),
+        Term::Snd(e) => Term::Snd(norm_whnf(&e, fuel, cost)?),
         Term::If { scrutinee, then_branch, else_branch } => Term::If {
-            scrutinee: norm_whnf(&scrutinee, fuel)?,
-            then_branch: norm(&then_branch, fuel)?,
-            else_branch: norm(&else_branch, fuel)?,
+            scrutinee: norm_whnf(&scrutinee, fuel, cost)?,
+            then_branch: norm(&then_branch, fuel, cost)?,
+            else_branch: norm(&else_branch, fuel, cost)?,
         },
     })
 }
@@ -483,6 +552,37 @@ fn normalize_head(env: &Env, head: Term, fuel: &mut Fuel) -> Result<Term, Reduce
 pub fn normalize_default(env: &Env, term: &Term) -> Term {
     let mut fuel = Fuel::default();
     normalize(env, term, &mut fuel).expect("normalization of a well-typed term failed")
+}
+
+/// Normalizes `term` under `env` like [`normalize`], returning the value
+/// together with how many times each rule fired. It runs the same reducer,
+/// so it spends exactly the fuel [`normalize`] spends. When a trace sink is
+/// installed on the current thread the counters are also recorded as a
+/// `cost.cccc` event.
+///
+/// # Errors
+///
+/// See [`whnf`].
+pub fn evaluate_with_cost(
+    env: &Env,
+    term: &Term,
+    fuel: &mut Fuel,
+) -> Result<(Term, Cost), ReduceError> {
+    let mut cost = Cost::default();
+    let value = normalize_counted(env, term, fuel, &mut cost)?;
+    cost.record_trace();
+    Ok((value, cost))
+}
+
+/// [`evaluate_with_cost`] with the default fuel budget.
+///
+/// # Panics
+///
+/// Panics if the default budget is exhausted or the term applies bare
+/// code.
+pub fn evaluate_with_cost_default(env: &Env, term: &Term) -> (Term, Cost) {
+    let mut fuel = Fuel::default();
+    evaluate_with_cost(env, term, &mut fuel).expect("instrumented evaluation failed")
 }
 
 /// Evaluates a closed program to a value (Theorem 4.8's `e ⊲* v`).
@@ -502,6 +602,10 @@ mod tests {
 
     fn nf(t: &Term) -> Term {
         normalize_default(&Env::new(), t)
+    }
+
+    fn run(term: &Term) -> (Term, Cost) {
+        evaluate_with_cost_default(&Env::new(), term)
     }
 
     fn identity_closure() -> Term {
@@ -632,5 +736,75 @@ mod tests {
     fn reduce_error_displays() {
         assert_eq!(ReduceError::OutOfFuel.to_string(), "reduction fuel exhausted");
         assert!(ReduceError::BareCodeApplication.to_string().contains("code"));
+    }
+
+    #[test]
+    fn closure_applications_are_counted() {
+        let (value, cost) = run(&app(identity_closure(), tt()));
+        assert!(alpha_eq(&value, &tt()));
+        assert_eq!(cost.applications, 1);
+        assert_eq!(cost.total_steps(), 1);
+    }
+
+    #[test]
+    fn projection_preludes_cost_zeta_steps() {
+        // A closure capturing one variable: applying it fires one closure
+        // application and one ζ (the projection let).
+        let env_ty = product(bool_ty(), unit_ty());
+        let clo = closure(
+            code(
+                "n",
+                env_ty.clone(),
+                "x",
+                bool_ty(),
+                let_("b", bool_ty(), fst(var("n")), ite(var("b"), var("x"), ff())),
+            ),
+            pair(tt(), unit_val(), env_ty),
+        );
+        let (value, cost) = run(&app(clo, tt()));
+        assert!(alpha_eq(&value, &tt()));
+        assert_eq!(cost.applications, 1);
+        assert_eq!(cost.zeta, 1);
+        assert_eq!(cost.projection, 1);
+        assert_eq!(cost.conditional, 1);
+    }
+
+    #[test]
+    fn delta_counts_label_unfolding() {
+        let env = Env::new().with_definition(
+            cccc_util::Symbol::intern("id"),
+            identity_closure(),
+            pi("x", bool_ty(), bool_ty()),
+        );
+        let mut fuel = Fuel::default();
+        let (_, cost) = evaluate_with_cost(&env, &app(var("id"), ff()), &mut fuel).unwrap();
+        assert_eq!(cost.delta, 1);
+        assert_eq!(cost.applications, 1);
+    }
+
+    #[test]
+    fn allocation_proxies_fire() {
+        let (_, cost) = run(&identity_closure());
+        assert_eq!(cost.functions_built, 1);
+        let (_, cost) = run(&pair(tt(), ff(), product(bool_ty(), bool_ty())));
+        assert_eq!(cost.pairs_built, 1);
+    }
+
+    #[test]
+    fn instrumented_and_plain_normalization_agree() {
+        let program = app(identity_closure(), ite(app(identity_closure(), tt()), ff(), tt()));
+        let (value, cost) = run(&program);
+        let plain = crate::reduce::normalize_default(&Env::new(), &program);
+        assert!(alpha_eq(&value, &plain));
+        assert!(cost.total_steps() >= 3);
+    }
+
+    #[test]
+    fn cost_display_and_addition() {
+        let (_, a) = run(&app(identity_closure(), tt()));
+        let (_, b) = run(&app(identity_closure(), ff()));
+        let sum = a + b;
+        assert_eq!(sum.applications, 2);
+        assert!(sum.to_string().contains("clo="));
     }
 }

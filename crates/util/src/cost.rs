@@ -1,14 +1,14 @@
-//! Shared reduction-cost counters for the instrumented evaluators.
+//! Shared reduction-cost counters.
 //!
-//! `cccc-source` and `cccc-target` each carry a cost-profiling evaluator
-//! quantifying the paper's §7 dynamic-overhead claims (every source
-//! β-step becomes exactly one closure application; every captured
-//! variable costs one projection per call). Their counter structs were
-//! duplicated field-for-field, differing only in what the application
-//! rule and the function-value allocation proxy are *called*. This
-//! module is the shared shape: a [`Cost`] generic over a [`CostLabels`]
-//! marker that supplies the language-specific display labels, so the
-//! arithmetic, totals, trace payloads, and formatting live in one place.
+//! The paper's §7 dynamic-overhead claims (every source β-step becomes
+//! exactly one closure application; every captured variable costs one
+//! projection per call) are checked by counting rule firings. Each
+//! language's reducer (`cccc_source::reduce`, `cccc_target::reduce`) fills
+//! these counters as it steps, and its `evaluate_with_cost` returns them.
+//! The two languages differ only in what the application rule and the
+//! function-value allocation proxy are *called*, so [`Cost`] is generic
+//! over a [`CostLabels`] marker supplying the display labels, and the
+//! arithmetic, totals, trace payloads and formatting live here.
 
 use crate::trace;
 use std::fmt;
