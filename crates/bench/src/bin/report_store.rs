@@ -66,8 +66,9 @@ fn fat_term(leaves: usize) -> cccc_source::Term {
 
 /// The 16-unit diamond with fat middles: `base` exports the polymorphic
 /// identity, 14 α-equivalent middles (distinct only in a tag binder
-/// name, so store-backed sessions share one content-addressed blob)
-/// each apply it to a [`fat_term`], `top` folds them together.
+/// name, so they share one artifact key: one claim compiles or loads
+/// them, and the store holds one blob for all 14) each apply it to a
+/// [`fat_term`], `top` folds them together.
 fn store_workload() -> Vec<WorkUnit> {
     let mut units = Vec::with_capacity(16);
     units.push(WorkUnit { name: "base".to_owned(), imports: Vec::new(), term: prelude::poly_id() });
@@ -253,11 +254,11 @@ fn measure_gc(dir: &Path, generation0_bytes: u64) -> GcNumbers {
     let report = session.build(2).expect("graph is valid");
     assert!(report.is_success(), "signature rebuild failed: {}", report.summary());
     // Every unit re-keys under the new interface — nothing is answered
-    // by generation 0 — but the α-dedup still compiles roughly one
-    // representative per class (two workers can race one extra middle
-    // past the first blob's landing) and writes fresh blobs for all.
-    assert!(
-        (3..=4).contains(&report.compiled_count()),
+    // by generation 0 — but each α-class compiles once: the other 13
+    // middles wait for the first one's claim.
+    assert_eq!(
+        report.compiled_count(),
+        3,
         "only α-class representatives recompile: {}",
         report.summary()
     );
@@ -331,10 +332,9 @@ fn main() {
 
     // Gates. The probes already asserted per-rep counters and the
     // differential observation; here the cross-probe properties.
-    assert!(
-        (3..=4).contains(&cold.compiled),
-        "cold build compiles one representative per α-class (plus at most one racing \
-         middle on the second worker), got {}",
+    assert_eq!(
+        cold.compiled, 3,
+        "cold build compiles one representative per α-class, got {}",
         cold.compiled
     );
     assert_eq!(warm.compiled, 0, "restart-warm build compiles nothing");

@@ -1,43 +1,38 @@
-//! The fingerprint-keyed artifact cache: an in-memory tier, optionally
-//! backed by the persistent on-disk tier.
+//! The session's artifact table: one map from artifact key to artifact,
+//! shared by compiles and store loads, with single-flight claims.
 //!
 //! A compiled unit's artifact is fully determined by its *artifact
 //! query key* ([`crate::query::artifact_key`]): the α-invariant
 //! fingerprint of its source, the output-affecting compiler options,
 //! and the interface fingerprints of its transitive imports (a unit is
 //! compiled against interfaces only — §5.2 separate compilation — so
-//! import *bodies* are deliberately absent). The cache maps unit names
-//! to `(key, artifact)`; a build whose recomputed key matches reuses
-//! the artifact, and the downstream verified query decides — against
-//! the artifact's *output* fingerprint — whether check and verify need
-//! to re-run at all.
+//! import *bodies* are deliberately absent). The table is therefore keyed
+//! by content, not by unit name: α-twins — units equal up to binder
+//! names, with the same imports — share one entry.
 //!
-//! Lookups are **two-tier**: the in-memory map answers first; on a miss
-//! (or a stale entry) an attached [`ArtifactStore`] is consulted by the
-//! same fingerprint, and a valid blob is promoted into memory. Compiles
-//! **write through**: [`ArtifactCache::insert`] records the artifact in
-//! memory and persists it to the store, so the *next process* starts
-//! warm. Store problems never fail a lookup — a corrupt or version-skewed
-//! blob is just a miss (see [`crate::store`]).
+//! Each key is `Ready` (the artifact plus the [`CacheTier`] it came
+//! from) or `InFlight`. A worker that finds no settled entry *claims*
+//! the key and runs the whole unit under the claim: the store load,
+//! else typecheck + translate, then the verified query; it publishes
+//! only once the verdict is recorded. Workers wanting the same key
+//! meanwhile wait on the claim instead of loading or compiling it again
+//! ([`CacheStats::coalesced`]), so each α-class is loaded or compiled,
+//! and verified, by one claim at any worker count. A claim dropped
+//! without publishing — a failed phase, a panic, a cancellation — clears
+//! the key and wakes the waiters, each of which then claims it itself.
 //!
-//! Disk loads are deduplicated with per-fingerprint **in-flight
-//! guards**: α-equivalent units on different workers share one
-//! content-addressed blob, and without the guard each would read and
-//! decode it separately. The session's workers run the protocol —
-//! [`ArtifactCache::begin_disk_load`] wins the right to read,
-//! everyone else records a coalesced wait ([`CacheStats::coalesced`])
-//! and picks the promotion up when the winner finishes. The store
-//! itself is shared as an [`Arc`] ([`ArtifactCache::store_shared`]) so
-//! the file read happens *outside* the session's cache lock.
+//! After every build the table keeps only each unit name's latest key
+//! (at most one artifact per name), and every entry left moves to the
+//! memory tier for the next build. The persistent store is the
+//! session's, not the table's: see [`crate::store`].
 //!
 //! Artifacts are wire-encoded ([`cccc_target::wire`]) and shared behind
-//! [`Arc`], so cache reads hand workers cheap clones across threads.
+//! [`Arc`], so table reads hand workers cheap clones across threads.
 
-use crate::store::{ArtifactStore, LazySections};
-use cccc_core::pipeline::StoreStats;
+use crate::store::LazySections;
 use cccc_util::wire::{Fingerprint, WireTerm};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Where an artifact's three wire sections live: in memory (a fresh
 /// compile) or still on disk behind a lazily loaded blob's section
@@ -169,236 +164,192 @@ impl Artifact {
     }
 }
 
-/// Hit/miss/invalidation counters for the artifact cache's memory tier
-/// (disk-tier counters live in [`StoreStats`]).
+/// Hit/miss/invalidation counters for the artifact table (disk-tier
+/// counters live in [`cccc_core::pipeline::StoreStats`]). Every lookup
+/// counts exactly one of `hits`, `misses` and `invalidations`; one that
+/// had to wait also counts in `coalesced`.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered by a fingerprint-matching in-memory artifact.
+    /// Lookups answered by a settled entry for the key — including an
+    /// α-twin's, after waiting on its claim.
     pub hits: u64,
-    /// Lookups with no *memory-tier* entry for the unit. The promotion
-    /// map or the disk store may still answer such a lookup — compare
-    /// with [`StoreStats::disk_hits`] (surfaced per build through
-    /// `BuildReport::store`) to see how many of these the persistent
-    /// tier absorbed.
+    /// Lookups that found no entry for the key, the unit having no
+    /// earlier entry under another key. The store may still answer such
+    /// a lookup — compare with `StoreStats::disk_hits` (surfaced per
+    /// build through `BuildReport::store`).
     pub misses: u64,
-    /// Lookups whose memory entry existed but carried a stale fingerprint
-    /// (the unit or an interface it depends on changed).
+    /// Lookups that found no entry for the key while the unit's latest
+    /// entry sits under another key (the unit or an interface it depends
+    /// on changed).
     pub invalidations: u64,
-    /// Lookups that waited on another worker's in-flight disk load of
-    /// the same fingerprint instead of reading the blob again
-    /// (α-equivalent units racing on one content-addressed blob).
+    /// Lookups that waited on another worker's claim of the same key (an
+    /// α-twin being loaded or compiled) instead of loading or compiling
+    /// it again.
     pub coalesced: u64,
 }
 
-/// Which tier answered a cache lookup.
+impl CacheStats {
+    /// The activity between the `earlier` snapshot and this one.
+    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            invalidations: self.invalidations - earlier.invalidations,
+            coalesced: self.coalesced - earlier.coalesced,
+        }
+    }
+}
+
+/// Which tier answered a unit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheTier {
-    /// The in-memory map (this `Session` compiled or loaded it earlier).
+    /// The session's artifact table: an earlier build compiled or loaded
+    /// the artifact, or this build compiled it for an α-twin.
     Memory,
     /// The persistent on-disk store (possibly written by another
-    /// process); the artifact was promoted into memory on the way out.
+    /// process), read in this build — by the unit or by an α-twin whose
+    /// claim it waited on.
     Disk,
 }
 
-/// A two-tier artifact cache: an in-memory map keyed by unit name and
-/// validated by input fingerprint, optionally backed by a persistent
-/// content-addressed [`ArtifactStore`].
-#[derive(Default, Debug)]
-pub struct ArtifactCache {
-    entries: HashMap<String, (Fingerprint, Arc<Artifact>)>,
-    /// Disk loads promoted by *fingerprint*: the store is
-    /// content-addressed, so α-equivalent units (same source up to
-    /// binder names, same options, same import interfaces) share one
-    /// blob — this map makes the second such unit a memory answer
-    /// instead of a second file read. Populated only from disk loads;
-    /// entries keep their disk origin for diagnostics.
-    promoted: HashMap<Fingerprint, Arc<Artifact>>,
-    /// Fingerprints some worker is currently loading from disk (outside
-    /// the cache lock). Other workers wanting the same fingerprint wait
-    /// on the session's condvar instead of issuing a duplicate read.
-    in_flight: HashSet<Fingerprint>,
+/// One artifact key's state.
+enum Slot {
+    /// Loaded or compiled, with the tier it came from.
+    Ready(Arc<Artifact>, CacheTier),
+    /// A worker holds the key's [`Claim`].
+    InFlight,
+}
+
+#[derive(Default)]
+struct Table {
+    slots: HashMap<Fingerprint, Slot>,
+    /// Each unit name's latest key: the one it was last answered from.
+    latest: HashMap<String, Fingerprint>,
     stats: CacheStats,
-    store: Option<Arc<ArtifactStore>>,
+}
+
+/// The artifact table: internally synchronized, shared by a build's
+/// workers.
+#[derive(Default)]
+pub(crate) struct ArtifactCache {
+    table: Mutex<Table>,
+    /// Signalled whenever a claim ends, published or not.
+    claim_ended: Condvar,
+}
+
+/// What [`ArtifactCache::claim`] found under a key.
+pub(crate) enum Lookup<'a> {
+    /// A settled entry whose verdict is known: the unit is answered.
+    Ready(Arc<Artifact>, CacheTier),
+    /// The caller owns the key now. `prior` is the settled entry the
+    /// claim replaced because its verdict was unknown.
+    Claimed { claim: Claim<'a>, prior: Option<(Arc<Artifact>, CacheTier)> },
+}
+
+/// Ownership of one key until [`Claim::publish`]; dropping the claim
+/// unpublished clears the key and wakes its waiters.
+pub(crate) struct Claim<'a> {
+    cache: &'a ArtifactCache,
+    unit: &'a str,
+    key: Fingerprint,
 }
 
 impl ArtifactCache {
-    /// An empty cache with no disk tier.
-    pub fn new() -> ArtifactCache {
-        ArtifactCache::default()
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        // Every update under the lock is one insert, removal or counter
+        // bump, so the table stays consistent even if a holder panicked.
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// An empty memory tier over the given persistent store.
-    pub fn with_store(store: ArtifactStore) -> ArtifactCache {
-        ArtifactCache { store: Some(Arc::new(store)), ..ArtifactCache::default() }
-    }
-
-    /// The persistent store, if one is attached.
-    pub fn store(&self) -> Option<&ArtifactStore> {
-        self.store.as_deref()
-    }
-
-    /// A shared handle to the persistent store, so callers can perform
-    /// file reads *outside* whatever lock guards this cache (the store
-    /// is internally synchronized).
-    pub fn store_shared(&self) -> Option<Arc<ArtifactStore>> {
-        self.store.clone()
-    }
-
-    /// Disk-tier counters (all-zero when no store is attached). Activity
-    /// counters only — no directory scan; use
-    /// [`ArtifactCache::store_stats`] for sizes.
-    pub fn store_counters(&self) -> StoreStats {
-        self.store.as_deref().map(ArtifactStore::counters).unwrap_or_default()
-    }
-
-    /// Disk-tier counters plus current store sizes (`None` when no store
-    /// is attached).
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_deref().map(ArtifactStore::stats)
-    }
-
-    /// The memory tiers only — the named-entry map, then earlier disk
-    /// promotions by fingerprint — counting the outcome (hit, stale
-    /// invalidation, or miss). A promotion-map answer is re-inserted
-    /// under the unit's name and reports [`CacheTier::Disk`]: the
-    /// distinction callers care about is where the artifact ultimately
-    /// came from. Does **not** consult the store; callers that want the
-    /// disk tier run the in-flight-guard protocol (the session) or call
-    /// [`ArtifactCache::lookup`] (synchronous convenience).
-    pub fn lookup_memory(
-        &mut self,
-        unit: &str,
-        fingerprint: Fingerprint,
-    ) -> Option<(Arc<Artifact>, CacheTier)> {
-        match self.entries.get(unit) {
-            Some((cached, artifact)) if *cached == fingerprint => {
-                self.stats.hits += 1;
-                return Some((Arc::clone(artifact), CacheTier::Memory));
+    /// Looks `key` up for `unit`, waiting out any other worker's claim
+    /// on it. A `Ready` entry answers when `verdict_known` holds for its
+    /// artifact; otherwise — or with no entry — the caller claims the
+    /// key.
+    pub(crate) fn claim<'a>(
+        &'a self,
+        unit: &'a str,
+        key: Fingerprint,
+        verdict_known: impl Fn(&Artifact) -> bool,
+    ) -> Lookup<'a> {
+        let mut guard = self.lock();
+        let mut waited = false;
+        while let Some(Slot::InFlight) = guard.slots.get(&key) {
+            if !waited {
+                guard.stats.coalesced += 1;
+                waited = true;
             }
-            Some(_) => self.stats.invalidations += 1,
-            None => self.stats.misses += 1,
+            guard = self.claim_ended.wait(guard).unwrap_or_else(PoisonError::into_inner);
         }
-        self.promotion(unit, fingerprint)
+        let table = &mut *guard;
+        let prior = match table.slots.get(&key) {
+            Some(Slot::Ready(artifact, tier)) => {
+                table.stats.hits += 1;
+                let found = (Arc::clone(artifact), *tier);
+                if verdict_known(artifact) {
+                    table.latest.insert(unit.to_owned(), key);
+                    return Lookup::Ready(found.0, found.1);
+                }
+                Some(found)
+            }
+            _ if table.latest.get(unit).is_some_and(|latest| *latest != key) => {
+                table.stats.invalidations += 1;
+                None
+            }
+            _ => {
+                table.stats.misses += 1;
+                None
+            }
+        };
+        table.slots.insert(key, Slot::InFlight);
+        Lookup::Claimed { claim: Claim { cache: self, unit, key }, prior }
     }
 
-    /// The promotion map alone, *without* counting a lookup — the
-    /// re-check a coalesced waiter performs after the winning loader
-    /// finishes (its miss was already counted by
-    /// [`ArtifactCache::lookup_memory`]).
-    pub fn promotion(
-        &mut self,
-        unit: &str,
-        fingerprint: Fingerprint,
-    ) -> Option<(Arc<Artifact>, CacheTier)> {
-        let artifact = Arc::clone(self.promoted.get(&fingerprint)?);
-        self.entries.insert(unit.to_owned(), (fingerprint, Arc::clone(&artifact)));
-        Some((artifact, CacheTier::Disk))
+    /// Ends a build: keeps only each unit name's latest key and files
+    /// every entry left under [`CacheTier::Memory`] for the next build.
+    pub(crate) fn finish_build(&self) {
+        let mut guard = self.lock();
+        let table = &mut *guard;
+        let live: HashSet<Fingerprint> = table.latest.values().copied().collect();
+        table.slots.retain(|key, slot| match slot {
+            Slot::Ready(_, tier) if live.contains(key) => {
+                *tier = CacheTier::Memory;
+                true
+            }
+            _ => false,
+        });
     }
 
-    /// Claims the right to load `fingerprint` from disk. Returns `false`
-    /// when another worker's load is already in flight — the caller
-    /// should record a coalesced wait and sleep on the session condvar.
-    pub fn begin_disk_load(&mut self, fingerprint: Fingerprint) -> bool {
-        self.in_flight.insert(fingerprint)
+    /// A snapshot of the counters.
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.lock().stats
     }
 
-    /// Whether a disk load of `fingerprint` is currently in flight.
-    pub fn disk_load_in_flight(&self, fingerprint: Fingerprint) -> bool {
-        self.in_flight.contains(&fingerprint)
+    /// Drops every entry and resets the counters (used to measure cold
+    /// builds). The store, if any, is untouched.
+    pub(crate) fn clear(&mut self) {
+        *self.table.get_mut().unwrap_or_else(PoisonError::into_inner) = Table::default();
     }
+}
 
-    /// Releases the in-flight guard taken by
-    /// [`ArtifactCache::begin_disk_load`], promoting the loaded artifact
-    /// (if the read produced one) for every waiter to pick up.
-    pub fn finish_disk_load(&mut self, fingerprint: Fingerprint, artifact: Option<&Arc<Artifact>>) {
-        self.in_flight.remove(&fingerprint);
-        if let Some(artifact) = artifact {
-            self.promoted.insert(fingerprint, Arc::clone(artifact));
+impl Claim<'_> {
+    /// Settles the key on `artifact`, answered from `tier`. Call only
+    /// once the artifact's verdict is recorded: waiters take a published
+    /// entry as final.
+    pub(crate) fn publish(self, artifact: Arc<Artifact>, tier: CacheTier) {
+        let mut table = self.cache.lock();
+        table.slots.insert(self.key, Slot::Ready(artifact, tier));
+        table.latest.insert(self.unit.to_owned(), self.key);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut table = self.cache.lock();
+        if let Some(Slot::InFlight) = table.slots.get(&self.key) {
+            table.slots.remove(&self.key);
         }
-    }
-
-    /// Counts one coalesced wait (a lookup answered by another worker's
-    /// in-flight disk load instead of a duplicate read).
-    pub fn note_coalesced(&mut self) {
-        self.stats.coalesced += 1;
-    }
-
-    /// Looks up the artifact for `unit`, valid only under `fingerprint`:
-    /// memory first, then earlier disk promotions by fingerprint, then
-    /// the store itself — synchronously, with the file read performed
-    /// inline (the session's workers use the in-flight-guard protocol
-    /// instead, so concurrent α-equivalent lookups read the blob once).
-    /// A disk hit is promoted into memory both under the unit's name and
-    /// under its fingerprint, so subsequent lookups — including ones for
-    /// *other* units with α-equivalent inputs — are answered without
-    /// touching the file system again.
-    pub fn lookup(
-        &mut self,
-        unit: &str,
-        fingerprint: Fingerprint,
-    ) -> Option<(Arc<Artifact>, CacheTier)> {
-        if let Some(found) = self.lookup_memory(unit, fingerprint) {
-            return Some(found);
-        }
-        let store = self.store.as_deref()?;
-        let artifact = Arc::new(store.load(fingerprint)?);
-        self.entries.insert(unit.to_owned(), (fingerprint, Arc::clone(&artifact)));
-        self.promoted.insert(fingerprint, Arc::clone(&artifact));
-        Some((artifact, CacheTier::Disk))
-    }
-
-    /// Records the artifact for `unit` under its input fingerprint,
-    /// replacing any stale memory entry and writing through to the store
-    /// (when one is attached) so later *processes* can reuse it.
-    pub fn insert(&mut self, unit: &str, fingerprint: Fingerprint, artifact: Arc<Artifact>) {
-        let rendered = self.store.is_some().then(|| crate::store::render_blob(&artifact)).flatten();
-        self.insert_prerendered(unit, fingerprint, artifact, rendered);
-    }
-
-    /// [`ArtifactCache::insert`] with the write-through blob already
-    /// rendered by [`crate::store::render_blob`]. The driver's workers
-    /// render on their own thread *before* taking the session's cache
-    /// lock, so the transcode — the dominant cost of a write-through —
-    /// never serializes other workers. `rendered` must be `None` only
-    /// when no store is attached or rendering failed (the latter is
-    /// counted as a write error).
-    pub(crate) fn insert_prerendered(
-        &mut self,
-        unit: &str,
-        fingerprint: Fingerprint,
-        artifact: Arc<Artifact>,
-        rendered: Option<Vec<u64>>,
-    ) {
-        if let Some(store) = self.store.as_deref() {
-            store.save_rendered(fingerprint, rendered.as_deref());
-        }
-        self.entries.insert(unit.to_owned(), (fingerprint, artifact));
-    }
-
-    /// Number of cached units in the memory tier.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the memory tier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// A snapshot of the memory-tier counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Drops every *memory* entry and resets the memory counters (used
-    /// to measure cold builds). The disk tier is deliberately untouched:
-    /// use [`ArtifactCache::store`] + [`ArtifactStore::wipe`] to make
-    /// the next build cold on disk too.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.promoted.clear();
-        self.in_flight.clear();
-        self.stats = CacheStats::default();
+        drop(table);
+        self.cache.claim_ended.notify_all();
     }
 }
 
@@ -418,131 +369,135 @@ mod tests {
         ))
     }
 
-    #[test]
-    fn lookups_distinguish_hit_miss_and_invalidation() {
-        let mut cache = ArtifactCache::new();
-        let fp1 = Fingerprint::of_words(&[1]);
-        let fp2 = Fingerprint::of_words(&[2]);
-        assert!(cache.lookup("m", fp1).is_none());
-        cache.insert("m", fp1, artifact(&t::tt()));
-        assert!(cache.lookup("m", fp1).is_some());
-        assert!(cache.lookup("m", fp2).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.invalidations, 1);
-        assert_eq!(cache.len(), 1);
+    fn fp(word: u64) -> Fingerprint {
+        Fingerprint::of_words(&[word])
+    }
+
+    /// Claims `key` for `unit`, which must find no settled entry, and
+    /// publishes `artifact` from `tier`.
+    fn settle(cache: &ArtifactCache, unit: &str, key: Fingerprint, tt: bool, tier: CacheTier) {
+        let term = if tt { t::tt() } else { t::ff() };
+        match cache.claim(unit, key, |_| true) {
+            Lookup::Claimed { claim, .. } => claim.publish(artifact(&term), tier),
+            Lookup::Ready(..) => panic!("`{unit}` found a settled entry"),
+        }
+    }
+
+    /// The settled entry under `key`, if any; a claim taken instead is
+    /// dropped unpublished.
+    fn ready(cache: &ArtifactCache, unit: &str, key: Fingerprint) -> Option<CacheTier> {
+        match cache.claim(unit, key, |_| true) {
+            Lookup::Ready(_, tier) => Some(tier),
+            Lookup::Claimed { .. } => None,
+        }
     }
 
     #[test]
-    fn insert_replaces_stale_entries() {
-        let mut cache = ArtifactCache::new();
-        let fp1 = Fingerprint::of_words(&[1]);
-        let fp2 = Fingerprint::of_words(&[2]);
-        cache.insert("m", fp1, artifact(&t::tt()));
-        cache.insert("m", fp2, artifact(&t::ff()));
-        assert_eq!(cache.len(), 1);
-        assert!(cache.lookup("m", fp1).is_none());
-        let (hit, tier) = cache.lookup("m", fp2).unwrap();
+    fn lookups_distinguish_hit_miss_and_invalidation() {
+        let cache = ArtifactCache::default();
+        settle(&cache, "m", fp(1), true, CacheTier::Memory);
+        assert_eq!(ready(&cache, "m", fp(1)), Some(CacheTier::Memory));
+        assert_eq!(ready(&cache, "m", fp(2)), None, "m's latest entry is under another key");
+        assert_eq!(ready(&cache, "n", fp(2)), None, "n has no entry at all");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.invalidations), (1, 2, 1));
+        assert_eq!(stats.coalesced, 0);
+        assert_eq!(stats.since(&CacheStats { hits: 1, ..CacheStats::default() }).hits, 0);
+    }
+
+    #[test]
+    fn finished_builds_keep_each_names_latest_key_in_the_memory_tier() {
+        let cache = ArtifactCache::default();
+        settle(&cache, "m", fp(1), true, CacheTier::Memory);
+        cache.finish_build();
+        settle(&cache, "m", fp(2), false, CacheTier::Memory);
+        cache.finish_build();
+        assert_eq!(ready(&cache, "m", fp(1)), None, "the stale entry was dropped");
+        let Lookup::Ready(hit, tier) = cache.claim("m", fp(2), |_| true) else {
+            panic!("the latest entry survives")
+        };
         assert_eq!(tier, CacheTier::Memory);
         let decoded = cccc_target::wire::decode(&hit.target().unwrap()).unwrap();
         assert!(matches!(decoded, cccc_target::Term::BoolLit(false)));
+
+        // α-twins share one entry, kept while either name's latest key
+        // is on it.
+        settle(&cache, "a", fp(3), true, CacheTier::Memory);
+        assert_eq!(ready(&cache, "b", fp(3)), Some(CacheTier::Memory));
+        settle(&cache, "a", fp(4), true, CacheTier::Memory);
+        cache.finish_build();
+        assert_eq!(ready(&cache, "b", fp(3)), Some(CacheTier::Memory));
     }
 
     #[test]
-    fn disk_tier_answers_memory_misses_and_promotes() {
-        let dir = std::env::temp_dir().join(format!("cccc-cache-two-tier-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = crate::store::ArtifactStore::open(&dir).unwrap();
-        let mut cache = ArtifactCache::with_store(store);
-        let fp = Fingerprint::of_words(&[11]);
-        // A well-formed artifact (each section in its own language): the
-        // store transcodes sections on write-through, so — unlike the
-        // memory-only tests above — the fields must decode.
-        let stored = Arc::new(Artifact::new(
-            cccc_source::wire::encode(&cccc_source::builder::bool_ty()),
-            cccc_target::wire::encode(&t::tt()),
-            cccc_target::wire::encode(&t::bool_ty()),
-            Fingerprint::of_words(&[3]),
-            Fingerprint::of_words(&[4]),
-        ));
+    fn disk_loads_answer_twins_from_disk_then_move_to_memory() {
+        let cache = ArtifactCache::default();
+        settle(&cache, "a", fp(5), true, CacheTier::Disk);
+        assert_eq!(ready(&cache, "b", fp(5)), Some(CacheTier::Disk), "the twin reports the disk");
+        cache.finish_build();
+        assert_eq!(ready(&cache, "a", fp(5)), Some(CacheTier::Memory));
+    }
 
-        // A miss in both tiers.
-        assert!(cache.lookup("m", fp).is_none());
-        assert_eq!(cache.store_counters().disk_misses, 1);
-
-        // Write-through on insert …
-        cache.insert("m", fp, stored);
-        assert_eq!(cache.store_counters().write_throughs, 1);
-
-        // … memory answers while the entry is live …
-        let (_, tier) = cache.lookup("m", fp).unwrap();
-        assert_eq!(tier, CacheTier::Memory);
-
-        // … and after the memory tier is cleared, the disk tier answers
-        // and promotes the artifact back into memory.
-        cache.clear();
-        let (hit, tier) = cache.lookup("m", fp).unwrap();
-        assert_eq!(tier, CacheTier::Disk);
-        assert!(hit.is_lazy(), "disk hits defer their section decodes");
-        let decoded = cccc_target::wire::decode(&hit.target().unwrap()).unwrap();
-        assert!(matches!(decoded, cccc_target::Term::BoolLit(true)));
-        assert_eq!(
-            hit.output_fingerprint(),
-            Fingerprint::of_words(&[4]),
-            "output fp survives the disk"
-        );
-        assert_eq!(cache.store_counters().disk_hits, 1);
-        let (_, tier) = cache.lookup("m", fp).unwrap();
-        assert_eq!(tier, CacheTier::Memory, "the disk hit was promoted");
-
-        // Wiping the store makes a cleared cache fully cold.
-        cache.store().unwrap().wipe().unwrap();
-        cache.clear();
-        assert!(cache.lookup("m", fp).is_none());
-        assert_eq!(cache.store_stats().unwrap().entries, 0);
-        let _ = std::fs::remove_dir_all(&dir);
+    #[test]
+    fn entries_with_unknown_verdicts_are_claimed() {
+        let cache = ArtifactCache::default();
+        settle(&cache, "m", fp(6), true, CacheTier::Memory);
+        match cache.claim("m", fp(6), |_| false) {
+            Lookup::Claimed { prior: Some((_, CacheTier::Memory)), .. } => {}
+            _ => panic!("an unknown verdict claims the key, handing over the entry"),
+        }
+        assert_eq!(cache.stats().hits, 1, "the artifact itself was found");
+        assert_eq!(ready(&cache, "m", fp(6)), None, "the unpublished claim cleared the key");
     }
 
     #[test]
     fn in_flight_guards_deduplicate_and_count_coalesced_waits() {
-        let mut cache = ArtifactCache::new();
-        let fp = Fingerprint::of_words(&[21]);
-        assert!(cache.begin_disk_load(fp), "first claimant wins the load");
-        assert!(!cache.begin_disk_load(fp), "second claimant must wait");
-        assert!(cache.disk_load_in_flight(fp));
-        cache.note_coalesced();
-
-        // The winner finishes with an artifact: waiters find it in the
-        // promotion map without another read (and without re-counting a
-        // lookup outcome).
-        let loaded = artifact(&t::tt());
-        cache.finish_disk_load(fp, Some(&loaded));
-        assert!(!cache.disk_load_in_flight(fp));
-        let (_, tier) = cache.promotion("waiter", fp).unwrap();
-        assert_eq!(tier, CacheTier::Disk, "disk origin survives the coalesced hand-off");
+        let cache = ArtifactCache::default();
+        let Lookup::Claimed { claim, .. } = cache.claim("a", fp(7), |_| true) else {
+            panic!("an empty table is claimed")
+        };
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| ready(&cache, "b", fp(7)));
+            while cache.stats().coalesced == 0 {
+                std::thread::yield_now();
+            }
+            claim.publish(artifact(&t::tt()), CacheTier::Disk);
+            assert_eq!(waiter.join().unwrap(), Some(CacheTier::Disk));
+        });
         let stats = cache.stats();
-        assert_eq!(stats.coalesced, 1);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 0);
+        assert_eq!((stats.hits, stats.misses, stats.coalesced), (1, 1, 1));
+    }
 
-        // A load that found nothing releases the guard and promotes
-        // nothing.
-        let fp2 = Fingerprint::of_words(&[22]);
-        assert!(cache.begin_disk_load(fp2));
-        cache.finish_disk_load(fp2, None);
-        assert!(!cache.disk_load_in_flight(fp2));
-        assert!(cache.promotion("waiter", fp2).is_none());
+    #[test]
+    fn a_dropped_claim_wakes_waiters_to_claim_for_themselves() {
+        let cache = ArtifactCache::default();
+        let Lookup::Claimed { claim, .. } = cache.claim("a", fp(8), |_| true) else {
+            panic!("an empty table is claimed")
+        };
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| match cache.claim("b", fp(8), |_| true) {
+                Lookup::Claimed { claim, prior: None } => {
+                    claim.publish(artifact(&t::tt()), CacheTier::Memory);
+                    true
+                }
+                _ => false,
+            });
+            while cache.stats().coalesced == 0 {
+                std::thread::yield_now();
+            }
+            drop(claim);
+            assert!(waiter.join().unwrap(), "the waiter claimed the cleared key");
+        });
+        assert_eq!(ready(&cache, "a", fp(8)), Some(CacheTier::Memory));
     }
 
     #[test]
     fn clear_empties_cache_and_counters() {
-        let mut cache = ArtifactCache::new();
-        cache.insert("m", Fingerprint::default(), artifact(&t::tt()));
-        let _ = cache.lookup("m", Fingerprint::default());
+        let mut cache = ArtifactCache::default();
+        settle(&cache, "m", Fingerprint::default(), true, CacheTier::Memory);
         cache.clear();
-        assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(ready(&cache, "m", Fingerprint::default()), None);
     }
 
     #[test]

@@ -13,16 +13,23 @@
 //!   ready units in parallel (one interner per worker thread; terms cross
 //!   workers through [`cccc_util::wire`]), per-unit diagnostics, and
 //!   module-level linking;
-//! * [`cache`] — the fingerprint-keyed artifact cache: a unit's artifact
-//!   is keyed by its source, its options, and its imports' *interface*
-//!   fingerprints, so no-op rebuilds re-verify nothing and
+//! * [`query`] — the artifact and verified query keys: a unit's artifact
+//!   is keyed by its α-invariant source, its options, and its imports'
+//!   *interface* fingerprints, so no-op rebuilds re-verify nothing and
 //!   implementation-only changes don't cascade;
+//! * [`cache`] — the artifact table, keyed by those keys: α-twins (units
+//!   equal up to binder names, with the same imports) share one
+//!   single-flight entry, so each α-class is loaded or compiled, and
+//!   verified, by one claim at any worker count;
+//! * [`store`] — the persistent, content-addressed artifact store a
+//!   session can be backed by, so a fresh process starts warm;
 //! * [`poison`] — poisoned interfaces for keep-going builds
 //!   ([`cccc_core::pipeline::CompilerOptions::keep_going`]): a failed
 //!   unit publishes its partial interface plus diagnostics, so dependents
 //!   type-check and report their *own* errors instead of being skipped;
 //! * [`workloads`] — multi-unit workload families (independent units,
-//!   diamonds, deep chains) for the benches and the differential suites;
+//!   diamonds, deep chains), one α-class per unit, for the benches and
+//!   the differential suites;
 //! * [`chaos`] — the seeded chaos harness: composable storage faults,
 //!   injected worker panics, read latency, and mid-build cancellation,
 //!   with every run differentially checked against the sequential
@@ -74,7 +81,7 @@ pub mod store;
 pub mod timings;
 pub mod workloads;
 
-pub use cache::{Artifact, ArtifactCache, CacheStats, CacheTier};
+pub use cache::{Artifact, CacheStats, CacheTier};
 pub use chaos::{ChaosOutcome, ChaosPlan, PanicPlan};
 pub use graph::{Plan, Unit, UnitGraph};
 pub use poison::PoisonedInterface;

@@ -17,10 +17,15 @@
 //!   unit's artifact type-checks and preserves its source type"), keyed by
 //!   source, dependencies, the artifact's **output** fingerprint
 //!   (interface ⊕ target ⊕ target type, all α-invariant), and the engine
-//!   bit. A hit skips the check *and* verify phases entirely. α-equivalent
-//!   units with the same imports share one key, so they check and verify
-//!   once per session; the session persists verdicts as tiny on-disk
-//!   records so restarts skip them too.
+//!   bit. A hit skips the check *and* verify phases entirely. The
+//!   session persists verdicts as tiny on-disk records so restarts skip
+//!   them too.
+//!
+//! α-twins — units equal up to binder names, with the same imports —
+//! share every key. The session's artifact table ([`crate::cache`]) is
+//! keyed by the artifact key and single-flight, so one claim loads or
+//! compiles a twin class, checks and verifies it, and the other twins
+//! wait for it instead of running any phase themselves.
 //!
 //! [`check_key`] only names the check a verified record certifies: each
 //! `.vfy` record stores it, and a record answers only while it matches.
@@ -170,7 +175,8 @@ impl std::fmt::Display for QueryCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads;
+    use crate::session::Session;
+    use cccc_source::builder as s;
 
     fn options() -> CompilerOptions {
         CompilerOptions::default()
@@ -241,12 +247,15 @@ mod tests {
 
     #[test]
     fn query_state_memoizes_and_clears() {
-        // The session's only query state is its verified set: the
-        // α-twin `mid01` is answered by `mid00`'s verdict, and
-        // `clear_cache` forgets every verdict along with the artifacts.
-        let mut session = workloads::session_from(&workloads::diamond(2, 1), options());
+        // The session's query state is its artifact table and verified
+        // set: the α-twin `b` is answered by `a`'s artifact and verdict,
+        // and `clear_cache` forgets both.
+        let mut session = Session::new(options());
+        session.add_unit("a", &[], &s::lam("x", s::bool_ty(), s::var("x"))).unwrap();
+        session.add_unit("b", &[], &s::lam("y", s::bool_ty(), s::var("y"))).unwrap();
         let cold = session.build(1).unwrap();
-        assert_eq!(cold.queries, QueryCounts { typecheck: 4, translate: 4, check: 3, verify: 3 });
+        assert_eq!(cold.queries, QueryCounts { typecheck: 1, translate: 1, check: 1, verify: 1 });
+        assert_eq!(cold.cached_count(), 1);
         session.clear_cache();
         assert_eq!(session.build(1).unwrap().queries, cold.queries);
     }

@@ -2,20 +2,24 @@
 //! onto parallel workers, with the pipeline re-expressed as memoized,
 //! dependency-tracked queries whose results can outlive the process.
 //!
-//! A [`Session`] owns a [`UnitGraph`], an [`ArtifactCache`] (optionally
-//! backed by a persistent [`ArtifactStore`] — [`Session::with_store`]),
-//! the set of verified verdicts, and the [`CompilerOptions`] every unit
-//! is compiled with. [`Session::build`] validates the graph, then runs a
-//! work-stealing pool of OS threads: each worker owns its thread's
-//! CC/CC-CC interners and memo tables (the kernel's handles are `!Send`
-//! by design), picks ready units off the shared frontier
-//! *critical-path-first* (longest chain to a sink, [`Plan::priority`]),
-//! imports its dependencies' *interfaces* through the wire codec, and
-//! then answers the unit from two queries (see [`crate::query`]):
+//! A [`Session`] owns a [`UnitGraph`], the artifact table
+//! ([`crate::cache`]), optionally a persistent [`ArtifactStore`]
+//! ([`Session::with_store`]), the set of verified verdicts, and the
+//! [`CompilerOptions`] every unit is compiled with. [`Session::build`]
+//! validates the graph, then runs a work-stealing pool of OS threads:
+//! each worker owns its thread's CC/CC-CC interners and memo tables (the
+//! kernel's handles are `!Send` by design), picks ready units off the
+//! shared frontier *critical-path-first* (longest chain to a sink,
+//! [`Plan::priority`]), imports its dependencies' *interfaces* through
+//! the wire codec, and then answers the unit from two queries (see
+//! [`crate::query`]):
 //!
 //! - the **artifact** query (`unit → cc-artifact`) reuses a
 //!   fingerprint-matching compiled artifact — from memory or from disk —
-//!   and otherwise runs the typecheck and translate phases;
+//!   and otherwise runs the typecheck and translate phases. The table is
+//!   keyed by content and single-flight: the first unit to want a key
+//!   claims it and runs the whole unit, and α-twins wait for that claim,
+//!   so each α-class is loaded or compiled, and verified, once;
 //! - the **verified** query (`unit → verified`), run on whichever
 //!   artifact the first query produced, reuses the end-to-end
 //!   verification verdict — from the session's set or from a tiny
@@ -30,7 +34,7 @@
 //! runs nothing — and with a store attached, so does the first build of
 //! a *fresh process* over unchanged sources.
 
-use crate::cache::{Artifact, ArtifactCache, CacheStats, CacheTier};
+use crate::cache::{Artifact, ArtifactCache, CacheStats, CacheTier, Lookup};
 use crate::chaos::PanicPlan;
 use crate::graph::{Plan, Unit, UnitGraph};
 use crate::poison::PoisonedInterface;
@@ -159,7 +163,7 @@ pub struct BuildReport {
     pub workers: usize,
     /// End-to-end wall time of the build.
     pub wall_time: Duration,
-    /// Artifact-cache (memory tier) activity during this build.
+    /// Artifact-table activity during this build.
     pub cache: CacheStats,
     /// Per-phase execution totals — how many units actually ran each
     /// phase this build, the rest having been cut off by the query
@@ -349,10 +353,8 @@ impl BuildReport {
 pub struct Session {
     graph: UnitGraph,
     options: CompilerOptions,
-    cache: Mutex<ArtifactCache>,
-    /// Signals the completion of an in-flight disk load, waking workers
-    /// whose lookup coalesced onto it.
-    cache_ready: Condvar,
+    cache: ArtifactCache,
+    store: Option<ArtifactStore>,
     /// Verify keys ([`query::verify_key`]) whose verdict this session
     /// has established or read from the store. Content-addressed, so
     /// α-equivalent units check and verify once.
@@ -431,16 +433,14 @@ struct SchedState {
 
 /// Everything a worker needs for one build, bundled so the query-layer
 /// helpers don't take ten parameters each. Shared by reference across
-/// the pool; the store handle is the session cache's own `Arc`, cloned
-/// once per build so workers can read blobs outside the cache lock.
+/// the pool.
 struct BuildCtx<'a> {
     graph: &'a UnitGraph,
     plan: &'a Plan,
     options: CompilerOptions,
-    cache: &'a Mutex<ArtifactCache>,
-    cache_ready: &'a Condvar,
+    cache: &'a ArtifactCache,
     verified: &'a Mutex<HashSet<Fingerprint>>,
-    store: Option<Arc<ArtifactStore>>,
+    store: Option<&'a ArtifactStore>,
     cancel: CancelToken,
     cancel_after: Option<usize>,
     panic_plan: Option<Arc<PanicPlan>>,
@@ -453,8 +453,8 @@ impl Session {
         Session {
             graph: UnitGraph::new(),
             options,
-            cache: Mutex::new(ArtifactCache::new()),
-            cache_ready: Condvar::new(),
+            cache: ArtifactCache::default(),
+            store: None,
             verified: Mutex::new(HashSet::new()),
             store_budget: None,
             cancel: CancelToken::new(),
@@ -483,7 +483,7 @@ impl Session {
     ) -> Result<Session, DriverError> {
         let store =
             ArtifactStore::open(store_dir).map_err(|e| DriverError::Store(e.to_string()))?;
-        Ok(Session { cache: Mutex::new(ArtifactCache::with_store(store)), ..Session::new(options) })
+        Ok(Session { store: Some(store), ..Session::new(options) })
     }
 
     /// Installs a deterministic fault plan on the persistent store (no-op
@@ -492,9 +492,7 @@ impl Session {
     /// indices. Storage faults must degrade to cache misses, never wrong
     /// answers; the fault-injection suites drive this.
     pub fn set_store_faults(&mut self, plan: FaultPlan) {
-        if let Some(store) =
-            self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).store()
-        {
+        if let Some(store) = &self.store {
             store.set_faults(plan);
         }
     }
@@ -513,9 +511,7 @@ impl Session {
     /// outside all session locks) so tests can observe disk-load
     /// concurrency deterministically. No-op without a store.
     pub fn set_store_read_delay(&mut self, delay: Duration) {
-        if let Some(store) =
-            self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).store()
-        {
+        if let Some(store) = &self.store {
             store.set_read_delay(delay);
         }
     }
@@ -567,10 +563,10 @@ impl Session {
     /// key bakes in the engine bit ([`CompilerOptions::use_nbe`]), the
     /// only option that changes what a successful compile produces, so
     /// switching options never serves a stale result. Switching *back*
-    /// is only partly warm: the memory tier keeps one artifact per unit
-    /// name, so every unit the other engine built re-runs typecheck and
-    /// translate, while the verified set keeps both engines' verdicts,
-    /// so check and verify stay cut off.
+    /// is only partly warm: after each build the artifact table keeps
+    /// only each unit name's latest key, so every unit the other engine
+    /// built re-runs typecheck and translate, while the verified set
+    /// keeps both engines' verdicts, so check and verify stay cut off.
     pub fn set_options(&mut self, options: CompilerOptions) {
         self.options = options;
     }
@@ -619,22 +615,21 @@ impl Session {
         self.graph.update_unit(name, term)
     }
 
-    /// Artifact-cache (memory tier) counters accumulated over the
-    /// session.
+    /// Artifact-table counters accumulated over the session.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).stats()
+        self.cache.stats()
     }
 
     /// Persistent-store counters and sizes (`None` without a store).
     pub fn store_stats(&self) -> Option<StoreStats> {
-        self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).store_stats()
+        self.store.as_ref().map(ArtifactStore::stats)
     }
 
     /// Drops every cached artifact *and* every verified verdict from
     /// memory (turns the next build cold in this session; a persistent
     /// store, if attached, still answers).
     pub fn clear_cache(&mut self) {
-        self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+        self.cache.clear();
         self.verified.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
         self.results.clear();
         self.poisons.clear();
@@ -648,7 +643,7 @@ impl Session {
     ///
     /// Returns [`DriverError::Store`] on a deletion failure.
     pub fn wipe_store(&mut self) -> Result<(), DriverError> {
-        match self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).store() {
+        match &self.store {
             Some(store) => store.wipe().map_err(|e| DriverError::Store(e.to_string())),
             None => Ok(()),
         }
@@ -707,26 +702,16 @@ impl Session {
         let unit_count = self.graph.len();
         let workers = workers.max(1).min(unit_count.max(1));
         let started = Instant::now();
-        let cache_before = self.cache_stats();
-        let store_before = self
-            .cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .store()
-            .map(ArtifactStore::counters);
+        let cache_before = self.cache.stats();
+        let store_before = self.store.as_ref().map(ArtifactStore::counters);
 
         let ctx = BuildCtx {
             graph: &self.graph,
             plan: &plan,
             options: self.options,
             cache: &self.cache,
-            cache_ready: &self.cache_ready,
             verified: &self.verified,
-            store: self
-                .cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .store_shared(),
+            store: self.store.as_ref(),
             cancel: self.cancel.clone(),
             cancel_after: self.cancel_after,
             panic_plan: self.panic_plan.clone(),
@@ -779,6 +764,7 @@ impl Session {
         });
 
         let mut state = state.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.cache.finish_build();
         self.results.clear();
         self.poisons.clear();
         for (u, outcome) in state.outcomes.iter().enumerate() {
@@ -795,7 +781,7 @@ impl Session {
         // Sweep the store down to its budget while the reachable set is
         // fresh — before the store-counter delta below, so the sweep's
         // eviction counters land in this build's report.
-        let gc = match (self.store_budget, ctx.store.as_deref()) {
+        let gc = match (self.store_budget, ctx.store) {
             (Some(budget), Some(store)) => Some(store.gc(&self.live_store_keys(&plan), budget)),
             _ => None,
         };
@@ -820,14 +806,8 @@ impl Session {
         for unit in &units {
             queries.add(unit.phase_runs);
         }
-        let cache_after = self.cache_stats();
-        let store = store_before.map(|before| {
-            self.cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .store_counters()
-                .since(&before)
-        });
+        let store =
+            store_before.zip(ctx.store).map(|(before, store)| store.counters().since(&before));
         let trace_data = sink.finish();
         let metrics = trace_data.as_ref().map(|t| {
             let mut metrics = BuildMetrics::of(t);
@@ -849,12 +829,7 @@ impl Session {
             outcome,
             workers,
             wall_time: started.elapsed(),
-            cache: CacheStats {
-                hits: cache_after.hits - cache_before.hits,
-                misses: cache_after.misses - cache_before.misses,
-                invalidations: cache_after.invalidations - cache_before.invalidations,
-                coalesced: cache_after.coalesced - cache_before.coalesced,
-            },
+            cache: self.cache.stats().since(&cache_before),
             queries,
             store,
             gc,
@@ -1145,18 +1120,35 @@ fn handle_unit(
         let dep_fp = dep_fingerprint(ctx, deps);
         (query::artifact_key(unit.source_alpha, dep_fp, &ctx.options), dep_fp)
     };
-    let mut hit = lookup_artifact(ctx, &unit.name, artifact_key);
-    let lookup_event = match hit {
-        Some((_, CacheTier::Memory)) => "cache.hit.memory",
-        Some((_, CacheTier::Disk)) => "cache.hit.disk",
-        None => "cache.miss",
+    // The artifact query's lookup: a settled entry answers the unit;
+    // otherwise this worker claims the key and, holding it, tries the
+    // store, so α-twins wait here instead of loading or compiling again.
+    let (claim, mut hit) = {
+        let _span = trace::span("cache.lookup");
+        let verdict_known = |artifact: &Artifact| {
+            let output = artifact.output_fingerprint();
+            let key = query::verify_key(unit.source_alpha, dep_fp, output, &ctx.options);
+            let verified = ctx.verified.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            !ctx.options.typecheck_output || verified.contains(&key)
+        };
+        match ctx.cache.claim(&unit.name, artifact_key, verdict_known) {
+            Lookup::Ready(artifact, tier) => {
+                trace::event(hit_event(tier), &[]);
+                let report = cached_report(worker, unit, &artifact, tier, artifact_key, started);
+                return (report, Some(Outcome::Built(artifact)));
+            }
+            Lookup::Claimed { claim, prior } => {
+                let load = || Some((Arc::new(ctx.store?.load(artifact_key)?), CacheTier::Disk));
+                (claim, prior.or_else(load))
+            }
+        }
     };
-    trace::event(lookup_event, &[]);
+    trace::event(hit.as_ref().map_or("cache.miss", |(_, tier)| hit_event(*tier)), &[]);
     let before = cache_snapshot();
     // A second pass happens only when a cached blob turns out to have
-    // rotted; it recompiles.
+    // rotted; it recompiles under the same claim.
     loop {
-        // The artifact query: the cache's answer, else typecheck + translate.
+        // The artifact query: the claim's answer, else typecheck + translate.
         let (artifact, answer) = match hit.take() {
             Some((artifact, tier)) => (artifact, Answer::Cached(tier)),
             None => match compile_unit(ctx, unit_index, deps) {
@@ -1196,29 +1188,26 @@ fn handle_unit(
             }
         };
 
-        if let (Answer::Cached(tier), None) = (&answer, verdict) {
-            let report = cached_report(worker, unit, &artifact, *tier, artifact_key, started);
-            return (report, Some(Outcome::Built(artifact)));
-        }
-        let caches = cache_snapshot().since(&before);
+        let tier = match answer {
+            Answer::Cached(tier) => tier,
+            Answer::Compiled { .. } => {
+                if let Some(store) = ctx.store {
+                    store.save(artifact_key, &artifact);
+                }
+                CacheTier::Memory
+            }
+        };
+        // The verdict is recorded: waiting α-twins may take the artifact.
+        claim.publish(Arc::clone(&artifact), tier);
         let (compiled, phases) = match answer {
+            Answer::Cached(_) if verdict.is_none() => {
+                let report = cached_report(worker, unit, &artifact, tier, artifact_key, started);
+                return (report, Some(Outcome::Built(artifact)));
+            }
             Answer::Cached(_) => (false, PhaseNanos::default()),
             Answer::Compiled { phases, .. } => (true, phases),
         };
-        if compiled {
-            // Render the write-through blob on this worker's own time —
-            // the transcode dominates the cost of persisting, and doing
-            // it under the cache lock would serialize every other
-            // worker behind it.
-            let rendered =
-                ctx.store.is_some().then(|| crate::store::render_blob(&artifact)).flatten();
-            ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner).insert_prerendered(
-                &unit.name,
-                artifact_key,
-                Arc::clone(&artifact),
-                rendered,
-            );
-        }
+        let caches = cache_snapshot().since(&before);
         let (check, verify) = verdict.unwrap_or_default();
         let checked = verdict.is_some();
         let target_words = artifact.target_words();
@@ -1237,6 +1226,14 @@ fn handle_unit(
             ..UnitReport::new(worker, unit, UnitStatus::Compiled, started)
         };
         return (report, Some(Outcome::Built(artifact)));
+    }
+}
+
+/// The trace event for a unit answered from `tier`.
+fn hit_event(tier: CacheTier) -> &'static str {
+    match tier {
+        CacheTier::Memory => "cache.hit.memory",
+        CacheTier::Disk => "cache.hit.disk",
     }
 }
 
@@ -1319,7 +1316,7 @@ fn verified_step(
         .phase_verify(env, term, Some(&target_env), &inferred, &target_type)
         .map_err(UnitFailure::phase)?;
     ctx.verified.lock().unwrap_or_else(std::sync::PoisonError::into_inner).insert(verify_key);
-    if let Some(store) = ctx.store.as_ref() {
+    if let Some(store) = ctx.store {
         store.save_verified(verify_key, check_key, tgt::wire::fingerprint_alpha(&inferred));
     }
     Ok(Some((check_ns, verify_ns)))
@@ -1514,52 +1511,6 @@ fn dep_fingerprint(ctx: &BuildCtx<'_>, deps: &[(usize, Outcome)]) -> Fingerprint
     })
 }
 
-/// The artifact query's storage tiers: memory under the cache lock, then
-/// — for at most one worker per fingerprint — the store, with the file
-/// read performed *outside* the lock. Workers racing for the same
-/// fingerprint (α-equivalent units) coalesce: they sleep on the session
-/// condvar and pick up the winner's promotion instead of reading and
-/// decoding the same blob twice.
-fn lookup_artifact(
-    ctx: &BuildCtx<'_>,
-    unit: &str,
-    key: Fingerprint,
-) -> Option<(Arc<Artifact>, CacheTier)> {
-    let _span = trace::span("cache.lookup");
-    let mut cache = ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(found) = cache.lookup_memory(unit, key) {
-        return Some(found);
-    }
-    let store = ctx.store.as_ref()?;
-    let mut counted_wait = false;
-    loop {
-        if cache.begin_disk_load(key) {
-            // This worker won the right to read the blob; do the file
-            // I/O with the lock released so unrelated lookups proceed.
-            drop(cache);
-            let loaded = store.load(key).map(Arc::new);
-            cache = ctx.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            cache.finish_disk_load(key, loaded.as_ref());
-            ctx.cache_ready.notify_all();
-            return cache.promotion(unit, key);
-        }
-        // Another worker is reading this very blob: coalesce onto its
-        // load instead of decoding the same bytes twice.
-        if !counted_wait {
-            cache.note_coalesced();
-            counted_wait = true;
-        }
-        cache = ctx.cache_ready.wait(cache).unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(found) = cache.promotion(unit, key) {
-            return Some(found);
-        }
-        // The load finished without an artifact (missing or corrupt
-        // blob): loop back — begin_disk_load now succeeds and this
-        // worker probes the store itself. Spurious wakeups land here
-        // too and simply re-wait.
-    }
-}
-
 /// Whether the verified query answers: first the session's verdicts,
 /// then the store's verified records (which seed the session's set on a
 /// hit, so the disk is consulted at most once per verdict per session).
@@ -1568,7 +1519,7 @@ fn verified_hit(ctx: &BuildCtx<'_>, verify_key: Fingerprint, check_key: Fingerpr
     {
         return true;
     }
-    let Some(store) = ctx.store.as_ref() else {
+    let Some(store) = ctx.store else {
         return false;
     };
     match store.load_verified(verify_key) {

@@ -1,8 +1,8 @@
 //! The persistent, content-addressed artifact store: warm rebuilds that
 //! survive process restarts.
 //!
-//! The in-memory [`ArtifactCache`](crate::cache::ArtifactCache) dies with
-//! its [`Session`](crate::session::Session), so every new process used to
+//! The in-memory artifact table ([`crate::cache`]) dies with its
+//! [`Session`](crate::session::Session), so every new process used to
 //! pay the full cold-build cost. This module is the second tier: compiled
 //! artifacts are written through to an on-disk store keyed by their
 //! *artifact query key* (source ⊕ options ⊕ import interfaces — all
@@ -99,8 +99,8 @@
 //! payload).
 //!
 //! All methods take `&self`: the store synchronizes internally, so a
-//! session can share one instance across workers ([`std::sync::Arc`])
-//! and perform file reads outside its cache lock.
+//! session's workers share one instance and read and write it without
+//! holding any session lock.
 
 use crate::cache::Artifact;
 use cccc_core::pipeline::StoreStats;
@@ -308,8 +308,8 @@ impl StoreState {
 
 /// A persistent, content-addressed artifact store rooted at a directory.
 ///
-/// Opened with [`ArtifactStore::open`] and normally owned by an
-/// [`ArtifactCache`](crate::cache::ArtifactCache) as its disk tier (see
+/// Opened with [`ArtifactStore::open`] and normally owned by a session as
+/// its disk tier (see
 /// [`Session::with_store`](crate::session::Session::with_store)). All
 /// methods tolerate corruption and I/O failure by design: the only
 /// fallible operations are opening (the directory must be creatable) and
@@ -468,9 +468,9 @@ impl ArtifactStore {
     /// jittered backoff ([`Backoff`], seeded from the key) before the
     /// load gives up as a miss: a flaky read must not cost a warm hit.
     /// Each attempt is counted in [`StoreStats::retries`], traced as
-    /// `store.retry`, and — because retries run inside the session's
-    /// per-fingerprint in-flight guard — never raced by a sibling load
-    /// of the same key. Corruption is permanent and never retried, and a
+    /// `store.retry`, and — because retries run under the session's
+    /// claim on the key — never raced by a sibling load of the same
+    /// key. Corruption is permanent and never retried, and a
     /// missing blob returns immediately (cold misses pay no backoff).
     /// A cancelled build stops retrying at once.
     pub fn load(&self, fingerprint: Fingerprint) -> Option<Artifact> {
@@ -635,26 +635,14 @@ impl ArtifactStore {
     /// raised; an existing blob (the store is content-addressed, so its
     /// payload is necessarily equivalent) is left in place.
     ///
-    /// The driver's workers pre-render the blob *outside* the session's
-    /// cache lock and hand the words to the crate-private
-    /// `save_rendered`, keeping the transcode off the lock's critical
-    /// section; this method is the convenient one-call form.
-    pub fn save(&self, fingerprint: Fingerprint, artifact: &Artifact) {
-        let rendered = render_blob(artifact);
-        self.save_rendered(fingerprint, rendered.as_deref());
-    }
-
-    /// [`ArtifactStore::save`] for a blob already rendered by
-    /// [`render_blob`]; `None` records the render failure.
-    ///
     /// Write and rename failures are transient until proven otherwise:
     /// the whole temp-file + rename sequence is retried under the same
     /// bounded [`Backoff`] as loads (atomicity is per attempt, so a
     /// reader still sees the whole blob or none of it). Only after the
     /// attempt budget is spent does the failure count as a
     /// [`StoreStats::write_errors`] — swallowed, as ever.
-    pub(crate) fn save_rendered(&self, fingerprint: Fingerprint, words: Option<&[u64]>) {
-        let Some(words) = words else {
+    pub fn save(&self, fingerprint: Fingerprint, artifact: &Artifact) {
+        let Some(words) = render_blob(artifact) else {
             self.state().stats.write_errors += 1;
             return;
         };
@@ -664,7 +652,7 @@ impl ArtifactStore {
         }
         let write_span = trace::span("store.write");
         write_span.counter("bytes", (words.len() * WORD_BYTES) as u64);
-        let bytes = words_to_bytes(words);
+        let bytes = words_to_bytes(&words);
         // Decorrelate the write schedule from the same key's read one.
         let seed = (fingerprint.0 as u64) ^ ((fingerprint.0 >> 64) as u64) ^ 1;
         let mut backoff = Backoff::new(seed);
@@ -1016,10 +1004,8 @@ fn words_to_bytes(words: &[u64]) -> Vec<u8> {
 /// Serializes an artifact into v3 blob words (header with section table,
 /// then the three section bodies). Returns `None` if a section fails to
 /// decode — a process-local corruption that should never happen and is
-/// treated as a write error. Pure CPU work (the transcode dominates
-/// write-through cost), so the driver's workers run it outside the
-/// session cache lock.
-pub(crate) fn render_blob(artifact: &Artifact) -> Option<Vec<u64>> {
+/// treated as a write error.
+fn render_blob(artifact: &Artifact) -> Option<Vec<u64>> {
     let render_span = trace::span("store.render");
     // Transcode each section into the portable encoding. The in-memory
     // sections were produced by this process (or loaded portably), so

@@ -68,8 +68,8 @@ pub fn render(report: &BuildReport) -> String {
         report.queries,
         possible.saturating_sub(report.queries.total())
     );
-    // Memory-tier cache traffic, including how many same-fingerprint
-    // lookups coalesced onto another worker's in-flight disk load.
+    // Artifact-table traffic, including how many lookups waited on an
+    // α-twin's claim instead of loading or compiling the same key.
     let cache = &report.cache;
     let _ = writeln!(
         out,
@@ -226,10 +226,8 @@ mod tests {
         let mut session = crate::workloads::session_from(&units, CompilerOptions::default());
         let cold = session.build(1).unwrap();
         let rendered = render(&cold);
-        assert!(rendered.contains("queries: phases 16tc/16tr/3ck/3vf run"));
-        // The diamond's non-representative middles skipped check/verify
-        // (settled once per α-class) and the table says so.
-        assert!(rendered.contains("[skipped: check, verify]"));
+        assert!(rendered.contains("queries: phases 16tc/16tr/16ck/16vf run, 0 cut off"));
+        assert!(!rendered.contains("[skipped:"));
 
         // An implementation-only edit: the edited unit re-runs all four
         // phases, early cutoff answers everything else.
@@ -237,6 +235,15 @@ mod tests {
         let edited = session.build(1).unwrap();
         let rendered = render(&edited);
         assert!(rendered.contains("queries: phases 1tc/1tr/1ck/1vf run, 60 cut off"));
+
+        // Undoing it recompiles `base` (the artifact table keeps one key
+        // per unit name) against a verdict the session still knows, and
+        // the table says which phases that skipped.
+        session.update_unit("base", &units[0].term).unwrap();
+        let undone = session.build(1).unwrap();
+        let rendered = render(&undone);
+        assert!(rendered.contains("queries: phases 1tc/1tr/0ck/0vf run, 62 cut off"));
+        assert!(rendered.contains("[skipped: check, verify]"));
 
         // A fully-cached rebuild keeps the bare "-" cells.
         let warm = session.build(1).unwrap();

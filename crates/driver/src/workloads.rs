@@ -12,6 +12,13 @@
 //! * [`deep_chain`] — each unit imports the previous one: zero available
 //!   parallelism, the scheduling-overhead control group.
 //!
+//! Every unit of these families is its own α-class — units that would
+//! otherwise coincide are tagged with `if` chains of distinct depth — so
+//! every unit compiles and verifies on its own, with or without a store:
+//! the artifact table ([`crate::cache`]) settles units equal up to binder
+//! names once, and the throughput families must measure distinct work.
+//! Tests that exercise that sharing build explicit α-twins instead.
+//!
 //! Every workload above is closed, well-typed, and observes to a boolean
 //! at the root, so driver output can be checked end-to-end against the
 //! sequential pipeline and the linked program's value. [`broken_web`] is
@@ -47,16 +54,16 @@ fn work_term(work: usize) -> src::Term {
     s::app(prelude::church_is_even(), square)
 }
 
-/// Wraps `body` in a unit-specific `let`, so every unit's source is
-/// *textually* distinct (distinct structural wire fingerprints) even
-/// when the interesting work is identical. The tag is a binder name, so
-/// the units remain **α-equivalent** and share one α-invariant input
-/// fingerprint: store-backed sessions deliberately compile one
-/// representative per family and answer the rest by content address,
-/// while store-less sessions (what the throughput benchmarks run)
-/// compile every unit.
-fn tagged(name: &str, body: src::Term) -> src::Term {
-    s::let_(&format!("tag_{name}"), s::bool_ty(), s::tt(), body)
+/// Wraps `body` in a `let` binding a left-nested `if` chain of depth
+/// `index` (`index + 1` `if` nodes), so units with distinct indices are
+/// distinct α-classes even when the interesting work is identical: each
+/// has its own artifact key, and none is answered by another's compile.
+fn tagged(index: usize, body: src::Term) -> src::Term {
+    let mut tag = s::ite(s::tt(), s::tt(), s::ff());
+    for _ in 0..index {
+        tag = s::ite(tag, s::tt(), s::ff());
+    }
+    s::let_("tag", s::bool_ty(), tag, body)
 }
 
 /// `count` units with no imports, each type-checking `is_even(work²)`.
@@ -64,7 +71,7 @@ pub fn independent_units(count: usize, work: usize) -> Vec<WorkUnit> {
     (0..count)
         .map(|i| {
             let name = format!("unit{i:02}");
-            let term = tagged(&name, work_term(work));
+            let term = tagged(i, work_term(work));
             WorkUnit { name, imports: Vec::new(), term }
         })
         .collect()
@@ -80,7 +87,7 @@ pub fn diamond(middles: usize, work: usize) -> Vec<WorkUnit> {
     for i in 0..middles {
         let name = format!("mid{i:02}");
         // base : Π A : ⋆. Π x : A. A, instantiated at Bool.
-        let term = tagged(&name, s::app(s::app(s::var("base"), s::bool_ty()), work_term(work)));
+        let term = tagged(i, s::app(s::app(s::var("base"), s::bool_ty()), work_term(work)));
         units.push(WorkUnit { name: name.clone(), imports: vec!["base".to_owned()], term });
         mid_names.push(name);
     }
@@ -105,11 +112,11 @@ pub fn deep_chain(length: usize, work: usize) -> Vec<WorkUnit> {
             units.push(WorkUnit {
                 name: name.clone(),
                 imports: Vec::new(),
-                term: tagged(&name, work_term(work)),
+                term: tagged(i, work_term(work)),
             });
         } else {
             let previous = format!("link{:02}", i - 1);
-            let term = tagged(&name, s::ite(s::var(&previous), work_term(work), s::ff()));
+            let term = tagged(i, s::ite(s::var(&previous), work_term(work), s::ff()));
             units.push(WorkUnit { name, imports: vec![previous], term });
         }
     }
@@ -133,18 +140,18 @@ pub fn skewed(chain: usize, fan: usize, work: usize) -> Vec<WorkUnit> {
     let mut import_names = Vec::with_capacity(fan + 1);
     for i in 0..fan {
         let name = format!("leaf{i:02}");
-        let term = tagged(&name, work_term(1));
+        let term = tagged(i, work_term(1));
         units.push(WorkUnit { name: name.clone(), imports: Vec::new(), term });
         import_names.push(name);
     }
     for i in 0..chain {
         let name = format!("stage{i:02}");
         if i == 0 {
-            let term = tagged(&name, work_term(work));
+            let term = tagged(fan, work_term(work));
             units.push(WorkUnit { name, imports: Vec::new(), term });
         } else {
             let previous = format!("stage{:02}", i - 1);
-            let term = tagged(&name, s::ite(s::var(&previous), work_term(work), s::ff()));
+            let term = tagged(fan + i, s::ite(s::var(&previous), work_term(work), s::ff()));
             units.push(WorkUnit { name, imports: vec![previous], term });
         }
     }
@@ -189,9 +196,9 @@ pub fn broken_web() -> Vec<WorkUnit> {
     vec![
         unit("b0", &[], s::app(s::tt(), s::ff())),
         unit("b1", &[], s::let_("x", s::bool_ty(), s::star(), s::tt())),
-        unit("g0", &[], tagged("g0", work_term(1))),
-        unit("g1", &[], tagged("g1", work_term(1))),
-        unit("g2", &[], tagged("g2", work_term(1))),
+        unit("g0", &[], tagged(0, work_term(1))),
+        unit("g1", &[], tagged(1, work_term(1))),
+        unit("g2", &[], tagged(2, work_term(1))),
         unit("b2", &["g0"], s::ite(s::var("g0"), s::var("missing"), s::ff())),
         unit("m0", &["b0"], s::ite(s::var("b0"), s::tt(), s::ff())),
         unit("m1", &["b1"], s::ite(s::var("b1"), s::tt(), s::ff())),
@@ -209,12 +216,11 @@ pub fn broken_web() -> Vec<WorkUnit> {
 /// One step of a scripted edit stream: the edit itself — `unit`'s source
 /// replaced by `term` ([`Session::update_unit`]) — plus exactly what the
 /// next incremental build must re-run. Predictions assume a
-/// **store-less, one-worker** session warmed by a build of the previous
-/// step's state — the deterministic configuration the differential
-/// suite and the `BENCH_query.json` gates use. (The counts are α-class
-/// aware: the check and verified queries are content-addressed, so the
-/// diamond's fourteen α-equivalent middle units settle those phases
-/// once.)
+/// **store-less** session warmed by a build of the previous step's
+/// state — the configuration the differential suite and the
+/// `BENCH_query.json` gates use. Every unit of the diamond is its own
+/// α-class, so a unit that re-keys re-runs every phase, and the counts
+/// hold at any worker count.
 #[derive(Clone, Debug)]
 pub struct EditStep {
     /// Stable machine-readable label (lands in `BENCH_query.json`).
@@ -243,8 +249,7 @@ pub struct EditStep {
 ///    source fingerprint is unchanged, so **zero** phases run anywhere;
 /// 3. `signature` — `base` now returns `Bool` (`λ A : ⋆. λ x : A. tt`):
 ///    every unit re-keys (the middles still type-check — they only
-///    apply `base` — so the whole graph recompiles, check/verify once
-///    per α-class).
+///    apply `base`), so all 16 re-run all four phases.
 ///
 /// Steps are cumulative: each prediction is against the state the
 /// previous steps left behind.
@@ -294,7 +299,7 @@ pub fn edits(work: usize) -> (Vec<WorkUnit>, Vec<EditStep>) {
             label: "signature",
             unit: "base",
             term: signature_variant,
-            predicted: QueryCounts { typecheck: 16, translate: 16, check: 3, verify: 3 },
+            predicted: QueryCounts { typecheck: 16, translate: 16, check: 16, verify: 16 },
             invalidated: everyone,
         },
     ];
@@ -351,6 +356,23 @@ mod tests {
             cccc_source::wire::fingerprint(&units[1].term),
             "unit sources must have distinct fingerprints"
         );
+    }
+
+    #[test]
+    fn every_family_unit_is_its_own_alpha_class() {
+        let families = [
+            independent_units(8, 1),
+            diamond(14, 1),
+            deep_chain(4, 1),
+            skewed(3, 4, 1),
+            broken_web(),
+            edits(1).0,
+        ];
+        for units in &families {
+            let classes: std::collections::HashSet<_> =
+                units.iter().map(|u| cccc_source::wire::fingerprint_alpha(&u.term)).collect();
+            assert_eq!(classes.len(), units.len(), "α-twins in {:?}", root_of(units));
+        }
     }
 
     #[test]

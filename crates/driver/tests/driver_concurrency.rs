@@ -1,8 +1,8 @@
 //! Concurrency properties of the disk tier on restart-warm builds:
-//! blob reads run *outside* the session's cache lock (proved by
-//! overlapping `store.read` spans on different workers), and the
-//! per-fingerprint in-flight guards mean each α-class is read from disk
-//! exactly once no matter how many units or workers want it.
+//! blob reads run *outside* every session lock (proved by overlapping
+//! `store.read` spans on different workers), and the artifact table's
+//! single-flight claims mean each α-class is read from disk exactly once
+//! no matter how many units or workers want it.
 //!
 //! Both tests inject a read delay ([`Session::set_store_read_delay`])
 //! to stretch every blob read far past the scheduler's bookkeeping, so
@@ -12,7 +12,7 @@
 
 use cccc_core::pipeline::CompilerOptions;
 use cccc_driver::session::Session;
-use cccc_driver::workloads::{self, WorkUnit};
+use cccc_driver::workloads::WorkUnit;
 use cccc_util::trace::SpanRecord;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -27,8 +27,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// Import-free units whose sources are structurally distinct (not
 /// α-variants), so every unit owns its own store blob *and* every unit
 /// is ready the moment the build starts — the workers' disk loads have
-/// no dependency edges forcing them apart. (The stock workloads share
-/// α-fingerprints by design — wrong tool for counting reads per class.)
+/// no dependency edges forcing them apart.
 fn distinct_leaves(count: usize) -> Vec<WorkUnit> {
     use cccc_source::builder as s;
     (0..count)
@@ -68,8 +67,8 @@ fn overlapping_pair_on_distinct_workers(spans: &[&SpanRecord]) -> Option<(usize,
 /// The tentpole property, witnessed from the trace: a restart-warm
 /// build's blob reads on different workers overlap in time. Every
 /// `store.read` span is stretched to ≥5 ms, so if the loads were
-/// serialized — open/read/checksum performed while holding the session
-/// cache lock — no two spans from different workers could intersect.
+/// serialized — open/read/checksum performed while holding a session
+/// lock — no two spans from different workers could intersect.
 #[test]
 fn warm_blob_reads_overlap_across_workers() {
     let units = distinct_leaves(6);
@@ -97,18 +96,33 @@ fn warm_blob_reads_overlap_across_workers() {
     assert!(
         overlapping_pair_on_distinct_workers(&reads).is_some(),
         "no two store.read spans from different workers overlap — blob I/O \
-         is being serialized under the session cache lock"
+         is being serialized under a session lock"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The in-flight guard, under contention: α-equivalent units racing on
-/// one content-addressed blob produce exactly one disk read per
-/// α-class; every other worker records a coalesced wait and picks the
-/// promotion up instead of reading the file again.
+/// The single-flight claim, under contention: α-equivalent units racing
+/// on one content-addressed blob produce exactly one disk read per
+/// α-class; every other worker records a coalesced wait and takes the
+/// claimant's load instead of reading the file again.
 #[test]
 fn alpha_equivalent_warm_loads_coalesce_to_one_read_per_class() {
-    let units = workloads::diamond(8, 2); // base + 8 α-equivalent middles + root
+    use cccc_source::builder as s;
+    // `base`, 8 α-equivalent middles behind it, and a root folding them.
+    let mut units = vec![WorkUnit {
+        name: "base".to_owned(),
+        imports: Vec::new(),
+        term: cccc_source::prelude::poly_id(),
+    }];
+    for i in 0..8 {
+        let binder = format!("v{i}");
+        let applied = s::app(s::app(s::var("base"), s::bool_ty()), s::tt());
+        let term = s::let_(&binder, s::bool_ty(), applied, s::var(&binder));
+        units.push(WorkUnit { name: format!("mid{i}"), imports: vec!["base".to_owned()], term });
+    }
+    let mids: Vec<String> = (0..8).map(|i| format!("mid{i}")).collect();
+    let root = mids.iter().rev().fold(s::tt(), |body, mid| s::ite(s::var(mid), body, s::ff()));
+    units.push(WorkUnit { name: "root".to_owned(), imports: mids, term: root });
     let dir = temp_dir("coalesce");
     session_with_store(&units, &dir).build(2).unwrap();
 
@@ -124,10 +138,10 @@ fn alpha_equivalent_warm_loads_coalesce_to_one_read_per_class() {
     let store = report.store.expect("session has a store");
     assert_eq!(store.disk_hits, 3, "one disk load per α-class");
     // With the read stretched to 5 ms the second worker is guaranteed
-    // to find the middle class's load still in flight.
+    // to find the middle class's claim still held by the loader.
     assert!(
         warm.cache_stats().coalesced >= 1,
-        "a concurrent α-equivalent lookup waited on the in-flight load: {:?}",
+        "a concurrent α-equivalent lookup waited on the loader's claim: {:?}",
         warm.cache_stats()
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,9 +1,12 @@
-//! Incremental-rebuild behaviour of the fingerprint-keyed artifact
-//! cache, including the CI smoke configuration: a 16-unit diamond built
-//! with 2 workers whose warm rebuild compiles zero units.
+//! Incremental-rebuild behaviour of the content-keyed artifact table,
+//! including the CI smoke configuration (a 16-unit diamond built with 2
+//! workers whose warm rebuild compiles zero units) and single-flight
+//! α-twins.
 
 use cccc_core::pipeline::CompilerOptions;
+use cccc_driver::cache::CacheTier;
 use cccc_driver::query::QueryCounts;
+use cccc_driver::session::Session;
 use cccc_driver::workloads::{deep_chain, diamond, independent_units, root_of, session_from};
 use cccc_driver::UnitStatus;
 use cccc_source::builder as s;
@@ -152,8 +155,9 @@ fn switching_the_engine_back_recompiles_artifacts_but_keeps_verdicts() {
     session.set_options(nbe);
     let back = session.build(1).unwrap();
     assert!(back.is_success());
-    // The memory tier keeps one artifact per unit name, and the Step
-    // build replaced all 16: every unit re-runs typecheck and translate.
+    // After each build the artifact table keeps only each unit name's
+    // latest key, so the Step build's keys replaced all 16: every unit
+    // re-runs typecheck and translate.
     assert_eq!(back.cache.invalidations, 16);
     // The verified set kept the first build's NbE verdicts, so check and
     // verify stay cut off.
@@ -199,4 +203,74 @@ fn worker_counts_beyond_unit_count_are_clamped() {
     assert_eq!(report.workers, 2);
     let report = session.build(0).unwrap();
     assert_eq!(report.workers, 1);
+}
+
+/// Explicit, cheap α-twins in four classes: three import-free leaves
+/// `λ aN : Bool. aN`, three leaves `λ bN : Bool. if bN then ff else tt`,
+/// `base` (the polymorphic identity), and four middles
+/// `let vN : Bool = base Bool tt in vN` behind that one shared import.
+/// Returns the session and each unit's class.
+fn twin_session(store: Option<&std::path::Path>) -> (Session, Vec<(&'static str, usize)>) {
+    let options = CompilerOptions::default();
+    let mut session = match store {
+        Some(dir) => Session::with_store(options, dir).expect("store dir is creatable"),
+        None => Session::new(options),
+    };
+    let mut classes = Vec::new();
+    for (name, binder) in [("a0", "a0"), ("a1", "a1"), ("a2", "a2")] {
+        session.add_unit(name, &[], &s::lam(binder, s::bool_ty(), s::var(binder))).unwrap();
+        classes.push((name, 0));
+    }
+    for (name, binder) in [("b0", "b0"), ("b1", "b1"), ("b2", "b2")] {
+        let body = s::ite(s::var(binder), s::ff(), s::tt());
+        session.add_unit(name, &[], &s::lam(binder, s::bool_ty(), body)).unwrap();
+        classes.push((name, 1));
+    }
+    session.add_unit("base", &[], &prelude::poly_id()).unwrap();
+    classes.push(("base", 2));
+    for (name, binder) in [("m0", "v0"), ("m1", "v1"), ("m2", "v2"), ("m3", "v3")] {
+        let applied = s::app(s::app(s::var("base"), s::bool_ty()), s::tt());
+        let term = s::let_(binder, s::bool_ty(), applied, s::var(binder));
+        session.add_unit(name, &["base"], &term).unwrap();
+        classes.push((name, 3));
+    }
+    (session, classes)
+}
+
+#[test]
+fn alpha_twins_settle_each_phase_once_per_class_at_any_worker_count() {
+    let once = QueryCounts { typecheck: 4, translate: 4, check: 4, verify: 4 };
+    for workers in [1, 2, 4] {
+        for with_store in [false, true] {
+            for run in 0..50 {
+                let dir = std::env::temp_dir()
+                    .join(format!("cccc-twins-{}-{workers}-{run}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let (mut session, classes) = twin_session(with_store.then_some(dir.as_path()));
+                let report = session.build(workers).unwrap();
+                let context = format!("{workers} workers, store {with_store}, run {run}");
+                assert!(report.is_success(), "{context}: {}", report.summary());
+                assert_eq!(report.queries, once, "{context}: one run per class per phase");
+                for class in 0..4 {
+                    let members: Vec<_> = report
+                        .units
+                        .iter()
+                        .filter(|u| classes.iter().any(|&(n, c)| n == u.name && c == class))
+                        .collect();
+                    let compiled = members.iter().filter(|u| u.status == UnitStatus::Compiled);
+                    assert_eq!(compiled.count(), 1, "{context}: class {class} compiled once");
+                    for twin in members.iter().filter(|u| u.status != UnitStatus::Compiled) {
+                        assert_eq!(twin.status, UnitStatus::Cached, "{context}: {}", twin.name);
+                        assert_eq!(twin.cached_from, Some(CacheTier::Memory), "{}", twin.name);
+                    }
+                }
+                if with_store {
+                    let store = report.store.expect("session has a store");
+                    assert_eq!(store.write_throughs, 4, "{context}: one blob per class");
+                    assert_eq!(session.store_stats().unwrap().entries, 4, "{context}");
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
 }

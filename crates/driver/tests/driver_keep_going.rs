@@ -155,8 +155,13 @@ fn fixing_the_broken_units_heals_the_whole_graph() {
     assert_eq!(healed.failed_count() + healed.poisoned_count() + healed.skipped_count(), 0);
     // Poisoned results were never cached: every formerly poisoned unit
     // really compiles now, and the clean cone is answered from cache.
-    assert_eq!(healed.cached_count(), 5);
-    assert_eq!(healed.compiled_count(), 11);
+    // The fixed `m4` is `m0`'s α-twin (same source, same import), so one
+    // of the two compiles and the other takes its artifact.
+    assert_eq!(healed.cached_count(), 6);
+    assert_eq!(healed.compiled_count(), 10);
+    let twins =
+        ["m0", "m4"].map(|name| &healed.units.iter().find(|u| u.name == name).unwrap().status);
+    assert!(twins.contains(&&UnitStatus::Compiled) && twins.contains(&&UnitStatus::Cached));
     // The healed graph links and observes (its leaves are `is_even(1)`,
     // so the folded root is deterministically false).
     assert_eq!(session.observe("root").unwrap(), Some(false));

@@ -82,14 +82,14 @@ fn scripted_edit_stream_matches_predictions_and_the_oracle() {
         let options = CompilerOptions { keep_going, ..CompilerOptions::default() };
         let mut session = workloads::session_from(&units, options);
 
-        // Cold build: every unit runs typecheck and translate; check and
-        // verify settle once per α-class (base, the 14 middles, top).
+        // Cold build: every unit is its own α-class and runs all four
+        // phases.
         let cold = session.build(1).unwrap();
         assert!(cold.is_success(), "keep_going={keep_going}: {}", cold.summary());
         assert_eq!(cold.compiled_count(), units.len());
         assert_eq!(
             cold.queries,
-            QueryCounts { typecheck: 16, translate: 16, check: 3, verify: 3 },
+            QueryCounts { typecheck: 16, translate: 16, check: 16, verify: 16 },
             "keep_going={keep_going}: cold build"
         );
         assert_report_consistent(&cold);
@@ -155,8 +155,8 @@ fn base_states() -> Vec<(u8, u8, src::Term)> {
 /// * the base unit's keys are per base α-class;
 /// * every middle — and the top — re-keys only when the base *interface*
 ///   class changes, so their settled-ness is tracked per interface class
-///   (the 14 middles share one α-class, the top is its own: a fresh
-///   interface class costs two check/verify runs beyond the base's).
+///   (each of the 14 middles and the top is its own α-class: a fresh
+///   interface class costs fifteen check/verify runs beyond the base's).
 #[derive(Default)]
 struct SeenModel {
     base: HashSet<u8>,
@@ -185,7 +185,7 @@ impl SeenModel {
         if next_iface == cur_iface {
             (QueryCounts { typecheck: 1, translate: 1, check: base, verify: base }, 1)
         } else {
-            let runs = base + 2 * !self.rest.contains(&next_iface) as usize;
+            let runs = base + 15 * !self.rest.contains(&next_iface) as usize;
             (QueryCounts { typecheck: 16, translate: 16, check: runs, verify: runs }, 16)
         }
     }
@@ -199,7 +199,10 @@ fn generated_edit_scripts_match_the_seen_state_model() {
         let mut session = workloads::session_from(&units, CompilerOptions::default());
         let cold = session.build(1).unwrap();
         assert!(cold.is_success());
-        assert_eq!(cold.queries, QueryCounts { typecheck: 16, translate: 16, check: 3, verify: 3 });
+        assert_eq!(
+            cold.queries,
+            QueryCounts { typecheck: 16, translate: 16, check: 16, verify: 16 }
+        );
 
         let mut model = SeenModel::default();
         let (mut cur, mut cur_iface) = (0_u8, 0_u8);
@@ -265,8 +268,8 @@ fn verified_records_survive_a_restart_and_lost_records_rerun_check_and_verify_on
         }
     };
 
-    // Populate: blobs for every α-distinct artifact, one verified record
-    // per α-class.
+    // Populate: one blob and one verified record per unit, each its own
+    // α-class.
     let mut session = Session::with_store(CompilerOptions::default(), &dir).unwrap();
     add_all(&mut session);
     let cold = session.build(1).unwrap();
@@ -275,7 +278,7 @@ fn verified_records_survive_a_restart_and_lost_records_rerun_check_and_verify_on
     drop(session);
 
     // A fresh process re-runs *zero* phases: artifacts load from disk,
-    // the three verified records answer check and verify.
+    // the sixteen verified records answer check and verify.
     let mut session = Session::with_store(CompilerOptions::default(), &dir).unwrap();
     add_all(&mut session);
     let warm = session.build(1).unwrap();
@@ -285,7 +288,7 @@ fn verified_records_survive_a_restart_and_lost_records_rerun_check_and_verify_on
     assert_eq!(warm.cached_count(), units.len());
     assert_eq!(warm.queries, QueryCounts::default());
     let store = warm.store.expect("store attached");
-    assert_eq!(store.verified_hits, 3, "one verified record per α-class");
+    assert_eq!(store.verified_hits, 16, "one verified record per α-class");
     drop(session);
 
     // Lose the verified records: a fresh process still loads every
@@ -301,8 +304,11 @@ fn verified_records_survive_a_restart_and_lost_records_rerun_check_and_verify_on
     let reverified = session.build(1).unwrap();
     assert!(reverified.is_success());
     assert_report_consistent(&reverified);
-    assert_eq!(reverified.queries, QueryCounts { typecheck: 0, translate: 0, check: 3, verify: 3 });
-    assert_eq!(reverified.compiled_count(), 3);
+    assert_eq!(
+        reverified.queries,
+        QueryCounts { typecheck: 0, translate: 0, check: 16, verify: 16 }
+    );
+    assert_eq!(reverified.compiled_count(), 16);
     // Each re-verified unit ran exactly check and verify against its
     // disk artifact, timed them, and reports the cache activity they
     // caused.

@@ -53,18 +53,12 @@ fn restart_warm_diamond_16_compiles_nothing_and_matches_the_oracle() {
         let mut cold = session_with_store(&units, &dir);
         let report = cold.build(2).unwrap();
         assert!(report.is_success(), "cold build failed: {}", report.summary());
-        // The store is content-addressed by input fingerprint, and the 14
-        // middle units are α-equivalent (they differ only in a let-binder
-        // name), so they share ONE blob — the cold build itself compiles
-        // only the α-class representatives (base, one mid, top) and
-        // answers the other mids from the store the moment the first mid
-        // lands. (How many compile before that moment is a scheduling
-        // race, so no exact compiled-count is asserted here.)
+        // The store is content-addressed by artifact key, and every unit
+        // is its own α-class: one compile and one blob per unit.
         let store = report.store.expect("session has a store");
-        assert!(store.write_throughs >= 3);
-        assert_eq!(cold.store_stats().unwrap().entries, 3, "base + one shared mid blob + top");
-        assert!(report.compiled_count() >= 3);
-        assert_eq!(report.compiled_count() + report.cached_count(), 16);
+        assert_eq!(store.write_throughs, 16);
+        assert_eq!(cold.store_stats().unwrap().entries, 16, "one blob per α-class");
+        assert_eq!(report.compiled_count(), 16);
         cold.observe(root_of(&units)).unwrap()
     }; // ← the Session (and its in-memory cache) is dropped here
 
@@ -76,7 +70,7 @@ fn restart_warm_diamond_16_compiles_nothing_and_matches_the_oracle() {
     assert_eq!(report.disk_cached_count(), 16, "every unit must come from the disk tier");
     assert!(report.units.iter().all(|u| u.cached_from == Some(CacheTier::Disk)));
     let store = report.store.expect("session has a store");
-    assert_eq!(store.disk_hits, 3, "each of the 3 shared blobs is read exactly once");
+    assert_eq!(store.disk_hits, 16, "each of the 16 blobs is read exactly once");
     assert_eq!(store.write_throughs, 0);
 
     // Verdicts and artifacts are identical to the sequential oracle,
@@ -163,9 +157,7 @@ fn implementation_only_edits_recompile_one_unit_after_a_restart() {
 #[test]
 fn corrupt_blobs_degrade_to_recompiles_never_to_errors() {
     // A chain is α-distinct unit to unit (each stage names its
-    // predecessor free), so it gets one blob per unit and rebuilds
-    // deterministically — unlike the diamond, whose α-equivalent middles
-    // share a blob.
+    // predecessor free), so it gets one blob per unit.
     let units = deep_chain(4, 2);
     let dir = temp_store("corruption");
     session_with_store(&units, &dir).build(2).unwrap();
