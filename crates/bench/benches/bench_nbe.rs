@@ -103,16 +103,10 @@ fn bench_typecheck_engines(c: &mut Criterion) {
 fn bench_pipeline_engines(c: &mut Criterion) {
     // Full compile (source check → translate → target re-check → the
     // Theorem 5.6 conversion), each on its own engine.
-    let step_compiler = Compiler::with_options(CompilerOptions {
-        typecheck_output: true,
-        use_nbe: false,
-        ..CompilerOptions::default()
-    });
-    let nbe_compiler = Compiler::with_options(CompilerOptions {
-        typecheck_output: true,
-        use_nbe: true,
-        ..CompilerOptions::default()
-    });
+    let step_compiler =
+        Compiler::with_options(CompilerOptions { use_nbe: false, ..CompilerOptions::default() });
+    let nbe_compiler =
+        Compiler::with_options(CompilerOptions { use_nbe: true, ..CompilerOptions::default() });
 
     let mut group = c.benchmark_group("pipeline_step_vs_nbe");
     configure(&mut group);

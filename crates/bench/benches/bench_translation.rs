@@ -3,7 +3,7 @@
 //! type-preserving pipeline (translate + re-check, Theorem 5.6).
 
 use cccc_bench::{church_workloads, corpus_workloads, nested_capture_workloads};
-use cccc_core::pipeline::{Compiler, CompilerOptions};
+use cccc_core::pipeline::Compiler;
 use cccc_core::translate::translate;
 use cccc_source as src;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -43,22 +43,23 @@ fn bench_translation(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(200));
     group.measurement_time(Duration::from_millis(800));
-    let checked = Compiler::new();
-    let unchecked = Compiler::with_options(CompilerOptions {
-        typecheck_output: false,
-        use_nbe: true,
-        ..CompilerOptions::default()
-    });
+    let compiler = Compiler::new();
     for workload in church_workloads(&[2, 4]) {
         group.bench_with_input(
             BenchmarkId::new("translate_only", &workload.name),
             &workload,
-            |b, w| b.iter(|| unchecked.compile_closed(&w.term).expect("compiles")),
+            |b, w| {
+                let env = src::Env::new();
+                b.iter(|| {
+                    let (ty, _) = compiler.phase_typecheck(&env, &w.term).expect("type checks");
+                    compiler.phase_translate(&env, &w.term, &ty).expect("translates")
+                })
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("translate_and_verify", &workload.name),
             &workload,
-            |b, w| b.iter(|| checked.compile_closed(&w.term).expect("compiles")),
+            |b, w| b.iter(|| compiler.compile_closed(&w.term).expect("compiles")),
         );
     }
     group.finish();

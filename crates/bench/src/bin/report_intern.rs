@@ -182,11 +182,8 @@ fn main() {
     );
     println!("re-translating is_even_4x4: 0 new nodes, same root (smoke check passed)");
 
-    let nbe_compiler = Compiler::with_options(CompilerOptions {
-        typecheck_output: true,
-        use_nbe: true,
-        ..CompilerOptions::default()
-    });
+    let nbe_compiler =
+        Compiler::with_options(CompilerOptions { use_nbe: true, ..CompilerOptions::default() });
     let mut pipeline_workloads: Vec<Workload> = church_workloads(&[2, 4]);
     pipeline_workloads.extend(conversion_workloads(&[6]));
     for workload in pipeline_workloads {

@@ -144,16 +144,10 @@ fn main() {
         ));
     }
 
-    let step_compiler = Compiler::with_options(CompilerOptions {
-        typecheck_output: true,
-        use_nbe: false,
-        ..CompilerOptions::default()
-    });
-    let nbe_compiler = Compiler::with_options(CompilerOptions {
-        typecheck_output: true,
-        use_nbe: true,
-        ..CompilerOptions::default()
-    });
+    let step_compiler =
+        Compiler::with_options(CompilerOptions { use_nbe: false, ..CompilerOptions::default() });
+    let nbe_compiler =
+        Compiler::with_options(CompilerOptions { use_nbe: true, ..CompilerOptions::default() });
     let mut pipeline_workloads: Vec<Workload> = church_workloads(&[2, 4]);
     pipeline_workloads.extend(conversion_workloads(&[6]));
     for workload in pipeline_workloads {

@@ -1,25 +1,25 @@
 //! A user-facing compiler pipeline: parse → type check → closure convert →
-//! re-check → verify type preservation (Theorem 5.6) on the given program
-//! (the last two when [`CompilerOptions::typecheck_output`] is on).
+//! re-check → verify type preservation (Theorem 5.6) on the given program.
 //!
 //! This is the API the examples and benchmarks drive. It packages the
 //! lower-level pieces ([`mod@crate::translate`], [`crate::verify`],
 //! [`crate::link`]) behind a [`Compiler`] value with explicit options.
+//! [`CompilerOptions::keep_going`] picks the front end's error policy for
+//! every entry point: Stop fails at the first error, Collect reports every
+//! diagnostic at once through [`CompileError::Recovered`].
 //!
 //! Every stage runs on the hash-consed term kernel: the type checkers'
 //! conversion memo tables and the CC-CC `[Code]` typing memo are shared
 //! across compilations on a thread, so re-verifying a component that
 //! contains already-seen code (the separate-compilation workflow, or a
-//! batch compile) is answered from cache. [`Compiler::reset_caches`]
-//! drops that state when isolation is wanted (e.g. between benchmark
-//! phases).
+//! batch compile) is answered from cache.
 
 use crate::link::{LinkError, SourceSubstitution};
 use crate::translate::{translate, translate_env, TranslateError};
 use crate::verify::VerifyError;
 use cccc_source as src;
 use cccc_target as tgt;
-use cccc_util::diag::{diagnostics_to_json, Diagnostic};
+use cccc_util::diag::Diagnostic;
 use cccc_util::intern::{ConvCacheStats, InternStats};
 use cccc_util::trace::{self, BuildTrace, SpanTotal};
 use std::fmt;
@@ -27,10 +27,6 @@ use std::fmt;
 /// Configuration for the [`Compiler`].
 #[derive(Clone, Copy, Debug)]
 pub struct CompilerOptions {
-    /// Re-type-check the produced CC-CC term (rule-by-rule, in the target
-    /// type system). On by default: this is the "typed" in typed closure
-    /// conversion.
-    pub typecheck_output: bool,
     /// Run the type checkers on the normalization-by-evaluation engine
     /// (the default). When `false`, the substitution-based step engine —
     /// the paper-faithful specification — is used instead; this exists for
@@ -38,17 +34,18 @@ pub struct CompilerOptions {
     /// verify phase's Theorem 5.6 conversion runs on the same engine, so
     /// a step-only compiler runs no NbE code.
     pub use_nbe: bool,
-    /// Keep-going mode: the module driver type-checks every unit under the
-    /// checker's Collect error policy — collecting *every* diagnostic
-    /// instead of stopping at the first error — and degrades failed units
-    /// to poisoned interfaces so dependents still report their own
-    /// errors. The flag selects the policy on the driver's one unit path;
-    /// a clean unit then runs exactly the phases and queries a strict one
-    /// does. [`Compiler::compile`] itself stays fail-fast; use
-    /// [`Compiler::compile_keep_going`] for the keep-going entry point.
-    /// Successful compiles produce bit-identical artifacts either way, so
-    /// this flag deliberately does **not** participate in the driver's
-    /// input fingerprints.
+    /// Keep-going mode: the front end's error policy. Off, it is Stop:
+    /// [`Compiler::phase_typecheck`] — and with it [`Compiler::compile`]
+    /// and [`Compiler::compile_text`] — fails at the first error. On, it
+    /// is Collect: the type checker records *every* diagnostic and
+    /// recovers with the `<error>` sentinel, `compile_text` parses with
+    /// error recovery, and anything short of a clean program fails with
+    /// [`CompileError::Recovered`], whose interface the module driver
+    /// publishes as a poisoned interface so dependents still report their
+    /// own errors. A clean program runs exactly the phases, and in the
+    /// driver the queries, a strict one does, and produces bit-identical
+    /// artifacts, so this flag deliberately does **not** participate in
+    /// the driver's input fingerprints.
     pub keep_going: bool,
     /// Wall-clock budget for a whole driver build. When it elapses the
     /// session's watchdog cancels the build cooperatively: in-flight
@@ -68,7 +65,6 @@ pub struct CompilerOptions {
 impl Default for CompilerOptions {
     fn default() -> Self {
         CompilerOptions {
-            typecheck_output: true,
             use_nbe: true,
             keep_going: false,
             build_deadline: None,
@@ -250,12 +246,11 @@ pub struct PhaseNanos {
     pub typecheck: u64,
     /// The closure-conversion translation of the term and of its type.
     pub translate: u64,
-    /// Re-type-checking the produced CC-CC term (0 when
-    /// [`CompilerOptions::typecheck_output`] is off).
+    /// Re-type-checking the produced CC-CC term.
     pub check: u64,
     /// The type-preservation verification — Theorem 5.6 as one
     /// conversion between the check phase's inferred type and the
-    /// translated type (0 when output checking is off).
+    /// translated type.
     pub verify: u64,
 }
 
@@ -546,6 +541,38 @@ pub enum CompileError {
     Verify(VerifyError),
     /// Linking failed.
     Link(LinkError),
+    /// Under [`CompilerOptions::keep_going`], the front end did not
+    /// produce a clean program: it found errors, or the term or Γ mentions
+    /// the `<error>` sentinel. Nothing reached the backend.
+    Recovered {
+        /// The type the Collect policy inferred: the unit's interface,
+        /// mentioning the sentinel wherever recovery happened.
+        interface: src::Term,
+        /// Every diagnostic, in phase order: parse errors (`E0100`)
+        /// first, then type errors.
+        diagnostics: Vec<Diagnostic>,
+    },
+}
+
+impl CompileError {
+    /// The error as coded diagnostics: every diagnostic a
+    /// [`CompileError::Recovered`] front end collected, or one diagnostic
+    /// for any other error. Parse and type errors carry their per-variant
+    /// codes ([`src::TypeError::code`], [`tgt::TypeError::code`]); the
+    /// later phases get phase-level codes (`E0200` translate, `E0300`
+    /// verify, `E0400` link).
+    pub fn into_diagnostics(self) -> Vec<Diagnostic> {
+        let diagnostic = match self {
+            CompileError::Recovered { diagnostics, .. } => return diagnostics,
+            CompileError::Parse(e) => e.to_diagnostic(),
+            CompileError::SourceType(e) => Diagnostic::error(e.to_string()).with_code(e.code()),
+            CompileError::Translate(e) => Diagnostic::error(e.to_string()).with_code("E0200"),
+            CompileError::TargetType(e) => Diagnostic::error(e.to_string()).with_code(e.code()),
+            CompileError::Verify(e) => Diagnostic::error(e.to_string()).with_code("E0300"),
+            CompileError::Link(e) => Diagnostic::error(e.to_string()).with_code("E0400"),
+        };
+        vec![diagnostic]
+    }
 }
 
 impl fmt::Display for CompileError {
@@ -557,6 +584,17 @@ impl fmt::Display for CompileError {
             CompileError::TargetType(e) => write!(f, "target type error: {e}"),
             CompileError::Verify(e) => write!(f, "{e}"),
             CompileError::Link(e) => write!(f, "{e}"),
+            CompileError::Recovered { diagnostics, .. } => {
+                let mut errors = diagnostics.iter().filter(|d| d.is_error());
+                let Some(first) = errors.next() else {
+                    return write!(f, "the program or its environment mentions `<error>`");
+                };
+                write!(f, "{}", first.headline())?;
+                match errors.count() {
+                    0 => Ok(()),
+                    more => write!(f, " (and {more} more)"),
+                }
+            }
         }
     }
 }
@@ -617,10 +655,6 @@ pub struct Compilation {
     /// Wall-clock nanoseconds per pipeline phase, measured on every
     /// compile (tracing enabled or not).
     pub phases: PhaseNanos,
-    /// Diagnostics aggregated across phases. Empty for a fail-fast
-    /// [`Compiler::compile`] (which reports through [`CompileError`]);
-    /// populated by the keep-going entry points.
-    pub diagnostics: Vec<Diagnostic>,
 }
 
 impl Compilation {
@@ -642,65 +676,6 @@ impl Compilation {
     /// Number of closures in the output (one per source λ).
     pub fn closure_count(&self) -> usize {
         self.target.closure_count()
-    }
-
-    /// The aggregated diagnostics as a machine-readable JSON array.
-    pub fn diagnostics_json(&self) -> String {
-        diagnostics_to_json(&self.diagnostics)
-    }
-}
-
-/// The result of a keep-going compile ([`Compiler::compile_keep_going`]):
-/// always a declared/partial interface and the full diagnostic set, plus
-/// the complete [`Compilation`] when the program was actually clean.
-#[derive(Clone, Debug)]
-pub struct FrontendOutcome {
-    /// The inferred source type — the unit's interface. Mentions the
-    /// `<error>` sentinel wherever recovery happened, making the interface
-    /// *poisoned*; dependents can still check against it.
-    pub interface: src::Term,
-    /// Every diagnostic, in phase order: parse, then type checking, then
-    /// any backend failure folded in.
-    pub diagnostics: Vec<Diagnostic>,
-    /// The full compilation — present only when no error-severity
-    /// diagnostic was produced and the environment was clean.
-    pub compilation: Option<Compilation>,
-}
-
-impl FrontendOutcome {
-    /// Number of error-severity diagnostics.
-    pub fn error_count(&self) -> usize {
-        self.diagnostics.iter().filter(|d| d.is_error()).count()
-    }
-
-    /// True when the program compiled cleanly end to end.
-    pub fn is_clean(&self) -> bool {
-        self.error_count() == 0 && self.compilation.is_some()
-    }
-
-    /// True when the interface mentions the error sentinel.
-    pub fn interface_is_poisoned(&self) -> bool {
-        src::tolerant::is_poisoned(&self.interface)
-    }
-
-    /// The diagnostics as a machine-readable JSON array.
-    pub fn diagnostics_json(&self) -> String {
-        diagnostics_to_json(&self.diagnostics)
-    }
-}
-
-/// Folds a strict-pipeline error into a coded diagnostic. Parse and type
-/// errors carry their per-variant codes ([`src::TypeError::code`],
-/// [`tgt::TypeError::code`]); the later phases get phase-level codes
-/// (`E0200` translate, `E0300` verify, `E0400` link).
-pub fn diagnostic_of_compile_error(error: &CompileError) -> Diagnostic {
-    match error {
-        CompileError::Parse(e) => e.to_diagnostic(),
-        CompileError::SourceType(e) => Diagnostic::error(e.to_string()).with_code(e.code()),
-        CompileError::Translate(e) => Diagnostic::error(e.to_string()).with_code("E0200"),
-        CompileError::TargetType(e) => Diagnostic::error(e.to_string()).with_code(e.code()),
-        CompileError::Verify(e) => Diagnostic::error(e.to_string()).with_code("E0300"),
-        CompileError::Link(e) => Diagnostic::error(e.to_string()).with_code("E0400"),
     }
 }
 
@@ -726,62 +701,37 @@ impl Compiler {
         self.options
     }
 
-    /// Clears the thread's memoization state: both languages' conversion
-    /// memo tables (and their counters) and the CC-CC `[Code]` typing
-    /// memo. Compilation results are unaffected — only the caches that
-    /// make repeated checking of identical subterms O(1) are dropped.
-    pub fn reset_caches() {
-        src::equiv::reset_conv_cache();
-        tgt::equiv::reset_conv_cache();
-        tgt::typecheck::reset_code_memo();
-    }
-
     /// Runs the `typecheck` phase alone: infers the CC type of `term`
     /// under `env` (the unit's interface), returning the type and the
-    /// phase's wall-clock nanoseconds. Records the same `typecheck` span
-    /// a full [`Compiler::compile`] would, so traced callers see one
-    /// span per phase regardless of which entry point ran it.
+    /// phase's wall-clock nanoseconds, under the error policy
+    /// [`CompilerOptions::keep_going`] selects (see
+    /// [`cccc_source::typecheck`]). Records the same `typecheck` span a
+    /// full [`Compiler::compile`] would, so traced callers see one span
+    /// per phase regardless of which entry point ran it.
     ///
     /// # Errors
     ///
-    /// Returns a [`CompileError::SourceType`] on an ill-typed input.
+    /// Under Stop, returns a [`CompileError::SourceType`] on an ill-typed
+    /// input. Under Collect, returns [`CompileError::Recovered`] unless
+    /// the input is clean: no error diagnostic, and neither `term` nor
+    /// `env` mentions the sentinel.
     pub fn phase_typecheck(&self, env: &src::Env, term: &src::Term) -> Result<(src::Term, u64)> {
         let engine =
             if self.options.use_nbe { src::equiv::Engine::Nbe } else { src::equiv::Engine::Step };
-        let (ty, ns) =
-            trace::timed("typecheck", || src::typecheck::infer_with_engine(env, term, engine));
-        Ok((ty?, ns))
-    }
-
-    /// [`Compiler::phase_typecheck`] under the checker's Collect error
-    /// policy: every type error becomes a coded diagnostic and checking
-    /// recovers with the `<error>` sentinel (see
-    /// [`cccc_source::typecheck`]). Records the same `typecheck` span.
-    ///
-    /// # Errors
-    ///
-    /// Unless the input is clean — no error diagnostic, and neither
-    /// `term` nor `env` mentions the sentinel — returns the recovered,
-    /// possibly poisoned interface with every diagnostic instead of the
-    /// type.
-    pub fn phase_typecheck_keep_going(
-        &self,
-        env: &src::Env,
-        term: &src::Term,
-    ) -> std::result::Result<(src::Term, u64), (src::Term, Vec<Diagnostic>)> {
-        let engine =
-            if self.options.use_nbe { src::equiv::Engine::Nbe } else { src::equiv::Engine::Step };
-        let (outcome, ns) = trace::timed("typecheck", || {
-            src::tolerant::infer_tolerant_with_engine(env, term, engine)
-        });
-        if outcome.is_clean()
-            && !src::tolerant::is_poisoned(term)
-            && !src::tolerant::env_is_poisoned(env)
-        {
-            Ok((outcome.ty, ns))
-        } else {
-            Err((outcome.ty, outcome.diagnostics))
+        if !self.options.keep_going {
+            let (ty, ns) =
+                trace::timed("typecheck", || src::typecheck::infer_with_engine(env, term, engine));
+            return Ok((ty?, ns));
         }
+        let ((interface, diagnostics), ns) =
+            trace::timed("typecheck", || src::typecheck::infer_collecting(env, term, engine));
+        if diagnostics.iter().any(Diagnostic::is_error)
+            || src::tolerant::is_poisoned(term)
+            || src::tolerant::env_is_poisoned(env)
+        {
+            return Err(CompileError::Recovered { interface, diagnostics });
+        }
+        Ok((interface, ns))
     }
 
     /// Runs the `translate` phase alone: closure-converts the term and
@@ -809,9 +759,7 @@ impl Compiler {
     /// Runs the `check` phase alone: translates the environment and
     /// re-type-checks the produced CC-CC term in it, returning the
     /// translated environment, the inferred target type, and the phase's
-    /// nanoseconds. Callers gate on
-    /// [`CompilerOptions::typecheck_output`] themselves — this entry
-    /// point always checks.
+    /// nanoseconds.
     ///
     /// # Errors
     ///
@@ -892,19 +840,22 @@ impl Compiler {
     /// Compiles an open component `Γ ⊢ e : A` to CC-CC — the per-phase
     /// entry points ([`Compiler::phase_typecheck`] →
     /// [`Compiler::phase_translate`] → [`Compiler::phase_check`] →
-    /// [`Compiler::phase_verify`]) composed in order.
+    /// [`Compiler::phase_verify`]) composed in order, under the error
+    /// policy [`CompilerOptions::keep_going`] selects.
     ///
     /// # Errors
     ///
-    /// Returns a [`CompileError`] if any stage fails.
+    /// Returns a [`CompileError`] if any stage fails;
+    /// [`CompileError::Recovered`] when a keep-going type check was not
+    /// clean.
     pub fn compile(&self, env: &src::Env, term: &src::Term) -> Result<Compilation> {
         let (source_type, typecheck_ns) = self.phase_typecheck(env, term)?;
         self.compile_typed(env, term, source_type, typecheck_ns)
     }
 
     /// The backend both [`Compiler::compile`] and
-    /// [`Compiler::compile_keep_going`] hand a clean source type to:
-    /// translate, then — when output checking is on — check and verify.
+    /// [`Compiler::compile_text`] hand a clean source type to: translate,
+    /// check, and verify.
     fn compile_typed(
         &self,
         env: &src::Env,
@@ -912,25 +863,17 @@ impl Compiler {
         source_type: src::Term,
         typecheck_ns: u64,
     ) -> Result<Compilation> {
-        let mut phases = PhaseNanos { typecheck: typecheck_ns, ..PhaseNanos::default() };
-        let (target, target_type, translate_ns) = self.phase_translate(env, term, &source_type)?;
-        phases.translate = translate_ns;
-
-        if self.options.typecheck_output {
-            let (target_env, inferred, check_ns) = self.phase_check(env, &target)?;
-            phases.check = check_ns;
-            phases.verify =
-                self.phase_verify(env, term, Some(&target_env), &inferred, &target_type)?;
-        }
-
-        Ok(Compilation {
-            source: term.clone(),
-            source_type,
-            target,
-            target_type,
-            phases,
-            diagnostics: Vec::new(),
-        })
+        let (target, target_type, translate) = self.phase_translate(env, term, &source_type)?;
+        let (target_env, inferred, check) = self.phase_check(env, &target)?;
+        let verify = self.phase_verify(env, term, Some(&target_env), &inferred, &target_type)?;
+        let phases = PhaseNanos {
+            typecheck: typecheck_ns,
+            translate,
+            check,
+            verify,
+            ..PhaseNanos::default()
+        };
+        Ok(Compilation { source: term.clone(), source_type, target, target_type, phases })
     }
 
     /// Compiles a closed program.
@@ -943,66 +886,41 @@ impl Compiler {
     }
 
     /// Parses and compiles a closed program written in the CC surface
-    /// syntax.
+    /// syntax. Under [`CompilerOptions::keep_going`] the parser recovers
+    /// at synchronizing tokens, patching `<error>` holes into the term,
+    /// and reports every parse error.
     ///
     /// # Errors
     ///
-    /// See [`Compiler::compile`]; additionally returns parse errors.
+    /// See [`Compiler::compile`]; additionally returns parse errors. Under
+    /// keep-going, a program with parse errors never reaches the backend:
+    /// it fails with [`CompileError::Recovered`], its `E0100`s ahead of
+    /// the type checker's diagnostics.
     pub fn compile_text(&self, source_text: &str) -> Result<Compilation> {
-        let (term, parse_ns) = trace::timed("parse", || src::parse::parse_term(source_text));
-        let term = term?;
-        let mut compilation = self.compile_closed(&term)?;
-        compilation.phases.parse = parse_ns;
-        Ok(compilation)
-    }
-
-    /// Compiles an open component with keep-going semantics: *every*
-    /// diagnostic is collected instead of the first error aborting the
-    /// pipeline.
-    ///
-    /// The source program is checked once, under the checker's Collect
-    /// error policy ([`Compiler::phase_typecheck_keep_going`]). When it is
-    /// clean — and the ambient environment is not poisoned by an upstream
-    /// failure — its type goes through the same translate → check →
-    /// verify backend [`Compiler::compile`] uses, and the outcome carries
-    /// a [`Compilation`]; otherwise the outcome is frontend-only: a
-    /// (possibly poisoned) interface plus the diagnostics, and no
-    /// translation is attempted. A backend failure on clean input (e.g.
-    /// fuel exhaustion, or a translator invariant violation) is folded
-    /// into the diagnostics rather than escaping as an error.
-    pub fn compile_keep_going(&self, env: &src::Env, term: &src::Term) -> FrontendOutcome {
-        let (source_type, typecheck_ns) = match self.phase_typecheck_keep_going(env, term) {
-            Ok(checked) => checked,
-            Err((interface, diagnostics)) => {
-                return FrontendOutcome { interface, diagnostics, compilation: None }
+        let (parsed, parse_ns) = trace::timed("parse", || {
+            if self.options.keep_going {
+                Ok(src::parse::parse_term_tolerant(source_text))
+            } else {
+                src::parse::parse_term(source_text).map(|term| (term, Vec::new()))
             }
+        });
+        let (term, parse_errors) = parsed?;
+        let env = src::Env::new();
+        let (interface, diagnostics) = match self.phase_typecheck(&env, &term) {
+            Ok((source_type, typecheck_ns)) if parse_errors.is_empty() => {
+                let mut compilation = self.compile_typed(&env, &term, source_type, typecheck_ns)?;
+                compilation.phases.parse = parse_ns;
+                return Ok(compilation);
+            }
+            // Recovery can leave a sentinel-free term (a skipped character,
+            // a missing `(`), which type-checks clean.
+            Ok((interface, _)) => (interface, Vec::new()),
+            Err(CompileError::Recovered { interface, diagnostics }) => (interface, diagnostics),
+            Err(error) => return Err(error),
         };
-        let interface = source_type.clone();
-        let (diagnostics, compilation) =
-            match self.compile_typed(env, term, source_type, typecheck_ns) {
-                Ok(compilation) => (Vec::new(), Some(compilation)),
-                Err(error) => (vec![diagnostic_of_compile_error(&error)], None),
-            };
-        FrontendOutcome { interface, diagnostics, compilation }
-    }
-
-    /// Parses and compiles a closed program with keep-going semantics:
-    /// tolerant parsing with synchronizing recovery, then
-    /// [`Compiler::compile_keep_going`] on the recovered term (which may
-    /// contain `<error>` holes).
-    pub fn compile_text_keep_going(&self, source_text: &str) -> FrontendOutcome {
-        let ((term, parse_errors), parse_ns) =
-            trace::timed("parse", || src::parse::parse_term_tolerant(source_text));
-        let mut diagnostics: Vec<Diagnostic> =
-            parse_errors.iter().map(src::parse::ParseError::to_diagnostic).collect();
-        let mut outcome = self.compile_keep_going(&src::Env::new(), &term);
-        diagnostics.append(&mut outcome.diagnostics);
-        outcome.diagnostics = diagnostics;
-        if let Some(compilation) = outcome.compilation.as_mut() {
-            compilation.phases.parse = parse_ns;
-            compilation.diagnostics = outcome.diagnostics.clone();
-        }
-        outcome
+        let parse_diagnostics = parse_errors.iter().map(src::parse::ParseError::to_diagnostic);
+        let diagnostics = parse_diagnostics.chain(diagnostics).collect();
+        Err(CompileError::Recovered { interface, diagnostics })
     }
 
     /// Compiles a component and a closing substitution separately, links the
@@ -1096,14 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn options_can_disable_verification() {
-        let options = CompilerOptions { typecheck_output: false, ..CompilerOptions::default() };
-        let compiler = Compiler::with_options(options);
-        assert!(!compiler.options().typecheck_output);
-        compiler.compile_closed(&prelude::poly_id()).unwrap();
-    }
-
-    #[test]
     fn errors_are_reported_per_stage() {
         let compiler = Compiler::new();
         assert!(matches!(compiler.compile_text("(((").unwrap_err(), CompileError::Parse(_)));
@@ -1116,6 +1026,55 @@ mod tests {
             compiler.compile_and_link(&env, &s::var("x"), &Vec::new()).unwrap_err(),
             CompileError::Link(_)
         ));
+    }
+
+    fn keep_going() -> Compiler {
+        Compiler::with_options(CompilerOptions { keep_going: true, ..CompilerOptions::default() })
+    }
+
+    #[test]
+    fn keep_going_compile_text_recovers_every_error_and_strict_stops_at_the_first() {
+        let text = "if (true false) then missing else (\\(x : Bool). x) *";
+        let recovered = keep_going().compile_text(text).unwrap_err();
+        assert_eq!(
+            recovered.to_string(),
+            "error[E0003]: `true` is applied but has non-function type `Bool` (and 2 more)"
+        );
+        let CompileError::Recovered { interface, diagnostics } = recovered else {
+            panic!("keep-going must recover, got {recovered}");
+        };
+        let codes: Vec<&str> = diagnostics.iter().filter_map(|d| d.code.as_deref()).collect();
+        assert_eq!(codes, ["E0003", "E0001", "E0008"]);
+        assert!(src::tolerant::is_poisoned(&interface));
+
+        let strict = Compiler::new().compile_text(text).unwrap_err();
+        assert!(matches!(&strict, CompileError::SourceType(e) if e.code() == "E0003"), "{strict}");
+        assert_eq!(strict.into_diagnostics().len(), 1, "Stop reports the first error only");
+    }
+
+    #[test]
+    fn keep_going_parse_errors_never_reach_the_backend() {
+        // Recovery skips the stray `#` and the missing `)` without leaving
+        // an `<error>` hole: the term type-checks clean, but the program
+        // still fails, with only the parser's diagnostics.
+        for text in ["true #", "(true"] {
+            assert!(matches!(Compiler::new().compile_text(text), Err(CompileError::Parse(_))));
+            let Err(CompileError::Recovered { interface, diagnostics }) =
+                keep_going().compile_text(text)
+            else {
+                panic!("`{text}`: parse errors must fail a keep-going compile");
+            };
+            assert!(src::equiv::definitionally_equal(&src::Env::new(), &interface, &s::bool_ty()));
+            let codes: Vec<&str> = diagnostics.iter().filter_map(|d| d.code.as_deref()).collect();
+            assert_eq!(codes, ["E0100"], "`{text}`");
+        }
+        // A sentinel-bearing term with no error of its own is held back too.
+        let Err(error @ CompileError::Recovered { .. }) =
+            keep_going().compile_closed(&src::tolerant::error_term())
+        else {
+            panic!("a poisoned term must not compile");
+        };
+        assert_eq!(error.to_string(), "the program or its environment mentions `<error>`");
     }
 
     #[test]
@@ -1139,7 +1098,7 @@ mod tests {
                     panic!("use_nbe={use_nbe}: expected NotEquivalent, got {error}");
                 };
                 assert_eq!(context, "type preservation (Theorem 5.6)");
-                assert_eq!(diagnostic_of_compile_error(&error).code.as_deref(), Some("E0300"));
+                assert_eq!(error.into_diagnostics()[0].code.as_deref(), Some("E0300"));
             }
         }
     }
@@ -1280,16 +1239,6 @@ mod tests {
         let parsed = Compiler::new().compile_text("\\(A : *). \\(x : A). x").unwrap();
         assert!(parsed.phases.parse > 0);
 
-        // Disabling output checking zeroes the downstream phases.
-        let unchecked = Compiler::with_options(CompilerOptions {
-            typecheck_output: false,
-            ..Default::default()
-        })
-        .compile_closed(&prelude::poly_id())
-        .unwrap();
-        assert_eq!(unchecked.phases.check, 0);
-        assert_eq!(unchecked.phases.verify, 0);
-
         let merged = phases.merged(&parsed.phases);
         assert_eq!(merged.typecheck, phases.typecheck + parsed.phases.typecheck);
         assert_eq!(merged.parse, parsed.phases.parse);
@@ -1354,25 +1303,24 @@ mod tests {
     fn recompiling_a_program_reuses_every_translated_node() {
         // is_even (mul 4 4): with the first compilation alive, compiling
         // the same program again on this thread translates to nodes that
-        // already exist. Output checking is off for the second compile so
-        // that it runs typecheck and translate only, and the CC-CC
-        // interner counts the translation's nodes alone.
+        // already exist. The second compile runs typecheck and translate
+        // only, so the CC-CC interner counts the translation's nodes alone.
         let four = prelude::church_numeral(4);
         let square = s::app(s::app(prelude::church_mul(), four.clone()), four);
         let program = s::app(prelude::church_is_even(), square);
         let first = Compiler::new().compile_closed(&program).unwrap();
 
-        let translate_only = Compiler::with_options(CompilerOptions {
-            typecheck_output: false,
-            ..Default::default()
-        });
+        let compiler = Compiler::new();
+        let env = src::Env::new();
         let before = tgt::ast::intern_stats();
-        let second = translate_only.compile_closed(&program).unwrap();
+        let (source_type, _) = compiler.phase_typecheck(&env, &program).unwrap();
+        let (target, target_type, _) =
+            compiler.phase_translate(&env, &program, &source_type).unwrap();
         let interned = tgt::ast::intern_stats().since(&before);
         assert_eq!(interned.misses, 0, "the second translation interned new nodes");
         assert!(interned.hits > 0);
-        assert!(second.target == first.target);
-        assert!(second.target_type == first.target_type);
+        assert!(target == first.target);
+        assert!(target_type == first.target_type);
 
         // A fully checked recompile returns the very same nodes too.
         let checked = Compiler::new().compile_closed(&program).unwrap();

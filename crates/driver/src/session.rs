@@ -42,8 +42,8 @@ use crate::query::{self, PhaseRuns, QueryCounts};
 use crate::store::{ArtifactStore, FaultPlan, GcReport, StoreBudget};
 use crate::DriverError;
 use cccc_core::pipeline::{
-    cache_snapshot, diagnostic_of_compile_error, BuildMetrics, BuildOutcome, CacheReport,
-    Compilation, CompileError, Compiler, CompilerOptions, PhaseNanos, StoreStats,
+    cache_snapshot, BuildMetrics, BuildOutcome, CacheReport, Compilation, CompileError, Compiler,
+    CompilerOptions, PhaseNanos, StoreStats,
 };
 use cccc_source as src;
 use cccc_target as tgt;
@@ -840,11 +840,11 @@ impl Session {
     }
 
     /// The store keys reachable from the build that just finished: for
-    /// every unit with an artifact, its artifact query key and (when
-    /// output checking is on) its verify query key, computed exactly as
-    /// the workers computed them. This is the GC's protected set — both
-    /// `.art` blobs and `.vfy` records for the current graph survive a
-    /// sweep, so the next warm build stays warm.
+    /// every unit with an artifact, its artifact query key and its verify
+    /// query key, computed exactly as the workers computed them. This is
+    /// the GC's protected set — both `.art` blobs and `.vfy` records for
+    /// the current graph survive a sweep, so the next warm build stays
+    /// warm.
     fn live_store_keys(&self, plan: &Plan) -> HashSet<Fingerprint> {
         let options = self.options;
         let mut live = HashSet::new();
@@ -864,14 +864,12 @@ impl Session {
                 dep_fp = query::fold_dep(dep_fp, &dep.name, dep_artifact.interface_fingerprint());
             }
             live.insert(query::artifact_key(unit.source_alpha, dep_fp, &options));
-            if options.typecheck_output {
-                live.insert(query::verify_key(
-                    unit.source_alpha,
-                    dep_fp,
-                    artifact.output_fingerprint(),
-                    &options,
-                ));
-            }
+            live.insert(query::verify_key(
+                unit.source_alpha,
+                dep_fp,
+                artifact.output_fingerprint(),
+                &options,
+            ));
         }
         live
     }
@@ -1103,7 +1101,11 @@ fn handle_unit(
         // Query keys exist only over built imports: a unit checked
         // against a poisoned interface is reported, never built or cached.
         let failure = match typecheck_unit(ctx, unit_index, deps) {
-            Ok((_, _, source_type, _)) => UnitFailure::recovered(source_type, Vec::new()),
+            Ok((_, _, source_type, _)) => UnitFailure {
+                message: String::new(),
+                diagnostics: Vec::new(),
+                interface: Some(source_type),
+            },
             Err(failure) => failure,
         };
         let outcome = poisoned_outcome(unit, &failure, &upstream);
@@ -1129,7 +1131,7 @@ fn handle_unit(
             let output = artifact.output_fingerprint();
             let key = query::verify_key(unit.source_alpha, dep_fp, output, &ctx.options);
             let verified = ctx.verified.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            !ctx.options.typecheck_output || verified.contains(&key)
+            verified.contains(&key)
         };
         match ctx.cache.claim(&unit.name, artifact_key, verdict_known) {
             Lookup::Ready(artifact, tier) => {
@@ -1264,11 +1266,11 @@ impl From<UnitFailure> for NoVerdict {
 }
 
 /// The verified query, run on every artifact the artifact query
-/// produced. With output checking off, or on a hit — the session's
-/// verdicts, then the store's `.vfy` records — check and verify are cut
-/// off (`Ok(None)`), and a lazily loaded artifact decodes no section. A
-/// miss — a fresh artifact, or a cached one whose record was lost — runs
-/// both phases, records the verdict, and returns their nanoseconds.
+/// produced. On a hit — the session's verdicts, then the store's `.vfy`
+/// records — check and verify are cut off (`Ok(None)`), and a lazily
+/// loaded artifact decodes no section. A miss — a fresh artifact, or a
+/// cached one whose record was lost — runs both phases, records the
+/// verdict, and returns their nanoseconds.
 /// `inputs` are the unit's decoded Γ and term when the artifact was just
 /// compiled; for a cached artifact they are decoded here, on a miss only.
 fn verified_step(
@@ -1280,9 +1282,6 @@ fn verified_step(
     inputs: Option<(&src::Env, &src::Term)>,
 ) -> Result<Option<(u64, u64)>, NoVerdict> {
     let options = ctx.options;
-    if !options.typecheck_output {
-        return Ok(None);
-    }
     let unit = ctx.graph.unit_at(unit_index);
     let output = artifact.output_fingerprint();
     let verify_key = query::verify_key(unit.source_alpha, dep_fp, output, &options);
@@ -1602,11 +1601,16 @@ struct UnitFailure {
 }
 
 impl UnitFailure {
-    /// A failed phase: the error is the message, folded into one coded
-    /// diagnostic.
+    /// A failed phase: the error is the message, and its coded
+    /// diagnostics are the unit's. A keep-going type check that was not
+    /// clean also hands over the interface it recovered.
     fn phase(error: CompileError) -> UnitFailure {
-        let diagnostics = vec![diagnostic_of_compile_error(&error)];
-        UnitFailure { message: format!("{error}"), diagnostics, interface: None }
+        let message = error.to_string();
+        let interface = match &error {
+            CompileError::Recovered { interface, .. } => Some(interface.clone()),
+            _ => None,
+        };
+        UnitFailure { message, diagnostics: error.into_diagnostics(), interface }
     }
 
     /// Wire corruption: not a type error, so the diagnostic is uncoded.
@@ -1616,19 +1620,6 @@ impl UnitFailure {
             message,
             interface: None,
         }
-    }
-
-    /// A keep-going type check that was not clean: the recovered
-    /// interface and the full diagnostic set, summarized by the first
-    /// error's headline.
-    fn recovered(interface: src::Term, diagnostics: Vec<Diagnostic>) -> UnitFailure {
-        let errors = diagnostics.iter().filter(|d| d.is_error()).count();
-        let message = match diagnostics.iter().find(|d| d.is_error()) {
-            Some(first) if errors > 1 => format!("{} (and {} more)", first.headline(), errors - 1),
-            Some(first) => first.headline(),
-            None => "tolerant frontend produced no artifact".to_owned(),
-        };
-        UnitFailure { message, diagnostics, interface: Some(interface) }
     }
 }
 
@@ -1655,27 +1646,21 @@ fn compile_unit(
 }
 
 /// Decodes a unit's inputs into the current worker thread's interners
-/// and type-checks it under the error policy
-/// [`CompilerOptions::keep_going`] selects. Returns Γ, the term, its
-/// source type, and the phase's nanoseconds.
+/// and type-checks it with [`Compiler::phase_typecheck`], under the error
+/// policy [`CompilerOptions::keep_going`] selects. Returns Γ, the term,
+/// its source type, and the phase's nanoseconds.
 fn typecheck_unit(
     ctx: &BuildCtx<'_>,
     unit_index: usize,
     deps: &[(usize, Outcome)],
 ) -> Result<(src::Env, src::Term, src::Term, u64), UnitFailure> {
-    let options = ctx.options;
     let (env, term) = decode_unit_inputs(ctx.graph, unit_index, deps).map_err(|failure| {
         // Nothing was recovered from corrupt wires: keep-going publishes
         // the pure sentinel.
-        UnitFailure { interface: options.keep_going.then(src::tolerant::error_term), ..failure }
+        UnitFailure { interface: ctx.options.keep_going.then(src::tolerant::error_term), ..failure }
     })?;
-    let compiler = Compiler::with_options(options);
-    let (source_type, ns) = if options.keep_going {
-        compiler
-            .phase_typecheck_keep_going(&env, &term)
-            .map_err(|(interface, diagnostics)| UnitFailure::recovered(interface, diagnostics))?
-    } else {
-        compiler.phase_typecheck(&env, &term).map_err(UnitFailure::phase)?
-    };
+    let (source_type, ns) = Compiler::with_options(ctx.options)
+        .phase_typecheck(&env, &term)
+        .map_err(UnitFailure::phase)?;
     Ok((env, term, source_type, ns))
 }

@@ -213,18 +213,6 @@ pub struct FaultPlan {
     pub fail_rename: Option<u64>,
 }
 
-impl FaultPlan {
-    /// Whether any fault is armed.
-    pub fn is_armed(&self) -> bool {
-        self.fail_read.is_some()
-            || self.fail_pread.is_some()
-            || self.short_read.is_some()
-            || self.truncate_table.is_some()
-            || self.fail_write.is_some()
-            || self.fail_rename.is_some()
-    }
-}
-
 /// Per-operation call counters for [`FaultPlan`] matching.
 #[derive(Clone, Copy, Default, Debug)]
 struct FaultState {

@@ -55,11 +55,6 @@ pub fn conv_cache_stats() -> ConvCacheStats {
     CONV_CACHE.with(|c| c.borrow().stats())
 }
 
-/// Clears this thread's conversion memo table and counters.
-pub fn reset_conv_cache() {
-    CONV_CACHE.with(|c| c.borrow_mut().reset());
-}
-
 /// Number of decided pairs currently in this thread's conversion memo.
 pub fn conv_cache_len() -> usize {
     CONV_CACHE.with(|c| c.borrow().len())

@@ -31,8 +31,10 @@
 //! token (`in`, `then`, `else`, `)`, …), patches the missing subterm with
 //! the `<error>` hole ([`crate::tolerant::error_term`]) and continues, so a
 //! single pass reports every parse error and still yields a term the
-//! tolerant type checker can walk. `<error>` cannot lex as an identifier,
+//! Collect type checker can walk. `<error>` cannot lex as an identifier,
 //! so holes never collide with user-written names.
+//!
+//! Spans are byte offsets into the input, as [`Span`] documents.
 
 use crate::ast::Term;
 use crate::builder::*;
@@ -145,75 +147,34 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '$' || c == '\''
 }
 
-/// Tokenizes `input`. In tolerant mode, unknown characters are skipped and
-/// recorded in `errors`; in strict mode the first one aborts the scan.
+/// Tokenizes `input` into byte-offset spans. In tolerant mode, unknown
+/// characters are skipped and recorded in `errors`; in strict mode the
+/// first one aborts the scan.
 fn tokenize_inner(
     input: &str,
     tolerant: bool,
     errors: &mut Vec<ParseError>,
 ) -> Result<Vec<(Token, Span)>> {
     let mut tokens = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
-    let mut i = 0usize;
-    while i < chars.len() {
-        let c = chars[i];
-        let start = i as u32;
-        match c {
-            c if c.is_whitespace() => {
-                i += 1;
-            }
-            '(' => {
-                tokens.push((Token::LParen, Span::new(start, start + 1)));
-                i += 1;
-            }
-            ')' => {
-                tokens.push((Token::RParen, Span::new(start, start + 1)));
-                i += 1;
-            }
-            '<' => {
-                tokens.push((Token::LAngle, Span::new(start, start + 1)));
-                i += 1;
-            }
-            '>' => {
-                tokens.push((Token::RAngle, Span::new(start, start + 1)));
-                i += 1;
-            }
-            '.' => {
-                tokens.push((Token::Dot, Span::new(start, start + 1)));
-                i += 1;
-            }
-            ':' => {
-                tokens.push((Token::Colon, Span::new(start, start + 1)));
-                i += 1;
-            }
-            ',' => {
-                tokens.push((Token::Comma, Span::new(start, start + 1)));
-                i += 1;
-            }
-            '=' => {
-                tokens.push((Token::Equals, Span::new(start, start + 1)));
-                i += 1;
-            }
-            '*' => {
-                tokens.push((Token::Star, Span::new(start, start + 1)));
-                i += 1;
-            }
-            '\\' => {
-                tokens.push((Token::Lambda, Span::new(start, start + 1)));
-                i += 1;
-            }
-            '-' if i + 1 < chars.len() && chars[i + 1] == '>' => {
-                tokens.push((Token::Arrow, Span::new(start, start + 2)));
-                i += 2;
-            }
+    let mut chars = input.char_indices().peekable();
+    while let Some((start, c)) = chars.next() {
+        let token = match c {
+            c if c.is_whitespace() => continue,
+            '(' => Token::LParen,
+            ')' => Token::RParen,
+            '<' => Token::LAngle,
+            '>' => Token::RAngle,
+            '.' => Token::Dot,
+            ':' => Token::Colon,
+            ',' => Token::Comma,
+            '=' => Token::Equals,
+            '*' => Token::Star,
+            '\\' => Token::Lambda,
+            '-' if chars.next_if(|&(_, next)| next == '>').is_some() => Token::Arrow,
             c if is_ident_start(c) => {
-                let mut j = i + 1;
-                while j < chars.len() && is_ident_continue(chars[j]) {
-                    j += 1;
-                }
-                let word: String = chars[i..j].iter().collect();
-                let span = Span::new(start, j as u32);
-                let token = match word.as_str() {
+                while chars.next_if(|&(_, next)| is_ident_continue(next)).is_some() {}
+                let end = chars.peek().map_or(input.len(), |&(end, _)| end);
+                match &input[start..end] {
                     "Pi" | "forall" => Token::Pi,
                     "Sigma" | "exists" => Token::Sigma,
                     "lambda" | "fun" => Token::Lambda,
@@ -229,24 +190,21 @@ fn tokenize_inner(
                     "false" => Token::False,
                     "Bool" => Token::BoolKw,
                     "BOX" => Token::BoxKw,
-                    _ => Token::Ident(word),
-                };
-                tokens.push((token, span));
-                i = j;
-            }
-            other => {
-                let error = ParseError::new(
-                    format!("unexpected character `{other}`"),
-                    Span::new(start, start + 1),
-                );
-                if tolerant {
-                    errors.push(error);
-                    i += 1;
-                } else {
-                    return Err(error);
+                    word => Token::Ident(word.to_owned()),
                 }
             }
-        }
+            other => {
+                let span = Span::new(start as u32, (start + other.len_utf8()) as u32);
+                let error = ParseError::new(format!("unexpected character `{other}`"), span);
+                if !tolerant {
+                    return Err(error);
+                }
+                errors.push(error);
+                continue;
+            }
+        };
+        let end = chars.peek().map_or(input.len(), |&(end, _)| end);
+        tokens.push((token, Span::new(start as u32, end as u32)));
     }
     Ok(tokens)
 }

@@ -1,9 +1,8 @@
-//! Keep-going type checking for CC: collect *every* error, not just the
-//! first.
+//! The error sentinel of keep-going type checking for CC.
 //!
-//! [`infer_tolerant`] runs the one rule set of [`crate::typecheck`] under
-//! its Collect error policy: each violation is recorded as a coded
-//! [`Diagnostic`] and checking resumes with the **error sentinel** — the
+//! Under its Collect error policy ([`crate::typecheck::infer_collecting`])
+//! the one rule set of [`crate::typecheck`] records each violation as a
+//! coded diagnostic and resumes with the **error sentinel** — the
 //! unparseable variable `<error>`, whose type unifies with anything. The
 //! recovery points and the error-code table are documented with the
 //! rules, in [`crate::typecheck`].
@@ -20,9 +19,7 @@
 
 use crate::ast::Term;
 use crate::env::Env;
-use crate::equiv::Engine;
 use crate::subst::occurs_free;
-use cccc_util::diag::Diagnostic;
 use cccc_util::symbol::Symbol;
 
 /// The reserved name of the error sentinel. It contains characters that can
@@ -55,44 +52,16 @@ pub fn env_is_poisoned(env: &Env) -> bool {
     })
 }
 
-/// The result of a tolerant run: the (possibly poisoned) type together with
-/// every diagnostic collected along the way.
-#[derive(Clone, Debug)]
-pub struct TolerantOutcome {
-    /// The inferred type; mentions `<error>` wherever recovery happened.
-    pub ty: Term,
-    /// All diagnostics, in source order of discovery.
-    pub diagnostics: Vec<Diagnostic>,
-}
-
-impl TolerantOutcome {
-    /// True when no error-severity diagnostic was produced.
-    pub fn is_clean(&self) -> bool {
-        !self.diagnostics.iter().any(Diagnostic::is_error)
-    }
-}
-
-/// Infers the type of `term` under `env`, collecting every type error
-/// instead of stopping at the first.
-pub fn infer_tolerant(env: &Env, term: &Term) -> TolerantOutcome {
-    infer_tolerant_with_engine(env, term, Engine::Nbe)
-}
-
-/// [`infer_tolerant`] through an explicitly chosen equivalence engine.
-pub fn infer_tolerant_with_engine(env: &Env, term: &Term, engine: Engine) -> TolerantOutcome {
-    let (ty, diagnostics) = crate::typecheck::infer_collecting(env, term, engine);
-    TolerantOutcome { ty, diagnostics }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::*;
-    use crate::equiv::definitionally_equal;
-    use crate::typecheck::infer;
+    use crate::equiv::{definitionally_equal, Engine};
+    use crate::typecheck::{infer, infer_collecting};
+    use cccc_util::diag::Diagnostic;
 
-    fn codes(outcome: &TolerantOutcome) -> Vec<&str> {
-        outcome.diagnostics.iter().filter_map(|d| d.code.as_deref()).collect()
+    fn codes(diagnostics: &[Diagnostic]) -> Vec<&str> {
+        diagnostics.iter().filter_map(|d| d.code.as_deref()).collect()
     }
 
     #[test]
@@ -105,18 +74,18 @@ mod tests {
         for entry in crate::prelude::corpus() {
             let env = Env::new();
             let strict = infer(&env, &entry.term).expect("corpus terms are well-typed");
-            let tolerant = infer_tolerant(&env, &entry.term);
+            let (ty, diagnostics) = infer_collecting(&env, &entry.term, Engine::Nbe);
             assert!(
-                tolerant.diagnostics.is_empty(),
+                diagnostics.is_empty(),
                 "{}: spurious diagnostics {:?}",
                 entry.name,
-                tolerant.diagnostics
+                diagnostics
             );
             assert!(
-                definitionally_equal(&env, &tolerant.ty, &strict),
+                definitionally_equal(&env, &ty, &strict),
                 "{}: tolerant type `{}` differs from strict `{}`",
                 entry.name,
-                tolerant.ty,
+                ty,
                 strict
             );
         }
@@ -124,17 +93,17 @@ mod tests {
 
     #[test]
     fn unbound_variable_reports_and_poisons() {
-        let outcome = infer_tolerant(&Env::new(), &var("ghost"));
-        assert_eq!(codes(&outcome), vec!["E0001"]);
-        assert!(is_poisoned(&outcome.ty));
+        let (ty, diagnostics) = infer_collecting(&Env::new(), &var("ghost"), Engine::Nbe);
+        assert_eq!(codes(&diagnostics), vec!["E0001"]);
+        assert!(is_poisoned(&ty));
     }
 
     #[test]
     fn multiple_independent_errors_are_all_reported() {
         // Three separate errors: unbound `a`, true applied, fst of true.
         let t = ite(app(tt(), var("a")), fst(tt()), tt());
-        let outcome = infer_tolerant(&Env::new(), &t);
-        let found = codes(&outcome);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &t, Engine::Nbe);
+        let found = codes(&diagnostics);
         assert!(found.contains(&"E0003"), "{found:?}");
         assert!(found.contains(&"E0001"), "{found:?}");
         assert!(found.contains(&"E0004"), "{found:?}");
@@ -145,8 +114,8 @@ mod tests {
         // `let b = * : Bool in fst b` — the binding is ill-typed (E0008) and
         // the body has its own error (fst of a Bool-annotated binder, E0004).
         let t = let_("b", bool_ty(), star(), fst(var("b")));
-        let outcome = infer_tolerant(&Env::new(), &t);
-        let found = codes(&outcome);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &t, Engine::Nbe);
+        let found = codes(&diagnostics);
         assert!(found.contains(&"E0008"), "{found:?}");
         assert!(found.contains(&"E0004"), "{found:?}");
     }
@@ -156,27 +125,28 @@ mod tests {
         // Only ONE error: the unbound variable. Its poisoned type must not
         // cascade into a mismatch against Bool.
         let t = ite(var("ghost"), tt(), ff());
-        let outcome = infer_tolerant(&Env::new(), &t);
-        assert_eq!(codes(&outcome), vec!["E0001"]);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &t, Engine::Nbe);
+        assert_eq!(codes(&diagnostics), vec!["E0001"]);
     }
 
     #[test]
     fn mismatch_is_reported_once_then_accepted() {
         let not = lam("b", bool_ty(), ite(var("b"), ff(), tt()));
-        let outcome = infer_tolerant(&Env::new(), &app(not, star()));
-        assert_eq!(codes(&outcome), vec!["E0008"]);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &app(not, star()), Engine::Nbe);
+        assert_eq!(codes(&diagnostics), vec!["E0008"]);
     }
 
     #[test]
     fn box_as_term_reports_e0002() {
-        let outcome = infer_tolerant(&Env::new(), &app(boxu(), tt()));
-        assert!(codes(&outcome).contains(&"E0002"));
+        let (_, diagnostics) = infer_collecting(&Env::new(), &app(boxu(), tt()), Engine::Nbe);
+        assert!(codes(&diagnostics).contains(&"E0002"));
     }
 
     #[test]
     fn pair_annotation_not_sigma_reports_e0006() {
-        let outcome = infer_tolerant(&Env::new(), &pair(tt(), ff(), bool_ty()));
-        assert_eq!(codes(&outcome), vec!["E0006"]);
+        let (_, diagnostics) =
+            infer_collecting(&Env::new(), &pair(tt(), ff(), bool_ty()), Engine::Nbe);
+        assert_eq!(codes(&diagnostics), vec!["E0006"]);
     }
 
     #[test]

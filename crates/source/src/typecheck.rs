@@ -22,7 +22,7 @@
 //! The rules are written once, in a checker generic over its error
 //! policy. **Stop** — [`infer`], [`check`], and the other public entry
 //! points — returns a [`TypeError`] at the first violation. **Collect**
-//! — [`crate::tolerant::infer_tolerant`], the keep-going front end —
+//! — [`infer_collecting`], which the compiler's keep-going mode runs —
 //! records each violation as a [`Diagnostic`] coded by
 //! [`TypeError::code`], with the primary span from the [`crate::spans`]
 //! side-table, and recovers with the error sentinel `<error>`
@@ -249,10 +249,12 @@ pub fn is_well_typed(env: &Env, term: &Term) -> bool {
     infer(env, term).is_ok()
 }
 
-/// Infers the type of `term` under the Collect policy: every violation
-/// becomes a diagnostic and checking resumes with the sentinel. The
-/// entry point behind [`crate::tolerant::infer_tolerant_with_engine`].
-pub(crate) fn infer_collecting(env: &Env, term: &Term, engine: Engine) -> (Term, Vec<Diagnostic>) {
+/// Infers the type of `term` under `env` with the Collect policy, through
+/// the chosen engine: every violation becomes a diagnostic and checking
+/// resumes with the sentinel. Returns the type, which mentions `<error>`
+/// wherever recovery happened, and every diagnostic in order of
+/// discovery.
+pub fn infer_collecting(env: &Env, term: &Term, engine: Engine) -> (Term, Vec<Diagnostic>) {
     let mut fuel = Fuel::default();
     let mut checker = Collecting::new(&mut fuel, engine);
     let ty = checker.infer(env, term).expect("the Collect policy never stops");

@@ -1,21 +1,17 @@
-//! Keep-going type checking for CC-CC: collect *every* error, not just the
-//! first.
+//! The error sentinel of keep-going type checking for CC-CC.
 //!
-//! [`infer_tolerant`] runs the one rule set of [`crate::typecheck`] —
-//! including the closure-conversion rules `[Code]`, `[T-Code]`, and
-//! `[Clo]` — under its Collect error policy: each violation is recorded as
-//! a coded [`Diagnostic`] and checking recovers with the error sentinel
-//! `<error>`, exactly like the source-side `cccc_source::tolerant`. A type
-//! mentioning the sentinel is *poisoned* ([`is_poisoned`], O(1) on the
-//! cached free-variable metadata) and unifies with anything, so a single
-//! genuine error does not cascade. The recovery points and the error-code
-//! table are documented with the rules, in [`crate::typecheck`].
+//! Under its Collect error policy ([`crate::typecheck::infer_collecting`])
+//! the one rule set of [`crate::typecheck`] — including the
+//! closure-conversion rules `[Code]`, `[T-Code]`, and `[Clo]` — records
+//! each violation as a coded diagnostic and recovers with the error
+//! sentinel `<error>`, exactly like the source-side `cccc_source::tolerant`.
+//! A type mentioning the sentinel is *poisoned* ([`is_poisoned`], O(1) on
+//! the cached free-variable metadata) and unifies with anything, so a
+//! single genuine error does not cascade. The recovery points and the
+//! error-code table are documented with the rules, in [`crate::typecheck`].
 
 use crate::ast::Term;
-use crate::env::Env;
-use crate::equiv::Engine;
 use crate::subst::occurs_free;
-use cccc_util::diag::Diagnostic;
 use cccc_util::symbol::Symbol;
 
 /// The reserved name of the error sentinel (shared spelling with the
@@ -37,42 +33,17 @@ pub fn is_poisoned(term: &Term) -> bool {
     occurs_free(error_symbol(), term)
 }
 
-/// The result of a tolerant run.
-#[derive(Clone, Debug)]
-pub struct TolerantOutcome {
-    /// The inferred type; mentions `<error>` wherever recovery happened.
-    pub ty: Term,
-    /// All diagnostics, in order of discovery.
-    pub diagnostics: Vec<Diagnostic>,
-}
-
-impl TolerantOutcome {
-    /// True when no error-severity diagnostic was produced.
-    pub fn is_clean(&self) -> bool {
-        !self.diagnostics.iter().any(Diagnostic::is_error)
-    }
-}
-
-/// Infers the type of `term` under `env`, collecting every type error.
-pub fn infer_tolerant(env: &Env, term: &Term) -> TolerantOutcome {
-    infer_tolerant_with_engine(env, term, Engine::Nbe)
-}
-
-/// [`infer_tolerant`] through an explicitly chosen equivalence engine.
-pub fn infer_tolerant_with_engine(env: &Env, term: &Term, engine: Engine) -> TolerantOutcome {
-    let (ty, diagnostics) = crate::typecheck::infer_collecting(env, term, engine);
-    TolerantOutcome { ty, diagnostics }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::*;
-    use crate::equiv::definitionally_equal;
-    use crate::typecheck::infer;
+    use crate::env::Env;
+    use crate::equiv::{definitionally_equal, Engine};
+    use crate::typecheck::{infer, infer_collecting};
+    use cccc_util::diag::Diagnostic;
 
-    fn codes(outcome: &TolerantOutcome) -> Vec<&str> {
-        outcome.diagnostics.iter().filter_map(|d| d.code.as_deref()).collect()
+    fn codes(diagnostics: &[Diagnostic]) -> Vec<&str> {
+        diagnostics.iter().filter_map(|d| d.code.as_deref()).collect()
     }
 
     fn id_code() -> Term {
@@ -84,9 +55,9 @@ mod tests {
         let env = Env::new();
         let clo = closure(id_code(), unit_val());
         let strict = infer(&env, &clo).expect("closure is well-typed");
-        let tolerant = infer_tolerant(&env, &clo);
-        assert!(tolerant.diagnostics.is_empty(), "{:?}", tolerant.diagnostics);
-        assert!(definitionally_equal(&env, &tolerant.ty, &strict));
+        let (ty, diagnostics) = infer_collecting(&env, &clo, Engine::Nbe);
+        assert!(diagnostics.is_empty(), "{diagnostics:?}");
+        assert!(definitionally_equal(&env, &ty, &strict));
     }
 
     #[test]
@@ -96,21 +67,22 @@ mod tests {
         let open = code("n", unit_ty(), "x", bool_ty(), var("y"));
         let env = Env::new().with_assumption(Symbol::intern("y"), bool_ty());
         let t = app(closure(open, unit_val()), star());
-        let outcome = infer_tolerant(&env, &t);
-        let found = codes(&outcome);
+        let (_, diagnostics) = infer_collecting(&env, &t, Engine::Nbe);
+        let found = codes(&diagnostics);
         assert!(found.contains(&"E1010"), "{found:?}");
     }
 
     #[test]
     fn bare_code_application_reports_e1003() {
-        let outcome = infer_tolerant(&Env::new(), &app(id_code(), tt()));
-        assert_eq!(codes(&outcome), vec!["E1003"]);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &app(id_code(), tt()), Engine::Nbe);
+        assert_eq!(codes(&diagnostics), vec!["E1003"]);
     }
 
     #[test]
     fn non_code_closure_component_reports_e1011() {
-        let outcome = infer_tolerant(&Env::new(), &closure(tt(), unit_val()));
-        assert_eq!(codes(&outcome), vec!["E1011"]);
+        let (_, diagnostics) =
+            infer_collecting(&Env::new(), &closure(tt(), unit_val()), Engine::Nbe);
+        assert_eq!(codes(&diagnostics), vec!["E1011"]);
     }
 
     #[test]
@@ -118,8 +90,8 @@ mod tests {
         // Unbound variable in the closure environment AND a mismatched
         // application argument.
         let t = app(closure(id_code(), var("ghost")), star());
-        let outcome = infer_tolerant(&Env::new(), &t);
-        let found = codes(&outcome);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &t, Engine::Nbe);
+        let found = codes(&diagnostics);
         assert!(found.contains(&"E1001"), "{found:?}");
         // ghost poisons the env check, but the closure type is still known,
         // so the bad argument is still caught.
@@ -128,7 +100,8 @@ mod tests {
 
     #[test]
     fn poisoned_types_do_not_cascade() {
-        let outcome = infer_tolerant(&Env::new(), &ite(var("ghost"), tt(), ff()));
-        assert_eq!(codes(&outcome), vec!["E1001"]);
+        let (_, diagnostics) =
+            infer_collecting(&Env::new(), &ite(var("ghost"), tt(), ff()), Engine::Nbe);
+        assert_eq!(codes(&diagnostics), vec!["E1001"]);
     }
 }

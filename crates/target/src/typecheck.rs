@@ -28,7 +28,7 @@
 //! As in `cccc_source::typecheck`, the rules are written once, in a
 //! checker generic over its error policy: **Stop** ([`infer`], [`check`],
 //! …) returns the first [`TypeError`]; **Collect**
-//! ([`crate::tolerant::infer_tolerant`]) records each violation as a
+//! ([`infer_collecting`]) records each violation as a
 //! [`Diagnostic`] coded by [`TypeError::code`] and recovers with the
 //! sentinel `<error>` at the same points the source checker does. Open
 //! code is reported and checking continues into its body, and Collect
@@ -283,11 +283,6 @@ thread_local! {
         RefCell::new(FxHashMap::default());
 }
 
-/// Clears this thread's `[Code]` typing memo.
-pub fn reset_code_memo() {
-    CODE_MEMO.with(|m| m.borrow_mut().clear());
-}
-
 fn code_memo_get(id: NodeId, engine: Engine) -> Option<RcTerm> {
     CODE_MEMO.with(|m| m.borrow().get(&(id, engine)).cloned())
 }
@@ -302,10 +297,12 @@ fn code_memo_insert(id: NodeId, engine: Engine, ty: RcTerm) {
     });
 }
 
-/// Infers the type of `term` under the Collect policy: every violation
-/// becomes a diagnostic and checking resumes with the sentinel. The
-/// entry point behind [`crate::tolerant::infer_tolerant_with_engine`].
-pub(crate) fn infer_collecting(env: &Env, term: &Term, engine: Engine) -> (Term, Vec<Diagnostic>) {
+/// Infers the type of `term` under `env` with the Collect policy, through
+/// the chosen engine: every violation becomes a diagnostic and checking
+/// resumes with the sentinel. Returns the type, which mentions `<error>`
+/// wherever recovery happened, and every diagnostic in order of
+/// discovery.
+pub fn infer_collecting(env: &Env, term: &Term, engine: Engine) -> (Term, Vec<Diagnostic>) {
     let mut fuel = Fuel::default();
     let mut checker = Collecting::new(&mut fuel, engine);
     let ty = checker.infer(env, term).expect("the Collect policy never stops");

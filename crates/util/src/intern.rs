@@ -580,12 +580,6 @@ impl ConvCache {
     pub fn stats(&self) -> ConvCacheStats {
         self.stats
     }
-
-    /// Clears the table and the counters.
-    pub fn reset(&mut self) {
-        self.map.clear();
-        self.stats = ConvCacheStats::default();
-    }
 }
 
 /// Chains one typing-environment entry into a content fingerprint — the

@@ -61,9 +61,7 @@ pub use cccc_exist as exist;
 /// Shared infrastructure (re-export of `cccc-util`).
 pub use cccc_util as util;
 
-pub use cccc_core::pipeline::{
-    Compilation, CompileError, Compiler, CompilerOptions, FrontendOutcome,
-};
+pub use cccc_core::pipeline::{Compilation, CompileError, Compiler, CompilerOptions};
 pub use cccc_util::diag::{Diagnostic, Severity};
 
 #[cfg(test)]

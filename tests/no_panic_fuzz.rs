@@ -3,7 +3,7 @@
 //! AST level (spliced sentinels, unbound variables, swapped binders,
 //! deleted annotations), then driven through the whole pipeline — strict
 //! and keep-going, parse → typecheck → translate → verify. The gate is
-//! twofold: nothing panics, and the strict and tolerant front ends never
+//! twofold: nothing panics, and the Stop and Collect error policies never
 //! disagree about whether a program is broken.
 
 use cccc::source::{
@@ -11,7 +11,7 @@ use cccc::source::{
 };
 use cccc::target;
 use cccc::util::symbol::Symbol;
-use cccc::Compiler;
+use cccc::{Compilation, CompileError, Compiler, CompilerOptions, Diagnostic};
 use proptest::prelude::*;
 
 /// Deterministic splitmix64 — corruption choices must replay from the
@@ -155,25 +155,31 @@ fn corrupt_ast(term: &Term, rng: &mut Rng) -> Term {
     corrupt_at(term, target, &mut 0, rng)
 }
 
-/// The agreement gate both properties below lean on: strict success must
-/// imply a clean tolerant run (with the backend artifacts attached), and
-/// a clean tolerant run must imply strict success.
-fn check_agreement(strict_ok: bool, outcome: &cccc::FrontendOutcome, what: &str) {
-    if strict_ok {
-        assert_eq!(outcome.error_count(), 0, "tolerant found phantom errors in {what}");
-        assert!(outcome.compilation.is_some(), "clean {what} lost its compilation");
-    } else {
-        assert!(!outcome.is_clean(), "tolerant missed the breakage in {what}");
-    }
-    if let Some(compilation) = &outcome.compilation {
-        // Whatever survived to the backend really was verified: the
-        // target checks in CC-CC at the translated type.
-        target::typecheck::check(
-            &target::Env::new(),
-            &compilation.target,
-            &compilation.target_type,
-        )
-        .expect("verified output type checks");
+fn keep_going() -> Compiler {
+    Compiler::with_options(CompilerOptions { keep_going: true, ..CompilerOptions::default() })
+}
+
+/// The agreement gate both properties below lean on: Stop succeeds
+/// exactly when Collect does, and whatever Collect compiled checks.
+fn check_agreement(strict_ok: bool, collected: &Result<Compilation, CompileError>, what: &str) {
+    match collected {
+        Ok(compilation) => {
+            assert!(strict_ok, "tolerant missed the breakage in {what}");
+            // Whatever survived to the backend really was verified: the
+            // target checks in CC-CC at the translated type.
+            target::typecheck::check(
+                &target::Env::new(),
+                &compilation.target,
+                &compilation.target_type,
+            )
+            .expect("verified output type checks");
+        }
+        Err(CompileError::Recovered { diagnostics, .. }) if strict_ok => {
+            let errors = diagnostics.iter().filter(|d| d.is_error()).count();
+            assert_eq!(errors, 0, "tolerant found phantom errors in {what}");
+            panic!("clean {what} lost its compilation");
+        }
+        Err(error) => assert!(!strict_ok, "tolerant found phantom errors in {what}: {error}"),
     }
 }
 
@@ -191,8 +197,8 @@ proptest! {
         for _ in 0..8 {
             let mangled = corrupt_text(&text, &mut rng);
             let strict_ok = compiler.compile_text(&mangled).is_ok();
-            let outcome = compiler.compile_text_keep_going(&mangled);
-            check_agreement(strict_ok, &outcome, &format!("text {mangled:?}"));
+            let collected = keep_going().compile_text(&mangled);
+            check_agreement(strict_ok, &collected, &format!("text {mangled:?}"));
         }
     }
 
@@ -207,12 +213,12 @@ proptest! {
         for _ in 0..8 {
             let corrupted = corrupt_ast(&term, &mut rng);
             let strict_ok = compiler.compile_closed(&corrupted).is_ok();
-            let outcome = compiler.compile_keep_going(&Env::new(), &corrupted);
-            check_agreement(strict_ok, &outcome, "a corrupted AST");
+            let collected = keep_going().compile(&Env::new(), &corrupted);
+            check_agreement(strict_ok, &collected, "a corrupted AST");
             // Sentinel-bearing terms are quarantined from the backend even
             // when recovery produced no diagnostics at all.
             if source::tolerant::is_poisoned(&corrupted) {
-                prop_assert!(outcome.compilation.is_none());
+                prop_assert!(matches!(collected, Err(CompileError::Recovered { .. })));
             }
         }
     }
@@ -240,8 +246,13 @@ proptest! {
                 ),
             };
             let strict_ok = target::typecheck::infer(&target::Env::new(), &smashed).is_ok();
-            let outcome = target::tolerant::infer_tolerant(&target::Env::new(), &smashed);
-            prop_assert_eq!(strict_ok, outcome.is_clean(), "target checkers disagree");
+            let (_, diagnostics) = target::typecheck::infer_collecting(
+                &target::Env::new(),
+                &smashed,
+                target::equiv::Engine::Nbe,
+            );
+            let clean = !diagnostics.iter().any(Diagnostic::is_error);
+            prop_assert_eq!(strict_ok, clean, "target checkers disagree");
         }
     }
 }

@@ -4,14 +4,26 @@
 //! span bookkeeping, or message wording must show up here as a diff the
 //! reviewer can read, not as silent drift.
 
-use cccc::source::{self, builder as s};
+use cccc::source::{self, builder as s, tolerant::is_poisoned};
 use cccc::target::{self, builder as t};
 use cccc::util::diag::diagnostics_to_json;
 use cccc::util::span::Span;
-use cccc::{Compiler, Diagnostic};
+use cccc::{CompileError, Compiler, CompilerOptions, Diagnostic};
 
 fn codes(diagnostics: &[Diagnostic]) -> Vec<&str> {
     diagnostics.iter().filter_map(|d| d.code.as_deref()).collect()
+}
+
+fn keep_going() -> Compiler {
+    Compiler::with_options(CompilerOptions { keep_going: true, ..CompilerOptions::default() })
+}
+
+/// The interface and diagnostics a keep-going compile of `text` recovered.
+fn recovered(text: &str) -> (source::Term, Vec<Diagnostic>) {
+    match keep_going().compile_text(text) {
+        Err(CompileError::Recovered { interface, diagnostics }) => (interface, diagnostics),
+        other => panic!("expected a recovered front end for {text:?}, got {other:?}"),
+    }
 }
 
 /// One fixture, three independent CC errors: an application of a
@@ -20,14 +32,12 @@ fn codes(diagnostics: &[Diagnostic]) -> Vec<&str> {
 #[test]
 fn cc_fixture_pins_three_errors_with_spans() {
     let text = "if (true false) then missing else (\\(x : Bool). x) *";
-    let outcome = Compiler::new().compile_text_keep_going(text);
-    assert!(!outcome.is_clean());
-    assert!(outcome.compilation.is_none());
-    assert!(outcome.interface_is_poisoned(), "recovery left the sentinel in the interface");
-    assert_eq!(codes(&outcome.diagnostics), vec!["E0003", "E0001", "E0008"]);
+    let (interface, diagnostics) = recovered(text);
+    assert!(is_poisoned(&interface), "recovery left the sentinel in the interface");
+    assert_eq!(codes(&diagnostics), vec!["E0003", "E0001", "E0008"]);
 
-    let [not_a_function, unbound, mismatch] = &outcome.diagnostics[..] else {
-        panic!("expected exactly three diagnostics, got {:?}", outcome.diagnostics)
+    let [not_a_function, unbound, mismatch] = &diagnostics[..] else {
+        panic!("expected exactly three diagnostics, got {diagnostics:?}")
     };
 
     // `true false`: the span points at the applied `true`.
@@ -55,8 +65,8 @@ fn cc_fixture_pins_three_errors_with_spans() {
 #[test]
 fn cc_fixture_json_is_stable() {
     let text = "if (true false) then missing else (\\(x : Bool). x) *";
-    let outcome = Compiler::new().compile_text_keep_going(text);
-    let json = diagnostics_to_json(&outcome.diagnostics);
+    let (_, diagnostics) = recovered(text);
+    let json = diagnostics_to_json(&diagnostics);
     assert!(json.starts_with('[') && json.ends_with(']'));
     for needle in [
         r#""code":"E0003""#,
@@ -76,9 +86,9 @@ fn cc_fixture_json_is_stable() {
 #[test]
 fn cc_mismatch_points_at_the_annotation_it_came_from() {
     let text = "(\\(x : Bool). x) (\\(y : Bool). y)";
-    let outcome = Compiler::new().compile_text_keep_going(text);
-    assert_eq!(codes(&outcome.diagnostics), vec!["E0008"]);
-    let mismatch = &outcome.diagnostics[0];
+    let (interface, diagnostics) = recovered(text);
+    assert_eq!(codes(&diagnostics), vec!["E0008"]);
+    let mismatch = &diagnostics[0];
     // The primary span covers the whole offending argument …
     assert_eq!(mismatch.span, Some(Span::new(18, 32)));
     assert_eq!(&text[18..32], "\\(y : Bool). y");
@@ -91,7 +101,7 @@ fn cc_mismatch_points_at_the_annotation_it_came_from() {
     assert_eq!(mismatch.notes, vec!["expected `Bool`", "found    `Pi (y : Bool). Bool`"]);
     // Both sides of the mismatch are sentinel-free, so the interface is
     // not poisoned — only wrong.
-    assert!(!outcome.interface_is_poisoned());
+    assert!(!is_poisoned(&interface));
 }
 
 /// Parser recovery: an unclosed parenthesis inside an unfinished `if`
@@ -100,9 +110,9 @@ fn cc_mismatch_points_at_the_annotation_it_came_from() {
 #[test]
 fn cc_parse_recovery_pins_every_expectation() {
     let text = "if true then (x";
-    let outcome = Compiler::new().compile_text_keep_going(text);
-    assert_eq!(codes(&outcome.diagnostics), vec!["E0100", "E0100", "E0100"]);
-    let messages: Vec<&str> = outcome.diagnostics.iter().map(|d| d.message.as_str()).collect();
+    let (interface, diagnostics) = recovered(text);
+    assert_eq!(codes(&diagnostics), vec!["E0100", "E0100", "E0100"]);
+    let messages: Vec<&str> = diagnostics.iter().map(|d| d.message.as_str()).collect();
     assert_eq!(
         messages,
         vec![
@@ -112,10 +122,10 @@ fn cc_parse_recovery_pins_every_expectation() {
         ]
     );
     let end = text.len() as u32;
-    for diagnostic in &outcome.diagnostics {
+    for diagnostic in &diagnostics {
         assert_eq!(diagnostic.span, Some(Span::new(end, end)), "anchored at end of input");
     }
-    assert!(outcome.interface_is_poisoned());
+    assert!(is_poisoned(&interface));
 }
 
 /// The CC-CC tolerant checker pins its own code table: a non-closure
@@ -126,12 +136,13 @@ fn cc_parse_recovery_pins_every_expectation() {
 fn cc_cc_fixture_pins_four_errors() {
     let open_code = t::code("n", t::unit_ty(), "x", t::bool_ty(), t::var("stray"));
     let term = t::ite(t::app(t::tt(), t::ff()), open_code, t::ite(t::unit_val(), t::tt(), t::ff()));
-    let outcome = target::tolerant::infer_tolerant(&target::Env::new(), &term);
-    assert!(!outcome.is_clean());
-    assert_eq!(codes(&outcome.diagnostics), vec!["E1003", "E1010", "E1001", "E1008"]);
+    let (_, diagnostics) =
+        target::typecheck::infer_collecting(&target::Env::new(), &term, target::equiv::Engine::Nbe);
+    assert!(diagnostics.iter().any(Diagnostic::is_error));
+    assert_eq!(codes(&diagnostics), vec!["E1003", "E1010", "E1001", "E1008"]);
 
-    let [not_a_closure, open, unbound, mismatch] = &outcome.diagnostics[..] else {
-        panic!("expected exactly four diagnostics, got {:?}", outcome.diagnostics)
+    let [not_a_closure, open, unbound, mismatch] = &diagnostics[..] else {
+        panic!("expected exactly four diagnostics, got {diagnostics:?}")
     };
     assert_eq!(not_a_closure.message, "`true` is applied but has non-closure type `Bool`");
     assert!(
@@ -157,19 +168,46 @@ fn strict_and_tolerant_agree_on_the_fixtures() {
         "if true then (x",
     ] {
         assert!(compiler.compile_text(text).is_err(), "{text}");
-        assert!(!compiler.compile_text_keep_going(text).is_clean(), "{text}");
+        recovered(text);
     }
     let clean = "(\\(A : *). \\(x : A). x) Bool true";
     let strict = compiler.compile_text(clean).unwrap();
-    let tolerant = compiler.compile_text_keep_going(clean);
-    assert!(tolerant.is_clean());
-    assert!(source::subst::alpha_eq(&tolerant.interface, &strict.source_type));
-    let recompiled = tolerant.compilation.expect("clean outcome carries the compilation");
-    assert!(target::subst::alpha_eq(&recompiled.target, &strict.target));
+    let tolerant = keep_going().compile_text(clean).expect("a clean program compiles");
+    assert!(source::subst::alpha_eq(&tolerant.source_type, &strict.source_type));
+    assert!(target::subst::alpha_eq(&tolerant.target, &strict.target));
     // And the error sentinel really is the recovery value: checking it
     // against any type succeeds without further diagnostics.
     let spliced = s::ite(source::tolerant::error_term(), s::tt(), s::ff());
-    let outcome = compiler.compile_keep_going(&source::Env::new(), &spliced);
-    assert_eq!(outcome.error_count(), 0, "the sentinel unifies instead of cascading");
-    assert!(outcome.compilation.is_none(), "but a poisoned term never reaches the backend");
+    let Err(CompileError::Recovered { diagnostics, .. }) =
+        keep_going().compile(&source::Env::new(), &spliced)
+    else {
+        panic!("a poisoned term never reaches the backend");
+    };
+    assert_eq!(
+        diagnostics.iter().filter(|d| d.is_error()).count(),
+        0,
+        "the sentinel unifies instead of cascading"
+    );
+}
+
+/// Spans are byte offsets: a multi-byte identifier before an error shifts
+/// the span by its bytes, and line:col counts characters.
+#[test]
+fn non_ascii_identifiers_get_byte_spans() {
+    let text = "\\(α : Bool). β";
+    let (_, diagnostics) = recovered(text);
+    assert_eq!(codes(&diagnostics), vec!["E0001"]);
+    let unbound = &diagnostics[0];
+    assert_eq!(unbound.message, "unbound variable `β`");
+    assert_eq!(unbound.span, Some(Span::new(14, 16)));
+    assert_eq!(unbound.span.unwrap().slice(text), Some("β"));
+    assert_eq!(unbound.render(text), "error[E0001]: unbound variable `β` (at 1:14)\n  --> β");
+    // A character that cannot start a token spans all of its bytes.
+    let text = "λ → true";
+    let strict = Compiler::new().compile_text(text).unwrap_err();
+    let CompileError::Parse(error) = &strict else {
+        panic!("expected a parse error, got {strict}")
+    };
+    assert_eq!(error.span, Span::new(3, 6));
+    assert_eq!(error.span.slice(text), Some("→"));
 }
