@@ -21,28 +21,50 @@
 //! Pretty-printing a term and parsing the output yields an α-equivalent
 //! term; this round-trip property is exercised in the tests.
 //!
-//! Every parsed node is recorded in the [`crate::spans`] side-table, so the
-//! type checkers can attach source locations to their diagnostics without
-//! the hash-consed AST carrying spans.
+//! The parser interns each node it builds exactly once:
 //!
-//! Two entry points are provided. [`parse_term`] is fail-fast and returns
-//! the first [`ParseError`]. [`parse_term_tolerant`] keeps going: at each
-//! recovery point it records the error, skips ahead to a synchronizing
-//! token (`in`, `then`, `else`, `)`, …), patches the missing subterm with
-//! the `<error>` hole ([`crate::tolerant::error_term`]) and continues, so a
-//! single pass reports every parse error and still yields a term the
-//! Collect type checker can walk. `<error>` cannot lex as an identifier,
-//! so holes never collide with user-written names.
+//! - the lexer yields `Copy` tokens whose identifiers borrow the input;
+//! - each distinct identifier becomes a [`Symbol`] once per parse, through
+//!   a map local to that parse, so the global symbol interner is locked
+//!   once per name rather than once per occurrence (the `_` binder of
+//!   `A -> B` included, which is then freshened);
+//! - nodes are built as [`RcTerm`] handles directly, and each node's span
+//!   is recorded on its handle in the [`crate::spans`] side-table, so the
+//!   type checkers can attach source locations to their diagnostics
+//!   without the hash-consed AST carrying spans.
+//!
+//! Two entry points share one implementation. [`parse_term`] is
+//! fail-fast (Stop) and returns the first [`ParseError`].
+//! [`parse_term_tolerant`] keeps going (Collect): at each recovery point it
+//! records the error, skips ahead to a synchronizing token (`in`, `then`,
+//! `else`, `)`, …), patches the missing subterm with the `<error>` hole
+//! ([`crate::tolerant::error_term`]) and continues, so a single pass
+//! reports every parse error and still yields a term the Collect type
+//! checker can walk. `<error>` cannot lex as an identifier, so holes never
+//! collide with user-written names.
+//!
+//! Nesting is bounded, so input from outside the program cannot overflow
+//! the stack: `term`, `projection` and a pair's `as` annotation (where the
+//! grammar recurses) each open one level, and past 256 open levels the
+//! parse fails with an E0100 [`ParseError`] under Stop, or records it and
+//! patches in a hole under Collect.
 //!
 //! Spans are byte offsets into the input, as [`Span`] documents.
 
-use crate::ast::Term;
-use crate::builder::*;
+use crate::ast::{RcTerm, Term, Universe};
 use crate::spans;
 use cccc_util::diag::Diagnostic;
 use cccc_util::span::Span;
 use cccc_util::symbol::Symbol;
+use std::collections::BTreeMap;
 use std::fmt;
+
+/// Most nesting levels a parse opens (see the module docs). The tests
+/// reach 61 levels, the examples 6 and the benchmark texts 22. A level
+/// takes at most about 5.9 KB of stack unoptimized (a parenthesis, rustc
+/// 1.95 on x86-64; 0.85 KB optimized), so 256 levels fit the 2 MiB stack of
+/// a spawned thread with a quarter to spare.
+const MAX_NESTING: usize = 256;
 
 /// A parse error with a message and the span where it occurred.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -75,10 +97,10 @@ impl std::error::Error for ParseError {}
 /// Result type for the parser.
 pub type Result<T> = std::result::Result<T, ParseError>;
 
-/// Tokens of the surface syntax.
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum Token {
-    Ident(String),
+/// Tokens of the surface syntax; identifiers borrow the input.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Token<'a> {
+    Ident(&'a str),
     Lambda,
     Pi,
     Sigma,
@@ -106,7 +128,7 @@ enum Token {
     Arrow,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "identifier `{s}`"),
@@ -147,79 +169,88 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '$' || c == '\''
 }
 
-/// Tokenizes `input` into byte-offset spans. In tolerant mode, unknown
-/// characters are skipped and recorded in `errors`; in strict mode the
-/// first one aborts the scan.
-fn tokenize_inner(
-    input: &str,
-    tolerant: bool,
-    errors: &mut Vec<ParseError>,
-) -> Result<Vec<(Token, Span)>> {
-    let mut tokens = Vec::new();
-    let mut chars = input.char_indices().peekable();
-    while let Some((start, c)) = chars.next() {
-        let token = match c {
-            c if c.is_whitespace() => continue,
-            '(' => Token::LParen,
-            ')' => Token::RParen,
-            '<' => Token::LAngle,
-            '>' => Token::RAngle,
-            '.' => Token::Dot,
-            ':' => Token::Colon,
-            ',' => Token::Comma,
-            '=' => Token::Equals,
-            '*' => Token::Star,
-            '\\' => Token::Lambda,
-            '-' if chars.next_if(|&(_, next)| next == '>').is_some() => Token::Arrow,
-            c if is_ident_start(c) => {
-                while chars.next_if(|&(_, next)| is_ident_continue(next)).is_some() {}
-                let end = chars.peek().map_or(input.len(), |&(end, _)| end);
-                match &input[start..end] {
-                    "Pi" | "forall" => Token::Pi,
-                    "Sigma" | "exists" => Token::Sigma,
-                    "lambda" | "fun" => Token::Lambda,
-                    "let" => Token::Let,
-                    "in" => Token::In,
-                    "as" => Token::As,
-                    "fst" => Token::Fst,
-                    "snd" => Token::Snd,
-                    "if" => Token::If,
-                    "then" => Token::Then,
-                    "else" => Token::Else,
-                    "true" => Token::True,
-                    "false" => Token::False,
-                    "Bool" => Token::BoolKw,
-                    "BOX" => Token::BoxKw,
-                    word => Token::Ident(word.to_owned()),
-                }
-            }
-            other => {
-                let span = Span::new(start as u32, (start + other.len_utf8()) as u32);
-                let error = ParseError::new(format!("unexpected character `{other}`"), span);
-                if !tolerant {
-                    return Err(error);
-                }
-                errors.push(error);
-                continue;
-            }
-        };
-        let end = chars.peek().map_or(input.len(), |&(end, _)| end);
-        tokens.push((token, Span::new(start as u32, end as u32)));
-    }
-    Ok(tokens)
-}
-
-struct Parser {
-    tokens: Vec<(Token, Span)>,
+struct Parser<'a> {
+    tokens: Vec<(Token<'a>, Span)>,
     position: usize,
     input_len: u32,
     tolerant: bool,
     errors: Vec<ParseError>,
+    /// Each distinct identifier's symbol, interned once per parse. Ordered
+    /// rather than hashed: the keys are input text, which could be crafted
+    /// to collide under a fixed hash such as Fx, and on the benchmark's
+    /// texts it is faster than the default keyed hasher.
+    names: BTreeMap<&'a str, Symbol>,
+    /// Nesting levels currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.position).map(|(t, _)| t)
+impl<'a> Parser<'a> {
+    /// Reports `error`: Collect records it and lets the caller recover,
+    /// Stop returns it.
+    fn fail(&mut self, error: ParseError) -> Result<()> {
+        if !self.tolerant {
+            return Err(error);
+        }
+        self.errors.push(error);
+        Ok(())
+    }
+
+    /// Lexes `input` into byte-spanned tokens. An unknown character is
+    /// reported through [`Parser::fail`] and, under Collect, skipped.
+    fn lex(&mut self, input: &'a str) -> Result<()> {
+        // Pretty-printed text has about 0.44 tokens per byte.
+        self.tokens.reserve(input.len() / 2);
+        let mut chars = input.char_indices().peekable();
+        while let Some((start, c)) = chars.next() {
+            let token = match c {
+                c if c.is_whitespace() => continue,
+                '(' => Token::LParen,
+                ')' => Token::RParen,
+                '<' => Token::LAngle,
+                '>' => Token::RAngle,
+                '.' => Token::Dot,
+                ':' => Token::Colon,
+                ',' => Token::Comma,
+                '=' => Token::Equals,
+                '*' => Token::Star,
+                '\\' => Token::Lambda,
+                '-' if chars.next_if(|&(_, next)| next == '>').is_some() => Token::Arrow,
+                c if is_ident_start(c) => {
+                    while chars.next_if(|&(_, next)| is_ident_continue(next)).is_some() {}
+                    let end = chars.peek().map_or(input.len(), |&(end, _)| end);
+                    match &input[start..end] {
+                        "Pi" | "forall" => Token::Pi,
+                        "Sigma" | "exists" => Token::Sigma,
+                        "lambda" | "fun" => Token::Lambda,
+                        "let" => Token::Let,
+                        "in" => Token::In,
+                        "as" => Token::As,
+                        "fst" => Token::Fst,
+                        "snd" => Token::Snd,
+                        "if" => Token::If,
+                        "then" => Token::Then,
+                        "else" => Token::Else,
+                        "true" => Token::True,
+                        "false" => Token::False,
+                        "Bool" => Token::BoolKw,
+                        "BOX" => Token::BoxKw,
+                        word => Token::Ident(word),
+                    }
+                }
+                other => {
+                    let span = Span::new(start as u32, (start + other.len_utf8()) as u32);
+                    self.fail(ParseError::new(format!("unexpected character `{other}`"), span))?;
+                    continue;
+                }
+            };
+            let end = chars.peek().map_or(input.len(), |&(end, _)| end);
+            self.tokens.push((token, Span::new(start as u32, end as u32)));
+        }
+        Ok(())
+    }
+
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.position).map(|&(token, _)| token)
     }
 
     fn current_span(&self) -> Span {
@@ -241,133 +272,121 @@ impl Parser {
             .unwrap_or(Span::new(self.input_len, self.input_len))
     }
 
-    fn advance(&mut self) -> Option<Token> {
-        let token = self.tokens.get(self.position).map(|(t, _)| t.clone());
-        if token.is_some() {
-            self.position += 1;
-        }
-        token
+    /// Consumes the token [`Parser::peek`] just returned.
+    fn advance(&mut self) {
+        self.position += 1;
+    }
+
+    /// The error for finding the front token (or the end of input) where
+    /// `expected` was due.
+    fn unexpected(&self, expected: impl fmt::Display) -> ParseError {
+        let message = match self.peek() {
+            Some(found) => format!("expected {expected}, found {found}"),
+            None => format!("expected {expected}, found end of input"),
+        };
+        ParseError::new(message, self.current_span())
     }
 
     /// Consumes `expected` or fails *without consuming* the offending token,
     /// so tolerant recovery can synchronize on it.
-    fn expect(&mut self, expected: Token) -> Result<()> {
-        let span = self.current_span();
-        match self.peek() {
-            Some(found) if *found == expected => {
-                self.advance();
-                Ok(())
-            }
-            Some(found) => {
-                Err(ParseError::new(format!("expected {expected}, found {found}"), span))
-            }
-            None => Err(ParseError::new(format!("expected {expected}, found end of input"), span)),
+    fn expect(&mut self, expected: Token<'a>) -> Result<()> {
+        if self.peek() != Some(expected) {
+            return Err(self.unexpected(expected));
         }
+        self.advance();
+        Ok(())
     }
 
-    fn expect_ident(&mut self) -> Result<String> {
-        let span = self.current_span();
-        match self.peek() {
-            Some(Token::Ident(name)) => {
-                let name = name.clone();
-                self.advance();
-                Ok(name)
-            }
-            Some(found) => {
-                Err(ParseError::new(format!("expected identifier, found {found}"), span))
-            }
-            None => Err(ParseError::new("expected identifier, found end of input", span)),
-        }
+    /// The symbol for `name`, interned once per parse.
+    fn symbol(&mut self, name: &'a str) -> Symbol {
+        *self.names.entry(name).or_insert_with(|| Symbol::intern(name))
     }
 
-    /// Records `span(start..last consumed token)` for `term` in the
-    /// side-table and passes the term through.
-    fn record(&self, term: Term, start: Span) -> Term {
-        spans::record(&term, start.join(self.prev_span()));
-        term
+    /// Interns `term` and records `span(start..last consumed token)` on the
+    /// handle in the side-table.
+    fn record(&self, term: Term, start: Span) -> RcTerm {
+        let node = term.rc();
+        spans::record(&node, start.join(self.prev_span()));
+        node
     }
 
     /// The `<error>` hole patched in where a subterm failed to parse.
-    fn hole(&self, at: Span) -> Term {
-        let hole = crate::tolerant::error_term();
+    fn hole(&self, at: Span) -> RcTerm {
+        let hole = crate::tolerant::error_term().rc();
         spans::record(&hole, at);
         hole
     }
 
     /// Skips tokens until one of `stops` (or end of input) is at the front.
-    fn sync_to(&mut self, stops: &[Token]) {
+    fn sync_to(&mut self, stops: &[Token<'a>]) {
         while let Some(token) = self.peek() {
-            if stops.contains(token) {
+            if stops.contains(&token) {
                 return;
             }
             self.advance();
         }
     }
 
+    /// Runs `parse` one nesting level deeper, failing instead once
+    /// [`MAX_NESTING`] levels are open.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<RcTerm>) -> Result<RcTerm> {
+        if self.depth == MAX_NESTING {
+            let message = format!("nesting deeper than {MAX_NESTING} levels");
+            return Err(ParseError::new(message, self.current_span()));
+        }
+        self.depth += 1;
+        let term = parse(self);
+        self.depth -= 1;
+        term
+    }
+
     /// Parses a term; in tolerant mode a failure records the error, skips to
     /// a synchronizing token, and yields an `<error>` hole instead.
-    fn term_or_recover(&mut self, sync: &[Token]) -> Result<Term> {
-        match self.term() {
-            Ok(term) => Ok(term),
-            Err(error) if self.tolerant => {
-                let at = error.span;
-                self.errors.push(error);
-                self.sync_to(sync);
-                Ok(self.hole(at))
-            }
-            Err(error) => Err(error),
-        }
+    fn term_or_recover(&mut self, sync: &[Token<'a>]) -> Result<RcTerm> {
+        self.term().or_else(|error| {
+            let at = error.span;
+            self.fail(error)?;
+            self.sync_to(sync);
+            Ok(self.hole(at))
+        })
     }
 
     /// Expects `expected`; in tolerant mode a mismatch records the error,
     /// skips to `expected` or one of `sync`, and consumes `expected` if that
     /// is what the skip stopped on.
-    fn expect_or_recover(&mut self, expected: Token, sync: &[Token]) -> Result<()> {
-        match self.expect(expected.clone()) {
-            Ok(()) => Ok(()),
-            Err(error) if self.tolerant => {
-                self.errors.push(error);
-                let mut stops = sync.to_vec();
-                stops.push(expected.clone());
-                self.sync_to(&stops);
-                if self.peek() == Some(&expected) {
-                    self.advance();
-                }
-                Ok(())
+    fn expect_or_recover(&mut self, expected: Token<'a>, sync: &[Token<'a>]) -> Result<()> {
+        if let Err(error) = self.expect(expected) {
+            self.fail(error)?;
+            let mut stops = sync.to_vec();
+            stops.push(expected);
+            self.sync_to(&stops);
+            if self.peek() == Some(expected) {
+                self.advance();
             }
-            Err(error) => Err(error),
         }
+        Ok(())
     }
 
     /// Expects `expected`; in tolerant mode a mismatch records the error and
     /// continues without consuming anything (for punctuation like `(` or `.`
     /// whose absence does not call for skipping ahead).
-    fn expect_soft(&mut self, expected: Token) -> Result<()> {
-        match self.expect(expected) {
-            Ok(()) => Ok(()),
-            Err(error) if self.tolerant => {
-                self.errors.push(error);
-                Ok(())
-            }
-            Err(error) => Err(error),
-        }
+    fn expect_soft(&mut self, expected: Token<'a>) -> Result<()> {
+        self.expect(expected).or_else(|error| self.fail(error))
     }
 
     /// Expects an identifier; in tolerant mode a mismatch records the error
     /// and substitutes the `<error>` name without consuming anything.
-    fn ident_or_recover(&mut self) -> Result<String> {
-        match self.expect_ident() {
-            Ok(name) => Ok(name),
-            Err(error) if self.tolerant => {
-                self.errors.push(error);
-                Ok(crate::tolerant::ERROR_NAME.to_string())
-            }
-            Err(error) => Err(error),
+    fn ident_or_recover(&mut self) -> Result<&'a str> {
+        if let Some(Token::Ident(name)) = self.peek() {
+            self.advance();
+            return Ok(name);
         }
+        self.fail(self.unexpected("identifier"))?;
+        Ok(crate::tolerant::ERROR_NAME)
     }
 
     /// Parses a `(x : term)` binder group followed by `.` and a body.
-    fn binder_body(&mut self) -> Result<(Symbol, Term, Term)> {
+    fn binder_body(&mut self) -> Result<(Symbol, RcTerm, RcTerm)> {
         self.expect_soft(Token::LParen)?;
         let name = self.ident_or_recover()?;
         self.expect_soft(Token::Colon)?;
@@ -375,26 +394,31 @@ impl Parser {
         self.expect_or_recover(Token::RParen, &[Token::Dot])?;
         self.expect_soft(Token::Dot)?;
         let body = self.term()?;
-        Ok((Symbol::intern(&name), annotation, body))
+        Ok((self.symbol(name), annotation, body))
     }
 
-    fn term(&mut self) -> Result<Term> {
+    /// Parses a term one nesting level deeper.
+    fn term(&mut self) -> Result<RcTerm> {
+        self.nested(Self::unnested_term)
+    }
+
+    fn unnested_term(&mut self) -> Result<RcTerm> {
         let start = self.current_span();
-        match self.peek() {
+        let term = match self.peek() {
             Some(Token::Lambda) => {
                 self.advance();
-                let (name, annotation, body) = self.binder_body()?;
-                Ok(self.record(lam_sym(name, annotation, body), start))
+                let (binder, domain, body) = self.binder_body()?;
+                Term::Lam { binder, domain, body }
             }
             Some(Token::Pi) => {
                 self.advance();
-                let (name, annotation, body) = self.binder_body()?;
-                Ok(self.record(pi_sym(name, annotation, body), start))
+                let (binder, domain, codomain) = self.binder_body()?;
+                Term::Pi { binder, domain, codomain }
             }
             Some(Token::Sigma) => {
                 self.advance();
-                let (name, annotation, body) = self.binder_body()?;
-                Ok(self.record(sigma_sym(name, annotation, body), start))
+                let (binder, first, second) = self.binder_body()?;
+                Term::Sigma { binder, first, second }
             }
             Some(Token::Let) => {
                 self.advance();
@@ -405,7 +429,7 @@ impl Parser {
                 let annotation = self.term_or_recover(&[Token::In])?;
                 self.expect_or_recover(Token::In, &[])?;
                 let body = self.term()?;
-                Ok(self.record(let_sym(Symbol::intern(&name), annotation, bound, body), start))
+                Term::Let { binder: self.symbol(name), annotation, bound, body }
             }
             Some(Token::If) => {
                 self.advance();
@@ -414,29 +438,29 @@ impl Parser {
                 let then_branch = self.term_or_recover(&[Token::Else])?;
                 self.expect_or_recover(Token::Else, &[])?;
                 let else_branch = self.term()?;
-                Ok(self.record(ite(scrutinee, then_branch, else_branch), start))
+                Term::If { scrutinee, then_branch, else_branch }
             }
             _ => {
-                let left = self.application()?;
-                if matches!(self.peek(), Some(Token::Arrow)) {
-                    self.advance();
-                    let right = self.term()?;
-                    Ok(self.record(arrow(left, right), start))
-                } else {
-                    Ok(left)
+                let domain = self.application()?;
+                if self.peek() != Some(Token::Arrow) {
+                    return Ok(domain);
                 }
+                self.advance();
+                let codomain = self.term()?;
+                Term::Pi { binder: self.symbol("_").freshen(), domain, codomain }
             }
-        }
+        };
+        Ok(self.record(term, start))
     }
 
-    fn application(&mut self) -> Result<Term> {
+    fn application(&mut self) -> Result<RcTerm> {
         let start = self.current_span();
-        let mut result = self.projection()?;
+        let mut func = self.projection()?;
         while self.starts_atom() {
-            let argument = self.projection()?;
-            result = self.record(app(result, argument), start);
+            let arg = self.projection()?;
+            func = self.record(Term::App { func, arg }, start);
         }
-        Ok(result)
+        Ok(func)
     }
 
     fn starts_atom(&self) -> bool {
@@ -457,55 +481,32 @@ impl Parser {
         )
     }
 
-    fn projection(&mut self) -> Result<Term> {
+    fn projection(&mut self) -> Result<RcTerm> {
         let start = self.current_span();
-        match self.peek() {
-            Some(Token::Fst) => {
-                self.advance();
-                let inner = self.projection()?;
-                Ok(self.record(fst(inner), start))
-            }
-            Some(Token::Snd) => {
-                self.advance();
-                let inner = self.projection()?;
-                Ok(self.record(snd(inner), start))
-            }
-            _ => self.atom(),
-        }
+        let project = match self.peek() {
+            Some(Token::Fst) => Term::Fst,
+            Some(Token::Snd) => Term::Snd,
+            _ => return self.atom(),
+        };
+        self.advance();
+        let inner = self.nested(Self::projection)?;
+        Ok(self.record(project(inner), start))
     }
 
-    fn atom(&mut self) -> Result<Term> {
-        let span = self.current_span();
-        match self.peek().cloned() {
-            Some(Token::Ident(name)) => {
-                self.advance();
-                Ok(self.record(var(&name), span))
-            }
-            Some(Token::Star) => {
-                self.advance();
-                Ok(self.record(star(), span))
-            }
-            Some(Token::BoxKw) => {
-                self.advance();
-                Ok(self.record(boxu(), span))
-            }
-            Some(Token::BoolKw) => {
-                self.advance();
-                Ok(self.record(bool_ty(), span))
-            }
-            Some(Token::True) => {
-                self.advance();
-                Ok(self.record(tt(), span))
-            }
-            Some(Token::False) => {
-                self.advance();
-                Ok(self.record(ff(), span))
-            }
+    fn atom(&mut self) -> Result<RcTerm> {
+        let start = self.current_span();
+        let term = match self.peek() {
+            Some(Token::Ident(name)) => Term::Var(self.symbol(name)),
+            Some(Token::Star) => Term::Sort(Universe::Star),
+            Some(Token::BoxKw) => Term::Sort(Universe::Box),
+            Some(Token::BoolKw) => Term::BoolTy,
+            Some(Token::True) => Term::BoolLit(true),
+            Some(Token::False) => Term::BoolLit(false),
             Some(Token::LParen) => {
                 self.advance();
                 let inner = self.term_or_recover(&[Token::RParen])?;
                 self.expect_or_recover(Token::RParen, &[])?;
-                Ok(inner)
+                return Ok(inner);
             }
             Some(Token::LAngle) => {
                 self.advance();
@@ -514,13 +515,37 @@ impl Parser {
                 let second = self.term_or_recover(&[Token::RAngle])?;
                 self.expect_or_recover(Token::RAngle, &[Token::As])?;
                 self.expect_soft(Token::As)?;
-                let annotation = self.atom()?;
-                Ok(self.record(pair(first, second, annotation), span))
+                let annotation = self.nested(Self::atom)?;
+                return Ok(self.record(Term::Pair { first, second, annotation }, start));
             }
-            Some(found) => Err(ParseError::new(format!("expected a term, found {found}"), span)),
-            None => Err(ParseError::new("expected a term, found end of input", span)),
-        }
+            _ => return Err(self.unexpected("a term")),
+        };
+        self.advance();
+        Ok(self.record(term, start))
     }
+}
+
+/// The parse behind both entry points: resets the span table, lexes,
+/// parses, and checks for trailing input. Stop (`tolerant == false`)
+/// returns the first error; Collect returns every error beside a term
+/// with holes, and never fails.
+fn parse(input: &str, tolerant: bool) -> Result<(RcTerm, Vec<ParseError>)> {
+    spans::reset();
+    let mut parser = Parser {
+        tokens: Vec::new(),
+        position: 0,
+        input_len: input.len() as u32,
+        tolerant,
+        errors: Vec::new(),
+        names: BTreeMap::new(),
+        depth: 0,
+    };
+    parser.lex(input)?;
+    let term = parser.term_or_recover(&[])?;
+    if parser.position != parser.tokens.len() {
+        parser.fail(ParseError::new("unexpected trailing input", parser.current_span()))?;
+    }
+    Ok((term, parser.errors))
 }
 
 /// Parses a complete CC term from `input`, failing at the first error.
@@ -530,24 +555,10 @@ impl Parser {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] when the input does not conform to the grammar
-/// or contains trailing tokens.
+/// Returns a [`ParseError`] when the input does not conform to the grammar,
+/// contains trailing tokens, or nests deeper than the parser's bound.
 pub fn parse_term(input: &str) -> Result<Term> {
-    spans::reset();
-    let mut scan_errors = Vec::new();
-    let tokens = tokenize_inner(input, false, &mut scan_errors)?;
-    let mut parser = Parser {
-        tokens,
-        position: 0,
-        input_len: input.len() as u32,
-        tolerant: false,
-        errors: Vec::new(),
-    };
-    let term = parser.term()?;
-    if parser.position != parser.tokens.len() {
-        return Err(ParseError::new("unexpected trailing input", parser.current_span()));
-    }
-    Ok(term)
+    parse(input, false).map(|(term, _)| term.get().clone())
 }
 
 /// Parses `input` with error recovery, returning a term (with `<error>`
@@ -557,30 +568,14 @@ pub fn parse_term(input: &str) -> Result<Term> {
 /// to what [`parse_term`] returns. Spans for every parsed node are recorded
 /// in [`crate::spans`].
 pub fn parse_term_tolerant(input: &str) -> (Term, Vec<ParseError>) {
-    spans::reset();
-    let mut errors = Vec::new();
-    let tokens = tokenize_inner(input, true, &mut errors)
-        .expect("tolerant tokenizer records errors instead of failing");
-    let mut parser =
-        Parser { tokens, position: 0, input_len: input.len() as u32, tolerant: true, errors };
-    let term = match parser.term() {
-        Ok(term) => term,
-        Err(error) => {
-            let at = error.span;
-            parser.errors.push(error);
-            parser.sync_to(&[]);
-            parser.hole(at)
-        }
-    };
-    if parser.position != parser.tokens.len() {
-        parser.errors.push(ParseError::new("unexpected trailing input", parser.current_span()));
-    }
-    (term, parser.errors)
+    let (term, errors) = parse(input, true).expect("Collect records errors instead of failing");
+    (term.get().clone(), errors)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::*;
     use crate::pretty::term_to_string;
     use crate::subst::alpha_eq;
 
@@ -738,6 +733,55 @@ mod tests {
         let (term, errors) = parse_term_tolerant("");
         assert_eq!(errors.len(), 1);
         assert!(crate::tolerant::is_poisoned(&term));
+    }
+
+    #[test]
+    fn each_parsed_node_is_interned_once() {
+        use crate::prelude::{church_is_even, church_mul, church_numeral};
+        // A let-bound Church computation, shaped like the benchmark's units.
+        let work =
+            app(church_is_even(), apps(church_mul(), [church_numeral(4), church_numeral(4)]));
+        let church =
+            let_("w", bool_ty(), work, let_("c", bool_ty(), ite(var("w"), ff(), tt()), var("c")));
+        let printed = crate::prelude::corpus().into_iter().map(|entry| term_to_string(&entry.term));
+        for text in printed.chain([term_to_string(&church)]) {
+            let before = crate::ast::intern_stats();
+            let term = parse_term(&text).unwrap();
+            let calls = crate::ast::intern_stats().since(&before);
+            assert_eq!(calls.hits + calls.misses, term.size() as u64, "{text}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        const DEPTH: usize = 100_000;
+        let shapes = [
+            format!("{}x{}", "(".repeat(DEPTH), ")".repeat(DEPTH)),
+            format!("{}x", "let x = x : x in ".repeat(DEPTH)),
+            format!("{}x", "x -> ".repeat(DEPTH)),
+            format!("{}x", "fst ".repeat(DEPTH)),
+            format!("{}x", "<x, x> as ".repeat(DEPTH)),
+        ];
+        // 2 MiB is what a spawned thread or a test thread gets by default.
+        let parse_on_small_stack = std::thread::Builder::new().stack_size(2 << 20);
+        parse_on_small_stack
+            .spawn(move || {
+                let too_deep = |error: &ParseError| {
+                    error.message.contains("nesting deeper than")
+                        && error.to_diagnostic().code.as_deref() == Some("E0100")
+                };
+                for text in &shapes {
+                    let shape = &text[..12];
+                    let error = parse_term(text).expect_err(shape);
+                    assert!(too_deep(&error), "{shape}: {error}");
+                    let (term, errors) = parse_term_tolerant(text);
+                    assert!(errors.iter().any(too_deep), "{shape}: {errors:?}");
+                    assert!(crate::tolerant::is_poisoned(&term), "{shape}: no hole");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Hash-consed terms cannot carry spans in the nodes themselves — a span
 //! field would break structural sharing (the two occurrences of `x` in
 //! `\(x : Bool). f x x` are the *same* node). Instead the parser records
-//! spans out-of-band, keyed by [`NodeId`]: interning is idempotent and O(1),
-//! so looking up a term's span costs one intern plus one hash probe, and the
-//! kernel is entirely unaware of the table.
+//! spans out-of-band, keyed by [`NodeId`]. It records each node on the
+//! handle it has just interned, so recording interns nothing; looking up a
+//! term's span costs one intern (a hit) plus one hash probe, and the kernel
+//! is entirely unaware of the table.
 //!
 //! Consequences of keying by identity, documented rather than hidden:
 //!
@@ -41,16 +42,16 @@ pub fn reset() {
     SPANS.with(|table| table.borrow_mut().clear());
 }
 
-/// Records `span` for `term`, keeping an existing entry if one is present
-/// (first-write-wins: the parser records the leftmost occurrence).
-pub fn record(term: &Term, span: Span) {
+/// Records `span` for the interned node `term`, keeping an existing entry
+/// if one is present (first-write-wins: the parser records the leftmost
+/// occurrence). Takes the handle the caller interned, so it interns nothing
+/// itself; the entry keeps a clone of the handle.
+pub fn record(term: &RcTerm, span: Span) {
     if span.is_dummy() {
         return;
     }
-    let node = term.clone().rc();
-    let id = node.id();
     SPANS.with(|table| {
-        table.borrow_mut().entry(id).or_insert((span, node));
+        table.borrow_mut().entry(term.id()).or_insert_with(|| (span, term.clone()));
     });
 }
 
@@ -73,7 +74,7 @@ mod tests {
     #[test]
     fn record_and_lookup_round_trip() {
         reset();
-        let t = app(var("f"), var("x"));
+        let t = app(var("f"), var("x")).rc();
         record(&t, Span::new(0, 3));
         assert_eq!(span_of(&t), Some(Span::new(0, 3)));
         assert_eq!(span_of(&var("f")), None);
@@ -82,7 +83,7 @@ mod tests {
     #[test]
     fn first_write_wins() {
         reset();
-        let t = var("shared$span$probe");
+        let t = var("shared$span$probe").rc();
         record(&t, Span::new(1, 2));
         record(&t, Span::new(5, 9));
         assert_eq!(span_of(&t), Some(Span::new(1, 2)));
@@ -91,7 +92,7 @@ mod tests {
     #[test]
     fn dummy_spans_are_not_recorded() {
         reset();
-        let t = var("dummy$span$probe");
+        let t = var("dummy$span$probe").rc();
         record(&t, Span::DUMMY);
         assert_eq!(span_of(&t), None);
         assert_eq!(len(), 0);
@@ -100,7 +101,7 @@ mod tests {
     #[test]
     fn reset_empties_the_table() {
         reset();
-        record(&var("reset$probe"), Span::new(0, 1));
+        record(&var("reset$probe").rc(), Span::new(0, 1));
         assert!(len() > 0);
         reset();
         assert_eq!(len(), 0);

@@ -5,11 +5,13 @@
 //! adds the missing property coverage on *random* well-typed programs —
 //! closed programs, ground programs, and open components with their
 //! environments — at several render widths (line breaks and indentation
-//! must never change the parse).
+//! must never change the parse). It also pins the span side-table: the
+//! text each parsed node's span covers parses back to that node.
 
 use cccc_source::generate::{GeneratorConfig, TermGenerator};
 use cccc_source::parse::parse_term;
 use cccc_source::pretty::{term_to_string, term_to_string_width};
+use cccc_source::spans;
 use cccc_source::subst::alpha_eq;
 use cccc_source::Term;
 
@@ -93,5 +95,36 @@ fn deeper_generator_configurations_round_trip() {
         let mut generator = TermGenerator::with_config(0xDEE0 ^ seed, config);
         let (term, _) = generator.gen_program();
         assert_round_trips(&term, &format!("deep seed {seed}"));
+    }
+}
+
+#[test]
+fn every_recorded_span_reparses_to_its_node() {
+    // Spans are keyed by node identity, so a node that occurs more than
+    // once carries the span of its leftmost occurrence. Each parse resets
+    // the table, so every span is read before any is re-parsed.
+    for seed in 0..SEEDS / 2 {
+        let mut generator = TermGenerator::new(0x3117 + seed);
+        let (term, _) = generator.gen_program();
+        for width in [8, 24, 200] {
+            let text = term_to_string_width(&term, width);
+            let parsed = parse_term(&text).expect("generated programs parse");
+            let mut recorded = Vec::new();
+            parsed.visit(&mut |node| {
+                let span = spans::span_of(node)
+                    .unwrap_or_else(|| panic!("seed {seed} width {width}: `{node}` has no span"));
+                recorded.push((node.clone(), span));
+            });
+            for (node, span) in recorded {
+                let slice = span.slice(&text).expect("spans lie inside the text");
+                let reparsed = parse_term(slice).unwrap_or_else(|e| {
+                    panic!("seed {seed} width {width}: span {span} `{slice}` does not parse: {e}")
+                });
+                assert!(
+                    alpha_eq(&node, &reparsed),
+                    "seed {seed} width {width}: span {span} `{slice}` is not `{node}`"
+                );
+            }
+        }
     }
 }
