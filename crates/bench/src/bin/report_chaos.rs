@@ -16,146 +16,147 @@
 //!   retry success;
 //! * **cancel** — cancellation latency: an external thread trips the
 //!   session's [`CancelToken`](cccc_util::cancel::CancelToken) mid-build
-//!   and the probe measures cancel-to-return wall time. Gated: the p99
-//!   latency stays within one unit's compile time — cooperative
+//!   and the probe measures cancel-to-return wall time. Gated: the p90
+//!   latency of 100 cancels stays within the median, over five
+//!   uncancelled builds, of the slowest unit's compile time — cooperative
 //!   cancellation through fuel checkpoints must never wait out the
 //!   whole frontier.
 
+use cccc_bench::measure::{self, obj, Args, Json, Summary};
+use cccc_bench::store_session;
 use cccc_core::pipeline::{BuildOutcome, CompilerOptions};
 use cccc_driver::chaos::{self, ChaosPlan};
-use cccc_driver::session::{Session, UnitStatus};
+use cccc_driver::session::UnitStatus;
 use cccc_driver::store::FaultPlan;
-use cccc_driver::workloads::{self, WorkUnit};
-use std::path::{Path, PathBuf};
+use cccc_driver::workloads;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Seeds the sweep drives through the full chaos harness.
 const SWEEP_SEEDS: u64 = 32;
 const SWEEP_SEEDS_QUICK: u64 = 8;
 
-/// Mid-build cancellations the latency phase samples.
-const LATENCY_SAMPLES: usize = 24;
-const LATENCY_SAMPLES_QUICK: usize = 8;
-
-fn session_over(units: &[WorkUnit], dir: &Path) -> Session {
-    let mut session =
-        Session::with_store(CompilerOptions::default(), dir).expect("store dir is creatable");
-    for unit in units {
-        let imports: Vec<&str> = unit.imports.iter().map(String::as_str).collect();
-        session.add_unit(&unit.name, &imports, &unit.term).expect("workload names are unique");
-    }
-    session
-}
-
-/// What the seeded sweep accumulated.
-struct SweepNumbers {
-    seeds: u64,
-    faults_armed: usize,
-    retries: u64,
-    retry_successes: u64,
-    panicked: usize,
-    cancelled: usize,
-    oracle_checked: usize,
-}
-
-fn run_sweep(seeds: u64, dir: &Path) -> SweepNumbers {
+/// Drives `seeds` seeds through the full chaos harness. Each run's
+/// invariants (no aborts, partition, provenance, α-equivalence to the
+/// oracle) are asserted inside `chaos::run`; here the cross-seed ones.
+fn run_sweep(seeds: u64, dir: &Path) -> Json {
     let units = chaos::workload();
-    let mut numbers = SweepNumbers {
-        seeds,
-        faults_armed: 0,
-        retries: 0,
-        retry_successes: 0,
-        panicked: 0,
-        cancelled: 0,
-        oracle_checked: 0,
-    };
+    let (mut faults_armed, mut retries, mut retry_successes) = (0, 0, 0);
+    let (mut panicked, mut cancelled, mut oracle_checked) = (0, 0, 0);
     for seed in 0..seeds {
         // Each seed starts from a cold store: the fault positions in the
         // plan then line up with the same load schedule every run.
         let _ = std::fs::remove_dir_all(dir);
         let plan = ChaosPlan::for_seed(seed);
-        numbers.faults_armed += plan.armed_faults();
+        faults_armed += plan.armed_faults();
         let outcome = chaos::run(&units, &plan, dir);
-        numbers.retries += outcome.retries.0;
-        numbers.retry_successes += outcome.retries.1;
-        numbers.panicked += outcome.report.panicked_count();
-        numbers.cancelled += usize::from(!outcome.report.outcome.is_completed());
-        numbers.oracle_checked += outcome.oracle_checked;
+        retries += outcome.retries.0;
+        retry_successes += outcome.retries.1;
+        panicked += outcome.report.panicked_count();
+        cancelled += usize::from(!outcome.report.outcome.is_completed());
+        oracle_checked += outcome.oracle_checked;
     }
     let _ = std::fs::remove_dir_all(dir);
-    numbers
+    assert!(
+        faults_armed as u64 >= seeds,
+        "the sweep armed real chaos ({faults_armed} dimensions over {seeds} seeds)"
+    );
+    assert!(
+        retry_successes <= retries,
+        "recoveries are a subset of retries ({retry_successes} > {retries})"
+    );
+    let recovery_rate = if retries == 0 { 1.0 } else { retry_successes as f64 / retries as f64 };
+    obj([
+        ("seeds", seeds.into()),
+        ("fault_dimensions_armed", faults_armed.into()),
+        ("retries", retries.into()),
+        ("retry_successes", retry_successes.into()),
+        ("recovery_rate", recovery_rate.into()),
+        ("panics_isolated", panicked.into()),
+        ("builds_cancelled", cancelled.into()),
+        ("oracle_checked_units", oracle_checked.into()),
+    ])
 }
 
-/// The deterministic retry-recovery numbers: a warm restart with one
-/// armed transient read fault.
-struct RetryNumbers {
-    warm_compiled: usize,
-    disk_hits: u64,
-    disk_misses: u64,
-    retries: u64,
-    retry_successes: u64,
-}
-
-fn measure_retry(dir: &Path) -> RetryNumbers {
+/// The deterministic recovery gate: a warm restart with one armed
+/// transient read fault must retry into a hit, with zero recompiles and
+/// zero misses.
+fn measure_retry(dir: &Path) -> Json {
     let units = chaos::workload();
     let _ = std::fs::remove_dir_all(dir);
-    let cold = session_over(&units, dir).build(2).expect("graph is valid");
+    let cold = store_session(&units, dir).build(2).expect("graph is valid");
     assert!(cold.is_success(), "cold population failed: {}", cold.summary());
 
     // The armed fault fails the very first load attempt of the restart;
     // the retry claims the next fault position and lands the hit.
-    let mut session = session_over(&units, dir);
+    let mut session = store_session(&units, dir);
     session.set_store_faults(FaultPlan { fail_read: Some(0), ..FaultPlan::default() });
     let warm = session.build(2).expect("graph is valid");
     assert!(warm.is_success(), "faulted warm restart failed: {}", warm.summary());
     let store = warm.store.expect("session has a store");
     let _ = std::fs::remove_dir_all(dir);
-    RetryNumbers {
-        warm_compiled: warm.compiled_count(),
-        disk_hits: store.disk_hits,
-        disk_misses: store.disk_misses,
-        retries: store.retries,
-        retry_successes: store.retry_successes,
-    }
+    assert_eq!(warm.compiled_count(), 0, "the faulted warm restart recompiled");
+    assert_eq!(store.disk_misses, 0, "a transient read fault degraded to a miss");
+    assert!(
+        store.retries >= 1 && store.retry_successes >= 1,
+        "the armed fault was retried into a hit ({} retries, {} recovered)",
+        store.retries,
+        store.retry_successes
+    );
+    obj([
+        ("warm_compiled", warm.compiled_count().into()),
+        ("disk_hits", store.disk_hits.into()),
+        ("disk_misses", store.disk_misses.into()),
+        ("retries", store.retries.into()),
+        ("retry_successes", store.retry_successes.into()),
+    ])
 }
 
-/// Cancellation latency over `samples` mid-build cancels.
-struct LatencyNumbers {
-    samples: usize,
-    observed: usize,
-    unit_compile_ns: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-}
+/// Uncancelled builds whose median slowest-unit compile time is the
+/// cancellation bound: one build's ranged from 0.77 to 4.96 ms across
+/// back-to-back runs on a 2-CPU host.
+const CALIBRATION_BUILDS: usize = 5;
 
-fn measure_cancellation(samples: usize) -> LatencyNumbers {
+/// Mid-build cancels the latency gate samples. The gate reads their p90,
+/// which with 100 samples has ten above it; the p99 of a few dozen cancels
+/// is in effect their maximum, which one scheduler hiccup decides.
+const CANCELS: usize = 100;
+
+/// Cancellation latency, gated against the calibrated unit compile time.
+fn measure_cancellation() -> Json {
     // Heavier per-unit work than the stock chaos workload: the gate
     // compares latency against one unit's compile time, so the unit must
     // dwarf scheduler noise.
     let units = workloads::diamond(14, 6);
+    let session = || workloads::session_from(&units, CompilerOptions::default());
 
     // Calibrate uncancelled: the build's wall time spaces the cancel
     // points, and the slowest unit's compile time is the gate bound.
-    let calibration =
-        workloads::session_from(&units, CompilerOptions::default()).build(2).expect("valid graph");
-    assert!(calibration.is_success(), "calibration failed: {}", calibration.summary());
-    let wall_ns = calibration.wall_time.as_nanos() as u64;
-    let unit_compile_ns = calibration
-        .units
-        .iter()
-        .filter(|u| u.status == UnitStatus::Compiled)
-        .map(|u| u.duration.as_nanos() as u64)
-        .max()
-        .expect("the calibration build compiled units");
+    let calibration = measure::runs(0, CALIBRATION_BUILDS, session, |mut session| {
+        let report = session.build(2).expect("valid graph");
+        assert!(report.is_success(), "calibration failed: {}", report.summary());
+        let compiled = report.units.iter().filter(|u| u.status == UnitStatus::Compiled);
+        compiled.map(|u| u.duration.as_nanos() as f64).fold(0.0, f64::max)
+    });
+    let calibration_wall = Summary::of(calibration.iter().map(|(ns, _)| *ns));
+    let unit_compile = Summary::of(calibration.iter().map(|(_, slowest)| *slowest));
 
     // Spread the cancel points over the first half of the calibrated
     // wall time so virtually every sample lands mid-build; a sample the
     // build outruns reports `Completed` and is skipped.
-    let mut latencies: Vec<u64> = Vec::with_capacity(samples);
-    for i in 0..samples {
-        let mut session = workloads::session_from(&units, CompilerOptions::default());
+    let mut latencies: Vec<f64> = Vec::with_capacity(CANCELS);
+    let mut attempts = 0;
+    while latencies.len() < CANCELS {
+        assert!(
+            attempts < 2 * CANCELS,
+            "most cancel points must land mid-build ({} of {attempts} observed)",
+            latencies.len()
+        );
+        let mut session = session();
         let token = session.cancel_handle();
-        let delay = Duration::from_nanos(wall_ns / 2 * i as u64 / samples.max(1) as u64);
+        let step = calibration_wall.median / 2.0 / CANCELS as f64;
+        let delay = Duration::from_nanos((step * (attempts % CANCELS) as f64) as u64);
+        attempts += 1;
         let tripper = std::thread::spawn(move || {
             std::thread::sleep(delay);
             let at = Instant::now();
@@ -166,138 +167,52 @@ fn measure_cancellation(samples: usize) -> LatencyNumbers {
         let returned = Instant::now();
         let cancelled_at = tripper.join().expect("cancel thread exits");
         if report.outcome == BuildOutcome::Cancelled {
-            latencies.push(returned.saturating_duration_since(cancelled_at).as_nanos() as u64);
+            latencies.push(returned.saturating_duration_since(cancelled_at).as_nanos() as f64);
         }
     }
+    let latency = Summary::of(latencies.iter().copied());
     assert!(
-        latencies.len() * 2 >= samples,
-        "most cancel points must land mid-build ({} of {samples} observed)",
-        latencies.len()
+        latency.p90 <= unit_compile.median,
+        "p90 cancellation latency ({} ns over {CANCELS} cancels) exceeded the median \
+         slowest-unit compile time ({} ns over {CALIBRATION_BUILDS} builds)",
+        latency.p90,
+        unit_compile.median
     );
-    latencies.sort_unstable();
-    let percentile = |p: usize| latencies[(latencies.len() - 1) * p / 100];
-    LatencyNumbers {
-        samples,
-        observed: latencies.len(),
-        unit_compile_ns,
-        p50_ns: percentile(50),
-        p99_ns: percentile(99),
-    }
+    obj([
+        ("attempts", attempts.into()),
+        ("latency_ns", latency.into()),
+        ("latency_p99_ns", measure::percentile(&latencies, 99).into()),
+        ("latency_max_ns", measure::percentile(&latencies, 100).into()),
+        ("calibration_wall_ns", calibration_wall.into()),
+        ("slowest_unit_compile_ns", unit_compile.into()),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut positional: Option<PathBuf> = None;
-    let mut quick = false;
-    for arg in &args {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other if !other.starts_with("--") => positional = Some(PathBuf::from(other)),
-            other => panic!("unknown flag `{other}`"),
-        }
-    }
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let output: PathBuf = positional.unwrap_or_else(|| root.join("BENCH_chaos.json"));
-    let seeds = if quick { SWEEP_SEEDS_QUICK } else { SWEEP_SEEDS };
-    let samples = if quick { LATENCY_SAMPLES_QUICK } else { LATENCY_SAMPLES };
-
+    let args = Args::parse("BENCH_chaos.json", &[], &[]);
+    let seeds = if args.quick { SWEEP_SEEDS_QUICK } else { SWEEP_SEEDS };
     let dir = std::env::temp_dir().join(format!("cccc-chaos-bench-{}", std::process::id()));
     let sweep = run_sweep(seeds, &dir);
-    let retry = measure_retry(&dir);
-    let latency = measure_cancellation(samples);
-
-    // Gates. The sweep's invariants (no aborts, partition, provenance,
-    // α-equivalence to the oracle) were already asserted run by run
-    // inside `chaos::run`; here the cross-phase properties.
-    assert!(
-        sweep.faults_armed as u64 >= sweep.seeds,
-        "the sweep armed real chaos ({} dimensions over {} seeds)",
-        sweep.faults_armed,
-        sweep.seeds
+    let retry_recovery = measure_retry(&dir);
+    let cancellation = measure_cancellation();
+    println!("gates passed: chaos sweep, retry recovery, cancellation latency");
+    measure::write_report(
+        &args.output,
+        env!("CARGO_BIN_NAME"),
+        [
+            (
+                "note",
+                "Seeded chaos sweeps over the 16-unit diamond: composed storage faults, injected \
+                 worker panics, store read latency, and mid-build cancellation, every run \
+                 differentially checked against the sequential oracle. The CI gates assert a \
+                 warm restart under a transient read fault retries into a hit (zero recompiles, \
+                 zero misses) and that the p90 cancel-to-return latency stays within the median, \
+                 over the calibration builds, of the slowest unit's compile time."
+                    .into(),
+            ),
+            ("sweep", sweep),
+            ("retry_recovery", retry_recovery),
+            ("cancellation", cancellation),
+        ],
     );
-    assert!(
-        sweep.retry_successes <= sweep.retries,
-        "recoveries are a subset of retries ({} > {})",
-        sweep.retry_successes,
-        sweep.retries
-    );
-    assert_eq!(retry.warm_compiled, 0, "the faulted warm restart recompiled");
-    assert_eq!(retry.disk_misses, 0, "a transient read fault degraded to a miss");
-    assert!(
-        retry.retries >= 1 && retry.retry_successes >= 1,
-        "the armed fault was retried into a hit ({} retries, {} recovered)",
-        retry.retries,
-        retry.retry_successes
-    );
-    assert!(
-        latency.p99_ns <= latency.unit_compile_ns,
-        "p99 cancellation latency ({} ns) exceeded one unit's compile time ({} ns)",
-        latency.p99_ns,
-        latency.unit_compile_ns
-    );
-
-    println!(
-        "gates passed: {} seeds swept ({} fault dimensions, {} retries / {} recovered, \
-         {} panics isolated, {} builds cancelled), faulted warm restart recompiled 0 units, \
-         cancellation p50 {}us / p99 {}us within one {}us unit compile",
-        sweep.seeds,
-        sweep.faults_armed,
-        sweep.retries,
-        sweep.retry_successes,
-        sweep.panicked,
-        sweep.cancelled,
-        latency.p50_ns / 1_000,
-        latency.p99_ns / 1_000,
-        latency.unit_compile_ns / 1_000,
-    );
-
-    let json = render_json(&sweep, &retry, &latency);
-    std::fs::write(&output, json).expect("write BENCH_chaos.json");
-    println!("wrote {}", output.display());
-}
-
-/// Renders the measurements as JSON by hand (offline workspace, no
-/// serialization dependency).
-fn render_json(sweep: &SweepNumbers, retry: &RetryNumbers, latency: &LatencyNumbers) -> String {
-    let recovery_rate =
-        if sweep.retries == 0 { 1.0 } else { sweep.retry_successes as f64 / sweep.retries as f64 };
-    let mut out = String::from("{\n");
-    out.push_str("  \"generated_by\": \"cargo run --release -p cccc-bench --bin report_chaos\",\n");
-    out.push_str(
-        "  \"note\": \"Seeded chaos sweeps over the 16-unit diamond: composed storage faults, \
-         injected worker panics, store read latency, and mid-build cancellation, every run \
-         differentially checked against the sequential oracle. The CI gates assert a warm \
-         restart under a transient read fault retries into a hit (zero recompiles, zero \
-         misses) and that p99 cancel-to-return latency stays within one unit's compile \
-         time.\",\n",
-    );
-    out.push_str(&format!(
-        "  \"sweep\": {{ \"seeds\": {}, \"fault_dimensions_armed\": {}, \"retries\": {}, \
-         \"retry_successes\": {}, \"recovery_rate\": {:.3}, \"panics_isolated\": {}, \
-         \"builds_cancelled\": {}, \"oracle_checked_units\": {} }},\n",
-        sweep.seeds,
-        sweep.faults_armed,
-        sweep.retries,
-        sweep.retry_successes,
-        recovery_rate,
-        sweep.panicked,
-        sweep.cancelled,
-        sweep.oracle_checked,
-    ));
-    out.push_str(&format!(
-        "  \"retry_recovery\": {{ \"warm_compiled\": {}, \"disk_hits\": {}, \
-         \"disk_misses\": {}, \"retries\": {}, \"retry_successes\": {} }},\n",
-        retry.warm_compiled,
-        retry.disk_hits,
-        retry.disk_misses,
-        retry.retries,
-        retry.retry_successes,
-    ));
-    out.push_str(&format!(
-        "  \"cancellation\": {{ \"samples\": {}, \"observed\": {}, \"p50_ns\": {}, \
-         \"p99_ns\": {}, \"unit_compile_ns\": {} }}\n",
-        latency.samples, latency.observed, latency.p50_ns, latency.p99_ns, latency.unit_compile_ns,
-    ));
-    out.push_str("}\n");
-    out
 }

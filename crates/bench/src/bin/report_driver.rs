@@ -2,7 +2,8 @@
 //! root): the parallel incremental module driver's scaling, rebuild, and
 //! *restart* numbers on the multi-unit workload families, the per-phase
 //! query-pipeline numbers under the scripted edit stream, plus the
-//! differential check against the sequential pipeline.
+//! differential check against the sequential pipeline. Every timing is a
+//! median with its spread over repeated builds.
 //!
 //! ```text
 //! cargo run --release -p cccc-bench --bin report_driver
@@ -24,7 +25,7 @@
 //!   artifact is α-equivalent to the sequential pipeline's output (and
 //!   the linked root observes the same boolean);
 //! * **incremental** — a warm no-change rebuild compiles zero units and
-//!   is ≥ 10× faster than the 1-worker cold build;
+//!   its median is ≥ 10× faster than the 1-worker cold build's;
 //! * **restart-warm** — a **separate operating-system process** rebuilding
 //!   the 16-unit diamond against a store another process populated
 //!   compiles zero units and answers all 16 from disk (measured by
@@ -54,8 +55,10 @@
 //!   (traced cold build ≤ 1.10× the untraced one, median of back-to-back
 //!   pairs), and the trace-derived makespan agrees with the event-driven
 //!   frontier model run over the same build's measured per-unit
-//!   durations.
+//!   durations (median over five traced builds).
 
+use cccc_bench::measure::{self, obj, Args, Json, Summary};
+use cccc_bench::store_session;
 use cccc_core::pipeline::CompilerOptions;
 use cccc_driver::query::QueryCounts;
 use cccc_driver::session::{BuildReport, Session};
@@ -65,8 +68,7 @@ use cccc_driver::workloads::{
 use cccc_target as tgt;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::path::PathBuf;
-use std::time::Instant;
+use std::path::Path;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 const RESTART_PROBE_FLAG: &str = "--restart-probe";
@@ -85,47 +87,57 @@ enum Policy {
 struct WorkloadNumbers {
     name: String,
     units: usize,
-    /// Cold wall time per worker count (ns), best of reps.
-    cold_ns: Vec<(usize, u128)>,
-    /// Warm no-change rebuild wall time (ns), best of reps.
-    warm_ns: u128,
-    /// Units compiled by the warm rebuild (must be 0).
-    warm_compiled: usize,
+    /// Cold wall time per worker count, over fresh sessions.
+    cold: Vec<(usize, Summary)>,
+    /// Warm no-change rebuild wall time.
+    warm: Summary,
     /// Modelled makespan (ns) per worker count under critical-path-first
-    /// release (the real scheduler's policy), over measured durations.
-    model_ns: Vec<(usize, u128)>,
+    /// release (the real scheduler's policy), over the measured per-unit
+    /// durations of the median 1-worker cold build.
+    model_ns: Vec<(usize, f64)>,
     /// Modelled makespan (ns) per worker count under FIFO release — the
     /// counterfactual the critical-path frontier replaced.
-    fifo_model_ns: Vec<(usize, u128)>,
-    /// Whether every unit matched the sequential pipeline.
-    differential_ok: bool,
-    /// The linked root's observed boolean (also checked sequentially).
+    fifo_model_ns: Vec<(usize, f64)>,
+    /// The linked root's observed boolean.
     observed: Option<bool>,
 }
 
+/// The value recorded for `workers`.
+fn at<T: Copy>(by_workers: &[(usize, T)], workers: usize) -> T {
+    by_workers.iter().find(|(w, _)| *w == workers).map(|(_, x)| *x).expect("a measured count")
+}
+
+/// A per-worker-count map as a JSON object keyed by the count.
+fn by_workers<T: Copy + Into<Json>>(by_workers: &[(usize, T)]) -> Json {
+    Json::Obj(by_workers.iter().map(|(w, x)| (w.to_string(), (*x).into())).collect())
+}
+
 impl WorkloadNumbers {
-    fn cold(&self, workers: usize) -> u128 {
-        self.cold_ns.iter().find(|(w, _)| *w == workers).map(|(_, ns)| *ns).unwrap_or(0)
-    }
-
-    fn model(&self, workers: usize) -> u128 {
-        self.model_ns.iter().find(|(w, _)| *w == workers).map(|(_, ns)| *ns).unwrap_or(0)
-    }
-
-    fn fifo_model(&self, workers: usize) -> u128 {
-        self.fifo_model_ns.iter().find(|(w, _)| *w == workers).map(|(_, ns)| *ns).unwrap_or(0)
-    }
-
     fn wall_speedup(&self, workers: usize) -> f64 {
-        self.cold(1) as f64 / self.cold(workers).max(1) as f64
+        at(&self.cold, 1).median / at(&self.cold, workers).median.max(1.0)
     }
 
     fn model_speedup(&self, workers: usize) -> f64 {
-        self.model(1) as f64 / self.model(workers).max(1) as f64
+        at(&self.model_ns, 1) / at(&self.model_ns, workers).max(1.0)
     }
 
     fn warm_speedup(&self) -> f64 {
-        self.cold(1) as f64 / self.warm_ns.max(1) as f64
+        at(&self.cold, 1).median / self.warm.median.max(1.0)
+    }
+
+    fn json(&self) -> Json {
+        obj([
+            ("name", self.name.as_str().into()),
+            ("units", self.units.into()),
+            ("cold_build_ns", by_workers(&self.cold)),
+            ("warm_build_ns", self.warm.into()),
+            ("warm_vs_cold_speedup", self.warm_speedup().into()),
+            ("model_makespan_ns", by_workers(&self.model_ns)),
+            ("fifo_makespan_ns", by_workers(&self.fifo_model_ns)),
+            ("model_speedup", by_workers(&[2, 4].map(|w| (w, self.model_speedup(w))))),
+            ("wall_speedup", by_workers(&[2, 4].map(|w| (w, self.wall_speedup(w))))),
+            ("observed", self.observed.map_or(Json::Null, Json::Bool)),
+        ])
     }
 }
 
@@ -138,7 +150,7 @@ fn simulate_makespan_ns(
     report: &BuildReport,
     workers: usize,
     policy: Policy,
-) -> u128 {
+) -> f64 {
     let graph = session.graph();
     let plan = graph.plan().expect("benchmarked graphs are valid");
     let n = graph.len();
@@ -192,107 +204,88 @@ fn simulate_makespan_ns(
             }
         }
     }
-    makespan
+    makespan as f64
 }
 
-/// Checks every unit of a 2-worker build against the sequential oracle.
-fn differential_check(units: &[WorkUnit]) -> (bool, Option<bool>) {
-    let mut session = session_from(units, CompilerOptions::default());
+/// Whether every unit's artifact in `session` is α-equivalent to the
+/// sequential pipeline's output; names each mismatch on stderr.
+fn matches_oracle(session: &Session) -> bool {
+    let sequential = session.compile_sequential().expect("oracle compiles");
+    sequential.iter().fold(true, |ok, (name, compilation)| {
+        let target = session.target_term(name).expect("artifact exists");
+        let same = tgt::subst::alpha_eq(&target, &compilation.target);
+        if !same {
+            eprintln!("differential MISMATCH: unit `{name}` differs from the sequential pipeline");
+        }
+        ok && same
+    })
+}
+
+/// Measures one workload family over `reps` fresh sessions per worker
+/// count. Gated: a 2-worker build matches the sequential oracle, and warm
+/// no-change rebuilds compile nothing and take a tenth of a cold build at
+/// most.
+fn measure_family(name: &str, units: Vec<WorkUnit>, reps: usize) -> WorkloadNumbers {
+    let mut session = session_from(&units, CompilerOptions::default());
     let report = session.build(2).expect("graph is valid");
     assert!(report.is_success(), "driver build failed: {}", report.summary());
-    let sequential = session.compile_sequential().expect("oracle compiles");
-    let mut ok = true;
-    for (name, compilation) in &sequential {
-        let driver_target = session.target_term(name).expect("artifact exists");
-        if !tgt::subst::alpha_eq(&driver_target, &compilation.target) {
-            eprintln!("differential MISMATCH: unit `{name}` differs from the sequential pipeline");
-            ok = false;
-        }
-    }
-    let observed = session.observe(root_of(units)).expect("root links");
-    (ok, observed)
-}
+    assert!(matches_oracle(&session), "differential check failed for {name}");
+    let observed = session.observe(root_of(&units)).expect("root links");
 
-/// Measures one workload family.
-fn measure(name: &str, units: Vec<WorkUnit>, reps: u32) -> WorkloadNumbers {
-    let (differential_ok, observed) = differential_check(&units);
-
-    // Cold builds per worker count (fresh session per rep).
-    let mut cold_ns = Vec::new();
-    let mut one_worker_report: Option<(u128, Session, BuildReport)> = None;
+    let mut cold = Vec::new();
+    let mut model_input = None;
     for &workers in &WORKER_COUNTS {
-        let mut best = u128::MAX;
-        for _ in 0..reps {
-            let mut session = session_from(&units, CompilerOptions::default());
-            let started = Instant::now();
+        let setup = || session_from(&units, CompilerOptions::default());
+        let mut runs = measure::runs(0, reps, setup, |mut session| {
             let report = session.build(workers).expect("graph is valid");
-            let elapsed = started.elapsed().as_nanos();
+            (session, report)
+        });
+        for (_, (_, report)) in &runs {
             assert!(report.is_success(), "cold build failed: {}", report.summary());
             assert_eq!(report.compiled_count(), units.len());
-            best = best.min(elapsed);
-            // Keep the *best* 1-worker rep: its per-unit durations feed
-            // the makespan model, so they must match the best-of-reps
-            // methodology of the wall numbers.
-            if workers == 1 && one_worker_report.as_ref().is_none_or(|(e, _, _)| elapsed < *e) {
-                one_worker_report = Some((elapsed, session, report));
-            }
         }
-        cold_ns.push((workers, best));
+        cold.push((workers, Summary::of(runs.iter().map(|(ns, _)| *ns))));
+        if workers == 1 {
+            // The makespan model takes one build's per-unit durations:
+            // those of the median 1-worker build.
+            runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            model_input = Some(runs.swap_remove(runs.len() / 2).1);
+        }
     }
-
-    // The makespan model runs on the best 1-worker cold build's per-unit
-    // durations (no parallel measurement noise in the inputs).
-    let (warm_session, report_1w) = {
-        let (_, session, report) = one_worker_report.expect("1 is in WORKER_COUNTS");
-        (session, report)
+    let (mut session, report_1w) = model_input.expect("1 is in WORKER_COUNTS");
+    let model = |policy| -> Vec<(usize, f64)> {
+        WORKER_COUNTS.map(|w| (w, simulate_makespan_ns(&session, &report_1w, w, policy))).to_vec()
     };
-    let model_ns: Vec<(usize, u128)> = WORKER_COUNTS
-        .iter()
-        .map(|&w| (w, simulate_makespan_ns(&warm_session, &report_1w, w, Policy::CriticalPath)))
-        .collect();
-    let fifo_model_ns: Vec<(usize, u128)> = WORKER_COUNTS
-        .iter()
-        .map(|&w| (w, simulate_makespan_ns(&warm_session, &report_1w, w, Policy::Fifo)))
-        .collect();
+    let (model_ns, fifo_model_ns) = (model(Policy::CriticalPath), model(Policy::Fifo));
 
-    // Warm no-change rebuilds on the already-built session.
-    let mut warm_session = warm_session;
-    let mut warm_best = u128::MAX;
-    let mut warm_compiled = usize::MAX;
-    for _ in 0..reps.max(3) {
-        let started = Instant::now();
-        let warm = warm_session.build(2).expect("graph is valid");
-        warm_best = warm_best.min(started.elapsed().as_nanos());
-        warm_compiled = warm.compiled_count();
-        assert_eq!(warm.cached_count(), units.len());
+    // Warm no-change rebuilds on the already-built session: cheap enough
+    // to take eleven samples in --quick runs too.
+    let warm = measure::runs(0, 11, || (), |()| session.build(2).expect("valid graph"));
+    for (_, report) in &warm {
+        assert_eq!(report.compiled_count(), 0, "warm rebuild of {name} must compile zero units");
+        assert_eq!(report.cached_count(), units.len());
     }
 
-    WorkloadNumbers {
+    let numbers = WorkloadNumbers {
         name: name.to_owned(),
         units: units.len(),
-        cold_ns,
-        warm_ns: warm_best,
-        warm_compiled,
+        cold,
+        warm: Summary::of(warm.iter().map(|(ns, _)| *ns)),
         model_ns,
         fifo_model_ns,
-        differential_ok,
         observed,
-    }
+    };
+    let speedup = numbers.warm_speedup();
+    assert!(
+        speedup >= 10.0,
+        "warm rebuild of {name} is only {speedup:.1}x faster than cold (need >= 10x)"
+    );
+    numbers
 }
 
 // ---------------------------------------------------------------------
 // Restart-warm probes: this binary re-invoked as a child process.
 // ---------------------------------------------------------------------
-
-/// What a probe child measured, parsed from its single stdout line.
-struct ProbeNumbers {
-    wall_ns: u128,
-    compiled: usize,
-    cached: usize,
-    disk_cached: usize,
-    observed: Option<bool>,
-    differential_ok: bool,
-}
 
 /// The workload both sides of the restart benchmark build: the 16-unit
 /// diamond of the CI smoke configuration.
@@ -301,189 +294,93 @@ fn restart_workload() -> Vec<WorkUnit> {
 }
 
 /// Child-process entry point: build the restart workload — against the
-/// store at `dir`, or storeless for the `baseline` mode — check it
-/// against the in-process sequential oracle, and print one summary line.
-///
-/// The wall number is best-of-reps over *fresh sessions* (each rep pays
-/// the full disk-warm path again: empty memory tier, every blob re-read),
-/// matching the best-over-repetitions methodology of every other number
-/// in the report. The `cold` mode runs once — its second rep would no
-/// longer be cold, the store being populated.
+/// store at `dir`, or storeless for the `baseline` mode — over fresh
+/// sessions (each rep pays the full disk-warm path again: empty memory
+/// tier, every blob re-read), check the first against the in-process
+/// sequential oracle, and print one summary line. The `cold` mode runs
+/// once — its second rep would no longer be cold, the store being
+/// populated.
 fn run_restart_probe(dir: &str, mode: &str) {
     let units = restart_workload();
-    let build_session = || {
-        if mode == "baseline" {
-            session_from(&units, CompilerOptions::default())
-        } else {
-            let mut session = Session::with_store(CompilerOptions::default(), dir)
-                .expect("probe store dir is creatable");
-            for unit in &units {
-                let imports: Vec<&str> = unit.imports.iter().map(String::as_str).collect();
-                session
-                    .add_unit(&unit.name, &imports, &unit.term)
-                    .expect("workload names are unique");
-            }
-            session
-        }
+    let build_session = || match mode {
+        "baseline" => session_from(&units, CompilerOptions::default()),
+        _ => store_session(&units, Path::new(dir)),
     };
-
-    let reps: u32 = match mode {
-        "cold" => 1,
-        "baseline" => 2,
-        _ => 5,
-    };
-    let mut session = build_session();
-    let started = Instant::now();
-    let report = session.build(2).expect("graph is valid");
-    let mut wall_ns = started.elapsed().as_nanos();
-    assert!(report.is_success(), "probe build failed: {}", report.summary());
-    for _ in 1..reps {
-        let mut rerun = build_session();
-        let started = Instant::now();
-        let rerun_report = rerun.build(2).expect("graph is valid");
-        wall_ns = wall_ns.min(started.elapsed().as_nanos());
-        assert!(rerun_report.is_success(), "probe rerun failed: {}", rerun_report.summary());
+    let reps = if mode == "cold" { 1 } else { 11 };
+    let runs = measure::runs(0, reps, build_session, |mut session| {
+        let report = session.build(2).expect("graph is valid");
+        (session, report)
+    });
+    for (_, (_, report)) in &runs {
+        assert!(report.is_success(), "probe build failed: {}", report.summary());
     }
 
-    let sequential = session.compile_sequential().expect("oracle compiles");
-    let mut differential_ok = true;
-    for (name, compilation) in &sequential {
-        let driver_target = session.target_term(name).expect("artifact exists");
-        if !tgt::subst::alpha_eq(&driver_target, &compilation.target) {
-            differential_ok = false;
-        }
-    }
+    let (session, report) = &runs[0].1;
+    assert!(matches_oracle(session), "restart {mode} probe differs from the sequential oracle");
     let observed = session.observe(root_of(&units)).expect("root links");
+    assert_eq!(observed, Some(true), "restart {mode} probe observed the wrong value");
 
     println!(
-        "probe wall_ns={wall_ns} compiled={} cached={} disk_cached={} observed={} differential={}",
-        report.compiled_count(),
-        report.cached_count(),
-        report.disk_cached_count(),
-        observed.map_or_else(|| "null".to_owned(), |b| b.to_string()),
-        if differential_ok { "ok" } else { "mismatch" },
+        "{}",
+        measure::probe_line(&[
+            ("wall_ns", measure::sample_field(runs.iter().map(|(ns, _)| *ns))),
+            ("compiled", report.compiled_count().to_string()),
+            ("cached", report.cached_count().to_string()),
+            ("disk_cached", report.disk_cached_count().to_string()),
+        ])
     );
 }
 
-/// Spawns this binary as a probe child and parses its summary line.
-fn spawn_restart_probe(dir: &std::path::Path, mode: &str) -> ProbeNumbers {
-    let exe = std::env::current_exe().expect("own executable path");
-    let output = std::process::Command::new(exe)
-        .arg(RESTART_PROBE_FLAG)
-        .arg(dir)
-        .arg(mode)
-        .output()
-        .expect("probe child spawns");
-    assert!(
-        output.status.success(),
-        "probe child ({mode}) failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("probe "))
-        .unwrap_or_else(|| panic!("probe child ({mode}) printed no summary:\n{stdout}"));
-    let field = |key: &str| {
-        line.split_whitespace()
-            .find_map(|part| part.strip_prefix(&format!("{key}=")).map(str::to_owned))
-            .unwrap_or_else(|| panic!("probe line lacks `{key}`: {line}"))
-    };
-    ProbeNumbers {
-        wall_ns: field("wall_ns").parse().expect("wall_ns parses"),
-        compiled: field("compiled").parse().expect("compiled parses"),
-        cached: field("cached").parse().expect("cached parses"),
-        disk_cached: field("disk_cached").parse().expect("disk_cached parses"),
-        observed: match field("observed").as_str() {
-            "true" => Some(true),
-            "false" => Some(false),
-            _ => None,
-        },
-        differential_ok: field("differential") == "ok",
-    }
+/// Runs one restart probe child and gates the units it compiled (of 16)
+/// and answered from disk.
+fn restart_probe(dir: &Path, mode: &str, compiled: usize, disk_cached: usize) -> (Summary, Json) {
+    let probe = measure::spawn_probe(RESTART_PROBE_FLAG, &[dir.as_os_str(), mode.as_ref()]);
+    let counts: [usize; 3] = ["compiled", "cached", "disk_cached"].map(|key| probe.get(key));
+    assert_eq!(counts[0] + counts[1], 16, "restart {mode} probe lost units");
+    assert_eq!(counts[0], compiled, "the restart {mode} process compiled the wrong units");
+    assert_eq!(counts[2], disk_cached, "the restart {mode} process loaded the wrong units");
+    let wall = probe.summary("wall_ns");
+    let json = obj([
+        ("wall_ns", wall.into()),
+        ("compiled_units", counts[0].into()),
+        ("disk_cached_units", counts[2].into()),
+    ]);
+    (wall, json)
 }
 
 /// The restart benchmark: three child processes — a storeless baseline
 /// (what a fresh process pays today), a cold store population, and the
-/// restart-warm rebuild — plus the asserted gates.
-struct RestartNumbers {
-    baseline: ProbeNumbers,
-    store_cold: ProbeNumbers,
-    warm: ProbeNumbers,
-}
-
-impl RestartNumbers {
-    fn speedup(&self) -> f64 {
-        self.baseline.wall_ns as f64 / self.warm.wall_ns.max(1) as f64
-    }
-}
-
-fn measure_restart() -> RestartNumbers {
+/// restart-warm rebuild. The warm *process* must compile nothing and load
+/// everything from disk; each probe asserts its output oracle-identical.
+/// The speedup over the storeless cold process is recorded, not gated:
+/// it divides one noisy wall time by another, and the counts already pin
+/// the property.
+fn measure_restart() -> Json {
     let dir = std::env::temp_dir().join(format!("cccc-restart-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("restart store dir is creatable");
 
     // Fresh process, no store: the cost every new process pays without
     // persistence.
-    let baseline = spawn_restart_probe(&dir, "baseline");
+    let (baseline_wall, baseline) = restart_probe(&dir, "baseline", 16, 0);
     // Fresh process, empty store: compiles every unit (each is its own
     // α-class) and populates one blob per unit.
-    let store_cold = spawn_restart_probe(&dir, "cold");
+    let (_, store_cold) = restart_probe(&dir, "cold", 16, 0);
     // Fresh process, warm store: the headline.
-    let warm = spawn_restart_probe(&dir, "warm");
+    let (warm_wall, warm) = restart_probe(&dir, "warm", 0, 16);
     let _ = std::fs::remove_dir_all(&dir);
-    RestartNumbers { baseline, store_cold, warm }
+    obj([
+        ("workload", "diamond_16".into()),
+        ("baseline_cold_process", baseline),
+        ("store_cold_process", store_cold),
+        ("warm_process", warm),
+        ("speedup_vs_cold_process", (baseline_wall.median / warm_wall.median.max(1.0)).into()),
+    ])
 }
 
 // ---------------------------------------------------------------------
 // Observability: trace overhead, export, and the trace-vs-model check.
 // ---------------------------------------------------------------------
-
-/// One trace-vs-model comparison: the makespan a traced build *measured*
-/// against the makespan the event-driven frontier model *predicts* from
-/// that same build's per-unit durations.
-struct TraceCrossCheck {
-    name: String,
-    workers: usize,
-    trace_makespan_ns: u128,
-    model_makespan_ns: u128,
-    utilization: f64,
-}
-
-impl TraceCrossCheck {
-    fn ratio(&self) -> f64 {
-        self.trace_makespan_ns as f64 / self.model_makespan_ns.max(1) as f64
-    }
-}
-
-/// Tracing numbers for the report: what instrumentation costs (off and
-/// on) and whether the trace's schedule view matches the model's.
-struct TraceNumbers {
-    /// Untraced 2-worker cold diamond build (ns), best of reps.
-    plain_ns: u128,
-    /// Same build with tracing on (ns), best of reps.
-    traced_ns: u128,
-    /// Traced-over-untraced wall ratio (the enabled overhead): the
-    /// median over back-to-back build pairs.
-    enabled_overhead: f64,
-    /// Micro-measured per-call price of a span with no sink installed.
-    disabled_span_ns: f64,
-    /// Spans one traced build records (sizes the disabled-cost bound).
-    span_count: usize,
-    /// Events one traced build records.
-    event_count: usize,
-    cross_checks: Vec<TraceCrossCheck>,
-}
-
-impl TraceNumbers {
-    /// Upper bound on what disabled instrumentation costs an untraced
-    /// build: per-call price × the call count a traced build exhibits,
-    /// as a fraction of the untraced wall time.
-    fn disabled_overhead(&self) -> f64 {
-        self.disabled_span_ns * (self.span_count + self.event_count) as f64
-            / self.plain_ns.max(1) as f64
-    }
-}
 
 /// Untraced/traced build pairs behind the enabled-overhead gate, in
 /// `--quick` runs too. A cold diamond build takes about two milliseconds,
@@ -493,187 +390,214 @@ impl TraceNumbers {
 /// 0.99x–1.06x, for well under a second of builds.
 const OVERHEAD_PAIRS: usize = 100;
 
-fn measure_tracing(host_cpus: usize) -> TraceNumbers {
+/// Disabled spans per timed batch: one span costs a few nanoseconds.
+const DISABLED_SPAN_CALLS: usize = 20_000;
+
+/// Traced builds per trace-vs-model comparison. Even on 2 CPUs a
+/// neighbour's burst can serialize the workers of one millisecond-scale
+/// build, so the gate reads the median ratio.
+const CROSS_CHECK_BUILDS: usize = 5;
+
+/// Tracing, gated: instrumentation left in the product must be
+/// effectively free when tracing is off and cheap when it is on, and the
+/// schedule the trace *measures* must agree with the makespan the
+/// event-driven frontier model *predicts* from the same durations.
+fn measure_tracing(host_cpus: usize) -> Json {
     let units = restart_workload();
 
     // Untraced vs traced cold builds: same workload, same worker count,
     // each traced build right after an untraced one so the pair sees the
     // same host load.
-    let mut plain_ns = u128::MAX;
-    let mut traced_ns = u128::MAX;
-    let mut ratios = Vec::with_capacity(OVERHEAD_PAIRS);
-    let mut span_count = 0;
-    let mut event_count = 0;
+    let (mut plain, mut traced) = (Vec::new(), Vec::new());
+    let mut calls = 0;
     for _ in 0..OVERHEAD_PAIRS {
         let mut session = session_from(&units, CompilerOptions::default());
-        let started = Instant::now();
-        let report = session.build(2).expect("graph is valid");
-        let plain = started.elapsed().as_nanos();
+        let (ns, report) = measure::timed(|| session.build(2).expect("graph is valid"));
         assert!(report.is_success(), "plain overhead build failed: {}", report.summary());
         assert!(report.trace.is_none(), "untraced build must not carry a trace");
+        plain.push(ns);
 
         let mut session = session_from(&units, CompilerOptions::default());
         session.set_tracing(true);
-        let started = Instant::now();
-        let report = session.build(2).expect("graph is valid");
-        let traced = started.elapsed().as_nanos();
+        let (ns, report) = measure::timed(|| session.build(2).expect("graph is valid"));
         assert!(report.is_success(), "traced overhead build failed: {}", report.summary());
         let metrics = report.metrics.as_ref().expect("traced build carries metrics");
-        span_count = metrics.span_count;
-        event_count = metrics.event_count;
-
-        plain_ns = plain_ns.min(plain);
-        traced_ns = traced_ns.min(traced);
-        ratios.push(traced as f64 / plain.max(1) as f64);
+        calls = metrics.span_count + metrics.event_count;
+        traced.push(ns);
     }
-    ratios.sort_by(f64::total_cmp);
-    let enabled_overhead = ratios[OVERHEAD_PAIRS / 2];
+    let enabled_overhead = Summary::of(traced.iter().zip(&plain).map(|(t, p)| t / p.max(1.0)));
+    let plain = Summary::of(plain);
 
     // The disabled fast path, micro-measured: no sink is installed on
     // this thread, so each call is the branch every instrumentation
-    // point pays on an untraced build.
-    let iters: u32 = 200_000;
-    let started = Instant::now();
-    for _ in 0..iters {
-        drop(cccc_util::trace::span("overhead.probe"));
-    }
-    let disabled_span_ns = started.elapsed().as_nanos() as f64 / f64::from(iters);
+    // point pays on an untraced build. Its cost bound is that per-call
+    // price times the call count a traced build exhibits, as a fraction
+    // of the untraced wall time.
+    let disabled_batch = measure::time(1, 11, || {
+        for _ in 0..DISABLED_SPAN_CALLS {
+            drop(cccc_util::trace::span("overhead.probe"));
+        }
+    });
+    let disabled_span_ns = disabled_batch.median / DISABLED_SPAN_CALLS as f64;
+    let disabled_overhead = disabled_span_ns * calls as f64 / plain.median.max(1.0);
+    assert!(
+        disabled_overhead <= 0.02,
+        "disabled tracing costs {:.3}% of an untraced build (need <= 2%)",
+        disabled_overhead * 100.0
+    );
+    assert!(
+        enabled_overhead.median <= 1.10,
+        "enabled tracing costs {:.3}x an untraced build (need <= 1.10x)",
+        enabled_overhead.median
+    );
 
     // Trace vs model: rebuild each family traced and compare the
     // trace-derived makespan to the frontier simulation over the *same*
     // report's per-unit durations. 2-worker comparisons need 2 CPUs —
-    // on a 1-CPU host the trace measures time-slicing, not the
-    // schedule — and even on 2 CPUs a neighbour's burst can serialize
-    // the workers of one millisecond-scale build, so each comparison
-    // keeps the build with the shortest traced makespan of three.
+    // on a 1-CPU host the trace measures time-slicing, not the schedule.
     let mut cross_checks = Vec::new();
     for (name, units) in [("diamond_16", restart_workload()), ("skewed_6x6", skewed(6, 6, 2))] {
-        for workers in [1usize, 2] {
-            if workers > 1 && host_cpus < 2 {
-                continue;
-            }
-            let mut best: Option<TraceCrossCheck> = None;
-            for _ in 0..3 {
-                let mut session = session_from(&units, CompilerOptions::default());
-                session.set_tracing(true);
-                let report = session.build(workers).expect("graph is valid");
-                assert!(report.is_success(), "traced {name} build failed: {}", report.summary());
-                let metrics = report.metrics.as_ref().expect("traced build carries metrics");
-                let check = TraceCrossCheck {
-                    name: name.to_owned(),
-                    workers,
-                    trace_makespan_ns: u128::from(metrics.makespan_ns),
-                    model_makespan_ns: simulate_makespan_ns(
-                        &session,
-                        &report,
-                        workers,
-                        Policy::CriticalPath,
-                    ),
-                    utilization: metrics.utilization(),
-                };
-                if best.as_ref().is_none_or(|b| check.trace_makespan_ns < b.trace_makespan_ns) {
-                    best = Some(check);
-                }
-            }
-            cross_checks.push(best.expect("three traced builds ran"));
+        for workers in [1usize, 2].into_iter().filter(|&w| w == 1 || host_cpus >= 2) {
+            let builds: Vec<(f64, f64, f64)> = (0..CROSS_CHECK_BUILDS)
+                .map(|_| {
+                    let mut session = session_from(&units, CompilerOptions::default());
+                    session.set_tracing(true);
+                    let report = session.build(workers).expect("graph is valid");
+                    assert!(
+                        report.is_success(),
+                        "traced {name} build failed: {}",
+                        report.summary()
+                    );
+                    let metrics = report.metrics.as_ref().expect("traced build carries metrics");
+                    let model =
+                        simulate_makespan_ns(&session, &report, workers, Policy::CriticalPath);
+                    (metrics.makespan_ns as f64, model, metrics.utilization())
+                })
+                .collect();
+            let summary = |f: fn(&(f64, f64, f64)) -> f64| Summary::of(builds.iter().map(f));
+            let (ratio, utilization) = (summary(|b| b.0 / b.1.max(1.0)), summary(|b| b.2));
+            // The model runs on the build's own measured durations, so the
+            // trace can only exceed it by scheduler overhead (claiming,
+            // lock waits) — a bounded fraction, looser at 2 workers where
+            // contention is real.
+            let slack = if workers == 1 { 1.5 } else { 1.75 };
+            assert!(
+                (0.9..=slack).contains(&ratio.median),
+                "trace makespan disagrees with the event model for {name} at {workers} workers: \
+                 median {:.2}x over {CROSS_CHECK_BUILDS} builds",
+                ratio.median
+            );
+            assert!(
+                workers > 1 || utilization.median >= 0.8,
+                "1-worker utilization for {name} is only {:.1}% (the single worker should \
+                 be busy almost the whole makespan)",
+                utilization.median * 100.0
+            );
+            cross_checks.push(obj([
+                ("workload", name.into()),
+                ("workers", workers.into()),
+                ("trace_makespan_ns", summary(|b| b.0).into()),
+                ("model_makespan_ns", summary(|b| b.1).into()),
+                ("ratio", ratio.into()),
+                ("utilization", utilization.into()),
+            ]));
         }
     }
 
-    TraceNumbers {
-        plain_ns,
-        traced_ns,
-        enabled_overhead,
-        disabled_span_ns,
-        span_count,
-        event_count,
-        cross_checks,
-    }
+    obj([
+        ("workload", "diamond_16".into()),
+        ("plain_cold_ns", plain.into()),
+        ("traced_cold_ns", Summary::of(traced).into()),
+        ("enabled_overhead", enabled_overhead.into()),
+        ("disabled_span_batch_ns", disabled_batch.into()),
+        ("disabled_span_batch_calls", DISABLED_SPAN_CALLS.into()),
+        ("disabled_span_ns", disabled_span_ns.into()),
+        ("instrumentation_calls", calls.into()),
+        ("disabled_overhead", disabled_overhead.into()),
+        ("trace_vs_model", Json::Arr(cross_checks)),
+    ])
 }
 
 // ---------------------------------------------------------------------
 // Query pipeline: the scripted edit stream.
 // ---------------------------------------------------------------------
 
-/// Numbers for one step of the scripted edit stream.
-struct EditNumbers {
-    label: &'static str,
-    /// Per-phase counts the invalidation model predicts.
-    predicted: QueryCounts,
-    /// Per-phase counts the incremental build reported (gated equal).
-    measured: QueryCounts,
-    /// Units the model predicts to re-run at least one phase.
-    predicted_units: usize,
-    /// Units the incremental build re-ran (gated equal).
-    compiled: usize,
-    /// Incremental build wall time (ns, best of reps).
-    incremental_ns: u128,
-}
-
-/// All numbers for the edit-script probe.
-struct QueryNumbers {
-    cold_ns: u128,
-    steps: Vec<EditNumbers>,
-    /// The final state matched the sequential oracle α-equivalently, and
-    /// the root observed the same value as after the cold build.
-    differential_ok: bool,
-}
-
-/// Replays the scripted edit stream over the 16-unit diamond on a warmed
-/// 1-worker session, recording per-step phase counts and wall times, and
-/// checking the end state differentially.
-fn measure_edits(reps: u32) -> QueryNumbers {
+/// Replays the scripted edit stream over the 16-unit diamond `reps` times,
+/// each on a fresh 1-worker session, recording per-step phase counts and
+/// wall times, and checking the end state differentially. Gated: every
+/// edit kind re-runs exactly the phases the invalidation model predicts —
+/// in particular the implementation-only edit re-runs phases for the
+/// edited unit with zero dependent re-executions, and the α-rename re-runs
+/// nothing at all.
+fn measure_edits(reps: usize) -> [(&'static str, Json); 3] {
     let (units, script) = edits(2);
-    let reps = reps.max(3);
-    let mut cold_ns = u128::MAX;
-    let mut steps: Vec<EditNumbers> = script
-        .iter()
-        .map(|step| EditNumbers {
-            label: step.label,
-            predicted: step.predicted,
-            measured: QueryCounts::default(),
-            predicted_units: step.invalidated.len(),
-            compiled: 0,
-            incremental_ns: u128::MAX,
-        })
-        .collect();
-    let mut differential_ok = true;
-
+    let root = root_of(&units);
+    let mut cold = Vec::with_capacity(reps);
+    let mut incremental = vec![Vec::with_capacity(reps); script.len()];
     for _ in 0..reps {
         let mut session = session_from(&units, CompilerOptions::default());
-        let started = Instant::now();
-        let cold = session.build(1).expect("graph is valid");
-        cold_ns = cold_ns.min(started.elapsed().as_nanos());
-        assert!(cold.is_success(), "cold edits build failed: {}", cold.summary());
-        let root = root_of(&units);
+        let (ns, report) = measure::timed(|| session.build(1).expect("graph is valid"));
+        assert!(report.is_success(), "cold edits build failed: {}", report.summary());
+        cold.push(ns);
         let cold_observed = session.observe(root).expect("root links");
 
-        for (step, numbers) in script.iter().zip(steps.iter_mut()) {
+        for (step, samples) in script.iter().zip(&mut incremental) {
             session.update_unit(step.unit, &step.term).expect("edit scripts target existing units");
-            let started = Instant::now();
-            let report = session.build(1).expect("graph is valid");
-            numbers.incremental_ns = numbers.incremental_ns.min(started.elapsed().as_nanos());
+            let (ns, report) = measure::timed(|| session.build(1).expect("graph is valid"));
             assert!(report.is_success(), "{} build failed: {}", step.label, report.summary());
-            numbers.measured = report.queries;
-            numbers.compiled = report.compiled_count();
+            assert_eq!(
+                report.queries, step.predicted,
+                "edit `{}` re-ran the wrong phases (predicted {}, measured {})",
+                step.label, step.predicted, report.queries
+            );
+            assert_eq!(
+                report.compiled_count(),
+                step.invalidated.len(),
+                "edit `{}` re-ran the wrong number of units",
+                step.label
+            );
+            samples.push(ns);
         }
 
         // Differential leg: after the full script the session must agree
         // with the sequential oracle, and the root with the cold build.
-        let sequential = session.compile_sequential().expect("oracle compiles");
-        for (name, compilation) in &sequential {
-            let target = session.target_term(name).expect("artifact exists");
-            if !tgt::subst::alpha_eq(&target, &compilation.target) {
-                eprintln!("edits differential MISMATCH: `{name}` differs from the oracle");
-                differential_ok = false;
-            }
-        }
-        if session.observe(root).expect("root links") != cold_observed {
-            eprintln!("edits differential MISMATCH: the root observes a different value");
-            differential_ok = false;
-        }
+        assert!(matches_oracle(&session), "edit-script end state differs from the oracle");
+        assert_eq!(
+            session.observe(root).expect("root links"),
+            cold_observed,
+            "edit-script end state: the root observes a different value"
+        );
     }
+    let (impl_only, alpha) = (&script[0].predicted, &script[1].predicted);
+    assert_eq!(
+        impl_only.total(),
+        4 * script[0].invalidated.len(),
+        "the implementation-only edit must re-run dependent phases zero times \
+         (every executed phase belongs to the one edited unit)"
+    );
+    assert_eq!(alpha.total(), 0, "the α-rename must re-run zero phases anywhere");
 
-    QueryNumbers { cold_ns, steps, differential_ok }
+    let counts = |c: &QueryCounts| {
+        obj([
+            ("typecheck", c.typecheck.into()),
+            ("translate", c.translate.into()),
+            ("check", c.check.into()),
+            ("verify", c.verify.into()),
+        ])
+    };
+    let steps = script.iter().zip(incremental).map(|(step, samples)| {
+        obj([
+            ("label", step.label.into()),
+            ("phases_run", counts(&step.predicted)),
+            ("compiled_units", step.invalidated.len().into()),
+            ("incremental_ns", Summary::of(samples).into()),
+        ])
+    });
+    [
+        ("workload", "edits(diamond_16)".into()),
+        ("cold_build_ns", Summary::of(cold).into()),
+        ("edits", Json::Arr(steps.collect())),
+    ]
 }
 
 /// Span and event names the exported trace must cover — one cold
@@ -724,12 +648,7 @@ fn traced_store_build() -> BuildReport {
     let _ = std::fs::remove_dir_all(&dir);
     let units = restart_workload();
     let traced_build = || {
-        let mut session = Session::with_store(CompilerOptions::default(), &dir)
-            .expect("trace store dir is creatable");
-        for unit in &units {
-            let imports: Vec<&str> = unit.imports.iter().map(String::as_str).collect();
-            session.add_unit(&unit.name, &imports, &unit.term).expect("workload names are unique");
-        }
+        let mut session = store_session(&units, &dir);
         session.set_tracing(true);
         let report = session.build(2).expect("graph is valid");
         assert!(report.is_success(), "traced export build failed: {}", report.summary());
@@ -751,46 +670,21 @@ fn traced_store_build() -> BuildReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some(RESTART_PROBE_FLAG) {
-        let dir = args.get(1).expect("probe needs a store dir");
-        let mode = args.get(2).expect("probe needs a mode");
-        run_restart_probe(dir, mode);
-        return;
+    if let Some(args) = measure::probe_args(RESTART_PROBE_FLAG) {
+        let [dir, mode] = args.as_slice() else { panic!("a restart probe takes a dir and a mode") };
+        return run_restart_probe(dir, mode);
     }
-
-    let mut quick = false;
-    let mut timings = false;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut query_out: Option<PathBuf> = None;
-    let mut positional: Option<PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--timings" => timings = true,
-            "--trace-out" => {
-                trace_out =
-                    Some(PathBuf::from(iter.next().expect("--trace-out needs a file path")));
-            }
-            "--query-out" => {
-                query_out =
-                    Some(PathBuf::from(iter.next().expect("--query-out needs a file path")));
-            }
-            other if !other.starts_with("--") => positional = Some(PathBuf::from(other)),
-            other => panic!("unknown flag `{other}`"),
-        }
-    }
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let output: PathBuf = positional.unwrap_or_else(|| root.join("BENCH_driver.json"));
-    let query_output: PathBuf = query_out.unwrap_or_else(|| root.join("BENCH_query.json"));
+    let args = Args::parse("BENCH_driver.json", &["--timings"], &["--trace-out", "--query-out"]);
+    let query_output = args
+        .option("--query-out")
+        .map_or_else(|| measure::repo_root().join("BENCH_query.json"), Path::to_path_buf);
 
     // The trace export runs first: it doubles as the acceptance check
     // that one cold store-backed diamond covers every phase, store op,
     // and cache outcome, and CI uploads the file it writes.
-    if trace_out.is_some() || timings {
+    if args.option("--trace-out").is_some() || args.switch("--timings") {
         let report = traced_store_build();
-        if let Some(path) = &trace_out {
+        if let Some(path) = args.option("--trace-out") {
             let trace = report.trace.as_ref().expect("traced build has a trace");
             std::fs::write(path, trace.to_chrome_json()).expect("write Chrome trace JSON");
             println!(
@@ -801,16 +695,15 @@ fn main() {
                 trace.workers().len(),
             );
         }
-        if timings {
+        if args.switch("--timings") {
             println!("{}", cccc_driver::timings::render(&report));
         }
     }
 
-    let reps: u32 = if quick { 1 } else { 5 };
-    let host_cpus =
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
+    let reps = if args.quick { 3 } else { 11 };
+    let host_cpus = measure::host_cpus();
 
-    let work = if quick { 2 } else { 3 };
+    let work = if args.quick { 2 } else { 3 };
     let families: Vec<(&str, Vec<WorkUnit>)> = vec![
         ("independent_units_8", independent_units(8, work)),
         ("diamond_16", diamond(14, work.min(2))),
@@ -818,107 +711,11 @@ fn main() {
         ("skewed_6x6", skewed(6, 6, work.min(3))),
     ];
 
-    let mut measured = Vec::new();
-    for (name, units) in families {
-        let numbers = measure(name, units, reps);
-        println!(
-            "{:<22} {:>2} units  cold 1w {:>12} ns  2w {:>12} ns  4w {:>12} ns  warm {:>10} ns",
-            numbers.name,
-            numbers.units,
-            numbers.cold(1),
-            numbers.cold(2),
-            numbers.cold(4),
-            numbers.warm_ns,
-        );
-        println!(
-            "{:<22} wall speedup 2w {:>5.2}x 4w {:>5.2}x   model speedup 2w {:>5.2}x 4w {:>5.2}x   warm vs cold {:>7.1}x",
-            "",
-            numbers.wall_speedup(2),
-            numbers.wall_speedup(4),
-            numbers.model_speedup(2),
-            numbers.model_speedup(4),
-            numbers.warm_speedup(),
-        );
-        measured.push(numbers);
-    }
-
+    let measured: Vec<WorkloadNumbers> =
+        families.into_iter().map(|(name, units)| measure_family(name, units, reps)).collect();
     let restart = measure_restart();
-    println!(
-        "restart (diamond_16)   baseline process {:>12} ns   store-cold process {:>12} ns   warm process {:>10} ns   speedup {:>7.1}x",
-        restart.baseline.wall_ns,
-        restart.store_cold.wall_ns,
-        restart.warm.wall_ns,
-        restart.speedup(),
-    );
-
-    let query = measure_edits(reps);
-    println!(
-        "edits (diamond_16)     cold 1w {:>12} ns   (per-step numbers below; 1 worker, storeless)",
-        query.cold_ns
-    );
-    for step in &query.steps {
-        println!(
-            "edit {:<14}   {:<24} incremental {:>10} ns",
-            step.label,
-            step.measured.to_string(),
-            step.incremental_ns,
-        );
-    }
-
+    let edits = measure_edits(reps);
     let tracing = measure_tracing(host_cpus);
-    println!(
-        "tracing (diamond_16)   plain {:>12} ns   traced {:>12} ns   enabled overhead {:.3}x   disabled span {:.1} ns x {} calls = {:.4}% of plain",
-        tracing.plain_ns,
-        tracing.traced_ns,
-        tracing.enabled_overhead,
-        tracing.disabled_span_ns,
-        tracing.span_count + tracing.event_count,
-        tracing.disabled_overhead() * 100.0,
-    );
-    for check in &tracing.cross_checks {
-        println!(
-            "trace-vs-model         {:<12} {}w  trace {:>12} ns  model {:>12} ns  ratio {:.2}x  utilization {:.1}%",
-            check.name,
-            check.workers,
-            check.trace_makespan_ns,
-            check.model_makespan_ns,
-            check.ratio(),
-            check.utilization * 100.0,
-        );
-    }
-
-    // ---- CI gates -------------------------------------------------------
-    let independent = &measured[0];
-    for numbers in &measured {
-        assert!(numbers.differential_ok, "differential check failed for {}", numbers.name);
-        assert_eq!(
-            numbers.warm_compiled, 0,
-            "warm rebuild of {} must compile zero units",
-            numbers.name
-        );
-        assert!(
-            numbers.warm_speedup() >= 10.0,
-            "warm rebuild of {} is only {:.1}x faster than cold (need >= 10x)",
-            numbers.name,
-            numbers.warm_speedup()
-        );
-    }
-
-    // Restart-warm gates: the warm *process* compiles nothing, loads
-    // everything from disk, and produces oracle-identical output. The
-    // speedup over the storeless cold process is printed and recorded,
-    // not gated: it divides one noisy wall time by another, and the two
-    // counts below already pin the property.
-    for (mode, probe) in
-        [("baseline", &restart.baseline), ("cold", &restart.store_cold), ("warm", &restart.warm)]
-    {
-        assert!(probe.differential_ok, "restart {mode} probe differs from the sequential oracle");
-        assert_eq!(probe.observed, Some(true), "restart {mode} probe observed the wrong value");
-        assert_eq!(probe.compiled + probe.cached, 16, "restart {mode} probe lost units");
-    }
-    assert_eq!(restart.baseline.compiled, 16, "the baseline process must compile everything");
-    assert_eq!(restart.warm.compiled, 0, "the restart-warm process must compile zero units");
-    assert_eq!(restart.warm.disk_cached, 16, "every warm unit must load from the store");
 
     // Scheduling gates, on the skewed family: critical-path release is
     // never worse than FIFO in the makespan model, and strictly better
@@ -926,283 +723,94 @@ fn main() {
     // inequality is asserted only in full mode: both policies are
     // simulated over the *same* measured duration vector, so the
     // comparison is deterministic given the measurements, but a --quick
-    // CI run measures each unit once on a possibly-noisy runner and a
-    // single wild outlier could collapse the margin; a best-of-5 full
-    // run cannot.
+    // CI run measures each unit on fewer builds of a possibly-noisy
+    // runner and a single wild outlier could collapse the margin.
     let skewed_numbers =
         measured.iter().find(|n| n.name.starts_with("skewed")).expect("skewed family measured");
+    let (model, fifo) = (&skewed_numbers.model_ns, &skewed_numbers.fifo_model_ns);
     for &w in &WORKER_COUNTS {
         assert!(
-            skewed_numbers.model(w) <= skewed_numbers.fifo_model(w),
+            at(model, w) <= at(fifo, w),
             "critical-path makespan exceeds FIFO at {w} workers: {} > {}",
-            skewed_numbers.model(w),
-            skewed_numbers.fifo_model(w),
+            at(model, w),
+            at(fifo, w),
         );
     }
-    if !quick {
+    if !args.quick {
         assert!(
-            skewed_numbers.model(2) < skewed_numbers.fifo_model(2),
+            at(model, 2) < at(fifo, 2),
             "critical-path release must beat FIFO on the skewed DAG at 2 workers ({} vs {})",
-            skewed_numbers.model(2),
-            skewed_numbers.fifo_model(2),
+            at(model, 2),
+            at(fifo, 2),
         );
-    }
-
-    // Query-pipeline gates: every edit kind re-runs exactly the phases
-    // the invalidation model predicts — in particular the
-    // implementation-only edit re-runs phases for the edited unit with
-    // zero dependent re-executions, and the α-rename re-runs nothing at
-    // all.
-    assert!(query.differential_ok, "edit-script end state differs from the sequential oracle");
-    for step in &query.steps {
-        assert_eq!(
-            step.measured, step.predicted,
-            "edit `{}` re-ran the wrong phases (predicted {}, measured {})",
-            step.label, step.predicted, step.measured
-        );
-        assert_eq!(
-            step.compiled, step.predicted_units,
-            "edit `{}` re-ran the wrong number of units",
-            step.label
-        );
-    }
-    let impl_only = &query.steps[0];
-    assert_eq!(
-        impl_only.measured.total(),
-        4 * impl_only.compiled,
-        "the implementation-only edit must re-run dependent phases zero times \
-         (every executed phase belongs to the one edited unit)"
-    );
-    let alpha = &query.steps[1];
-    assert_eq!(alpha.measured.total(), 0, "the α-rename must re-run zero phases anywhere");
-
-    // Observability gates: instrumentation left in the product must be
-    // effectively free when tracing is off and cheap when it is on, and
-    // the schedule the trace *measures* must agree with the makespan the
-    // event-driven frontier model *predicts* from the same durations.
-    assert!(
-        tracing.disabled_overhead() <= 0.02,
-        "disabled tracing costs {:.3}% of an untraced build (need <= 2%)",
-        tracing.disabled_overhead() * 100.0
-    );
-    assert!(
-        tracing.enabled_overhead <= 1.10,
-        "enabled tracing costs {:.3}x an untraced build (need <= 1.10x)",
-        tracing.enabled_overhead
-    );
-    for check in &tracing.cross_checks {
-        // The model runs on the build's own measured durations, so the
-        // trace can only exceed it by scheduler overhead (claiming,
-        // lock waits) — a bounded fraction, looser at 2 workers where
-        // contention is real.
-        let slack = if check.workers == 1 { 1.5 } else { 1.75 };
-        assert!(
-            check.ratio() >= 0.9 && check.ratio() <= slack,
-            "trace makespan disagrees with the event model for {} at {} workers: \
-             {:.2}x (trace {} ns vs model {} ns)",
-            check.name,
-            check.workers,
-            check.ratio(),
-            check.trace_makespan_ns,
-            check.model_makespan_ns,
-        );
-        if check.workers == 1 {
-            assert!(
-                check.utilization >= 0.8,
-                "1-worker utilization for {} is only {:.1}% (the single worker should \
-                 be busy almost the whole makespan)",
-                check.name,
-                check.utilization * 100.0
-            );
-        }
     }
 
     // 2-worker throughput on independent units: wall clock where the
     // hardware can show it, scheduler makespan over measured durations
-    // where it cannot (1-CPU hosts).
-    let two_worker_throughput =
-        if host_cpus >= 2 { independent.wall_speedup(2) } else { independent.model_speedup(2) };
-    // The CI gate accepts either view: the makespan model is
-    // deterministic (~2x for 8 independent equal units), so a noisy or
-    // throttled multi-CPU runner whose wall clock lands under 1.6x does
-    // not flake the build — both numbers are still recorded in the JSON.
-    let gated_throughput = two_worker_throughput.max(independent.model_speedup(2));
+    // where it cannot (1-CPU hosts). On multi-CPU hosts the gate accepts
+    // either view: the makespan model is deterministic (~2x for 8
+    // independent equal units), so a noisy or throttled runner whose wall
+    // clock lands under 1.6x does not flake the build.
+    let independent = &measured[0];
+    let (wall, model) = (independent.wall_speedup(2), independent.model_speedup(2));
+    let (throughput, source) =
+        if host_cpus >= 2 && wall >= model { (wall, "wall") } else { (model, "model") };
     assert!(
-        gated_throughput >= 1.6,
-        "2-worker throughput on independent units is {gated_throughput:.2}x (need >= 1.6x)"
+        throughput >= 1.6,
+        "2-worker throughput on independent units is {throughput:.2}x (need >= 1.6x)"
     );
     println!(
-        "gates passed: differential ok on {} workloads + 3 restart probes + the edit script, \
-         warm rebuilds compile 0 units, restart-warm {:.1}x vs cold process, \
-         every edit re-ran exactly its predicted phases, \
-         critical-path <= FIFO on skewed, 2-worker throughput {two_worker_throughput:.2}x",
-        measured.len(),
-        restart.speedup(),
+        "gates passed: differential, incremental, restart-warm, scheduling, queries, \
+         observability; 2-worker throughput {throughput:.2}x gated on the {source} view \
+         (wall {wall:.2}x, model {model:.2}x)"
     );
 
-    let json = render_json(&measured, &restart, &tracing, reps, host_cpus, two_worker_throughput);
-    std::fs::write(&output, json).expect("write BENCH_driver.json");
-    println!("wrote {}", output.display());
-    let json = render_query_json(&query, reps);
-    std::fs::write(&query_output, json).expect("write BENCH_query.json");
-    println!("wrote {}", query_output.display());
-}
-
-/// Renders the edit-script measurements as `BENCH_query.json`.
-fn render_query_json(query: &QueryNumbers, reps: u32) -> String {
-    let counts = |c: &QueryCounts| {
-        format!(
-            "{{ \"typecheck\": {}, \"translate\": {}, \"check\": {}, \"verify\": {} }}",
-            c.typecheck, c.translate, c.check, c.verify
-        )
-    };
-    let mut out = String::from("{\n");
-    out.push_str(
-        "  \"generated_by\": \"cargo run --release -p cccc-bench --bin report_driver\",\n",
+    measure::write_report(
+        &args.output,
+        env!("CARGO_BIN_NAME"),
+        [
+            ("unit", "nanoseconds of wall time over n builds".into()),
+            (
+                "note",
+                "cold_build_ns is measured wall clock per worker count, over fresh sessions; \
+                 model_makespan_ns simulates the frontier scheduler (critical-path release) over \
+                 the MEASURED per-unit durations of the median 1-worker cold build on k workers - \
+                 the speedup the scheduler realizes when the host has k CPUs - and \
+                 fifo_makespan_ns is the same simulation under the old FIFO release. Speedups \
+                 divide medians. The 2-worker throughput gate reads the wall ratio on multi-CPU \
+                 hosts unless the model's is higher, and the model's on a 1-CPU host; gated and \
+                 gated_source record which. restart_warm numbers come from separate probe \
+                 processes sharing one on-disk artifact store. tracing.enabled_overhead \
+                 summarizes the traced/untraced wall ratio over 100 back-to-back build pairs."
+                    .into(),
+            ),
+            (
+                "two_worker_throughput_independent_units",
+                obj([
+                    ("wall", wall.into()),
+                    ("model", model.into()),
+                    ("gated", throughput.into()),
+                    ("gated_source", source.into()),
+                ]),
+            ),
+            ("warm_vs_cold_speedup_independent_units", independent.warm_speedup().into()),
+            ("restart_warm", restart),
+            ("tracing", tracing),
+            ("workloads", Json::Arr(measured.iter().map(WorkloadNumbers::json).collect())),
+        ],
     );
-    out.push_str("  \"unit\": \"nanoseconds of wall time (best over repetitions)\",\n");
-    out.push_str(&format!("  \"repetitions\": {reps},\n"));
-    out.push_str(
-        "  \"note\": \"Scripted edit stream over the 16-unit diamond, 1 worker, storeless, \
-         cumulative steps. Counts are units that executed each phase; predictions are the \
-         invalidation model the CI gate holds the build to, exactly. incremental_ns is the \
-         rebuild with early cutoff (dependency keys fold imported INTERFACE fingerprints). \
-         Every unit of the diamond is its own alpha-class, so the signature edit re-runs \
-         all four phases for all 16.\",\n",
-    );
-    out.push_str("  \"workload\": \"edits(diamond_16)\",\n");
-    out.push_str(&format!("  \"cold_build_ns\": {},\n", query.cold_ns));
-    out.push_str(&format!(
-        "  \"differential_vs_sequential\": \"{}\",\n",
-        if query.differential_ok { "ok" } else { "FAILED" }
-    ));
-    out.push_str("  \"edits\": [\n");
-    for (index, step) in query.steps.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"label\": \"{}\", \"predicted\": {}, \"measured\": {}, \
-             \"compiled_units\": {}, \"incremental_ns\": {} }}{}\n",
-            step.label,
-            counts(&step.predicted),
-            counts(&step.measured),
-            step.compiled,
-            step.incremental_ns,
-            if index + 1 == query.steps.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Renders the measurements as JSON by hand (offline workspace, no
-/// serialization dependency).
-fn render_json(
-    measured: &[WorkloadNumbers],
-    restart: &RestartNumbers,
-    tracing: &TraceNumbers,
-    reps: u32,
-    host_cpus: usize,
-    two_worker_throughput: f64,
-) -> String {
-    let independent = &measured[0];
-    let mut out = String::from("{\n");
-    out.push_str(
-        "  \"generated_by\": \"cargo run --release -p cccc-bench --bin report_driver\",\n",
-    );
-    out.push_str("  \"unit\": \"nanoseconds of wall time (best over repetitions)\",\n");
-    out.push_str(&format!("  \"repetitions\": {reps},\n"));
-    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    out.push_str(
-        "  \"note\": \"cold_build_ns is measured wall clock per worker count; \
-         model_makespan_ns simulates the frontier scheduler (critical-path release) over the \
-         MEASURED 1-worker per-unit durations on k workers - the speedup the scheduler \
-         realizes when the host has k CPUs - and fifo_makespan_ns is the same simulation \
-         under the old FIFO release. On a 1-CPU host the wall numbers cannot scale (no \
-         hardware parallelism) and the headline two_worker_throughput falls back to the \
-         model; on multi-CPU hosts it is the wall-clock ratio. restart_warm numbers come \
-         from separate probe processes sharing one on-disk artifact store. \
-         tracing.enabled_overhead is the median traced/untraced wall ratio over 100 \
-         back-to-back build pairs.\",\n",
-    );
-    out.push_str(&format!(
-        "  \"two_worker_throughput_independent_units\": {two_worker_throughput:.2},\n"
-    ));
-    out.push_str(&format!(
-        "  \"warm_vs_cold_speedup_independent_units\": {:.1},\n",
-        independent.warm_speedup()
-    ));
-    out.push_str(&format!(
-        "  \"restart_warm\": {{ \"workload\": \"diamond_16\", \
-         \"baseline_cold_process_ns\": {}, \"store_cold_process_ns\": {}, \
-         \"warm_process_ns\": {}, \"warm_compiled_units\": {}, \
-         \"warm_disk_cached_units\": {}, \"speedup_vs_cold_process\": {:.1} }},\n",
-        restart.baseline.wall_ns,
-        restart.store_cold.wall_ns,
-        restart.warm.wall_ns,
-        restart.warm.compiled,
-        restart.warm.disk_cached,
-        restart.speedup(),
-    ));
-    out.push_str(&format!(
-        "  \"tracing\": {{ \"workload\": \"diamond_16\", \"plain_cold_ns\": {}, \
-         \"traced_cold_ns\": {}, \"enabled_overhead\": {:.3}, \
-         \"disabled_span_ns\": {:.1}, \"instrumentation_calls\": {}, \
-         \"disabled_overhead\": {:.5},\n    \"trace_vs_model\": [\n",
-        tracing.plain_ns,
-        tracing.traced_ns,
-        tracing.enabled_overhead,
-        tracing.disabled_span_ns,
-        tracing.span_count + tracing.event_count,
-        tracing.disabled_overhead(),
-    ));
-    for (index, check) in tracing.cross_checks.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{ \"workload\": \"{}\", \"workers\": {}, \"trace_makespan_ns\": {}, \
-             \"model_makespan_ns\": {}, \"ratio\": {:.2}, \"utilization\": {:.3} }}{}\n",
-            check.name,
-            check.workers,
-            check.trace_makespan_ns,
-            check.model_makespan_ns,
-            check.ratio(),
-            check.utilization,
-            if index + 1 == tracing.cross_checks.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("    ] },\n");
-    out.push_str("  \"workloads\": [\n");
-    for (index, numbers) in measured.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"units\": {}, \
-             \"cold_build_ns\": {{ \"1\": {}, \"2\": {}, \"4\": {} }}, \
-             \"warm_build_ns\": {}, \"warm_compiled_units\": {}, \
-             \"warm_vs_cold_speedup\": {:.1}, \
-             \"model_makespan_ns\": {{ \"1\": {}, \"2\": {}, \"4\": {} }}, \
-             \"fifo_makespan_ns\": {{ \"1\": {}, \"2\": {}, \"4\": {} }}, \
-             \"model_speedup\": {{ \"2\": {:.2}, \"4\": {:.2} }}, \
-             \"wall_speedup\": {{ \"2\": {:.2}, \"4\": {:.2} }}, \
-             \"differential_vs_sequential\": \"{}\", \"observed\": {} }}{}\n",
-            numbers.name,
-            numbers.units,
-            numbers.cold(1),
-            numbers.cold(2),
-            numbers.cold(4),
-            numbers.warm_ns,
-            numbers.warm_compiled,
-            numbers.warm_speedup(),
-            numbers.model(1),
-            numbers.model(2),
-            numbers.model(4),
-            numbers.fifo_model(1),
-            numbers.fifo_model(2),
-            numbers.fifo_model(4),
-            numbers.model_speedup(2),
-            numbers.model_speedup(4),
-            numbers.wall_speedup(2),
-            numbers.wall_speedup(4),
-            if numbers.differential_ok { "ok" } else { "FAILED" },
-            numbers.observed.map_or_else(|| "null".to_owned(), |b| b.to_string()),
-            if index + 1 == measured.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let query = [
+        ("unit", "nanoseconds of wall time over n replays of the script".into()),
+        (
+            "note",
+            "Scripted edit stream over the 16-unit diamond, 1 worker, storeless, cumulative \
+             steps. phases_run counts the units that executed each phase; the CI gate holds \
+             every replay to exactly the invalidation model's prediction. incremental_ns is the \
+             rebuild with early cutoff (dependency keys fold imported INTERFACE fingerprints). \
+             Every unit of the diamond is its own alpha-class, so the signature edit re-runs all \
+             four phases for all 16."
+                .into(),
+        ),
+    ];
+    measure::write_report(&query_output, env!("CARGO_BIN_NAME"), query.into_iter().chain(edits));
 }

@@ -1,191 +1,176 @@
 //! Regenerates `BENCH_nbe.json` (repository root): head-to-head timings of
 //! the substitution-based step engine against the NbE engine on the shared
 //! workload corpus — normalization (CC and CC-CC), type checking (CC and
-//! CC-CC), and the full compile pipeline.
-//!
-//! The workload set, iteration counts, and output schema are fixed, so the
-//! file regenerates deterministically up to measured wall-clock times:
+//! CC-CC), and the full compile pipeline — both engines timed in the same
+//! run, each as a median with its spread.
 //!
 //! ```text
 //! cargo run --release -p cccc-bench --bin report_nbe
 //! cargo run --release -p cccc-bench --bin report_nbe -- --quick out.json
 //! ```
 //!
-//! `--quick` cuts the iteration counts for CI smoke runs; an optional path
+//! `--quick` cuts the repetition counts for CI smoke runs; an optional path
 //! argument overrides the output location.
+//!
+//! The run doubles as the hash-consed term kernel's smoke check: it
+//! **asserts** that type checking the CC-CC family on the NbE engine takes
+//! the conversion identity fast path (same interned node ⇒ equal, no
+//! traversal), and that translating `is_even_4x4` a second time on the same
+//! thread interns zero new CC-CC nodes and returns the same root — if a
+//! refactor ever reroutes the hot path around the kernel, or makes the
+//! translation emit α-copies instead of shared nodes, this binary (and the
+//! CI step running it) fails.
 
+use cccc_bench::measure::{self, obj, Args, Json};
 use cccc_bench::{church_workloads, conversion_workloads, Workload};
 use cccc_core::pipeline::{Compiler, CompilerOptions};
 use cccc_source as src;
 use cccc_target as tgt;
-use std::path::PathBuf;
-use std::time::Instant;
 
-/// One step-vs-NbE measurement.
-struct Comparison {
+/// Times the step engine's `step` against the NbE engine's `nbe`: one
+/// report row, its speedup the ratio of the medians.
+fn compare(
     name: String,
-    step_ns: u128,
-    nbe_ns: u128,
-}
-
-impl Comparison {
-    fn speedup(&self) -> f64 {
-        self.step_ns as f64 / self.nbe_ns.max(1) as f64
-    }
-}
-
-/// Times `body` over `iterations` runs (after one warm-up) and returns the
-/// mean in nanoseconds.
-fn time_ns(iterations: u32, mut body: impl FnMut()) -> u128 {
-    body();
-    let start = Instant::now();
-    for _ in 0..iterations {
-        body();
-    }
-    start.elapsed().as_nanos() / u128::from(iterations)
-}
-
-fn measure(
-    name: &str,
-    iterations: u32,
-    mut step: impl FnMut(),
-    mut nbe: impl FnMut(),
-) -> Comparison {
-    let step_ns = time_ns(iterations, &mut step);
-    let nbe_ns = time_ns(iterations, &mut nbe);
-    let comparison = Comparison { name: name.to_owned(), step_ns, nbe_ns };
-    println!(
-        "{:<40} step {:>12} ns   nbe {:>12} ns   speedup {:>7.2}x",
-        comparison.name,
-        comparison.step_ns,
-        comparison.nbe_ns,
-        comparison.speedup()
-    );
-    comparison
+    (warmup, reps): (usize, usize),
+    step: impl FnMut(),
+    nbe: impl FnMut(),
+) -> Json {
+    let (step, nbe) = (measure::time(warmup, reps, step), measure::time(warmup, reps, nbe));
+    obj([
+        ("name", name.as_str().into()),
+        ("step_ns", step.into()),
+        ("nbe_ns", nbe.into()),
+        ("speedup", (step.median / nbe.median.max(1.0)).into()),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let output: PathBuf =
-        args.iter().find(|a| !a.starts_with("--")).map(PathBuf::from).unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_nbe.json")
-        });
-    let iterations: u32 = if quick { 3 } else { 20 };
+    let args = Args::parse("BENCH_nbe.json", &[], &[]);
+    // 101 timed runs put ten samples above the reported p90.
+    let timing = if args.quick { (1, 11) } else { (5, 101) };
 
     let workloads: Vec<Workload> = church_workloads(&[2, 4, 6]);
     // Type checking is measured on both families: Church arithmetic
     // (structure-heavy, conversions mostly α-trivial) and the
     // conversion-heavy family, where `[Conv]` has to normalize growing
-    // type-level computations and the engines diverge asymptotically.
+    // type-level computations.
     let mut typecheck_workloads: Vec<Workload> = church_workloads(&[2, 4, 6]);
     typecheck_workloads.extend(conversion_workloads(&[4, 6, 8, 10]));
-    let mut comparisons: Vec<Comparison> = Vec::new();
+    let mut comparisons: Vec<Json> = Vec::new();
 
     for workload in &workloads {
         let env = src::Env::new();
-        comparisons.push(measure(
-            &format!("normalize_cc/{}", workload.name),
-            iterations,
-            || {
-                src::reduce::normalize_default(&env, &workload.term);
-            },
-            || {
-                src::nbe::normalize_nbe_default(&env, &workload.term);
-            },
+        comparisons.push(compare(
+            format!("normalize_cc/{}", workload.name),
+            timing,
+            || drop(src::reduce::normalize_default(&env, &workload.term)),
+            || drop(src::nbe::normalize_nbe_default(&env, &workload.term)),
         ));
     }
 
     for workload in &workloads {
         let translated = workload.translated();
         let env = tgt::Env::new();
-        comparisons.push(measure(
-            &format!("normalize_cccc/{}", workload.name),
-            iterations,
-            || {
-                tgt::reduce::normalize_default(&env, &translated);
-            },
-            || {
-                tgt::nbe::normalize_nbe_default(&env, &translated);
-            },
+        comparisons.push(compare(
+            format!("normalize_cccc/{}", workload.name),
+            timing,
+            || drop(tgt::reduce::normalize_default(&env, &translated)),
+            || drop(tgt::nbe::normalize_nbe_default(&env, &translated)),
         ));
     }
 
     for workload in &typecheck_workloads {
         let env = src::Env::new();
-        comparisons.push(measure(
-            &format!("typecheck_cc/{}", workload.name),
-            iterations,
-            || {
-                src::typecheck::infer_with_engine(&env, &workload.term, src::equiv::Engine::Step)
-                    .expect("well-typed");
-            },
-            || {
-                src::typecheck::infer_with_engine(&env, &workload.term, src::equiv::Engine::Nbe)
-                    .expect("well-typed");
-            },
+        let infer = |engine| {
+            src::typecheck::infer_with_engine(&env, &workload.term, engine).expect("well-typed");
+        };
+        comparisons.push(compare(
+            format!("typecheck_cc/{}", workload.name),
+            timing,
+            || infer(src::equiv::Engine::Step),
+            || infer(src::equiv::Engine::Nbe),
         ));
     }
 
-    for workload in &typecheck_workloads {
-        let translated = workload.translated();
-        let env = tgt::Env::new();
-        comparisons.push(measure(
-            &format!("typecheck_cccc/{}", workload.name),
-            iterations,
-            || {
-                tgt::typecheck::infer_with_engine(&env, &translated, tgt::equiv::Engine::Step)
-                    .expect("well-typed");
-            },
-            || {
-                tgt::typecheck::infer_with_engine(&env, &translated, tgt::equiv::Engine::Nbe)
-                    .expect("well-typed");
-            },
+    // The kernel's counters come from one untimed NbE pass over the CC-CC
+    // type-checking family, before any of it is timed.
+    let translated: Vec<tgt::Term> = typecheck_workloads.iter().map(Workload::translated).collect();
+    let env = tgt::Env::new();
+    let infer = |term: &tgt::Term, engine| {
+        tgt::typecheck::infer_with_engine(&env, term, engine).expect("well-typed");
+    };
+    let before = tgt::equiv::conv_cache_stats();
+    translated.iter().for_each(|term| infer(term, tgt::equiv::Engine::Nbe));
+    let conv = tgt::equiv::conv_cache_stats().since(&before);
+    assert!(
+        conv.identity_hits > 0,
+        "smoke check failed: the conversion identity fast path was never \
+         exercised while type checking the conv_heavy/is_even CC-CC family \
+         — the hot path no longer runs on the hash-consed kernel"
+    );
+    for (workload, term) in typecheck_workloads.iter().zip(&translated) {
+        comparisons.push(compare(
+            format!("typecheck_cccc/{}", workload.name),
+            timing,
+            || infer(term, tgt::equiv::Engine::Step),
+            || infer(term, tgt::equiv::Engine::Nbe),
         ));
     }
 
-    let step_compiler =
-        Compiler::with_options(CompilerOptions { use_nbe: false, ..CompilerOptions::default() });
-    let nbe_compiler =
-        Compiler::with_options(CompilerOptions { use_nbe: true, ..CompilerOptions::default() });
+    // Every code block binds the one shared environment parameter, so a
+    // second translation of a program on the same thread is the first
+    // one's nodes: the interner allocates nothing new.
+    let is_even_4x4 = church_workloads(&[4]).remove(0);
+    let first = is_even_4x4.translated();
+    let before = tgt::ast::intern_stats();
+    let second = is_even_4x4.translated();
+    let retranslate_misses = tgt::ast::intern_stats().since(&before).misses;
+    assert!(
+        retranslate_misses == 0 && first == second,
+        "smoke check failed: translating is_even_4x4 again interned \
+         {retranslate_misses} new CC-CC nodes — the translation no longer \
+         reproduces identical nodes for identical input"
+    );
+    println!(
+        "kernel smoke checks passed: identity fast path {} hits (memo {} hits) on one NbE pass \
+         of the typecheck_cccc family; re-translating is_even_4x4 interned 0 new nodes",
+        conv.identity_hits, conv.memo_hits
+    );
+
+    let compiler =
+        |use_nbe| Compiler::with_options(CompilerOptions { use_nbe, ..CompilerOptions::default() });
+    let (step_compiler, nbe_compiler) = (compiler(false), compiler(true));
     let mut pipeline_workloads: Vec<Workload> = church_workloads(&[2, 4]);
     pipeline_workloads.extend(conversion_workloads(&[6]));
     for workload in pipeline_workloads {
-        comparisons.push(measure(
-            &format!("pipeline/{}", workload.name),
-            iterations,
-            || {
-                step_compiler.compile_closed(&workload.term).expect("compiles");
-            },
-            || {
-                nbe_compiler.compile_closed(&workload.term).expect("compiles");
-            },
+        comparisons.push(compare(
+            format!("pipeline/{}", workload.name),
+            timing,
+            || drop(step_compiler.compile_closed(&workload.term).expect("compiles")),
+            || drop(nbe_compiler.compile_closed(&workload.term).expect("compiles")),
         ));
     }
 
-    let json = render_json(&comparisons, iterations);
-    std::fs::write(&output, json).expect("write BENCH_nbe.json");
-    println!("\nwrote {}", output.display());
-}
-
-/// Renders the comparisons as JSON by hand (the workspace is offline and
-/// carries no serialization dependency).
-fn render_json(comparisons: &[Comparison], iterations: u32) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"generated_by\": \"cargo run --release -p cccc-bench --bin report_nbe\",\n");
-    out.push_str("  \"unit\": \"mean nanoseconds per run\",\n");
-    out.push_str(&format!("  \"iterations\": {iterations},\n"));
-    out.push_str("  \"comparisons\": [\n");
-    for (index, c) in comparisons.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"step_ns\": {}, \"nbe_ns\": {}, \"speedup\": {:.2} }}{}\n",
-            c.name,
-            c.step_ns,
-            c.nbe_ns,
-            c.speedup(),
-            if index + 1 == comparisons.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    measure::write_report(
+        &args.output,
+        env!("CARGO_BIN_NAME"),
+        [
+            (
+                "unit",
+                "nanoseconds per run over n timed runs after warm-up; speedup is the step \
+                 median over the NbE median"
+                    .into(),
+            ),
+            ("warmup_runs", timing.0.into()),
+            (
+                "kernel",
+                obj([
+                    ("typecheck_cccc_identity_fast_path_hits", conv.identity_hits.into()),
+                    ("typecheck_cccc_conv_memo_hits", conv.memo_hits.into()),
+                    ("retranslate_is_even_4x4_new_nodes", retranslate_misses.into()),
+                ]),
+            ),
+            ("comparisons", Json::Arr(comparisons)),
+        ],
+    );
 }

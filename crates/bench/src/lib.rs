@@ -7,13 +7,20 @@
 //! costs on this implementation; the Criterion benches in `benches/` consume
 //! the workload families defined here, and the [`report`] module recomputes
 //! the headline numbers (sizes, expansion factors, closure counts) without
-//! Criterion so the same data can be printed into EXPERIMENTS.md.
+//! Criterion so the same data can be printed into EXPERIMENTS.md. The
+//! report bins in `src/bin/` time, probe and write their BENCH files
+//! through [`measure`].
 
+use cccc_core::pipeline::CompilerOptions;
 use cccc_core::translate::translate;
+use cccc_driver::session::Session;
+use cccc_driver::workloads::WorkUnit;
 use cccc_source as src;
 use cccc_source::builder as s;
 use cccc_source::prelude;
 use cccc_target as tgt;
+
+pub mod measure;
 
 /// A named source-language workload used by the benches.
 #[derive(Clone, Debug)]
@@ -173,6 +180,18 @@ pub fn nested_closed_workloads(depths: &[usize]) -> Vec<Workload> {
             Workload::new(format!("closed_depth_{depth}"), program)
         })
         .collect()
+}
+
+/// A session over `units` with default options and its artifact store at
+/// `dir`.
+pub fn store_session(units: &[WorkUnit], dir: &std::path::Path) -> Session {
+    let mut session =
+        Session::with_store(CompilerOptions::default(), dir).expect("store dir is creatable");
+    for unit in units {
+        let imports: Vec<&str> = unit.imports.iter().map(String::as_str).collect();
+        session.add_unit(&unit.name, &imports, &unit.term).expect("workload names are unique");
+    }
+    session
 }
 
 /// Measurement helpers shared between the benches and EXPERIMENTS.md.
