@@ -13,8 +13,8 @@
 //!
 //! The bench measures evaluation time of the *translated* programs; the
 //! static code-size expansion for the same workloads is printed by
-//! `report::size_report` in the bench's setup (and recorded in
-//! EXPERIMENTS.md).
+//! `report::size_report` in the bench's setup (`cargo bench`, as the
+//! README's "Build, test, bench" section runs it).
 
 use cccc_bench::{nested_capture_workloads, nested_closed_workloads, report};
 use cccc_source as src;
@@ -27,8 +27,8 @@ fn bench_overhead(c: &mut Criterion) {
     let capture = nested_capture_workloads(&depths);
     let closed = nested_closed_workloads(&depths);
 
-    // Print the static code-size table once so `cargo bench` output contains
-    // the data recorded in EXPERIMENTS.md.
+    // Print the static code-size table once, so `cargo bench` output
+    // carries the E14 sizes next to the timings.
     let mut rows = report::size_report(&capture);
     rows.extend(report::size_report(&closed));
     println!("\n=== E14: code-size expansion ===\n{}", report::render_table(&rows));

@@ -3,13 +3,13 @@
 //! The paper has no empirical tables — its evaluation is the theorem suite —
 //! but §7 explicitly discusses the performance consequences of abstract
 //! closure conversion (extra allocations and dereferences, code growth).
-//! EXPERIMENTS.md defines a set of experiments (E2–E14) that quantify those
-//! costs on this implementation; the Criterion benches in `benches/` consume
-//! the workload families defined here, and the [`report`] module recomputes
+//! The Criterion benches in `benches/` quantify those costs on this
+//! implementation (each file names its experiment, E2–E14) over the
+//! workload families defined here, and the [`report`] module recomputes
 //! the headline numbers (sizes, expansion factors, closure counts) without
-//! Criterion so the same data can be printed into EXPERIMENTS.md. The
-//! report bins in `src/bin/` time, probe and write their BENCH files
-//! through [`measure`].
+//! Criterion. The report bins in `src/bin/` time, probe and write their
+//! BENCH files through [`measure`]; the README summarizes them, e.g. the
+//! engine comparison in `BENCH_nbe.json`.
 
 use cccc_core::pipeline::CompilerOptions;
 use cccc_core::translate::translate;
@@ -84,13 +84,13 @@ pub fn church_workloads(sizes: &[usize]) -> Vec<Workload> {
 /// ```
 ///
 /// which are syntactically different (so no α-short-cut applies) but both
-/// normalize to the Π-chain `Bool → … → Bool` of length n². Because the
-/// chain *grows* while it reduces, the step engine pays a
-/// substitution over the remaining chain per unfolding — Θ(n⁴) work —
-/// while the NbE engine evaluates each layer into an environment-carrying
-/// closure in constant time, Θ(n²). This is the definitional-equality
-/// stress case of dependent type checking and the workload family the
-/// engine head-to-head benches sweep.
+/// normalize to the Π-chain `Bool → … → Bool` of length n², which
+/// *grows* while it reduces. This is the definitional-equality stress
+/// case of dependent type checking and the workload family the engine
+/// head-to-head benches sweep. The medians in `BENCH_nbe.json` show both
+/// engines growing alike: type checking CC from `conv_heavy_4` to
+/// `conv_heavy_10` goes from 28.1 to 101.3 µs (3.6×) on the step engine
+/// and from 19.6 to 90.1 µs (4.6×) on NbE.
 pub fn conversion_workloads(sizes: &[usize]) -> Vec<Workload> {
     sizes.iter().map(|&n| Workload::new(format!("conv_heavy_{n}"), conversion_program(n))).collect()
 }
@@ -194,7 +194,7 @@ pub fn store_session(units: &[WorkUnit], dir: &std::path::Path) -> Session {
     session
 }
 
-/// Measurement helpers shared between the benches and EXPERIMENTS.md.
+/// Code-size measurement helpers (experiment E14), printed by the benches.
 pub mod report {
     use super::*;
 
@@ -233,7 +233,7 @@ pub mod report {
             .collect()
     }
 
-    /// Renders a report as an aligned text table (used to fill EXPERIMENTS.md).
+    /// Renders a report as an aligned text table.
     pub fn render_table(rows: &[SizeReport]) -> String {
         let mut out = String::new();
         out.push_str(&format!(

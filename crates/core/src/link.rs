@@ -10,6 +10,7 @@
 use crate::translate::{translate, Result as TranslateResult};
 use cccc_source as src;
 use cccc_target as tgt;
+use cccc_util::fuel::Fuel;
 use cccc_util::symbol::Symbol;
 use std::fmt;
 
@@ -124,24 +125,57 @@ pub fn ground_values_related(source_value: &src::Term, target_value: &tgt::Term)
     )
 }
 
-/// Observes a closed source program of ground type by evaluating it to a
-/// boolean, if it is one. Runs the NbE engine — observation only needs
-/// the value, not a paper-faithful reduction sequence.
-pub fn observe_source(term: &src::Term) -> Option<bool> {
-    let value = src::nbe::normalize_nbe_default(&src::Env::new(), term);
-    match value {
+/// Runs a closed source program through the NbE engine with the default
+/// fuel budget and observes its value at the ground type `Bool`:
+/// `Some(b)` if it normalizes to a boolean, `None` otherwise. Observation
+/// only needs the value, not a paper-faithful reduction sequence.
+///
+/// # Errors
+///
+/// Returns [`src::reduce::ReduceError::OutOfFuel`] when the budget runs
+/// out before a normal form.
+pub fn run_source(term: &src::Term) -> Result<Option<bool>, src::reduce::ReduceError> {
+    let value = src::nbe::normalize_nbe(&src::Env::new(), term, &mut Fuel::default())?;
+    Ok(match value {
         src::Term::BoolLit(b) => Some(b),
         _ => None,
-    }
+    })
 }
 
-/// Observes a closed target program of ground type through the NbE engine.
-pub fn observe_target(term: &tgt::Term) -> Option<bool> {
-    let value = tgt::nbe::normalize_nbe_default(&tgt::Env::new(), term);
-    match value {
+/// Runs a closed target program through the NbE engine: [`run_source`]
+/// for CC-CC.
+///
+/// # Errors
+///
+/// Returns [`tgt::reduce::ReduceError::OutOfFuel`] when the budget runs
+/// out, or [`tgt::reduce::ReduceError::BareCodeApplication`] on an
+/// ill-typed program that applies bare code.
+pub fn run_target(term: &tgt::Term) -> Result<Option<bool>, tgt::reduce::ReduceError> {
+    let value = tgt::nbe::normalize_nbe(&tgt::Env::new(), term, &mut Fuel::default())?;
+    Ok(match value {
         tgt::Term::BoolLit(b) => Some(b),
         _ => None,
-    }
+    })
+}
+
+/// [`run_source`] on a program known to finish within the default budget.
+///
+/// # Panics
+///
+/// Panics if the evaluation fails; callers that cannot rule that out use
+/// [`run_source`].
+pub fn observe_source(term: &src::Term) -> Option<bool> {
+    run_source(term).expect("observing a closed source program failed")
+}
+
+/// [`run_target`] on a program known to finish within the default budget.
+///
+/// # Panics
+///
+/// Panics if the evaluation fails; callers that cannot rule that out use
+/// [`run_target`].
+pub fn observe_target(term: &tgt::Term) -> Option<bool> {
+    run_target(term).expect("observing a closed target program failed")
 }
 
 #[cfg(test)]

@@ -541,6 +541,10 @@ pub enum CompileError {
     Verify(VerifyError),
     /// Linking failed.
     Link(LinkError),
+    /// Running a compiled ground program stopped before a value: the
+    /// source or the target evaluator ran out of fuel
+    /// ([`Compiler::compile_and_run`]).
+    Eval(String),
     /// Under [`CompilerOptions::keep_going`], the front end did not
     /// produce a clean program: it found errors, or the term or Γ mentions
     /// the `<error>` sentinel. Nothing reached the backend.
@@ -560,7 +564,7 @@ impl CompileError {
     /// for any other error. Parse and type errors carry their per-variant
     /// codes ([`src::TypeError::code`], [`tgt::TypeError::code`]); the
     /// later phases get phase-level codes (`E0200` translate, `E0300`
-    /// verify, `E0400` link).
+    /// verify, `E0400` link, `E0500` evaluation).
     pub fn into_diagnostics(self) -> Vec<Diagnostic> {
         let diagnostic = match self {
             CompileError::Recovered { diagnostics, .. } => return diagnostics,
@@ -570,6 +574,7 @@ impl CompileError {
             CompileError::TargetType(e) => Diagnostic::error(e.to_string()).with_code(e.code()),
             CompileError::Verify(e) => Diagnostic::error(e.to_string()).with_code("E0300"),
             CompileError::Link(e) => Diagnostic::error(e.to_string()).with_code("E0400"),
+            CompileError::Eval(e) => Diagnostic::error(e).with_code("E0500"),
         };
         vec![diagnostic]
     }
@@ -584,6 +589,7 @@ impl fmt::Display for CompileError {
             CompileError::TargetType(e) => write!(f, "target type error: {e}"),
             CompileError::Verify(e) => write!(f, "{e}"),
             CompileError::Link(e) => write!(f, "{e}"),
+            CompileError::Eval(e) => write!(f, "{e}"),
             CompileError::Recovered { diagnostics, .. } => {
                 let mut errors = diagnostics.iter().filter(|d| d.is_error());
                 let Some(first) = errors.next() else {
@@ -949,15 +955,18 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// Returns an error if compilation fails or either side fails to produce
-    /// a boolean.
+    /// Returns an error if compilation fails, either side runs out of fuel
+    /// ([`CompileError::Eval`]), or either side fails to produce a boolean.
     pub fn compile_and_run(&self, term: &src::Term) -> Result<(bool, bool)> {
         let compilation = self.compile_closed(term)?;
-        let source_value = crate::link::observe_source(term)
+        let source_value = crate::link::run_source(term)
+            .map_err(|e| CompileError::Eval(format!("running the source program: {e}")))?
             .ok_or_else(|| CompileError::Verify(VerifyError::NotGround(term.to_string())))?;
-        let target_value = crate::link::observe_target(&compilation.target).ok_or_else(|| {
-            CompileError::Verify(VerifyError::NotGround(compilation.target.to_string()))
-        })?;
+        let target_value = crate::link::run_target(&compilation.target)
+            .map_err(|e| CompileError::Eval(format!("running the compiled program: {e}")))?
+            .ok_or_else(|| {
+                CompileError::Verify(VerifyError::NotGround(compilation.target.to_string()))
+            })?;
         Ok((source_value, target_value))
     }
 }
@@ -997,6 +1006,21 @@ mod tests {
             let (source_value, target_value) = compiler.compile_and_run(&entry.term).unwrap();
             assert_eq!(source_value, expected, "`{}`", entry.name);
             assert_eq!(target_value, expected, "`{}`", entry.name);
+        }
+    }
+
+    #[test]
+    fn compile_and_run_reports_running_out_of_fuel() {
+        // `is_even` on 30⁴ in Church numerals: the numerals nest only 30
+        // deep, so compiling is cheap, but running exhausts the default fuel.
+        let mul = |a, b| s::app(s::app(prelude::church_mul(), a), b);
+        let square = mul(prelude::church_numeral(30), prelude::church_numeral(30));
+        let program = s::app(prelude::church_is_even(), mul(square.clone(), square));
+        match Compiler::new().compile_and_run(&program) {
+            Err(CompileError::Eval(message)) => {
+                assert!(message.contains("fuel"), "{message}");
+            }
+            other => panic!("expected an evaluation error, got {other:?}"),
         }
     }
 

@@ -5,10 +5,11 @@
 //! the names of other units — its *imports*. The unit's inferred CC type
 //! is its *exported interface*: a unit importing `m` is checked under the
 //! assumption `m : Aₘ` where `Aₘ` is `m`'s interface, exactly the
-//! component setup of §5.2 (the closing substitution is deferred to
-//! [link time](crate::session::Session::link)). Because CC-CC code is
-//! checked closed (`[Code]`), compiled units are genuinely separately
-//! compilable: a unit's artifact depends only on its source and its
+//! component setup of §5.2 (closing it is deferred to
+//! [link time](crate::session::Session::link), which binds each import in
+//! a `let` telescope ζ-equivalent to the closing substitution). Because
+//! CC-CC code is checked closed (`[Code]`), compiled units are genuinely
+//! separately compilable: a unit's artifact depends only on its source and its
 //! imports' *interfaces*, never on their bodies — which is what lets the
 //! artifact cache skip rebuilds when an import's implementation changes
 //! but its interface does not.

@@ -118,6 +118,14 @@ pub enum DriverError {
         /// The pipeline error, rendered.
         message: String,
     },
+    /// Running a linked program stopped before a value
+    /// ([`Session::observe`]).
+    Eval {
+        /// The root whose linked program was run.
+        root: String,
+        /// Why the target evaluator stopped (out of fuel, usually).
+        error: cccc_target::reduce::ReduceError,
+    },
     /// A wire buffer failed to decode — corruption, should not happen.
     Wire(String),
     /// The persistent artifact store could not be opened or wiped.
@@ -143,6 +151,7 @@ impl fmt::Display for DriverError {
             DriverError::UnitFailed { unit, message } => {
                 write!(f, "unit `{unit}` failed to compile: {message}")
             }
+            DriverError::Eval { root, error } => write!(f, "running `{root}` failed: {error}"),
             DriverError::Wire(message) => write!(f, "artifact decode failed: {message}"),
             DriverError::Store(message) => write!(f, "artifact store failed: {message}"),
         }

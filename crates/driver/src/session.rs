@@ -50,9 +50,8 @@ use cccc_target as tgt;
 use cccc_util::cancel::{self, CancelReason, CancelToken};
 use cccc_util::diag::{diagnostics_to_json, json_string, Diagnostic};
 use cccc_util::panics;
-use cccc_util::symbol::Symbol;
 use cccc_util::trace::{self, BuildTrace, TraceSink};
-use cccc_util::wire::Fingerprint;
+use cccc_util::wire::{Fingerprint, WireTerm};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
@@ -670,9 +669,19 @@ impl Session {
     /// Returns [`DriverError::NotBuilt`] before a successful build of the
     /// unit, or [`DriverError::Wire`] on a corrupt artifact.
     pub fn target_term(&self, name: &str) -> Result<tgt::Term, DriverError> {
+        self.decode_target(name, Artifact::target)
+    }
+
+    /// One CC-CC section of `name`'s artifact, decoded into the calling
+    /// thread's interner.
+    fn decode_target(
+        &self,
+        name: &str,
+        section: fn(&Artifact) -> Result<WireTerm, String>,
+    ) -> Result<tgt::Term, DriverError> {
         let artifact = self.artifact(name).ok_or_else(|| DriverError::NotBuilt(name.to_owned()))?;
-        let target = artifact.target().map_err(DriverError::Wire)?;
-        tgt::wire::decode(&target).map_err(|e| DriverError::Wire(e.to_string()))
+        let wire = section(&artifact).map_err(DriverError::Wire)?;
+        tgt::wire::decode(&wire).map_err(|e| DriverError::Wire(e.to_string()))
     }
 
     /// The exported interface (inferred CC type) of `name`, decoded into
@@ -874,40 +883,52 @@ impl Session {
         live
     }
 
-    /// Links the compiled program rooted at `root`: every transitive
-    /// import's compiled term is substituted for its unit name, bottom-up
-    /// (compile separately, link later — §5.2 at the module level).
+    /// Links the compiled program rooted at `root` into the closed CC-CC
+    /// term `let d₁ = e₁ : A₁ in … let dₖ = eₖ : Aₖ in e_root`. The lets
+    /// bind `root`'s transitive imports `dᵢ` in schedule order, each to
+    /// its compiled term `eᵢ` at its compiled type `Aᵢ`.
+    ///
+    /// §5.2 links by substitution, γ(e); in CC-CC this telescope is
+    /// ζ-equivalent to it, and [`cccc_core::link::link_target`] remains
+    /// the substitution the separate-compilation checkers use. The
+    /// telescope holds each import once, and evaluation forces a
+    /// `let`-bound term at most once, so running the linked program
+    /// evaluates each import once instead of once per use.
     ///
     /// # Errors
     ///
     /// Returns [`DriverError::NotBuilt`] if `root` or an import has no
-    /// artifact from the last build.
+    /// artifact from the last build, or [`DriverError::Wire`] on a
+    /// corrupt artifact.
     pub fn link(&self, root: &str) -> Result<tgt::Term, DriverError> {
         let _span = trace::span("link");
         let root_index =
             self.graph.index_of(root).ok_or_else(|| DriverError::UnknownUnit(root.to_owned()))?;
         let plan = self.graph.plan()?;
-        let mut linked: HashMap<usize, tgt::Term> = HashMap::new();
-        for &u in plan.transitive[root_index].iter().chain(std::iter::once(&root_index)) {
-            let unit = self.graph.unit_at(u);
+        let mut imports = Vec::with_capacity(plan.transitive[root_index].len());
+        for &d in &plan.transitive[root_index] {
+            let unit = self.graph.unit_at(d);
             let term = self.target_term(&unit.name)?;
-            let substitution: Vec<(Symbol, tgt::Term)> = plan.transitive[u]
-                .iter()
-                .map(|&d| (self.graph.unit_at(d).symbol, linked[&d].clone()))
-                .collect();
-            linked.insert(u, tgt::subst::subst_all(&term, &substitution));
+            let ty = self.decode_target(&unit.name, Artifact::target_ty)?;
+            imports.push((unit.symbol, ty, term));
         }
-        Ok(linked.remove(&root_index).expect("root was linked"))
+        let body = self.target_term(root)?;
+        Ok(imports
+            .into_iter()
+            .rfold(body, |body, (name, ty, term)| tgt::builder::let_sym(name, ty, term, body)))
     }
 
-    /// Links `root` and observes it at the ground type `Bool` (see
-    /// [`cccc_core::link::observe_target`]).
+    /// Links `root` ([`Session::link`]) and runs it, observing the value
+    /// at the ground type `Bool`: `Some(b)` for a boolean, `None` for any
+    /// other normal form (see [`cccc_core::link::run_target`]).
     ///
     /// # Errors
     ///
-    /// See [`Session::link`].
+    /// See [`Session::link`]; returns [`DriverError::Eval`] when the
+    /// evaluation stops before a normal form (it ran out of fuel).
     pub fn observe(&self, root: &str) -> Result<Option<bool>, DriverError> {
-        Ok(cccc_core::link::observe_target(&self.link(root)?))
+        cccc_core::link::run_target(&self.link(root)?)
+            .map_err(|error| DriverError::Eval { root: root.to_owned(), error })
     }
 
     /// The sequential oracle: compiles every unit on the calling thread

@@ -12,14 +12,37 @@ use cccc_core::link;
 use cccc_core::pipeline::{Compiler, CompilerOptions};
 use cccc_driver::session::Session;
 use cccc_driver::workloads::{
-    deep_chain, diamond, independent_units, root_of, session_from, skewed, WorkUnit,
+    deep_chain, diamond, edits, independent_units, root_of, session_from, skewed, WorkUnit,
 };
 use cccc_driver::{DriverError, UnitStatus};
 use cccc_source::builder as s;
+use cccc_source::prelude;
 use cccc_target as tgt;
+use std::collections::HashMap;
+
+/// Links `root` the way §5.2 states it, γ(e): bottom-up, each unit's
+/// compiled term with every transitive import's linked term substituted
+/// for the import's name, all from the session's own artifacts.
+fn link_by_substitution(session: &Session, root: &str) -> tgt::Term {
+    let graph = session.graph();
+    let plan = graph.plan().unwrap();
+    let root_index = graph.index_of(root).unwrap();
+    let mut linked: HashMap<usize, tgt::Term> = HashMap::new();
+    for &u in plan.transitive[root_index].iter().chain([&root_index]) {
+        let substitution: link::TargetSubstitution = plan.transitive[u]
+            .iter()
+            .map(|&d| (graph.unit_at(d).symbol, linked[&d].clone()))
+            .collect();
+        let term = session.target_term(&graph.unit_at(u).name).unwrap();
+        linked.insert(u, link::link_target(&term, &substitution));
+    }
+    linked.remove(&root_index).unwrap()
+}
 
 /// Builds the workload with the given worker count and checks every
-/// unit's artifact against the sequential oracle.
+/// unit's artifact against the sequential oracle, then the linked root:
+/// the `let` telescope [`Session::link`] returns is closed and has type
+/// `Bool`, and it observes the value the substitution γ(e) observes.
 fn assert_driver_matches_sequential(units: &[WorkUnit], workers: usize) {
     let mut session = session_from(units, CompilerOptions::default());
     let report = session.build(workers).unwrap();
@@ -40,6 +63,15 @@ fn assert_driver_matches_sequential(units: &[WorkUnit], workers: usize) {
             "unit `{name}`: driver interface differs from sequential pipeline"
         );
     }
+
+    let root = root_of(units);
+    let telescope = session.link(root).unwrap();
+    let ty = tgt::typecheck::infer(&tgt::Env::new(), &telescope).unwrap();
+    assert!(matches!(ty, tgt::Term::BoolTy), "linked `{root}` has type {ty}, not Bool");
+    let substituted = link_by_substitution(&session, root);
+    let observed = session.observe(root).unwrap();
+    assert!(observed.is_some(), "linked `{root}` observes no boolean");
+    assert_eq!(observed, link::observe_target(&substituted), "linked `{root}`");
 }
 
 #[test]
@@ -71,6 +103,47 @@ fn skewed_dag_matches_sequential_under_critical_path_scheduling() {
     let units = skewed(3, 4, 2);
     for workers in [1, 2, 4] {
         assert_driver_matches_sequential(&units, workers);
+    }
+}
+
+#[test]
+fn edits_base_graph_matches_sequential() {
+    let (units, _) = edits(2);
+    assert_driver_matches_sequential(&units, 2);
+}
+
+#[test]
+fn linking_evaluates_each_import_once() {
+    // u0 = true and uᵢ = and uᵢ₋₁ uᵢ₋₁: substituting each import into
+    // every use would run u0 2²⁴ times; the `let` telescope binds each
+    // unit once and evaluation forces each binding at most once.
+    let mut session = Session::new(CompilerOptions::default());
+    session.add_unit("u0", &[], &s::tt()).unwrap();
+    for i in 1..=24 {
+        let previous = format!("u{}", i - 1);
+        let term = s::app(s::app(prelude::and_fn(), s::var(&previous)), s::var(&previous));
+        session.add_unit(&format!("u{i}"), &[previous.as_str()], &term).unwrap();
+    }
+    assert!(session.build(2).unwrap().is_success());
+    assert_eq!(session.observe("u24").unwrap(), Some(true));
+}
+
+#[test]
+fn observe_reports_running_out_of_fuel() {
+    // `is_even` on 30⁴ in Church numerals: the numerals nest only 30 deep,
+    // so building is cheap, but running exhausts the default fuel, which
+    // is an error, not a panic.
+    let mul = |a, b| s::app(s::app(prelude::church_mul(), a), b);
+    let square = mul(prelude::church_numeral(30), prelude::church_numeral(30));
+    let program = s::app(prelude::church_is_even(), mul(square.clone(), square));
+    let mut session = Session::single_program(CompilerOptions::default(), &program);
+    assert!(session.build(1).unwrap().is_success());
+    match session.observe("main") {
+        Err(DriverError::Eval { root, error }) => {
+            assert_eq!(root, "main");
+            assert_eq!(error, tgt::reduce::ReduceError::OutOfFuel);
+        }
+        other => panic!("expected an evaluation error, got {other:?}"),
     }
 }
 

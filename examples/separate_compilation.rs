@@ -101,7 +101,8 @@ fn main() {
     // client become named compilation units in the driver's unit graph.
     // Workers compile ready units in parallel (each on its own interner),
     // the artifact cache keys every unit by its source + its imports'
-    // interface fingerprints, and linking substitutes compiled modules.
+    // interface fingerprints, and linking binds each compiled module once
+    // in a `let` telescope (ζ-equivalent to substituting it, as above).
     use cccc::driver::session::Session;
 
     let mut session = Session::new(Default::default());

@@ -92,8 +92,8 @@ fn baseline_failures_pinpoint_the_dependent_feature() {
 #[test]
 fn code_size_comparison_between_the_two_encodings() {
     // On the shared (simply typed) fragment, both encodings blow up the
-    // program; record that both factors are finite and >= 1 so the numbers
-    // in EXPERIMENTS.md stay honest.
+    // program; record that both factors are finite and >= 1, as the
+    // README's §3.1 baseline comparison states.
     let compiler = Compiler::new();
     for (name, program, _) in simply_typed_programs() {
         let (baseline_term, _) = baseline::translate_program(&program).unwrap();
