@@ -1,15 +1,14 @@
-//! Shared workloads and measurement helpers for the benchmark harness.
+//! Shared workloads and measurement helpers for the report bins.
 //!
 //! The paper has no empirical tables — its evaluation is the theorem suite —
 //! but §7 explicitly discusses the performance consequences of abstract
 //! closure conversion (extra allocations and dereferences, code growth).
-//! The Criterion benches in `benches/` quantify those costs on this
-//! implementation (each file names its experiment, E2–E14) over the
-//! workload families defined here, and the [`report`] module recomputes
-//! the headline numbers (sizes, expansion factors, closure counts) without
-//! Criterion. The report bins in `src/bin/` time, probe and write their
-//! BENCH files through [`measure`]; the README summarizes them, e.g. the
-//! engine comparison in `BENCH_nbe.json`.
+//! `report_nbe` quantifies those costs on this implementation, experiments
+//! E2–E14, over the workload families defined here, and the [`report`]
+//! module computes the static numbers (sizes, expansion factors, closure
+//! counts, evaluation costs). The report bins in `src/bin/` time, probe and
+//! write their BENCH files through [`measure`]; the README summarizes them,
+//! e.g. the experiments and the engine comparison in `BENCH_nbe.json`.
 
 use cccc_core::pipeline::CompilerOptions;
 use cccc_core::translate::translate;
@@ -19,13 +18,14 @@ use cccc_source as src;
 use cccc_source::builder as s;
 use cccc_source::prelude;
 use cccc_target as tgt;
+use cccc_util::cost::{Cost, CostLabels};
 
 pub mod measure;
 
-/// A named source-language workload used by the benches.
+/// A named source-language workload used by the report bins.
 #[derive(Clone, Debug)]
 pub struct Workload {
-    /// Name reported by Criterion.
+    /// Name the report rows carry.
     pub name: String,
     /// The closed, well-typed CC program.
     pub term: src::Term,
@@ -49,17 +49,9 @@ pub fn corpus_workloads() -> Vec<Workload> {
     prelude::corpus().into_iter().map(|entry| Workload::new(entry.name, entry.term)).collect()
 }
 
-/// The ground (boolean-valued) corpus as workloads.
-pub fn ground_workloads() -> Vec<Workload> {
-    prelude::ground_corpus()
-        .into_iter()
-        .map(|(entry, _)| Workload::new(entry.name, entry.term))
-        .collect()
-}
-
 /// Church-arithmetic workloads of increasing size: `is_even (n * n)` for the
-/// given values of `n`. Normalization cost grows with `n`, which is what the
-/// normalization and reduction benches sweep.
+/// given values of `n`. Normalization cost grows with `n`, which is what
+/// `report_nbe`'s normalization, type-checking and model rows sweep.
 pub fn church_workloads(sizes: &[usize]) -> Vec<Workload> {
     sizes
         .iter()
@@ -87,10 +79,12 @@ pub fn church_workloads(sizes: &[usize]) -> Vec<Workload> {
 /// normalize to the Π-chain `Bool → … → Bool` of length n², which
 /// *grows* while it reduces. This is the definitional-equality stress
 /// case of dependent type checking and the workload family the engine
-/// head-to-head benches sweep. The medians in `BENCH_nbe.json` show both
-/// engines growing alike: type checking CC from `conv_heavy_4` to
-/// `conv_heavy_10` goes from 28.1 to 101.3 µs (3.6×) on the step engine
-/// and from 19.6 to 90.1 µs (4.6×) on NbE.
+/// head-to-head rows of `report_nbe` sweep. In the
+/// `typecheck_cc/conv_heavy_*` and `typecheck_cccc/conv_heavy_*` rows of
+/// `BENCH_nbe.json`, both engines slow down by similar factors from
+/// n = 4 to n = 10. A single median there moves from run to run: on a
+/// 2-CPU host, ten back-to-back full runs put the step engine's
+/// `typecheck_cc/conv_heavy_10` anywhere from 121 to 186 µs.
 pub fn conversion_workloads(sizes: &[usize]) -> Vec<Workload> {
     sizes.iter().map(|&n| Workload::new(format!("conv_heavy_{n}"), conversion_program(n))).collect()
 }
@@ -141,9 +135,10 @@ pub fn nested_capture_workloads(depths: &[usize]) -> Vec<Workload> {
         .collect()
 }
 
-/// Builds a program whose innermost function captures `depth` boolean
-/// variables, then applies the whole tower to literals so it evaluates to a
-/// boolean.
+/// Builds a tower of `depth` nested functions whose innermost body tests
+/// all `depth` binders, so the innermost closure captures the `depth - 1`
+/// enclosing ones, then applies the tower to `true` at every binder so
+/// that every test runs and the program evaluates to `true`.
 pub fn nested_capture_program(depth: usize) -> src::Term {
     // λ b0 : Bool. λ b1 : Bool. … λ b_{depth-1} : Bool. (conjunction of all bi)
     let names: Vec<String> = (0..depth).map(|i| format!("b{i}")).collect();
@@ -155,10 +150,9 @@ pub fn nested_capture_program(depth: usize) -> src::Term {
     for name in names.iter().rev() {
         function = s::lam(name, s::bool_ty(), function);
     }
-    // Apply to alternating literals.
     let mut program = function;
-    for i in 0..depth {
-        program = s::app(program, s::bool_lit(i % 2 == 0));
+    for _ in 0..depth {
+        program = s::app(program, s::tt());
     }
     program
 }
@@ -194,7 +188,8 @@ pub fn store_session(units: &[WorkUnit], dir: &std::path::Path) -> Session {
     session
 }
 
-/// Code-size measurement helpers (experiment E14), printed by the benches.
+/// Code-size and evaluation-cost measurements (experiment E14), recorded by
+/// `report_nbe`.
 pub mod report {
     use super::*;
 
@@ -233,25 +228,18 @@ pub mod report {
             .collect()
     }
 
-    /// Renders a report as an aligned text table.
-    pub fn render_table(rows: &[SizeReport]) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<28} {:>8} {:>8} {:>10} {:>8} {:>9}\n",
-            "workload", "src", "tgt", "expansion", "lambdas", "closures"
-        ));
-        for row in rows {
-            out.push_str(&format!(
-                "{:<28} {:>8} {:>8} {:>9.2}x {:>8} {:>9}\n",
-                row.name,
-                row.source_size,
-                row.target_size,
-                row.expansion,
-                row.lambdas,
-                row.closures
-            ));
-        }
-        out
+    /// A cost's seven counters in field order: applications, ζ, δ, π,
+    /// `if`, pairs built, functions built.
+    pub fn cost_counters<L: CostLabels>(cost: &Cost<L>) -> [usize; 7] {
+        [
+            cost.applications,
+            cost.zeta,
+            cost.delta,
+            cost.projection,
+            cost.conditional,
+            cost.pairs_built,
+            cost.functions_built,
+        ]
     }
 }
 
@@ -293,20 +281,39 @@ mod tests {
         }
     }
 
+    /// The exact cost of evaluating `workload` in CC and, translated, in
+    /// CC-CC, with both values.
+    fn costs(workload: &Workload) -> (src::Term, [usize; 7], tgt::Term, [usize; 7]) {
+        let (cc_value, cc) =
+            src::reduce::evaluate_with_cost_default(&src::Env::new(), &workload.term);
+        let (cccc_value, cccc) =
+            tgt::reduce::evaluate_with_cost_default(&tgt::Env::new(), &workload.translated());
+        (cc_value, report::cost_counters(&cc), cccc_value, report::cost_counters(&cccc))
+    }
+
     #[test]
     fn nested_capture_programs_are_well_typed_and_ground() {
-        for depth in [1, 3, 6] {
-            let program = nested_capture_program(depth);
-            let ty = src::typecheck::infer(&src::Env::new(), &program).unwrap();
+        // The innermost `if` chain tests every captured variable: the λ at
+        // depth i projects its i captured variables out of its environment.
+        let pinned = [
+            (2, [2, 0, 0, 0, 2, 0, 0], [2, 1, 0, 1, 2, 0, 0]),
+            (5, [5, 0, 0, 0, 5, 0, 0], [5, 10, 0, 20, 5, 0, 0]),
+            (8, [8, 0, 0, 0, 8, 0, 0], [8, 28, 0, 84, 8, 0, 0]),
+        ];
+        for (depth, cc_counts, cccc_counts) in pinned {
+            let workload = nested_capture_workloads(&[depth]).remove(0);
+            let ty = src::typecheck::infer(&src::Env::new(), &workload.term).unwrap();
             assert!(matches!(ty, src::Term::BoolTy));
-            let value = src::reduce::normalize_default(&src::Env::new(), &program);
-            assert!(matches!(value, src::Term::BoolLit(_)));
+            let (cc_value, cc, cccc_value, cccc) = costs(&workload);
+            assert!(matches!(cc_value, src::Term::BoolLit(true)), "{}", workload.name);
+            assert!(matches!(cccc_value, tgt::Term::BoolLit(true)), "{}", workload.name);
+            assert_eq!((cc, cccc), (cc_counts, cccc_counts), "{}", workload.name);
         }
     }
 
     #[test]
     fn nested_closed_workloads_have_empty_environments() {
-        for w in nested_closed_workloads(&[2, 4]) {
+        for w in nested_closed_workloads(&[2, 5, 8]) {
             let translated = w.translated();
             // Every closure's environment is the unit value.
             let mut all_empty = true;
@@ -318,6 +325,15 @@ mod tests {
                 }
             });
             assert!(all_empty, "{} should only have empty environments", w.name);
+            // So running it projects nothing, in either language.
+            let depth = w.term.lambda_count();
+            let (_, cc, _, cccc) = costs(&w);
+            assert_eq!(
+                (cc, cccc),
+                ([depth, 0, 0, 0, 0, 0, 0], [depth, 0, 0, 0, 0, 0, 0]),
+                "{}",
+                w.name
+            );
         }
     }
 
@@ -331,10 +347,34 @@ mod tests {
     }
 
     #[test]
-    fn render_table_lists_every_row() {
-        let rows = report::size_report(&church_workloads(&[1, 2]));
-        let table = report::render_table(&rows);
-        assert!(table.contains("is_even_1x1"));
-        assert!(table.contains("is_even_2x2"));
+    fn size_report_of_the_towers_has_one_closure_per_lambda() {
+        // The E14 invariant `report_nbe` asserts, on the depths it records:
+        // a tower of depth d has d λs and d closures, and capturing costs
+        // code that the closed tower does not pay.
+        let depths = [2, 5, 8];
+        let capture = report::size_report(&nested_capture_workloads(&depths));
+        let closed = report::size_report(&nested_closed_workloads(&depths));
+        for ((depth, capture), closed) in depths.into_iter().zip(capture).zip(closed) {
+            for row in [&capture, &closed] {
+                assert_eq!((row.lambdas, row.closures), (depth, depth), "{}", row.name);
+                assert!(row.expansion >= 1.0, "{}", row.name);
+            }
+            assert!(capture.target_size > closed.target_size, "{}", capture.name);
+        }
+    }
+
+    #[test]
+    fn cost_counters_follow_the_field_order() {
+        // The order of `tests/hoisting_and_cost.rs`, which the `cc_cost`
+        // and `cccc_cost` arrays of `BENCH_nbe.json` follow.
+        let mut cost = src::reduce::Cost::default();
+        cost.applications = 1;
+        cost.zeta = 2;
+        cost.delta = 3;
+        cost.projection = 4;
+        cost.conditional = 5;
+        cost.pairs_built = 6;
+        cost.functions_built = 7;
+        assert_eq!(report::cost_counters(&cost), [1, 2, 3, 4, 5, 6, 7]);
     }
 }

@@ -339,7 +339,8 @@ impl Args {
     ///
     /// # Panics
     ///
-    /// On an unknown flag, or an option without its path.
+    /// On an unknown flag, an option without its path, or a second
+    /// positional path.
     pub fn parse(default_output: &str, switches: &[&str], options: &[&str]) -> Args {
         Args::from_args(std::env::args().skip(1), default_output, switches, options)
     }
@@ -356,6 +357,7 @@ impl Args {
             switches: Vec::new(),
             options: Vec::new(),
         };
+        let mut output_given = false;
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
@@ -366,7 +368,13 @@ impl Args {
                     parsed.options.push((arg, PathBuf::from(path)));
                 }
                 flag if flag.starts_with("--") => panic!("unknown flag `{flag}`"),
-                _ => parsed.output = PathBuf::from(arg),
+                _ if output_given => {
+                    panic!("two output paths, `{}` and `{arg}`", parsed.output.display())
+                }
+                _ => {
+                    parsed.output = PathBuf::from(arg);
+                    output_given = true;
+                }
             }
         }
         parsed
@@ -489,5 +497,11 @@ mod tests {
     #[should_panic(expected = "unknown flag `--bogus`")]
     fn args_reject_unknown_flags() {
         Args::from_args(["--bogus".to_owned()], "BENCH_x.json", &[], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "two output paths, `a.json` and `b.json`")]
+    fn args_reject_a_second_output_path() {
+        Args::from_args(["a.json".to_owned(), "b.json".to_owned()], "BENCH_x.json", &[], &[]);
     }
 }

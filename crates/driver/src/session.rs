@@ -757,13 +757,16 @@ impl Session {
                 let ready_signal = &ready_signal;
                 let ctx = &ctx;
                 let sink = &sink;
-                scope.spawn(move || {
-                    let _trace_guard = sink.install(worker);
-                    // Fuel checkpoints and store retries poll the ambient
-                    // token; install it for this worker's whole build.
-                    let _cancel_guard = cancel::install(&ctx.cancel);
-                    worker_loop(worker, ctx, state, ready_signal);
-                });
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK_BYTES)
+                    .spawn_scoped(scope, move || {
+                        let _trace_guard = sink.install(worker);
+                        // Fuel checkpoints and store retries poll the ambient
+                        // token; install it for this worker's whole build.
+                        let _cancel_guard = cancel::install(&ctx.cancel);
+                        worker_loop(worker, ctx, state, ready_signal);
+                    })
+                    .expect("the OS spawns a build worker");
             }
             if watchdog {
                 let state = &state;
@@ -1459,6 +1462,12 @@ fn panicked_outcome(
         outcome,
     )
 }
+
+/// A build worker's stack: the Linux main thread's default, so a worker
+/// compiles every term [`Compiler::compile_closed`] compiles on the main
+/// thread. The recursive phases need stack in proportion to a term's
+/// depth, and Rust's 2 MiB default for spawned threads overflows first.
+const WORKER_STACK_BYTES: usize = 8 << 20;
 
 /// How often the deadline watchdog polls. Fine-grained enough that unit
 /// deadlines in the low milliseconds are honored promptly; coarse enough

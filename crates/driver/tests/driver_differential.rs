@@ -169,22 +169,68 @@ fn linked_diamond_observes_the_sequential_value() {
 
 #[test]
 fn single_program_session_agrees_with_the_compiler() {
-    // The single-program Compiler re-expressed as a one-unit session.
-    let program = s::app(
-        s::app(cccc_source::prelude::poly_id(), s::bool_ty()),
-        s::app(cccc_source::prelude::not_fn(), s::ff()),
-    );
-    let mut session = Session::single_program(CompilerOptions::default(), &program);
-    let report = session.build(1).unwrap();
-    assert!(report.is_success());
-    assert_eq!(report.units.len(), 1);
+    // The single-program Compiler re-expressed as a one-unit session. The
+    // comparison runs on a thread with the main thread's 8 MiB stack, and
+    // the deep program `is_even (mul 200̂ 200̂)` needs more stack than a
+    // spawned thread's 2 MiB default: a session worker must compile it
+    // as `compile_closed` does.
+    let compare = || {
+        let shallow =
+            s::app(s::app(prelude::poly_id(), s::bool_ty()), s::app(prelude::not_fn(), s::ff()));
+        let square = s::app(
+            s::app(prelude::church_mul(), prelude::church_numeral(200)),
+            prelude::church_numeral(200),
+        );
+        let deep = s::app(prelude::church_is_even(), square);
+        for program in [shallow, deep] {
+            let mut session = Session::single_program(CompilerOptions::default(), &program);
+            let report = session.build(1).unwrap();
+            assert!(report.is_success());
+            assert_eq!(report.units.len(), 1);
 
-    let compilation = Compiler::new().compile_closed(&program).unwrap();
-    let driver_target = session.target_term("main").unwrap();
-    assert!(tgt::subst::alpha_eq(&driver_target, &compilation.target));
-    let driver_ty = session.interface("main").unwrap();
-    assert!(cccc_source::subst::alpha_eq(&driver_ty, &compilation.source_type));
-    assert_eq!(session.observe("main").unwrap(), Some(true));
+            let compilation = Compiler::new().compile_closed(&program).unwrap();
+            let driver_target = session.target_term("main").unwrap();
+            assert!(tgt::subst::alpha_eq(&driver_target, &compilation.target));
+            let driver_ty = session.interface("main").unwrap();
+            assert!(cccc_source::subst::alpha_eq(&driver_ty, &compilation.source_type));
+            assert_eq!(session.observe("main").unwrap(), Some(true));
+        }
+    };
+    let main_thread_stack = 8 << 20;
+    let thread = std::thread::Builder::new().stack_size(main_thread_stack).spawn(compare);
+    thread.expect("the comparison thread spawns").join().expect("the sessions agree");
+}
+
+#[test]
+fn two_worker_session_compiles_deep_units() {
+    // Every worker gets the main thread's stack, not only a one-unit
+    // build's: two deep units, `is_even (mul n̂ n̂)` for n = 200 and 199,
+    // built on two workers compile as `compile_closed` compiles them on a
+    // thread with the main thread's 8 MiB stack.
+    let compare = || {
+        let deep = |n| {
+            let square = s::app(
+                s::app(prelude::church_mul(), prelude::church_numeral(n)),
+                prelude::church_numeral(n),
+            );
+            s::app(prelude::church_is_even(), square)
+        };
+        let programs = [("even", deep(200), true), ("odd", deep(199), false)];
+        let mut session = Session::new(CompilerOptions::default());
+        for (name, program, _) in &programs {
+            session.add_unit(name, &[], program).unwrap();
+        }
+        assert!(session.build(2).unwrap().is_success());
+        for (name, program, value) in &programs {
+            let compilation = Compiler::new().compile_closed(program).unwrap();
+            let driver_target = session.target_term(name).unwrap();
+            assert!(tgt::subst::alpha_eq(&driver_target, &compilation.target), "{name}");
+            assert_eq!(session.observe(name).unwrap(), Some(*value), "{name}");
+        }
+    };
+    let main_thread_stack = 8 << 20;
+    let thread = std::thread::Builder::new().stack_size(main_thread_stack).spawn(compare);
+    thread.expect("the comparison thread spawns").join().expect("the sessions agree");
 }
 
 #[test]

@@ -19,7 +19,7 @@
 //!
 //! The abstract closure conversion of `cccc-core` handles all of those
 //! programs; the contrast is exercised in the integration test
-//! `tests/baseline_comparison.rs` and benchmarked in `bench_overhead`.
+//! `tests/baseline_comparison.rs`.
 
 pub mod baseline;
 pub mod lang;
