@@ -1,4 +1,4 @@
-//! The artifact-store benchmark: what the v3 lazy blob format and the
+//! The artifact-store benchmark: what the lazy blob format and the
 //! size-bounded GC buy, measured across real process boundaries and
 //! asserted as CI gates.
 //!
@@ -332,7 +332,7 @@ fn main() {
             ),
             (
                 "note",
-                "Each probe is a fresh process over one shared store. warm is the product (v3 \
+                "Each probe is a fresh process over one shared store. warm is the product (v4 \
                  lazy section decode: loads read the 168-byte header, term payloads stay on \
                  disk); full_decode is the same build followed by reading + checksumming every \
                  section of every unit's artifact. The CI gates assert warm decodes zero \

@@ -457,8 +457,10 @@ mod tests {
         assert_eq!(link::observe_target(&term), link::observe_source(&program));
         assert_eq!(link::observe_target(&term), Some(false));
 
-        // The store's portable encoding renames the generated parameter on
-        // load; the decoded term is still α-equal and well-typed.
+        // The store's portable encoding relocates the generated parameter
+        // to a symbol new to the reader (one per stored name, reused by
+        // every later load); the decoded term is still α-equal and
+        // well-typed.
         let decoded = tgt::wire::decode(&tgt::wire::encode_portable(&term)).unwrap();
         assert!(target_alpha_eq(&decoded, &term));
         let decoded_ty = tgt::typecheck::infer(&empty_tgt(), &decoded).unwrap();

@@ -42,7 +42,7 @@ enum Sections {
     /// All three sections materialized.
     Eager { source_ty: WireTerm, target: WireTerm, target_ty: WireTerm },
     /// Sections `pread` + checksummed on first access (see
-    /// [`crate::store`]'s v3 blob format).
+    /// [`crate::store`]'s blob format).
     Lazy(LazySections),
 }
 

@@ -10,7 +10,7 @@
 //! [`cccc_source::wire::fingerprint_alpha`] and [`crate::query`]), and a
 //! fresh process whose recomputed keys match simply loads the blobs back.
 //!
-//! # Blob format (v3)
+//! # Blob format (v4)
 //!
 //! One file per artifact key, named `<fingerprint:032x>.art`, holding
 //! little-endian `u64` words:
@@ -39,12 +39,17 @@
 //! payload at all.
 //!
 //! Sections are **portable** wire buffers ([`cccc_source::wire::encode_portable`],
-//! [`cccc_target::wire::encode_portable`]): each carries a relocatable
-//! symbol table mapping local ids to `(base name, disambiguator)` pairs
-//! that re-intern on load, because raw wire symbol ids are only stable
-//! within the writing process. v2 blobs (whole-payload checksum, no
-//! section table) read as a format version skew — an invalid entry, so a
-//! miss — and the recompile's write-through rewrites them in v3.
+//! [`cccc_target::wire::encode_portable`]): each carries its writer's
+//! nonce and a relocatable symbol table mapping local ids to
+//! `(base name, disambiguator)` pairs, because raw wire symbol ids are
+//! only stable within the writing process. On load, plain names re-intern
+//! and each generated name relocates to the one symbol this process holds
+//! for its `(nonce, disambiguator)` pair, so loading a blob again rebuilds
+//! the nodes the first load built ([`cccc_util::wire`]). Older blobs read
+//! as a format version skew — an invalid entry, so a miss — and the
+//! recompile's write-through rewrites them in v4: v2 blobs (whole-payload
+//! checksum, no section table) and v3 blobs (this header layout, but
+//! sections without a writer nonce) alike.
 //!
 //! # Verified-phase records
 //!
@@ -135,9 +140,9 @@ const SECTION_TABLE_WORD: usize = 9;
 /// Words per section-table entry (offset, length, checksum lo/hi).
 const SECTION_ENTRY_WORDS: usize = 4;
 
-/// Words in a v3 blob header: the fixed prefix plus the section table.
+/// Words in a blob header: the fixed prefix plus the section table.
 /// Sections start here.
-const HEADER_V3_WORDS: usize = SECTION_TABLE_WORD + SECTION_COUNT * SECTION_ENTRY_WORDS;
+const HEADER_WORDS: usize = SECTION_TABLE_WORD + SECTION_COUNT * SECTION_ENTRY_WORDS;
 
 /// Words in a verified-record header (magic, version, checksum lo, hi).
 const RECORD_HEADER_WORDS: usize = 4;
@@ -591,13 +596,13 @@ impl ArtifactStore {
         if virtual_words < SECTION_TABLE_WORD {
             return Ok(Err("truncated header"));
         }
-        if virtual_words < HEADER_V3_WORDS {
+        if virtual_words < HEADER_WORDS {
             return Ok(Err("truncated section table"));
         }
         if faults.fail_pread == Some(position) {
             return Err(());
         }
-        let mut bytes = [0u8; HEADER_V3_WORDS * WORD_BYTES];
+        let mut bytes = [0u8; HEADER_WORDS * WORD_BYTES];
         file.read_exact_at(&mut bytes, 0).map_err(|_| ())?;
         self.shared.bytes_read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         let words: Vec<u64> = bytes
@@ -832,7 +837,7 @@ fn parse_fingerprint_stem(stem: &str) -> Option<Fingerprint> {
     u128::from_str_radix(stem, 16).ok().map(Fingerprint)
 }
 
-/// One entry of a v3 blob's section table.
+/// One entry of a blob's section table.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SectionEntry {
     offset_words: u64,
@@ -840,18 +845,18 @@ pub(crate) struct SectionEntry {
     checksum: Fingerprint,
 }
 
-/// A validated v3 blob header.
+/// A validated blob header.
 struct BlobHeader {
     interface_alpha: Fingerprint,
     output_alpha: Fingerprint,
     entries: [SectionEntry; SECTION_COUNT],
 }
 
-/// Validates a v3 header (magic, version, header checksum, section
+/// Validates a blob header (magic, version, header checksum, section
 /// count, and section extents against the file length), naming the
 /// corruption on failure.
 fn parse_header(words: &[u64], file_words: usize) -> Result<BlobHeader, &'static str> {
-    debug_assert_eq!(words.len(), HEADER_V3_WORDS);
+    debug_assert_eq!(words.len(), HEADER_WORDS);
     if words[0] != STORE_MAGIC {
         return Err("bad magic");
     }
@@ -861,7 +866,7 @@ fn parse_header(words: &[u64], file_words: usize) -> Result<BlobHeader, &'static
     let recorded = Fingerprint((u128::from(words[3]) << 64) | u128::from(words[2]));
     let intact = {
         let _span = trace::span("store.checksum");
-        Fingerprint::of_words(&words[4..HEADER_V3_WORDS]) == recorded
+        Fingerprint::of_words(&words[4..HEADER_WORDS]) == recorded
     };
     if !intact {
         return Err("header checksum mismatch");
@@ -874,7 +879,7 @@ fn parse_header(words: &[u64], file_words: usize) -> Result<BlobHeader, &'static
     let mut entries =
         [SectionEntry { offset_words: 0, len_words: 0, checksum: Fingerprint::default() };
             SECTION_COUNT];
-    let mut expected_offset = HEADER_V3_WORDS as u64;
+    let mut expected_offset = HEADER_WORDS as u64;
     for (index, entry) in entries.iter_mut().enumerate() {
         let base = SECTION_TABLE_WORD + index * SECTION_ENTRY_WORDS;
         let offset_words = words[base];
@@ -989,7 +994,7 @@ fn words_to_bytes(words: &[u64]) -> Vec<u8> {
     bytes
 }
 
-/// Serializes an artifact into v3 blob words (header with section table,
+/// Serializes an artifact into blob words (header with section table,
 /// then the three section bodies). Returns `None` if a section fails to
 /// decode — a process-local corruption that should never happen and is
 /// treated as a write error.
@@ -1006,7 +1011,7 @@ fn render_blob(artifact: &Artifact) -> Option<Vec<u64>> {
 
     let sections = [&source_ty, &target, &target_ty];
     let section_words: usize = sections.iter().map(|s| s.len()).sum();
-    let mut words = Vec::with_capacity(HEADER_V3_WORDS + section_words);
+    let mut words = Vec::with_capacity(HEADER_WORDS + section_words);
     words.push(STORE_MAGIC);
     words.push(FORMAT_VERSION);
     words.push(0); // header checksum, filled in below
@@ -1018,7 +1023,7 @@ fn render_blob(artifact: &Artifact) -> Option<Vec<u64>> {
     words.push(output_alpha.0 as u64);
     words.push((output_alpha.0 >> 64) as u64);
     words.push(SECTION_COUNT as u64);
-    let mut offset = HEADER_V3_WORDS as u64;
+    let mut offset = HEADER_WORDS as u64;
     for section in sections {
         let checksum = Fingerprint::of_words(section.words());
         words.push(offset);
@@ -1027,8 +1032,8 @@ fn render_blob(artifact: &Artifact) -> Option<Vec<u64>> {
         words.push((checksum.0 >> 64) as u64);
         offset += section.len() as u64;
     }
-    debug_assert_eq!(words.len(), HEADER_V3_WORDS);
-    let header_checksum = Fingerprint::of_words(&words[4..HEADER_V3_WORDS]);
+    debug_assert_eq!(words.len(), HEADER_WORDS);
+    let header_checksum = Fingerprint::of_words(&words[4..HEADER_WORDS]);
     words[2] = header_checksum.0 as u64;
     words[3] = (header_checksum.0 >> 64) as u64;
     for section in sections {
@@ -1049,8 +1054,8 @@ fn words_of_bytes(bytes: &[u8]) -> Result<Vec<u64>, &'static str> {
 }
 
 /// Checks a verified record's magic, version, and whole-payload
-/// checksum, returning its payload. (Artifact blobs use the richer v3
-/// header — [`parse_header`]; this framing is for the tiny fixed-size
+/// checksum, returning its payload. (Artifact blobs use the richer
+/// sectioned header — [`parse_header`]; this framing is for the tiny fixed-size
 /// `.vfy` records, where a section table would be overhead.)
 fn checked_payload(words: &[u64]) -> Result<&[u64], &'static str> {
     if words.len() < RECORD_HEADER_WORDS + 2 {
@@ -1130,11 +1135,11 @@ mod tests {
         let after_load = store.counters();
         assert_eq!(after_load.sections_decoded, 0);
         assert_eq!(after_load.sections_skipped, 3);
-        assert_eq!(after_load.bytes_read, (HEADER_V3_WORDS * WORD_BYTES) as u64);
+        assert_eq!(after_load.bytes_read, (HEADER_WORDS * WORD_BYTES) as u64);
         // Sections decode on demand to α-equivalent terms through the
-        // relocatable symbol table (the `arrow` builder freshens its
-        // binder, so the loaded interface is an α-variant, not an
-        // identical term).
+        // relocatable symbol table (the `arrow` builder generates its
+        // binder, which relocates to a symbol new to this process, so the
+        // loaded interface is an α-variant, not an identical term).
         let original = src::wire::decode(&artifact.source_ty().unwrap()).unwrap();
         let decoded = src::wire::decode(&loaded.source_ty().unwrap()).unwrap();
         assert!(cccc_source::subst::alpha_eq(&original, &decoded));

@@ -9,7 +9,8 @@
 //! itself as cold and warm probe children); these tests cover the same
 //! machinery in-process, where a fresh `Session` plays the part of the
 //! fresh process and the portable blobs' symbol tables are exercised by
-//! re-interning generated names to fresh subscripts on every load.
+//! relocating generated names to symbols new to the reader, one per
+//! stored name.
 
 use cccc_core::pipeline::{Compiler, CompilerOptions};
 use cccc_driver::cache::CacheTier;
@@ -164,7 +165,7 @@ fn corrupt_blobs_degrade_to_recompiles_never_to_errors() {
 
     // Vandalise every blob a different way the *header read* catches:
     // truncation, header-checksum breakage, version skew, emptiness.
-    // (Section-body rot is invisible to the v3 header load by design —
+    // (Section-body rot is invisible to the header load by design —
     // the lazy-rot test below covers that path.)
     let mut blobs: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
@@ -211,7 +212,7 @@ fn lazily_rotted_sections_degrade_to_recompiles_and_self_heal() {
     let dir = temp_store("lazy-rot");
     session_with_store(&units, &dir).build(2).unwrap();
 
-    // Flip the last byte of every blob — section-body rot the v3 header
+    // Flip the last byte of every blob — section-body rot the header
     // read cannot see — and delete the verified records, so the warm
     // build must decode term sections for check/verify and trips over
     // the rot there.
@@ -315,13 +316,33 @@ fn wiping_the_store_makes_a_fresh_session_cold() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn two_sessions_over_one_store_link_the_root_to_the_same_node() {
+    // Both warm sessions decode every section from disk; generated names
+    // relocate to one symbol per process, so the second link rebuilds
+    // the nodes the first one holds.
+    let units = diamond(4, 2);
+    let dir = temp_store("relink");
+    session_with_store(&units, &dir).build(1).unwrap();
+    let link = || {
+        let mut session = session_with_store(&units, &dir);
+        let report = session.build(1).unwrap();
+        assert_eq!(report.disk_cached_count(), units.len(), "{}", report.summary());
+        session.link(root_of(&units)).unwrap().rc()
+    };
+    let first = link();
+    let second = link();
+    assert!(first.same(&second), "re-linking a store-loaded program built new nodes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The relocation property test: for generator-produced programs, an
-/// artifact that goes compile → blob → disk → fresh-namespace load →
-/// decode is α-equivalent to the original compilation. Loading re-interns
-/// every generated symbol to a *fresh* subscript (exactly what a new
-/// process would do — its global symbol counter starts over), so this
-/// exercises the "fresh interner + fresh symbol namespace" half of a
-/// restart without leaving the test process.
+/// artifact that goes compile → blob → disk → load → decode is
+/// α-equivalent to the original compilation. Loading relocates every
+/// generated symbol to one minted in this process at its first decode,
+/// new to everything already here (a new process mints its own), so this
+/// exercises the relocation half of a restart without leaving the test
+/// process.
 #[test]
 fn relocated_artifacts_are_alpha_equivalent_for_generated_programs() {
     let dir = temp_store("relocation-property");
@@ -369,12 +390,12 @@ fn relocated_artifacts_are_alpha_equivalent_for_generated_programs() {
             "relocated target type differs for program {i}: {term}"
         );
 
-        // A second load freshens generated names *again*; α-equivalence
-        // must be stable under repeated relocation.
+        // A second load relocates generated names to the same symbols, so
+        // it decodes to the very same node.
         let reloaded = store.load(key).expect("blob loads twice");
         let target_again_wire = reloaded.target().expect("target section decodes");
         let target_again = tgt::wire::decode(&target_again_wire).expect("target decodes");
-        assert!(tgt::subst::alpha_eq(&target_again, &target));
+        assert!(target_again.rc().same(&target.rc()));
     }
     assert!(checked >= 20, "only {checked}/40 generated programs compiled");
     let _ = std::fs::remove_dir_all(&dir);

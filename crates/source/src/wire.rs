@@ -177,11 +177,12 @@ fn encode_alpha(term: &Term, writer: &mut WireWriter, scope: &mut Vec<Symbol>) {
 
 /// Decodes a wire buffer produced by [`encode`] or [`encode_portable`],
 /// re-interning every node into the current thread's CC interner. For a
-/// portable buffer the embedded symbol table is re-interned first: plain
-/// names resolve to the identical symbols, generated names to
-/// consistently fresh ones, so the result is α-equivalent to (and, when
-/// no generated symbols occur, structurally identical to) the encoded
-/// term even in a different process.
+/// portable buffer the embedded symbol table is relocated first: plain
+/// names resolve to the identical symbols, and each generated name to the
+/// one symbol this process holds for it. The result is α-equivalent to
+/// (and, when no generated symbols occur, structurally identical to) the
+/// encoded term even in a different process, and decoding the same
+/// buffer again yields the same nodes.
 ///
 /// # Errors
 ///
@@ -425,7 +426,8 @@ mod tests {
     #[test]
     fn portable_buffers_round_trip() {
         // Every corpus program relocates to an α-equivalent term (some
-        // prelude terms carry generated binders, which are re-freshened).
+        // prelude terms carry generated binders, which relocate to symbols
+        // new to the reader).
         for entry in prelude::corpus() {
             let wire = encode_portable(&entry.term);
             assert!(wire.is_portable());
@@ -441,8 +443,8 @@ mod tests {
         let plain = lam("x", bool_ty(), app(var("f"), var("x")));
         let decoded = decode(&encode_portable(&plain)).unwrap();
         assert!(plain.clone().rc().same(&decoded.clone().rc()));
-        // Bound generated symbols relocate to fresh names; the result is
-        // α-equivalent even though the subscripts differ.
+        // Bound generated symbols relocate to names new to the reader; the
+        // result is α-equivalent even though the subscripts differ.
         let fresh = cccc_util::symbol::Symbol::fresh("v");
         let t = Term::Lam {
             binder: fresh,
@@ -458,6 +460,35 @@ mod tests {
             }
             other => panic!("expected lambda, got {other}"),
         }
+    }
+
+    #[test]
+    fn redecoding_a_portable_buffer_yields_the_same_nodes() {
+        // Every prelude program, generated binders included, decodes to
+        // the identical root node the second time on one thread.
+        for entry in prelude::corpus() {
+            let wire = encode_portable(&entry.term);
+            let first = decode(&wire).unwrap().rc();
+            let second = decode(&wire).unwrap().rc();
+            assert!(first.same(&second), "`{}` decoded to new nodes", entry.name);
+        }
+        let wire = encode_portable(&arrow(bool_ty(), product(bool_ty(), bool_ty())));
+        assert!(decode(&wire).unwrap().rc().same(&decode(&wire).unwrap().rc()));
+    }
+
+    #[test]
+    fn generated_binders_with_one_base_name_relocate_without_capture() {
+        // `λ _$a : 𝔹. λ _$b : 𝔹. _$a`: relocating both binders to one
+        // symbol would make the body name the inner binder.
+        let a = Symbol::fresh("_");
+        let b = Symbol::fresh("_");
+        let term = lam_sym(a, bool_ty(), lam_sym(b, bool_ty(), Term::Var(a)));
+        let decoded = decode(&encode_portable(&term)).unwrap();
+        assert!(crate::subst::alpha_eq(&term, &decoded));
+        let Term::Lam { binder: outer, body, .. } = &decoded else { panic!("{decoded}") };
+        let Term::Lam { binder: inner, body, .. } = &**body else { panic!("{decoded}") };
+        assert_ne!(outer, inner);
+        assert_eq!(**body, Term::Var(*outer));
     }
 
     #[test]

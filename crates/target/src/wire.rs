@@ -193,10 +193,11 @@ fn encode_alpha(term: &Term, writer: &mut WireWriter, scope: &mut Vec<Symbol>) {
 
 /// Decodes a wire buffer produced by [`encode`] or [`encode_portable`],
 /// re-interning every node into the current thread's CC-CC interner.
-/// For a portable buffer the embedded symbol table is re-interned first
-/// (plain names to identical symbols, generated names to consistently
-/// fresh ones), so the result is α-equivalent to the encoded term even
-/// in a different process.
+/// For a portable buffer the embedded symbol table is relocated first
+/// (plain names to identical symbols, each generated name to the one
+/// symbol this process holds for it), so the result is α-equivalent to
+/// the encoded term even in a different process, and decoding the same
+/// buffer again yields the same nodes.
 ///
 /// # Errors
 ///
@@ -495,9 +496,9 @@ mod tests {
 
     #[test]
     fn alpha_fingerprints_are_stable_across_generated_binder_refreshes() {
-        // Encode portably, decode (re-freshening generated binders), and
-        // the α-fingerprint must not move — the property the query layer's
-        // early cutoff rests on.
+        // Encode portably, decode (relocating generated binders to symbols
+        // new to the reader), and the α-fingerprint must not move — the
+        // property the query layer's early cutoff rests on.
         let env_binder = cccc_util::symbol::Symbol::fresh("env");
         let generated =
             t::code_sym(env_binder, t::unit_ty(), "y".into(), t::bool_ty(), t::var("y"));
@@ -525,12 +526,61 @@ mod tests {
         let decoded = decode(&wire).expect("portable buffer decodes");
         assert!(program.clone().rc().same(&decoded.clone().rc()));
 
-        // … and bound generated binders (the environment parameters
-        // closure conversion freshens) come back α-equivalent.
+        // … and bound generated binders (the environment parameter
+        // closure conversion generates) relocate to symbols new to the
+        // reader, so they come back α-equivalent.
         let env_binder = cccc_util::symbol::Symbol::fresh("env");
         let generated =
             t::code_sym(env_binder, t::unit_ty(), "y".into(), t::bool_ty(), t::var("y"));
         let decoded = decode(&encode_portable(&generated)).unwrap();
         assert!(crate::subst::alpha_eq(&generated, &decoded));
+    }
+
+    #[test]
+    fn redecoding_a_portable_buffer_yields_the_same_nodes() {
+        // Generated names (an environment binder, an `arrow` binder)
+        // relocate to one symbol per process, so a second decode on this
+        // thread rebuilds the identical root node.
+        let env_binder = cccc_util::symbol::Symbol::fresh("n");
+        let arg_ty = t::arrow(t::bool_ty(), t::bool_ty());
+        let code = t::code_sym(env_binder, t::unit_ty(), "x".into(), arg_ty, t::var("x"));
+        let wire = encode_portable(&t::closure(code, t::unit_val()));
+        let first = decode(&wire).unwrap().rc();
+        let second = decode(&wire).unwrap().rc();
+        assert!(first.same(&second));
+    }
+
+    #[test]
+    fn generated_binders_with_one_base_name_relocate_without_capture() {
+        // `Π _$a : ⋆. Π _$b : ⋆. _$a`: relocating both binders to one
+        // symbol would make the body name the inner binder.
+        let a = cccc_util::symbol::Symbol::fresh("_");
+        let b = cccc_util::symbol::Symbol::fresh("_");
+        let term = t::pi_sym(a, t::star(), t::pi_sym(b, t::star(), Term::Var(a)));
+        let decoded = decode(&encode_portable(&term)).unwrap();
+        assert!(crate::subst::alpha_eq(&term, &decoded));
+        let Term::Pi { binder: outer, codomain, .. } = &decoded else { panic!("{decoded}") };
+        let Term::Pi { binder: inner, codomain: body, .. } = &**codomain else {
+            panic!("{decoded}")
+        };
+        assert_ne!(outer, inner);
+        assert_eq!(**body, Term::Var(*outer));
+    }
+
+    #[test]
+    fn decode_and_drop_cycles_leave_the_interner_table_flat() {
+        // Each cycle decodes a depth-40 `arrow` tower and drops it. With
+        // relocated names every cycle rebuilds the same nodes, so the
+        // table stops growing once the first cycle has filled it.
+        let mut tower = t::bool_ty();
+        for _ in 0..40 {
+            tower = t::arrow(t::bool_ty(), tower);
+        }
+        let wire = encode_portable(&tower);
+        let cycle = || drop(decode(&wire).unwrap().rc());
+        (0..20).for_each(|_| cycle());
+        let settled = crate::ast::intern_table_len();
+        (20..400).for_each(|_| cycle());
+        assert_eq!(crate::ast::intern_table_len(), settled);
     }
 }

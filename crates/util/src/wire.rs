@@ -39,21 +39,35 @@
 //! local index into a *relocatable symbol table* carried in the buffer
 //! itself: one entry per distinct symbol, holding the symbol's base name
 //! as bytes plus a disambiguator that is `0` for plain (interned) names
-//! and nonzero for generated ones. [`WireTerm::term_reader`] recognises
-//! the framing marker, re-interns every table entry into the *current*
-//! process (plain names via [`Symbol::intern`] — so unit references
-//! resolve to the same symbols importers use — and generated names via
-//! [`Symbol::fresh`], consistently fresh per entry), and hands back a
-//! reader that resolves symbol references through the rebuilt table.
-//! This is what lets the persistent artifact store load blobs written by
-//! an earlier process. [`FORMAT_VERSION`] versions the framing; stores
-//! embed it in their headers and treat skew as a cache miss.
+//! and nonzero for generated ones. The table is preceded by the writer's
+//! *nonce*, one random word drawn once per process, so a generated entry
+//! is named by `(nonce, disambiguator)` everywhere: disambiguators are
+//! unique within the writing process, and the nonce tells processes
+//! apart. [`WireTerm::term_reader`] recognises the framing marker,
+//! relocates every table entry into the *current* process, and hands back
+//! a reader that resolves symbol references through the rebuilt table.
+//! Plain names re-intern via [`Symbol::intern`], so unit references
+//! resolve to the same symbols importers use. Generated names go through
+//! one process-wide relocation table: the first decode of a
+//! `(nonce, disambiguator)` pair mints [`Symbol::fresh`], and every later
+//! decode of the pair, from any buffer on any thread, reuses that symbol.
+//! Re-decoding a stored artifact therefore rebuilds structurally
+//! identical terms, which the thread's interner answers with the nodes it
+//! already holds. Relocation is sound because it is injective (distinct
+//! writer names have distinct pairs) and every minted name is new to the
+//! reader, so no decoded binder can capture a name the reader already
+//! had. This is what lets the persistent artifact store load blobs
+//! written by an earlier process. [`FORMAT_VERSION`] versions the
+//! framing; stores embed it in their headers and treat skew as a cache
+//! miss.
 
 use crate::intern::{FxHashMap, FxHasher};
 use crate::symbol::Symbol;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hasher;
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Version of the portable wire framing (symbol table layout + store
 /// header vocabulary). Bump on any incompatible change; persistent
@@ -65,12 +79,31 @@ use std::sync::Arc;
 /// verified-phase records; 3 = blob headers carry a section offset
 /// table with per-section checksums, so loaders seek to — and verify —
 /// exactly the sections they decode (v2 blobs read as version skew:
-/// misses, then rewritten in v3 by the recompile's write-through).
-pub const FORMAT_VERSION: u64 = 3;
+/// misses, then rewritten in v3 by the recompile's write-through);
+/// 4 = portable buffers carry their writer's nonce after the entry
+/// count, and generated names relocate to one symbol per process (v3
+/// blobs read as version skew and are rewritten in v4).
+pub const FORMAT_VERSION: u64 = 4;
 
 /// First word of a portable buffer. Raw buffers always start with a
 /// small language tag word, so the marker can never be confused for one.
 const PORTABLE_MARKER: u64 = u64::MAX;
+
+/// This process's writer nonce: one random word, drawn once, that every
+/// portable buffer written here carries (see the module docs).
+fn writer_nonce() -> u64 {
+    static NONCE: OnceLock<u64> = OnceLock::new();
+    *NONCE.get_or_init(|| RandomState::new().build_hasher().finish())
+}
+
+/// The process-wide relocation table: the one symbol minted in this
+/// process for each generated `(writer nonce, disambiguator)` pair that a
+/// portable buffer has carried. Its keys are read from disk, so it keeps
+/// the default (collision-resistant) hasher.
+fn relocations() -> &'static Mutex<HashMap<(u64, u64), Symbol>> {
+    static TABLE: OnceLock<Mutex<HashMap<(u64, u64), Symbol>>> = OnceLock::new();
+    TABLE.get_or_init(Mutex::default)
+}
 
 /// A 128-bit content fingerprint of a wire buffer.
 ///
@@ -171,8 +204,12 @@ impl WireTerm {
 
     /// A reader positioned at the first *term* word. For a raw buffer
     /// this is [`WireTerm::reader`]; for a portable buffer the symbol
-    /// table is parsed and re-interned into the current process first,
-    /// and the reader resolves symbol references through it.
+    /// table is relocated into the current process first, and the reader
+    /// resolves symbol references through it. Plain names re-intern;
+    /// each generated name becomes the one symbol this process holds for
+    /// its `(writer nonce, disambiguator)` pair, minted by
+    /// [`Symbol::fresh`] at the pair's first decode (see the module docs).
+    /// The relocation table's lock is taken at most once per buffer.
     ///
     /// # Errors
     ///
@@ -185,22 +222,24 @@ impl WireTerm {
         }
         reader.next_word()?; // the marker
         let count = reader.next_word()? as usize;
+        let nonce = reader.next_word()?;
         // Each entry is at least two words (length + disambiguator), so a
         // count beyond half the buffer is corruption, not a table.
         if count > self.words.len() / 2 {
             return Err(WireError::Truncated);
         }
         let mut symbols = Vec::with_capacity(count);
+        let mut relocated = None;
         for _ in 0..count {
             let base = reader.next_str()?;
             let disambiguator = reader.next_word()?;
-            // Plain names re-intern to the very symbol importers use;
-            // generated names have no cross-process identity, so each
-            // entry gets one fresh symbol shared by all its references.
             symbols.push(if disambiguator == 0 {
                 Symbol::intern(&base)
             } else {
-                Symbol::fresh(&base)
+                let table = relocated.get_or_insert_with(|| {
+                    relocations().lock().expect("relocation table poisoned")
+                });
+                *table.entry((nonce, disambiguator)).or_insert_with(|| Symbol::fresh(&base))
             });
         }
         reader.symbols = Some(symbols);
@@ -341,9 +380,9 @@ impl WireWriter {
     }
 
     /// Finishes the buffer. A portable writer frames its symbol table
-    /// (marker, entry count, then per entry the base name and a
-    /// disambiguator — `0` for plain symbols, the generated subscript
-    /// otherwise) in front of the body words.
+    /// (marker, entry count, this process's writer nonce, then per entry
+    /// the base name and a disambiguator — `0` for plain symbols, the
+    /// generated subscript otherwise) in front of the body words.
     pub fn finish(self) -> WireTerm {
         match self.symbols {
             None => WireTerm { words: self.words.into() },
@@ -351,6 +390,7 @@ impl WireWriter {
                 let mut framed = WireWriter::new();
                 framed.push(PORTABLE_MARKER);
                 framed.push(registry.entries.len() as u64);
+                framed.push(writer_nonce());
                 for symbol in &registry.entries {
                     framed.push_str(symbol.base_name());
                     framed.push(symbol.raw_parts().1);
@@ -363,7 +403,7 @@ impl WireWriter {
 }
 
 /// A cursor over a [`WireTerm`]'s words, optionally resolving symbol
-/// references through a re-interned relocation table
+/// references through a relocated symbol table
 /// ([`WireTerm::term_reader`]).
 #[derive(Debug)]
 pub struct WireReader<'a> {
@@ -548,14 +588,103 @@ mod tests {
         let p2 = r.next_symbol().unwrap();
         let g2 = r.next_symbol().unwrap();
         assert!(r.expect_exhausted().is_ok());
-        // Plain names re-intern to the identical symbol; generated names
-        // become one consistent fresh symbol per table entry.
+        // Plain names re-intern to the identical symbol; a generated name
+        // relocates to one symbol, new to this process, for all its
+        // references.
         assert_eq!(p1, plain);
         assert_eq!(p2, plain);
         assert_eq!(g1, g2);
         assert_ne!(g1, generated, "a relocated generated symbol is freshly disambiguated");
         assert_eq!(g1.base_name(), "beta");
         assert!(g1.is_generated());
+    }
+
+    /// A hand-built portable buffer: a symbol table of `entries` (base
+    /// name, disambiguator) under writer `nonce`, then one reference to
+    /// each entry in table order.
+    fn portable_buffer(nonce: u64, entries: &[(&str, u64)]) -> WireTerm {
+        let mut w = WireWriter::new();
+        w.push(PORTABLE_MARKER);
+        w.push(entries.len() as u64);
+        w.push(nonce);
+        for &(base, disambiguator) in entries {
+            w.push_str(base);
+            w.push(disambiguator);
+        }
+        for id in 0..entries.len() {
+            w.push(id as u64);
+        }
+        w.finish()
+    }
+
+    /// Every symbol reference of a [`portable_buffer`], in order.
+    fn decode_symbols(wire: &WireTerm) -> Vec<Symbol> {
+        let mut r = wire.term_reader().unwrap();
+        let mut symbols = Vec::new();
+        while !r.is_exhausted() {
+            symbols.push(r.next_symbol().unwrap());
+        }
+        symbols
+    }
+
+    /// Relocation-table entries minted for writer `nonce`.
+    fn relocated_under(nonce: u64) -> usize {
+        relocations().lock().unwrap().keys().filter(|&&(n, _)| n == nonce).count()
+    }
+
+    #[test]
+    fn one_writer_name_relocates_to_one_symbol() {
+        let nonce = 0x7e57_0000_0000_0001;
+        let first = decode_symbols(&portable_buffer(nonce, &[("a", 7), ("b", 8)]));
+        // Another buffer from the same writer, naming one of the same
+        // generated symbols (and a plain one), relocates it identically.
+        let second = decode_symbols(&portable_buffer(nonce, &[("p", 0), ("a", 7)]));
+        assert_eq!(first[0], second[1]);
+        assert_ne!(first[0], first[1]);
+        assert_eq!(second[0], Symbol::intern("p"));
+        assert_eq!(first[0].base_name(), "a");
+        assert_eq!(first, decode_symbols(&portable_buffer(nonce, &[("a", 7), ("b", 8)])));
+    }
+
+    #[test]
+    fn one_disambiguator_under_two_nonces_relocates_apart() {
+        let a = decode_symbols(&portable_buffer(0x7e57_0000_0000_0002, &[("x", 11)]));
+        let b = decode_symbols(&portable_buffer(0x7e57_0000_0000_0003, &[("x", 11)]));
+        assert_ne!(a[0], b[0], "two writers' names stay distinct in the reader");
+        assert_eq!(a[0].base_name(), b[0].base_name());
+    }
+
+    #[test]
+    fn relocated_names_are_new_to_the_reader() {
+        let originals = [Symbol::fresh("n"), Symbol::fresh("n"), Symbol::fresh("_")];
+        let mut w = WireWriter::portable();
+        for &symbol in &originals {
+            w.push_symbol(symbol);
+        }
+        let wire = w.finish();
+        let before = Symbol::fresh("probe");
+        let mut r = wire.term_reader().unwrap();
+        let decoded: Vec<Symbol> = (0..originals.len()).map(|_| r.next_symbol().unwrap()).collect();
+        for (decoded, original) in decoded.iter().zip(&originals) {
+            assert_ne!(decoded, original, "a decode never hands back the writer's own symbol");
+            assert_eq!(decoded.base_name(), original.base_name());
+            // Subscripts grow monotonically, so a symbol minted after
+            // `before` equals nothing that existed when the decode began.
+            assert!(decoded.disambiguator() > before.disambiguator());
+        }
+        assert_ne!(decoded[0], decoded[1], "two writer names with one base stay apart");
+    }
+
+    #[test]
+    fn redecoding_a_buffer_adds_no_relocations() {
+        let nonce = 0x7e57_0000_0000_0004;
+        let wire = portable_buffer(nonce, &[("_", 1), ("_", 2), ("plain", 0), ("env", 3)]);
+        let first = decode_symbols(&wire);
+        assert_eq!(relocated_under(nonce), 3, "one entry per generated name, none for plain");
+        for _ in 0..50 {
+            assert_eq!(decode_symbols(&wire), first);
+        }
+        assert_eq!(relocated_under(nonce), 3);
     }
 
     #[test]
@@ -586,16 +715,24 @@ mod tests {
 
     #[test]
     fn corrupt_portable_tables_are_rejected() {
+        // Truncated before the writer nonce.
+        let mut w = WireWriter::new();
+        w.push(PORTABLE_MARKER);
+        w.push(0);
+        assert!(matches!(w.finish().term_reader(), Err(WireError::Truncated)));
+
         // Truncated: entry count claims more than the buffer holds.
         let mut w = WireWriter::new();
         w.push(PORTABLE_MARKER);
         w.push(50);
+        w.push(0); // writer nonce
         assert!(w.finish().term_reader().is_err());
 
         // Invalid UTF-8 in a table entry.
         let mut w = WireWriter::new();
         w.push(PORTABLE_MARKER);
         w.push(1);
+        w.push(0); // writer nonce
         w.push(1); // one byte …
         w.push(0xFF); // … that is not valid UTF-8
         w.push(0); // disambiguator
