@@ -421,8 +421,8 @@ fn measure_tracing(host_cpus: usize) -> Json {
         session.set_tracing(true);
         let (ns, report) = measure::timed(|| session.build(2).expect("graph is valid"));
         assert!(report.is_success(), "traced overhead build failed: {}", report.summary());
-        let metrics = report.metrics.as_ref().expect("traced build carries metrics");
-        calls = metrics.span_count + metrics.event_count;
+        let trace = report.trace.as_ref().expect("traced build carries a trace");
+        calls = trace.spans.len() + trace.events.len();
         traced.push(ns);
     }
     let enabled_overhead = Summary::of(traced.iter().zip(&plain).map(|(t, p)| t / p.max(1.0)));
@@ -468,10 +468,10 @@ fn measure_tracing(host_cpus: usize) -> Json {
                         "traced {name} build failed: {}",
                         report.summary()
                     );
-                    let metrics = report.metrics.as_ref().expect("traced build carries metrics");
+                    let trace = report.trace.as_ref().expect("traced build carries a trace");
                     let model =
                         simulate_makespan_ns(&session, &report, workers, Policy::CriticalPath);
-                    (metrics.makespan_ns as f64, model, metrics.utilization())
+                    (trace.makespan_ns() as f64, model, trace.utilization())
                 })
                 .collect();
             let summary = |f: fn(&(f64, f64, f64)) -> f64| Summary::of(builds.iter().map(f));

@@ -5,7 +5,8 @@
 //!   engine, both timed in the same run, on normalization (CC and CC-CC;
 //!   the step column is E2 and E5), type checking (CC and CC-CC; the NbE
 //!   column's Church rows are E3 and E6) and the full compile pipeline
-//!   (the NbE column is E12).
+//!   (the NbE column is `Compiler::compile_closed`, E12; the step column
+//!   is the same four phases composed here on the step engine).
 //! - `experiments`: the rest of E3–E13: type checking the corpus (E3,
 //!   E6), the model translation and its Lemma 4.6
 //!   checker (E7), the translation (E8), the Lemma 5.1, 5.2 and 5.4
@@ -40,8 +41,8 @@ use cccc_bench::measure::{self, obj, Args, Json, Summary};
 use cccc_bench::{church_workloads, conversion_workloads, corpus_workloads, report, Workload};
 use cccc_bench::{nested_capture_workloads, nested_closed_workloads};
 use cccc_core::link;
-use cccc_core::pipeline::{Compiler, CompilerOptions};
-use cccc_core::translate::translate;
+use cccc_core::pipeline::Compiler;
+use cccc_core::translate::{translate, translate_env};
 use cccc_core::verify::{check_coherence, check_compositionality};
 use cccc_core::verify::{check_reduction_preservation, check_separate_compilation};
 use cccc_model::translate::model;
@@ -49,6 +50,7 @@ use cccc_source as src;
 use cccc_source::builder as s;
 use cccc_source::prelude;
 use cccc_target as tgt;
+use cccc_util::fuel::Fuel;
 use cccc_util::Symbol;
 
 /// Warm-up runs, then timed runs.
@@ -72,6 +74,24 @@ fn compare(
         ("speedup", (step.median / nbe.median.max(1.0)).into()),
     ]));
     nbe
+}
+
+/// [`Compiler::compile_closed`]'s phases on the step engine: type check,
+/// translate, check the translation, and Theorem 5.6's conversion, all by
+/// the paper's reduction and equivalence rules instead of NbE.
+fn compile_closed_step(term: &src::Term) {
+    let env = src::Env::new();
+    let ty = src::typecheck::infer_with_engine(&env, term, src::equiv::Engine::Step)
+        .expect("well-typed");
+    let (target, target_ty, _) =
+        Compiler::new().phase_translate(&env, term, &ty).expect("translates");
+    let target_env = translate_env(&env).expect("translates");
+    let inferred =
+        tgt::typecheck::infer_with_engine(&target_env, &target, tgt::equiv::Engine::Step)
+            .expect("the translation is well-typed");
+    let preserved =
+        tgt::equiv::equiv_spec(&target_env, &inferred, &target_ty, &mut Fuel::default());
+    assert_eq!(preserved, Ok(true), "type preservation fails on the step engine");
 }
 
 /// One row of `experiments`.
@@ -341,9 +361,6 @@ fn main() {
         conv.identity_hits, conv.memo_hits
     );
 
-    let compiler =
-        |use_nbe| Compiler::with_options(CompilerOptions { use_nbe, ..CompilerOptions::default() });
-    let (step_compiler, nbe_compiler) = (compiler(false), compiler(true));
     let mut pipeline_workloads: Vec<Workload> = church_workloads(&[2, 4]);
     pipeline_workloads.extend(conversion_workloads(&[6]));
     for workload in pipeline_workloads {
@@ -351,8 +368,8 @@ fn main() {
             &mut comparisons,
             format!("pipeline/{}", workload.name),
             timing,
-            || drop(step_compiler.compile_closed(&workload.term).expect("compiles")),
-            || drop(nbe_compiler.compile_closed(&workload.term).expect("compiles")),
+            || compile_closed_step(&workload.term),
+            || drop(Compiler::new().compile_closed(&workload.term).expect("compiles")),
         );
     }
 

@@ -6,7 +6,8 @@
 //! probes) share one on-disk store over the 16-unit diamond; each reports
 //! its wall time as a median over fresh sessions:
 //!
-//! * `cold` — populates the store from nothing;
+//! * `cold` — populates the store from nothing (each rep's untimed
+//!   set-up empties it first);
 //! * `warm` — the product: a restart-warm build with lazy section
 //!   decode. Gated to decode **zero** sections: the whole
 //!   graph-validation path (artifact keys, early cutoff, verified
@@ -114,19 +115,22 @@ const PROBE_COUNTERS: [&str; 6] =
     ["compiled", "disk_cached", "disk_hits", "sections_decoded", "sections_skipped", "bytes_read"];
 
 /// Child-process entry point: one build against the store at `dir`,
-/// summarized on one probe line. `warm` and `full` time several fresh
-/// sessions (each rep pays the full restart path again); `cold` runs once
-/// — a second rep would no longer be cold. The `full` wall time and
+/// summarized on one probe line. Every mode times 11 fresh sessions, each
+/// rep paying the full restart path again; a `cold` rep's untimed set-up
+/// empties the store, so every rep is cold and the last one leaves the
+/// store populated for the later probes. The `full` wall time and
 /// counters span the build and the decode of every unit's sections.
 fn run_store_probe(dir: &str, mode: &str) {
     let units = store_workload();
-    let reps = if mode == "cold" { 1 } else { 11 };
     let setup = || {
-        let session = store_session(&units, Path::new(dir));
+        let mut session = store_session(&units, Path::new(dir));
+        if mode == "cold" {
+            session.wipe_store().expect("the store empties");
+        }
         let before = session.store_stats().expect("session has a store");
         (session, before)
     };
-    let runs = measure::runs(0, reps, setup, |(mut session, before)| {
+    let runs = measure::runs(0, 11, setup, |(mut session, before)| {
         let report = session.build(2).expect("graph is valid");
         if mode == "full" {
             for unit in &units {
@@ -332,14 +336,14 @@ fn main() {
             ),
             (
                 "note",
-                "Each probe is a fresh process over one shared store. warm is the product (v4 \
-                 lazy section decode: loads read the 168-byte header, term payloads stay on \
-                 disk); full_decode is the same build followed by reading + checksumming every \
-                 section of every unit's artifact. The CI gates assert warm decodes zero \
-                 sections, full decode reads all three sections of every loaded blob and more \
-                 bytes than warm, and the budgeted GC sweeps the stale generation to under \
-                 budget with zero recompiles on the next restart. The wall ratio of the medians \
-                 is reported, not gated."
+                "Each probe is a fresh process over one shared store; cold reps each start \
+                 from an empty store. warm is the product (v4 lazy section decode: loads \
+                 read the 168-byte header, term payloads stay on disk); full_decode is the \
+                 same build followed by reading + checksumming every section of every unit's \
+                 artifact. The CI gates assert warm decodes zero sections, full decode reads \
+                 all three sections of every loaded blob and more bytes than warm, and the \
+                 budgeted GC sweeps the stale generation to under budget with zero recompiles \
+                 on the next restart. The wall ratio of the medians is reported, not gated."
                     .into(),
             ),
             ("cold", cold.json()),

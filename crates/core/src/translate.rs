@@ -267,12 +267,11 @@ pub fn translate_program(term: &src::Term) -> Result<(tgt::Term, tgt::Term)> {
 mod tests {
     use super::*;
     use crate::link;
-    use crate::pipeline::{Compiler, CompilerOptions};
+    use crate::pipeline::Compiler;
     use cccc_source::builder as s;
     use cccc_source::prelude;
     use cccc_target::builder as t;
     use cccc_target::equiv::definitionally_equal as target_eq;
-    use cccc_target::equiv::Engine;
     use cccc_target::reduce::normalize_default as target_normalize;
     use cccc_target::subst::{alpha_eq as target_alpha_eq, is_closed};
 
@@ -443,17 +442,11 @@ mod tests {
         let program = s::apps(function, [s::tt(), s::ff(), s::ff()]);
         let (term, ty) = translate_program(&program).unwrap();
 
-        for engine in [Engine::Nbe, Engine::Step] {
-            let inferred = tgt::typecheck::infer_with_engine(&empty_tgt(), &term, engine)
-                .unwrap_or_else(|e| panic!("{engine:?}: the translation must type-check: {e}"));
-            let compiler = Compiler::with_options(CompilerOptions {
-                use_nbe: engine == Engine::Nbe,
-                ..CompilerOptions::default()
-            });
-            compiler
-                .phase_verify(&empty_src(), &program, None, &inferred, &ty)
-                .unwrap_or_else(|e| panic!("{engine:?}: Theorem 5.6 must hold: {e}"));
-        }
+        let inferred = tgt::typecheck::infer(&empty_tgt(), &term)
+            .unwrap_or_else(|e| panic!("the translation must type-check: {e}"));
+        Compiler::new()
+            .phase_verify(&empty_src(), &program, None, &inferred, &ty)
+            .unwrap_or_else(|e| panic!("Theorem 5.6 must hold: {e}"));
         assert_eq!(link::observe_target(&term), link::observe_source(&program));
         assert_eq!(link::observe_target(&term), Some(false));
 

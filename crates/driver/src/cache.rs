@@ -3,12 +3,12 @@
 //!
 //! A compiled unit's artifact is fully determined by its *artifact
 //! query key* ([`crate::query::artifact_key`]): the α-invariant
-//! fingerprint of its source, the output-affecting compiler options,
-//! and the interface fingerprints of its transitive imports (a unit is
-//! compiled against interfaces only — §5.2 separate compilation — so
-//! import *bodies* are deliberately absent). The table is therefore keyed
-//! by content, not by unit name: α-twins — units equal up to binder
-//! names, with the same imports — share one entry.
+//! fingerprint of its source and the interface fingerprints of its
+//! transitive imports (a unit is compiled against interfaces only —
+//! §5.2 separate compilation — so import *bodies* are deliberately
+//! absent). The table is therefore keyed by content, not by unit name:
+//! α-twins — units equal up to binder names, with the same imports —
+//! share one entry.
 //!
 //! Each key is `Ready` (the artifact plus the [`CacheTier`] it came
 //! from) or `InFlight`. A worker that finds no settled entry *claims*

@@ -1,11 +1,11 @@
 //! Demand-driven query keys and per-unit phase accounting.
 //!
-//! A whole-unit cache — one fingerprint per unit covering its source,
-//! every transitive dependency's source, and the option bits — turns any
-//! upstream edit into a full recompile downstream. The driver instead
-//! answers each unit from two memoized queries with **early cutoff** — a
-//! downstream query re-runs only when its *input's output* actually
-//! changed, not merely because something upstream re-executed:
+//! A whole-unit cache — one fingerprint per unit covering its source and
+//! every transitive dependency's source — turns any upstream edit into a
+//! full recompile downstream. The driver instead answers each unit from
+//! two memoized queries with **early cutoff** — a downstream query
+//! re-runs only when its *input's output* actually changed, not merely
+//! because something upstream re-executed:
 //!
 //! - `unit → cc-artifact` ([`artifact_key`]): keyed by the unit's own
 //!   α-invariant source fingerprint plus the fold of its dependencies'
@@ -15,11 +15,10 @@
 //!   phases are skipped.
 //! - `unit → verified` ([`verify_key`]): the end-to-end verdict ("this
 //!   unit's artifact type-checks and preserves its source type"), keyed by
-//!   source, dependencies, the artifact's **output** fingerprint
-//!   (interface ⊕ target ⊕ target type, all α-invariant), and the engine
-//!   bit. A hit skips the check *and* verify phases entirely. The
-//!   session persists verdicts as tiny on-disk records so restarts skip
-//!   them too.
+//!   source, dependencies, and the artifact's **output** fingerprint
+//!   (interface ⊕ target ⊕ target type, all α-invariant). A hit skips
+//!   the check *and* verify phases entirely. The session persists
+//!   verdicts as tiny on-disk records so restarts skip them too.
 //!
 //! α-twins — units equal up to binder names, with the same imports —
 //! share every key. The session's artifact table ([`crate::cache`]) is
@@ -30,9 +29,9 @@
 //! [`check_key`] only names the check a verified record certifies: each
 //! `.vfy` record stores it, and a record answers only while it matches.
 //!
-//! Each key bakes in the one [`CompilerOptions`] bit that can change a
-//! phase's result, `use_nbe`; the other options never change what a
-//! successful compile produces.
+//! No [`CompilerOptions`] field changes what a successful compile
+//! produces, so no key reads the options. The key functions still take
+//! them, which keeps their signatures stable for callers.
 //!
 //! [`PhaseRuns`] records, per unit and per build, which phases actually
 //! executed — the observable that the edit-script gates and `--timings`
@@ -42,21 +41,21 @@ use cccc_core::pipeline::CompilerOptions;
 use cccc_util::wire::Fingerprint;
 
 /// Domain-separation words mixed into each key so that the three key
-/// kinds can never collide even when built from the same inputs.
-/// The low bit carries the engine flag.
-const DOMAIN_ARTIFACT: u64 = 0x71AF_0000_0000_0000;
-const DOMAIN_CHECK: u64 = 0x71C4_0000_0000_0000;
-const DOMAIN_VERIFY: u64 = 0x71F7_0000_0000_0000;
+/// kinds can never collide even when built from the same inputs. The low
+/// bit once flagged the NbE engine as an option; it stays set, so every
+/// key, and every store written under one, keeps its value.
+const DOMAIN_ARTIFACT: u64 = 0x71AF_0000_0000_0001;
+const DOMAIN_CHECK: u64 = 0x71C4_0000_0000_0001;
+const DOMAIN_VERIFY: u64 = 0x71F7_0000_0000_0001;
 
 /// Key of the `unit → cc-artifact` query: the unit's α-invariant source
-/// fingerprint, the dependency fold (see [`fold_dep`]), and the engine
-/// bit (`use_nbe` swaps the whole checking engine).
+/// fingerprint and the dependency fold (see [`fold_dep`]).
 pub fn artifact_key(
     source_alpha: Fingerprint,
     dep_fingerprint: Fingerprint,
-    options: &CompilerOptions,
+    _options: &CompilerOptions,
 ) -> Fingerprint {
-    source_alpha.combine(dep_fingerprint).combine_word(DOMAIN_ARTIFACT | u64::from(options.use_nbe))
+    source_alpha.combine(dep_fingerprint).combine_word(DOMAIN_ARTIFACT)
 }
 
 /// Key of the check a verified record certifies: the artifact's output
@@ -66,23 +65,20 @@ pub fn artifact_key(
 pub fn check_key(
     output_alpha: Fingerprint,
     dep_fingerprint: Fingerprint,
-    options: &CompilerOptions,
+    _options: &CompilerOptions,
 ) -> Fingerprint {
-    output_alpha.combine(dep_fingerprint).combine_word(DOMAIN_CHECK | u64::from(options.use_nbe))
+    output_alpha.combine(dep_fingerprint).combine_word(DOMAIN_CHECK)
 }
 
-/// Key of the `unit → verified` query: source, dependency fold, output,
-/// and the engine bit.
+/// Key of the `unit → verified` query: source, dependency fold, and
+/// output.
 pub fn verify_key(
     source_alpha: Fingerprint,
     dep_fingerprint: Fingerprint,
     output_alpha: Fingerprint,
-    options: &CompilerOptions,
+    _options: &CompilerOptions,
 ) -> Fingerprint {
-    source_alpha
-        .combine(dep_fingerprint)
-        .combine(output_alpha)
-        .combine_word(DOMAIN_VERIFY | u64::from(options.use_nbe))
+    source_alpha.combine(dep_fingerprint).combine(output_alpha).combine_word(DOMAIN_VERIFY)
 }
 
 /// Folds one dependency's contribution — its *interface* fingerprint —
@@ -183,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn keys_are_domain_separated_and_option_sensitive() {
+    fn keys_are_domain_separated_and_option_blind() {
         let s = Fingerprint::of_str("source");
         let d = Fingerprint::of_str("deps");
         let o = Fingerprint::of_str("output");
@@ -196,19 +192,34 @@ mod tests {
         assert_ne!(a, v, "artifact and verify keys must not collide");
         assert_ne!(c, v, "check and verify keys must not collide");
 
-        // Options that never change a successful compile's output stay
-        // out of every key.
-        let keep_going = CompilerOptions { keep_going: !base.keep_going, ..base };
-        assert_eq!(a, artifact_key(s, d, &keep_going));
-        assert_eq!(c, check_key(s, d, &keep_going));
-        assert_eq!(v, verify_key(s, d, o, &keep_going));
+        // No option changes a successful compile's output, so none
+        // enters a key.
+        let second = std::time::Duration::from_secs(1);
+        for options in [
+            CompilerOptions { keep_going: !base.keep_going, ..base },
+            CompilerOptions { build_deadline: Some(second), ..base },
+            CompilerOptions { unit_deadline: Some(second), ..base },
+        ] {
+            assert_eq!(a, artifact_key(s, d, &options));
+            assert_eq!(c, check_key(s, d, &options));
+            assert_eq!(v, verify_key(s, d, o, &options));
+        }
+    }
 
-        // The engine choice changes every phase's behaviour, so it is
-        // baked into every key.
-        let nbe_flipped = CompilerOptions { use_nbe: !base.use_nbe, ..base };
-        assert_ne!(a, artifact_key(s, d, &nbe_flipped));
-        assert_ne!(c, check_key(s, d, &nbe_flipped));
-        assert_ne!(v, verify_key(s, d, o, &nbe_flipped));
+    #[test]
+    fn keys_are_pinned() {
+        // Stores written by earlier builds stay warm only while every key
+        // keeps its value.
+        let (source, deps, output) = (Fingerprint(1), Fingerprint(2), Fingerprint(3));
+        let base = options();
+        let pins = [
+            (artifact_key(source, deps, &base), "2498086dcfdf73b1dfa5a5b1e75a52c1"),
+            (check_key(output, deps, &base), "7b45fcf6adbed6f8d4fbf760759ae497"),
+            (verify_key(source, deps, output, &base), "5573d7e67bf1985d72767904c0721c18"),
+        ];
+        for (key, pinned) in pins {
+            assert_eq!(key.to_string(), pinned);
+        }
     }
 
     #[test]

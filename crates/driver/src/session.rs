@@ -42,7 +42,7 @@ use crate::query::{self, PhaseRuns, QueryCounts};
 use crate::store::{ArtifactStore, FaultPlan, GcReport, StoreBudget};
 use crate::DriverError;
 use cccc_core::pipeline::{
-    cache_snapshot, BuildMetrics, BuildOutcome, CacheReport, Compilation, CompileError, Compiler,
+    cache_snapshot, BuildOutcome, CacheReport, Compilation, CompileError, Compiler,
     CompilerOptions, PhaseNanos, StoreStats,
 };
 use cccc_source as src;
@@ -115,7 +115,7 @@ pub struct UnitReport {
     /// compile).
     pub duration: Duration,
     /// The unit's artifact-query key for this build (its input
-    /// fingerprint: source ⊕ dependency interfaces ⊕ option bits).
+    /// fingerprint: source ⊕ dependency interfaces).
     pub fingerprint: Fingerprint,
     /// Which worker handled the unit.
     pub worker: usize,
@@ -178,13 +178,10 @@ pub struct BuildReport {
     /// *and* a [`Session::set_store_budget`] budget are configured).
     pub gc: Option<GcReport>,
     /// Every span and event the build recorded (`None` unless
-    /// [`Session::set_tracing`] enabled tracing). Export with
-    /// [`BuildTrace::to_chrome_json`].
+    /// [`Session::set_tracing`] enabled tracing). Export it with
+    /// [`BuildTrace::to_chrome_json`]; [`crate::timings::render`]
+    /// summarizes it.
     pub trace: Option<BuildTrace>,
-    /// Metrics distilled from the trace, with
-    /// [`BuildMetrics::critical_path_ns`] filled from the unit graph
-    /// (`None` on untraced builds).
-    pub metrics: Option<BuildMetrics>,
     /// The dependency-graph critical path in nanoseconds — the longest
     /// chain of per-unit durations a build of this graph cannot go
     /// below — computed on every build, traced or not.
@@ -558,22 +555,17 @@ impl Session {
         self.options
     }
 
-    /// Replaces the compiler options for subsequent builds. Every query
-    /// key bakes in the engine bit ([`CompilerOptions::use_nbe`]), the
-    /// only option that changes what a successful compile produces, so
-    /// switching options never serves a stale result. Switching *back*
-    /// is only partly warm: after each build the artifact table keeps
-    /// only each unit name's latest key, so every unit the other engine
-    /// built re-runs typecheck and translate, while the verified set
-    /// keeps both engines' verdicts, so check and verify stay cut off.
+    /// Replaces the compiler options for subsequent builds. No option
+    /// changes what a successful compile produces, so none enters a
+    /// query key: switching options keeps every artifact and verdict
+    /// warm.
     pub fn set_options(&mut self, options: CompilerOptions) {
         self.options = options;
     }
 
     /// Enables (or disables) build tracing: subsequent [`Session::build`]
     /// calls collect spans and events from every worker into
-    /// [`BuildReport::trace`] and distill them into
-    /// [`BuildReport::metrics`]. Off by default — a disabled sink costs
+    /// [`BuildReport::trace`]. Off by default — a disabled sink costs
     /// one thread-local boolean read per instrumentation point.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
@@ -821,11 +813,6 @@ impl Session {
         let store =
             store_before.zip(ctx.store).map(|(before, store)| store.counters().since(&before));
         let trace_data = sink.finish();
-        let metrics = trace_data.as_ref().map(|t| {
-            let mut metrics = BuildMetrics::of(t);
-            metrics.critical_path_ns = critical_path_ns;
-            metrics
-        });
         // The build consumes any cancellation it observed: record how it
         // ended, then reset the token so the next build starts live.
         let outcome = match self.cancel.reason() {
@@ -846,7 +833,6 @@ impl Session {
             store,
             gc,
             trace: trace_data,
-            metrics,
             critical_path_ns,
         })
     }

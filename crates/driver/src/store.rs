@@ -5,7 +5,7 @@
 //! [`Session`](crate::session::Session), so every new process used to
 //! pay the full cold-build cost. This module is the second tier: compiled
 //! artifacts are written through to an on-disk store keyed by their
-//! *artifact query key* (source ⊕ options ⊕ import interfaces — all
+//! *artifact query key* (source ⊕ import interfaces — both
 //! computed α-invariantly and process-stably, see
 //! [`cccc_source::wire::fingerprint_alpha`] and [`crate::query`]), and a
 //! fresh process whose recomputed keys match simply loads the blobs back.
@@ -59,9 +59,8 @@
 //! payload holding the check key it certifies
 //! ([`crate::query::check_key`]) and the check phase's output
 //! fingerprint. A record's existence says "an artifact with this source,
-//! these import interfaces, this output, and these options has passed
-//! check + verify before", so a restarted process skips both phases on
-//! unchanged units. Verified-record traffic is counted apart from blob
+//! these import interfaces, and this output has passed check + verify
+//! before", so a restarted process skips both phases on unchanged units. Verified-record traffic is counted apart from blob
 //! traffic ([`StoreStats::verified_hits`] / [`StoreStats::verified_writes`])
 //! and is *not* subject to the [`FaultPlan`] — the plan's positional
 //! counters target artifact blobs, and a lost or corrupt record merely

@@ -3,9 +3,9 @@
 //!
 //! [`render`] works from any [`BuildReport`] — the per-unit phase
 //! breakdowns are measured on every build — and grows the worker
-//! utilization and makespan-gap sections when the report carries
-//! [`BuildMetrics`](cccc_core::pipeline::BuildMetrics) from a traced
-//! build ([`Session::set_tracing`](crate::session::Session::set_tracing)).
+//! utilization, makespan-gap and event sections when the report carries
+//! the [`BuildTrace`](cccc_util::trace::BuildTrace) of a traced build
+//! ([`Session::set_tracing`](crate::session::Session::set_tracing)).
 //! This is the text sibling of the Chrome trace-event export
 //! ([`BuildTrace::to_chrome_json`](cccc_util::trace::BuildTrace::to_chrome_json)):
 //! same data, terminal-shaped.
@@ -155,24 +155,24 @@ pub fn render(report: &BuildReport) -> String {
     let _ = writeln!(out, "\nschedule:");
     let _ = writeln!(out, "  wall time       {:>10} ms", ms(wall_ns));
     let _ = writeln!(out, "  critical path   {:>10} ms", ms(report.critical_path_ns));
-    if let Some(metrics) = &report.metrics {
-        let _ = writeln!(out, "  trace makespan  {:>10} ms", ms(metrics.makespan_ns));
-        if let Some(gap) = metrics.makespan_gap() {
+    if let Some(trace) = &report.trace {
+        let makespan_ns = trace.makespan_ns();
+        let _ = writeln!(out, "  trace makespan  {:>10} ms", ms(makespan_ns));
+        if report.critical_path_ns > 0 {
+            let gap = makespan_ns as f64 / report.critical_path_ns as f64;
             let _ = writeln!(out, "  makespan gap    {gap:>10.2}x over the critical path");
         }
-        let _ = writeln!(out, "\nworkers ({} tracked):", metrics.workers);
-        for (worker, busy_ns) in &metrics.worker_busy_ns {
-            let util = if metrics.makespan_ns == 0 {
-                0.0
-            } else {
-                *busy_ns as f64 / metrics.makespan_ns as f64 * 100.0
-            };
-            let _ = writeln!(out, "  worker {worker}: busy {:>10} ms  {util:>5.1}%", ms(*busy_ns));
+        let _ = writeln!(out, "\nworkers ({} tracked):", trace.workers().len());
+        for (worker, busy_ns) in trace.busy_ns_by_worker() {
+            let util =
+                if makespan_ns == 0 { 0.0 } else { busy_ns as f64 / makespan_ns as f64 * 100.0 };
+            let _ = writeln!(out, "  worker {worker}: busy {:>10} ms  {util:>5.1}%", ms(busy_ns));
         }
-        let _ = writeln!(out, "  overall utilization {:.1}%", metrics.utilization() * 100.0);
-        if !metrics.events.is_empty() {
+        let _ = writeln!(out, "  overall utilization {:.1}%", trace.utilization() * 100.0);
+        let events = trace.event_counts();
+        if !events.is_empty() {
             let _ = writeln!(out, "\nevents:");
-            for (name, count) in &metrics.events {
+            for (name, count) in events {
                 let _ = writeln!(out, "  {name:<20} {count:>8}");
             }
         }
@@ -185,7 +185,122 @@ pub fn render(report: &BuildReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cccc_core::pipeline::CompilerOptions;
+    use crate::cache::CacheStats;
+    use crate::query::{PhaseRuns, QueryCounts};
+    use crate::session::UnitReport;
+    use cccc_core::pipeline::{BuildOutcome, CompilerOptions, PhaseNanos, StoreStats};
+    use cccc_util::trace::{BuildTrace, EventRecord, SpanRecord};
+    use cccc_util::wire::Fingerprint;
+    use std::time::Duration;
+
+    #[test]
+    fn a_hand_built_traced_report_renders_the_pinned_text() {
+        // A diamond a → {b, c} → d on two workers, in milliseconds:
+        // a (w0, 0–4), b (w0, 4–7), c (w1, 4–9), d (w0, 9–11). Makespan
+        // 11 against a 10 ms critical path; busy w0 = 9, w1 = 5.
+        const MS: u64 = 1_000_000;
+        let span = |id, worker, start: u64, end: u64| SpanRecord {
+            id,
+            parent: None,
+            name: "unit",
+            unit: None,
+            worker,
+            start_ns: start * MS,
+            end_ns: end * MS,
+            counters: Vec::new(),
+        };
+        let event =
+            |name, worker| EventRecord { name, unit: None, worker, at_ns: 0, counters: Vec::new() };
+        let trace = BuildTrace {
+            spans: vec![span(0, 0, 0, 4), span(1, 0, 4, 7), span(2, 1, 4, 9), span(3, 0, 9, 11)],
+            events: vec![
+                event("sched.claim", 0),
+                event("sched.claim", 1),
+                event("cache.hit.mem", 0),
+            ],
+        };
+        let unit = |name: &str, status, worker, duration_ms, runs: PhaseRuns| UnitReport {
+            name: name.to_owned(),
+            status,
+            cached_from: None,
+            duration: Duration::from_millis(duration_ms),
+            fingerprint: Fingerprint::default(),
+            worker,
+            caches: None,
+            source_words: 0,
+            target_words: 0,
+            phases: runs.any().then_some(PhaseNanos {
+                typecheck: MS * u64::from(runs.typecheck),
+                translate: MS / 2 * u64::from(runs.translate),
+                check: 3 * MS / 2 * u64::from(runs.check),
+                verify: MS / 2 * u64::from(runs.verify),
+                ..PhaseNanos::default()
+            }),
+            phase_runs: runs,
+            diagnostics: Vec::new(),
+        };
+        let partial = PhaseRuns { check: false, verify: false, ..PhaseRuns::ALL };
+        let mut cached = unit("d", UnitStatus::Cached, 0, 2, PhaseRuns::NONE);
+        cached.cached_from = Some(CacheTier::Memory);
+        let report = BuildReport {
+            units: vec![
+                unit("a", UnitStatus::Compiled, 0, 4, PhaseRuns::ALL),
+                unit("b", UnitStatus::Compiled, 0, 3, PhaseRuns::ALL),
+                unit("c", UnitStatus::Compiled, 1, 5, partial),
+                cached,
+            ],
+            outcome: BuildOutcome::Completed,
+            workers: 2,
+            wall_time: Duration::from_millis(12),
+            cache: CacheStats { hits: 1, misses: 3, invalidations: 0, coalesced: 0 },
+            queries: QueryCounts { typecheck: 3, translate: 3, check: 2, verify: 2 },
+            store: Some(StoreStats {
+                disk_misses: 3,
+                write_throughs: 3,
+                bytes_read: 96,
+                bytes_written: 4096,
+                ..StoreStats::default()
+            }),
+            gc: None,
+            trace: Some(trace),
+            critical_path_ns: 10 * MS,
+        };
+        let pinned = r#"build timings: 4 units on 2 workers in 12ms: 3 compiled, 1 cached, 0 failed, 0 skipped
+queries: phases 3tc/3tr/2ck/2vf run, 6 cut off
+cache: 1 hits / 3 misses, 0 invalidated, 0 coalesced
+store: 0 disk hits / 3 misses, 3 written, io 96B read / 4096B written, sections 0 decoded / 0 deferred, 0 retries (0 recovered)
+
+phase totals (compiled units, summed across workers):
+  typecheck        3.00 ms   35.3%
+  translate        1.50 ms   17.6%
+  check            3.00 ms   35.3%
+  verify           1.00 ms   11.8%
+  total            8.50 ms
+
+per unit (schedule order):
+  unit  status        worker          ms  phases
+  a     compiled           0        4.00  typecheck=1.00ms translate=0.50ms check=1.50ms verify=0.50ms
+  b     compiled           0        3.00  typecheck=1.00ms translate=0.50ms check=1.50ms verify=0.50ms
+  c     compiled           1        5.00  typecheck=1.00ms translate=0.50ms  [skipped: check, verify]
+  d     cached(mem)        0        2.00  -
+
+schedule:
+  wall time            12.00 ms
+  critical path        10.00 ms
+  trace makespan       11.00 ms
+  makespan gap          1.10x over the critical path
+
+workers (2 tracked):
+  worker 0: busy       9.00 ms   81.8%
+  worker 1: busy       5.00 ms   45.5%
+  overall utilization 63.6%
+
+events:
+  cache.hit.mem               1
+  sched.claim                 2
+"#;
+        assert_eq!(render(&report), pinned);
+    }
 
     #[test]
     fn untraced_reports_render_phases_but_not_utilization() {

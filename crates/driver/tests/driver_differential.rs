@@ -263,20 +263,25 @@ fn verification_verdicts_match_on_ill_typed_units() {
 }
 
 #[test]
-fn step_engine_options_flow_through_the_driver() {
-    // The driver honors CompilerOptions: a step-engine session and an
-    // NbE session agree on artifacts (engine choice is observable only
-    // in performance and error detail, never in output).
-    let units = independent_units(2, 2);
-    let mut nbe = session_from(&units, CompilerOptions::default());
-    nbe.build(2).unwrap();
-    let mut step =
-        session_from(&units, CompilerOptions { use_nbe: false, ..CompilerOptions::default() });
-    let report = step.build(2).unwrap();
-    assert!(report.is_success());
+fn the_step_engine_confirms_every_unit_the_driver_built() {
+    // Theorem 5.6 on the reference engine: each artifact the parallel
+    // driver produced type-checks by the paper's own reduction and
+    // equivalence rules (Fig. 6), at a type equivalent to the translated
+    // interface.
+    let units = independent_units(3, 2);
+    let mut session = session_from(&units, CompilerOptions::default());
+    assert!(session.build(2).unwrap().is_success());
+    let env = tgt::Env::new();
     for unit in &units {
-        let a = nbe.target_term(&unit.name).unwrap();
-        let b = step.target_term(&unit.name).unwrap();
-        assert!(tgt::subst::alpha_eq(&a, &b), "engines disagree on `{}`", unit.name);
+        let target = session.target_term(&unit.name).unwrap();
+        let target_ty = session.artifact(&unit.name).unwrap().target_ty().unwrap();
+        let target_ty = tgt::wire::decode(&target_ty).unwrap();
+        let inferred = tgt::typecheck::infer_with_engine(&env, &target, tgt::equiv::Engine::Step)
+            .unwrap_or_else(|e| panic!("`{}` is ill-typed on the step engine: {e}", unit.name));
+        assert!(
+            tgt::equiv::definitionally_equal_spec(&env, &inferred, &target_ty),
+            "`{}` does not preserve its type on the step engine",
+            unit.name
+        );
     }
 }

@@ -144,27 +144,6 @@ fn clear_cache_turns_the_next_build_cold() {
 }
 
 #[test]
-fn switching_the_engine_back_recompiles_artifacts_but_keeps_verdicts() {
-    let units = diamond(14, 1);
-    let nbe = CompilerOptions::default();
-    let step = CompilerOptions { use_nbe: false, ..nbe };
-    let mut session = session_from(&units, nbe);
-    assert!(session.build(1).unwrap().is_success());
-    session.set_options(step);
-    assert!(session.build(1).unwrap().is_success());
-    session.set_options(nbe);
-    let back = session.build(1).unwrap();
-    assert!(back.is_success());
-    // After each build the artifact table keeps only each unit name's
-    // latest key, so the Step build's keys replaced all 16: every unit
-    // re-runs typecheck and translate.
-    assert_eq!(back.cache.invalidations, 16);
-    // The verified set kept the first build's NbE verdicts, so check and
-    // verify stay cut off.
-    assert_eq!(back.queries, QueryCounts { typecheck: 16, translate: 16, check: 0, verify: 0 });
-}
-
-#[test]
 fn per_unit_diagnostics_surface_worker_and_cache_activity() {
     let units = diamond(3, 2);
     let mut session = session_from(&units, CompilerOptions::default());

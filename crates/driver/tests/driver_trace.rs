@@ -3,7 +3,7 @@
 //! 1-worker determinism, disabled-sink silence, pinned utilization math,
 //! and coverage of every instrumented operation on a store-backed build.
 
-use cccc_core::pipeline::{BuildMetrics, CompilerOptions};
+use cccc_core::pipeline::CompilerOptions;
 use cccc_driver::session::{Session, UnitStatus};
 use cccc_driver::workloads;
 use cccc_util::trace::{self, BuildTrace, SpanRecord};
@@ -297,7 +297,6 @@ fn disabled_sinks_record_nothing_and_reports_still_carry_phases() {
     assert!(!session.tracing());
     let report = session.build(2).unwrap();
     assert!(report.trace.is_none());
-    assert!(report.metrics.is_none());
     // The phase breakdown does not depend on tracing …
     let compiled =
         report.units.iter().find(|u| u.status == UnitStatus::Compiled).expect("cold build");
@@ -392,13 +391,7 @@ fn chrome_export_is_valid_json_with_one_track_per_worker() {
         assert!(event_names.iter().any(|n| n == required), "no `{required}` event in the export");
     }
 
-    // The distilled metrics agree with the trace they came from.
-    let metrics = report.metrics.as_ref().expect("metrics ride along");
-    assert_eq!(metrics.workers, workers.len());
-    assert_eq!(metrics.span_count, built.spans.len());
-    assert_eq!(metrics.event_count("cache.miss"), 16, "every unit is its own α-class");
-    assert!(metrics.phase_ns("typecheck") > 0);
-    assert!(metrics.critical_path_ns > 0, "driver fills the critical path in");
+    assert!(built.event_counts().contains(&("cache.miss", 16)), "every unit is its own α-class");
 
     // A restart-warm session over the same store, its verified records
     // deleted, reads every blob back and decodes the sections check and
@@ -411,13 +404,13 @@ fn chrome_export_is_valid_json_with_one_track_per_worker() {
     }
     let warm = traced_store_session(&units, &dir).build(2).unwrap();
     assert!(warm.is_success());
-    let (span_names, event_names) = exported_names(warm.trace.as_ref().expect("traced"));
+    let warm_trace = warm.trace.as_ref().expect("traced");
+    let (span_names, _) = exported_names(warm_trace);
     for required in ["store.read", "store.section", "store.checksum"] {
         assert!(span_names.iter().any(|n| n == required), "no `{required}` span in the export");
     }
-    assert!(event_names.iter().any(|n| n == "cache.hit.disk"), "no `cache.hit.disk` event");
-    let metrics = warm.metrics.as_ref().expect("metrics ride along");
-    assert_eq!(metrics.event_count("cache.hit.disk"), 16, "every unit loads from disk");
+    let disk_hits = ("cache.hit.disk", 16);
+    assert!(warm_trace.event_counts().contains(&disk_hits), "every unit loads from disk");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -465,20 +458,10 @@ fn utilization_math_is_pinned_to_a_hand_computed_diamond_schedule() {
             span(3, "unit", 0, 9, 11),
         ],
         events: Vec::new(),
-        total_ns: 11,
     };
-    let mut metrics = BuildMetrics::of(&built);
-    assert_eq!(metrics.makespan_ns, 11);
-    assert_eq!(metrics.worker_busy_ns, vec![(0, 9), (1, 5)]);
-    let expected_w0 = 9.0 / 11.0;
-    let expected_w1 = 5.0 / 11.0;
-    let per_worker = metrics.worker_utilization();
-    assert!((per_worker[0].1 - expected_w0).abs() < 1e-9);
-    assert!((per_worker[1].1 - expected_w1).abs() < 1e-9);
-    assert!((metrics.utilization() - 14.0 / 22.0).abs() < 1e-9);
-    // Critical path a → c → d = 4 + 5 + 2 = 11: a perfect schedule.
-    metrics.critical_path_ns = 11;
-    assert!((metrics.makespan_gap().unwrap() - 1.0).abs() < 1e-9);
+    assert_eq!(built.makespan_ns(), 11);
+    assert_eq!(built.busy_ns_by_worker(), vec![(0, 9), (1, 5)]);
+    assert!((built.utilization() - 14.0 / 22.0).abs() < 1e-9);
 }
 
 /// Splits the structured payload `store.corrupt` and `store.retry`

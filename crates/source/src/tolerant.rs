@@ -56,7 +56,7 @@ pub fn env_is_poisoned(env: &Env) -> bool {
 mod tests {
     use super::*;
     use crate::builder::*;
-    use crate::equiv::{definitionally_equal, Engine};
+    use crate::equiv::definitionally_equal;
     use crate::typecheck::{infer, infer_collecting};
     use cccc_util::diag::Diagnostic;
 
@@ -74,7 +74,7 @@ mod tests {
         for entry in crate::prelude::corpus() {
             let env = Env::new();
             let strict = infer(&env, &entry.term).expect("corpus terms are well-typed");
-            let (ty, diagnostics) = infer_collecting(&env, &entry.term, Engine::Nbe);
+            let (ty, diagnostics) = infer_collecting(&env, &entry.term);
             assert!(
                 diagnostics.is_empty(),
                 "{}: spurious diagnostics {:?}",
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn unbound_variable_reports_and_poisons() {
-        let (ty, diagnostics) = infer_collecting(&Env::new(), &var("ghost"), Engine::Nbe);
+        let (ty, diagnostics) = infer_collecting(&Env::new(), &var("ghost"));
         assert_eq!(codes(&diagnostics), vec!["E0001"]);
         assert!(is_poisoned(&ty));
     }
@@ -102,7 +102,7 @@ mod tests {
     fn multiple_independent_errors_are_all_reported() {
         // Three separate errors: unbound `a`, true applied, fst of true.
         let t = ite(app(tt(), var("a")), fst(tt()), tt());
-        let (_, diagnostics) = infer_collecting(&Env::new(), &t, Engine::Nbe);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &t);
         let found = codes(&diagnostics);
         assert!(found.contains(&"E0003"), "{found:?}");
         assert!(found.contains(&"E0001"), "{found:?}");
@@ -114,7 +114,7 @@ mod tests {
         // `let b = * : Bool in fst b` — the binding is ill-typed (E0008) and
         // the body has its own error (fst of a Bool-annotated binder, E0004).
         let t = let_("b", bool_ty(), star(), fst(var("b")));
-        let (_, diagnostics) = infer_collecting(&Env::new(), &t, Engine::Nbe);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &t);
         let found = codes(&diagnostics);
         assert!(found.contains(&"E0008"), "{found:?}");
         assert!(found.contains(&"E0004"), "{found:?}");
@@ -125,27 +125,26 @@ mod tests {
         // Only ONE error: the unbound variable. Its poisoned type must not
         // cascade into a mismatch against Bool.
         let t = ite(var("ghost"), tt(), ff());
-        let (_, diagnostics) = infer_collecting(&Env::new(), &t, Engine::Nbe);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &t);
         assert_eq!(codes(&diagnostics), vec!["E0001"]);
     }
 
     #[test]
     fn mismatch_is_reported_once_then_accepted() {
         let not = lam("b", bool_ty(), ite(var("b"), ff(), tt()));
-        let (_, diagnostics) = infer_collecting(&Env::new(), &app(not, star()), Engine::Nbe);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &app(not, star()));
         assert_eq!(codes(&diagnostics), vec!["E0008"]);
     }
 
     #[test]
     fn box_as_term_reports_e0002() {
-        let (_, diagnostics) = infer_collecting(&Env::new(), &app(boxu(), tt()), Engine::Nbe);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &app(boxu(), tt()));
         assert!(codes(&diagnostics).contains(&"E0002"));
     }
 
     #[test]
     fn pair_annotation_not_sigma_reports_e0006() {
-        let (_, diagnostics) =
-            infer_collecting(&Env::new(), &pair(tt(), ff(), bool_ty()), Engine::Nbe);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &pair(tt(), ff(), bool_ty()));
         assert_eq!(codes(&diagnostics), vec!["E0006"]);
     }
 

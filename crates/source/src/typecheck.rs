@@ -249,14 +249,13 @@ pub fn is_well_typed(env: &Env, term: &Term) -> bool {
     infer(env, term).is_ok()
 }
 
-/// Infers the type of `term` under `env` with the Collect policy, through
-/// the chosen engine: every violation becomes a diagnostic and checking
-/// resumes with the sentinel. Returns the type, which mentions `<error>`
-/// wherever recovery happened, and every diagnostic in order of
-/// discovery.
-pub fn infer_collecting(env: &Env, term: &Term, engine: Engine) -> (Term, Vec<Diagnostic>) {
+/// Infers the type of `term` under `env` with the Collect policy: every
+/// violation becomes a diagnostic and checking resumes with the sentinel.
+/// Returns the type, which mentions `<error>` wherever recovery happened,
+/// and every diagnostic in order of discovery.
+pub fn infer_collecting(env: &Env, term: &Term) -> (Term, Vec<Diagnostic>) {
     let mut fuel = Fuel::default();
-    let mut checker = Collecting::new(&mut fuel, engine);
+    let mut checker = Collecting::new(&mut fuel, Engine::Nbe);
     let ty = checker.infer(env, term).expect("the Collect policy never stops");
     (ty, checker.diagnostics)
 }

@@ -38,7 +38,7 @@ mod tests {
     use super::*;
     use crate::builder::*;
     use crate::env::Env;
-    use crate::equiv::{definitionally_equal, Engine};
+    use crate::equiv::definitionally_equal;
     use crate::typecheck::{infer, infer_collecting};
     use cccc_util::diag::Diagnostic;
 
@@ -55,7 +55,7 @@ mod tests {
         let env = Env::new();
         let clo = closure(id_code(), unit_val());
         let strict = infer(&env, &clo).expect("closure is well-typed");
-        let (ty, diagnostics) = infer_collecting(&env, &clo, Engine::Nbe);
+        let (ty, diagnostics) = infer_collecting(&env, &clo);
         assert!(diagnostics.is_empty(), "{diagnostics:?}");
         assert!(definitionally_equal(&env, &ty, &strict));
     }
@@ -67,21 +67,20 @@ mod tests {
         let open = code("n", unit_ty(), "x", bool_ty(), var("y"));
         let env = Env::new().with_assumption(Symbol::intern("y"), bool_ty());
         let t = app(closure(open, unit_val()), star());
-        let (_, diagnostics) = infer_collecting(&env, &t, Engine::Nbe);
+        let (_, diagnostics) = infer_collecting(&env, &t);
         let found = codes(&diagnostics);
         assert!(found.contains(&"E1010"), "{found:?}");
     }
 
     #[test]
     fn bare_code_application_reports_e1003() {
-        let (_, diagnostics) = infer_collecting(&Env::new(), &app(id_code(), tt()), Engine::Nbe);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &app(id_code(), tt()));
         assert_eq!(codes(&diagnostics), vec!["E1003"]);
     }
 
     #[test]
     fn non_code_closure_component_reports_e1011() {
-        let (_, diagnostics) =
-            infer_collecting(&Env::new(), &closure(tt(), unit_val()), Engine::Nbe);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &closure(tt(), unit_val()));
         assert_eq!(codes(&diagnostics), vec!["E1011"]);
     }
 
@@ -90,7 +89,7 @@ mod tests {
         // Unbound variable in the closure environment AND a mismatched
         // application argument.
         let t = app(closure(id_code(), var("ghost")), star());
-        let (_, diagnostics) = infer_collecting(&Env::new(), &t, Engine::Nbe);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &t);
         let found = codes(&diagnostics);
         assert!(found.contains(&"E1001"), "{found:?}");
         // ghost poisons the env check, but the closure type is still known,
@@ -100,8 +99,7 @@ mod tests {
 
     #[test]
     fn poisoned_types_do_not_cascade() {
-        let (_, diagnostics) =
-            infer_collecting(&Env::new(), &ite(var("ghost"), tt(), ff()), Engine::Nbe);
+        let (_, diagnostics) = infer_collecting(&Env::new(), &ite(var("ghost"), tt(), ff()));
         assert_eq!(codes(&diagnostics), vec!["E1001"]);
     }
 }

@@ -20,8 +20,8 @@
 //!   [`BuildTrace`], which knows how to export itself as Chrome
 //!   trace-event JSON ([`BuildTrace::to_chrome_json`] — loadable in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev), one track
-//!   per worker) and how to aggregate per-phase totals and per-worker
-//!   busy time for the driver's `--timings` report.
+//!   per worker) and how to aggregate the makespan, per-worker busy time
+//!   and event counts for the driver's `--timings` report.
 //!
 //! A span records its id, parent (the innermost span open on the same
 //! thread at open time), static name, the current compilation *unit*
@@ -220,7 +220,6 @@ impl TraceSink {
     /// so the result is deterministic given a deterministic schedule.
     pub fn finish(self) -> Option<BuildTrace> {
         let shared = self.shared?;
-        let total_ns = shared.epoch.elapsed().as_nanos() as u64;
         let mut buffers: Vec<ThreadBuffer> =
             shared.buffers.lock().expect("trace sink poisoned").drain(..).collect();
         buffers.sort_by_key(|b| b.worker);
@@ -230,7 +229,7 @@ impl TraceSink {
             spans.extend(buffer.spans);
             events.extend(buffer.events);
         }
-        Some(BuildTrace { spans, events, total_ns })
+        Some(BuildTrace { spans, events })
     }
 }
 
@@ -427,15 +426,6 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, BuildTrace) {
     (result, sink.finish().expect("sink was enabled"))
 }
 
-/// Count and total duration of the spans sharing one name.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanTotal {
-    /// Number of spans with the name.
-    pub count: u64,
-    /// Summed (inclusive) duration in nanoseconds.
-    pub total_ns: u64,
-}
-
 /// Every span and event one build's sink collected, ordered by worker.
 #[derive(Clone, Debug, Default)]
 pub struct BuildTrace {
@@ -443,8 +433,6 @@ pub struct BuildTrace {
     pub spans: Vec<SpanRecord>,
     /// Instant events (per worker, in emit order).
     pub events: Vec<EventRecord>,
-    /// Nanoseconds from the sink's epoch to [`TraceSink::finish`].
-    pub total_ns: u64,
 }
 
 impl BuildTrace {
@@ -487,22 +475,16 @@ impl BuildTrace {
         busy
     }
 
-    /// Count and total inclusive duration per span name, sorted by name.
-    pub fn span_totals(&self) -> Vec<(&'static str, SpanTotal)> {
-        let mut totals: Vec<(&'static str, SpanTotal)> = Vec::new();
-        for span in &self.spans {
-            match totals.iter_mut().find(|(n, _)| *n == span.name) {
-                Some((_, t)) => {
-                    t.count += 1;
-                    t.total_ns += span.duration_ns();
-                }
-                None => {
-                    totals.push((span.name, SpanTotal { count: 1, total_ns: span.duration_ns() }))
-                }
-            }
+    /// Overall worker utilization in `[0, 1]`: the summed busy time over
+    /// `workers × makespan` (0 for an empty trace).
+    pub fn utilization(&self) -> f64 {
+        let workers = self.workers().len();
+        let makespan_ns = self.makespan_ns();
+        if workers == 0 || makespan_ns == 0 {
+            return 0.0;
         }
-        totals.sort_unstable_by_key(|(n, _)| *n);
-        totals
+        let busy_ns: u64 = self.busy_ns_by_worker().iter().map(|(_, ns)| ns).sum();
+        busy_ns as f64 / (workers as f64 * makespan_ns as f64)
     }
 
     /// Event counts per name, sorted by name.
@@ -516,31 +498,6 @@ impl BuildTrace {
         }
         counts.sort_unstable_by_key(|(n, _)| *n);
         counts
-    }
-
-    /// Counter payload totals summed across spans and events, keyed
-    /// `"<span-or-event name>.<counter name>"`, sorted by key.
-    pub fn counter_totals(&self) -> Vec<(String, u64)> {
-        let mut totals: Vec<(String, u64)> = Vec::new();
-        let mut add = |owner: &str, name: &str, value: u64| {
-            let key = format!("{owner}.{name}");
-            match totals.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => *v += value,
-                None => totals.push((key, value)),
-            }
-        };
-        for span in &self.spans {
-            for (name, value) in &span.counters {
-                add(span.name, name, *value);
-            }
-        }
-        for event in &self.events {
-            for (name, value) in &event.counters {
-                add(event.name, name, *value);
-            }
-        }
-        totals.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        totals
     }
 
     /// Spans with the given name, in recorded order.
@@ -597,7 +554,6 @@ impl BuildTrace {
     pub fn merged(mut self, other: BuildTrace) -> BuildTrace {
         self.spans.extend(other.spans);
         self.events.extend(other.events);
-        self.total_ns = self.total_ns.max(other.total_ns);
         self
     }
 
@@ -787,14 +743,8 @@ mod tests {
             event("hit", &[("tier", 1)]);
             event("hit", &[("tier", 1)]);
         });
-        let totals = trace.span_totals();
-        let a = totals.iter().find(|(n, _)| *n == "phase_a").expect("phase_a");
-        assert_eq!(a.1.count, 3);
         let counts = trace.event_counts();
         assert_eq!(counts, vec![("hit", 2)]);
-        let counters = trace.counter_totals();
-        assert!(counters.contains(&("phase_a.bytes".to_owned(), 30)));
-        assert!(counters.contains(&("hit.tier".to_owned(), 2)));
         let structure = trace.structure();
         assert_eq!(structure.len(), trace.spans.len() + trace.events.len());
         assert!(structure[0].starts_with("span w0"));

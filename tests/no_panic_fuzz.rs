@@ -246,11 +246,8 @@ proptest! {
                 ),
             };
             let strict_ok = target::typecheck::infer(&target::Env::new(), &smashed).is_ok();
-            let (_, diagnostics) = target::typecheck::infer_collecting(
-                &target::Env::new(),
-                &smashed,
-                target::equiv::Engine::Nbe,
-            );
+            let (_, diagnostics) =
+                target::typecheck::infer_collecting(&target::Env::new(), &smashed);
             let clean = !diagnostics.iter().any(Diagnostic::is_error);
             prop_assert_eq!(strict_ok, clean, "target checkers disagree");
         }

@@ -136,8 +136,7 @@ fn cc_parse_recovery_pins_every_expectation() {
 fn cc_cc_fixture_pins_four_errors() {
     let open_code = t::code("n", t::unit_ty(), "x", t::bool_ty(), t::var("stray"));
     let term = t::ite(t::app(t::tt(), t::ff()), open_code, t::ite(t::unit_val(), t::tt(), t::ff()));
-    let (_, diagnostics) =
-        target::typecheck::infer_collecting(&target::Env::new(), &term, target::equiv::Engine::Nbe);
+    let (_, diagnostics) = target::typecheck::infer_collecting(&target::Env::new(), &term);
     assert!(diagnostics.iter().any(Diagnostic::is_error));
     assert_eq!(codes(&diagnostics), vec!["E1003", "E1010", "E1001", "E1008"]);
 
