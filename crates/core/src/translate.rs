@@ -82,14 +82,6 @@ impl From<src::TypeError> for TranslateError {
 /// Result type for the translation.
 pub type Result<T> = std::result::Result<T, TranslateError>;
 
-/// Translates a source universe to the identical target universe.
-pub fn translate_universe(u: src::Universe) -> tgt::Universe {
-    match u {
-        src::Universe::Star => tgt::Universe::Star,
-        src::Universe::Box => tgt::Universe::Box,
-    }
-}
-
 /// Closure-converts the well-typed source term `term` under `env`
 /// (the judgment `Γ ⊢ e : A ⇝ e` of Figure 9).
 ///
@@ -102,7 +94,7 @@ pub fn translate(env: &src::Env, term: &src::Term) -> Result<tgt::Term> {
         // [CC-Var]
         src::Term::Var(x) => tgt::Term::Var(*x),
         // [CC-*] (and the universe □, which only occurs as a classifier)
-        src::Term::Sort(u) => tgt::Term::Sort(translate_universe(*u)),
+        src::Term::Sort(u) => tgt::Term::Sort(*u),
         // Ground types.
         src::Term::BoolTy => tgt::Term::BoolTy,
         src::Term::BoolLit(b) => tgt::Term::BoolLit(*b),
@@ -290,6 +282,25 @@ mod tests {
         assert!(target_alpha_eq(&translate(&env, &s::bool_ty()).unwrap(), &t::bool_ty()));
         assert!(target_alpha_eq(&translate(&env, &s::tt()).unwrap(), &t::tt()));
         assert!(target_alpha_eq(&translate(&env, &s::var("x")).unwrap(), &t::var("x")));
+    }
+
+    #[test]
+    fn both_universes_translate_to_themselves() {
+        for u in [src::Universe::Star, src::Universe::Box] {
+            let translated = translate(&empty_src(), &src::Term::Sort(u)).unwrap();
+            assert!(matches!(translated, tgt::Term::Sort(v) if v == u), "{translated}");
+        }
+    }
+
+    #[test]
+    fn the_error_sentinel_survives_translation() {
+        // CC-CC reads the sentinel CC writes: a closure capturing it is
+        // poisoned on the target side.
+        let env = empty_src().with_assumption(src::tolerant::error_symbol(), s::bool_ty());
+        let poisoned = s::lam("x", s::bool_ty(), src::tolerant::error_term());
+        let translated = translate(&env, &poisoned).unwrap();
+        assert!(matches!(translated, tgt::Term::Closure { .. }), "{translated}");
+        assert!(tgt::tolerant::is_poisoned(&translated));
     }
 
     #[test]

@@ -239,11 +239,10 @@ pub(crate) struct ArtifactCache {
 
 /// What [`ArtifactCache::claim`] found under a key.
 pub(crate) enum Lookup<'a> {
-    /// A settled entry whose verdict is known: the unit is answered.
+    /// A settled entry: the unit is answered.
     Ready(Arc<Artifact>, CacheTier),
-    /// The caller owns the key now. `prior` is the settled entry the
-    /// claim replaced because its verdict was unknown.
-    Claimed { claim: Claim<'a>, prior: Option<(Arc<Artifact>, CacheTier)> },
+    /// No settled entry: the caller owns the key now.
+    Claimed(Claim<'a>),
 }
 
 /// Ownership of one key until [`Claim::publish`]; dropping the claim
@@ -262,15 +261,10 @@ impl ArtifactCache {
     }
 
     /// Looks `key` up for `unit`, waiting out any other worker's claim
-    /// on it. A `Ready` entry answers when `verdict_known` holds for its
-    /// artifact; otherwise — or with no entry — the caller claims the
-    /// key.
-    pub(crate) fn claim<'a>(
-        &'a self,
-        unit: &'a str,
-        key: Fingerprint,
-        verdict_known: impl Fn(&Artifact) -> bool,
-    ) -> Lookup<'a> {
+    /// on it. A `Ready` entry answers; with no entry the caller claims
+    /// the key. An entry is published only once its verdict is recorded,
+    /// so every settled entry's verdict is known.
+    pub(crate) fn claim<'a>(&'a self, unit: &'a str, key: Fingerprint) -> Lookup<'a> {
         let mut guard = self.lock();
         let mut waited = false;
         while let Some(Slot::InFlight) = guard.slots.get(&key) {
@@ -281,27 +275,18 @@ impl ArtifactCache {
             guard = self.claim_ended.wait(guard).unwrap_or_else(PoisonError::into_inner);
         }
         let table = &mut *guard;
-        let prior = match table.slots.get(&key) {
-            Some(Slot::Ready(artifact, tier)) => {
-                table.stats.hits += 1;
-                let found = (Arc::clone(artifact), *tier);
-                if verdict_known(artifact) {
-                    table.latest.insert(unit.to_owned(), key);
-                    return Lookup::Ready(found.0, found.1);
-                }
-                Some(found)
-            }
-            _ if table.latest.get(unit).is_some_and(|latest| *latest != key) => {
-                table.stats.invalidations += 1;
-                None
-            }
-            _ => {
-                table.stats.misses += 1;
-                None
-            }
-        };
+        if let Some(Slot::Ready(artifact, tier)) = table.slots.get(&key) {
+            table.stats.hits += 1;
+            table.latest.insert(unit.to_owned(), key);
+            return Lookup::Ready(Arc::clone(artifact), *tier);
+        }
+        if table.latest.get(unit).is_some_and(|latest| *latest != key) {
+            table.stats.invalidations += 1;
+        } else {
+            table.stats.misses += 1;
+        }
         table.slots.insert(key, Slot::InFlight);
-        Lookup::Claimed { claim: Claim { cache: self, unit, key }, prior }
+        Lookup::Claimed(Claim { cache: self, unit, key })
     }
 
     /// Ends a build: keeps only each unit name's latest key and files
@@ -377,8 +362,8 @@ mod tests {
     /// publishes `artifact` from `tier`.
     fn settle(cache: &ArtifactCache, unit: &str, key: Fingerprint, tt: bool, tier: CacheTier) {
         let term = if tt { t::tt() } else { t::ff() };
-        match cache.claim(unit, key, |_| true) {
-            Lookup::Claimed { claim, .. } => claim.publish(artifact(&term), tier),
+        match cache.claim(unit, key) {
+            Lookup::Claimed(claim) => claim.publish(artifact(&term), tier),
             Lookup::Ready(..) => panic!("`{unit}` found a settled entry"),
         }
     }
@@ -386,9 +371,9 @@ mod tests {
     /// The settled entry under `key`, if any; a claim taken instead is
     /// dropped unpublished.
     fn ready(cache: &ArtifactCache, unit: &str, key: Fingerprint) -> Option<CacheTier> {
-        match cache.claim(unit, key, |_| true) {
+        match cache.claim(unit, key) {
             Lookup::Ready(_, tier) => Some(tier),
-            Lookup::Claimed { .. } => None,
+            Lookup::Claimed(_) => None,
         }
     }
 
@@ -413,7 +398,7 @@ mod tests {
         settle(&cache, "m", fp(2), false, CacheTier::Memory);
         cache.finish_build();
         assert_eq!(ready(&cache, "m", fp(1)), None, "the stale entry was dropped");
-        let Lookup::Ready(hit, tier) = cache.claim("m", fp(2), |_| true) else {
+        let Lookup::Ready(hit, tier) = cache.claim("m", fp(2)) else {
             panic!("the latest entry survives")
         };
         assert_eq!(tier, CacheTier::Memory);
@@ -439,21 +424,9 @@ mod tests {
     }
 
     #[test]
-    fn entries_with_unknown_verdicts_are_claimed() {
-        let cache = ArtifactCache::default();
-        settle(&cache, "m", fp(6), true, CacheTier::Memory);
-        match cache.claim("m", fp(6), |_| false) {
-            Lookup::Claimed { prior: Some((_, CacheTier::Memory)), .. } => {}
-            _ => panic!("an unknown verdict claims the key, handing over the entry"),
-        }
-        assert_eq!(cache.stats().hits, 1, "the artifact itself was found");
-        assert_eq!(ready(&cache, "m", fp(6)), None, "the unpublished claim cleared the key");
-    }
-
-    #[test]
     fn in_flight_guards_deduplicate_and_count_coalesced_waits() {
         let cache = ArtifactCache::default();
-        let Lookup::Claimed { claim, .. } = cache.claim("a", fp(7), |_| true) else {
+        let Lookup::Claimed(claim) = cache.claim("a", fp(7)) else {
             panic!("an empty table is claimed")
         };
         std::thread::scope(|scope| {
@@ -471,12 +444,12 @@ mod tests {
     #[test]
     fn a_dropped_claim_wakes_waiters_to_claim_for_themselves() {
         let cache = ArtifactCache::default();
-        let Lookup::Claimed { claim, .. } = cache.claim("a", fp(8), |_| true) else {
+        let Lookup::Claimed(claim) = cache.claim("a", fp(8)) else {
             panic!("an empty table is claimed")
         };
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| match cache.claim("b", fp(8), |_| true) {
-                Lookup::Claimed { claim, prior: None } => {
+            let waiter = scope.spawn(|| match cache.claim("b", fp(8)) {
+                Lookup::Claimed(claim) => {
                     claim.publish(artifact(&t::tt()), CacheTier::Memory);
                     true
                 }

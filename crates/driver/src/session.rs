@@ -1137,21 +1137,15 @@ fn handle_unit(
     // store, so α-twins wait here instead of loading or compiling again.
     let (claim, mut hit) = {
         let _span = trace::span("cache.lookup");
-        let verdict_known = |artifact: &Artifact| {
-            let output = artifact.output_fingerprint();
-            let key = query::verify_key(unit.source_alpha, dep_fp, output, &ctx.options);
-            let verified = ctx.verified.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            verified.contains(&key)
-        };
-        match ctx.cache.claim(&unit.name, artifact_key, verdict_known) {
+        match ctx.cache.claim(&unit.name, artifact_key) {
             Lookup::Ready(artifact, tier) => {
                 trace::event(hit_event(tier), &[]);
                 let report = cached_report(worker, unit, &artifact, tier, artifact_key, started);
                 return (report, Some(Outcome::Built(artifact)));
             }
-            Lookup::Claimed { claim, prior } => {
-                let load = || Some((Arc::new(ctx.store?.load(artifact_key)?), CacheTier::Disk));
-                (claim, prior.or_else(load))
+            Lookup::Claimed(claim) => {
+                let loaded = ctx.store.and_then(|store| store.load(artifact_key));
+                (claim, loaded.map(|artifact| (Arc::new(artifact), CacheTier::Disk)))
             }
         }
     };

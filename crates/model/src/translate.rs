@@ -17,14 +17,6 @@
 use cccc_source as src;
 use cccc_target as tgt;
 
-/// Translates a target universe to the identical source universe.
-pub fn model_universe(u: tgt::Universe) -> src::Universe {
-    match u {
-        tgt::Universe::Star => src::Universe::Star,
-        tgt::Universe::Box => src::Universe::Box,
-    }
-}
-
 /// The CC model of the CC-CC unit type `1`: the Church encoding
 /// `Π A : ⋆. Π x : A. A`.
 pub fn unit_type_model() -> src::Term {
@@ -52,7 +44,7 @@ pub fn unit_value_model() -> src::Term {
 pub fn model(term: &tgt::Term) -> src::Term {
     match term {
         tgt::Term::Var(x) => src::Term::Var(*x),
-        tgt::Term::Sort(u) => src::Term::Sort(model_universe(*u)),
+        tgt::Term::Sort(u) => src::Term::Sort(*u),
         tgt::Term::Unit => unit_type_model(),
         tgt::Term::UnitVal => unit_value_model(),
         tgt::Term::BoolTy => src::Term::BoolTy,
@@ -158,6 +150,14 @@ mod tests {
         assert!(source_alpha_eq(&model(&t::bool_ty()), &src::builder::bool_ty()));
         assert!(source_alpha_eq(&model(&t::tt()), &src::builder::tt()));
         assert!(source_alpha_eq(&model(&t::var("x")), &src::builder::var("x")));
+    }
+
+    #[test]
+    fn both_universes_model_to_themselves() {
+        for u in [tgt::Universe::Star, tgt::Universe::Box] {
+            let modelled = model(&tgt::Term::Sort(u));
+            assert!(matches!(modelled, src::Term::Sort(v) if v == u), "{modelled}");
+        }
     }
 
     #[test]

@@ -4,227 +4,22 @@
 //! *definitions* `x = e : A`. Order matters: the type of each entry may only
 //! mention variables bound earlier, and the dependency-ordered free-variable
 //! metafunction of closure conversion (Figure 10) relies on this ordering.
+//! CC-CC shares the telescope, so it is defined once, in
+//! [`cccc_util::env`]; this module names its CC instance.
 
-use crate::ast::{RcTerm, Term};
-use cccc_util::intern::mix_env_entry;
-use cccc_util::symbol::Symbol;
-use std::fmt;
+use crate::ast::Term;
 
-/// One entry of a typing environment.
-#[derive(Clone, Debug)]
-pub enum Decl {
-    /// An assumption `x : A`.
-    Assumption {
-        /// The variable.
-        name: Symbol,
-        /// Its type.
-        ty: RcTerm,
-    },
-    /// A definition `x = e : A`.
-    Definition {
-        /// The variable.
-        name: Symbol,
-        /// Its type.
-        ty: RcTerm,
-        /// Its definition, unfolded by δ-reduction.
-        term: RcTerm,
-    },
-}
+/// A CC typing environment `Γ`.
+pub type Env = cccc_util::env::Env<Term>;
 
-impl Decl {
-    /// The variable bound by this entry.
-    pub fn name(&self) -> Symbol {
-        match self {
-            Decl::Assumption { name, .. } | Decl::Definition { name, .. } => *name,
-        }
-    }
-
-    /// The declared type of the entry.
-    pub fn ty(&self) -> &RcTerm {
-        match self {
-            Decl::Assumption { ty, .. } | Decl::Definition { ty, .. } => ty,
-        }
-    }
-
-    /// The definition, if this is a `x = e : A` entry.
-    pub fn definition(&self) -> Option<&RcTerm> {
-        match self {
-            Decl::Assumption { .. } => None,
-            Decl::Definition { term, .. } => Some(term),
-        }
-    }
-}
-
-/// A typing environment `Γ`.
-///
-/// Environments are persistent in spirit but implemented as a plain vector;
-/// the type checker clones and extends them as it goes under binders, which
-/// is cheap because entries hold [`RcTerm`]s.
-///
-/// Every environment carries a content *fingerprint* — a hash of its entry
-/// sequence with terms identified by their interned node ids — maintained
-/// incrementally on extension. Two environments with identical content have
-/// identical fingerprints, which is what keys the memoized conversion
-/// checker in [`crate::equiv`].
-#[derive(Clone, Debug, Default)]
-pub struct Env {
-    decls: Vec<Decl>,
-    fingerprint: u64,
-}
-
-/// Folds one declaration into a fingerprint.
-fn mix_decl(fingerprint: u64, decl: &Decl) -> u64 {
-    match decl {
-        Decl::Assumption { name, ty } => mix_env_entry(fingerprint, *name, ty.id(), None),
-        Decl::Definition { name, ty, term } => {
-            mix_env_entry(fingerprint, *name, ty.id(), Some(term.id()))
-        }
-    }
-}
-
-/// Recomputes a fingerprint from scratch (used by the bulk constructors).
-fn fingerprint_of(decls: &[Decl]) -> u64 {
-    decls.iter().fold(0, mix_decl)
-}
-
-impl Env {
-    /// The empty environment `·`.
-    pub fn new() -> Env {
-        Env { decls: Vec::new(), fingerprint: 0 }
-    }
-
-    /// The environment's content fingerprint: a hash of the entry sequence
-    /// with terms identified by interned node id. Environments with equal
-    /// content always agree; unequal content collides only with hash
-    /// probability. Used as the environment component of conversion memo
-    /// keys.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.decls.len()
-    }
-
-    /// Whether the environment is empty.
-    pub fn is_empty(&self) -> bool {
-        self.decls.is_empty()
-    }
-
-    /// Returns a new environment extended with the assumption `name : ty`.
-    pub fn with_assumption(&self, name: Symbol, ty: Term) -> Env {
-        let mut next = self.clone();
-        next.push_assumption(name, ty);
-        next
-    }
-
-    /// Returns a new environment extended with the definition `name = term : ty`.
-    pub fn with_definition(&self, name: Symbol, term: Term, ty: Term) -> Env {
-        let mut next = self.clone();
-        next.push_definition(name, term, ty);
-        next
-    }
-
-    /// Appends the assumption `name : ty` in place.
-    pub fn push_assumption(&mut self, name: Symbol, ty: Term) {
-        let decl = Decl::Assumption { name, ty: ty.rc() };
-        self.fingerprint = mix_decl(self.fingerprint, &decl);
-        self.decls.push(decl);
-    }
-
-    /// Appends the definition `name = term : ty` in place.
-    pub fn push_definition(&mut self, name: Symbol, term: Term, ty: Term) {
-        let decl = Decl::Definition { name, ty: ty.rc(), term: term.rc() };
-        self.fingerprint = mix_decl(self.fingerprint, &decl);
-        self.decls.push(decl);
-    }
-
-    /// Looks up the most recent entry for `name`.
-    pub fn lookup(&self, name: Symbol) -> Option<&Decl> {
-        self.decls.iter().rev().find(|d| d.name() == name)
-    }
-
-    /// Looks up the declared type of `name`.
-    pub fn lookup_type(&self, name: Symbol) -> Option<&RcTerm> {
-        self.lookup(name).map(Decl::ty)
-    }
-
-    /// Looks up the definition of `name`, if it has one (used by δ-reduction).
-    pub fn lookup_definition(&self, name: Symbol) -> Option<&RcTerm> {
-        self.lookup(name).and_then(Decl::definition)
-    }
-
-    /// Whether `name` is bound in the environment.
-    pub fn contains(&self, name: Symbol) -> bool {
-        self.lookup(name).is_some()
-    }
-
-    /// Iterates over the entries from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &Decl> {
-        self.decls.iter()
-    }
-
-    /// The names bound in the environment, oldest first.
-    pub fn names(&self) -> Vec<Symbol> {
-        self.decls.iter().map(Decl::name).collect()
-    }
-
-    /// The position of the most recent entry for `name`, oldest-first.
-    pub fn position(&self, name: Symbol) -> Option<usize> {
-        self.decls.iter().rposition(|d| d.name() == name)
-    }
-
-    /// Restricts the environment to the entries whose names appear in `keep`,
-    /// preserving order. Used by the free-variable metafunction.
-    pub fn restrict(&self, keep: &[Symbol]) -> Env {
-        let decls: Vec<Decl> =
-            self.decls.iter().filter(|d| keep.contains(&d.name())).cloned().collect();
-        let fingerprint = fingerprint_of(&decls);
-        Env { decls, fingerprint }
-    }
-
-    /// Appends all entries of `other` after the entries of `self`.
-    pub fn append(&self, other: &Env) -> Env {
-        let mut decls = self.decls.clone();
-        decls.extend(other.decls.iter().cloned());
-        let fingerprint = other.decls.iter().fold(self.fingerprint, mix_decl);
-        Env { decls, fingerprint }
-    }
-}
-
-impl fmt::Display for Env {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.decls.is_empty() {
-            return write!(f, "·");
-        }
-        let mut first = true;
-        for d in &self.decls {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            match d {
-                Decl::Assumption { name, ty } => write!(f, "{name} : {ty}")?,
-                Decl::Definition { name, ty, term } => write!(f, "{name} = {term} : {ty}")?,
-            }
-        }
-        Ok(())
-    }
-}
-
-impl FromIterator<Decl> for Env {
-    fn from_iter<I: IntoIterator<Item = Decl>>(iter: I) -> Env {
-        let decls: Vec<Decl> = iter.into_iter().collect();
-        let fingerprint = fingerprint_of(&decls);
-        Env { decls, fingerprint }
-    }
-}
+/// One entry of a CC typing environment.
+pub type Decl = cccc_util::env::Decl<Term>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::*;
+    use cccc_util::symbol::Symbol;
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
@@ -248,8 +43,8 @@ mod tests {
         let env = Env::new().with_definition(sym("b"), tt(), bool_ty());
         assert!(env.lookup_definition(sym("b")).is_some());
         assert!(env.lookup_definition(sym("missing")).is_none());
-        assert!(env.contains(sym("b")));
-        assert!(!env.contains(sym("missing")));
+        assert!(env.lookup(sym("b")).is_some());
+        assert!(env.lookup(sym("missing")).is_none());
     }
 
     #[test]
@@ -260,35 +55,19 @@ mod tests {
     }
 
     #[test]
-    fn restrict_preserves_order() {
-        let env = Env::new()
-            .with_assumption(sym("a"), star())
-            .with_assumption(sym("b"), var("a"))
-            .with_assumption(sym("c"), var("b"));
-        let restricted = env.restrict(&[sym("c"), sym("a")]);
-        assert_eq!(restricted.names(), vec![sym("a"), sym("c")]);
-    }
-
-    #[test]
-    fn append_concatenates() {
-        let left = Env::new().with_assumption(sym("a"), star());
-        let right = Env::new().with_assumption(sym("b"), star());
-        let both = left.append(&right);
-        assert_eq!(both.names(), vec![sym("a"), sym("b")]);
-    }
-
-    #[test]
-    fn position_is_oldest_first() {
-        let env = Env::new().with_assumption(sym("a"), star()).with_assumption(sym("b"), star());
-        assert_eq!(env.position(sym("a")), Some(0));
-        assert_eq!(env.position(sym("b")), Some(1));
-        assert_eq!(env.position(sym("zzz")), None);
-    }
-
-    #[test]
     fn display_shows_definitions() {
         let env = Env::new().with_definition(sym("b"), tt(), bool_ty());
         let shown = env.to_string();
         assert!(shown.contains('='));
+    }
+
+    #[test]
+    fn entries_share_the_cc_interners_nodes() {
+        let env = Env::new().with_definition(sym("b"), tt(), bool_ty());
+        let Some(Decl::Definition { ty, term, .. }) = env.lookup(sym("b")) else {
+            panic!("`b` is a definition")
+        };
+        assert!(ty.same(&bool_ty().rc()));
+        assert!(term.same(&tt().rc()));
     }
 }

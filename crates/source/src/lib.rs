@@ -7,7 +7,8 @@
 //!
 //! * [`ast`] — the abstract syntax (Figure 1 of the paper);
 //! * [`builder`] — a DSL for constructing terms programmatically;
-//! * [`mod@env`] — typing environments `Γ` and their well-formedness (Figure 4);
+//! * [`mod@env`] — typing environments `Γ` (Figure 4): the CC instance of
+//!   the telescope [`cccc_util::env`] shares with CC-CC;
 //! * [`subst`] — free variables, capture-avoiding substitution, α-equivalence;
 //! * [`reduce`] — the reduction relation `⊲` and normalization (Figure 2),
 //!   plus a cost-instrumented evaluator counting each rule's firings (§7

@@ -9,27 +9,20 @@
 //!
 //! ## The sentinel
 //!
-//! `<error>` cannot lex as an identifier (see [`crate::parse`]), so it never
-//! collides with a user-written name. A term or type that mentions it is
-//! *poisoned* ([`is_poisoned`] — an O(1) query on the hash-consed free-var
-//! metadata). The Collect policy treats poisoned types as equal to
-//! everything, which stops one genuine error from cascading into dozens of
-//! follow-on mismatches; this is the classic `TyError`/`Ty_Err` recovery
-//! scheme of production compilers.
+//! `<error>` ([`ERROR_NAME`], shared with CC-CC through
+//! [`cccc_util::symbol`]) cannot lex as an identifier (see
+//! [`crate::parse`]), so it never collides with a user-written name. A
+//! term or type that mentions it is *poisoned* ([`is_poisoned`] — an O(1)
+//! query on the hash-consed free-var metadata). The Collect policy treats
+//! poisoned types as equal to everything, which stops one genuine error
+//! from cascading into dozens of follow-on mismatches; this is the classic
+//! `TyError`/`Ty_Err` recovery scheme of production compilers.
 
 use crate::ast::Term;
 use crate::env::Env;
 use crate::subst::occurs_free;
-use cccc_util::symbol::Symbol;
 
-/// The reserved name of the error sentinel. It contains characters that can
-/// never appear in a lexed identifier.
-pub const ERROR_NAME: &str = "<error>";
-
-/// The interned sentinel symbol.
-pub fn error_symbol() -> Symbol {
-    Symbol::intern(ERROR_NAME)
-}
+pub use cccc_util::symbol::{error_symbol, ERROR_NAME};
 
 /// The sentinel term/type `<error>`, used both as the hole the tolerant
 /// parser patches in and as the type every recovery point assigns.
@@ -59,6 +52,7 @@ mod tests {
     use crate::equiv::definitionally_equal;
     use crate::typecheck::{infer, infer_collecting};
     use cccc_util::diag::Diagnostic;
+    use cccc_util::symbol::Symbol;
 
     fn codes(diagnostics: &[Diagnostic]) -> Vec<&str> {
         diagnostics.iter().filter_map(|d| d.code.as_deref()).collect()

@@ -14,32 +14,14 @@
 //! ([`Term::Unit`]) and strong dependent pairs, exactly as in CC. The
 //! ground booleans of §5.2 are carried over unchanged.
 
-use cccc_util::intern::{FreeVars, InternStats, Internable, Interner, Node, NodeMeta};
+use cccc_util::intern::{
+    FreeVars, InternStats, Internable, Interner, Node, NodeMeta, ThreadInterned,
+};
 use cccc_util::symbol::Symbol;
 use std::cell::RefCell;
 use std::fmt;
 
-/// The two universes of CC-CC, identical to those of CC.
-///
-/// `⋆` ([`Universe::Star`]) is the impredicative universe of small types;
-/// `□` ([`Universe::Box`]) is the predicative universe of large types and is
-/// itself untyped.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub enum Universe {
-    /// The impredicative universe `⋆` of small types.
-    Star,
-    /// The predicative universe `□` of large types.
-    Box,
-}
-
-impl fmt::Display for Universe {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Universe::Star => write!(f, "*"),
-            Universe::Box => write!(f, "□"),
-        }
-    }
-}
+pub use cccc_util::universe::Universe;
 
 /// A hash-consed, reference-counted CC-CC term handle. Terms are
 /// immutable; substitution and reduction build new terms, sharing
@@ -251,6 +233,13 @@ impl Internable for Term {
                 NodeMeta::node(fv, [scrutinee.meta(), then_branch.meta(), else_branch.meta()])
             }
         }
+    }
+}
+
+/// Lets the shared typing telescope intern into this thread's interner.
+impl ThreadInterned for Term {
+    fn rc(self) -> RcTerm {
+        Term::rc(self)
     }
 }
 

@@ -1,230 +1,25 @@
 //! Typing environments `Γ` for CC-CC and their well-formedness (Figure 7).
 //!
 //! Identical in structure to the CC environments: an ordered telescope of
-//! assumptions `x : A` and definitions `x = e : A`. Note that per rule
-//! `[Code]`, the code fragments of a program never see the ambient `Γ` —
-//! they are checked in the empty environment — but closures, environments,
-//! and the surrounding program do.
+//! assumptions `x : A` and definitions `x = e : A`, defined once, in
+//! [`cccc_util::env`]; this module names its CC-CC instance. Note that per
+//! rule `[Code]`, the code fragments of a program never see the ambient
+//! `Γ` — they are checked in the empty environment — but closures,
+//! environments, and the surrounding program do.
 
-use crate::ast::{RcTerm, Term};
-use cccc_util::intern::mix_env_entry;
-use cccc_util::symbol::Symbol;
-use std::fmt;
-
-/// One entry of a typing environment.
-#[derive(Clone, Debug)]
-pub enum Decl {
-    /// An assumption `x : A`.
-    Assumption {
-        /// The variable.
-        name: Symbol,
-        /// Its type.
-        ty: RcTerm,
-    },
-    /// A definition `x = e : A`.
-    Definition {
-        /// The variable.
-        name: Symbol,
-        /// Its type.
-        ty: RcTerm,
-        /// Its definition, unfolded by δ-reduction.
-        term: RcTerm,
-    },
-}
-
-impl Decl {
-    /// The variable bound by this entry.
-    pub fn name(&self) -> Symbol {
-        match self {
-            Decl::Assumption { name, .. } | Decl::Definition { name, .. } => *name,
-        }
-    }
-
-    /// The declared type of the entry.
-    pub fn ty(&self) -> &RcTerm {
-        match self {
-            Decl::Assumption { ty, .. } | Decl::Definition { ty, .. } => ty,
-        }
-    }
-
-    /// The definition, if this is a `x = e : A` entry.
-    pub fn definition(&self) -> Option<&RcTerm> {
-        match self {
-            Decl::Assumption { .. } => None,
-            Decl::Definition { term, .. } => Some(term),
-        }
-    }
-}
+use crate::ast::Term;
 
 /// A CC-CC typing environment `Γ`.
-///
-/// Every environment carries a content *fingerprint* — a hash of its entry
-/// sequence with terms identified by their interned node ids — maintained
-/// incrementally on extension. Two environments with identical content have
-/// identical fingerprints, which is what keys the memoized conversion
-/// checker in [`crate::equiv`].
-#[derive(Clone, Debug, Default)]
-pub struct Env {
-    decls: Vec<Decl>,
-    fingerprint: u64,
-}
+pub type Env = cccc_util::env::Env<Term>;
 
-/// Folds one declaration into a fingerprint.
-fn mix_decl(fingerprint: u64, decl: &Decl) -> u64 {
-    match decl {
-        Decl::Assumption { name, ty } => mix_env_entry(fingerprint, *name, ty.id(), None),
-        Decl::Definition { name, ty, term } => {
-            mix_env_entry(fingerprint, *name, ty.id(), Some(term.id()))
-        }
-    }
-}
-
-/// Recomputes a fingerprint from scratch (used by the bulk constructors).
-fn fingerprint_of(decls: &[Decl]) -> u64 {
-    decls.iter().fold(0, mix_decl)
-}
-
-impl Env {
-    /// The empty environment `·` — the only environment rule `[Code]`
-    /// checks code under.
-    pub fn new() -> Env {
-        Env { decls: Vec::new(), fingerprint: 0 }
-    }
-
-    /// The environment's content fingerprint: a hash of the entry sequence
-    /// with terms identified by interned node id. Environments with equal
-    /// content always agree; unequal content collides only with hash
-    /// probability. Used as the environment component of conversion memo
-    /// keys.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.decls.len()
-    }
-
-    /// Whether the environment is empty.
-    pub fn is_empty(&self) -> bool {
-        self.decls.is_empty()
-    }
-
-    /// Returns a new environment extended with the assumption `name : ty`.
-    pub fn with_assumption(&self, name: Symbol, ty: Term) -> Env {
-        let mut next = self.clone();
-        next.push_assumption(name, ty);
-        next
-    }
-
-    /// Returns a new environment extended with the definition
-    /// `name = term : ty`.
-    pub fn with_definition(&self, name: Symbol, term: Term, ty: Term) -> Env {
-        let mut next = self.clone();
-        next.push_definition(name, term, ty);
-        next
-    }
-
-    /// Appends the assumption `name : ty` in place.
-    pub fn push_assumption(&mut self, name: Symbol, ty: Term) {
-        let decl = Decl::Assumption { name, ty: ty.rc() };
-        self.fingerprint = mix_decl(self.fingerprint, &decl);
-        self.decls.push(decl);
-    }
-
-    /// Appends the definition `name = term : ty` in place.
-    pub fn push_definition(&mut self, name: Symbol, term: Term, ty: Term) {
-        let decl = Decl::Definition { name, ty: ty.rc(), term: term.rc() };
-        self.fingerprint = mix_decl(self.fingerprint, &decl);
-        self.decls.push(decl);
-    }
-
-    /// Looks up the most recent entry for `name`.
-    pub fn lookup(&self, name: Symbol) -> Option<&Decl> {
-        self.decls.iter().rev().find(|d| d.name() == name)
-    }
-
-    /// Looks up the declared type of `name`.
-    pub fn lookup_type(&self, name: Symbol) -> Option<&RcTerm> {
-        self.lookup(name).map(Decl::ty)
-    }
-
-    /// Looks up the definition of `name`, if it has one (used by
-    /// δ-reduction).
-    pub fn lookup_definition(&self, name: Symbol) -> Option<&RcTerm> {
-        self.lookup(name).and_then(Decl::definition)
-    }
-
-    /// Whether `name` is bound in the environment.
-    pub fn contains(&self, name: Symbol) -> bool {
-        self.lookup(name).is_some()
-    }
-
-    /// Iterates over the entries from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &Decl> {
-        self.decls.iter()
-    }
-
-    /// The names bound in the environment, oldest first.
-    pub fn names(&self) -> Vec<Symbol> {
-        self.decls.iter().map(Decl::name).collect()
-    }
-
-    /// The position of the most recent entry for `name`, oldest-first.
-    pub fn position(&self, name: Symbol) -> Option<usize> {
-        self.decls.iter().rposition(|d| d.name() == name)
-    }
-
-    /// Restricts the environment to the entries whose names appear in
-    /// `keep`, preserving order.
-    pub fn restrict(&self, keep: &[Symbol]) -> Env {
-        let decls: Vec<Decl> =
-            self.decls.iter().filter(|d| keep.contains(&d.name())).cloned().collect();
-        let fingerprint = fingerprint_of(&decls);
-        Env { decls, fingerprint }
-    }
-
-    /// Appends all entries of `other` after the entries of `self`.
-    pub fn append(&self, other: &Env) -> Env {
-        let mut decls = self.decls.clone();
-        decls.extend(other.decls.iter().cloned());
-        let fingerprint = other.decls.iter().fold(self.fingerprint, mix_decl);
-        Env { decls, fingerprint }
-    }
-}
-
-impl fmt::Display for Env {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.decls.is_empty() {
-            return write!(f, "·");
-        }
-        let mut first = true;
-        for d in &self.decls {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            match d {
-                Decl::Assumption { name, ty } => write!(f, "{name} : {ty}")?,
-                Decl::Definition { name, ty, term } => write!(f, "{name} = {term} : {ty}")?,
-            }
-        }
-        Ok(())
-    }
-}
-
-impl FromIterator<Decl> for Env {
-    fn from_iter<I: IntoIterator<Item = Decl>>(iter: I) -> Env {
-        let decls: Vec<Decl> = iter.into_iter().collect();
-        let fingerprint = fingerprint_of(&decls);
-        Env { decls, fingerprint }
-    }
-}
+/// One entry of a CC-CC typing environment.
+pub type Decl = cccc_util::env::Decl<Term>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::*;
+    use cccc_util::symbol::Symbol;
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
@@ -249,26 +44,23 @@ mod tests {
         let env = Env::new().with_definition(sym("u"), unit_val(), unit_ty());
         assert!(env.lookup_definition(sym("u")).is_some());
         assert!(env.lookup_definition(sym("missing")).is_none());
-        assert!(env.contains(sym("u")));
+        assert!(env.lookup(sym("u")).is_some());
         assert_eq!(env.len(), 1);
-    }
-
-    #[test]
-    fn restrict_and_append_preserve_order() {
-        let env = Env::new()
-            .with_assumption(sym("a"), star())
-            .with_assumption(sym("b"), var("a"))
-            .with_assumption(sym("c"), var("b"));
-        let restricted = env.restrict(&[sym("c"), sym("a")]);
-        assert_eq!(restricted.names(), vec![sym("a"), sym("c")]);
-        let appended = restricted.append(&Env::new().with_assumption(sym("z"), star()));
-        assert_eq!(appended.names(), vec![sym("a"), sym("c"), sym("z")]);
-        assert_eq!(appended.position(sym("z")), Some(2));
     }
 
     #[test]
     fn display_shows_definitions() {
         let env = Env::new().with_definition(sym("u"), unit_val(), unit_ty());
         assert!(env.to_string().contains('='));
+    }
+
+    #[test]
+    fn entries_share_the_cc_cc_interners_nodes() {
+        let env = Env::new().with_definition(sym("u"), unit_val(), unit_ty());
+        let Some(Decl::Definition { ty, term, .. }) = env.lookup(sym("u")) else {
+            panic!("`u` is a definition")
+        };
+        assert!(ty.same(&unit_ty().rc()));
+        assert!(term.same(&unit_val().rc()));
     }
 }

@@ -21,7 +21,7 @@
 //! | Paper | Module | Item |
 //! |---|---|---|
 //! | Figure 5, syntax of CC-CC | [`ast`] | [`Term`] with [`Term::Code`], [`Term::CodeTy`], [`Term::Closure`], [`Term::Unit`], [`Term::UnitVal`] |
-//! | Figure 5, environments `Γ` | [`mod@env`] | [`Env`], [`Decl`] |
+//! | Figure 5, environments `Γ` | [`mod@env`] | [`Env`], [`Decl`]: the CC-CC instance of the telescope [`cccc_util::env`] shares with CC |
 //! | Figure 6, reduction `Γ ⊢ e ⊲ e'` (closure application, δ, ζ, π1/π2) | [`reduce`] | [`reduce::step`], [`reduce::whnf`], [`reduce::normalize`], [`reduce::eval`] |
 //! | Figure 6, equivalence `Γ ⊢ e ≡ e'` with closure-η | [`equiv`] | [`equiv::equiv`], [`equiv::definitionally_equal`] |
 //! | Figure 6, `⊲*`/`≡` as an environment machine (the hot-path engine) | [`nbe`] | [`nbe::eval`], [`nbe::quote`], [`nbe::conv`] |

@@ -5,7 +5,6 @@
 //! closures as `<<e, e'>>`, the unit type as `1` and its value as `<>`.
 
 use crate::ast::{Term, Universe};
-use crate::env::{Decl, Env};
 use cccc_util::pretty::Doc;
 
 /// Precedence levels used to decide where parentheses are required.
@@ -32,25 +31,6 @@ pub fn term_to_string_width(term: &Term, width: usize) -> String {
 /// Builds a pretty-printing document for a term.
 pub fn term_to_doc(term: &Term) -> Doc {
     doc_at(term, Prec::Binder)
-}
-
-/// Renders an environment, e.g. for error messages.
-pub fn env_to_string(env: &Env) -> String {
-    if env.is_empty() {
-        return "·".to_owned();
-    }
-    let entries: Vec<Doc> = env
-        .iter()
-        .map(|d| match d {
-            Decl::Assumption { name, ty } => {
-                Doc::text(format!("{} : {}", name, term_to_string(ty)))
-            }
-            Decl::Definition { name, ty, term } => {
-                Doc::text(format!("{} = {} : {}", name, term_to_string(term), term_to_string(ty)))
-            }
-        })
-        .collect();
-    Doc::join(entries, Doc::text(", ")).render(100)
 }
 
 fn doc_at(term: &Term, prec: Prec) -> Doc {
@@ -211,15 +191,14 @@ mod tests {
 
     #[test]
     fn env_rendering() {
-        assert_eq!(env_to_string(&Env::new()), "·");
+        use crate::env::Env;
+        assert_eq!(Env::new().to_string(), "·");
         let env = Env::new().with_assumption(Symbol::intern("A"), star()).with_definition(
             Symbol::intern("u"),
             unit_val(),
             unit_ty(),
         );
-        let shown = env_to_string(&env);
-        assert!(shown.contains("A : *"));
-        assert!(shown.contains("u = <> : 1"));
+        assert_eq!(env.to_string(), "A : *, u = <> : 1");
     }
 
     #[test]

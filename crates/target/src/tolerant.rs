@@ -4,7 +4,9 @@
 //! the one rule set of [`crate::typecheck`] — including the
 //! closure-conversion rules `[Code]`, `[T-Code]`, and `[Clo]` — records
 //! each violation as a coded diagnostic and recovers with the error
-//! sentinel `<error>`, exactly like the source-side `cccc_source::tolerant`.
+//! sentinel `<error>`, exactly like the source-side `cccc_source::tolerant`:
+//! both re-export [`ERROR_NAME`] and [`error_symbol`] from
+//! [`cccc_util::symbol`], so the spelling cannot drift.
 //! A type mentioning the sentinel is *poisoned* ([`is_poisoned`], O(1) on
 //! the cached free-variable metadata) and unifies with anything, so a
 //! single genuine error does not cascade. The recovery points and the
@@ -12,16 +14,8 @@
 
 use crate::ast::Term;
 use crate::subst::occurs_free;
-use cccc_util::symbol::Symbol;
 
-/// The reserved name of the error sentinel (shared spelling with the
-/// source language, so poison survives translation boundaries).
-pub const ERROR_NAME: &str = "<error>";
-
-/// The interned sentinel symbol.
-pub fn error_symbol() -> Symbol {
-    Symbol::intern(ERROR_NAME)
-}
+pub use cccc_util::symbol::{error_symbol, ERROR_NAME};
 
 /// The sentinel term/type `<error>`.
 pub fn error_term() -> Term {
@@ -41,6 +35,7 @@ mod tests {
     use crate::equiv::definitionally_equal;
     use crate::typecheck::{infer, infer_collecting};
     use cccc_util::diag::Diagnostic;
+    use cccc_util::symbol::Symbol;
 
     fn codes(diagnostics: &[Diagnostic]) -> Vec<&str> {
         diagnostics.iter().filter_map(|d| d.code.as_deref()).collect()

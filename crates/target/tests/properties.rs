@@ -267,7 +267,9 @@ fn closure_eta_identifies_eta_wrappings() {
 /// Strips definitions so normalization of the open term cannot unfold the
 /// assumptions (they have none, but keep the helper explicit).
 fn env_without_definitions(env: &Env) -> Env {
-    env.iter()
-        .map(|d| cccc_target::Decl::Assumption { name: d.name(), ty: d.ty().clone() })
-        .collect()
+    let mut assumptions = Env::new();
+    for d in env.iter() {
+        assumptions.push_assumption(d.name(), (**d.ty()).clone());
+    }
+    assumptions
 }

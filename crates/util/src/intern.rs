@@ -345,6 +345,14 @@ pub trait Internable: Clone + Eq + Hash {
     fn compute_meta(&self) -> NodeMeta;
 }
 
+/// A term type with one thread-local [`Interner`], so code generic over
+/// the language — the shared typing telescope [`crate::env::Env`] — can
+/// build its handles. Each language forwards to its own `Term::rc`.
+pub trait ThreadInterned: Internable {
+    /// Interns the value into the calling thread's interner.
+    fn rc(self) -> Node<Self>;
+}
+
 struct NodeInner<T> {
     id: NodeId,
     hash: u64,
@@ -583,11 +591,12 @@ impl ConvCache {
 }
 
 /// Chains one typing-environment entry into a content fingerprint — the
-/// environment component of conversion memo keys. Both languages' `Env`
-/// types maintain this incrementally on extension: an assumption passes
-/// `definition: None`, a definition its term's id. Environments with equal
-/// content (same names, same interned types/definitions, same order)
-/// always agree; unequal content collides only with hash probability.
+/// environment component of conversion memo keys. The shared telescope
+/// [`crate::env::Env`] maintains this incrementally on extension: an
+/// assumption passes `definition: None`, a definition its term's id.
+/// Environments with equal content (same names, same interned
+/// types/definitions, same order) always agree; unequal content collides
+/// only with hash probability.
 pub fn mix_env_entry(
     fingerprint: u64,
     name: Symbol,

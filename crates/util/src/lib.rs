@@ -4,14 +4,20 @@
 //! the target language (CC-CC) implementations depend on:
 //!
 //! * [`symbol`] — a global string interner, the [`symbol::Symbol`] handle
-//!   type, and a fresh-name supply used by capture-avoiding substitution and
-//!   by the closure-conversion translation.
+//!   type, a fresh-name supply used by capture-avoiding substitution and
+//!   by the closure-conversion translation, and the keep-going type
+//!   checkers' error sentinel [`symbol::ERROR_NAME`].
 //! * [`intern`] — the hash-consing kernel: [`intern::Node`] handles with
 //!   O(1) identity equality and cached per-node metadata (free-variable
 //!   set, closedness, depth, size), produced by per-language
-//!   [`intern::Interner`]s.
+//!   [`intern::Interner`]s; [`intern::ThreadInterned`] lets code generic
+//!   over the language intern into them.
 //! * [`binder`] — the shared capture-avoidance skeleton for named-binder
 //!   substitution (single-binder and the CC-CC two-binder code forms).
+//! * [`mod@env`] — the typing telescope `Γ` of assumptions and definitions
+//!   with its incremental content fingerprint, defined once and
+//!   instantiated by each language's `env` module.
+//! * [`universe`] — the universes `⋆` and `□` both languages share.
 //! * [`wire`] — the compact, deterministic, `Send` term encoding that
 //!   carries terms, interfaces, and compiled artifacts across thread
 //!   boundaries (the per-worker interners of the parallel module driver
@@ -55,6 +61,7 @@ pub mod binder;
 pub mod cancel;
 pub mod cost;
 pub mod diag;
+pub mod env;
 pub mod fuel;
 pub mod intern;
 pub mod panics;
@@ -62,6 +69,7 @@ pub mod pretty;
 pub mod span;
 pub mod symbol;
 pub mod trace;
+pub mod universe;
 pub mod wire;
 
 pub use cancel::{Backoff, CancelReason, CancelToken};

@@ -179,6 +179,17 @@ impl From<String> for Symbol {
     }
 }
 
+/// The reserved name of the keep-going type checkers' error sentinel. CC
+/// and CC-CC share it, so poison survives translation. It contains
+/// characters that never appear in a lexed identifier, so it cannot
+/// collide with a user-written name.
+pub const ERROR_NAME: &str = "<error>";
+
+/// The interned error-sentinel symbol.
+pub fn error_symbol() -> Symbol {
+    Symbol::intern(ERROR_NAME)
+}
+
 /// A deterministic supply of fresh symbols, useful in tests and in the term
 /// generator where reproducibility matters more than global uniqueness.
 ///

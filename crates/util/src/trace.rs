@@ -547,16 +547,6 @@ impl BuildTrace {
         lines
     }
 
-    /// Appends another trace's records (e.g. a [`capture`]d post-build
-    /// link phase). The other trace's timestamps keep their own epoch —
-    /// tracks remain readable per worker, but cross-trace time
-    /// comparisons are not meaningful.
-    pub fn merged(mut self, other: BuildTrace) -> BuildTrace {
-        self.spans.extend(other.spans);
-        self.events.extend(other.events);
-        self
-    }
-
     /// Exports the trace in the Chrome trace-event JSON format: an object
     /// with a `traceEvents` array of complete (`"ph":"X"`) and instant
     /// (`"ph":"i"`) events, one `tid` (track) per worker, timestamps in
@@ -796,17 +786,5 @@ mod tests {
         assert!(!outer_names.contains(&"inner"));
         assert_eq!(inner_trace.spans.len(), 1);
         assert_eq!(inner_trace.spans[0].name, "inner");
-    }
-
-    #[test]
-    fn merged_concatenates_records() {
-        let ((), a) = capture(|| {
-            let _s = span("a");
-        });
-        let ((), b) = capture(|| {
-            let _s = span("b");
-        });
-        let merged = a.merged(b);
-        assert_eq!(merged.spans.len(), 2);
     }
 }

@@ -143,8 +143,8 @@ impl Fingerprint {
     }
 
     /// Combines this fingerprint with another into a new one (order
-    /// matters). Used to fold a unit's source, its options, and its
-    /// imports' interface fingerprints into one cache key.
+    /// matters). Used to fold a unit's source and its imports' interface
+    /// fingerprints into one cache key.
     pub fn combine(self, other: Fingerprint) -> Fingerprint {
         let mut words = [0u64; 4];
         words[0] = self.0 as u64;
@@ -154,7 +154,7 @@ impl Fingerprint {
         Fingerprint::of_words(&words)
     }
 
-    /// Folds a bare word (an option bit set, a name, a counter) into the
+    /// Folds a bare word (a query's domain tag, a counter) into the
     /// fingerprint.
     pub fn combine_word(self, word: u64) -> Fingerprint {
         self.combine(Fingerprint::of_words(&[word]))
