@@ -262,24 +262,28 @@ impl fmt::Display for PhaseNanos {
 }
 
 /// The state of every thread-local cache the pipeline relies on: both
-/// languages' term interners and conversion memo tables.
+/// languages' term interners and conversion memo tables, and the CC-CC
+/// `[Code]` memo.
 ///
 /// [`cache_snapshot`] takes one; [`CacheReport::since`] subtracts an
 /// earlier one into the activity in between (counters become deltas,
 /// table sizes stay the later observation's). This is how the interner
 /// and memo counters of the per-crate free functions
-/// ([`src::ast::intern_stats`], [`src::equiv::conv_cache_stats`], and
-/// their `tgt` twins) surface in the driver's per-unit diagnostics.
+/// ([`src::ast::intern_stats`], [`src::equiv::conv_cache_stats`], their
+/// `tgt` twins, and [`tgt::typecheck::code_memo_stats`]) surface in the
+/// driver's per-unit diagnostics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheReport {
     /// CC interner counters (hit/miss/prune).
     pub source_intern: InternStats,
     /// CC-CC interner counters (hit/miss/prune).
     pub target_intern: InternStats,
-    /// CC conversion-memo counters (identity/memo-hit/miss/clear).
+    /// CC conversion-memo counters (identity/memo-hit/miss/rotation).
     pub source_conv: ConvCacheStats,
-    /// CC-CC conversion-memo counters (identity/memo-hit/miss/clear).
+    /// CC-CC conversion-memo counters (identity/memo-hit/miss/rotation).
     pub target_conv: ConvCacheStats,
+    /// `[Code]` memo counters (memo-hit/miss/rotation).
+    pub code_memo: ConvCacheStats,
     /// Entries in the CC interner table.
     pub source_intern_table: usize,
     /// Entries in the CC-CC interner table.
@@ -288,6 +292,8 @@ pub struct CacheReport {
     pub source_conv_table: usize,
     /// Entries in the CC-CC conversion memo.
     pub target_conv_table: usize,
+    /// Code blocks in the `[Code]` memo.
+    pub code_memo_table: usize,
 }
 
 /// Snapshots the current thread's interner and conversion-memo state.
@@ -297,10 +303,12 @@ pub fn cache_snapshot() -> CacheReport {
         target_intern: tgt::ast::intern_stats(),
         source_conv: src::equiv::conv_cache_stats(),
         target_conv: tgt::equiv::conv_cache_stats(),
+        code_memo: tgt::typecheck::code_memo_stats(),
         source_intern_table: src::ast::intern_table_len(),
         target_intern_table: tgt::ast::intern_table_len(),
         source_conv_table: src::equiv::conv_cache_len(),
         target_conv_table: tgt::equiv::conv_cache_len(),
+        code_memo_table: tgt::typecheck::code_memo_len(),
     }
 }
 
@@ -313,6 +321,7 @@ impl CacheReport {
             target_intern: self.target_intern.since(&earlier.target_intern),
             source_conv: self.source_conv.since(&earlier.source_conv),
             target_conv: self.target_conv.since(&earlier.target_conv),
+            code_memo: self.code_memo.since(&earlier.code_memo),
             ..*self
         }
     }

@@ -311,8 +311,8 @@ impl ArtifactCache {
 
     /// Drops every entry and resets the counters (used to measure cold
     /// builds). The store, if any, is untouched.
-    pub(crate) fn clear(&mut self) {
-        *self.table.get_mut().unwrap_or_else(PoisonError::into_inner) = Table::default();
+    pub(crate) fn clear(&self) {
+        *self.lock() = Table::default();
     }
 }
 
@@ -466,7 +466,7 @@ mod tests {
 
     #[test]
     fn clear_empties_cache_and_counters() {
-        let mut cache = ArtifactCache::default();
+        let cache = ArtifactCache::default();
         settle(&cache, "m", Fingerprint::default(), true, CacheTier::Memory);
         cache.clear();
         assert_eq!(cache.stats(), CacheStats::default());

@@ -9,8 +9,9 @@
 //!
 //! * [`graph`] — the compilation-unit graph: named units with typed
 //!   import interfaces, cycle detection, topological scheduling;
-//! * [`session`] — the [`session::Session`]: a worker pool compiling
-//!   ready units in parallel (one interner per worker thread; terms cross
+//! * [`session`] — the [`session::Session`]: resident worker threads
+//!   compiling ready units in parallel (one interner and one set of memos
+//!   per worker, kept warm from one build to the next; terms cross
 //!   workers through [`cccc_util::wire`]), per-unit diagnostics, and
 //!   module-level linking;
 //! * [`query`] — the artifact and verified query keys: a unit's artifact

@@ -6,10 +6,13 @@
 //! ([`crate::cache`]), optionally a persistent [`ArtifactStore`]
 //! ([`Session::with_store`]), the set of verified verdicts, and the
 //! [`CompilerOptions`] every unit is compiled with. [`Session::build`]
-//! validates the graph, then runs a work-stealing pool of OS threads:
-//! each worker owns its thread's CC/CC-CC interners and memo tables (the
-//! kernel's handles are `!Send` by design), picks ready units off the
-//! shared frontier *critical-path-first* (longest chain to a sink,
+//! validates the graph, then hands the build to the session's resident
+//! worker threads. Each worker owns its thread's CC/CC-CC interners and
+//! memo tables (the kernel's handles are `!Send` by design), and the
+//! session keeps its workers — and so those tables — from one build to
+//! the next: an edit's `[Code]` checks hit code blocks that earlier
+//! builds checked. Every worker claims ready units off one shared
+//! frontier *critical-path-first* (longest chain to a sink,
 //! [`Plan::priority`]), imports its dependencies' *interfaces* through
 //! the wire codec, and then answers the unit from two queries (see
 //! [`crate::query`]):
@@ -54,7 +57,8 @@ use cccc_util::trace::{self, BuildTrace, TraceSink};
 use cccc_util::wire::{Fingerprint, WireTerm};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How one unit fared in a build.
@@ -346,15 +350,19 @@ impl BuildReport {
 /// one unit and no imports ([`Session::single_program`]) compiles exactly
 /// what [`Compiler::compile_closed`] compiles, with the same verification
 /// verdicts — the differential suites pin this down.
+///
+/// A session owns its worker threads: it starts them at its first build,
+/// keeps them parked between builds, and joins them when it drops.
+/// Sessions do not share workers, so a new session's first build is cold.
 pub struct Session {
-    graph: UnitGraph,
+    graph: Arc<UnitGraph>,
     options: CompilerOptions,
-    cache: ArtifactCache,
-    store: Option<ArtifactStore>,
+    cache: Arc<ArtifactCache>,
+    store: Option<Arc<ArtifactStore>>,
     /// Verify keys ([`query::verify_key`]) whose verdict this session
     /// has established or read from the store. Content-addressed, so
     /// α-equivalent units check and verify once.
-    verified: Mutex<HashSet<Fingerprint>>,
+    verified: Arc<Mutex<HashSet<Fingerprint>>>,
     /// When set, every [`Session::build`] ends with a store GC sweep
     /// down to this byte budget, protecting the keys reachable from the
     /// build that just finished.
@@ -376,7 +384,15 @@ pub struct Session {
     results: HashMap<String, Arc<Artifact>>,
     poisons: HashMap<String, Arc<PoisonedInterface>>,
     tracing: bool,
+    workers: Workers,
 }
+
+// Sessions move between threads: a UI or a service may build on
+// whichever thread it runs. The resident workers must not prevent that.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Session>();
+};
 
 /// What a settled unit published for its dependents: a compiled artifact,
 /// or (keep-going mode only) a poisoned interface. A `None` slot means
@@ -411,7 +427,7 @@ impl PartialOrd for ReadyUnit {
     }
 }
 
-/// Scheduler state shared by the worker pool.
+/// Scheduler state shared by a build's workers.
 struct SchedState {
     ready: BinaryHeap<ReadyUnit>,
     pending: Vec<usize>,
@@ -428,18 +444,47 @@ struct SchedState {
 }
 
 /// Everything a worker needs for one build, bundled so the query-layer
-/// helpers don't take ten parameters each. Shared by reference across
-/// the pool.
-struct BuildCtx<'a> {
-    graph: &'a UnitGraph,
-    plan: &'a Plan,
+/// helpers don't take ten parameters each. The session and the build's
+/// workers share it through one `Arc`; the session's own tables enter it
+/// as `Arc` snapshots, so nothing in it borrows from the session.
+struct Build {
+    graph: Arc<UnitGraph>,
+    plan: Plan,
     options: CompilerOptions,
-    cache: &'a ArtifactCache,
-    verified: &'a Mutex<HashSet<Fingerprint>>,
-    store: Option<&'a ArtifactStore>,
+    cache: Arc<ArtifactCache>,
+    verified: Arc<Mutex<HashSet<Fingerprint>>>,
+    store: Option<Arc<ArtifactStore>>,
     cancel: CancelToken,
     cancel_after: Option<usize>,
     panic_plan: Option<Arc<PanicPlan>>,
+    state: Mutex<SchedState>,
+    /// Signalled whenever a unit settles.
+    ready_signal: Condvar,
+    sink: TraceSink,
+}
+
+/// The session's resident build workers, started on demand: a build on
+/// `n` workers runs on the first `n`, so the pool grows to the largest
+/// count any build asked for. Dropping the pool joins every worker.
+#[derive(Default)]
+struct Workers {
+    threads: Vec<Worker>,
+}
+
+/// One resident worker: its thread, parked on the channel that hands it
+/// builds.
+struct Worker {
+    jobs: mpsc::Sender<Job>,
+    thread: JoinHandle<()>,
+}
+
+/// One worker's part in one build. Fields drop in declaration order, so
+/// the worker lets go of the build before it drops `_done`, which is all
+/// the session waits for.
+struct Job {
+    build: Arc<Build>,
+    worker: usize,
+    _done: mpsc::Sender<()>,
 }
 
 impl Session {
@@ -447,11 +492,11 @@ impl Session {
     /// cached in memory only and die with the session.
     pub fn new(options: CompilerOptions) -> Session {
         Session {
-            graph: UnitGraph::new(),
+            graph: Arc::default(),
             options,
-            cache: ArtifactCache::default(),
+            cache: Arc::default(),
             store: None,
-            verified: Mutex::new(HashSet::new()),
+            verified: Arc::default(),
             store_budget: None,
             cancel: CancelToken::new(),
             cancel_after: None,
@@ -459,6 +504,7 @@ impl Session {
             results: HashMap::new(),
             poisons: HashMap::new(),
             tracing: false,
+            workers: Workers::default(),
         }
     }
 
@@ -479,7 +525,7 @@ impl Session {
     ) -> Result<Session, DriverError> {
         let store =
             ArtifactStore::open(store_dir).map_err(|e| DriverError::Store(e.to_string()))?;
-        Ok(Session { store: Some(store), ..Session::new(options) })
+        Ok(Session { store: Some(Arc::new(store)), ..Session::new(options) })
     }
 
     /// Installs a deterministic fault plan on the persistent store (no-op
@@ -592,7 +638,7 @@ impl Session {
         imports: &[&str],
         term: &src::Term,
     ) -> Result<(), DriverError> {
-        self.graph.add_unit(name, imports, term)
+        Arc::make_mut(&mut self.graph).add_unit(name, imports, term)
     }
 
     /// Replaces a unit's source between builds (see
@@ -603,7 +649,7 @@ impl Session {
     ///
     /// Returns [`DriverError::UnknownUnit`] if no unit has this name.
     pub fn update_unit(&mut self, name: &str, term: &src::Term) -> Result<(), DriverError> {
-        self.graph.update_unit(name, term)
+        Arc::make_mut(&mut self.graph).update_unit(name, term)
     }
 
     /// Artifact-table counters accumulated over the session.
@@ -613,15 +659,17 @@ impl Session {
 
     /// Persistent-store counters and sizes (`None` without a store).
     pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(ArtifactStore::stats)
+        self.store.as_deref().map(ArtifactStore::stats)
     }
 
     /// Drops every cached artifact *and* every verified verdict from
-    /// memory (turns the next build cold in this session; a persistent
-    /// store, if attached, still answers).
+    /// memory, so the next build in this session runs every phase again
+    /// (a persistent store, if attached, still answers). The workers'
+    /// interners and memos stay warm: they change how long a phase takes,
+    /// never what it produces.
     pub fn clear_cache(&mut self) {
         self.cache.clear();
-        self.verified.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+        self.verified.lock().unwrap_or_else(PoisonError::into_inner).clear();
         self.results.clear();
         self.poisons.clear();
     }
@@ -689,8 +737,9 @@ impl Session {
         src::wire::decode(&source_ty).map_err(|e| DriverError::Wire(e.to_string()))
     }
 
-    /// Compiles every unit, `workers` at a time, answering each phase
-    /// from the query layer where it can.
+    /// Compiles every unit on the session's first `workers` resident
+    /// workers (starting any it lacks), answering each phase from the
+    /// query layer where it can.
     ///
     /// # Errors
     ///
@@ -704,26 +753,15 @@ impl Session {
         let workers = workers.max(1).min(unit_count.max(1));
         let started = Instant::now();
         let cache_before = self.cache.stats();
-        let store_before = self.store.as_ref().map(ArtifactStore::counters);
+        let store_before = self.store.as_deref().map(ArtifactStore::counters);
 
-        let ctx = BuildCtx {
-            graph: &self.graph,
-            plan: &plan,
-            options: self.options,
-            cache: &self.cache,
-            verified: &self.verified,
-            store: self.store.as_ref(),
-            cancel: self.cancel.clone(),
-            cancel_after: self.cancel_after,
-            panic_plan: self.panic_plan.clone(),
-        };
         // Cancel-before-anything: the sweep suites ask for the smallest
         // partial report — every unit skipped, nothing claimed.
         if self.cancel_after == Some(0) {
             self.cancel.cancel_with(CancelReason::User);
         }
 
-        let state = Mutex::new(SchedState {
+        let state = SchedState {
             ready: plan
                 .order
                 .iter()
@@ -737,37 +775,32 @@ impl Session {
             remaining: unit_count,
             claimed_at: vec![None; unit_count],
             overran: Vec::new(),
+        };
+        let build = Arc::new(Build {
+            graph: Arc::clone(&self.graph),
+            plan,
+            options: self.options,
+            cache: Arc::clone(&self.cache),
+            verified: Arc::clone(&self.verified),
+            store: self.store.clone(),
+            cancel: self.cancel.clone(),
+            cancel_after: self.cancel_after,
+            panic_plan: self.panic_plan.clone(),
+            state: Mutex::new(state),
+            ready_signal: Condvar::new(),
+            sink: TraceSink::new(self.tracing),
         });
-        let ready_signal = Condvar::new();
-        let sink = TraceSink::new(self.tracing);
-        let watchdog =
-            self.options.build_deadline.is_some() || self.options.unit_deadline.is_some();
+        let all_done = self.workers.dispatch(&build, workers);
+        if self.options.build_deadline.is_some() || self.options.unit_deadline.is_some() {
+            watchdog_loop(&build, started);
+        }
+        // No worker sends: each drops its sender once it has flushed its
+        // trace and let go of the build, so this returns when all have.
+        let _ = all_done.recv();
+        let Build { plan, state, sink, .. } =
+            Arc::into_inner(build).expect("every worker has let go of the build");
 
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let state = &state;
-                let ready_signal = &ready_signal;
-                let ctx = &ctx;
-                let sink = &sink;
-                std::thread::Builder::new()
-                    .stack_size(WORKER_STACK_BYTES)
-                    .spawn_scoped(scope, move || {
-                        let _trace_guard = sink.install(worker);
-                        // Fuel checkpoints and store retries poll the ambient
-                        // token; install it for this worker's whole build.
-                        let _cancel_guard = cancel::install(&ctx.cancel);
-                        worker_loop(worker, ctx, state, ready_signal);
-                    })
-                    .expect("the OS spawns a build worker");
-            }
-            if watchdog {
-                let state = &state;
-                let ctx = &ctx;
-                scope.spawn(move || watchdog_loop(ctx, state, started));
-            }
-        });
-
-        let mut state = state.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
         self.cache.finish_build();
         self.results.clear();
         self.poisons.clear();
@@ -785,7 +818,7 @@ impl Session {
         // Sweep the store down to its budget while the reachable set is
         // fresh — before the store-counter delta below, so the sweep's
         // eviction counters land in this build's report.
-        let gc = match (self.store_budget, ctx.store) {
+        let gc = match (self.store_budget, &self.store) {
             (Some(budget), Some(store)) => Some(store.gc(&self.live_store_keys(&plan), budget)),
             _ => None,
         };
@@ -810,8 +843,9 @@ impl Session {
         for unit in &units {
             queries.add(unit.phase_runs);
         }
-        let store =
-            store_before.zip(ctx.store).map(|(before, store)| store.counters().since(&before));
+        let store = store_before
+            .zip(self.store.as_deref())
+            .map(|(before, store)| store.counters().since(&before));
         let trace_data = sink.finish();
         // The build consumes any cancellation it observed: record how it
         // ended, then reset the token so the next build starts live.
@@ -955,19 +989,76 @@ impl Session {
     }
 }
 
+impl Workers {
+    /// Hands `build` to the first `count` workers, starting the ones the
+    /// pool lacks and replacing any found dead. The returned receiver's
+    /// `recv` returns once each of them has dropped its [`Job`].
+    fn dispatch(&mut self, build: &Arc<Build>, count: usize) -> mpsc::Receiver<()> {
+        let (done, all_done) = mpsc::channel();
+        for worker in 0..count {
+            if worker == self.threads.len() {
+                self.threads.push(Worker::spawn(worker));
+            } else if self.threads[worker].thread.is_finished() {
+                // A unit's panic is caught on its worker, so a worker dies
+                // only of a panic outside every unit, which the panic hook
+                // has already printed; start a fresh one in its place.
+                let dead = std::mem::replace(&mut self.threads[worker], Worker::spawn(worker));
+                let _ = dead.thread.join();
+            }
+            let job = Job { build: Arc::clone(build), worker, _done: done.clone() };
+            self.threads[worker].jobs.send(job).expect("a live worker takes its job");
+        }
+        all_done
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        // Dropping a worker's sender ends its loop; close every channel
+        // first so the workers wind down together.
+        let threads: Vec<JoinHandle<()>> = self.threads.drain(..).map(|w| w.thread).collect();
+        for thread in threads {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Worker {
+    /// Starts worker `index`, parked until its first job.
+    fn spawn(index: usize) -> Worker {
+        let (jobs, inbox) = mpsc::channel::<Job>();
+        let thread = std::thread::Builder::new()
+            .name(format!("cccc-worker-{index}"))
+            .stack_size(WORKER_STACK_BYTES)
+            .spawn(move || inbox.into_iter().for_each(Job::run))
+            .expect("the OS spawns a build worker");
+        Worker { jobs, thread }
+    }
+}
+
+impl Job {
+    /// Runs this worker's part of the build. The guards drop first, which
+    /// flushes the worker's trace buffer into the build's sink; then the
+    /// job itself drops.
+    fn run(self) {
+        let _trace_guard = self.build.sink.install(self.worker);
+        // Fuel checkpoints and store retries poll the ambient token;
+        // install it for this worker's whole build.
+        let _cancel_guard = cancel::install(&self.build.cancel);
+        worker_loop(self.worker, &self.build);
+    }
+}
+
 /// One worker: claim ready units, answer their queries, publish, repeat.
-fn worker_loop(
-    worker: usize,
-    ctx: &BuildCtx<'_>,
-    state: &Mutex<SchedState>,
-    ready_signal: &Condvar,
-) {
-    let graph = ctx.graph;
-    let plan = ctx.plan;
+fn worker_loop(worker: usize, ctx: &Build) {
+    let graph = &ctx.graph;
+    let plan = &ctx.plan;
+    let state = &ctx.state;
+    let ready_signal = &ctx.ready_signal;
     loop {
         // Claim a unit (or exit when everything is settled).
         let (unit_index, deps) = {
-            let mut guard = state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut guard = state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if guard.remaining == 0 {
                     ready_signal.notify_all();
@@ -985,7 +1076,7 @@ fn worker_loop(
                     guard.claimed_at[u] = Some(Instant::now());
                     break (u, deps);
                 }
-                guard = ready_signal.wait(guard).unwrap_or_else(std::sync::PoisonError::into_inner);
+                guard = ready_signal.wait(guard).unwrap_or_else(PoisonError::into_inner);
             }
         };
 
@@ -1049,7 +1140,7 @@ fn worker_loop(
         trace::set_unit(None);
 
         // Publish the outcome and wake anyone waiting on the frontier.
-        let mut guard = state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = state.lock().unwrap_or_else(PoisonError::into_inner);
         guard.claimed_at[unit_index] = None;
         guard.outcomes[unit_index] = outcome;
         guard.reports[unit_index] = Some(report);
@@ -1084,7 +1175,7 @@ fn worker_loop(
 /// outcome to publish.
 fn handle_unit(
     worker: usize,
-    ctx: &BuildCtx<'_>,
+    ctx: &Build,
     unit_index: usize,
     deps: &[(usize, Outcome)],
     started: Instant,
@@ -1144,7 +1235,7 @@ fn handle_unit(
                 return (report, Some(Outcome::Built(artifact)));
             }
             Lookup::Claimed(claim) => {
-                let loaded = ctx.store.and_then(|store| store.load(artifact_key));
+                let loaded = ctx.store.as_ref().and_then(|store| store.load(artifact_key));
                 (claim, loaded.map(|artifact| (Arc::new(artifact), CacheTier::Disk)))
             }
         }
@@ -1197,7 +1288,7 @@ fn handle_unit(
         let tier = match answer {
             Answer::Cached(tier) => tier,
             Answer::Compiled { .. } => {
-                if let Some(store) = ctx.store {
+                if let Some(store) = &ctx.store {
                     store.save(artifact_key, &artifact);
                 }
                 CacheTier::Memory
@@ -1278,7 +1369,7 @@ impl From<UnitFailure> for NoVerdict {
 /// `inputs` are the unit's decoded Γ and term when the artifact was just
 /// compiled; for a cached artifact they are decoded here, on a miss only.
 fn verified_step(
-    ctx: &BuildCtx<'_>,
+    ctx: &Build,
     unit_index: usize,
     deps: &[(usize, Outcome)],
     artifact: &Artifact,
@@ -1304,7 +1395,7 @@ fn verified_step(
     let (env, term) = match inputs {
         Some(inputs) => inputs,
         None => {
-            decoded = decode_unit_inputs(ctx.graph, unit_index, deps)?;
+            decoded = decode_unit_inputs(&ctx.graph, unit_index, deps)?;
             (&decoded.0, &decoded.1)
         }
     };
@@ -1318,8 +1409,8 @@ fn verified_step(
     let verify_ns = compiler
         .phase_verify(env, term, Some(&target_env), &inferred, &target_type)
         .map_err(UnitFailure::phase)?;
-    ctx.verified.lock().unwrap_or_else(std::sync::PoisonError::into_inner).insert(verify_key);
-    if let Some(store) = ctx.store {
+    ctx.verified.lock().unwrap_or_else(PoisonError::into_inner).insert(verify_key);
+    if let Some(store) = &ctx.store {
         store.save_verified(verify_key, check_key, tgt::wire::fingerprint_alpha(&inferred));
     }
     Ok(Some((check_ns, verify_ns)))
@@ -1443,10 +1534,13 @@ fn panicked_outcome(
     )
 }
 
-/// A build worker's stack: the Linux main thread's default, so a worker
-/// compiles every term [`Compiler::compile_closed`] compiles on the main
-/// thread. The recursive phases need stack in proportion to a term's
+/// A resident worker's stack: the Linux main thread's default, so a
+/// worker compiles every term [`Compiler::compile_closed`] compiles on the
+/// main thread. The recursive phases need stack in proportion to a term's
 /// depth, and Rust's 2 MiB default for spawned threads overflows first.
+/// This is also why a 1-worker build runs on a worker and not on the
+/// caller's thread, whose stack may be that 2 MiB default (and whose
+/// memos would outlive the session).
 const WORKER_STACK_BYTES: usize = 8 << 20;
 
 /// How often the deadline watchdog polls. Fine-grained enough that unit
@@ -1454,18 +1548,18 @@ const WORKER_STACK_BYTES: usize = 8 << 20;
 /// that the scheduler lock sees negligible extra traffic.
 const WATCHDOG_TICK: Duration = Duration::from_micros(200);
 
-/// The deadline watchdog: a sidecar thread (spawned only when a deadline
-/// is configured) polling wall clocks against
+/// The deadline watchdog: the calling thread, while the workers build
+/// (only when a deadline is configured), polls wall clocks against
 /// [`CompilerOptions::build_deadline`] and
 /// [`CompilerOptions::unit_deadline`]. An overrun trips the session's
 /// token — the same cooperative cancellation a [`Session::cancel_handle`]
 /// user triggers — and per-unit overruns are recorded by name (sorted,
 /// deduplicated) for [`BuildOutcome::DeadlineExceeded`]. Exits when the
 /// last unit settles.
-fn watchdog_loop(ctx: &BuildCtx<'_>, state: &Mutex<SchedState>, build_started: Instant) {
+fn watchdog_loop(ctx: &Build, build_started: Instant) {
     loop {
         {
-            let mut guard = state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut guard = ctx.state.lock().unwrap_or_else(PoisonError::into_inner);
             if guard.remaining == 0 {
                 return;
             }
@@ -1510,7 +1604,7 @@ fn watchdog_loop(ctx: &BuildCtx<'_>, state: &Mutex<SchedState>, build_started: I
 /// fresh process's first build. (α-invariance also means an
 /// α-variant-only edit is a cache *hit*: the cached artifact is
 /// α-equivalent to what a recompile would produce.)
-fn dep_fingerprint(ctx: &BuildCtx<'_>, deps: &[(usize, Outcome)]) -> Fingerprint {
+fn dep_fingerprint(ctx: &Build, deps: &[(usize, Outcome)]) -> Fingerprint {
     // Keys are only computed when every import built.
     deps.iter().fold(Fingerprint::default(), |acc, (d, outcome)| match outcome {
         Outcome::Built(artifact) => {
@@ -1523,20 +1617,16 @@ fn dep_fingerprint(ctx: &BuildCtx<'_>, deps: &[(usize, Outcome)]) -> Fingerprint
 /// Whether the verified query answers: first the session's verdicts,
 /// then the store's verified records (which seed the session's set on a
 /// hit, so the disk is consulted at most once per verdict per session).
-fn verified_hit(ctx: &BuildCtx<'_>, verify_key: Fingerprint, check_key: Fingerprint) -> bool {
-    if ctx.verified.lock().unwrap_or_else(std::sync::PoisonError::into_inner).contains(&verify_key)
-    {
+fn verified_hit(ctx: &Build, verify_key: Fingerprint, check_key: Fingerprint) -> bool {
+    if ctx.verified.lock().unwrap_or_else(PoisonError::into_inner).contains(&verify_key) {
         return true;
     }
-    let Some(store) = ctx.store else {
+    let Some(store) = &ctx.store else {
         return false;
     };
     match store.load_verified(verify_key) {
         Some((recorded_check, _)) if recorded_check == check_key => {
-            ctx.verified
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(verify_key);
+            ctx.verified.lock().unwrap_or_else(PoisonError::into_inner).insert(verify_key);
             true
         }
         _ => false,
@@ -1637,7 +1727,7 @@ impl UnitFailure {
 /// type-check (see [`typecheck_unit`]), translate, and encode the
 /// artifact.
 fn compile_unit(
-    ctx: &BuildCtx<'_>,
+    ctx: &Build,
     unit_index: usize,
     deps: &[(usize, Outcome)],
 ) -> Result<(Arc<Artifact>, Answer), UnitFailure> {
@@ -1660,11 +1750,11 @@ fn compile_unit(
 /// policy [`CompilerOptions::keep_going`] selects. Returns Γ, the term,
 /// its source type, and the phase's nanoseconds.
 fn typecheck_unit(
-    ctx: &BuildCtx<'_>,
+    ctx: &Build,
     unit_index: usize,
     deps: &[(usize, Outcome)],
 ) -> Result<(src::Env, src::Term, src::Term, u64), UnitFailure> {
-    let (env, term) = decode_unit_inputs(ctx.graph, unit_index, deps).map_err(|failure| {
+    let (env, term) = decode_unit_inputs(&ctx.graph, unit_index, deps).map_err(|failure| {
         // Nothing was recovered from corrupt wires: keep-going publishes
         // the pure sentinel.
         UnitFailure { interface: ctx.options.keep_going.then(src::tolerant::error_term), ..failure }

@@ -355,12 +355,6 @@ mod tests {
     use crate::builder::*;
 
     #[test]
-    fn universe_display() {
-        assert_eq!(Universe::Star.to_string(), "*");
-        assert_eq!(Universe::Box.to_string(), "□");
-    }
-
-    #[test]
     fn size_counts_nodes() {
         // λ x : Bool. x  has 3 nodes: Lam, BoolTy, Var.
         let t = lam("x", bool_ty(), var("x"));

@@ -47,7 +47,7 @@ thread_local! {
     /// Decided conversion pairs for CC, keyed by ordered node ids and the
     /// environment fingerprint (collapsed for closed pairs) — see
     /// [`ConvCache`].
-    static CONV_CACHE: RefCell<ConvCache> = RefCell::new(ConvCache::new());
+    static CONV_CACHE: RefCell<ConvCache> = RefCell::new(ConvCache::default());
 }
 
 /// A snapshot of this thread's conversion-cache counters.

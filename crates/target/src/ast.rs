@@ -447,12 +447,6 @@ mod tests {
     use crate::builder::*;
 
     #[test]
-    fn universe_display() {
-        assert_eq!(Universe::Star.to_string(), "*");
-        assert_eq!(Universe::Box.to_string(), "□");
-    }
-
-    #[test]
     fn size_and_depth_count_code_and_closures() {
         // ⟪λ (n : 1, x : Bool). x, ⟨⟩⟫ has 6 nodes: Closure, Code, Unit,
         // BoolTy, Var, UnitVal.

@@ -51,7 +51,7 @@ thread_local! {
     /// the environment fingerprint (collapsed for closed pairs — the
     /// dominant case here, where `[Code]` checks everything against the
     /// empty environment) — see [`ConvCache`].
-    static CONV_CACHE: RefCell<ConvCache> = RefCell::new(ConvCache::new());
+    static CONV_CACHE: RefCell<ConvCache> = RefCell::new(ConvCache::default());
 }
 
 /// A snapshot of this thread's conversion-cache counters.

@@ -59,7 +59,7 @@ use crate::subst::{free_vars, is_closed, occurs_free, rename, subst};
 use crate::tolerant::{error_symbol, error_term, is_poisoned};
 use cccc_util::diag::Diagnostic;
 use cccc_util::fuel::Fuel;
-use cccc_util::intern::{FxHashMap, NodeId};
+use cccc_util::intern::{ConvCacheStats, Memo, NodeId};
 use cccc_util::symbol::Symbol;
 use std::cell::RefCell;
 use std::fmt;
@@ -261,9 +261,13 @@ pub fn is_well_typed(env: &Env, term: &Term) -> bool {
     infer(env, term).is_ok()
 }
 
-/// The code-typing memo never outgrows this many entries; it is cleared
-/// wholesale when it would.
-const CODE_MEMO_CAP: usize = 1 << 18;
+/// Entries per generation of the `[Code]` memo. A resident build worker
+/// keeps the memo from one build to the next, and an edit in a long
+/// session hits entries made tens of builds earlier. A warm `edit_stream`
+/// build checks about 4 code blocks the memo has not seen, so two
+/// generations of 2^11 keep the code blocks of the last several hundred
+/// builds, while bounding the types the entries hold alive.
+pub const CODE_GENERATION_CAP: usize = 1 << 11;
 
 thread_local! {
     /// Memoized `[Code]`/`[T-Code]` results, keyed by node identity (and
@@ -278,23 +282,21 @@ thread_local! {
     /// telescope becomes the same interned node in every unit a thread
     /// compiles, and the first unit's entry answers the rest. An entry
     /// holds the node's id, not the node: a code block whose node has
-    /// been freed is rebuilt under a new id and checked again.
-    static CODE_MEMO: RefCell<FxHashMap<(NodeId, Engine), RcTerm>> =
-        RefCell::new(FxHashMap::default());
+    /// been freed is rebuilt under a new id and checked again, and its old
+    /// entry ages out of the two generations ([`Memo`]). Holding the node
+    /// too would keep every entry's whole code tree alive.
+    static CODE_MEMO: RefCell<Memo<(NodeId, Engine), RcTerm>> =
+        RefCell::new(Memo::with_cap(CODE_GENERATION_CAP));
 }
 
-fn code_memo_get(id: NodeId, engine: Engine) -> Option<RcTerm> {
-    CODE_MEMO.with(|m| m.borrow().get(&(id, engine)).cloned())
+/// A snapshot of this thread's `[Code]` memo counters.
+pub fn code_memo_stats() -> ConvCacheStats {
+    CODE_MEMO.with(|m| m.borrow().stats())
 }
 
-fn code_memo_insert(id: NodeId, engine: Engine, ty: RcTerm) {
-    CODE_MEMO.with(|m| {
-        let mut memo = m.borrow_mut();
-        if memo.len() >= CODE_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert((id, engine), ty);
-    });
+/// Number of code blocks currently in this thread's `[Code]` memo.
+pub fn code_memo_len() -> usize {
+    CODE_MEMO.with(|m| m.borrow().len())
 }
 
 /// Infers the type of `term` under `env` with the Collect policy: every
@@ -570,7 +572,8 @@ impl<'a, const COLLECT: bool> Checker<'a, COLLECT> {
         last: impl FnOnce(&mut Self, &Env) -> Result<Term>,
     ) -> Result<Term> {
         let node = (!COLLECT).then(|| term.clone().rc());
-        if let Some(ty) = node.as_ref().and_then(|n| code_memo_get(n.id(), self.engine)) {
+        let memo_key = node.as_ref().map(|n| (n.id(), self.engine));
+        if let Some(ty) = memo_key.and_then(|key| CODE_MEMO.with(|m| m.borrow_mut().lookup(key))) {
             return Ok((*ty).clone());
         }
         self.require_closed(term)?;
@@ -580,8 +583,8 @@ impl<'a, const COLLECT: bool> Checker<'a, COLLECT> {
         self.universe(&with_env, arg_ty)?;
         let scope = with_env.with_assumption(arg_binder, (**arg_ty).clone());
         let ty = last(self, &scope)?;
-        if let Some(node) = node {
-            code_memo_insert(node.id(), self.engine, ty.clone().rc());
+        if let Some(key) = memo_key {
+            CODE_MEMO.with(|m| m.borrow_mut().insert(key, ty.clone().rc()));
         }
         Ok(ty)
     }

@@ -2,8 +2,6 @@
 //! (Figure 5), so closure conversion and the model map `Sort(u)` to
 //! `Sort(u)`.
 
-use std::fmt;
-
 /// A universe of CC or CC-CC.
 ///
 /// `⋆` ([`Universe::Star`]) is the impredicative universe of small types
@@ -17,13 +15,4 @@ pub enum Universe {
     Star,
     /// The predicative universe `□` of large types.
     Box,
-}
-
-impl fmt::Display for Universe {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Universe::Star => write!(f, "*"),
-            Universe::Box => write!(f, "□"),
-        }
-    }
 }
