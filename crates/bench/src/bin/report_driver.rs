@@ -226,30 +226,39 @@ fn matches_oracle(session: &Session) -> bool {
 /// no-change rebuilds compile nothing and take a tenth of a cold build at
 /// most.
 fn measure_family(name: &str, units: Vec<WorkUnit>, reps: usize) -> WorkloadNumbers {
-    let mut session = session_from(&units, CompilerOptions::default());
-    let report = session.build(2).expect("graph is valid");
-    assert!(report.is_success(), "driver build failed: {}", report.summary());
-    assert!(matches_oracle(&session), "differential check failed for {name}");
-    let observed = session.observe(root_of(&units)).expect("root links");
+    let observed = {
+        let mut session = session_from(&units, CompilerOptions::default());
+        let report = session.build(2).expect("graph is valid");
+        assert!(report.is_success(), "driver build failed: {}", report.summary());
+        assert!(matches_oracle(&session), "differential check failed for {name}");
+        session.observe(root_of(&units)).expect("root links")
+    };
 
+    // A session keeps its workers parked until it drops, so each cold
+    // session is dropped as soon as its build is timed, outside the timed
+    // region. Only the 1-worker sessions wait until their median is
+    // known: the makespan model takes that build's per-unit durations,
+    // and the warm rebuilds run on its session.
     let mut cold = Vec::new();
     let mut model_input = None;
     for &workers in &WORKER_COUNTS {
-        let setup = || session_from(&units, CompilerOptions::default());
-        let mut runs = measure::runs(0, reps, setup, |mut session| {
-            let report = session.build(workers).expect("graph is valid");
-            (session, report)
-        });
-        for (_, (_, report)) in &runs {
+        let mut samples = Vec::with_capacity(reps);
+        let mut one_worker = Vec::new();
+        for _ in 0..reps {
+            let mut session = session_from(&units, CompilerOptions::default());
+            let (ns, report) = measure::timed(|| session.build(workers).expect("graph is valid"));
             assert!(report.is_success(), "cold build failed: {}", report.summary());
             assert_eq!(report.compiled_count(), units.len());
+            samples.push(ns);
+            if workers == 1 {
+                one_worker.push((ns, session, report));
+            }
         }
-        cold.push((workers, Summary::of(runs.iter().map(|(ns, _)| *ns))));
+        cold.push((workers, Summary::of(samples)));
         if workers == 1 {
-            // The makespan model takes one build's per-unit durations:
-            // those of the median 1-worker build.
-            runs.sort_by(|a, b| a.0.total_cmp(&b.0));
-            model_input = Some(runs.swap_remove(runs.len() / 2).1);
+            one_worker.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let (_, session, report) = one_worker.swap_remove(one_worker.len() / 2);
+            model_input = Some((session, report));
         }
     }
     let (mut session, report_1w) = model_input.expect("1 is in WORKER_COUNTS");

@@ -333,15 +333,6 @@ impl CacheReport {
             + self.target_intern.hits
             + self.target_intern.misses
     }
-
-    /// Total conversion queries answered without running the decision
-    /// procedure (identity + memo hits, both languages).
-    pub fn conv_fast_path_hits(&self) -> u64 {
-        self.source_conv.identity_hits
-            + self.source_conv.memo_hits
-            + self.target_conv.identity_hits
-            + self.target_conv.memo_hits
-    }
 }
 
 /// Errors produced by the compiler pipeline.
@@ -994,9 +985,9 @@ mod tests {
         // with no work in between must subtract to all-zero deltas.
         let idle = cache_snapshot().since(&after);
         assert_eq!(idle.intern_requests(), 0);
-        assert_eq!(idle.conv_fast_path_hits(), 0);
-        assert_eq!(idle.source_conv.memo_misses, 0);
-        assert_eq!(idle.target_conv.memo_misses, 0);
+        for conv in [idle.source_conv, idle.target_conv] {
+            assert_eq!((conv.identity_hits, conv.memo_hits, conv.memo_misses), (0, 0, 0));
+        }
     }
 
     #[test]

@@ -30,27 +30,36 @@
 //! property suites assert that [`normalize_nbe`] agrees with
 //! [`crate::reduce::normalize`] and that [`conv_terms`] agrees with
 //! [`crate::equiv::equiv_spec`] on generator-produced well-typed programs.
+//!
+//! The language-independent half — [`Thunk`], [`ValEnv`], [`Closure`],
+//! the [`Head`]/[`Elim`] spines, canonical-name read-back and the entry
+//! points — is [`cccc_util::nbe`], shared with CC-CC. CC's [`Value`],
+//! evaluation, read-back, [`conv`] with function-η and [`whnf_nbe`] stay
+//! here, plugged in through [`Calculus`] with CC's own canonical names.
 
-use crate::ast::{RcTerm, Term, Universe};
-use crate::env::{Decl, Env};
+use crate::ast::{Term, Universe};
+use crate::env::Env;
 use crate::reduce::ReduceError;
 use cccc_util::fuel::Fuel;
+use cccc_util::intern::ConvCache;
+use cccc_util::nbe::{conv_stuck, Calculus, QuoteError, QuoteNames, MAX_EVAL_DEPTH};
 use cccc_util::symbol::Symbol;
-use std::cell::OnceCell;
+use std::cell::RefCell;
 use std::rc::Rc;
+use std::thread::LocalKey;
 
-/// Maximum depth of nested *β-application* frames. The step-based engine
-/// runs its head loop iteratively, so divergent (necessarily ill-typed)
-/// terms like Ω merely exhaust fuel; the environment machine recurses
-/// through every β-application, so we bound that recursion explicitly and
-/// report [`ReduceError::OutOfFuel`] instead of overflowing the stack.
-/// Structural descent does **not** count against the bound — it is
-/// bounded by the term's syntactic depth, exactly like every other
-/// recursive traversal in this workspace (`subst`, `alpha_eq`,
-/// step-based `normalize`). The bound is sized to stay within the 2 MiB
-/// default stack of Rust test threads even in debug builds; the deepest
-/// corpus/benchmark workloads evaluate within a few hundred β-frames.
-const MAX_EVAL_DEPTH: u32 = 512;
+pub use cccc_util::nbe::{conv_terms, eval, eval_in, normalize_nbe, normalize_nbe_default, quote};
+
+/// A suspended body over one binder (λ, Π, Σ).
+pub type Closure = cccc_util::nbe::Closure<Term>;
+/// A lazily evaluated value (δ, ζ and suspended `if` branches).
+pub type Thunk = cccc_util::nbe::Thunk<Term>;
+/// A persistent evaluation environment.
+pub type ValEnv = cccc_util::nbe::ValEnv<Term>;
+/// The head of a [`Value::Stuck`] spine.
+pub type Head = cccc_util::nbe::Head<Term>;
+/// One pending elimination in a stuck spine.
+pub type Elim = cccc_util::nbe::Elim<Term>;
 
 /// A reference-counted semantic value.
 pub type RcValue = Rc<Value>;
@@ -133,171 +142,56 @@ impl Value {
     }
 }
 
-/// The head of a [`Value::Stuck`] spine.
-#[derive(Clone, Debug)]
-pub enum Head {
-    /// A free variable with no definition in the environment.
-    Global(Symbol),
-    /// A fresh variable introduced when crossing a binder, identified by
-    /// its de Bruijn *level* — no fresh symbols are generated during
-    /// conversion checking.
-    Local(usize),
-    /// An ill-typed elimination target (e.g. `fst true`): the value is
-    /// canonical but the elimination does not apply, so the term is stuck.
-    /// Keeping it here keeps the engine total on arbitrary input.
-    Blocked(RcValue),
+thread_local! {
+    /// CC's canonical read-back names ([`Calculus::readback_names`]).
+    static QUOTE_LEVEL_NAMES: RefCell<Vec<Symbol>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One pending elimination in a stuck spine.
-#[derive(Clone, Debug)]
-pub enum Elim {
-    /// Application to an evaluated argument.
-    App(RcValue),
-    /// First projection.
-    Fst,
-    /// Second projection.
-    Snd,
-    /// A conditional blocked on its scrutinee; the branches stay
-    /// suspended until read-back or comparison forces them.
-    If {
-        /// The `then` branch.
-        then_branch: Thunk,
-        /// The `else` branch.
-        else_branch: Thunk,
-    },
-}
+impl Calculus for Term {
+    type Value = Value;
+    type Error = ReduceError;
 
-/// A suspended body: a term together with the environment it was closed
-/// over, applied by extending that environment with the argument.
-#[derive(Clone, Debug)]
-pub struct Closure {
-    env: ValEnv,
-    binder: Symbol,
-    body: RcTerm,
-}
-
-impl Closure {
-    /// Applies the closure to an argument value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReduceError::OutOfFuel`] when `fuel` is exhausted.
-    pub fn apply(&self, argument: RcValue, fuel: &mut Fuel) -> Result<RcValue, ReduceError> {
-        let env = self.env.bind(self.binder, Thunk::forced(argument));
-        eval_at(&env, &self.body, fuel, 0)
-    }
-}
-
-/// A lazily evaluated value: evaluated at most once (per environment), the
-/// result cached behind an [`OnceCell`]. This is what makes δ-unfolding of
-/// environment definitions cheap — each definition is evaluated the first
-/// time it is looked up and shared from then on.
-#[derive(Clone, Debug)]
-pub struct Thunk(Rc<ThunkData>);
-
-#[derive(Debug)]
-struct ThunkData {
-    cell: OnceCell<RcValue>,
-    env: ValEnv,
-    /// `None` for already-forced thunks (the cell is pre-filled).
-    term: Option<RcTerm>,
-}
-
-impl Thunk {
-    /// A thunk whose evaluation is suspended.
-    pub fn suspended(env: ValEnv, term: RcTerm) -> Thunk {
-        Thunk(Rc::new(ThunkData { cell: OnceCell::new(), env, term: Some(term) }))
+    fn eval_at(
+        env: &ValEnv,
+        term: &Term,
+        fuel: &mut Fuel,
+        depth: u32,
+    ) -> Result<RcValue, ReduceError> {
+        eval_at(env, term, fuel, depth)
     }
 
-    /// A thunk holding an already-computed value.
-    pub fn forced(value: RcValue) -> Thunk {
-        let cell = OnceCell::new();
-        let _ = cell.set(value);
-        Thunk(Rc::new(ThunkData { cell, env: ValEnv::new(), term: None }))
+    fn stuck(head: Head) -> RcValue {
+        Value::stuck(head)
     }
 
-    /// Forces the thunk, evaluating its term on first use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReduceError::OutOfFuel`] when `fuel` is exhausted.
-    pub fn force(&self, fuel: &mut Fuel) -> Result<RcValue, ReduceError> {
-        if let Some(value) = self.0.cell.get() {
-            return Ok(value.clone());
-        }
-        let term = self.0.term.as_ref().expect("suspended thunk carries its term");
-        let value = eval_at(&self.0.env, term, fuel, 0)?;
-        let _ = self.0.cell.set(value.clone());
-        Ok(value)
-    }
-}
-
-/// A persistent evaluation environment mapping variables to [`Thunk`]s.
-///
-/// Extension is O(1) and shares the tail, so going under a binder never
-/// copies the environment (unlike [`Env::with_assumption`], which clones
-/// its vector).
-#[derive(Clone, Debug, Default)]
-pub struct ValEnv(Option<Rc<EnvNode>>);
-
-#[derive(Debug)]
-struct EnvNode {
-    name: Symbol,
-    thunk: Thunk,
-    rest: ValEnv,
-}
-
-impl ValEnv {
-    /// The empty environment.
-    pub fn new() -> ValEnv {
-        ValEnv(None)
+    fn quote_with(
+        names: &mut Vec<Symbol>,
+        value: &Value,
+        fuel: &mut Fuel,
+        mode: QuoteNames,
+    ) -> Result<Term, QuoteError<ReduceError>> {
+        quote_with(names, value, fuel, mode)
     }
 
-    /// Extends the environment with a binding, shadowing earlier entries
-    /// of the same name.
-    pub fn bind(&self, name: Symbol, thunk: Thunk) -> ValEnv {
-        ValEnv(Some(Rc::new(EnvNode { name, thunk, rest: self.clone() })))
+    fn conv(level: usize, v1: &Value, v2: &Value, fuel: &mut Fuel) -> Result<bool, ReduceError> {
+        conv(level, v1, v2, fuel)
     }
 
-    fn lookup(&self, name: Symbol) -> Option<&Thunk> {
-        let mut node = self.0.as_deref();
-        while let Some(n) = node {
-            if n.name == name {
-                return Some(&n.thunk);
-            }
-            node = n.rest.0.as_deref();
-        }
-        None
+    fn alpha_eq(left: &Term, right: &Term) -> bool {
+        crate::subst::alpha_eq(left, right)
     }
 
-    /// Builds the evaluation environment corresponding to a typing
-    /// environment `Γ`: assumptions become neutral variables, definitions
-    /// become lazy thunks over the environment prefix they were declared
-    /// in (the δ rule, evaluated at most once per environment).
-    pub fn from_env(env: &Env) -> ValEnv {
-        let mut out = ValEnv::new();
-        for decl in env.iter() {
-            match decl {
-                Decl::Assumption { name, .. } => {
-                    out = out.bind(*name, Thunk::forced(Value::global(*name)));
-                }
-                Decl::Definition { name, term, .. } => {
-                    let thunk = Thunk::suspended(out.clone(), term.clone());
-                    out = out.bind(*name, thunk);
-                }
-            }
-        }
-        out
+    fn equiv_spec(env: &Env, e1: &Term, e2: &Term, fuel: &mut Fuel) -> Result<bool, ReduceError> {
+        crate::equiv::equiv_spec(env, e1, e2, fuel)
     }
-}
 
-/// Evaluates `term` in the evaluation environment `env`.
-///
-/// # Errors
-///
-/// Returns [`ReduceError::OutOfFuel`] when `fuel` is exhausted.
-pub fn eval(env: &ValEnv, term: &Term, fuel: &mut Fuel) -> Result<RcValue, ReduceError> {
-    eval_at(env, term, fuel, 0)
+    fn conv_memo() -> &'static LocalKey<RefCell<ConvCache>> {
+        &crate::equiv::CONV_CACHE
+    }
+
+    fn readback_names() -> &'static LocalKey<RefCell<Vec<Symbol>>> {
+        &QUOTE_LEVEL_NAMES
+    }
 }
 
 fn eval_at(env: &ValEnv, term: &Term, fuel: &mut Fuel, depth: u32) -> Result<RcValue, ReduceError> {
@@ -315,17 +209,17 @@ fn eval_at(env: &ValEnv, term: &Term, fuel: &mut Fuel, depth: u32) -> Result<RcV
         Term::Pi { binder, domain, codomain } => Ok(Rc::new(Value::Pi {
             binder: *binder,
             domain: eval_at(env, domain, fuel, depth)?,
-            codomain: Closure { env: env.clone(), binder: *binder, body: codomain.clone() },
+            codomain: Closure::new(env.clone(), *binder, codomain.clone()),
         })),
         Term::Lam { binder, domain, body } => Ok(Rc::new(Value::Lam {
             binder: *binder,
             domain: eval_at(env, domain, fuel, depth)?,
-            body: Closure { env: env.clone(), binder: *binder, body: body.clone() },
+            body: Closure::new(env.clone(), *binder, body.clone()),
         })),
         Term::Sigma { binder, first, second } => Ok(Rc::new(Value::Sigma {
             binder: *binder,
             first: eval_at(env, first, fuel, depth)?,
-            second: Closure { env: env.clone(), binder: *binder, body: second.clone() },
+            second: Closure::new(env.clone(), *binder, second.clone()),
         })),
         Term::App { func, arg } => {
             let func = eval_at(env, func, fuel, depth)?;
@@ -366,9 +260,7 @@ fn eval_at(env: &ValEnv, term: &Term, fuel: &mut Fuel, depth: u32) -> Result<RcV
 /// β-frame against [`MAX_EVAL_DEPTH`]), spine extension otherwise.
 fn apply(func: RcValue, arg: RcValue, fuel: &mut Fuel, depth: u32) -> Result<RcValue, ReduceError> {
     if let Value::Lam { body, .. } = &*func {
-        let env = body.env.bind(body.binder, Thunk::forced(arg));
-        let body = body.body.clone();
-        return eval_at(&env, &body, fuel, depth + 1);
+        return body.apply_at(arg, fuel, depth + 1);
     }
     Ok(extend(func, Elim::App(arg)))
 }
@@ -407,92 +299,6 @@ fn extend(value: RcValue, elim: Elim) -> RcValue {
     }
 }
 
-/// Reads a value back into a β/δ/ζ/π-normal [`Term`].
-///
-/// Binders are re-introduced with *canonical* generated names, one per de
-/// Bruijn level, shared by every read-back on the thread: quoting the same
-/// value twice yields the *same* interned term, so repeated normalization
-/// hits the hash-consing kernel and repeated conversion checks hit the
-/// memo table. The canonical names are globally fresh symbols, so they can
-/// never collide with a symbol appearing in any source program; the one
-/// way a collision can still arise — a caller re-normalizing a term that
-/// contains a previous read-back's canonical name *free* — is detected
-/// during the quote, which then soundly restarts with per-quote freshened
-/// names. The result is α-equivalent to the step-based normal form.
-///
-/// # Errors
-///
-/// Returns [`ReduceError::OutOfFuel`] when `fuel` is exhausted.
-pub fn quote(value: &Value, fuel: &mut Fuel) -> Result<Term, ReduceError> {
-    let entry = *fuel;
-    match quote_with(&mut Vec::new(), value, fuel, QuoteNames::Canonical) {
-        Err(QuoteError::CanonicalCaptured) => {
-            // The abandoned canonical attempt must not charge the retry:
-            // refund its ticks so the freshening pass runs against the
-            // budget this call was handed, not the depleted remainder.
-            // Otherwise a term that hits the fallback near the fuel
-            // boundary is double-charged and spuriously reports
-            // `OutOfFuel`.
-            *fuel = entry;
-            quote_with(&mut Vec::new(), value, fuel, QuoteNames::Freshen)
-                .map_err(QuoteError::into_reduce)
-        }
-        other => other.map_err(QuoteError::into_reduce),
-    }
-}
-
-/// How read-back chooses binder names.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum QuoteNames {
-    /// The thread's canonical per-level names (stable, shareable output).
-    Canonical,
-    /// A fresh symbol per binder (the always-safe fallback).
-    Freshen,
-}
-
-/// Internal quote failure: either genuine fuel exhaustion, or a free
-/// occurrence of a canonical name that a canonical-mode binder would
-/// capture (triggering the freshening retry).
-enum QuoteError {
-    Reduce(ReduceError),
-    CanonicalCaptured,
-}
-
-impl QuoteError {
-    fn into_reduce(self) -> ReduceError {
-        match self {
-            QuoteError::Reduce(e) => e,
-            // The freshening retry can never conflict.
-            QuoteError::CanonicalCaptured => unreachable!("freshened quote cannot conflict"),
-        }
-    }
-}
-
-impl From<ReduceError> for QuoteError {
-    fn from(e: ReduceError) -> QuoteError {
-        QuoteError::Reduce(e)
-    }
-}
-
-thread_local! {
-    /// The canonical read-back binder names, one per de Bruijn level,
-    /// lazily extended. Globally fresh, so they never collide with
-    /// program symbols.
-    static QUOTE_LEVEL_NAMES: std::cell::RefCell<Vec<Symbol>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// The canonical binder name for de Bruijn level `level`.
-fn canonical_name(level: usize) -> Symbol {
-    QUOTE_LEVEL_NAMES.with(|names| {
-        let mut names = names.borrow_mut();
-        while names.len() <= level {
-            names.push(Symbol::fresh("q"));
-        }
-        names[level]
-    })
-}
-
 /// [`quote`] with an explicit stack of binder names for the levels already
 /// crossed; `names.len()` is the current level.
 fn quote_with(
@@ -500,7 +306,7 @@ fn quote_with(
     value: &Value,
     fuel: &mut Fuel,
     mode: QuoteNames,
-) -> Result<Term, QuoteError> {
+) -> Result<Term, QuoteError<ReduceError>> {
     if !fuel.tick() {
         return Err(QuoteError::Reduce(ReduceError::OutOfFuel));
     }
@@ -508,19 +314,19 @@ fn quote_with(
         Value::Sort(u) => Ok(Term::Sort(*u)),
         Value::BoolTy => Ok(Term::BoolTy),
         Value::Bool(b) => Ok(Term::BoolLit(*b)),
-        Value::Lam { binder, domain, body } => {
+        Value::Lam { domain, body, .. } => {
             let domain = quote_with(names, domain, fuel, mode)?;
-            let (binder, body) = quote_closure(names, *binder, body, fuel, mode)?;
+            let (binder, body) = body.quote(names, fuel, mode)?;
             Ok(Term::Lam { binder, domain: domain.rc(), body: body.rc() })
         }
-        Value::Pi { binder, domain, codomain } => {
+        Value::Pi { domain, codomain, .. } => {
             let domain = quote_with(names, domain, fuel, mode)?;
-            let (binder, codomain) = quote_closure(names, *binder, codomain, fuel, mode)?;
+            let (binder, codomain) = codomain.quote(names, fuel, mode)?;
             Ok(Term::Pi { binder, domain: domain.rc(), codomain: codomain.rc() })
         }
-        Value::Sigma { binder, first, second } => {
+        Value::Sigma { first, second, .. } => {
             let first = quote_with(names, first, fuel, mode)?;
-            let (binder, second) = quote_closure(names, *binder, second, fuel, mode)?;
+            let (binder, second) = second.quote(names, fuel, mode)?;
             Ok(Term::Sigma { binder, first: first.rc(), second: second.rc() })
         }
         Value::Pair { first, second, annotation } => Ok(Term::Pair {
@@ -530,17 +336,7 @@ fn quote_with(
         }),
         Value::Stuck { head, spine } => {
             let mut out = match head {
-                Head::Global(x) => {
-                    // A free variable equal to a binder introduced by this
-                    // quote would be captured. Canonical names are globally
-                    // fresh, so this can only happen when the caller feeds a
-                    // previous read-back's binder back in free — restart
-                    // with per-quote freshening.
-                    if mode == QuoteNames::Canonical && names.contains(x) {
-                        return Err(QuoteError::CanonicalCaptured);
-                    }
-                    Term::Var(*x)
-                }
+                Head::Global(x) => Term::Var(mode.free_var(names, *x)?),
                 Head::Local(level) => Term::Var(names[*level]),
                 Head::Blocked(v) => quote_with(names, v, fuel, mode)?,
             };
@@ -567,26 +363,6 @@ fn quote_with(
     }
 }
 
-/// Crosses one binder during read-back: instantiates the closure at the
-/// next level and quotes the result under the mode's binder name.
-fn quote_closure(
-    names: &mut Vec<Symbol>,
-    binder: Symbol,
-    closure: &Closure,
-    fuel: &mut Fuel,
-    mode: QuoteNames,
-) -> Result<(Symbol, Term), QuoteError> {
-    let name = match mode {
-        QuoteNames::Canonical => canonical_name(names.len()),
-        QuoteNames::Freshen => binder.freshen(),
-    };
-    let body = closure.apply(Value::local(names.len()), fuel)?;
-    names.push(name);
-    let body = quote_with(names, &body, fuel, mode);
-    names.pop();
-    Ok((name, body?))
-}
-
 /// Decides `Γ ⊢ e1 ≡ e2` directly on values, at binder level `level`.
 ///
 /// Implements the η rules `[≡-η1]`/`[≡-η2]` by applying both sides to the
@@ -608,7 +384,7 @@ pub fn conv(
     }
     match (left, right) {
         (Value::Lam { domain: d1, body: b1, .. }, Value::Lam { domain: d2, body: b2, .. }) => {
-            Ok(conv(level, d1, d2, fuel)? && conv_closure(level, b1, b2, fuel)?)
+            Ok(conv(level, d1, d2, fuel)? && b1.conv(level, b2, fuel)?)
         }
         // η: exactly one side is a function; compare its body against the
         // other side applied to the same fresh variable.
@@ -621,11 +397,11 @@ pub fn conv(
         (
             Value::Pi { domain: d1, codomain: c1, .. },
             Value::Pi { domain: d2, codomain: c2, .. },
-        ) => Ok(conv(level, d1, d2, fuel)? && conv_closure(level, c1, c2, fuel)?),
+        ) => Ok(conv(level, d1, d2, fuel)? && c1.conv(level, c2, fuel)?),
         (
             Value::Sigma { first: f1, second: s1, .. },
             Value::Sigma { first: f2, second: s2, .. },
-        ) => Ok(conv(level, f1, f2, fuel)? && conv_closure(level, s1, s2, fuel)?),
+        ) => Ok(conv(level, f1, f2, fuel)? && s1.conv(level, s2, fuel)?),
         (Value::Sort(u), Value::Sort(v)) => Ok(u == v),
         (Value::BoolTy, Value::BoolTy) => Ok(true),
         (Value::Bool(a), Value::Bool(b)) => Ok(a == b),
@@ -634,59 +410,10 @@ pub fn conv(
             Ok(conv(level, f1, f2, fuel)? && conv(level, s1, s2, fuel)?)
         }
         (Value::Stuck { head: h1, spine: s1 }, Value::Stuck { head: h2, spine: s2 }) => {
-            if !conv_head(level, h1, h2, fuel)? || s1.len() != s2.len() {
-                return Ok(false);
-            }
-            for (e1, e2) in s1.iter().zip(s2) {
-                if !conv_elim(level, e1, e2, fuel)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
+            conv_stuck(level, (h1, s1), (h2, s2), fuel)
         }
         _ => Ok(false),
     }
-}
-
-fn conv_head(level: usize, h1: &Head, h2: &Head, fuel: &mut Fuel) -> Result<bool, ReduceError> {
-    match (h1, h2) {
-        (Head::Global(x), Head::Global(y)) => Ok(x == y),
-        (Head::Local(a), Head::Local(b)) => Ok(a == b),
-        (Head::Blocked(a), Head::Blocked(b)) => conv(level, a, b, fuel),
-        _ => Ok(false),
-    }
-}
-
-fn conv_elim(level: usize, e1: &Elim, e2: &Elim, fuel: &mut Fuel) -> Result<bool, ReduceError> {
-    match (e1, e2) {
-        (Elim::App(a), Elim::App(b)) => conv(level, a, b, fuel),
-        (Elim::Fst, Elim::Fst) | (Elim::Snd, Elim::Snd) => Ok(true),
-        (
-            Elim::If { then_branch: t1, else_branch: f1 },
-            Elim::If { then_branch: t2, else_branch: f2 },
-        ) => {
-            let (t1, t2) = (t1.force(fuel)?, t2.force(fuel)?);
-            if !conv(level, &t1, &t2, fuel)? {
-                return Ok(false);
-            }
-            let (f1, f2) = (f1.force(fuel)?, f2.force(fuel)?);
-            conv(level, &f1, &f2, fuel)
-        }
-        _ => Ok(false),
-    }
-}
-
-/// Compares two closures by instantiating both at the same fresh level.
-fn conv_closure(
-    level: usize,
-    c1: &Closure,
-    c2: &Closure,
-    fuel: &mut Fuel,
-) -> Result<bool, ReduceError> {
-    let fresh = Value::local(level);
-    let a = c1.apply(fresh.clone(), fuel)?;
-    let b = c2.apply(fresh, fuel)?;
-    conv(level + 1, &a, &b, fuel)
 }
 
 /// [`apply`] on a borrowed value (used by the η rule, where the
@@ -704,28 +431,6 @@ fn apply_value(func: &Value, arg: RcValue, fuel: &mut Fuel) -> Result<RcValue, R
             spine: vec![Elim::App(arg)],
         })),
     }
-}
-
-/// Evaluates `term` under the typing environment `env` (definitions become
-/// lazy δ-thunks, assumptions become neutral variables).
-///
-/// # Errors
-///
-/// Returns [`ReduceError::OutOfFuel`] when `fuel` is exhausted.
-pub fn eval_in(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<RcValue, ReduceError> {
-    eval(&ValEnv::from_env(env), term, fuel)
-}
-
-/// Fully normalizes `term` through the NbE engine: evaluate, then read
-/// back. Agrees with [`crate::reduce::normalize`] up to α-equivalence on
-/// well-typed terms.
-///
-/// # Errors
-///
-/// Returns [`ReduceError::OutOfFuel`] when `fuel` is exhausted.
-pub fn normalize_nbe(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError> {
-    let value = eval_in(env, term, fuel)?;
-    quote(&value, fuel)
 }
 
 /// Weak-head normalization through the NbE engine. This is the entry
@@ -753,30 +458,6 @@ pub fn whnf_nbe(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceE
         Term::Var(x) if env.lookup_definition(*x).is_none() => Ok(term.clone()),
         _ => normalize_nbe(env, term, fuel),
     }
-}
-
-/// [`normalize_nbe`] with the default fuel budget.
-///
-/// # Panics
-///
-/// Panics if the default budget is exhausted; intended for tests and
-/// examples operating on well-typed terms.
-pub fn normalize_nbe_default(env: &Env, term: &Term) -> Term {
-    let mut fuel = Fuel::default();
-    normalize_nbe(env, term, &mut fuel).expect("NbE normalization exhausted default fuel")
-}
-
-/// Decides definitional equivalence of two terms through the NbE engine:
-/// evaluate both sides under `env`, then [`conv`] the values.
-///
-/// # Errors
-///
-/// Returns [`ReduceError::OutOfFuel`] when `fuel` is exhausted.
-pub fn conv_terms(env: &Env, e1: &Term, e2: &Term, fuel: &mut Fuel) -> Result<bool, ReduceError> {
-    let venv = ValEnv::from_env(env);
-    let v1 = eval(&venv, e1, fuel)?;
-    let v2 = eval(&venv, e2, fuel)?;
-    conv(0, &v1, &v2, fuel)
 }
 
 #[cfg(test)]

@@ -33,8 +33,13 @@
 //! The property suites check that the two agree on translated
 //! generator-produced programs; [`equiv_spec`] is the differential-testing
 //! oracle for the NbE engine.
+//!
+//! [`equiv`], its memoized ladder [`equiv_nodes`], [`Engine`] and the
+//! `definitionally_equal` wrappers are defined once, in
+//! [`cccc_util::nbe`], and shared with CC; CC-CC's conversion memo and
+//! [`equiv_spec`] with its closure-η stay here.
 
-use crate::ast::{RcTerm, Term};
+use crate::ast::Term;
 use crate::builder::var_sym;
 use crate::env::Env;
 use crate::reduce::{apply_closure_code, whnf, ReduceError};
@@ -45,13 +50,16 @@ use cccc_util::symbol::Symbol;
 use std::cell::RefCell;
 
 pub use cccc_util::intern::ConvCacheStats;
+pub use cccc_util::nbe::{
+    definitionally_equal, definitionally_equal_spec, equiv, equiv_nodes, equiv_with_engine, Engine,
+};
 
 thread_local! {
     /// Decided conversion pairs for CC-CC, keyed by ordered node ids and
     /// the environment fingerprint (collapsed for closed pairs — the
     /// dominant case here, where `[Code]` checks everything against the
     /// empty environment) — see [`ConvCache`].
-    static CONV_CACHE: RefCell<ConvCache> = RefCell::new(ConvCache::default());
+    pub(crate) static CONV_CACHE: RefCell<ConvCache> = RefCell::new(ConvCache::default());
 }
 
 /// A snapshot of this thread's conversion-cache counters.
@@ -62,73 +70,6 @@ pub fn conv_cache_stats() -> ConvCacheStats {
 /// Number of decided pairs currently in this thread's conversion memo.
 pub fn conv_cache_len() -> usize {
     CONV_CACHE.with(|c| c.borrow().len())
-}
-
-/// Checks `Γ ⊢ e1 ≡ e2` with an explicit fuel budget, through the NbE
-/// engine with identity and memo fast paths.
-///
-/// # Errors
-///
-/// Returns a [`ReduceError`] when normalization runs out of fuel (or hits
-/// a bare-code application) before the comparison can be decided.
-pub fn equiv(env: &Env, e1: &Term, e2: &Term, fuel: &mut Fuel) -> Result<bool, ReduceError> {
-    // Interning the heads is O(1) (children are already interned) and
-    // buys node identities for the fast paths below.
-    let n1 = e1.clone().rc();
-    let n2 = e2.clone().rc();
-    equiv_nodes(env, &n1, &n2, fuel)
-}
-
-/// [`equiv`] on interned handles.
-///
-/// Decision ladder: node identity (O(1), hash-consing makes structurally
-/// identical terms the *same* node) → memo table of previously decided
-/// `(id, id, env)` pairs → α-equivalence (linear, with its own identity
-/// shortcuts) → the NbE engine with closure-η. Decided answers are
-/// memoized; errors (fuel exhaustion, bare-code application) are not —
-/// they depend on the budget, not the judgment.
-///
-/// # Errors
-///
-/// Returns a [`ReduceError`] when normalization runs out of fuel (or hits
-/// a bare-code application) before the comparison can be decided.
-pub fn equiv_nodes(
-    env: &Env,
-    n1: &RcTerm,
-    n2: &RcTerm,
-    fuel: &mut Fuel,
-) -> Result<bool, ReduceError> {
-    if n1.same(n2) {
-        CONV_CACHE.with(|c| c.borrow_mut().note_identity_hit());
-        return Ok(true);
-    }
-    let key = ConvCache::key(n1, n2, env.fingerprint());
-    if let Some(answer) = CONV_CACHE.with(|c| c.borrow_mut().lookup(key)) {
-        return Ok(answer);
-    }
-    // α-equivalent terms are definitionally equal outright; the type
-    // checker overwhelmingly compares a type against a near-identical
-    // copy of itself, so this pre-check pays for itself many times over
-    // before the engine ever evaluates anything.
-    let answer = if crate::subst::alpha_eq(n1, n2) {
-        true
-    } else {
-        crate::nbe::conv_terms(env, n1, n2, fuel)?
-    };
-    CONV_CACHE.with(|c| c.borrow_mut().insert(key, answer));
-    Ok(answer)
-}
-
-/// Which equivalence/normalization engine to run.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum Engine {
-    /// The normalization-by-evaluation engine ([`crate::nbe`]); the
-    /// default on every hot path.
-    #[default]
-    Nbe,
-    /// The substitution-based step engine ([`crate::reduce`]); the
-    /// paper-faithful specification and differential-testing oracle.
-    Step,
 }
 
 /// Checks `Γ ⊢ e1 ≡ e2` with the step-based engine — the executable
@@ -142,37 +83,6 @@ pub fn equiv_spec(env: &Env, e1: &Term, e2: &Term, fuel: &mut Fuel) -> Result<bo
     let n1 = whnf(env, e1, fuel)?;
     let n2 = whnf(env, e2, fuel)?;
     compare_whnf(env, &n1, &n2, fuel)
-}
-
-/// Checks `Γ ⊢ e1 ≡ e2` through the chosen engine.
-///
-/// # Errors
-///
-/// See [`equiv`] and [`equiv_spec`].
-pub fn equiv_with_engine(
-    env: &Env,
-    e1: &Term,
-    e2: &Term,
-    fuel: &mut Fuel,
-    engine: Engine,
-) -> Result<bool, ReduceError> {
-    match engine {
-        Engine::Nbe => equiv(env, e1, e2, fuel),
-        Engine::Step => equiv_spec(env, e1, e2, fuel),
-    }
-}
-
-/// Checks `Γ ⊢ e1 ≡ e2` with the default fuel budget, treating reduction
-/// failure as "not equivalent".
-pub fn definitionally_equal(env: &Env, e1: &Term, e2: &Term) -> bool {
-    let mut fuel = Fuel::default();
-    equiv(env, e1, e2, &mut fuel).unwrap_or(false)
-}
-
-/// [`definitionally_equal`] through the step-based specification.
-pub fn definitionally_equal_spec(env: &Env, e1: &Term, e2: &Term) -> bool {
-    let mut fuel = Fuel::default();
-    equiv_spec(env, e1, e2, &mut fuel).unwrap_or(false)
 }
 
 /// If `term` is a closure whose code component weak-head normalizes to
@@ -457,6 +367,21 @@ mod tests {
     fn delta_definitions_unfold_during_comparison() {
         let env = Env::new().with_definition(cccc_util::Symbol::intern("two"), tt(), bool_ty());
         assert!(definitionally_equal(&env, &var("two"), &tt()));
+    }
+
+    #[test]
+    fn undecided_comparisons_are_not_memoized() {
+        // A redex and its reduct that no other test compares, so no
+        // answer for the pair is cached yet.
+        let redex = app(identity_closure(), var("memo_contract"));
+        let reduct = var("memo_contract");
+        let env = Env::new();
+        let before = conv_cache_len();
+        let starved = equiv(&env, &redex, &reduct, &mut Fuel::new(1));
+        assert_eq!(starved, Err(ReduceError::OutOfFuel));
+        assert_eq!(conv_cache_len(), before, "an error is not memoized");
+        assert_eq!(equiv(&env, &redex, &reduct, &mut Fuel::default()), Ok(true));
+        assert_eq!(conv_cache_len(), before + 1, "a decided answer is");
     }
 
     #[test]

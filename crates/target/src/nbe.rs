@@ -26,22 +26,38 @@
 //! suites differentially test [`normalize_nbe`] against
 //! [`crate::reduce::normalize`] and [`conv_terms`] against
 //! [`crate::equiv::equiv_spec`].
+//!
+//! The language-independent half — [`Thunk`], [`ValEnv`], [`Closure`],
+//! the [`Head`]/[`Elim`] spines, canonical-name read-back and the entry
+//! points — is [`cccc_util::nbe`], shared with CC. CC-CC's [`Value`], its
+//! two-binder [`CodeClosure`], evaluation, read-back, [`conv`] with
+//! closure-η and [`whnf_nbe`] stay here, plugged in through [`Calculus`]
+//! with CC-CC's own canonical names.
 
 use crate::ast::{RcTerm, Term, Universe};
-use crate::env::{Decl, Env};
+use crate::env::Env;
 use crate::reduce::ReduceError;
 use cccc_util::fuel::Fuel;
+use cccc_util::intern::ConvCache;
+use cccc_util::nbe::{conv_stuck, Calculus, QuoteError, QuoteNames, MAX_EVAL_DEPTH};
 use cccc_util::symbol::Symbol;
-use std::cell::OnceCell;
+use std::cell::RefCell;
 use std::rc::Rc;
+use std::thread::LocalKey;
 
-/// Maximum depth of nested *β-application* (closure-application) frames;
-/// see the identically named constant in `cccc-source`'s NbE module.
-/// Structural descent does not count against the bound — it is bounded by
-/// the term's syntactic depth, like every other recursive traversal here.
-/// Divergent (ill-typed) terms report [`ReduceError::OutOfFuel`] instead
-/// of overflowing the stack.
-const MAX_EVAL_DEPTH: u32 = 512;
+pub use cccc_util::nbe::{conv_terms, eval, eval_in, normalize_nbe, normalize_nbe_default, quote};
+
+/// A suspended term over one binder (Π, Σ, and a code's argument type
+/// over its environment binder).
+pub type Closure = cccc_util::nbe::Closure<Term>;
+/// A lazily evaluated value (δ, ζ and suspended `if` branches).
+pub type Thunk = cccc_util::nbe::Thunk<Term>;
+/// A persistent evaluation environment.
+pub type ValEnv = cccc_util::nbe::ValEnv<Term>;
+/// The head of a [`Value::Stuck`] spine.
+pub type Head = cccc_util::nbe::Head<Term>;
+/// One pending elimination in a stuck spine.
+pub type Elim = cccc_util::nbe::Elim<Term>;
 
 /// A reference-counted semantic value.
 pub type RcValue = Rc<Value>;
@@ -145,58 +161,6 @@ impl Value {
     }
 }
 
-/// The head of a [`Value::Stuck`] spine.
-#[derive(Clone, Debug)]
-pub enum Head {
-    /// A free variable with no definition in the environment.
-    Global(Symbol),
-    /// A fresh variable introduced when crossing a binder, identified by
-    /// its de Bruijn level.
-    Local(usize),
-    /// A blocked elimination target — either a closure over neutral code
-    /// (which rule `[App]` cannot unpack) or, for ill-typed input, a
-    /// canonical value the elimination does not apply to.
-    Blocked(RcValue),
-}
-
-/// One pending elimination in a stuck spine.
-#[derive(Clone, Debug)]
-pub enum Elim {
-    /// Application to an evaluated argument.
-    App(RcValue),
-    /// First projection.
-    Fst,
-    /// Second projection.
-    Snd,
-    /// A conditional blocked on its scrutinee.
-    If {
-        /// The `then` branch.
-        then_branch: Thunk,
-        /// The `else` branch.
-        else_branch: Thunk,
-    },
-}
-
-/// A suspended term over one binder.
-#[derive(Clone, Debug)]
-pub struct Closure {
-    env: ValEnv,
-    binder: Symbol,
-    body: RcTerm,
-}
-
-impl Closure {
-    /// Applies the closure to an argument value.
-    ///
-    /// # Errors
-    ///
-    /// See [`eval`].
-    pub fn apply(&self, argument: RcValue, fuel: &mut Fuel) -> Result<RcValue, ReduceError> {
-        let env = self.env.bind(self.binder, Thunk::forced(argument));
-        eval_at(&env, &self.body, fuel, 0)
-    }
-}
-
 /// A suspended code body (or code-type result) over the environment binder
 /// and the argument binder. When the two binders share a name the argument
 /// binding shadows the environment binding, exactly as the paper's
@@ -229,112 +193,56 @@ impl CodeClosure {
     }
 }
 
-/// A lazily evaluated value, cached behind an [`OnceCell`] so each
-/// definition is evaluated at most once per environment.
-#[derive(Clone, Debug)]
-pub struct Thunk(Rc<ThunkData>);
-
-#[derive(Debug)]
-struct ThunkData {
-    cell: OnceCell<RcValue>,
-    env: ValEnv,
-    /// `None` for already-forced thunks (the cell is pre-filled).
-    term: Option<RcTerm>,
+thread_local! {
+    /// CC-CC's canonical read-back names ([`Calculus::readback_names`]).
+    static QUOTE_LEVEL_NAMES: RefCell<Vec<Symbol>> = const { RefCell::new(Vec::new()) };
 }
 
-impl Thunk {
-    /// A thunk whose evaluation is suspended.
-    pub fn suspended(env: ValEnv, term: RcTerm) -> Thunk {
-        Thunk(Rc::new(ThunkData { cell: OnceCell::new(), env, term: Some(term) }))
+impl Calculus for Term {
+    type Value = Value;
+    type Error = ReduceError;
+
+    fn eval_at(
+        env: &ValEnv,
+        term: &Term,
+        fuel: &mut Fuel,
+        depth: u32,
+    ) -> Result<RcValue, ReduceError> {
+        eval_at(env, term, fuel, depth)
     }
 
-    /// A thunk holding an already-computed value.
-    pub fn forced(value: RcValue) -> Thunk {
-        let cell = OnceCell::new();
-        let _ = cell.set(value);
-        Thunk(Rc::new(ThunkData { cell, env: ValEnv::new(), term: None }))
+    fn stuck(head: Head) -> RcValue {
+        Value::stuck(head)
     }
 
-    /// Forces the thunk, evaluating its term on first use.
-    ///
-    /// # Errors
-    ///
-    /// See [`eval`].
-    pub fn force(&self, fuel: &mut Fuel) -> Result<RcValue, ReduceError> {
-        if let Some(value) = self.0.cell.get() {
-            return Ok(value.clone());
-        }
-        let term = self.0.term.as_ref().expect("suspended thunk carries its term");
-        let value = eval_at(&self.0.env, term, fuel, 0)?;
-        let _ = self.0.cell.set(value.clone());
-        Ok(value)
-    }
-}
-
-/// A persistent evaluation environment mapping variables to [`Thunk`]s;
-/// extension is O(1) and shares the tail.
-#[derive(Clone, Debug, Default)]
-pub struct ValEnv(Option<Rc<EnvNode>>);
-
-#[derive(Debug)]
-struct EnvNode {
-    name: Symbol,
-    thunk: Thunk,
-    rest: ValEnv,
-}
-
-impl ValEnv {
-    /// The empty environment.
-    pub fn new() -> ValEnv {
-        ValEnv(None)
+    fn quote_with(
+        names: &mut Vec<Symbol>,
+        value: &Value,
+        fuel: &mut Fuel,
+        mode: QuoteNames,
+    ) -> Result<Term, QuoteError<ReduceError>> {
+        quote_with(names, value, fuel, mode)
     }
 
-    /// Extends the environment with a binding, shadowing earlier entries
-    /// of the same name.
-    pub fn bind(&self, name: Symbol, thunk: Thunk) -> ValEnv {
-        ValEnv(Some(Rc::new(EnvNode { name, thunk, rest: self.clone() })))
+    fn conv(level: usize, v1: &Value, v2: &Value, fuel: &mut Fuel) -> Result<bool, ReduceError> {
+        conv(level, v1, v2, fuel)
     }
 
-    fn lookup(&self, name: Symbol) -> Option<&Thunk> {
-        let mut node = self.0.as_deref();
-        while let Some(n) = node {
-            if n.name == name {
-                return Some(&n.thunk);
-            }
-            node = n.rest.0.as_deref();
-        }
-        None
+    fn alpha_eq(left: &Term, right: &Term) -> bool {
+        crate::subst::alpha_eq(left, right)
     }
 
-    /// Builds the evaluation environment of a typing environment `Γ`:
-    /// assumptions become neutral variables, definitions become lazy
-    /// δ-thunks over the prefix they were declared in.
-    pub fn from_env(env: &Env) -> ValEnv {
-        let mut out = ValEnv::new();
-        for decl in env.iter() {
-            match decl {
-                Decl::Assumption { name, .. } => {
-                    out = out.bind(*name, Thunk::forced(Value::global(*name)));
-                }
-                Decl::Definition { name, term, .. } => {
-                    let thunk = Thunk::suspended(out.clone(), term.clone());
-                    out = out.bind(*name, thunk);
-                }
-            }
-        }
-        out
+    fn equiv_spec(env: &Env, e1: &Term, e2: &Term, fuel: &mut Fuel) -> Result<bool, ReduceError> {
+        crate::equiv::equiv_spec(env, e1, e2, fuel)
     }
-}
 
-/// Evaluates `term` in the evaluation environment `env`.
-///
-/// # Errors
-///
-/// Returns [`ReduceError::OutOfFuel`] when `fuel` is exhausted and
-/// [`ReduceError::BareCodeApplication`] when code is applied outside a
-/// closure.
-pub fn eval(env: &ValEnv, term: &Term, fuel: &mut Fuel) -> Result<RcValue, ReduceError> {
-    eval_at(env, term, fuel, 0)
+    fn conv_memo() -> &'static LocalKey<RefCell<ConvCache>> {
+        &crate::equiv::CONV_CACHE
+    }
+
+    fn readback_names() -> &'static LocalKey<RefCell<Vec<Symbol>>> {
+        &QUOTE_LEVEL_NAMES
+    }
 }
 
 fn eval_at(env: &ValEnv, term: &Term, fuel: &mut Fuel, depth: u32) -> Result<RcValue, ReduceError> {
@@ -354,18 +262,18 @@ fn eval_at(env: &ValEnv, term: &Term, fuel: &mut Fuel, depth: u32) -> Result<RcV
         Term::Pi { binder, domain, codomain } => Ok(Rc::new(Value::Pi {
             binder: *binder,
             domain: eval_at(env, domain, fuel, depth)?,
-            codomain: Closure { env: env.clone(), binder: *binder, body: codomain.clone() },
+            codomain: Closure::new(env.clone(), *binder, codomain.clone()),
         })),
         Term::Sigma { binder, first, second } => Ok(Rc::new(Value::Sigma {
             binder: *binder,
             first: eval_at(env, first, fuel, depth)?,
-            second: Closure { env: env.clone(), binder: *binder, body: second.clone() },
+            second: Closure::new(env.clone(), *binder, second.clone()),
         })),
         Term::Code { env_binder, env_ty, arg_binder, arg_ty, body } => Ok(Rc::new(Value::Code {
             env_binder: *env_binder,
             arg_binder: *arg_binder,
             env_ty: eval_at(env, env_ty, fuel, depth)?,
-            arg_ty: Closure { env: env.clone(), binder: *env_binder, body: arg_ty.clone() },
+            arg_ty: Closure::new(env.clone(), *env_binder, arg_ty.clone()),
             body: CodeClosure {
                 env: env.clone(),
                 env_binder: *env_binder,
@@ -378,7 +286,7 @@ fn eval_at(env: &ValEnv, term: &Term, fuel: &mut Fuel, depth: u32) -> Result<RcV
                 env_binder: *env_binder,
                 arg_binder: *arg_binder,
                 env_ty: eval_at(env, env_ty, fuel, depth)?,
-                arg_ty: Closure { env: env.clone(), binder: *env_binder, body: arg_ty.clone() },
+                arg_ty: Closure::new(env.clone(), *env_binder, arg_ty.clone()),
                 result: CodeClosure {
                     env: env.clone(),
                     env_binder: *env_binder,
@@ -484,98 +392,12 @@ fn extend(value: RcValue, elim: Elim) -> RcValue {
     }
 }
 
-/// Reads a value back into a normal [`Term`].
-///
-/// Binders are re-introduced with *canonical* generated names, one per de
-/// Bruijn level, shared by every read-back on the thread: quoting the same
-/// value twice yields the *same* interned term, so repeated normalization
-/// hits the hash-consing kernel and repeated conversion checks hit the
-/// memo table. The canonical names are globally fresh symbols, so they can
-/// never collide with a symbol appearing in any source program; the one
-/// way a collision can still arise — a caller re-normalizing a term that
-/// contains a previous read-back's canonical name *free* — is detected
-/// during the quote, which then soundly restarts with per-quote freshened
-/// names. The result is α-equivalent to the step-based normal form.
-///
-/// # Errors
-///
-/// See [`eval`].
-pub fn quote(value: &Value, fuel: &mut Fuel) -> Result<Term, ReduceError> {
-    let entry = *fuel;
-    match quote_with(&mut Vec::new(), value, fuel, QuoteNames::Canonical) {
-        Err(QuoteError::CanonicalCaptured) => {
-            // The abandoned canonical attempt must not charge the retry:
-            // refund its ticks so the freshening pass runs against the
-            // budget this call was handed, not the depleted remainder.
-            // Otherwise a term that hits the fallback near the fuel
-            // boundary is double-charged and spuriously reports
-            // `OutOfFuel`.
-            *fuel = entry;
-            quote_with(&mut Vec::new(), value, fuel, QuoteNames::Freshen)
-                .map_err(QuoteError::into_reduce)
-        }
-        other => other.map_err(QuoteError::into_reduce),
-    }
-}
-
-/// How read-back chooses binder names.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum QuoteNames {
-    /// The thread's canonical per-level names (stable, shareable output).
-    Canonical,
-    /// A fresh symbol per binder (the always-safe fallback).
-    Freshen,
-}
-
-/// Internal quote failure: either a genuine reduction error, or a free
-/// occurrence of a canonical name that a canonical-mode binder would
-/// capture (triggering the freshening retry).
-enum QuoteError {
-    Reduce(ReduceError),
-    CanonicalCaptured,
-}
-
-impl QuoteError {
-    fn into_reduce(self) -> ReduceError {
-        match self {
-            QuoteError::Reduce(e) => e,
-            // The freshening retry can never conflict.
-            QuoteError::CanonicalCaptured => unreachable!("freshened quote cannot conflict"),
-        }
-    }
-}
-
-impl From<ReduceError> for QuoteError {
-    fn from(e: ReduceError) -> QuoteError {
-        QuoteError::Reduce(e)
-    }
-}
-
-thread_local! {
-    /// The canonical read-back binder names, one per de Bruijn level,
-    /// lazily extended. Globally fresh, so they never collide with
-    /// program symbols.
-    static QUOTE_LEVEL_NAMES: std::cell::RefCell<Vec<Symbol>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// The canonical binder name for de Bruijn level `level`.
-fn canonical_name(level: usize) -> Symbol {
-    QUOTE_LEVEL_NAMES.with(|names| {
-        let mut names = names.borrow_mut();
-        while names.len() <= level {
-            names.push(Symbol::fresh("q"));
-        }
-        names[level]
-    })
-}
-
 fn quote_with(
     names: &mut Vec<Symbol>,
     value: &Value,
     fuel: &mut Fuel,
     mode: QuoteNames,
-) -> Result<Term, QuoteError> {
+) -> Result<Term, QuoteError<ReduceError>> {
     if !fuel.tick() {
         return Err(QuoteError::Reduce(ReduceError::OutOfFuel));
     }
@@ -585,14 +407,14 @@ fn quote_with(
         Value::UnitVal => Ok(Term::UnitVal),
         Value::BoolTy => Ok(Term::BoolTy),
         Value::Bool(b) => Ok(Term::BoolLit(*b)),
-        Value::Pi { binder, domain, codomain } => {
+        Value::Pi { domain, codomain, .. } => {
             let domain = quote_with(names, domain, fuel, mode)?;
-            let (binder, codomain) = quote_closure(names, *binder, codomain, fuel, mode)?;
+            let (binder, codomain) = codomain.quote(names, fuel, mode)?;
             Ok(Term::Pi { binder, domain: domain.rc(), codomain: codomain.rc() })
         }
-        Value::Sigma { binder, first, second } => {
+        Value::Sigma { first, second, .. } => {
             let first = quote_with(names, first, fuel, mode)?;
-            let (binder, second) = quote_closure(names, *binder, second, fuel, mode)?;
+            let (binder, second) = second.quote(names, fuel, mode)?;
             Ok(Term::Sigma { binder, first: first.rc(), second: second.rc() })
         }
         Value::Code { env_binder, arg_binder, env_ty, arg_ty, body } => {
@@ -628,17 +450,7 @@ fn quote_with(
         }),
         Value::Stuck { head, spine } => {
             let mut out = match head {
-                Head::Global(x) => {
-                    // A free variable equal to a binder introduced by this
-                    // quote would be captured. Canonical names are globally
-                    // fresh, so this can only happen when the caller feeds a
-                    // previous read-back's binder back in free — restart
-                    // with per-quote freshening.
-                    if mode == QuoteNames::Canonical && names.contains(x) {
-                        return Err(QuoteError::CanonicalCaptured);
-                    }
-                    Term::Var(*x)
-                }
+                Head::Global(x) => Term::Var(mode.free_var(names, *x)?),
                 Head::Local(level) => Term::Var(names[*level]),
                 Head::Blocked(v) => quote_with(names, v, fuel, mode)?,
             };
@@ -665,25 +477,6 @@ fn quote_with(
     }
 }
 
-/// Crosses one binder during read-back.
-fn quote_closure(
-    names: &mut Vec<Symbol>,
-    binder: Symbol,
-    closure: &Closure,
-    fuel: &mut Fuel,
-    mode: QuoteNames,
-) -> Result<(Symbol, Term), QuoteError> {
-    let name = match mode {
-        QuoteNames::Canonical => canonical_name(names.len()),
-        QuoteNames::Freshen => binder.freshen(),
-    };
-    let body = closure.apply(Value::local(names.len()), fuel)?;
-    names.push(name);
-    let body = quote_with(names, &body, fuel, mode);
-    names.pop();
-    Ok((name, body?))
-}
-
 /// Crosses the two binders of code (or a code type) during read-back.
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn quote_code(
@@ -695,12 +488,10 @@ fn quote_code(
     body: &CodeClosure,
     fuel: &mut Fuel,
     mode: QuoteNames,
-) -> Result<(Symbol, Symbol, Term, Term, Term), QuoteError> {
+) -> Result<(Symbol, Symbol, Term, Term, Term), QuoteError<ReduceError>> {
     let env_ty = quote_with(names, env_ty, fuel, mode)?;
-    let (name_env, name_arg) = match mode {
-        QuoteNames::Canonical => (canonical_name(names.len()), canonical_name(names.len() + 1)),
-        QuoteNames::Freshen => (env_binder.freshen(), arg_binder.freshen()),
-    };
+    let name_env = mode.binder_name::<Term>(names.len(), env_binder);
+    let name_arg = mode.binder_name::<Term>(names.len() + 1, arg_binder);
     let arg_ty_value = arg_ty.apply(Value::local(names.len()), fuel)?;
     names.push(name_env);
     let arg_ty_term = quote_with(names, &arg_ty_value, fuel, mode);
@@ -770,11 +561,11 @@ pub fn conv(
         (
             Value::Pi { domain: d1, codomain: c1, .. },
             Value::Pi { domain: d2, codomain: c2, .. },
-        ) => Ok(conv(level, d1, d2, fuel)? && conv_closure(level, c1, c2, fuel)?),
+        ) => Ok(conv(level, d1, d2, fuel)? && c1.conv(level, c2, fuel)?),
         (
             Value::Sigma { first: f1, second: s1, .. },
             Value::Sigma { first: f2, second: s2, .. },
-        ) => Ok(conv(level, f1, f2, fuel)? && conv_closure(level, s1, s2, fuel)?),
+        ) => Ok(conv(level, f1, f2, fuel)? && s1.conv(level, s2, fuel)?),
         (
             Value::Code { env_ty: e1, arg_ty: a1, body: b1, .. },
             Value::Code { env_ty: e2, arg_ty: a2, body: b2, .. },
@@ -785,7 +576,7 @@ pub fn conv(
         ) => {
             // Mixed Code/CodeTy pairs cannot reach here — the alternatives
             // pair like with like — and fall to the catch-all `false` arm.
-            if !conv(level, e1, e2, fuel)? || !conv_closure(level, a1, a2, fuel)? {
+            if !conv(level, e1, e2, fuel)? || !a1.conv(level, a2, fuel)? {
                 return Ok(false);
             }
             let env_fresh = Value::local(level);
@@ -802,15 +593,7 @@ pub fn conv(
             Ok(conv(level, f1, f2, fuel)? && conv(level, s1, s2, fuel)?)
         }
         (Value::Stuck { head: h1, spine: s1 }, Value::Stuck { head: h2, spine: s2 }) => {
-            if !conv_head(level, h1, h2, fuel)? || s1.len() != s2.len() {
-                return Ok(false);
-            }
-            for (e1, e2) in s1.iter().zip(s2) {
-                if !conv_elim(level, e1, e2, fuel)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
+            conv_stuck(level, (h1, s1), (h2, s2), fuel)
         }
         _ => Ok(false),
     }
@@ -836,47 +619,6 @@ fn eta_expand_conv(
     conv(level + 1, &applied_closure, &applied_other, fuel)
 }
 
-fn conv_head(level: usize, h1: &Head, h2: &Head, fuel: &mut Fuel) -> Result<bool, ReduceError> {
-    match (h1, h2) {
-        (Head::Global(x), Head::Global(y)) => Ok(x == y),
-        (Head::Local(a), Head::Local(b)) => Ok(a == b),
-        (Head::Blocked(a), Head::Blocked(b)) => conv(level, a, b, fuel),
-        _ => Ok(false),
-    }
-}
-
-fn conv_elim(level: usize, e1: &Elim, e2: &Elim, fuel: &mut Fuel) -> Result<bool, ReduceError> {
-    match (e1, e2) {
-        (Elim::App(a), Elim::App(b)) => conv(level, a, b, fuel),
-        (Elim::Fst, Elim::Fst) | (Elim::Snd, Elim::Snd) => Ok(true),
-        (
-            Elim::If { then_branch: t1, else_branch: f1 },
-            Elim::If { then_branch: t2, else_branch: f2 },
-        ) => {
-            let (t1, t2) = (t1.force(fuel)?, t2.force(fuel)?);
-            if !conv(level, &t1, &t2, fuel)? {
-                return Ok(false);
-            }
-            let (f1, f2) = (f1.force(fuel)?, f2.force(fuel)?);
-            conv(level, &f1, &f2, fuel)
-        }
-        _ => Ok(false),
-    }
-}
-
-/// Compares two closures by instantiating both at the same fresh level.
-fn conv_closure(
-    level: usize,
-    c1: &Closure,
-    c2: &Closure,
-    fuel: &mut Fuel,
-) -> Result<bool, ReduceError> {
-    let fresh = Value::local(level);
-    let a = c1.apply(fresh.clone(), fuel)?;
-    let b = c2.apply(fresh, fuel)?;
-    conv(level + 1, &a, &b, fuel)
-}
-
 /// Applies a borrowed value (used by closure-η, where the other side may
 /// be any value).
 fn apply_value(func: &Value, arg: RcValue) -> Result<RcValue, ReduceError> {
@@ -895,26 +637,6 @@ fn apply_value(func: &Value, arg: RcValue) -> Result<RcValue, ReduceError> {
             spine: vec![Elim::App(arg)],
         })),
     }
-}
-
-/// Evaluates `term` under the typing environment `env`.
-///
-/// # Errors
-///
-/// See [`eval`].
-pub fn eval_in(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<RcValue, ReduceError> {
-    eval(&ValEnv::from_env(env), term, fuel)
-}
-
-/// Fully normalizes `term` through the NbE engine. Agrees with
-/// [`crate::reduce::normalize`] up to α-equivalence on well-typed terms.
-///
-/// # Errors
-///
-/// See [`eval`].
-pub fn normalize_nbe(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceError> {
-    let value = eval_in(env, term, fuel)?;
-    quote(&value, fuel)
 }
 
 /// Weak-head normalization through the NbE engine; the type checker uses
@@ -945,29 +667,6 @@ pub fn whnf_nbe(env: &Env, term: &Term, fuel: &mut Fuel) -> Result<Term, ReduceE
         Term::Var(x) if env.lookup_definition(*x).is_none() => Ok(term.clone()),
         _ => normalize_nbe(env, term, fuel),
     }
-}
-
-/// [`normalize_nbe`] with the default fuel budget.
-///
-/// # Panics
-///
-/// Panics if the default budget is exhausted or the term applies bare
-/// code; intended for tests and examples on well-typed terms.
-pub fn normalize_nbe_default(env: &Env, term: &Term) -> Term {
-    let mut fuel = Fuel::default();
-    normalize_nbe(env, term, &mut fuel).expect("NbE normalization of a well-typed term failed")
-}
-
-/// Decides definitional equivalence of two terms through the NbE engine.
-///
-/// # Errors
-///
-/// See [`eval`].
-pub fn conv_terms(env: &Env, e1: &Term, e2: &Term, fuel: &mut Fuel) -> Result<bool, ReduceError> {
-    let venv = ValEnv::from_env(env);
-    let v1 = eval(&venv, e1, fuel)?;
-    let v2 = eval(&venv, e2, fuel)?;
-    conv(0, &v1, &v2, fuel)
 }
 
 #[cfg(test)]
@@ -1062,6 +761,26 @@ mod tests {
         let mut fuel = Fuel::default();
         let result = normalize_nbe(&env, &ite(var("b"), ff(), tt()), &mut fuel).unwrap();
         assert!(alpha_eq(&result, &ff()));
+    }
+
+    #[test]
+    fn free_canonical_readback_names_are_not_captured() {
+        // Extract the canonical names of levels 0 and 1 from a read-back
+        // code block: its environment and argument binders …
+        let (level0, level1) = match nf(&code("n", unit_ty(), "x", bool_ty(), var("x"))) {
+            Term::Code { env_binder, arg_binder, .. } => (env_binder, arg_binder),
+            other => panic!("expected code, got {other}"),
+        };
+        // … and feed each back in *free* under binders at those levels.
+        // Quoting must not capture them (the canonical-name conflict
+        // triggers the freshening fallback), under Π's one binder …
+        let tricky = pi("y", bool_ty(), app(var_sym(level0), var("y")));
+        let result = nf(&tricky);
+        assert!(alpha_eq(&result, &tricky), "free `{level0}` was captured in {result}");
+        // … and under code's two.
+        let tricky = code("m", unit_ty(), "y", bool_ty(), app(var_sym(level1), var("y")));
+        let result = nf(&tricky);
+        assert!(alpha_eq(&result, &tricky), "free `{level1}` was captured in {result}");
     }
 
     #[test]

@@ -142,12 +142,6 @@ pub fn cancelled() -> bool {
     INSTALLED.with(|stack| stack.borrow().last().is_some_and(CancelToken::is_cancelled))
 }
 
-/// The installed token's cancellation reason, if this thread has a
-/// cancelled token installed.
-pub fn reason() -> Option<CancelReason> {
-    INSTALLED.with(|stack| stack.borrow().last().and_then(CancelToken::reason))
-}
-
 /// A bounded, deterministically jittered retry schedule.
 ///
 /// Each [`Backoff::next_delay`] yields the next sleep, roughly doubling
@@ -211,11 +205,6 @@ impl Backoff {
         self.next_ns = base.saturating_mul(2);
         Some(Duration::from_nanos(jittered))
     }
-
-    /// Attempts still available.
-    pub fn attempts_left(&self) -> u32 {
-        self.attempts_left
-    }
 }
 
 #[cfg(test)]
@@ -256,7 +245,7 @@ mod tests {
             assert!(!cancelled());
             token.cancel();
             assert!(cancelled());
-            assert_eq!(reason(), Some(CancelReason::User));
+            assert_eq!(token.reason(), Some(CancelReason::User));
             // A nested install shadows the cancelled outer token.
             let inner = CancelToken::new();
             {
@@ -266,7 +255,6 @@ mod tests {
             assert!(cancelled(), "popping the inner install restores the outer");
         }
         assert!(!cancelled(), "dropping the guard uninstalls");
-        assert_eq!(reason(), None);
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //!   with its incremental content fingerprint, defined once and
 //!   instantiated by each language's `env` module.
 //! * [`universe`] — the universes `⋆` and `□` both languages share.
+//! * [`nbe`] — the language-independent half of NbE and conversion:
+//!   thunks, value environments, closures, canonical-name read-back, the
+//!   [`nbe::Engine`] selector and the memoized `equiv_nodes` ladder, over
+//!   a [`nbe::Calculus`] each language implements on its `Term`.
 //! * [`wire`] — the compact, deterministic, `Send` term encoding that
 //!   carries terms, interfaces, and compiled artifacts across thread
 //!   boundaries (the per-worker interners of the parallel module driver
@@ -64,6 +68,7 @@ pub mod diag;
 pub mod env;
 pub mod fuel;
 pub mod intern;
+pub mod nbe;
 pub mod panics;
 pub mod pretty;
 pub mod span;
