@@ -9,11 +9,17 @@
 //! Following §5.2 of the paper we also include the ground type `Bool` with
 //! literals and a non-dependent `if`, which is what the correctness-of-
 //! separate-compilation theorem observes.
+//!
+//! This module also holds CC's constructor table: [`Term`] implements
+//! [`Syntax`], so node metadata, [`Term::size`], [`Term::depth`],
+//! [`Term::visit`], substitution, α-equivalence and the wire codec come
+//! from the one binding structure written in [`cccc_util::syntax`] for both
+//! languages. What stays here is what CC alone has: the variants, the
+//! per-thread interner, [`Term::is_value`], [`Term::spine`] and the λ count.
 
-use cccc_util::intern::{
-    FreeVars, InternStats, Internable, Interner, Node, NodeMeta, ThreadInterned,
-};
+use cccc_util::intern::{InternStats, Internable, Interner, Node, NodeMeta, ThreadInterned};
 use cccc_util::symbol::Symbol;
+use cccc_util::syntax::{self, Parts, Shape, Syntax};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -139,45 +145,111 @@ pub fn intern_table_len() -> usize {
 
 impl Internable for Term {
     fn compute_meta(&self) -> NodeMeta {
-        // All unions go through [`FreeVars::union`]/[`FreeVars::minus`],
-        // which share an existing child allocation whenever one side
-        // covers the other — most nodes allocate nothing here.
+        syntax::meta(self)
+    }
+}
+
+// The constructor table: each constructor's wire tag, fixed by the
+// stored format (see `cccc_util::syntax`).
+const TAG_VAR: u64 = 1;
+const TAG_STAR: u64 = 2;
+const TAG_BOX: u64 = 3;
+const TAG_PI: u64 = 4;
+const TAG_LAM: u64 = 5;
+const TAG_APP: u64 = 6;
+const TAG_LET: u64 = 7;
+const TAG_SIGMA: u64 = 8;
+const TAG_PAIR: u64 = 9;
+const TAG_FST: u64 = 10;
+const TAG_SND: u64 = 11;
+const TAG_BOOL_TY: u64 = 12;
+const TAG_BOOL_LIT: u64 = 13;
+const TAG_IF: u64 = 14;
+
+/// CC's grammar for the binding structure written once in
+/// [`cccc_util::syntax`]: substitution, α-equivalence, free variables,
+/// node metadata and the wire codec.
+impl Syntax for Term {
+    const VAR: u64 = TAG_VAR;
+
+    #[inline]
+    fn shape(tag: u64) -> Option<Shape> {
+        Some(match tag {
+            TAG_STAR | TAG_BOX | TAG_BOOL_TY => Shape::LEAF,
+            TAG_PI | TAG_LAM | TAG_SIGMA => Shape::BINDER,
+            TAG_APP => Shape::BINARY,
+            TAG_LET => Shape::LET,
+            TAG_PAIR | TAG_IF => Shape::TERNARY,
+            TAG_FST | TAG_SND => Shape::UNARY,
+            TAG_BOOL_LIT => Shape::SCALAR,
+            _ => return None,
+        })
+    }
+
+    #[inline]
+    fn var(x: Symbol) -> Term {
+        Term::Var(x)
+    }
+
+    #[inline]
+    fn as_var(&self) -> Option<Symbol> {
+        Term::as_var(self)
+    }
+
+    #[inline]
+    fn split(&self) -> Parts<&RcTerm> {
         match self {
-            Term::Var(x) => NodeMeta::leaf(FreeVars::singleton(*x)),
-            Term::Sort(_) | Term::BoolTy | Term::BoolLit(_) => NodeMeta::leaf(FreeVars::closed()),
-            Term::Pi { binder, domain, codomain: body }
-            | Term::Lam { binder, domain, body }
-            | Term::Sigma { binder, first: domain, second: body } => {
-                let fv = FreeVars::union(domain.free_vars(), &body.free_vars().minus(&[*binder]));
-                NodeMeta::node(fv, [domain.meta(), body.meta()])
+            Term::Var(_) => Parts::leaf(TAG_VAR),
+            Term::Sort(Universe::Star) => Parts::leaf(TAG_STAR),
+            Term::Sort(Universe::Box) => Parts::leaf(TAG_BOX),
+            Term::Pi { binder, domain, codomain } => {
+                Parts::new(TAG_PI, [*binder], [domain, codomain])
             }
-            Term::App { func, arg } => {
-                let fv = FreeVars::union(func.free_vars(), arg.free_vars());
-                NodeMeta::node(fv, [func.meta(), arg.meta()])
-            }
+            Term::Lam { binder, domain, body } => Parts::new(TAG_LAM, [*binder], [domain, body]),
+            Term::App { func, arg } => Parts::new(TAG_APP, [], [func, arg]),
             Term::Let { binder, annotation, bound, body } => {
-                let fv = FreeVars::union(
-                    &FreeVars::union(annotation.free_vars(), bound.free_vars()),
-                    &body.free_vars().minus(&[*binder]),
-                );
-                NodeMeta::node(fv, [annotation.meta(), bound.meta(), body.meta()])
+                Parts::new(TAG_LET, [*binder], [annotation, bound, body])
+            }
+            Term::Sigma { binder, first, second } => {
+                Parts::new(TAG_SIGMA, [*binder], [first, second])
             }
             Term::Pair { first, second, annotation } => {
-                let fv = FreeVars::union(
-                    &FreeVars::union(first.free_vars(), second.free_vars()),
-                    annotation.free_vars(),
-                );
-                NodeMeta::node(fv, [first.meta(), second.meta(), annotation.meta()])
+                Parts::new(TAG_PAIR, [], [first, second, annotation])
             }
-            // Single-child nodes share the child's set outright.
-            Term::Fst(e) | Term::Snd(e) => NodeMeta::node(e.free_vars().clone(), [e.meta()]),
+            Term::Fst(e) => Parts::new(TAG_FST, [], [e]),
+            Term::Snd(e) => Parts::new(TAG_SND, [], [e]),
+            Term::BoolTy => Parts::leaf(TAG_BOOL_TY),
+            Term::BoolLit(b) => Parts::scalar(TAG_BOOL_LIT, u64::from(*b)),
             Term::If { scrutinee, then_branch, else_branch } => {
-                let fv = FreeVars::union(
-                    &FreeVars::union(scrutinee.free_vars(), then_branch.free_vars()),
-                    else_branch.free_vars(),
-                );
-                NodeMeta::node(fv, [scrutinee.meta(), then_branch.meta(), else_branch.meta()])
+                Parts::new(TAG_IF, [], [scrutinee, then_branch, else_branch])
             }
+        }
+    }
+
+    #[inline]
+    fn join(parts: Parts<RcTerm>) -> Term {
+        let Parts { tag, binders: [binder, _], scalar, children } = parts;
+        match (tag, children) {
+            (TAG_STAR, _) => Term::Sort(Universe::Star),
+            (TAG_BOX, _) => Term::Sort(Universe::Box),
+            (TAG_PI, [Some(domain), Some(codomain), _]) => Term::Pi { binder, domain, codomain },
+            (TAG_LAM, [Some(domain), Some(body), _]) => Term::Lam { binder, domain, body },
+            (TAG_APP, [Some(func), Some(arg), _]) => Term::App { func, arg },
+            (TAG_LET, [Some(annotation), Some(bound), Some(body)]) => {
+                Term::Let { binder, annotation, bound, body }
+            }
+            (TAG_SIGMA, [Some(first), Some(second), _]) => Term::Sigma { binder, first, second },
+            (TAG_PAIR, [Some(first), Some(second), Some(annotation)]) => {
+                Term::Pair { first, second, annotation }
+            }
+            (TAG_FST, [Some(e), ..]) => Term::Fst(e),
+            (TAG_SND, [Some(e), ..]) => Term::Snd(e),
+            (TAG_BOOL_TY, _) => Term::BoolTy,
+            (TAG_BOOL_LIT, _) => Term::BoolLit(scalar != 0),
+            (TAG_IF, [Some(scrutinee), Some(then_branch), Some(else_branch)]) => {
+                Term::If { scrutinee, then_branch, else_branch }
+            }
+            _ => unreachable!("CC parts do not fit the shape of tag {tag}"),
         }
     }
 }
@@ -240,25 +312,8 @@ impl Term {
     }
 
     /// Calls `f` on each *direct* child handle, left to right.
-    pub fn for_each_child(&self, mut f: impl FnMut(&RcTerm)) {
-        match self {
-            Term::Var(_) | Term::Sort(_) | Term::BoolTy | Term::BoolLit(_) => {}
-            Term::Pi { domain: a, codomain: b, .. }
-            | Term::Lam { domain: a, body: b, .. }
-            | Term::Sigma { first: a, second: b, .. }
-            | Term::App { func: a, arg: b } => {
-                f(a);
-                f(b);
-            }
-            Term::Let { annotation: a, bound: b, body: c, .. }
-            | Term::Pair { first: a, second: b, annotation: c }
-            | Term::If { scrutinee: a, then_branch: b, else_branch: c } => {
-                f(a);
-                f(b);
-                f(c);
-            }
-            Term::Fst(e) | Term::Snd(e) => f(e),
-        }
+    pub fn for_each_child(&self, f: impl FnMut(&RcTerm)) {
+        syntax::for_each_child(self, f)
     }
 
     /// The number of AST nodes in the term, counted *as a tree* (shared
@@ -266,16 +321,12 @@ impl Term {
     /// report code-size blow-up of the translation. O(1): summed from the
     /// children's cached metadata rather than traversed.
     pub fn size(&self) -> usize {
-        let mut total: u64 = 1;
-        self.for_each_child(|c| total = total.saturating_add(c.meta().size));
-        total.try_into().unwrap_or(usize::MAX)
+        syntax::size(self)
     }
 
     /// The maximum depth of the AST. O(1) via cached metadata.
     pub fn depth(&self) -> usize {
-        let mut deepest: u32 = 0;
-        self.for_each_child(|c| deepest = deepest.max(c.meta().depth));
-        (deepest + 1) as usize
+        syntax::depth(self)
     }
 
     /// Counts the number of λ-abstractions in the term; every one of them
@@ -292,42 +343,7 @@ impl Term {
 
     /// Calls `f` on this term and every subterm, pre-order.
     pub fn visit(&self, f: &mut impl FnMut(&Term)) {
-        f(self);
-        match self {
-            Term::Var(_) | Term::Sort(_) | Term::BoolTy | Term::BoolLit(_) => {}
-            Term::Pi { domain, codomain, .. } => {
-                domain.visit(f);
-                codomain.visit(f);
-            }
-            Term::Lam { domain, body, .. } => {
-                domain.visit(f);
-                body.visit(f);
-            }
-            Term::App { func, arg } => {
-                func.visit(f);
-                arg.visit(f);
-            }
-            Term::Let { annotation, bound, body, .. } => {
-                annotation.visit(f);
-                bound.visit(f);
-                body.visit(f);
-            }
-            Term::Sigma { first, second, .. } => {
-                first.visit(f);
-                second.visit(f);
-            }
-            Term::Pair { first, second, annotation } => {
-                first.visit(f);
-                second.visit(f);
-                annotation.visit(f);
-            }
-            Term::Fst(e) | Term::Snd(e) => e.visit(f),
-            Term::If { scrutinee, then_branch, else_branch } => {
-                scrutinee.visit(f);
-                then_branch.visit(f);
-                else_branch.visit(f);
-            }
-        }
+        syntax::visit(self, f)
     }
 
     /// Splits an application spine: `f a b c` becomes `(f, [a, b, c])`.

@@ -5,11 +5,13 @@
 //!
 //! The crate provides:
 //!
-//! * [`ast`] — the abstract syntax (Figure 1 of the paper);
+//! * [`ast`] — the abstract syntax (Figure 1 of the paper) and its
+//!   constructor table for the binding structure of [`cccc_util::syntax`];
 //! * [`builder`] — a DSL for constructing terms programmatically;
 //! * [`mod@env`] — typing environments `Γ` (Figure 4): the CC instance of
 //!   the telescope [`cccc_util::env`] shares with CC-CC;
-//! * [`subst`] — free variables, capture-avoiding substitution, α-equivalence;
+//! * [`subst`] — free variables, capture-avoiding substitution,
+//!   α-equivalence: CC's instances of [`cccc_util::syntax`];
 //! * [`reduce`] — the reduction relation `⊲` and normalization (Figure 2),
 //!   plus a cost-instrumented evaluator counting each rule's firings (§7
 //!   overhead);
@@ -23,7 +25,9 @@
 //!   `False`, refinement-style pairs) and the program corpus used by tests
 //!   and benchmarks;
 //! * [`generate`] — a type-directed random generator of well-typed terms for
-//!   property-based testing.
+//!   property-based testing;
+//! * [`wire`] — the thread- and process-portable term codec and content
+//!   fingerprints: CC's instances of [`cccc_util::syntax`].
 //!
 //! # Example
 //!

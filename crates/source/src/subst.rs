@@ -4,371 +4,74 @@
 //! CC uses a named representation of binders, so substitution must freshen
 //! binders that would capture free variables of the substituted term.
 //! α-equivalence compares terms up to a consistent renaming of binders.
+//! The algorithms are written once, for CC and CC-CC, in
+//! [`cccc_util::syntax`] over CC's constructor table
+//! ([`Term`]'s [`Syntax`](cccc_util::syntax::Syntax) implementation);
+//! these are their CC instances.
 
 use crate::ast::{RcTerm, Term};
-use cccc_util::binder::subst_under;
 use cccc_util::symbol::Symbol;
-use std::collections::{HashMap, HashSet};
+use cccc_util::syntax;
+use std::collections::HashSet;
 
 /// The free variables of `term`, in order of first occurrence (left to
 /// right, outside in). Duplicates are removed.
 pub fn free_vars(term: &Term) -> Vec<Symbol> {
-    let mut seen = HashSet::new();
-    let mut out = Vec::new();
-    collect_free(term, &mut HashSet::new(), &mut seen, &mut out);
-    out
+    syntax::free_vars(term)
 }
 
-/// The free variables of `term` as a set — this used to traverse the term;
-/// it now assembles the answer from the children's metadata cached by the
-/// hash-consing kernel, so the cost is O(free variables), not O(term).
+/// The free variables of `term` as a set, assembled from the children's
+/// metadata cached by the hash-consing kernel: O(free variables), not
+/// O(term).
 pub fn free_var_set(term: &Term) -> HashSet<Symbol> {
-    match term {
-        Term::Var(x) => std::iter::once(*x).collect(),
-        _ => {
-            let mut out = HashSet::new();
-            head_free_vars(term, |v| {
-                out.insert(v);
-            });
-            out
-        }
-    }
-}
-
-/// Feeds every free variable of the head (children read from cached
-/// metadata, the head's own binders subtracted) to `f`, with duplicates.
-fn head_free_vars(term: &Term, mut f: impl FnMut(Symbol)) {
-    match term {
-        Term::Var(x) => f(*x),
-        Term::Sort(_) | Term::BoolTy | Term::BoolLit(_) => {}
-        Term::Pi { binder, domain, codomain: body }
-        | Term::Lam { binder, domain, body }
-        | Term::Sigma { binder, first: domain, second: body } => {
-            domain.free_vars().iter().for_each(&mut f);
-            body.free_vars().iter().filter(|v| v != binder).for_each(&mut f);
-        }
-        Term::Let { binder, annotation, bound, body } => {
-            annotation.free_vars().iter().for_each(&mut f);
-            bound.free_vars().iter().for_each(&mut f);
-            body.free_vars().iter().filter(|v| v != binder).for_each(&mut f);
-        }
-        _ => term.for_each_child(|c| c.free_vars().iter().for_each(&mut f)),
-    }
+    syntax::free_var_set(term)
 }
 
 /// Whether `x` occurs free in `term`. O(1) in the size of the term: the
 /// children's cached free-variable sets answer the membership query, only
 /// the head's binders are inspected.
 pub fn occurs_free(x: Symbol, term: &Term) -> bool {
-    match term {
-        Term::Var(y) => *y == x,
-        Term::Sort(_) | Term::BoolTy | Term::BoolLit(_) => false,
-        Term::Pi { binder, domain, codomain: body }
-        | Term::Lam { binder, domain, body }
-        | Term::Sigma { binder, first: domain, second: body } => {
-            domain.free_vars().contains(x) || (*binder != x && body.free_vars().contains(x))
-        }
-        Term::Let { binder, annotation, bound, body } => {
-            annotation.free_vars().contains(x)
-                || bound.free_vars().contains(x)
-                || (*binder != x && body.free_vars().contains(x))
-        }
-        _ => {
-            let mut found = false;
-            term.for_each_child(|c| found = found || c.free_vars().contains(x));
-            found
-        }
-    }
-}
-
-fn collect_free(
-    term: &Term,
-    bound: &mut HashSet<Symbol>,
-    seen: &mut HashSet<Symbol>,
-    out: &mut Vec<Symbol>,
-) {
-    match term {
-        Term::Var(x) => {
-            if !bound.contains(x) && seen.insert(*x) {
-                out.push(*x);
-            }
-        }
-        Term::Sort(_) | Term::BoolTy | Term::BoolLit(_) => {}
-        Term::Pi { binder, domain, codomain } => {
-            collect_free(domain, bound, seen, out);
-            collect_under(*binder, codomain, bound, seen, out);
-        }
-        Term::Lam { binder, domain, body } => {
-            collect_free(domain, bound, seen, out);
-            collect_under(*binder, body, bound, seen, out);
-        }
-        Term::App { func, arg } => {
-            collect_free(func, bound, seen, out);
-            collect_free(arg, bound, seen, out);
-        }
-        Term::Let { binder, annotation, bound: bound_term, body } => {
-            collect_free(annotation, bound, seen, out);
-            collect_free(bound_term, bound, seen, out);
-            collect_under(*binder, body, bound, seen, out);
-        }
-        Term::Sigma { binder, first, second } => {
-            collect_free(first, bound, seen, out);
-            collect_under(*binder, second, bound, seen, out);
-        }
-        Term::Pair { first, second, annotation } => {
-            collect_free(first, bound, seen, out);
-            collect_free(second, bound, seen, out);
-            collect_free(annotation, bound, seen, out);
-        }
-        Term::Fst(e) | Term::Snd(e) => collect_free(e, bound, seen, out),
-        Term::If { scrutinee, then_branch, else_branch } => {
-            collect_free(scrutinee, bound, seen, out);
-            collect_free(then_branch, bound, seen, out);
-            collect_free(else_branch, bound, seen, out);
-        }
-    }
-}
-
-fn collect_under(
-    binder: Symbol,
-    body: &Term,
-    bound: &mut HashSet<Symbol>,
-    seen: &mut HashSet<Symbol>,
-    out: &mut Vec<Symbol>,
-) {
-    let newly_bound = bound.insert(binder);
-    collect_free(body, bound, seen, out);
-    if newly_bound {
-        bound.remove(&binder);
-    }
+    syntax::occurs_free(x, term)
 }
 
 /// Capture-avoiding substitution `term[replacement/x]`.
 ///
 /// Binders that shadow `x` stop the substitution; binders whose name occurs
-/// free in `replacement` are renamed to fresh symbols before descending
-/// (the shared skeleton of [`cccc_util::binder`]).
-///
+/// free in `replacement` are renamed to fresh symbols before descending.
 /// Every capture check and every "does `x` even occur here?" test is an
 /// O(1) lookup against the metadata cached by the hash-consing kernel:
 /// subtrees that do not mention `x` are returned as shared handles without
 /// being visited at all.
 pub fn subst(term: &Term, x: Symbol, replacement: &Term) -> Term {
-    if !occurs_free(x, term) {
-        return term.clone();
-    }
-    let replacement = replacement.clone().rc();
-    subst_inner(term, x, &replacement)
+    syntax::subst(term, x, replacement)
 }
 
 /// [`subst`] on interned handles: returns the input handle unchanged (a
 /// reference-count bump) when `x` does not occur.
 pub fn subst_rc(term: &RcTerm, x: Symbol, replacement: &RcTerm) -> RcTerm {
-    if !term.free_vars().contains(x) {
-        return term.clone();
-    }
-    subst_inner(term, x, replacement).rc()
+    syntax::subst_rc(term, x, replacement)
 }
 
 /// Applies several substitutions in sequence (left to right). Later
 /// substitutions see the result of earlier ones.
 pub fn subst_all(term: &Term, substitutions: &[(Symbol, Term)]) -> Term {
-    let mut out = term.clone();
-    for (x, replacement) in substitutions {
-        out = subst(&out, *x, replacement);
-    }
-    out
-}
-
-fn subst_inner(term: &Term, x: Symbol, replacement: &RcTerm) -> Term {
-    // Recursion into a child handle: skipped outright (shared, not
-    // copied) when the child does not mention `x`.
-    let sub = |child: &RcTerm| subst_rc(child, x, replacement);
-    // The rename/subst closures handed to the shared binder skeleton.
-    let ren = |child: &RcTerm, from: Symbol, to: Symbol| rename_rc(child, from, to);
-    let fv = replacement.free_vars();
-    match term {
-        Term::Var(y) => {
-            if *y == x {
-                (**replacement).clone()
-            } else {
-                term.clone()
-            }
-        }
-        Term::Sort(_) | Term::BoolTy | Term::BoolLit(_) => term.clone(),
-        Term::Pi { binder, domain, codomain } => {
-            let domain = sub(domain);
-            let (binder, codomain) = subst_under(*binder, codomain, x, fv, ren, sub);
-            Term::Pi { binder, domain, codomain }
-        }
-        Term::Lam { binder, domain, body } => {
-            let domain = sub(domain);
-            let (binder, body) = subst_under(*binder, body, x, fv, ren, sub);
-            Term::Lam { binder, domain, body }
-        }
-        Term::App { func, arg } => Term::App { func: sub(func), arg: sub(arg) },
-        Term::Let { binder, annotation, bound, body } => {
-            let annotation = sub(annotation);
-            let bound = sub(bound);
-            let (binder, body) = subst_under(*binder, body, x, fv, ren, sub);
-            Term::Let { binder, annotation, bound, body }
-        }
-        Term::Sigma { binder, first, second } => {
-            let first = sub(first);
-            let (binder, second) = subst_under(*binder, second, x, fv, ren, sub);
-            Term::Sigma { binder, first, second }
-        }
-        Term::Pair { first, second, annotation } => {
-            Term::Pair { first: sub(first), second: sub(second), annotation: sub(annotation) }
-        }
-        Term::Fst(e) => Term::Fst(sub(e)),
-        Term::Snd(e) => Term::Snd(sub(e)),
-        Term::If { scrutinee, then_branch, else_branch } => Term::If {
-            scrutinee: sub(scrutinee),
-            then_branch: sub(then_branch),
-            else_branch: sub(else_branch),
-        },
-    }
+    syntax::subst_all(term, substitutions)
 }
 
 /// Renames every free occurrence of `from` in `term` to `to`. `to` is
 /// assumed not to be captured by any binder of `term` (guaranteed when `to`
 /// is a freshly generated symbol).
 pub fn rename(term: &Term, from: Symbol, to: Symbol) -> Term {
-    subst(term, from, &Term::Var(to))
-}
-
-/// [`rename`] on interned handles, sharing untouched subtrees.
-fn rename_rc(term: &RcTerm, from: Symbol, to: Symbol) -> RcTerm {
-    if !term.free_vars().contains(from) {
-        return term.clone();
-    }
-    subst_inner(term, from, &Term::Var(to).rc()).rc()
+    syntax::rename(term, from, to)
 }
 
 /// α-equivalence of two terms: structural equality up to consistent renaming
 /// of bound variables. Pair annotations are compared as well, since they are
-/// part of the syntax.
-///
-/// Hash-consing gives the traversal an identity fast path: two handles to
-/// the *same* node are α-equivalent whenever no active binder pairing can
-/// touch their free variables — in particular always at the top level.
+/// part of the syntax. Two handles to the *same* node are α-equivalent
+/// outright whenever no active binder pairing can touch their free
+/// variables — in particular always at the top level.
 pub fn alpha_eq(left: &Term, right: &Term) -> bool {
-    alpha_eq_inner(left, right, &mut HashMap::new(), &mut HashMap::new())
-}
-
-/// [`alpha_eq_inner`] on child handles, short-circuiting on node identity.
-///
-/// Identical nodes are α-equal outright when none of their free variables
-/// is remapped by an active binder pairing (a free variable outside both
-/// maps must satisfy `x == y`, which identity guarantees; bound-variable
-/// structure is literally the same). A closed node trivially satisfies the
-/// condition.
-fn alpha_eq_child(
-    left: &RcTerm,
-    right: &RcTerm,
-    l2r: &mut HashMap<Symbol, Symbol>,
-    r2l: &mut HashMap<Symbol, Symbol>,
-) -> bool {
-    if left.same(right) {
-        let unaffected = (l2r.is_empty() && r2l.is_empty())
-            || left.free_vars().iter().all(|v| !l2r.contains_key(&v) && !r2l.contains_key(&v));
-        if unaffected {
-            return true;
-        }
-    }
-    alpha_eq_inner(left, right, l2r, r2l)
-}
-
-fn alpha_eq_inner(
-    left: &Term,
-    right: &Term,
-    l2r: &mut HashMap<Symbol, Symbol>,
-    r2l: &mut HashMap<Symbol, Symbol>,
-) -> bool {
-    match (left, right) {
-        (Term::Var(x), Term::Var(y)) => match (l2r.get(x), r2l.get(y)) {
-            (Some(mapped_x), Some(mapped_y)) => mapped_x == y && mapped_y == x,
-            (None, None) => x == y,
-            _ => false,
-        },
-        (Term::Sort(u), Term::Sort(v)) => u == v,
-        (Term::BoolTy, Term::BoolTy) => true,
-        (Term::BoolLit(a), Term::BoolLit(b)) => a == b,
-        (
-            Term::Pi { binder: x, domain: a1, codomain: b1 },
-            Term::Pi { binder: y, domain: a2, codomain: b2 },
-        )
-        | (
-            Term::Lam { binder: x, domain: a1, body: b1 },
-            Term::Lam { binder: y, domain: a2, body: b2 },
-        )
-        | (
-            Term::Sigma { binder: x, first: a1, second: b1 },
-            Term::Sigma { binder: y, first: a2, second: b2 },
-        ) => alpha_eq_child(a1, a2, l2r, r2l) && alpha_eq_binder(*x, b1, *y, b2, l2r, r2l),
-        (Term::App { func: f1, arg: a1 }, Term::App { func: f2, arg: a2 }) => {
-            alpha_eq_child(f1, f2, l2r, r2l) && alpha_eq_child(a1, a2, l2r, r2l)
-        }
-        (
-            Term::Let { binder: x, annotation: t1, bound: e1, body: b1 },
-            Term::Let { binder: y, annotation: t2, bound: e2, body: b2 },
-        ) => {
-            alpha_eq_child(t1, t2, l2r, r2l)
-                && alpha_eq_child(e1, e2, l2r, r2l)
-                && alpha_eq_binder(*x, b1, *y, b2, l2r, r2l)
-        }
-        (
-            Term::Pair { first: a1, second: b1, annotation: t1 },
-            Term::Pair { first: a2, second: b2, annotation: t2 },
-        ) => {
-            alpha_eq_child(a1, a2, l2r, r2l)
-                && alpha_eq_child(b1, b2, l2r, r2l)
-                && alpha_eq_child(t1, t2, l2r, r2l)
-        }
-        (Term::Fst(a), Term::Fst(b)) | (Term::Snd(a), Term::Snd(b)) => {
-            alpha_eq_child(a, b, l2r, r2l)
-        }
-        (
-            Term::If { scrutinee: s1, then_branch: t1, else_branch: e1 },
-            Term::If { scrutinee: s2, then_branch: t2, else_branch: e2 },
-        ) => {
-            alpha_eq_child(s1, s2, l2r, r2l)
-                && alpha_eq_child(t1, t2, l2r, r2l)
-                && alpha_eq_child(e1, e2, l2r, r2l)
-        }
-        _ => false,
-    }
-}
-
-fn alpha_eq_binder(
-    x: Symbol,
-    left: &RcTerm,
-    y: Symbol,
-    right: &RcTerm,
-    l2r: &mut HashMap<Symbol, Symbol>,
-    r2l: &mut HashMap<Symbol, Symbol>,
-) -> bool {
-    let old_l = l2r.insert(x, y);
-    let old_r = r2l.insert(y, x);
-    let result = alpha_eq_child(left, right, l2r, r2l);
-    match old_l {
-        Some(prev) => {
-            l2r.insert(x, prev);
-        }
-        None => {
-            l2r.remove(&x);
-        }
-    }
-    match old_r {
-        Some(prev) => {
-            r2l.insert(y, prev);
-        }
-        None => {
-            r2l.remove(&y);
-        }
-    }
-    result
+    syntax::alpha_eq(left, right)
 }
 
 #[cfg(test)]

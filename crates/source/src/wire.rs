@@ -1,46 +1,30 @@
 //! Wire codec for CC terms: flatten to / re-intern from a
 //! [`WireTerm`] word buffer.
 //!
-//! [`RcTerm`] handles are `!Send` by design (per-thread interners, see
-//! [`cccc_util::intern`]); this module is how CC terms cross thread
-//! boundaries in the parallel module driver. [`encode`] runs on the
-//! producing thread and writes a compact, deterministic buffer — shared
-//! subterms are emitted once and back-referenced by index, so the buffer
-//! is linear in the hash-consed DAG, not the tree. [`decode`] runs on the
-//! consuming thread and re-interns bottom-up, so decoded terms are
+//! [`RcTerm`](crate::ast::RcTerm) handles are `!Send` by design
+//! (per-thread interners, see [`cccc_util::intern`]); this module is how CC
+//! terms cross thread boundaries in the parallel module driver. [`encode`]
+//! runs on the producing thread and writes a compact, deterministic buffer
+//! — shared subterms are emitted once and back-referenced by index, so the
+//! buffer is linear in the hash-consed DAG, not the tree. [`decode`] runs
+//! on the consuming thread and re-interns bottom-up, so decoded terms are
 //! first-class citizens of that thread's interner (cached metadata, memo
 //! eligibility, identity fast paths) from the moment they exist.
 //!
 //! [`fingerprint`] hashes the encoding into a process-stable 128-bit
 //! content fingerprint — the unit of cache keying in the driver.
+//!
+//! The codec is written once, for CC and CC-CC, in [`cccc_util::syntax`]
+//! (whose module docs give both constructor tables and the word layout);
+//! CC keeps only its constructor table, in [`crate::ast`].
 
-use crate::ast::{RcTerm, Term, Universe};
-use cccc_util::intern::{FxHashMap, NodeId};
-use cccc_util::symbol::Symbol;
-use cccc_util::wire::{Fingerprint, WireError, WireReader, WireTerm, WireWriter};
-
-const TAG_BACKREF: u64 = 0;
-const TAG_VAR: u64 = 1;
-const TAG_STAR: u64 = 2;
-const TAG_BOX: u64 = 3;
-const TAG_PI: u64 = 4;
-const TAG_LAM: u64 = 5;
-const TAG_APP: u64 = 6;
-const TAG_LET: u64 = 7;
-const TAG_SIGMA: u64 = 8;
-const TAG_PAIR: u64 = 9;
-const TAG_FST: u64 = 10;
-const TAG_SND: u64 = 11;
-const TAG_BOOL_TY: u64 = 12;
-const TAG_BOOL_LIT: u64 = 13;
-const TAG_IF: u64 = 14;
+use crate::ast::Term;
+use cccc_util::syntax;
+use cccc_util::wire::{Fingerprint, WireError, WireTerm};
 
 /// Encodes a CC term into a thread-portable wire buffer.
 pub fn encode(term: &Term) -> WireTerm {
-    let mut writer = WireWriter::new();
-    let mut seen: FxHashMap<NodeId, u64> = FxHashMap::default();
-    encode_head(term, &mut writer, &mut seen);
-    writer.finish()
+    syntax::encode(term)
 }
 
 /// Encodes a CC term into a *process*-portable wire buffer: symbols are
@@ -49,16 +33,13 @@ pub fn encode(term: &Term) -> WireTerm {
 /// parts, so the buffer can be persisted to disk and decoded by a later
 /// process. [`decode`] handles both formats transparently.
 pub fn encode_portable(term: &Term) -> WireTerm {
-    let mut writer = WireWriter::portable();
-    let mut seen: FxHashMap<NodeId, u64> = FxHashMap::default();
-    encode_head(term, &mut writer, &mut seen);
-    writer.finish()
+    syntax::encode_portable(term)
 }
 
 /// The process-stable content fingerprint of a term (the fingerprint of
 /// its wire encoding). Structural: α-variants fingerprint differently.
 pub fn fingerprint(term: &Term) -> Fingerprint {
-    encode(term).fingerprint()
+    syntax::fingerprint(term)
 }
 
 /// An α-invariant, *process-stable* content fingerprint: binders are
@@ -76,103 +57,7 @@ pub fn fingerprint(term: &Term) -> Fingerprint {
 /// still folds in its process-local subscript, keeping distinct
 /// generated names distinct at the price of stability in that corner.)
 pub fn fingerprint_alpha(term: &Term) -> Fingerprint {
-    let mut writer = WireWriter::new();
-    let mut scope: Vec<Symbol> = Vec::new();
-    encode_alpha(term, &mut writer, &mut scope);
-    writer.finish().fingerprint()
-}
-
-/// Writes an occurrence of `x`: its scope depth when bound (counted from
-/// the innermost binder, so the numbering is position-only), its base
-/// name plus generated-subscript when free. The subscript is a separate
-/// word — not rendered into the name — so a plain symbol whose name
-/// contains `$` can never alias a generated symbol.
-fn push_alpha_var(x: Symbol, writer: &mut WireWriter, scope: &[Symbol]) {
-    match scope.iter().rev().position(|&b| b == x) {
-        Some(depth) => {
-            writer.push(1);
-            writer.push(depth as u64);
-        }
-        None => {
-            writer.push(0);
-            writer.push_str(x.base_name());
-            writer.push(x.disambiguator());
-        }
-    }
-}
-
-/// The α-invariant encoding: same tags as [`encode`], but no subterm
-/// sharing (back-references would be scope-sensitive) and binders
-/// contribute only their positions. Interfaces are small, so the tree
-/// walk is cheap.
-fn encode_alpha(term: &Term, writer: &mut WireWriter, scope: &mut Vec<Symbol>) {
-    match term {
-        Term::Var(x) => {
-            writer.push(TAG_VAR);
-            push_alpha_var(*x, writer, scope);
-        }
-        Term::Sort(Universe::Star) => writer.push(TAG_STAR),
-        Term::Sort(Universe::Box) => writer.push(TAG_BOX),
-        Term::Pi { binder, domain, codomain } => {
-            writer.push(TAG_PI);
-            encode_alpha(domain, writer, scope);
-            scope.push(*binder);
-            encode_alpha(codomain, writer, scope);
-            scope.pop();
-        }
-        Term::Lam { binder, domain, body } => {
-            writer.push(TAG_LAM);
-            encode_alpha(domain, writer, scope);
-            scope.push(*binder);
-            encode_alpha(body, writer, scope);
-            scope.pop();
-        }
-        Term::App { func, arg } => {
-            writer.push(TAG_APP);
-            encode_alpha(func, writer, scope);
-            encode_alpha(arg, writer, scope);
-        }
-        Term::Let { binder, annotation, bound, body } => {
-            writer.push(TAG_LET);
-            encode_alpha(annotation, writer, scope);
-            encode_alpha(bound, writer, scope);
-            scope.push(*binder);
-            encode_alpha(body, writer, scope);
-            scope.pop();
-        }
-        Term::Sigma { binder, first, second } => {
-            writer.push(TAG_SIGMA);
-            encode_alpha(first, writer, scope);
-            scope.push(*binder);
-            encode_alpha(second, writer, scope);
-            scope.pop();
-        }
-        Term::Pair { first, second, annotation } => {
-            writer.push(TAG_PAIR);
-            encode_alpha(first, writer, scope);
-            encode_alpha(second, writer, scope);
-            encode_alpha(annotation, writer, scope);
-        }
-        Term::Fst(e) => {
-            writer.push(TAG_FST);
-            encode_alpha(e, writer, scope);
-        }
-        Term::Snd(e) => {
-            writer.push(TAG_SND);
-            encode_alpha(e, writer, scope);
-        }
-        Term::BoolTy => writer.push(TAG_BOOL_TY),
-        Term::BoolLit(b) => {
-            writer.push(TAG_BOOL_LIT);
-            writer.push(u64::from(*b));
-        }
-        Term::If { scrutinee, then_branch, else_branch } => {
-            writer.push(TAG_IF);
-            encode_alpha(scrutinee, writer, scope);
-            encode_alpha(then_branch, writer, scope);
-            encode_alpha(else_branch, writer, scope);
-        }
-    }
+    syntax::fingerprint_alpha(term)
 }
 
 /// Decodes a wire buffer produced by [`encode`] or [`encode_portable`],
@@ -189,161 +74,7 @@ fn encode_alpha(term: &Term, writer: &mut WireWriter, scope: &mut Vec<Symbol>) {
 /// Returns a [`WireError`] if the buffer is corrupt (truncated, unknown
 /// tag, bad back-reference, bad symbol table, or trailing words).
 pub fn decode(wire: &WireTerm) -> Result<Term, WireError> {
-    let mut reader = wire.term_reader()?;
-    let mut nodes: Vec<RcTerm> = Vec::new();
-    let term = decode_head(&mut reader, &mut nodes)?;
-    reader.expect_exhausted()?;
-    Ok(term)
-}
-
-/// Writes a node handle: a back-reference when the node was already
-/// written, its head otherwise. Completion indices are assigned postorder,
-/// mirroring the registration order in [`decode_node`].
-fn encode_node(node: &RcTerm, writer: &mut WireWriter, seen: &mut FxHashMap<NodeId, u64>) {
-    if let Some(&index) = seen.get(&node.id()) {
-        writer.push(TAG_BACKREF);
-        writer.push(index);
-        return;
-    }
-    encode_head(node, writer, seen);
-    let index = seen.len() as u64;
-    seen.insert(node.id(), index);
-}
-
-fn encode_head(term: &Term, writer: &mut WireWriter, seen: &mut FxHashMap<NodeId, u64>) {
-    match term {
-        Term::Var(x) => {
-            writer.push(TAG_VAR);
-            writer.push_symbol(*x);
-        }
-        Term::Sort(Universe::Star) => writer.push(TAG_STAR),
-        Term::Sort(Universe::Box) => writer.push(TAG_BOX),
-        Term::Pi { binder, domain, codomain } => {
-            writer.push(TAG_PI);
-            writer.push_symbol(*binder);
-            encode_node(domain, writer, seen);
-            encode_node(codomain, writer, seen);
-        }
-        Term::Lam { binder, domain, body } => {
-            writer.push(TAG_LAM);
-            writer.push_symbol(*binder);
-            encode_node(domain, writer, seen);
-            encode_node(body, writer, seen);
-        }
-        Term::App { func, arg } => {
-            writer.push(TAG_APP);
-            encode_node(func, writer, seen);
-            encode_node(arg, writer, seen);
-        }
-        Term::Let { binder, annotation, bound, body } => {
-            writer.push(TAG_LET);
-            writer.push_symbol(*binder);
-            encode_node(annotation, writer, seen);
-            encode_node(bound, writer, seen);
-            encode_node(body, writer, seen);
-        }
-        Term::Sigma { binder, first, second } => {
-            writer.push(TAG_SIGMA);
-            writer.push_symbol(*binder);
-            encode_node(first, writer, seen);
-            encode_node(second, writer, seen);
-        }
-        Term::Pair { first, second, annotation } => {
-            writer.push(TAG_PAIR);
-            encode_node(first, writer, seen);
-            encode_node(second, writer, seen);
-            encode_node(annotation, writer, seen);
-        }
-        Term::Fst(e) => {
-            writer.push(TAG_FST);
-            encode_node(e, writer, seen);
-        }
-        Term::Snd(e) => {
-            writer.push(TAG_SND);
-            encode_node(e, writer, seen);
-        }
-        Term::BoolTy => writer.push(TAG_BOOL_TY),
-        Term::BoolLit(b) => {
-            writer.push(TAG_BOOL_LIT);
-            writer.push(u64::from(*b));
-        }
-        Term::If { scrutinee, then_branch, else_branch } => {
-            writer.push(TAG_IF);
-            encode_node(scrutinee, writer, seen);
-            encode_node(then_branch, writer, seen);
-            encode_node(else_branch, writer, seen);
-        }
-    }
-}
-
-/// Reads one node, registering it for back-references in the same
-/// postorder position the encoder assigned.
-fn decode_node(reader: &mut WireReader<'_>, nodes: &mut Vec<RcTerm>) -> Result<RcTerm, WireError> {
-    if reader.peek() == Some(TAG_BACKREF) {
-        reader.next_word()?;
-        let index = reader.next_word()?;
-        return nodes.get(index as usize).cloned().ok_or(WireError::BadBackref(index));
-    }
-    let term = decode_head(reader, nodes)?;
-    let node = term.rc();
-    nodes.push(node.clone());
-    Ok(node)
-}
-
-fn decode_head(reader: &mut WireReader<'_>, nodes: &mut Vec<RcTerm>) -> Result<Term, WireError> {
-    let tag = reader.next_word()?;
-    Ok(match tag {
-        TAG_VAR => Term::Var(reader.next_symbol()?),
-        TAG_STAR => Term::Sort(Universe::Star),
-        TAG_BOX => Term::Sort(Universe::Box),
-        TAG_PI => {
-            let binder = reader.next_symbol()?;
-            let domain = decode_node(reader, nodes)?;
-            let codomain = decode_node(reader, nodes)?;
-            Term::Pi { binder, domain, codomain }
-        }
-        TAG_LAM => {
-            let binder = reader.next_symbol()?;
-            let domain = decode_node(reader, nodes)?;
-            let body = decode_node(reader, nodes)?;
-            Term::Lam { binder, domain, body }
-        }
-        TAG_APP => {
-            let func = decode_node(reader, nodes)?;
-            let arg = decode_node(reader, nodes)?;
-            Term::App { func, arg }
-        }
-        TAG_LET => {
-            let binder = reader.next_symbol()?;
-            let annotation = decode_node(reader, nodes)?;
-            let bound = decode_node(reader, nodes)?;
-            let body = decode_node(reader, nodes)?;
-            Term::Let { binder, annotation, bound, body }
-        }
-        TAG_SIGMA => {
-            let binder = reader.next_symbol()?;
-            let first = decode_node(reader, nodes)?;
-            let second = decode_node(reader, nodes)?;
-            Term::Sigma { binder, first, second }
-        }
-        TAG_PAIR => {
-            let first = decode_node(reader, nodes)?;
-            let second = decode_node(reader, nodes)?;
-            let annotation = decode_node(reader, nodes)?;
-            Term::Pair { first, second, annotation }
-        }
-        TAG_FST => Term::Fst(decode_node(reader, nodes)?),
-        TAG_SND => Term::Snd(decode_node(reader, nodes)?),
-        TAG_BOOL_TY => Term::BoolTy,
-        TAG_BOOL_LIT => Term::BoolLit(reader.next_word()? != 0),
-        TAG_IF => {
-            let scrutinee = decode_node(reader, nodes)?;
-            let then_branch = decode_node(reader, nodes)?;
-            let else_branch = decode_node(reader, nodes)?;
-            Term::If { scrutinee, then_branch, else_branch }
-        }
-        other => return Err(WireError::BadTag(other)),
-    })
+    syntax::decode(wire)
 }
 
 #[cfg(test)]
@@ -351,6 +82,7 @@ mod tests {
     use super::*;
     use crate::builder::*;
     use crate::prelude;
+    use cccc_util::symbol::Symbol;
 
     fn round_trip(term: &Term) {
         let wire = encode(term);
@@ -518,12 +250,12 @@ mod tests {
         // reads as an unknown tag; a *nested* out-of-range backref is the
         // real corruption case.
         let mut w = WireWriter::new();
-        w.push(TAG_BACKREF);
+        w.push(syntax::BACKREF);
         w.push(7);
-        assert!(matches!(decode(&w.finish()), Err(WireError::BadTag(TAG_BACKREF))));
+        assert!(matches!(decode(&w.finish()), Err(WireError::BadTag(syntax::BACKREF))));
         let mut w = WireWriter::new();
-        w.push(TAG_FST);
-        w.push(TAG_BACKREF);
+        w.push(10); // `fst`
+        w.push(syntax::BACKREF);
         w.push(7);
         assert!(matches!(decode(&w.finish()), Err(WireError::BadBackref(7))));
         let empty = WireWriter::new().finish();

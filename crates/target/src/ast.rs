@@ -13,11 +13,19 @@
 //! ([`Term::Pi`]). Environments are built from the unit type `1`
 //! ([`Term::Unit`]) and strong dependent pairs, exactly as in CC. The
 //! ground booleans of §5.2 are carried over unchanged.
+//!
+//! This module also holds CC-CC's constructor table: [`Term`] implements
+//! [`Syntax`], with code and code types as its two-binder telescopes, so
+//! node metadata, [`Term::size`], [`Term::depth`], [`Term::visit`],
+//! substitution, α-equivalence and the wire codec come from the one binding
+//! structure written in [`cccc_util::syntax`] for both languages. What
+//! stays here is what CC-CC alone has: the variants, the per-thread
+//! interner, [`Term::is_value`], [`Term::spine`] and the closure and code
+//! counts.
 
-use cccc_util::intern::{
-    FreeVars, InternStats, Internable, Interner, Node, NodeMeta, ThreadInterned,
-};
+use cccc_util::intern::{InternStats, Internable, Interner, Node, NodeMeta, ThreadInterned};
 use cccc_util::symbol::Symbol;
+use cccc_util::syntax::{self, Parts, Shape, Syntax};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -181,57 +189,134 @@ pub fn intern_table_len() -> usize {
 
 impl Internable for Term {
     fn compute_meta(&self) -> NodeMeta {
-        // All unions go through [`FreeVars::union`]/[`FreeVars::minus`],
-        // which share an existing child allocation whenever one side
-        // covers the other — most CC-CC nodes are closed or nearly so and
-        // allocate nothing here.
+        syntax::meta(self)
+    }
+}
+
+// The constructor table: each constructor's wire tag, fixed by the
+// stored format (see `cccc_util::syntax`).
+const TAG_VAR: u64 = 1;
+const TAG_STAR: u64 = 2;
+const TAG_BOX: u64 = 3;
+const TAG_PI: u64 = 4;
+const TAG_CODE: u64 = 5;
+const TAG_CODE_TY: u64 = 6;
+const TAG_CLOSURE: u64 = 7;
+const TAG_APP: u64 = 8;
+const TAG_LET: u64 = 9;
+const TAG_SIGMA: u64 = 10;
+const TAG_PAIR: u64 = 11;
+const TAG_FST: u64 = 12;
+const TAG_SND: u64 = 13;
+const TAG_UNIT: u64 = 14;
+const TAG_UNIT_VAL: u64 = 15;
+const TAG_BOOL_TY: u64 = 16;
+const TAG_BOOL_LIT: u64 = 17;
+const TAG_IF: u64 = 18;
+
+/// CC-CC's grammar for the binding structure written once in
+/// [`cccc_util::syntax`]: substitution, α-equivalence, free variables,
+/// node metadata and the wire codec. Code and code types are its
+/// telescopes: `env_binder` scopes over the argument type and the body,
+/// `arg_binder` over the body only.
+impl Syntax for Term {
+    const VAR: u64 = TAG_VAR;
+
+    #[inline]
+    fn shape(tag: u64) -> Option<Shape> {
+        Some(match tag {
+            TAG_STAR | TAG_BOX | TAG_UNIT | TAG_UNIT_VAL | TAG_BOOL_TY => Shape::LEAF,
+            TAG_PI | TAG_SIGMA => Shape::BINDER,
+            TAG_CODE | TAG_CODE_TY => Shape::TELESCOPE,
+            TAG_CLOSURE | TAG_APP => Shape::BINARY,
+            TAG_LET => Shape::LET,
+            TAG_PAIR | TAG_IF => Shape::TERNARY,
+            TAG_FST | TAG_SND => Shape::UNARY,
+            TAG_BOOL_LIT => Shape::SCALAR,
+            _ => return None,
+        })
+    }
+
+    #[inline]
+    fn var(x: Symbol) -> Term {
+        Term::Var(x)
+    }
+
+    #[inline]
+    fn as_var(&self) -> Option<Symbol> {
+        Term::as_var(self)
+    }
+
+    #[inline]
+    fn split(&self) -> Parts<&RcTerm> {
         match self {
-            Term::Var(x) => NodeMeta::leaf(FreeVars::singleton(*x)),
-            Term::Sort(_) | Term::Unit | Term::UnitVal | Term::BoolTy | Term::BoolLit(_) => {
-                NodeMeta::leaf(FreeVars::closed())
+            Term::Var(_) => Parts::leaf(TAG_VAR),
+            Term::Sort(Universe::Star) => Parts::leaf(TAG_STAR),
+            Term::Sort(Universe::Box) => Parts::leaf(TAG_BOX),
+            Term::Pi { binder, domain, codomain } => {
+                Parts::new(TAG_PI, [*binder], [domain, codomain])
             }
-            Term::Pi { binder, domain, codomain: body }
-            | Term::Sigma { binder, first: domain, second: body } => {
-                let fv = FreeVars::union(domain.free_vars(), &body.free_vars().minus(&[*binder]));
-                NodeMeta::node(fv, [domain.meta(), body.meta()])
+            Term::Code { env_binder, env_ty, arg_binder, arg_ty, body } => {
+                Parts::new(TAG_CODE, [*env_binder, *arg_binder], [env_ty, arg_ty, body])
             }
-            // The telescoped two-binder forms: `env_binder` scopes over the
-            // argument type and the body, `arg_binder` over the body only.
-            Term::Code { env_binder, env_ty, arg_binder, arg_ty, body }
-            | Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result: body } => {
-                let fv = FreeVars::union(
-                    &FreeVars::union(env_ty.free_vars(), &arg_ty.free_vars().minus(&[*env_binder])),
-                    &body.free_vars().minus(&[*env_binder, *arg_binder]),
-                );
-                NodeMeta::node(fv, [env_ty.meta(), arg_ty.meta(), body.meta()])
+            Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => {
+                Parts::new(TAG_CODE_TY, [*env_binder, *arg_binder], [env_ty, arg_ty, result])
             }
-            Term::Closure { code, env } | Term::App { func: code, arg: env } => {
-                let fv = FreeVars::union(code.free_vars(), env.free_vars());
-                NodeMeta::node(fv, [code.meta(), env.meta()])
-            }
+            Term::Closure { code, env } => Parts::new(TAG_CLOSURE, [], [code, env]),
+            Term::App { func, arg } => Parts::new(TAG_APP, [], [func, arg]),
             Term::Let { binder, annotation, bound, body } => {
-                let fv = FreeVars::union(
-                    &FreeVars::union(annotation.free_vars(), bound.free_vars()),
-                    &body.free_vars().minus(&[*binder]),
-                );
-                NodeMeta::node(fv, [annotation.meta(), bound.meta(), body.meta()])
+                Parts::new(TAG_LET, [*binder], [annotation, bound, body])
+            }
+            Term::Sigma { binder, first, second } => {
+                Parts::new(TAG_SIGMA, [*binder], [first, second])
             }
             Term::Pair { first, second, annotation } => {
-                let fv = FreeVars::union(
-                    &FreeVars::union(first.free_vars(), second.free_vars()),
-                    annotation.free_vars(),
-                );
-                NodeMeta::node(fv, [first.meta(), second.meta(), annotation.meta()])
+                Parts::new(TAG_PAIR, [], [first, second, annotation])
             }
-            // Single-child nodes share the child's set outright.
-            Term::Fst(e) | Term::Snd(e) => NodeMeta::node(e.free_vars().clone(), [e.meta()]),
+            Term::Fst(e) => Parts::new(TAG_FST, [], [e]),
+            Term::Snd(e) => Parts::new(TAG_SND, [], [e]),
+            Term::Unit => Parts::leaf(TAG_UNIT),
+            Term::UnitVal => Parts::leaf(TAG_UNIT_VAL),
+            Term::BoolTy => Parts::leaf(TAG_BOOL_TY),
+            Term::BoolLit(b) => Parts::scalar(TAG_BOOL_LIT, u64::from(*b)),
             Term::If { scrutinee, then_branch, else_branch } => {
-                let fv = FreeVars::union(
-                    &FreeVars::union(scrutinee.free_vars(), then_branch.free_vars()),
-                    else_branch.free_vars(),
-                );
-                NodeMeta::node(fv, [scrutinee.meta(), then_branch.meta(), else_branch.meta()])
+                Parts::new(TAG_IF, [], [scrutinee, then_branch, else_branch])
             }
+        }
+    }
+
+    #[inline]
+    fn join(parts: Parts<RcTerm>) -> Term {
+        let Parts { tag, binders: [binder, inner], scalar, children } = parts;
+        match (tag, children) {
+            (TAG_STAR, _) => Term::Sort(Universe::Star),
+            (TAG_BOX, _) => Term::Sort(Universe::Box),
+            (TAG_PI, [Some(domain), Some(codomain), _]) => Term::Pi { binder, domain, codomain },
+            (TAG_CODE, [Some(env_ty), Some(arg_ty), Some(body)]) => {
+                Term::Code { env_binder: binder, env_ty, arg_binder: inner, arg_ty, body }
+            }
+            (TAG_CODE_TY, [Some(env_ty), Some(arg_ty), Some(result)]) => {
+                Term::CodeTy { env_binder: binder, env_ty, arg_binder: inner, arg_ty, result }
+            }
+            (TAG_CLOSURE, [Some(code), Some(env), _]) => Term::Closure { code, env },
+            (TAG_APP, [Some(func), Some(arg), _]) => Term::App { func, arg },
+            (TAG_LET, [Some(annotation), Some(bound), Some(body)]) => {
+                Term::Let { binder, annotation, bound, body }
+            }
+            (TAG_SIGMA, [Some(first), Some(second), _]) => Term::Sigma { binder, first, second },
+            (TAG_PAIR, [Some(first), Some(second), Some(annotation)]) => {
+                Term::Pair { first, second, annotation }
+            }
+            (TAG_FST, [Some(e), ..]) => Term::Fst(e),
+            (TAG_SND, [Some(e), ..]) => Term::Snd(e),
+            (TAG_UNIT, _) => Term::Unit,
+            (TAG_UNIT_VAL, _) => Term::UnitVal,
+            (TAG_BOOL_TY, _) => Term::BoolTy,
+            (TAG_BOOL_LIT, _) => Term::BoolLit(scalar != 0),
+            (TAG_IF, [Some(scrutinee), Some(then_branch), Some(else_branch)]) => {
+                Term::If { scrutinee, then_branch, else_branch }
+            }
+            _ => unreachable!("CC-CC parts do not fit the shape of tag {tag}"),
         }
     }
 }
@@ -298,32 +383,8 @@ impl Term {
     }
 
     /// Calls `f` on each *direct* child handle, left to right.
-    pub fn for_each_child(&self, mut f: impl FnMut(&RcTerm)) {
-        match self {
-            Term::Var(_)
-            | Term::Sort(_)
-            | Term::Unit
-            | Term::UnitVal
-            | Term::BoolTy
-            | Term::BoolLit(_) => {}
-            Term::Pi { domain: a, codomain: b, .. }
-            | Term::Sigma { first: a, second: b, .. }
-            | Term::Closure { code: a, env: b }
-            | Term::App { func: a, arg: b } => {
-                f(a);
-                f(b);
-            }
-            Term::Code { env_ty: a, arg_ty: b, body: c, .. }
-            | Term::CodeTy { env_ty: a, arg_ty: b, result: c, .. }
-            | Term::Let { annotation: a, bound: b, body: c, .. }
-            | Term::Pair { first: a, second: b, annotation: c }
-            | Term::If { scrutinee: a, then_branch: b, else_branch: c } => {
-                f(a);
-                f(b);
-                f(c);
-            }
-            Term::Fst(e) | Term::Snd(e) => f(e),
-        }
+    pub fn for_each_child(&self, f: impl FnMut(&RcTerm)) {
+        syntax::for_each_child(self, f)
     }
 
     /// The number of AST nodes in the term, counted *as a tree* (shared
@@ -331,16 +392,12 @@ impl Term {
     /// report the code-size blow-up of closure conversion. O(1): summed
     /// from the children's cached metadata rather than traversed.
     pub fn size(&self) -> usize {
-        let mut total: u64 = 1;
-        self.for_each_child(|c| total = total.saturating_add(c.meta().size));
-        total.try_into().unwrap_or(usize::MAX)
+        syntax::size(self)
     }
 
     /// The maximum depth of the AST. O(1) via cached metadata.
     pub fn depth(&self) -> usize {
-        let mut deepest: u32 = 0;
-        self.for_each_child(|c| deepest = deepest.max(c.meta().depth));
-        (deepest + 1) as usize
+        syntax::depth(self)
     }
 
     /// Counts the closures in the term (one per source λ after
@@ -369,57 +426,7 @@ impl Term {
 
     /// Calls `f` on this term and every subterm, pre-order.
     pub fn visit(&self, f: &mut impl FnMut(&Term)) {
-        f(self);
-        match self {
-            Term::Var(_)
-            | Term::Sort(_)
-            | Term::Unit
-            | Term::UnitVal
-            | Term::BoolTy
-            | Term::BoolLit(_) => {}
-            Term::Pi { domain, codomain, .. } => {
-                domain.visit(f);
-                codomain.visit(f);
-            }
-            Term::Code { env_ty, arg_ty, body, .. } => {
-                env_ty.visit(f);
-                arg_ty.visit(f);
-                body.visit(f);
-            }
-            Term::CodeTy { env_ty, arg_ty, result, .. } => {
-                env_ty.visit(f);
-                arg_ty.visit(f);
-                result.visit(f);
-            }
-            Term::Closure { code, env } => {
-                code.visit(f);
-                env.visit(f);
-            }
-            Term::App { func, arg } => {
-                func.visit(f);
-                arg.visit(f);
-            }
-            Term::Let { annotation, bound, body, .. } => {
-                annotation.visit(f);
-                bound.visit(f);
-                body.visit(f);
-            }
-            Term::Sigma { first, second, .. } => {
-                first.visit(f);
-                second.visit(f);
-            }
-            Term::Pair { first, second, annotation } => {
-                first.visit(f);
-                second.visit(f);
-                annotation.visit(f);
-            }
-            Term::Fst(e) | Term::Snd(e) => e.visit(f),
-            Term::If { scrutinee, then_branch, else_branch } => {
-                scrutinee.visit(f);
-                then_branch.visit(f);
-                else_branch.visit(f);
-            }
-        }
+        syntax::visit(self, f)
     }
 
     /// Splits an application spine: `f a b c` becomes `(f, [a, b, c])`.

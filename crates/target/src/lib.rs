@@ -27,7 +27,8 @@
 //! | Figure 6, `⊲*`/`≡` as an environment machine (the hot-path engine) | [`nbe`] | [`nbe::eval`], [`nbe::quote`], [`nbe::conv`] |
 //! | Figure 7, typing `Γ ⊢ e : A` with `[Code]` and `[Clo]` | [`typecheck`] | [`typecheck::infer`], [`typecheck::check`], [`typecheck::check_env`] |
 //! | Figures 9–10, environment telescopes `Σ (xi : Ai …)` and tuples `⟨xi …⟩` | [`mod@tuple`] | [`tuple::telescope_type`], [`tuple::variables_tuple`], [`tuple::tuple_value`], [`tuple::project_bindings`] |
-//! | — | [`subst`] | free variables, capture-avoiding substitution, α-equivalence, [`subst::is_closed`] |
+//! | — | [`subst`] | free variables, capture-avoiding substitution, α-equivalence, [`subst::is_closed`]: CC-CC's instances of [`cccc_util::syntax`], whose constructor table [`ast`] gives |
+//! | — | [`wire`] | the thread- and process-portable term codec and content fingerprints, also from [`cccc_util::syntax`] |
 //! | — | [`builder`] | a term-construction DSL |
 //! | — | [`pretty`] | a pretty-printer |
 //! | §7, dynamic overhead of closure conversion | [`reduce`] | a cost-instrumented evaluator: [`reduce::evaluate_with_cost`], [`reduce::Cost`] |

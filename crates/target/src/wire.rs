@@ -8,38 +8,18 @@
 //! ubiquitous after closure conversion, which mass-produces identical
 //! code blocks — are written once and back-referenced, so buffers are
 //! linear in the hash-consed DAG.
+//!
+//! The codec is written once, for CC and CC-CC, in [`cccc_util::syntax`]
+//! (whose module docs give both constructor tables and the word layout);
+//! CC-CC keeps only its constructor table, in [`crate::ast`].
 
-use crate::ast::{RcTerm, Term, Universe};
-use cccc_util::intern::{FxHashMap, NodeId};
-use cccc_util::symbol::Symbol;
-use cccc_util::wire::{Fingerprint, WireError, WireReader, WireTerm, WireWriter};
-
-const TAG_BACKREF: u64 = 0;
-const TAG_VAR: u64 = 1;
-const TAG_STAR: u64 = 2;
-const TAG_BOX: u64 = 3;
-const TAG_PI: u64 = 4;
-const TAG_CODE: u64 = 5;
-const TAG_CODE_TY: u64 = 6;
-const TAG_CLOSURE: u64 = 7;
-const TAG_APP: u64 = 8;
-const TAG_LET: u64 = 9;
-const TAG_SIGMA: u64 = 10;
-const TAG_PAIR: u64 = 11;
-const TAG_FST: u64 = 12;
-const TAG_SND: u64 = 13;
-const TAG_UNIT: u64 = 14;
-const TAG_UNIT_VAL: u64 = 15;
-const TAG_BOOL_TY: u64 = 16;
-const TAG_BOOL_LIT: u64 = 17;
-const TAG_IF: u64 = 18;
+use crate::ast::Term;
+use cccc_util::syntax;
+use cccc_util::wire::{Fingerprint, WireError, WireTerm};
 
 /// Encodes a CC-CC term into a thread-portable wire buffer.
 pub fn encode(term: &Term) -> WireTerm {
-    let mut writer = WireWriter::new();
-    let mut seen: FxHashMap<NodeId, u64> = FxHashMap::default();
-    encode_head(term, &mut writer, &mut seen);
-    writer.finish()
+    syntax::encode(term)
 }
 
 /// Encodes a CC-CC term into a *process*-portable wire buffer: symbols
@@ -48,16 +28,13 @@ pub fn encode(term: &Term) -> WireTerm {
 /// interner parts, so the buffer can be persisted to disk and decoded by
 /// a later process. [`decode`] handles both formats transparently.
 pub fn encode_portable(term: &Term) -> WireTerm {
-    let mut writer = WireWriter::portable();
-    let mut seen: FxHashMap<NodeId, u64> = FxHashMap::default();
-    encode_head(term, &mut writer, &mut seen);
-    writer.finish()
+    syntax::encode_portable(term)
 }
 
 /// The process-stable content fingerprint of a term (the fingerprint of
 /// its wire encoding).
 pub fn fingerprint(term: &Term) -> Fingerprint {
-    encode(term).fingerprint()
+    syntax::fingerprint(term)
 }
 
 /// An α-invariant, *process-stable* content fingerprint — the CC-CC
@@ -70,125 +47,7 @@ pub fn fingerprint(term: &Term) -> Fingerprint {
 /// unit's *output* on this: a recompile that produced an α-equivalent
 /// artifact must early-cut-off every downstream phase.
 pub fn fingerprint_alpha(term: &Term) -> Fingerprint {
-    let mut writer = WireWriter::new();
-    let mut scope: Vec<Symbol> = Vec::new();
-    encode_alpha(term, &mut writer, &mut scope);
-    writer.finish().fingerprint()
-}
-
-/// Writes an occurrence of `x`: its scope depth when bound (counted from
-/// the innermost binder), its base name plus generated-subscript when
-/// free. The subscript is a separate word — not rendered into the name —
-/// so a plain symbol whose name contains `$` can never alias a generated
-/// symbol.
-fn push_alpha_var(x: Symbol, writer: &mut WireWriter, scope: &[Symbol]) {
-    match scope.iter().rev().position(|&b| b == x) {
-        Some(depth) => {
-            writer.push(1);
-            writer.push(depth as u64);
-        }
-        None => {
-            writer.push(0);
-            writer.push_str(x.base_name());
-            writer.push(x.disambiguator());
-        }
-    }
-}
-
-/// The α-invariant encoding: same tags as [`encode`], but no subterm
-/// sharing (back-references would be scope-sensitive) and binders
-/// contribute only their positions. `Code`/`CodeTy` bind the environment
-/// binder *and* the argument binder in the body/result — both are pushed
-/// (environment first, matching the field order the typechecker scopes
-/// them in), with the annotations encoded outside.
-fn encode_alpha(term: &Term, writer: &mut WireWriter, scope: &mut Vec<Symbol>) {
-    match term {
-        Term::Var(x) => {
-            writer.push(TAG_VAR);
-            push_alpha_var(*x, writer, scope);
-        }
-        Term::Sort(Universe::Star) => writer.push(TAG_STAR),
-        Term::Sort(Universe::Box) => writer.push(TAG_BOX),
-        Term::Pi { binder, domain, codomain } => {
-            writer.push(TAG_PI);
-            encode_alpha(domain, writer, scope);
-            scope.push(*binder);
-            encode_alpha(codomain, writer, scope);
-            scope.pop();
-        }
-        Term::Code { env_binder, env_ty, arg_binder, arg_ty, body } => {
-            writer.push(TAG_CODE);
-            encode_alpha(env_ty, writer, scope);
-            scope.push(*env_binder);
-            encode_alpha(arg_ty, writer, scope);
-            scope.push(*arg_binder);
-            encode_alpha(body, writer, scope);
-            scope.pop();
-            scope.pop();
-        }
-        Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => {
-            writer.push(TAG_CODE_TY);
-            encode_alpha(env_ty, writer, scope);
-            scope.push(*env_binder);
-            encode_alpha(arg_ty, writer, scope);
-            scope.push(*arg_binder);
-            encode_alpha(result, writer, scope);
-            scope.pop();
-            scope.pop();
-        }
-        Term::Closure { code, env } => {
-            writer.push(TAG_CLOSURE);
-            encode_alpha(code, writer, scope);
-            encode_alpha(env, writer, scope);
-        }
-        Term::App { func, arg } => {
-            writer.push(TAG_APP);
-            encode_alpha(func, writer, scope);
-            encode_alpha(arg, writer, scope);
-        }
-        Term::Let { binder, annotation, bound, body } => {
-            writer.push(TAG_LET);
-            encode_alpha(annotation, writer, scope);
-            encode_alpha(bound, writer, scope);
-            scope.push(*binder);
-            encode_alpha(body, writer, scope);
-            scope.pop();
-        }
-        Term::Sigma { binder, first, second } => {
-            writer.push(TAG_SIGMA);
-            encode_alpha(first, writer, scope);
-            scope.push(*binder);
-            encode_alpha(second, writer, scope);
-            scope.pop();
-        }
-        Term::Pair { first, second, annotation } => {
-            writer.push(TAG_PAIR);
-            encode_alpha(first, writer, scope);
-            encode_alpha(second, writer, scope);
-            encode_alpha(annotation, writer, scope);
-        }
-        Term::Fst(e) => {
-            writer.push(TAG_FST);
-            encode_alpha(e, writer, scope);
-        }
-        Term::Snd(e) => {
-            writer.push(TAG_SND);
-            encode_alpha(e, writer, scope);
-        }
-        Term::Unit => writer.push(TAG_UNIT),
-        Term::UnitVal => writer.push(TAG_UNIT_VAL),
-        Term::BoolTy => writer.push(TAG_BOOL_TY),
-        Term::BoolLit(b) => {
-            writer.push(TAG_BOOL_LIT);
-            writer.push(u64::from(*b));
-        }
-        Term::If { scrutinee, then_branch, else_branch } => {
-            writer.push(TAG_IF);
-            encode_alpha(scrutinee, writer, scope);
-            encode_alpha(then_branch, writer, scope);
-            encode_alpha(else_branch, writer, scope);
-        }
-    }
+    syntax::fingerprint_alpha(term)
 }
 
 /// Decodes a wire buffer produced by [`encode`] or [`encode_portable`],
@@ -204,190 +63,7 @@ fn encode_alpha(term: &Term, writer: &mut WireWriter, scope: &mut Vec<Symbol>) {
 /// Returns a [`WireError`] if the buffer is corrupt (truncated, unknown
 /// tag, bad back-reference, bad symbol table, or trailing words).
 pub fn decode(wire: &WireTerm) -> Result<Term, WireError> {
-    let mut reader = wire.term_reader()?;
-    let mut nodes: Vec<RcTerm> = Vec::new();
-    let term = decode_head(&mut reader, &mut nodes)?;
-    reader.expect_exhausted()?;
-    Ok(term)
-}
-
-fn encode_node(node: &RcTerm, writer: &mut WireWriter, seen: &mut FxHashMap<NodeId, u64>) {
-    if let Some(&index) = seen.get(&node.id()) {
-        writer.push(TAG_BACKREF);
-        writer.push(index);
-        return;
-    }
-    encode_head(node, writer, seen);
-    let index = seen.len() as u64;
-    seen.insert(node.id(), index);
-}
-
-fn encode_head(term: &Term, writer: &mut WireWriter, seen: &mut FxHashMap<NodeId, u64>) {
-    match term {
-        Term::Var(x) => {
-            writer.push(TAG_VAR);
-            writer.push_symbol(*x);
-        }
-        Term::Sort(Universe::Star) => writer.push(TAG_STAR),
-        Term::Sort(Universe::Box) => writer.push(TAG_BOX),
-        Term::Pi { binder, domain, codomain } => {
-            writer.push(TAG_PI);
-            writer.push_symbol(*binder);
-            encode_node(domain, writer, seen);
-            encode_node(codomain, writer, seen);
-        }
-        Term::Code { env_binder, env_ty, arg_binder, arg_ty, body } => {
-            writer.push(TAG_CODE);
-            writer.push_symbol(*env_binder);
-            writer.push_symbol(*arg_binder);
-            encode_node(env_ty, writer, seen);
-            encode_node(arg_ty, writer, seen);
-            encode_node(body, writer, seen);
-        }
-        Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => {
-            writer.push(TAG_CODE_TY);
-            writer.push_symbol(*env_binder);
-            writer.push_symbol(*arg_binder);
-            encode_node(env_ty, writer, seen);
-            encode_node(arg_ty, writer, seen);
-            encode_node(result, writer, seen);
-        }
-        Term::Closure { code, env } => {
-            writer.push(TAG_CLOSURE);
-            encode_node(code, writer, seen);
-            encode_node(env, writer, seen);
-        }
-        Term::App { func, arg } => {
-            writer.push(TAG_APP);
-            encode_node(func, writer, seen);
-            encode_node(arg, writer, seen);
-        }
-        Term::Let { binder, annotation, bound, body } => {
-            writer.push(TAG_LET);
-            writer.push_symbol(*binder);
-            encode_node(annotation, writer, seen);
-            encode_node(bound, writer, seen);
-            encode_node(body, writer, seen);
-        }
-        Term::Sigma { binder, first, second } => {
-            writer.push(TAG_SIGMA);
-            writer.push_symbol(*binder);
-            encode_node(first, writer, seen);
-            encode_node(second, writer, seen);
-        }
-        Term::Pair { first, second, annotation } => {
-            writer.push(TAG_PAIR);
-            encode_node(first, writer, seen);
-            encode_node(second, writer, seen);
-            encode_node(annotation, writer, seen);
-        }
-        Term::Fst(e) => {
-            writer.push(TAG_FST);
-            encode_node(e, writer, seen);
-        }
-        Term::Snd(e) => {
-            writer.push(TAG_SND);
-            encode_node(e, writer, seen);
-        }
-        Term::Unit => writer.push(TAG_UNIT),
-        Term::UnitVal => writer.push(TAG_UNIT_VAL),
-        Term::BoolTy => writer.push(TAG_BOOL_TY),
-        Term::BoolLit(b) => {
-            writer.push(TAG_BOOL_LIT);
-            writer.push(u64::from(*b));
-        }
-        Term::If { scrutinee, then_branch, else_branch } => {
-            writer.push(TAG_IF);
-            encode_node(scrutinee, writer, seen);
-            encode_node(then_branch, writer, seen);
-            encode_node(else_branch, writer, seen);
-        }
-    }
-}
-
-fn decode_node(reader: &mut WireReader<'_>, nodes: &mut Vec<RcTerm>) -> Result<RcTerm, WireError> {
-    if reader.peek() == Some(TAG_BACKREF) {
-        reader.next_word()?;
-        let index = reader.next_word()?;
-        return nodes.get(index as usize).cloned().ok_or(WireError::BadBackref(index));
-    }
-    let term = decode_head(reader, nodes)?;
-    let node = term.rc();
-    nodes.push(node.clone());
-    Ok(node)
-}
-
-fn decode_head(reader: &mut WireReader<'_>, nodes: &mut Vec<RcTerm>) -> Result<Term, WireError> {
-    let tag = reader.next_word()?;
-    Ok(match tag {
-        TAG_VAR => Term::Var(reader.next_symbol()?),
-        TAG_STAR => Term::Sort(Universe::Star),
-        TAG_BOX => Term::Sort(Universe::Box),
-        TAG_PI => {
-            let binder = reader.next_symbol()?;
-            let domain = decode_node(reader, nodes)?;
-            let codomain = decode_node(reader, nodes)?;
-            Term::Pi { binder, domain, codomain }
-        }
-        TAG_CODE => {
-            let env_binder = reader.next_symbol()?;
-            let arg_binder = reader.next_symbol()?;
-            let env_ty = decode_node(reader, nodes)?;
-            let arg_ty = decode_node(reader, nodes)?;
-            let body = decode_node(reader, nodes)?;
-            Term::Code { env_binder, env_ty, arg_binder, arg_ty, body }
-        }
-        TAG_CODE_TY => {
-            let env_binder = reader.next_symbol()?;
-            let arg_binder = reader.next_symbol()?;
-            let env_ty = decode_node(reader, nodes)?;
-            let arg_ty = decode_node(reader, nodes)?;
-            let result = decode_node(reader, nodes)?;
-            Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result }
-        }
-        TAG_CLOSURE => {
-            let code = decode_node(reader, nodes)?;
-            let env = decode_node(reader, nodes)?;
-            Term::Closure { code, env }
-        }
-        TAG_APP => {
-            let func = decode_node(reader, nodes)?;
-            let arg = decode_node(reader, nodes)?;
-            Term::App { func, arg }
-        }
-        TAG_LET => {
-            let binder = reader.next_symbol()?;
-            let annotation = decode_node(reader, nodes)?;
-            let bound = decode_node(reader, nodes)?;
-            let body = decode_node(reader, nodes)?;
-            Term::Let { binder, annotation, bound, body }
-        }
-        TAG_SIGMA => {
-            let binder = reader.next_symbol()?;
-            let first = decode_node(reader, nodes)?;
-            let second = decode_node(reader, nodes)?;
-            Term::Sigma { binder, first, second }
-        }
-        TAG_PAIR => {
-            let first = decode_node(reader, nodes)?;
-            let second = decode_node(reader, nodes)?;
-            let annotation = decode_node(reader, nodes)?;
-            Term::Pair { first, second, annotation }
-        }
-        TAG_FST => Term::Fst(decode_node(reader, nodes)?),
-        TAG_SND => Term::Snd(decode_node(reader, nodes)?),
-        TAG_UNIT => Term::Unit,
-        TAG_UNIT_VAL => Term::UnitVal,
-        TAG_BOOL_TY => Term::BoolTy,
-        TAG_BOOL_LIT => Term::BoolLit(reader.next_word()? != 0),
-        TAG_IF => {
-            let scrutinee = decode_node(reader, nodes)?;
-            let then_branch = decode_node(reader, nodes)?;
-            let else_branch = decode_node(reader, nodes)?;
-            Term::If { scrutinee, then_branch, else_branch }
-        }
-        other => return Err(WireError::BadTag(other)),
-    })
+    syntax::decode(wire)
 }
 
 #[cfg(test)]

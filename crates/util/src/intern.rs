@@ -255,47 +255,6 @@ fn is_sorted_subset(small: &[Symbol], big: &[Symbol]) -> bool {
     true
 }
 
-/// An accumulator for building a [`FreeVars`] set from the cached sets of a
-/// node's children, subtracting the node's own binders.
-#[derive(Default, Debug)]
-pub struct FvBuilder {
-    vars: Vec<Symbol>,
-}
-
-impl FvBuilder {
-    /// An empty accumulator.
-    pub fn new() -> FvBuilder {
-        FvBuilder::default()
-    }
-
-    /// Adds one free occurrence.
-    pub fn add(&mut self, s: Symbol) {
-        self.vars.push(s);
-    }
-
-    /// Adds every variable of `fv` (a child in non-binding position).
-    pub fn extend(&mut self, fv: &FreeVars) {
-        self.vars.extend(fv.iter());
-    }
-
-    /// Adds every variable of `fv` except the given binders (a child under
-    /// the node's binders).
-    pub fn extend_except(&mut self, fv: &FreeVars, binders: &[Symbol]) {
-        self.vars.extend(fv.iter().filter(|v| !binders.contains(v)));
-    }
-
-    /// Finishes the set: sorts, deduplicates, and collapses the empty case
-    /// to [`FreeVars::closed`].
-    pub fn build(mut self) -> FreeVars {
-        if self.vars.is_empty() {
-            return FreeVars::closed();
-        }
-        self.vars.sort_unstable();
-        self.vars.dedup();
-        FreeVars(Some(Rc::from(self.vars.as_slice())))
-    }
-}
-
 /// Metadata cached on every interned node, computed once at interning time
 /// from the children's already-cached metadata.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -314,21 +273,6 @@ impl NodeMeta {
     /// Metadata for a leaf node with the given free variables.
     pub fn leaf(free_vars: FreeVars) -> NodeMeta {
         NodeMeta { free_vars, depth: 1, size: 1 }
-    }
-
-    /// Metadata for an interior node: depth and size are derived from the
-    /// children's cached metadata.
-    pub fn node<'a>(
-        free_vars: FreeVars,
-        children: impl IntoIterator<Item = &'a NodeMeta>,
-    ) -> NodeMeta {
-        let mut depth = 0;
-        let mut size: u64 = 1;
-        for child in children {
-            depth = depth.max(child.depth);
-            size = size.saturating_add(child.size);
-        }
-        NodeMeta { free_vars, depth: depth + 1, size }
     }
 }
 
@@ -355,7 +299,6 @@ pub trait ThreadInterned: Internable {
 
 struct NodeInner<T> {
     id: NodeId,
-    hash: u64,
     meta: NodeMeta,
     value: T,
 }
@@ -374,12 +317,6 @@ impl<T: Internable> Node<T> {
     /// The node's stable identity.
     pub fn id(&self) -> NodeId {
         self.inner.id
-    }
-
-    /// The structural hash assigned by the interner (the hash of the head
-    /// with children hashed by id).
-    pub fn structural_hash(&self) -> u64 {
-        self.inner.hash
     }
 
     /// The cached metadata.
@@ -702,12 +639,9 @@ impl<T: Internable> Interner<T> {
         }
         self.stats.misses += 1;
         let meta = value.compute_meta();
-        let mut hasher = FxHasher::default();
-        value.hash(&mut hasher);
-        let hash = hasher.finish();
         let id = NodeId(self.next_id);
         self.next_id += 1;
-        let inner = Rc::new(NodeInner { id, hash, meta, value: value.clone() });
+        let inner = Rc::new(NodeInner { id, meta, value: value.clone() });
         self.map.insert(value, Rc::downgrade(&inner));
         self.inserts_since_prune += 1;
         if self.inserts_since_prune >= PRUNE_INTERVAL {
@@ -751,17 +685,16 @@ mod tests {
         fn compute_meta(&self) -> NodeMeta {
             match self {
                 Mini::Var(x) => NodeMeta::leaf(FreeVars::singleton(*x)),
-                Mini::Lam(binder, body) => {
-                    let mut fv = FvBuilder::new();
-                    fv.extend_except(body.free_vars(), &[*binder]);
-                    NodeMeta::node(fv.build(), [body.meta()])
-                }
-                Mini::Pair(a, b) => {
-                    let mut fv = FvBuilder::new();
-                    fv.extend(a.free_vars());
-                    fv.extend(b.free_vars());
-                    NodeMeta::node(fv.build(), [a.meta(), b.meta()])
-                }
+                Mini::Lam(binder, body) => NodeMeta {
+                    free_vars: body.free_vars().minus(&[*binder]),
+                    depth: body.meta().depth + 1,
+                    size: body.meta().size + 1,
+                },
+                Mini::Pair(a, b) => NodeMeta {
+                    free_vars: FreeVars::union(a.free_vars(), b.free_vars()),
+                    depth: a.meta().depth.max(b.meta().depth) + 1,
+                    size: a.meta().size + b.meta().size + 1,
+                },
             }
         }
     }
@@ -800,7 +733,6 @@ mod tests {
         let x2 = i.intern(Mini::Var(sym("x")));
         let p2 = i.intern(Mini::Pair(x2.clone(), x2));
         assert!(p1.same(&p2));
-        assert_eq!(p1.structural_hash(), p2.structural_hash());
     }
 
     #[test]
@@ -840,13 +772,16 @@ mod tests {
         assert_ne!(first_id, second.id(), "ids are never reused");
     }
 
+    /// The set of `names`, built the way node metadata builds sets.
+    fn set(names: &[&str]) -> FreeVars {
+        names
+            .iter()
+            .fold(FreeVars::closed(), |acc, n| FreeVars::union(&acc, &FreeVars::singleton(sym(n))))
+    }
+
     #[test]
     fn free_vars_iterates_sorted_and_supports_membership() {
-        let mut b = FvBuilder::new();
-        b.add(sym("b"));
-        b.add(sym("a"));
-        b.add(sym("b"));
-        let fv = b.build();
+        let fv = set(&["b", "a", "b"]);
         assert_eq!(fv.len(), 2);
         assert!(fv.contains(sym("a")));
         assert!(!fv.contains(sym("zz")));
@@ -857,13 +792,8 @@ mod tests {
 
     #[test]
     fn union_and_minus_share_allocations() {
-        let mut b = FvBuilder::new();
-        b.add(sym("a"));
-        b.add(sym("b"));
-        let ab = b.build();
-        let mut b = FvBuilder::new();
-        b.add(sym("a"));
-        let a = b.build();
+        let ab = set(&["a", "b"]);
+        let a = set(&["a"]);
 
         // One side covers the other: the bigger allocation is shared.
         let u = FreeVars::union(&ab, &a);
@@ -874,9 +804,7 @@ mod tests {
         assert_eq!(FreeVars::union(&FreeVars::closed(), &ab), ab);
         assert_eq!(FreeVars::union(&ab, &FreeVars::closed()), ab);
         // Genuine merges merge.
-        let mut b = FvBuilder::new();
-        b.add(sym("c"));
-        let c = b.build();
+        let c = set(&["c"]);
         let u = FreeVars::union(&ab, &c);
         assert_eq!(u.len(), 3);
         assert!(u.contains(sym("a")) && u.contains(sym("b")) && u.contains(sym("c")));
@@ -892,7 +820,7 @@ mod tests {
 
     #[test]
     fn empty_builder_is_closed() {
-        assert!(FvBuilder::new().build().is_closed());
+        assert!(set(&[]).is_closed());
         assert_eq!(FreeVars::closed().len(), 0);
         assert!(FreeVars::closed().is_empty());
     }

@@ -12,8 +12,10 @@
 //!   set, closedness, depth, size), produced by per-language
 //!   [`intern::Interner`]s; [`intern::ThreadInterned`] lets code generic
 //!   over the language intern into them.
-//! * [`binder`] — the shared capture-avoidance skeleton for named-binder
-//!   substitution (single-binder and the CC-CC two-binder code forms).
+//! * [`syntax`] — one binding structure for both languages: node
+//!   metadata, traversal, free variables, capture-avoiding substitution,
+//!   α-equivalence and the wire codec, over a [`syntax::Syntax`]
+//!   constructor table each language implements on its `Term`.
 //! * [`mod@env`] — the typing telescope `Γ` of assumptions and definitions
 //!   with its incremental content fingerprint, defined once and
 //!   instantiated by each language's `env` module.
@@ -22,11 +24,11 @@
 //!   thunks, value environments, closures, canonical-name read-back, the
 //!   [`nbe::Engine`] selector and the memoized `equiv_nodes` ladder, over
 //!   a [`nbe::Calculus`] each language implements on its `Term`.
-//! * [`wire`] — the compact, deterministic, `Send` term encoding that
-//!   carries terms, interfaces, and compiled artifacts across thread
-//!   boundaries (the per-worker interners of the parallel module driver
-//!   import/export through it), plus 128-bit content [`wire::Fingerprint`]s
-//!   for the artifact cache.
+//! * [`wire`] — the compact, deterministic, `Send` word buffers that carry
+//!   terms, interfaces, and compiled artifacts across thread boundaries
+//!   (the per-worker interners of the parallel module driver import/export
+//!   through them; [`syntax`] writes and reads the terms), plus 128-bit
+//!   content [`wire::Fingerprint`]s for the artifact cache.
 //! * [`span`] — byte-offset source spans and located values for the parsers.
 //! * [`pretty`] — a small Wadler-style pretty-printing engine used by both
 //!   pretty-printers.
@@ -61,7 +63,6 @@
 //! assert_eq!(fresh.base_name(), "x");
 //! ```
 
-pub mod binder;
 pub mod cancel;
 pub mod cost;
 pub mod diag;
@@ -73,6 +74,7 @@ pub mod panics;
 pub mod pretty;
 pub mod span;
 pub mod symbol;
+pub mod syntax;
 pub mod trace;
 pub mod universe;
 pub mod wire;
@@ -80,7 +82,7 @@ pub mod wire;
 pub use cancel::{Backoff, CancelReason, CancelToken};
 pub use diag::{diagnostics_to_json, Diagnostic, Severity};
 pub use fuel::Fuel;
-pub use intern::{FreeVars, FvBuilder, Internable, Interner, Node, NodeId, NodeMeta};
+pub use intern::{FreeVars, Internable, Interner, Node, NodeId, NodeMeta};
 pub use span::{Span, Spanned};
 pub use symbol::Symbol;
 pub use trace::{BuildTrace, TraceSink};

@@ -134,7 +134,7 @@ impl Symbol {
     /// Rebuilds a symbol from [`Symbol::raw_parts`] output. The parts must
     /// have been produced in this process (the wire codec guarantees
     /// this), so the base index is always live in the interner.
-    pub(crate) fn from_raw_parts(base: u32, unique: u64) -> Symbol {
+    pub(crate) const fn from_raw_parts(base: u32, unique: u64) -> Symbol {
         Symbol { base, unique }
     }
 
