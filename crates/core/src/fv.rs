@@ -76,14 +76,17 @@ pub fn dependent_free_vars(env: &Env, terms: &[&Term]) -> Result<Vec<(Symbol, Te
     }
 
     // Step 3: order by position in Γ, which is dependency-ordered by
-    // well-formedness of environments.
+    // well-formedness of environments. A shadowed name is captured at its
+    // innermost declaration — the one in scope, whose type step 2 read —
+    // so Γ is walked newest first and the result reversed.
     let mut ordered: Vec<(Symbol, Term)> = Vec::new();
-    for decl in env.iter() {
+    for decl in env.iter().rev() {
         let name = decl.name();
         if needed.remove(&name) {
             ordered.push((name, (**decl.ty()).clone()));
         }
     }
+    ordered.reverse();
 
     // Anything left over was never bound in Γ at all.
     if let Some(&leftover) = needed.iter().next() {
@@ -194,6 +197,26 @@ mod tests {
         let err = dependent_free_vars_of(&Env::new(), &var("ghost")).unwrap_err();
         assert_eq!(err, FvError::UnboundVariable(sym("ghost")));
         assert!(err.to_string().contains("ghost"));
+    }
+
+    #[test]
+    fn a_shadowed_name_is_captured_at_the_declaration_in_scope() {
+        // Γ = x : Bool, w : Bool, x : ⋆, y : x. The type of `y` is the inner
+        // `x`, so FV must capture that `x`, at its position and with its
+        // type ⋆, not the outer `x : Bool` it shadows.
+        let env = Env::new()
+            .with_assumption(sym("x"), bool_ty())
+            .with_assumption(sym("w"), bool_ty())
+            .with_assumption(sym("x"), star())
+            .with_assumption(sym("y"), var("x"));
+        let term = lam("z", bool_ty(), ite(var("w"), var("y"), var("y")));
+        let fv = dependent_free_vars_of(&env, &term).unwrap();
+        let names: Vec<Symbol> = fv.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, vec![sym("w"), sym("x"), sym("y")]);
+        let types = [bool_ty(), star(), var("x")];
+        for ((name, ty), expected) in fv.iter().zip(&types) {
+            assert!(cccc_source::subst::alpha_eq(ty, expected), "`{name}` : {ty}");
+        }
     }
 
     #[test]

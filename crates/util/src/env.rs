@@ -162,8 +162,9 @@ impl<T: ThreadInterned> Env<T> {
         self.lookup(name).and_then(Decl::definition)
     }
 
-    /// Iterates over the entries from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &Decl<T>> {
+    /// Iterates over the entries from oldest to newest (`rev` walks them
+    /// newest first, in lookup order).
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &Decl<T>> {
         self.decls.iter()
     }
 

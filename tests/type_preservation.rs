@@ -86,6 +86,21 @@ fn type_preservation_on_type_level_computation() {
 }
 
 #[test]
+fn a_capture_under_a_shadowed_binder_compiles_and_verifies() {
+    // The innermost λ captures `x`, and the `x` in scope is the inner
+    // `x : ⋆`, not the outer `x : Bool` it shadows: the closure's
+    // environment must bind the type `y` is annotated with.
+    let text = "\\(x : Bool). \\(x : *). \\(y : x). y";
+    let term = parse::parse_term(text).unwrap();
+    let compiled = cccc::Compiler::new()
+        .compile_closed(&term)
+        .unwrap_or_else(|e| panic!("`{text}` must compile and verify: {e}"));
+    assert_eq!(compiled.target.closure_count(), 3);
+    check_type_preservation(&Env::new(), &term)
+        .unwrap_or_else(|e| panic!("Theorem 5.6 failed on `{text}`: {e}"));
+}
+
+#[test]
 fn type_preservation_on_generated_closed_programs() {
     let mut generator = TermGenerator::new(2024);
     for i in 0..60 {
