@@ -33,9 +33,12 @@
 //! engine takes the hash-consed kernel's conversion identity fast path
 //! (same interned node ⇒ equal, no traversal), and that translating
 //! `is_even_4x4` a second time on the same thread interns zero new CC-CC
-//! nodes and returns the same root — if a refactor ever reroutes the hot
-//! path around the kernel, or makes the translation emit α-copies instead
-//! of shared nodes, this binary (and the CI step running it) fails.
+//! nodes and returns the same root, and that translating it right after
+//! type-checking it, on a fresh thread, misses the CC `[Lam]` memo 0 times
+//! — if a refactor ever reroutes the hot path around the kernel, makes the
+//! translation emit α-copies instead of shared nodes, or makes it
+//! re-infer λs the type check derived, this binary (and the CI step
+//! running it) fails.
 
 use cccc_bench::measure::{self, obj, Args, Json, Summary};
 use cccc_bench::{church_workloads, conversion_workloads, corpus_workloads, report, Workload};
@@ -355,9 +358,29 @@ fn main() {
          {retranslate_misses} new CC-CC nodes — the translation no longer \
          reproduces identical nodes for identical input"
     );
+    // Type-checking a program fills the CC `[Lam]` memo with the type of
+    // every λ in it, so the translation right after it, on a thread whose
+    // memo started cold, infers no λ again.
+    let lam_memo_misses = std::thread::spawn(|| {
+        let is_even_4x4 = church_workloads(&[4]).remove(0);
+        let (compiler, env) = (Compiler::new(), src::Env::new());
+        let (ty, _) = compiler.phase_typecheck(&env, &is_even_4x4.term).expect("well-typed");
+        let before = src::typecheck::lam_memo_stats();
+        compiler.phase_translate(&env, &is_even_4x4.term, &ty).expect("translates");
+        src::typecheck::lam_memo_stats().since(&before).memo_misses
+    })
+    .join()
+    .expect("the [Lam] memo smoke thread panicked");
+    assert!(
+        lam_memo_misses == 0,
+        "smoke check failed: translating is_even_4x4 right after type-checking it \
+         missed the [Lam] memo {lam_memo_misses} times — the translation re-infers \
+         λs the type check already derived"
+    );
     println!(
         "kernel smoke checks passed: identity fast path {} hits (memo {} hits) on one NbE pass \
-         of the typecheck_cccc family; re-translating is_even_4x4 interned 0 new nodes",
+         of the typecheck_cccc family; re-translating is_even_4x4 interned 0 new nodes; \
+         translating it after type-checking it missed the [Lam] memo 0 times",
         conv.identity_hits, conv.memo_hits
     );
 
@@ -399,6 +422,7 @@ fn main() {
                     ("typecheck_cccc_identity_fast_path_hits", conv.identity_hits.into()),
                     ("typecheck_cccc_conv_memo_hits", conv.memo_hits.into()),
                     ("retranslate_is_even_4x4_new_nodes", retranslate_misses.into()),
+                    ("translate_is_even_4x4_lam_memo_misses", lam_memo_misses.into()),
                 ]),
             ),
             ("comparisons", Json::Arr(comparisons)),

@@ -9,10 +9,12 @@
 //! diagnostic at once through [`CompileError::Recovered`].
 //!
 //! Every stage runs on the hash-consed term kernel: the type checkers'
-//! conversion memo tables and the CC-CC `[Code]` typing memo are shared
-//! across compilations on a thread, so re-verifying a component that
-//! contains already-seen code (the separate-compilation workflow, or a
-//! batch compile) is answered from cache.
+//! conversion memo tables, the CC `[Lam]` typing memo and the CC-CC
+//! `[Code]` typing memo are shared across compilations on a thread, so
+//! re-verifying a component that contains already-seen code (the
+//! separate-compilation workflow, or a batch compile) is answered from
+//! cache, and the translate phase reads each λ's type from the entry the
+//! typecheck phase just made.
 
 use crate::link::{LinkError, SourceSubstitution};
 use crate::translate::{translate, translate_env, TranslateError};
@@ -262,15 +264,16 @@ impl fmt::Display for PhaseNanos {
 }
 
 /// The state of every thread-local cache the pipeline relies on: both
-/// languages' term interners and conversion memo tables, and the CC-CC
-/// `[Code]` memo.
+/// languages' term interners and conversion memo tables, the CC `[Lam]`
+/// memo and the CC-CC `[Code]` memo.
 ///
 /// [`cache_snapshot`] takes one; [`CacheReport::since`] subtracts an
 /// earlier one into the activity in between (counters become deltas,
 /// table sizes stay the later observation's). This is how the interner
 /// and memo counters of the per-crate free functions
 /// ([`src::ast::intern_stats`], [`src::equiv::conv_cache_stats`], their
-/// `tgt` twins, and [`tgt::typecheck::code_memo_stats`]) surface in the
+/// `tgt` twins, [`src::typecheck::lam_memo_stats`] and
+/// [`tgt::typecheck::code_memo_stats`]) surface in the
 /// driver's per-unit diagnostics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheReport {
@@ -282,6 +285,8 @@ pub struct CacheReport {
     pub source_conv: ConvCacheStats,
     /// CC-CC conversion-memo counters (identity/memo-hit/miss/rotation).
     pub target_conv: ConvCacheStats,
+    /// `[Lam]` memo counters (memo-hit/miss/rotation).
+    pub lam_memo: ConvCacheStats,
     /// `[Code]` memo counters (memo-hit/miss/rotation).
     pub code_memo: ConvCacheStats,
     /// Entries in the CC interner table.
@@ -292,6 +297,8 @@ pub struct CacheReport {
     pub source_conv_table: usize,
     /// Entries in the CC-CC conversion memo.
     pub target_conv_table: usize,
+    /// λs in the `[Lam]` memo.
+    pub lam_memo_table: usize,
     /// Code blocks in the `[Code]` memo.
     pub code_memo_table: usize,
 }
@@ -303,11 +310,13 @@ pub fn cache_snapshot() -> CacheReport {
         target_intern: tgt::ast::intern_stats(),
         source_conv: src::equiv::conv_cache_stats(),
         target_conv: tgt::equiv::conv_cache_stats(),
+        lam_memo: src::typecheck::lam_memo_stats(),
         code_memo: tgt::typecheck::code_memo_stats(),
         source_intern_table: src::ast::intern_table_len(),
         target_intern_table: tgt::ast::intern_table_len(),
         source_conv_table: src::equiv::conv_cache_len(),
         target_conv_table: tgt::equiv::conv_cache_len(),
+        lam_memo_table: src::typecheck::lam_memo_len(),
         code_memo_table: tgt::typecheck::code_memo_len(),
     }
 }
@@ -321,6 +330,7 @@ impl CacheReport {
             target_intern: self.target_intern.since(&earlier.target_intern),
             source_conv: self.source_conv.since(&earlier.source_conv),
             target_conv: self.target_conv.since(&earlier.target_conv),
+            lam_memo: self.lam_memo.since(&earlier.lam_memo),
             code_memo: self.code_memo.since(&earlier.code_memo),
             ..*self
         }

@@ -5,6 +5,11 @@
 //! except `[CC-Lam]`, which must
 //!
 //! 1. infer the Π type of the λ-abstraction (rule `[CC-Lam]`'s premises),
+//!    which reads the derivation the type checker already built: the
+//!    checker memoizes `[Lam]` per thread (see [`cccc_source::typecheck`]),
+//!    so after the unit's type check each of these calls is a table hit,
+//!    not a re-inference of the λ's body — the work no longer grows
+//!    quadratically with λ-nesting depth,
 //! 2. compute the dependency-ordered free variables of the function *and*
 //!    its type with the metafunction `FV` (Figure 10),
 //! 3. build the environment telescope `Σ (xi : Ai⁺ …)` and the environment
@@ -28,6 +33,14 @@
 //! re-check of the output then answers every repeated code block from the
 //! `[Code]` memo and every repeated conversion by node identity or from
 //! the conversion memo.
+//!
+//! A closed λ is translated in the empty environment, where the checker
+//! checks it. Neither its derivation nor its translation can consult Γ,
+//! and each λ beneath it then sees the environment the checker saw, so
+//! its `[Lam]` memo key is the one the type check used. Translated under
+//! the real Γ instead, an open λ nested in a closed one would be asked
+//! about under a Γ the checker never saw whenever the closed λ's entry was
+//! made in another context (another unit, or elsewhere in this one).
 //!
 //! One name for every environment parameter cannot capture. Code is
 //! closed, so an inner block never mentions the parameter of the block it
@@ -170,9 +183,19 @@ fn translate_lambda(
     domain: &src::Term,
     body: &src::Term,
 ) -> Result<tgt::Term> {
+    // A closed λ is translated in the empty environment, where the checker
+    // checks it (see the module docs): the λs beneath it then see the
+    // environments the checker saw.
+    let empty = src::Env::new();
+    let env = if src::subst::is_closed(lambda) { &empty } else { env };
+
     // The Π type of the function (needed because FV is computed for both the
     // function and its type — the codomain may mention free variables the
-    // body does not).
+    // body does not). Type-checking the unit made an entry for this λ in
+    // the checker's `[Lam]` memo, so this answers from it; without one (a
+    // caller that did not type-check first, or a keep-going build, whose
+    // checker bypasses the memo) it derives the type and fills the memo
+    // for every λ beneath this one.
     let function_ty = src::typecheck::infer(env, lambda)?;
 
     // xi : Ai … = FV(λ x : A. e, Π x : A. B, Γ)
@@ -469,6 +492,28 @@ mod tests {
         assert!(target_alpha_eq(&decoded, &term));
         let decoded_ty = tgt::typecheck::infer(&empty_tgt(), &decoded).unwrap();
         assert!(target_eq(&empty_tgt(), &decoded_ty, &ty));
+    }
+
+    #[test]
+    fn translating_after_type_checking_infers_no_lambda_again() {
+        // Each entry on a thread of its own, so the `[Lam]` memo starts
+        // cold: the typecheck phase fills it, and the translate phase must
+        // find the type of every λ it translates there.
+        for index in 0..prelude::corpus().len() {
+            std::thread::spawn(move || {
+                let entry = prelude::corpus().swap_remove(index);
+                let (compiler, env) = (Compiler::new(), empty_src());
+                let (ty, _) = compiler.phase_typecheck(&env, &entry.term).unwrap();
+                let before = src::typecheck::lam_memo_stats();
+                compiler.phase_translate(&env, &entry.term, &ty).unwrap();
+                let lam_memo = src::typecheck::lam_memo_stats().since(&before);
+                assert_eq!(lam_memo.memo_misses, 0, "`{}` re-inferred a λ", entry.name);
+                let lambdas = entry.term.lambda_count() as u64;
+                assert!(lam_memo.memo_hits >= lambdas, "`{}`: {lam_memo:?}", entry.name);
+            })
+            .join()
+            .unwrap();
+        }
     }
 
     #[test]

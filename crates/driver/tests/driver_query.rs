@@ -4,7 +4,7 @@
 //! oracle with identical verdicts — while re-executing *exactly* the
 //! per-phase work the invalidation model predicts, no more and no less.
 
-use cccc_core::pipeline::CompilerOptions;
+use cccc_core::pipeline::{Compiler, CompilerOptions};
 use cccc_driver::query::{PhaseRuns, QueryCounts};
 use cccc_driver::session::{Session, UnitStatus};
 use cccc_driver::workloads;
@@ -352,5 +352,43 @@ fn keep_going_builds_answer_queries_and_cut_off_on_rebuild() {
     );
     for unit in warm.units.iter().filter(|u| u.status == UnitStatus::Cached) {
         assert!(!unit.phase_runs.any(), "{}: cached keep-going unit ran a phase", unit.name);
+    }
+}
+
+#[test]
+fn translating_a_built_unit_after_type_checking_it_infers_no_lambda_again() {
+    // Every unit of each build, replayed as its worker runs it: inputs
+    // decoded from the unit's wire and its imports' interfaces, then the
+    // typecheck phase and the translate phase on one thread. The
+    // translation must find the type of every λ it translates in the
+    // `[Lam]` memo the type check just filled.
+    let compiler = Compiler::new();
+    for units in [
+        workloads::independent_units(3, 2),
+        workloads::diamond(3, 2),
+        workloads::deep_chain(4, 2),
+        workloads::skewed(3, 3, 2),
+        workloads::edits(2).0,
+    ] {
+        let mut session = workloads::session_from(&units, CompilerOptions::default());
+        assert!(session.build(1).unwrap().is_success());
+        let graph = session.graph();
+        let plan = graph.plan().unwrap();
+        for &u in &plan.order {
+            let unit = graph.unit_at(u);
+            let term = src::wire::decode(&unit.source).unwrap();
+            let mut env = src::Env::new();
+            for &d in &plan.transitive[u] {
+                let dep = graph.unit_at(d);
+                env.push_assumption(dep.symbol, session.interface(&dep.name).unwrap());
+            }
+            let (ty, _) = compiler.phase_typecheck(&env, &term).unwrap();
+            let before = src::typecheck::lam_memo_stats();
+            compiler.phase_translate(&env, &term, &ty).unwrap();
+            let lam_memo = src::typecheck::lam_memo_stats().since(&before);
+            assert_eq!(lam_memo.memo_misses, 0, "unit `{}` re-inferred a λ", unit.name);
+            let lambdas = term.lambda_count() as u64;
+            assert!(lam_memo.memo_hits >= lambdas, "unit `{}`: {lam_memo:?}", unit.name);
+        }
     }
 }

@@ -9,6 +9,7 @@ use cccc_driver::workloads::{diamond, session_from};
 use cccc_driver::{BuildReport, PanicPlan, Session, UnitStatus};
 use cccc_source as src;
 use cccc_source::builder as s;
+use cccc_source::typecheck::LAM_GENERATION_CAP;
 use cccc_target::typecheck::CODE_GENERATION_CAP;
 use cccc_util::intern::CONV_GENERATION_CAP;
 
@@ -37,8 +38,8 @@ fn a_rebuild_after_clear_cache_hits_the_warm_code_memo() {
 /// `λ A : ⋆. λ x : A. let ids : A → A = e in x`, where `e` is a balanced
 /// tree of `if`s over `16 + n % 3` identities, branching on the bits of
 /// `n`. Every edit is new — no two are α-equivalent, and each identity
-/// binds its own name — so each build checks code blocks and conversions
-/// no memo has seen, while the terms stay the same size.
+/// binds its own name — so each build checks λs, code blocks and
+/// conversions no memo has seen, while the terms stay the same size.
 fn base_variant(n: usize) -> src::Term {
     let identities: Vec<src::Term> = (0..16 + n % 3)
         .map(|k| {
@@ -79,7 +80,7 @@ fn a_thousand_edits_keep_every_worker_table_bounded() {
     // The largest CC and CC-CC interner tables over builds 1–500 and
     // 501–1000.
     let mut largest = [[0usize; 2]; 2];
-    let mut rotations = [0u64; 3];
+    let mut rotations = [0u64; 4];
     for build in 0..1000 {
         session.update_unit("base", &base_variant(build)).unwrap();
         let report = session.build(1).unwrap();
@@ -88,16 +89,21 @@ fn a_thousand_edits_keep_every_worker_table_bounded() {
             assert!(caches.source_conv_table <= 2 * CONV_GENERATION_CAP, "build {build}");
             assert!(caches.target_conv_table <= 2 * CONV_GENERATION_CAP, "build {build}");
             assert!(caches.code_memo_table <= 2 * CODE_GENERATION_CAP, "build {build}");
+            assert!(caches.lam_memo_table <= 2 * LAM_GENERATION_CAP, "build {build}");
             rotations[0] += caches.source_conv.rotations;
             rotations[1] += caches.target_conv.rotations;
             rotations[2] += caches.code_memo.rotations;
+            rotations[3] += caches.lam_memo.rotations;
             let half = &mut largest[build / 500];
             half[0] = half[0].max(caches.source_intern_table);
             half[1] = half[1].max(caches.target_intern_table);
         }
     }
     // Every memo reached its cap, so the bounds above were exercised.
-    assert!(rotations.iter().all(|&r| r > 0), "memo rotations (CC, CC-CC, [Code]): {rotations:?}");
+    assert!(
+        rotations.iter().all(|&r| r > 0),
+        "memo rotations (CC, CC-CC, [Code], [Lam]): {rotations:?}"
+    );
     assert!(largest[1][0] <= largest[0][0], "the CC interner grew: {largest:?}");
     assert!(largest[1][1] <= largest[0][1], "the CC-CC interner grew: {largest:?}");
 }

@@ -34,6 +34,13 @@ pub fn occurs_free(x: Symbol, term: &Term) -> bool {
     syntax::occurs_free(x, term)
 }
 
+/// Whether `term` has no free variables. O(1) in the size of the term:
+/// closedness bits on the children's cached metadata, with the head's own
+/// binders subtracted.
+pub fn is_closed(term: &Term) -> bool {
+    syntax::is_closed(term)
+}
+
 /// Capture-avoiding substitution `term[replacement/x]`.
 ///
 /// Binders that shadow `x` stop the substitution; binders whose name occurs
