@@ -7,9 +7,9 @@
 //! 1. infer the Π type of the λ-abstraction (rule `[CC-Lam]`'s premises),
 //!    which reads the derivation the type checker already built: the
 //!    checker memoizes `[Lam]` per thread (see [`cccc_source::typecheck`]),
-//!    so after the unit's type check each of these calls is a table hit,
-//!    not a re-inference of the λ's body — the work no longer grows
-//!    quadratically with λ-nesting depth,
+//!    so after the unit's type check each of these calls is a table hit
+//!    that re-derives no λ body (re-deriving them made the work grow
+//!    quadratically with λ-nesting depth),
 //! 2. compute the dependency-ordered free variables of the function *and*
 //!    its type with the metafunction `FV` (Figure 10),
 //! 3. build the environment telescope `Σ (xi : Ai⁺ …)` and the environment
