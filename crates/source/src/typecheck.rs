@@ -283,10 +283,10 @@ pub fn is_well_typed(env: &Env, term: &Term) -> bool {
 
 /// Entries per generation of the `[Lam]` memo. A resident build worker
 /// keeps the memo from one build to the next. A cold build of the
-/// benchmark's 33-unit graph infers about 66 λs the memo has not seen and
-/// a warm edit about 4, so two generations of 2^11 keep the λs of the
-/// last several hundred edits, while bounding the types the entries hold
-/// alive.
+/// benchmark's 33-unit graph infers 60 λs the memo has not seen, and a
+/// warm edit at most 13 (most edits none), so two generations of 2^11
+/// keep the λs of at least the last 300 edits, while bounding the types
+/// the entries hold alive.
 pub const LAM_GENERATION_CAP: usize = 1 << 11;
 
 /// A `[Lam]` memo key: the λ's binder and the node ids of its domain and
