@@ -7,13 +7,17 @@
 //!   column's Church rows are E3 and E6) and the full compile pipeline
 //!   (the NbE column is `Compiler::compile_closed`, E12; the step column
 //!   is the same four phases composed here on the step engine).
-//! - `experiments`: the rest of E3–E13: type checking the corpus (E3,
-//!   E6), the model translation and its Lemma 4.6
+//! - `experiments`: the rest of E3–E13: type checking the corpus cold
+//!   (E3, E6), the model translation and its Lemma 4.6
 //!   checker (E7), the translation (E8), the Lemma 5.1, 5.2 and 5.4
 //!   checkers (E9–E11), the typecheck-and-translate half of the pipeline
 //!   (E12), and both paths of Theorem 5.7 with its checker (E13).
 //! - `typecheck_cccc_over_cc`: E6 ÷ E3, the median time to type check
 //!   each workload's translation over the time to type check the workload.
+//!   The corpus entry compares cold checks, each repetition on a fresh
+//!   thread, so no memo answers a check an earlier repetition made; the
+//!   Church and `conv_heavy_n` entries repeat their checks on one thread
+//!   and compare warm ones. Each entry's `checks` field says which.
 //! - `capture_depth`: E14, running towers of 2, 5 and 8 nested closures,
 //!   each capturing every enclosing binder, and capture-free control
 //!   towers, in CC and CC-CC: the time, the exact reduction cost and the
@@ -59,6 +63,10 @@ use cccc_util::Symbol;
 /// Warm-up runs, then timed runs.
 type Timing = (usize, usize);
 
+/// The stack of each cold repetition's thread, as large as a build
+/// worker's.
+const COLD_STACK_BYTES: usize = 8 << 20;
+
 /// Times the step engine's `step` against the NbE engine's `nbe` into one
 /// row of `comparisons`, its speedup the ratio of the medians; returns the
 /// NbE timing.
@@ -102,10 +110,29 @@ fn row(experiment: &str, name: &str, ns: Summary) -> Json {
     obj([("experiment", experiment.into()), ("name", name.into()), ("ns", ns.into())])
 }
 
-/// One row of `typecheck_cccc_over_cc`; the CC median is the base.
-fn typecheck_overhead(workload: &str, cc_ns: f64, cccc_ns: f64) -> Json {
+/// Times `check` once per repetition, each on a fresh thread whose
+/// interners and memos start empty; `build` makes the checked input on
+/// that thread, untimed.
+fn cold<I: 'static>(reps: usize, build: fn() -> I, check: fn(&I)) -> Summary {
+    Summary::of((0..reps).map(|_| {
+        std::thread::Builder::new()
+            .stack_size(COLD_STACK_BYTES)
+            .spawn(move || {
+                let input = build();
+                measure::timed(|| check(&input)).0
+            })
+            .expect("spawns a cold-check thread")
+            .join()
+            .expect("a cold check panicked")
+    }))
+}
+
+/// One row of `typecheck_cccc_over_cc`; the CC median is the base, and
+/// `checks` says whether both medians are of cold or of warm checks.
+fn typecheck_overhead(workload: &str, checks: &str, cc_ns: f64, cccc_ns: f64) -> Json {
     obj([
         ("workload", workload.into()),
+        ("checks", checks.into()),
         ("cc_ns", cc_ns.into()),
         ("cccc_ns", cccc_ns.into()),
         ("cccc_over_cc", (cccc_ns / cc_ns).into()),
@@ -113,21 +140,26 @@ fn typecheck_overhead(workload: &str, cc_ns: f64, cccc_ns: f64) -> Json {
 }
 
 /// The `experiments` rows, with the medians of E3's and E6's corpus rows.
-fn experiments((warmup, reps): Timing) -> (Vec<Json>, f64, f64) {
+/// Those two are cold checks, `cold_reps` of each (§7's cost of
+/// re-checking converted code, which a warm repetition would answer from
+/// the `[Lam]` and `[Code]` memos instead).
+fn experiments((warmup, reps): Timing, cold_reps: usize) -> (Vec<Json>, f64, f64) {
     let mut rows = Vec::new();
     let (src_env, tgt_env) = (src::Env::new(), tgt::Env::new());
     let corpus = corpus_workloads();
     let translated: Vec<tgt::Term> = corpus.iter().map(Workload::translated).collect();
 
-    let cc = measure::time(warmup, reps, || {
-        for w in &corpus {
-            src::typecheck::infer(&src_env, &w.term).expect("the corpus is well-typed");
+    let cc = cold(cold_reps, corpus_workloads, |corpus| {
+        for w in corpus {
+            src::typecheck::infer(&src::Env::new(), &w.term).expect("the corpus is well-typed");
         }
     });
     rows.push(row("E3", "typecheck_cc/corpus", cc));
-    let cccc = measure::time(warmup, reps, || {
-        for term in &translated {
-            tgt::typecheck::infer(&tgt_env, term).expect("the translated corpus is well-typed");
+    let translate_corpus = || corpus_workloads().iter().map(Workload::translated).collect();
+    let cccc = cold(cold_reps, translate_corpus, |translated: &Vec<tgt::Term>| {
+        for term in translated {
+            tgt::typecheck::infer(&tgt::Env::new(), term)
+                .expect("the translated corpus is well-typed");
         }
     });
     rows.push(row("E6", "typecheck_cccc/corpus", cccc));
@@ -265,8 +297,11 @@ fn capture_depth((warmup, reps): Timing) -> Vec<Json> {
 
 fn main() {
     let args = Args::parse("BENCH_nbe.json", &[], &[]);
-    // 101 timed runs put ten samples above the reported p90.
+    // 101 timed runs put ten samples above the reported p90. A cold
+    // repetition starts a thread and rebuilds its input, so E3 and E6 on
+    // the corpus take fewer.
     let timing = if args.quick { (1, 11) } else { (5, 101) };
+    let cold_reps = if args.quick { 5 } else { 51 };
 
     let workloads: Vec<Workload> = church_workloads(&[2, 4, 6]);
     // Type checking is measured on both families: Church arithmetic
@@ -396,10 +431,10 @@ fn main() {
         );
     }
 
-    let (experiments, corpus_cc, corpus_cccc) = experiments(timing);
-    let mut overhead = vec![typecheck_overhead("corpus", corpus_cc, corpus_cccc)];
+    let (experiments, corpus_cc, corpus_cccc) = experiments(timing, cold_reps);
+    let mut overhead = vec![typecheck_overhead("corpus", "cold", corpus_cc, corpus_cccc)];
     for ((workload, cc), cccc) in typecheck_workloads.iter().zip(cc_medians).zip(cccc_medians) {
-        overhead.push(typecheck_overhead(&workload.name, cc, cccc));
+        overhead.push(typecheck_overhead(&workload.name, "warm", cc, cccc));
     }
     let capture_depth = capture_depth(timing);
 
@@ -416,6 +451,14 @@ fn main() {
                     .into(),
             ),
             ("warmup_runs", timing.0.into()),
+            (
+                "cold_checks",
+                "E3 and E6 on the corpus time each of their n runs on a fresh thread with \
+                 an 8 MiB stack, which builds (E3) or builds and translates (E6) the corpus \
+                 untimed and then times the check, with no warm-up; every other row repeats \
+                 its work on one thread"
+                    .into(),
+            ),
             (
                 "kernel",
                 obj([

@@ -16,7 +16,11 @@
 //!    tuple `⟨xi …⟩`,
 //! 4. produce closed code that re-binds the free variables by projecting
 //!    from its environment parameter — both in the body *and* in the
-//!    argument's type annotation (this is the dependently typed twist), and
+//!    argument's type annotation (this is the dependently typed twist);
+//!    each of the two re-binds only the variables it reads and those their
+//!    types read ([`tuple::project_bindings`]), which by ζ is
+//!    definitionally equal to Figure 9's prelude of every captured
+//!    variable, and
 //! 5. pair the code with the environment into a closure.
 //!
 //! Type preservation (Theorem 5.6) is validated mechanically by
@@ -218,11 +222,14 @@ fn translate_lambda(
     let env_var = tgt::Term::Var(env_param);
 
     // x : let ⟨xi …⟩ = n in A⁺   — the argument annotation re-binds the free
-    // variables so the (possibly dependent) domain remains well-scoped.
+    // variables so the (possibly dependent) domain remains well-scoped. Only
+    // those A⁺ reads are re-bound, with those their types read: most
+    // annotations read none (a ground or closed type) and get no `let`.
     let domain_translated = translate(env, domain)?;
     let argument_annotation = tuple::project_bindings(&env_var, &entries, domain_translated);
 
-    // let ⟨xi …⟩ = n in e⁺
+    // let ⟨xi …⟩ = n in e⁺   — again only the variables e⁺ reads, so a free
+    // variable captured for the function's type alone is not re-bound here.
     let inner_env = env.with_assumption(binder, domain.clone());
     let body_translated = translate(&inner_env, body)?;
     let code_body = tuple::project_bindings(&env_var, &entries, body_translated);
@@ -385,6 +392,97 @@ mod tests {
         let ty = tgt::typecheck::infer(&empty_tgt(), &translated).unwrap();
         let expected = translate(&empty_src(), &prelude::poly_id_ty()).unwrap();
         assert!(target_eq(&empty_tgt(), &ty, &expected), "got {ty}, expected {expected}");
+    }
+
+    /// The code block of `closure`.
+    fn code_of(closure: &tgt::Term) -> &tgt::Term {
+        match closure {
+            tgt::Term::Closure { code, .. } => code,
+            other => panic!("expected a closure, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_prelude_binds_only_the_captured_variables_its_term_reads() {
+        // λ A : ⋆. λ x : A. x  ⇝  the inner code
+        // λ (n : Σ A : ⋆. 1, x : let A = fst n : ⋆ in A). x:
+        // the annotation reads `A`, the body only the argument.
+        let translated = translate(&empty_src(), &prelude::poly_id()).unwrap();
+        let tgt::Term::Code { body: outer_body, .. } = code_of(&translated) else {
+            panic!("expected code in {translated}");
+        };
+        let tgt::Term::Code { env_binder, arg_ty, body, .. } = code_of(outer_body) else {
+            panic!("expected code in {outer_body}");
+        };
+        let projected_a = t::let_("A", t::star(), t::fst(t::var_sym(*env_binder)), t::var("A"));
+        assert!(target_alpha_eq(arg_ty, &projected_a), "{arg_ty}");
+        assert!(target_alpha_eq(body, &t::var("x")), "{body}");
+    }
+
+    #[test]
+    fn a_kept_projection_brings_the_projections_its_type_reads() {
+        // Under Γ = A : ⋆, a : A, the code of λ x : Bool. a re-binds `a`
+        // and, because `a : A`, `A` before it; `Bool` reads neither.
+        let env = empty_src()
+            .with_assumption(Symbol::intern("A"), s::star())
+            .with_assumption(Symbol::intern("a"), s::var("A"));
+        let translated = translate(&env, &s::lam("x", s::bool_ty(), s::var("a"))).unwrap();
+        let tgt::Term::Code { env_binder, arg_ty, body, .. } = code_of(&translated) else {
+            panic!("expected code in {translated}");
+        };
+        assert!(target_alpha_eq(arg_ty, &t::bool_ty()), "{arg_ty}");
+        let n = || t::var_sym(*env_binder);
+        let projected_a = t::let_(
+            "A",
+            t::star(),
+            t::fst(n()),
+            t::let_("a", t::var("A"), t::fst(t::snd(n())), t::var("a")),
+        );
+        assert!(target_alpha_eq(body, &projected_a), "{body}");
+    }
+
+    /// The prelude `let`s of every code block in `term`, each with whether
+    /// its variable is read: the `let`s at the head of the argument
+    /// annotation and of the body bound to `fst (sndⁱ n)`, where `n` is the
+    /// block's environment parameter.
+    fn prelude_liveness(term: &tgt::Term) -> Vec<bool> {
+        let projects = |n: Symbol, bound: &tgt::Term| {
+            let tgt::Term::Fst(first) = bound else { return false };
+            let mut tuple: &tgt::Term = first;
+            while let tgt::Term::Snd(rest) = tuple {
+                tuple = rest;
+            }
+            matches!(tuple, tgt::Term::Var(x) if *x == n)
+        };
+        let mut live = Vec::new();
+        term.visit(&mut |node| {
+            let tgt::Term::Code { env_binder, arg_ty, body, .. } = node else { return };
+            for mut wrapped in [arg_ty, body] {
+                while let tgt::Term::Let { binder, bound, body, .. } = &**wrapped {
+                    if !projects(*env_binder, bound) {
+                        break;
+                    }
+                    live.push(cccc_target::subst::occurs_free(*binder, body));
+                    wrapped = body;
+                }
+            }
+        });
+        live
+    }
+
+    #[test]
+    fn every_prelude_let_is_live() {
+        let mut programs: Vec<src::Term> =
+            prelude::corpus().into_iter().map(|entry| entry.term).collect();
+        let mut generator = src::generate::TermGenerator::new(0x9E1D);
+        programs.extend((0..200).map(|_| generator.gen_program().0));
+        let mut lets = 0;
+        for program in &programs {
+            let liveness = prelude_liveness(&translate(&empty_src(), program).unwrap());
+            assert!(liveness.iter().all(|&live| live), "a dead prelude `let` in `{program}`");
+            lets += liveness.len();
+        }
+        assert!(lets > 0, "the programs must capture something");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   ([`variables_tuple`] when the components are the variables
 //!   themselves, [`tuple_value`] for arbitrary components), and
 //! * a *projection prelude*: `let x1 = fst n in let x2 = fst (snd n) in …`
-//!   re-binding the captured variables from the environment parameter
-//!   inside code ([`project_bindings`]).
+//!   re-binding, from the environment parameter inside code, the captured
+//!   variables that the wrapped term reads ([`project_bindings`]).
 //!
 //! Because the telescope is dependent — `A2` may mention `x1` — the order
 //! of entries matters; the `FV` metafunction of Figure 10 produces them in
@@ -19,7 +19,7 @@
 
 use crate::ast::Term;
 use crate::builder;
-use crate::subst::subst;
+use crate::subst::{occurs_free, subst};
 use cccc_util::symbol::Symbol;
 
 /// Builds the environment telescope `Σ x1 : A1. … Σ xk : Ak. 1` for the
@@ -80,9 +80,22 @@ pub fn tuple_value(values: &[Term], telescope: &Term) -> Term {
 /// where `n` is `env_var`. Inside code this re-binds the captured
 /// variables, both in the body and — crucially for dependent types — in
 /// the argument's type annotation (Figure 9, rule `[CC-Lam]`).
+///
+/// Figure 9 binds every entry; here `let xi = fst (sndⁱ n) : Ai` is
+/// emitted only when `xi` occurs free in what is built so far. The entries
+/// are walked innermost first, so what is built so far holds the kept
+/// `let`s' annotations too, and the entries a kept `Ai` mentions are kept
+/// with it. Each dropped `let` binds a variable its scope never reads, so
+/// by ζ (`let x = e : A in b ≡ b` when `x ∉ FV(b)`) the result is
+/// definitionally equal to Figure 9's full prelude, and it type-checks
+/// wherever that prelude does. Each test is an O(1) lookup on the cached
+/// free-variable metadata.
 pub fn project_bindings(env_var: &Term, entries: &[(Symbol, Term)], body: Term) -> Term {
     let mut out = body;
     for (index, (name, entry_ty)) in entries.iter().enumerate().rev() {
+        if !occurs_free(*name, &out) {
+            continue;
+        }
         let mut access = env_var.clone();
         for _ in 0..index {
             access = builder::snd(access);
@@ -98,6 +111,7 @@ mod tests {
     use super::*;
     use crate::builder::*;
     use crate::env::Env;
+    use crate::equiv::definitionally_equal;
     use crate::reduce::normalize_default;
     use crate::subst::alpha_eq;
     use crate::typecheck;
@@ -165,6 +179,56 @@ mod tests {
         let projected = project_bindings(&concrete, &entries, var("a"));
         let value = normalize_default(&Env::new(), &projected);
         assert!(alpha_eq(&value, &tt()));
+    }
+
+    /// Figure 9's prelude over `entries()`, every entry bound, built by
+    /// hand: `let A = fst n : ⋆ in let a = fst (snd n) : A in
+    /// let b = fst (snd (snd n)) : Bool in body`.
+    fn full_prelude(body: Term) -> Term {
+        let n = || var("n");
+        let_(
+            "A",
+            star(),
+            fst(n()),
+            let_("a", var("A"), fst(snd(n())), let_("b", bool_ty(), fst(snd(snd(n()))), body)),
+        )
+    }
+
+    #[test]
+    fn project_bindings_bind_what_the_body_reads_and_its_type_dependencies() {
+        let entries = entries();
+        let prelude = |body| project_bindings(&var("n"), &entries, body);
+        // `b : Bool` depends on nothing, so it is bound alone.
+        let expected = let_("b", bool_ty(), fst(snd(snd(var("n")))), var("b"));
+        assert!(alpha_eq(&prelude(var("b")), &expected));
+        // `a : A` brings `A` with it, bound first.
+        let expected =
+            let_("A", star(), fst(var("n")), let_("a", var("A"), fst(snd(var("n"))), var("a")));
+        assert!(alpha_eq(&prelude(var("a")), &expected));
+        // A body that reads no captured variable gets no prelude at all.
+        assert!(alpha_eq(&prelude(tt()), &tt()));
+        // A name the body binds itself is not a read of the captured one.
+        let shadowing = let_("a", bool_ty(), tt(), var("a"));
+        assert!(alpha_eq(&prelude(shadowing.clone()), &shadowing));
+    }
+
+    #[test]
+    fn the_pruned_prelude_is_definitionally_equal_to_the_full_one() {
+        // Under `n : Σ A : ⋆. Σ a : A. Σ b : Bool. 1`, dropping the `let`s
+        // whose variable is not read is ζ: the two preludes are equal.
+        let entries = entries();
+        let env = Env::new().with_assumption(sym("n"), telescope_type(&entries));
+        let bodies = [var("a"), var("b"), var("A"), tt()];
+        for body in bodies {
+            let pruned = project_bindings(&var("n"), &entries, body.clone());
+            let full = full_prelude(body.clone());
+            assert!(!alpha_eq(&pruned, &full), "`{body}` reads only some entries");
+            assert!(definitionally_equal(&env, &pruned, &full), "`{pruned}` ≢ `{full}`");
+        }
+        // Reading every entry keeps every `let`: the full prelude itself.
+        let reads_all = pair(var("a"), var("b"), sigma("_", var("A"), bool_ty()));
+        let pruned = project_bindings(&var("n"), &entries, reads_all.clone());
+        assert!(alpha_eq(&pruned, &full_prelude(reads_all)));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!
 //! 1. the translation producing the two nested closures of §3,
 //! 2. the inner code's argument annotation projecting `A` from the
-//!    environment (`x : let ⟨A⟩ = n in A`),
+//!    environment (`x : let ⟨A⟩ = n in A`), while its body `x`, which
+//!    reads no captured variable, projects nothing,
 //! 3. the `[Clo]` rule synchronising the closure type with the code type by
 //!    substituting the environment, and
 //! 4. the η-principle for closures identifying environment-captured and
